@@ -14,8 +14,8 @@ from .errors import (BracketError, ConfigError, ConstraintViolated, DegenerateRe
                      OptoEprError, ParseError, PhysicsError, SignConventionViolated,
                      SingularDrift, UnitError, UnknownKey)
 from .langevin import (Covariance4, LinearResponse, adiabatic_response, assemble_covariance,
-                       compare_models, full6_solve, intracavity_occupation, log_negativity,
-                       rwa3_solve, standard_form_reduce)
+                       compare_models, evaluate, full6_solve, intracavity_occupation,
+                       log_negativity, rwa3_solve, standard_form_reduce)
 from .params import (DriveSpec, PhysicalParams, RegimeReport, amplitude_to_power,
                      detunings, eta_from_geometry, normal_mode_drives, power_to_amplitude,
                      thermal_occupancy, validate_regime)

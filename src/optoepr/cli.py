@@ -8,7 +8,6 @@ Commands: derive, spectrum, sweep, optimum, verify, occupation.  Without
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -16,9 +15,9 @@ import numpy as np
 from . import io as tabio
 from .config import RunConfig, parse_config
 from .errors import ConfigError, OptoEprError, PhysicsError
-from .langevin import compare_models, intracavity_occupation
+from .langevin import MODELS, evaluate, intracavity_occupation, model_deviations
 from .params import validate_regime
-from .spectrum import optimum_d, spectrum
+from .spectrum import metric_columns, optimum_d, spectrum_flags
 from .steady_state import retuned_d, solve_steady_state
 from .sweeps import SweepSpec, find_optimum_d_numeric, run_sweep
 
@@ -26,7 +25,6 @@ _AXIS_NAMES = {"T": "temperature", "alpha": "alpha", "d": "d", "Q": "Q"}
 _DEFAULT_SWEEP_VALUES = {
     "temperature": "4,77,300",
     "alpha": "500,1000,2000",
-    "d": "",           # filled from gamma at runtime
     "Q": "300,3000,30000",
 }
 
@@ -98,23 +96,15 @@ def _maybe_retune(params, args):
     return retuned_d(params, optimum_d(derived).d_o)
 
 
-def _spectrum_rows(derived, grid, model_name: str):
-    rows = []
-    for pt in spectrum(derived, grid):
-        sf, m = pt.standard_form, pt.metrics
-        rows.append({
-            "omega_rads": pt.omega,
-            "omega_over_gamma": pt.omega / derived.gamma,
-            "n": None if sf is None else sf.n,
-            "k_x": None if sf is None else sf.k_x,
-            "epr_variance": None if m is None else m.epr_variance,
-            "S_db": None if m is None else m.S_db,
-            "eof": None if m is None else m.eof,
-            "log_negativity": None if m is None else m.log_negativity,
-            "model": model_name,
-            "flags": ";".join(pt.flags),
-        })
-    return rows
+def _rows(omegas: np.ndarray, gamma: float, model: str, x: np.ndarray, flags, **columns):
+    """Table rows of one model's EPR variance ``x`` over a grid (NaN marks a failed point).
+
+    ``columns`` adds per-point arrays such as n, k_x or dev_<model>.
+    """
+    cols = {"omega_rads": omegas.tolist(), "omega_over_gamma": (omegas / gamma).tolist(),
+            **metric_columns(x), **{name: a.tolist() for name, a in columns.items()},
+            "model": [model] * len(omegas), "flags": list(flags)}
+    return [dict(zip(cols, row)) for row in zip(*cols.values())]
 
 
 def _emit(rows, cfg: RunConfig, columns=tabio.BASE_COLUMNS) -> None:
@@ -146,7 +136,9 @@ def _cmd_spectrum(args, cfg: RunConfig) -> int:
     params = _maybe_retune(cfg.params, args)
     derived = solve_steady_state(params)
     grid = _grid(args, params.gamma)
-    _emit(_spectrum_rows(derived, grid, "adiabatic"), cfg)
+    ev = evaluate(derived, grid, "adiabatic")
+    flags = (";".join(f) for f in spectrum_flags(derived, grid, ev.error))
+    _emit(_rows(grid, derived.gamma, "adiabatic", ev.x, flags, n=ev.n, k_x=ev.k_x), cfg)
     return 0
 
 
@@ -155,43 +147,30 @@ def _cmd_sweep(args, cfg: RunConfig) -> int:
         raise ConfigError("sweep requires --axis {T|alpha|d|Q}")
     axis = _AXIS_NAMES[args.axis]
     params = _maybe_retune(cfg.params, args)
-    if args.values:
-        values = tuple(float(v) for v in args.values.split(","))
-    elif axis == "d":
-        g = params.gamma
-        values = tuple(np.linspace(0.02 * g, 0.14 * g, 7))
-    else:
-        values = tuple(float(v) for v in _DEFAULT_SWEEP_VALUES[axis].split(","))
     grid = _grid(args, params.gamma)
-    result = run_sweep(SweepSpec(axis=axis, values=values, base=params,
-                                 omega_grid=grid, model="adiabatic"))
-    rows = []
-    for row in result.rows:
+    try:
+        if args.values:
+            values = tuple(float(v) for v in args.values.split(","))
+        elif axis == "d":
+            values = tuple(np.linspace(0.02 * params.gamma, 0.14 * params.gamma, 7))
+        else:
+            values = tuple(float(v) for v in _DEFAULT_SWEEP_VALUES[axis].split(","))
+        spec = SweepSpec(axis=axis, values=values, base=params, omega_grid=grid, model="adiabatic")
+    except ValueError as exc:
+        raise ConfigError(f"invalid --values {args.values!r}: {exc}") from exc
+    rows, notes = [], []
+    for row in run_sweep(spec).rows:
         tag = f"{args.axis}={row.value:.17g}"
         if row.error:
             rows.append({"model": "adiabatic", "flags": f"{tag};error:{row.error}"})
-            continue
-        for omega, x, e in zip(row.omega, row.epr_variance, row.eof):
-            rows.append({
-                "omega_rads": float(omega),
-                "omega_over_gamma": float(omega) / params.gamma,
-                "n": None,
-                "k_x": None,
-                "epr_variance": float(x),
-                "S_db": -10.0 * math.log10(x),
-                "eof": float(e),
-                "log_negativity": max(0.0, -math.log2(x)),
-                "model": "adiabatic",
-                "flags": tag,
-            })
-    _emit(rows, cfg)
-    for row in result.rows:
-        if row.error:
-            print(f"# {args.axis}={row.value:g}: {row.error}", file=sys.stderr)
+            notes.append(f"# {args.axis}={row.value:g}: {row.error}")
         else:
-            print(f"# {args.axis}={row.value:g}: peak_eof={row.peak_eof:.6g} "
-                  f"fwhm={row.fwhm:.6g} peaks_at={[f'{w:.4g}' for w in row.peak_omegas]}",
-                  file=sys.stderr)
+            rows += _rows(row.omega, params.gamma, "adiabatic", row.epr_variance,
+                          [tag] * len(row.omega))
+            notes.append(f"# {args.axis}={row.value:g}: peak_eof={row.peak_eof:.6g} "
+                         f"fwhm={row.fwhm:.6g} peaks_at={[f'{w:.4g}' for w in row.peak_omegas]}")
+    _emit(rows, cfg)
+    print("\n".join(notes), file=sys.stderr)
     return 0
 
 
@@ -214,36 +193,22 @@ def _cmd_optimum(args, cfg: RunConfig) -> int:
 
 def _cmd_verify(args, cfg: RunConfig) -> int:
     models = tuple(m.strip() for m in args.models.split(",") if m.strip())
+    if not models or set(models) - set(MODELS):
+        raise ConfigError(f"--models {args.models!r}: expected a comma-separated list "
+                          f"from {', '.join(MODELS)}")
     params = _maybe_retune(cfg.params, args)
     derived = solve_steady_state(params)
     grid = _grid(args, params.gamma)
-    report = compare_models(derived, grid, models=models)
-    dev_cols = tuple(f"dev_{m}" for m in models[1:])
-    columns = tabio.BASE_COLUMNS + dev_cols
-    rows = []
-    for row in report.rows:
-        for model in models:
-            pt = row.values[model]
-            record = {
-                "omega_rads": row.omega,
-                "omega_over_gamma": row.omega / params.gamma,
-                "n": None,
-                "k_x": None,
-                "epr_variance": pt.epr_variance,
-                "S_db": pt.S_db,
-                "eof": pt.eof,
-                "log_negativity": None if pt.epr_variance is None
-                                  else max(0.0, -math.log2(pt.epr_variance)),
-                "model": model,
-                "flags": "" if pt.error is None else f"error:{pt.error}",
-            }
-            for m in models[1:]:
-                record[f"dev_{m}"] = row.deviations.get(m)
-            rows.append(record)
-    _emit(rows, cfg, columns)
-    for model, dev in report.max_deviation.items():
-        print(f"# max |rel dev| of n-k_x, {model} vs {report.baseline}: {dev:.6g}",
-              file=sys.stderr)
+    evals = {m: evaluate(derived, grid, m) for m in models}
+    devs, worst = model_deviations(evals, models)
+    dev_cols = {f"dev_{m}": dev for m, dev in devs.items()}
+    per_model = [_rows(grid, params.gamma, m, evals[m].x,
+                       (f"error:{e}" if e else "" for e in evals[m].error), **dev_cols)
+                 for m in models]
+    _emit([row for group in zip(*per_model) for row in group], cfg,
+          tabio.BASE_COLUMNS + tuple(f"dev_{m}" for m in models[1:]))
+    for model, dev in worst.items():
+        print(f"# max |rel dev| of n-k_x, {model} vs {models[0]}: {dev:.6g}", file=sys.stderr)
     return 0
 
 

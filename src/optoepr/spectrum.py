@@ -91,6 +91,26 @@ class SpectrumPoint:
 
 
 @dataclass(frozen=True)
+class Evaluation:
+    """One output model over a frequency grid: n, k_x and x = n - k_x, NaN where a
+    point failed, and per point the failure's name in ``error`` ("" if none)."""
+
+    n: np.ndarray
+    k_x: np.ndarray
+    x: np.ndarray
+    error: np.ndarray
+
+    @classmethod
+    def from_standard_form(cls, n: np.ndarray, k_x: np.ndarray,
+                           error: np.ndarray) -> "Evaluation":
+        """Form x = n - k_x, flag x <= 0 as ``DomainError`` and blank every failed point."""
+        x = n - k_x
+        error[(error == "") & (x <= 0)] = "DomainError"
+        n, k_x, x = (np.where(error != "", np.nan, a) for a in (n, k_x, x))
+        return cls(n=n, k_x=k_x, x=x, error=error)
+
+
+@dataclass(frozen=True)
 class OptimumD:
     """Optimum offset d and the metrics it yields at the spectrum center."""
 
@@ -119,8 +139,8 @@ def transfer_functions(derived: DerivedParams, omega: float) -> TransferPoint:
     """
     _require_symmetric(derived)
     g, gp, gamma = derived.g, derived.g_prime, derived.gamma
-    Dw = (-1j * omega + gamma / 2.0) ** 2 + gp * gp - g * g
-    if abs(Dw) < 1e-30 * (gamma * gamma + omega * omega):
+    Dw, degenerate = _denominator(derived, omega)
+    if degenerate:
         raise DegenerateResponse(f"response denominator vanished at omega = {omega:.6e}")
     u_minus_v = omega * omega + gamma * gamma / 4.0 + g * g - gp * gp
     s = math.sqrt(derived.gamma * derived.gamma_m_tilde)
@@ -131,6 +151,13 @@ def transfer_functions(derived: DerivedParams, omega: float) -> TransferPoint:
         I=(-1j * omega + gamma / 2.0 - 1j * (gp - g)) * s / Dw,
         Delta_of_omega=Dw,
     )
+
+
+def _denominator(derived: DerivedParams, omega):
+    """Delta(omega) and whether it has vanished (numpy-polymorphic in omega)."""
+    g, gp, gamma = derived.g, derived.g_prime, derived.gamma
+    Dw = (-1j * omega + gamma / 2.0) ** 2 + gp * gp - g * g
+    return Dw, abs(Dw) < 1e-30 * (gamma * gamma + omega * omega)
 
 
 def _covariance_entries(derived: DerivedParams, omega):
@@ -171,20 +198,9 @@ def closed_form_covariance(tp: TransferPoint, n_m: float,
 def eof(x: float) -> float:
     """Entanglement of formation [ebits] of a symmetric state with EPR variance x.
 
-    E = C+(x) log2 C+(x) - C-(x) log2 C-(x), C+-(x) = (x^-1/2 +- x^1/2)^2 / 4,
-    valid for x < 1; clamped to exactly 0 for x >= 1 (separable).
+    The one-point case of :func:`eof_array`.
     """
-    if x <= 0:
-        raise DomainError(f"EPR variance must be > 0, got {x:g}")
-    if x >= 1.0:
-        return 0.0
-    root = math.sqrt(x)
-    c_plus = (1.0 / root + root) ** 2 / 4.0
-    c_minus = (1.0 / root - root) ** 2 / 4.0
-    result = c_plus * math.log2(c_plus)
-    if c_minus > 0.0:
-        result -= c_minus * math.log2(c_minus)
-    return result
+    return float(eof_array(np.array([x], dtype=float))[0])
 
 
 def squeezing_db(x: float) -> float:
@@ -192,6 +208,11 @@ def squeezing_db(x: float) -> float:
     if x <= 0:
         raise DomainError(f"EPR variance must be > 0, got {x:g}")
     return -10.0 * math.log10(x)
+
+
+def _log_negativity(x: float) -> float:
+    """Logarithmic negativity max(0, -log2 x) of a symmetric state; NaN stays NaN."""
+    return 0.0 if x >= 1.0 else -math.log2(x)
 
 
 def ent_metrics(sf: StandardForm) -> EntMetrics:
@@ -204,8 +225,23 @@ def ent_metrics(sf: StandardForm) -> EntMetrics:
         S_db=squeezing_db(x),
         eof=eof(x),
         entangled=x < 1.0,
-        log_negativity=max(0.0, -math.log2(x)),
+        log_negativity=_log_negativity(x),
     )
+
+
+def metric_columns(x: np.ndarray) -> dict[str, list[float]]:
+    """epr_variance, S_db, eof and log_negativity of each EPR variance in ``x``.
+
+    NaN entries (failed points) stay NaN.  S_db and log_negativity take their
+    logarithms from :mod:`math`, as :func:`ent_metrics` does, to the last digit.
+    """
+    xs = np.asarray(x, dtype=float).tolist()
+    return {
+        "epr_variance": xs,
+        "S_db": [squeezing_db(v) for v in xs],
+        "eof": eof_array(x).tolist(),
+        "log_negativity": [_log_negativity(v) for v in xs],
+    }
 
 
 def optimum_d(derived: DerivedParams) -> OptimumD:
@@ -225,6 +261,29 @@ def optimum_d(derived: DerivedParams) -> OptimumD:
     return OptimumD(d_o=d_o, S_o_db=squeezing_db(x), eof_o=eof(x), unbounded=False)
 
 
+def closed_form_grid(derived: DerivedParams, omegas) -> Evaluation:
+    """The closed-form standard form over a frequency grid, failures flagged per point.
+
+    Unequal amplitudes fail every point with ``DomainError``; a vanishing
+    response denominator (see :func:`transfer_functions`) fails a point with
+    ``DegenerateResponse``; n - k_x <= 0 fails it with ``DomainError``.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    error = np.where(_denominator(derived, omegas)[1], "DegenerateResponse", "").astype(object)
+    if derived.alpha_mismatch() > ALPHA_MATCH_RTOL:
+        error[:] = "DomainError"
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n, v14, v24 = _covariance_entries(derived, omegas)
+        return Evaluation.from_standard_form(n, np.hypot(v14, v24), error)
+
+
+def spectrum_flags(derived: DerivedParams, omegas, error) -> list[tuple[str, ...]]:
+    """Per-point flags: the elimination-band warning for |omega| >= delta, then the failure."""
+    outside = (np.abs(np.asarray(omegas, dtype=float)) >= derived.delta).tolist()
+    return [(("omega_outside_elimination_band",) if out else ()) + ((f"error:{e}",) if e else ())
+            for out, e in zip(outside, error)]
+
+
 def spectrum(derived: DerivedParams, omega_grid) -> list[SpectrumPoint]:
     """Evaluate the closed-form output state on a frequency grid.
 
@@ -232,20 +291,13 @@ def spectrum(derived: DerivedParams, omega_grid) -> list[SpectrumPoint]:
     the grid; points with |omega| >= delta carry an elimination-regime
     warning flag.
     """
+    omegas = np.asarray(omega_grid, dtype=float)
+    ev = closed_form_grid(derived, omegas)
     points = []
-    for omega in omega_grid:
-        omega = float(omega)
-        flags = []
-        if abs(omega) >= derived.delta:
-            flags.append("omega_outside_elimination_band")
-        try:
-            tp = transfer_functions(derived, omega)
-            _, sf = closed_form_covariance(tp, derived.n_m, derived)
-            metrics = ent_metrics(sf)
-        except Exception as exc:  # recorded in-row per the grid contract
-            points.append(SpectrumPoint(omega, None, None, tuple(flags + [f"error:{type(exc).__name__}"])))
-            continue
-        points.append(SpectrumPoint(omega, sf, metrics, tuple(flags)))
+    for omega, n, k_x, flags in zip(omegas.tolist(), ev.n.tolist(), ev.k_x.tolist(),
+                                    spectrum_flags(derived, omegas, ev.error)):
+        sf = None if math.isnan(n) else StandardForm(n=n, k_x=k_x, k_p=-k_x, residual=0.0)
+        points.append(SpectrumPoint(omega, sf, None if sf is None else ent_metrics(sf), flags))
     return points
 
 
@@ -257,11 +309,15 @@ def epr_variance_array(derived: DerivedParams, omega: np.ndarray) -> np.ndarray:
 
 
 def eof_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized EOF; entries with x >= 1 map to 0."""
+    """Entanglement of formation [ebits] of symmetric states with EPR variances x.
+
+    E = C+(x) log2 C+(x) - C-(x) log2 C-(x), C+-(x) = (x^-1/2 +- x^1/2)^2 / 4,
+    valid for x < 1; exactly 0 for x >= 1 (separable); NaN stays NaN.
+    """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
-        raise DomainError("EPR variance must be > 0")
-    out = np.zeros_like(x)
+        raise DomainError(f"EPR variance must be > 0, got {x[x <= 0].flat[0]:g}")
+    out = np.where(np.isnan(x), np.nan, 0.0)
     mask = x < 1.0
     if np.any(mask):
         root = np.sqrt(x[mask])

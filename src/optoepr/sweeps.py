@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BracketError, PhysicsError
-from .langevin import assemble_covariance, full6_solve, rwa3_solve, standard_form_reduce
-from .params import PhysicalParams
+from .langevin import evaluate
+from .params import DriveSpec, PhysicalParams
 from .spectrum import eof_array, epr_variance_array, optimum_d
 from .steady_state import (DerivedParams, operating_point_params, retuned_d,
                            solve_steady_state)
@@ -142,15 +142,17 @@ def peak_statistics(omega: np.ndarray, eof_curve: np.ndarray,
     return PeakStats(peak_eof=float(peak), peak_omegas=peak_omegas, fwhm=fwhm)
 
 
-def _epr_curve(derived: DerivedParams, omega: np.ndarray, model: str) -> np.ndarray:
-    if model == "adiabatic":
-        return epr_variance_array(derived, omega)
-    solver = rwa3_solve if model == "rwa3" else full6_solve
-    out = np.empty(len(omega))
-    for i, w in enumerate(omega):
-        sf = standard_form_reduce(assemble_covariance(solver(derived, float(w)), derived.n_m))
-        out[i] = sf.n - sf.k_x
-    return out
+def _scaled_powers(params: PhysicalParams, factor: float) -> PhysicalParams:
+    """``params`` with both drive powers multiplied by ``factor`` (laser frequencies kept)."""
+    p1, p2 = params.drive_powers()
+    d = params.drive
+    return params.scaled(drive=DriveSpec(mode="powers", omega_l=d.omega_l, omega_lp=d.omega_lp,
+                                         p_1=p1 * factor, p_2=p2 * factor))
+
+
+def _peak_eof(derived: DerivedParams, omega: np.ndarray) -> float:
+    """Peak EOF of the closed form over ``omega``; raises on any failed point."""
+    return peak_statistics(omega, eof_array(epr_variance_array(derived, omega))).peak_eof
 
 
 def _row_params(spec: SweepSpec, value: float, base_derived: DerivedParams) -> PhysicalParams:
@@ -165,12 +167,7 @@ def _row_params(spec: SweepSpec, value: float, base_derived: DerivedParams) -> P
     if spec.axis == "Q":
         return base.scaled(gamma_m=base.omega_m / value)
     if spec.axis == "power_fluct":
-        p1, p2 = base.drive_powers()
-        d = base.drive
-        from .params import DriveSpec
-        drive = DriveSpec(mode="powers", omega_l=d.omega_l, omega_lp=d.omega_lp,
-                          p_1=p1 * (1.0 + value), p_2=p2 * (1.0 + value))
-        return base.scaled(drive=drive)
+        return _scaled_powers(base, 1.0 + value)
     if spec.axis == "d_fluct":
         return retuned_d(base, base_derived.d + value)
     raise ValueError(spec.axis)
@@ -179,7 +176,9 @@ def _row_params(spec: SweepSpec, value: float, base_derived: DerivedParams) -> P
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the entanglement spectrum for each axis value.
 
-    Row failures (e.g. NoSteadyState) are recorded on the row, never fatal.
+    Row failures (e.g. NoSteadyState, or the first point of the grid
+    that fails in :func:`optoepr.langevin.evaluate`) are recorded on the row
+    by name, never fatal.
     Rows are computed independently and assembled in value order.
     """
     base_derived = solve_steady_state(spec.base)
@@ -187,20 +186,23 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     result = SweepResult(spec=spec)
     for value in spec.values:
         try:
-            params = _row_params(spec, float(value), base_derived)
-            derived = solve_steady_state(params)
-            x = _epr_curve(derived, omega, spec.model)
-            eof_curve = eof_array(x)
-            stats = peak_statistics(omega, eof_curve)
-            result.rows.append(SweepRow(
-                value=float(value), omega=omega, eof=eof_curve, epr_variance=x,
-                peak_eof=stats.peak_eof, peak_omegas=stats.peak_omegas,
-                fwhm=stats.fwhm, derived=derived))
+            derived = solve_steady_state(_row_params(spec, float(value), base_derived))
+            ev = evaluate(derived, omega, spec.model)
+            error = next(iter(ev.error[ev.error != ""]), None)
         except PhysicsError as exc:
+            error = type(exc).__name__
+        if error:
             result.rows.append(SweepRow(
                 value=float(value), omega=omega, eof=np.array([]), epr_variance=np.array([]),
                 peak_eof=math.nan, peak_omegas=(), fwhm=math.nan,
-                derived=None, error=type(exc).__name__))
+                derived=None, error=error))
+            continue
+        eof_curve = eof_array(ev.x)
+        stats = peak_statistics(omega, eof_curve)
+        result.rows.append(SweepRow(
+            value=float(value), omega=omega, eof=eof_curve, epr_variance=ev.x,
+            peak_eof=stats.peak_eof, peak_omegas=stats.peak_omegas,
+            fwhm=stats.fwhm, derived=derived))
     return result
 
 
@@ -240,8 +242,7 @@ def sensitivity_analysis(base: PhysicalParams, d_jitter: float,
 
     def peak_for(params: PhysicalParams) -> tuple[float, float]:
         derived = solve_steady_state(params)
-        stats = peak_statistics(omega, eof_array(epr_variance_array(derived, omega)))
-        return stats.peak_eof, derived.d
+        return _peak_eof(derived, omega), derived.d
 
     cases = []
     base_peak, _ = peak_for(at_opt)
@@ -251,13 +252,7 @@ def sensitivity_analysis(base: PhysicalParams, d_jitter: float,
             peak, dval = peak_for(retuned_d(at_opt, d_o + sign * d_jitter))
             cases.append(SensitivityCase(f"d{'+-'[sign < 0]}jitter", dval, peak))
         if power_jitter_frac > 0:
-            p1, p2 = at_opt.drive_powers()
-            from .params import DriveSpec
-            dd = at_opt.drive
-            drive = DriveSpec(mode="powers", omega_l=dd.omega_l, omega_lp=dd.omega_lp,
-                              p_1=p1 * (1.0 + sign * power_jitter_frac),
-                              p_2=p2 * (1.0 + sign * power_jitter_frac))
-            peak, dval = peak_for(at_opt.scaled(drive=drive))
+            peak, dval = peak_for(_scaled_powers(at_opt, 1.0 + sign * power_jitter_frac))
             cases.append(SensitivityCase(f"power{'+-'[sign < 0]}jitter", dval, peak))
     worst = min(c.peak_eof for c in cases)
     degradation = 0.0 if base_peak == 0 else (base_peak - worst) / base_peak
@@ -282,9 +277,7 @@ def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, fl
     omega = np.asarray(omega_grid, dtype=float)
 
     def peak(dval: float) -> float:
-        derived = solve_steady_state(retuned_d(base, dval))
-        stats = peak_statistics(omega, eof_array(epr_variance_array(derived, omega)))
-        return stats.peak_eof
+        return _peak_eof(solve_steady_state(retuned_d(base, dval)), omega)
 
     if hi == lo:
         return lo

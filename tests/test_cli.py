@@ -1,3 +1,5 @@
+import csv
+
 from optoepr.cli import main
 from optoepr.io import read_jsonlines
 
@@ -59,6 +61,20 @@ class TestSweep:
         code, _, err = run(capsys, "sweep")
         assert code == 2
         assert "axis" in err
+
+
+class TestSharedRows:
+    def test_spectrum_and_sweep_metric_columns_agree(self, tmp_path):
+        # the default config is at T = 300 K, so the one-value sweep row is
+        # the spectrum itself
+        spec, sweep = tmp_path / "spectrum.csv", tmp_path / "sweep.csv"
+        assert main(["spectrum", "--out", str(spec)]) == 0
+        assert main(["sweep", "--axis", "T", "--values", "300", "--out", str(sweep)]) == 0
+        a = list(csv.DictReader(spec.open()))
+        b = list(csv.DictReader(sweep.open()))
+        assert len(a) == len(b) == 2001
+        for col in ("omega_rads", "epr_variance", "S_db", "eof", "log_negativity"):
+            assert [r[col] for r in a] == [r[col] for r in b], col
 
 
 class TestOptimum:
@@ -127,6 +143,29 @@ drive_omega2_rads = 1e12
         code, _, err = run(capsys, "derive", "--config", str(cfg))
         assert code == 3
         assert "physics error" in err
+
+    def test_unknown_verify_model_exits_2(self, capsys):
+        code, _, err = run(capsys, "verify", "--models", "adiabatic,bogus",
+                           "--omega-points", "5")
+        assert code == 2
+        assert "configuration error" in err and "bogus" in err
+
+    def test_empty_verify_models_exits_2(self, capsys):
+        code, _, err = run(capsys, "verify", "--models", ",", "--omega-points", "5")
+        assert code == 2
+        assert "configuration error" in err
+
+    def test_non_numeric_sweep_values_exit_2(self, capsys):
+        code, _, err = run(capsys, "sweep", "--axis", "T", "--values", "x",
+                           "--omega-points", "5")
+        assert code == 2
+        assert "configuration error" in err
+
+    def test_non_monotone_sweep_values_exit_2(self, capsys):
+        code, _, err = run(capsys, "sweep", "--axis", "T", "--values", "300,4,300",
+                           "--omega-points", "5")
+        assert code == 2
+        assert "monotone" in err
 
     def test_config_file_loaded(self, tmp_path, capsys):
         cfg = tmp_path / "ok.cfg"

@@ -287,3 +287,48 @@ class TestModelAgreement:
     def test_unknown_model_rejected(self, paper_derived):
         with pytest.raises(ValueError):
             oe.compare_models(paper_derived, [0.0], models=("adiabatic", "bogus"))
+
+
+class TestBatchedKernel:
+    """compare_models evaluates each model in one batched pass; it must match
+    the single-frequency chain point by point."""
+
+    MODELS = ("adiabatic", "adiabatic_response", "rwa3", "full6")
+    SOLVERS = {"adiabatic_response": oe.adiabatic_response, "rwa3": oe.rwa3_solve,
+               "full6": oe.full6_solve}
+
+    def per_point(self, derived, model, omega):
+        """n - k_x from the single-frequency chain, or the name of its failure."""
+        try:
+            if model == "adiabatic":
+                tp = oe.transfer_functions(derived, omega)
+                sf = oe.closed_form_covariance(tp, derived.n_m, derived)[1]
+            else:
+                resp = self.SOLVERS[model](derived, omega)
+                sf = oe.standard_form_reduce(oe.assemble_covariance(resp, derived.n_m))
+        except oe.NotSymmetricState as exc:
+            return type(exc).__name__
+        return sf.n - sf.k_x
+
+    def test_matches_single_frequency_chain(self, paper_params, paper_derived):
+        grid = oe.default_omega_grid(paper_params.gamma, 41)
+        report = oe.compare_models(paper_derived, grid, models=self.MODELS)
+        failures = dict.fromkeys(self.MODELS, 0)
+        for row in report.rows:
+            for model in self.MODELS:
+                expected = self.per_point(paper_derived, model, row.omega)
+                point = row.values[model]
+                if isinstance(expected, str):
+                    assert point.error == expected
+                    assert point.epr_variance is None
+                    failures[model] += 1
+                else:
+                    assert point.error is None
+                    assert point.epr_variance == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert failures == {"adiabatic": 0, "adiabatic_response": 0, "rwa3": 26, "full6": 28}
+
+    def test_failed_points_left_out_of_deviation(self, paper_params, paper_derived):
+        grid = oe.default_omega_grid(paper_params.gamma, 41)
+        report = oe.compare_models(paper_derived, grid, models=("adiabatic", "rwa3"))
+        for row in report.rows:
+            assert ("rwa3" in row.deviations) == (row.values["rwa3"].error is None)

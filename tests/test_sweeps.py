@@ -161,3 +161,16 @@ class TestSensitivityAnalysis:
     def test_negative_jitter_rejected(self, paper_params):
         with pytest.raises(ValueError):
             oe.sensitivity_analysis(paper_params, -1.0, 0.0)
+
+
+class TestPowerFluctuation:
+    def test_power_fluct_row_matches_power_jitter_case(self, paper_params, paper_derived,
+                                                        omega_grid):
+        at_opt = oe.retuned_d(paper_params, oe.optimum_d(paper_derived).d_o)
+        rows = run_sweep(SweepSpec(axis="power_fluct", values=(0.01,), base=at_opt,
+                                   omega_grid=omega_grid)).rows
+        report = oe.sensitivity_analysis(paper_params, 0.0, 0.01, omega_grid=omega_grid)
+        jitter = {case.label: case for case in report.cases}["power+jitter"]
+        assert rows[0].error is None
+        assert rows[0].peak_eof == jitter.peak_eof
+        assert rows[0].derived.d == jitter.d
