@@ -10,10 +10,14 @@ so N obeys the scalar self-consistency equation
 
     N = sum_j (Omega_j^2 / 4) / ((Delta_j + 2 eta^2 omega_m N)^2 + gamma^2 / 4).
 
-The equation is Kerr-cubic-like and can have several roots (optical
-bistability); the solver brackets [0, sum Omega_j^2/gamma^2], scans for sign
-changes, bisects each, and returns the smallest-N branch with a
-``multistable`` flag when more than one root exists.
+Every root lies in [0, sum_j Omega_j^2 / gamma^2].  Clearing the
+denominators turns the equation into a polynomial of degree 5 in N, so the
+solver takes all its real roots in that interval from the companion matrix
+(``np.roots``) and polishes each with one Newton step on the rational form.
+Several roots mean optical bistability.  The operating point is the
+smallest root inside the window Delta_1' < 0 < Delta_2' that the
+two-sideband scheme needs; ``multistable`` records that the equation had
+more than one root, whether or not the others lie in the window.
 """
 
 from __future__ import annotations
@@ -22,12 +26,10 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NoSteadyState, SignConventionViolated
 from .params import DriveSpec, PhysicalParams, thermal_occupancy
-
-# Relative tolerance on the bisection for the intensity root N.
-ROOT_RTOL = 1e-14
-BRACKET_SCAN_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -93,79 +95,52 @@ class DerivedParams:
         return 0.0 if scale == 0 else abs(a1 - a2) / scale
 
 
-def _intensity_rhs(N, omegas, deltas, eta2wm2, gamma):
-    """Right-hand side of the self-consistency equation at intensity N."""
-    total = 0.0
-    for om, dj in zip(omegas, deltas):
-        shifted = dj + eta2wm2 * N
-        total += (om * om / 4.0) / (shifted * shifted + gamma * gamma / 4.0)
-    return total
+def _intensity_roots(omegas, deltas, c, gamma):
+    """All real roots of N = sum_j (Omega_j^2/4) / D_j(N) in [0, upper], ascending.
 
+    D_j(N) = (Delta_j + c N)^2 + gamma^2/4 and upper = sum_j Omega_j^2 / gamma^2.
+    Multiplying through by D_1 D_2 gives the quintic
 
-def _scan_grid(upper, deltas, eta2wm2):
-    """Scan abscissas: uniform + logarithmic + resonance neighbourhoods.
+        N D_1 D_2 - (Omega_1^2/4) D_2 - (Omega_2^2/4) D_1 = 0,
 
-    The response resonances N = -Delta_j / (2 eta^2 omega_m) pack roots into
-    narrow clusters, and the physical (smallest) root can sit far below the
-    bracket top, so a purely uniform scan can straddle an even number of
-    crossings and miss them.
+    solved in u = N / upper.  Leading coefficients below machine epsilon
+    times the largest change the polynomial on [0, 1] by less than its
+    rounding, so they are dropped: a vanishing coupling (c -> 0) lowers the
+    degree instead of pushing companion-matrix eigenvalues to infinity.
+    Each root is polished with one Newton step on the rational form.
     """
-    pts = {0.0, upper}
-    for k in range(1, BRACKET_SCAN_POINTS):
-        pts.add(upper * k / BRACKET_SCAN_POINTS)
-    lo = upper * 1e-14
-    ratio = (upper / lo) ** (1.0 / 512)
-    x = lo
-    for _ in range(512):
-        pts.add(x)
-        x *= ratio
-    if eta2wm2 > 0:
-        for dj in deltas:
-            n_res = -dj / eta2wm2
-            if 0.0 < n_res < upper:
-                for frac in (0.9, 0.99, 0.999, 1.001, 1.01, 1.1):
-                    pts.add(min(upper, n_res * frac))
-    return sorted(pts)
-
-
-def _find_roots(omegas, deltas, eta2wm2, gamma):
-    """All roots of N = rhs(N) in [0, sum Omega^2/gamma^2], smallest first."""
     upper = sum(om * om for om in omegas) / gamma**2
     if upper == 0.0:
         return [0.0]
+    s = c * upper
+    d1, d2 = (np.array([s * s, 2.0 * dj * s, dj * dj + gamma * gamma / 4.0]) for dj in deltas)
+    a1, a2 = (om * om / 4.0 for om in omegas)
+    poly = np.polysub(upper * np.polymul([1.0, 0.0], np.polymul(d1, d2)), a1 * d2 + a2 * d1)
+    scale = np.abs(poly)
+    u = np.roots(poly[np.argmax(scale > np.finfo(float).eps * scale.max()):])
+    u = np.sort(u.real[(u.imag == 0.0) & (u.real >= 0.0) & (u.real <= 1.0)])
 
-    def f(N):
-        return N - _intensity_rhs(N, omegas, deltas, eta2wm2, gamma)
-
-    grid = _scan_grid(upper, deltas, eta2wm2)
-    vals = [f(N) for N in grid]
     roots = []
-    for lo, hi, flo, fhi in zip(grid, grid[1:], vals, vals[1:]):
-        if flo == 0.0:
-            roots.append(lo)
-            continue
-        if flo * fhi < 0.0:
-            a, b, fa = lo, hi, flo
-            while b - a > ROOT_RTOL * max(b, 1.0):
-                mid = 0.5 * (a + b)
-                fm = f(mid)
-                if fm == 0.0:
-                    a = b = mid
-                elif fa * fm < 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            roots.append(0.5 * (a + b))
-    if vals[-1] == 0.0:
-        roots.append(grid[-1])
+    for N in (upper * u).tolist():
+        f, slope = N, 1.0
+        for om, dj in zip(omegas, deltas):
+            shifted = dj + c * N
+            den = shifted * shifted + gamma * gamma / 4.0
+            term = (om * om / 4.0) / den
+            f -= term
+            slope += term * 2.0 * c * shifted / den
+        roots.append(N - f / slope)
     return roots
 
 
 def solve_steady_state(params: PhysicalParams) -> DerivedParams:
     """Solve the displacement steady state and derive the linearized-model parameters.
 
-    Returns the smallest-N stable branch; sets ``multistable`` when the
-    intensity equation has several roots.
+    Finds every intensity root (see :func:`_intensity_roots`) and keeps the
+    smallest one inside the window Delta_1' < 0 < Delta_2'.  Both shifted
+    detunings Delta_j' = Delta_j + 2 eta^2 omega_m N grow with N, so the
+    window is an interval of N and each root is tested on its own.
+    ``multistable`` is set when the equation has more than one root.
 
     Raises
     ------
@@ -173,31 +148,20 @@ def solve_steady_state(params: PhysicalParams) -> DerivedParams:
         If no root exists in the physical bracket (cannot happen for finite
         drives; kept as a guard).
     SignConventionViolated
-        If the resulting operating point violates Delta_1p < 0 < Delta_2p or
-        delta <= 0, i.e. the drive frequencies are inconsistent with the
-        two-sideband arrangement the model assumes.
+        If no root lies in the window Delta_1' < 0 < Delta_2', or if
+        delta <= 0 (delta does not depend on N), i.e. the drive frequencies
+        are inconsistent with the two-sideband arrangement the model assumes.
     """
     omega_1, omega_2 = params.drive_amplitudes()
     delta_1, delta_2 = params.bare_detunings()
     eta2wm2 = 2.0 * params.eta**2 * params.omega_m
 
-    roots = _find_roots((omega_1, omega_2), (delta_1, delta_2), eta2wm2, params.gamma)
+    roots = _intensity_roots((omega_1, omega_2), (delta_1, delta_2), eta2wm2, params.gamma)
     if not roots:
         raise NoSteadyState("no intensity root in [0, sum Omega^2/gamma^2]")
-    N = roots[0]
     multistable = len(roots) > 1
-
-    # one Newton polish on the bisected root
-    if N > 0:
-        h = 1e-7 * N
-        f0 = N - _intensity_rhs(N, (omega_1, omega_2), (delta_1, delta_2), eta2wm2, params.gamma)
-        f1 = (N + h) - _intensity_rhs(N + h, (omega_1, omega_2), (delta_1, delta_2),
-                                      eta2wm2, params.gamma)
-        slope = (f1 - f0) / h
-        if slope != 0.0:
-            step = f0 / slope
-            if abs(step) < 0.5 * N:
-                N -= step
+    # with no root in the window, the smallest one fails the sign check below
+    N = next((N for N in roots if delta_1 + eta2wm2 * N < 0.0 < delta_2 + eta2wm2 * N), roots[0])
 
     shift = eta2wm2 * N
     d1p = delta_1 + shift
@@ -269,33 +233,19 @@ def steady_state_residual(params: PhysicalParams, derived: DerivedParams) -> flo
     return worst
 
 
-def amplitude_to_drive(target_alpha: float, Delta_j: float, params: PhysicalParams,
-                       rtol: float = 1e-3, max_iter: int = 60) -> float:
+def amplitude_to_drive(target_alpha: float, Delta_j: float, params: PhysicalParams) -> float:
     """Drive amplitude Omega_j that puts |alpha_j| at ``target_alpha``.
 
-    ``Delta_j`` is the mode's detuning at the operating point, i.e. the
-    intensity-shifted Delta_j' for eta > 0 (for eta = 0 the bare and shifted
-    detunings coincide and the closed form is exact with no iteration).  The
-    intensity shift itself is evaluated under the symmetric two-mode
-    configuration alpha_1 = alpha_2 = target_alpha, which is how every caller
-    in this package drives the system.
-
-    The closed-form seed Omega = target_alpha sqrt(gamma^2 + 4 Delta_j^2) is
-    polished against the single-mode magnitude response until the round trip
-    reproduces the target within ``rtol``.
+    ``Delta_j`` is the mode's intensity-shifted detuning Delta_j' at the
+    operating point.  At that detuning the single-mode response
+    |alpha_j| = (Omega_j / 2) / |Delta_j' + i gamma / 2| is linear in the
+    drive, so the closed form Omega_j = target_alpha sqrt(gamma^2 + 4 Delta_j'^2)
+    is exact; :func:`operating_point_params` fixes the shift itself under the
+    symmetric configuration alpha_1 = alpha_2 = target_alpha.
     """
     if target_alpha <= 0:
         raise ValueError("target_alpha must be > 0")
-    gamma = params.gamma
-    omega = target_alpha * math.sqrt(gamma**2 + 4.0 * Delta_j**2)
-    if params.eta == 0.0:
-        return omega
-    for _ in range(max_iter):
-        achieved = (omega / 2.0) / math.hypot(Delta_j, gamma / 2.0)
-        if abs(achieved - target_alpha) <= rtol * target_alpha:
-            break
-        omega *= target_alpha / achieved
-    return omega
+    return target_alpha * math.sqrt(params.gamma**2 + 4.0 * Delta_j**2)
 
 
 def operating_point_params(base: PhysicalParams, target_alpha: float,

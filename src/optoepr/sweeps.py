@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BracketError, PhysicsError
-from .langevin import evaluate
+from .langevin import MODELS, evaluate
 from .params import DriveSpec, PhysicalParams
 from .spectrum import eof_array, epr_variance_array, optimum_d
 from .steady_state import (DerivedParams, operating_point_params, retuned_d,
@@ -63,8 +63,8 @@ class SweepSpec:
             raise ValueError("values must be strictly monotone")
         if len(np.asarray(self.omega_grid)) == 0:
             raise ValueError("omega_grid must be nonempty")
-        if self.model not in ("adiabatic", "rwa3", "full6"):
-            raise ValueError(f"model must be adiabatic/rwa3/full6, got {self.model!r}")
+        if self.model not in MODELS:
+            raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
 
 
 @dataclass(frozen=True)

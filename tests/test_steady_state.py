@@ -5,7 +5,7 @@ import pytest
 
 import optoepr as oe
 from optoepr.params import TWO_PI
-from optoepr.steady_state import steady_state_residual
+from optoepr.steady_state import _intensity_roots, steady_state_residual
 
 
 def linear_cavity_params(omega_1=1e12, omega_2=1.1e12, eta=1e-30):
@@ -89,6 +89,38 @@ class TestSignConvention:
                            omega_1=drive.omega_1, omega_2=drive.omega_2)
         with pytest.raises(oe.SignConventionViolated):
             oe.solve_steady_state(paper_params.scaled(drive=bad))
+
+
+def strong_drive_params(paper_params):
+    """alpha = 1e4: five intensity roots, the designed one N = 2 alpha^2 third from below."""
+    return oe.operating_point_params(paper_params, 1e4, TWO_PI * 1e7, 0.07 * paper_params.gamma)
+
+
+class TestIntensityRoots:
+    def test_all_five_roots_at_strong_drive(self, paper_params):
+        params = strong_drive_params(paper_params)
+        omegas, deltas = params.drive_amplitudes(), params.bare_detunings()
+        c = 2.0 * params.eta**2 * params.omega_m
+        roots = _intensity_roots(omegas, deltas, c, params.gamma)
+        expected = (3.26e7, 7.14e7, 2.000e8, 2.054e8, 2.91e8)
+        assert roots == pytest.approx(expected, rel=2e-3)
+        for N in roots:
+            rhs = sum((om**2 / 4.0) / ((dj + c * N)**2 + params.gamma**2 / 4.0)
+                      for om, dj in zip(omegas, deltas))
+            assert abs(N - rhs) <= 1e-12 * N
+
+
+class TestBranchSelection:
+    def test_designed_root_selected_at_strong_drive(self, paper_params):
+        # the smallest root has Delta_2' < 0; the designed root N = 2e8 is the first in the window
+        params = strong_drive_params(paper_params)
+        derived = oe.solve_steady_state(params)
+        assert derived.n_total == pytest.approx(2e8, rel=1e-9)
+        assert abs(derived.alpha_1) == pytest.approx(1e4, rel=1e-6)
+        assert abs(derived.alpha_2) == pytest.approx(1e4, rel=1e-6)
+        assert derived.d == pytest.approx(0.07 * paper_params.gamma, rel=1e-6)
+        assert derived.multistable
+        assert steady_state_residual(params, derived) < 1e-10
 
 
 class TestAmplitudeToDrive:

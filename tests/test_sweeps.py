@@ -99,6 +99,15 @@ class TestRunSweep:
             peaks.append(stats.peak_eof)
         assert peaks[0] < peaks[1] < peaks[2]
 
+    def test_adiabatic_response_model_accepted(self, optimum_params, omega_grid):
+        spec = SweepSpec(axis="temperature", values=(4.0, 300.0), base=optimum_params,
+                         omega_grid=omega_grid, model="adiabatic_response")
+        rows = run_sweep(spec).rows
+        assert [r.value for r in rows] == [4.0, 300.0]
+        for row in rows:
+            assert row.error is None
+            assert row.peak_eof > 0.0
+
     def test_spec_validation(self, paper_params, omega_grid):
         with pytest.raises(ValueError):
             SweepSpec(axis="bogus", values=(1.0,), base=paper_params, omega_grid=omega_grid)
