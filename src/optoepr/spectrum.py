@@ -32,13 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateResponse, DomainError
-from .steady_state import DerivedParams
-
-# Symmetric-amplitude requirement of the output model.  Drive-power
-# excursions at the percent level unbalance the amplitudes by a few 1e-4,
-# which the robustness analyses must be able to evaluate; the state asymmetry
-# this induces is far below the standard-form residual tolerance.
-ALPHA_MATCH_RTOL = 1e-3
+from .steady_state import ALPHA_MATCH_RTOL, DerivedParams
 
 
 @dataclass(frozen=True)
@@ -106,7 +100,8 @@ class Evaluation:
         """Form x = n - k_x, flag x <= 0 as ``DomainError`` and blank every failed point."""
         x = n - k_x
         error[(error == "") & (x <= 0)] = "DomainError"
-        n, k_x, x = (np.where(error != "", np.nan, a) for a in (n, k_x, x))
+        failed = error != ""
+        n, k_x, x = (np.where(failed, np.nan, a) for a in (n, k_x, x))
         return cls(n=n, k_x=k_x, x=x, error=error)
 
 
@@ -161,7 +156,7 @@ def _denominator(derived: DerivedParams, omega):
 
 
 def _covariance_entries(derived: DerivedParams, omega):
-    """n, V14, V24 of the closed-form standard form (numpy-polymorphic in omega)."""
+    """n, V14, V24 of the closed-form standard form and |Delta|^2 (numpy-polymorphic in omega)."""
     g, gp, gamma = derived.g, derived.g_prime, derived.gamma
     therm = derived.gamma * derived.gamma_m_tilde * (2.0 * derived.n_m + 1.0)
     w2 = omega * omega
@@ -171,7 +166,7 @@ def _covariance_entries(derived: DerivedParams, omega):
     n = (u_minus_v**2 + (gp * gp + g * g) * gamma * gamma + mech_factor * therm) / abs_D2
     v14 = -2.0 * g * gamma * u_minus_v / abs_D2
     v24 = (2.0 * gp * g * gamma * gamma + mech_factor * therm) / abs_D2
-    return n, v14, v24
+    return n, v14, v24, abs_D2
 
 
 def closed_form_covariance(tp: TransferPoint, n_m: float,
@@ -184,7 +179,7 @@ def closed_form_covariance(tp: TransferPoint, n_m: float,
     probe thermal sensitivity without re-solving the steady state.
     """
     scaled = derived if n_m == derived.n_m else replace(derived, n_m=n_m)
-    n, v14, v24 = _covariance_entries(scaled, tp.omega)
+    n, v14, v24, _ = _covariance_entries(scaled, tp.omega)
     k_x = float(np.hypot(v14, v24))
     V = np.array([
         [n, 0.0, k_x, 0.0],
@@ -269,11 +264,12 @@ def closed_form_grid(derived: DerivedParams, omegas) -> Evaluation:
     ``DegenerateResponse``; n - k_x <= 0 fails it with ``DomainError``.
     """
     omegas = np.asarray(omegas, dtype=float)
-    error = np.where(_denominator(derived, omegas)[1], "DegenerateResponse", "").astype(object)
-    if derived.alpha_mismatch() > ALPHA_MATCH_RTOL:
-        error[:] = "DomainError"
+    error = np.full(omegas.shape, "", dtype=object)
     with np.errstate(divide="ignore", invalid="ignore"):
-        n, v14, v24 = _covariance_entries(derived, omegas)
+        n, v14, v24, abs_D2 = _covariance_entries(derived, omegas)
+        error[abs_D2 < (1e-30 * (derived.gamma**2 + omegas**2)) ** 2] = "DegenerateResponse"
+        if derived.alpha_mismatch() > ALPHA_MATCH_RTOL:
+            error[:] = "DomainError"
         return Evaluation.from_standard_form(n, np.hypot(v14, v24), error)
 
 
@@ -299,13 +295,6 @@ def spectrum(derived: DerivedParams, omega_grid) -> list[SpectrumPoint]:
         sf = None if math.isnan(n) else StandardForm(n=n, k_x=k_x, k_p=-k_x, residual=0.0)
         points.append(SpectrumPoint(omega, sf, None if sf is None else ent_metrics(sf), flags))
     return points
-
-
-def epr_variance_array(derived: DerivedParams, omega: np.ndarray) -> np.ndarray:
-    """Vectorized n - k_x of the closed form over an array of frequencies."""
-    _require_symmetric(derived)
-    n, v14, v24 = _covariance_entries(derived, np.asarray(omega, dtype=float))
-    return n - np.hypot(v14, v24)
 
 
 def eof_array(x: np.ndarray) -> np.ndarray:

@@ -31,6 +31,12 @@ import numpy as np
 from .errors import NoSteadyState, SignConventionViolated
 from .params import DriveSpec, PhysicalParams, thermal_occupancy
 
+# Symmetric-amplitude requirement of the output model.  Drive-power
+# excursions at the percent level unbalance the amplitudes by a few 1e-4,
+# which the robustness analyses must be able to evaluate; the state asymmetry
+# this induces is far below the standard-form residual tolerance.
+ALPHA_MATCH_RTOL = 1e-3
+
 
 @dataclass(frozen=True)
 class DerivedParams:
@@ -184,18 +190,11 @@ def solve_steady_state(params: PhysicalParams) -> DerivedParams:
         raise SignConventionViolated(f"elimination requires delta > 0; got {delta:.4e}")
 
     a1, a2 = abs(alpha_1), abs(alpha_2)
-    if max(a1, a2) > 0 and abs(a1 - a2) > 1e-3 * max(a1, a2):
-        warnings.warn(
-            f"unequal cavity amplitudes |alpha_1| = {a1:.6g}, |alpha_2| = {a2:.6g}; "
-            "the adiabatic output model assumes alpha_1 = alpha_2",
-            stacklevel=2,
-        )
     alpha = 0.5 * (a1 + a2)
-
     g = params.eta**2 * alpha**2 * params.omega_m**2 / delta
     gamma_m_tilde = (params.eta * alpha * params.omega_m / delta) ** 2 * params.gamma_m
 
-    return DerivedParams(
+    derived = DerivedParams(
         alpha_1=alpha_1,
         alpha_2=alpha_2,
         beta=beta,
@@ -214,6 +213,10 @@ def solve_steady_state(params: PhysicalParams) -> DerivedParams:
         eta=params.eta,
         multistable=multistable,
     )
+    if derived.alpha_mismatch() > ALPHA_MATCH_RTOL:
+        warnings.warn(f"unequal cavity amplitudes |alpha_1| = {a1:.6g}, |alpha_2| = {a2:.6g}; "
+                      "the adiabatic output model assumes alpha_1 = alpha_2", stacklevel=2)
+    return derived
 
 
 def steady_state_residual(params: PhysicalParams, derived: DerivedParams) -> float:

@@ -13,6 +13,10 @@ Sweep axes re-derive the operating point per row:
   the intensity shift exactly as the steady state dictates.
 * ``d_fluct``      absolute excursions of d around the base value.
 
+Every peak EOF is a sweep row's: ``find_optimum_d_numeric`` maximizes the
+``d`` row's peak, and ``sensitivity_analysis`` takes its excursions as ``d``
+and ``power_fluct`` rows around the optimum, recording a failed one by name.
+
 Peak statistics are measured on the EOF(omega) curve: the peak is refined
 parabolically, ``peak_omegas`` collects every local maximum within 1% of the
 peak, and the FWHM is the width at half the peak EOF.
@@ -25,10 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import errors
 from .errors import BracketError, PhysicsError
 from .langevin import MODELS, evaluate
 from .params import DriveSpec, PhysicalParams
-from .spectrum import eof_array, epr_variance_array, optimum_d
+from .spectrum import eof_array, optimum_d
 from .steady_state import (DerivedParams, operating_point_params, retuned_d,
                            solve_steady_state)
 
@@ -150,27 +155,33 @@ def _scaled_powers(params: PhysicalParams, factor: float) -> PhysicalParams:
                                          p_1=p1 * factor, p_2=p2 * factor))
 
 
-def _peak_eof(derived: DerivedParams, omega: np.ndarray) -> float:
-    """Peak EOF of the closed form over ``omega``; raises on any failed point."""
-    return peak_statistics(omega, eof_array(epr_variance_array(derived, omega))).peak_eof
+def _peak(params: PhysicalParams, omega: np.ndarray, model: str):
+    """Derived params, x, EOF curve and peak statistics of ``model`` at ``params``; raises
+    the :mod:`errors` class named by the first grid point :func:`evaluate` flags."""
+    derived = solve_steady_state(params)
+    ev = evaluate(derived, omega, model)
+    i = int(np.argmax(ev.error != ""))
+    if ev.error[i]:
+        raise getattr(errors, ev.error[i])(f"{model} output failed at omega = {omega[i]:.6e}")
+    eof_curve = eof_array(ev.x)
+    return derived, ev.x, eof_curve, peak_statistics(omega, eof_curve)
 
 
-def _row_params(spec: SweepSpec, value: float, base_derived: DerivedParams) -> PhysicalParams:
-    base = spec.base
-    if spec.axis == "temperature":
+def _row_params(axis: str, base: PhysicalParams, base_derived: DerivedParams,
+                value: float) -> PhysicalParams:
+    """``base`` moved to ``value`` along ``axis``; ``base_derived`` is its steady state."""
+    if axis == "temperature":
         return base.scaled(T=value)
-    if spec.axis == "alpha":
-        return operating_point_params(base, target_alpha=value,
-                                      target_delta=base_derived.delta, target_d=base_derived.d)
-    if spec.axis == "d":
-        return retuned_d(base, value)
-    if spec.axis == "Q":
+    if axis == "alpha":
+        return operating_point_params(base, value, base_derived.delta, base_derived.d)
+    if axis in ("d", "d_fluct"):
+        d = value if axis == "d" else base_derived.d + value
+        return operating_point_params(base, base_derived.alpha, base_derived.delta, d)
+    if axis == "Q":
         return base.scaled(gamma_m=base.omega_m / value)
-    if spec.axis == "power_fluct":
+    if axis == "power_fluct":
         return _scaled_powers(base, 1.0 + value)
-    if spec.axis == "d_fluct":
-        return retuned_d(base, base_derived.d + value)
-    raise ValueError(spec.axis)
+    raise ValueError(axis)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -186,21 +197,16 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     result = SweepResult(spec=spec)
     for value in spec.values:
         try:
-            derived = solve_steady_state(_row_params(spec, float(value), base_derived))
-            ev = evaluate(derived, omega, spec.model)
-            error = next(iter(ev.error[ev.error != ""]), None)
+            derived, x, eof_curve, stats = _peak(
+                _row_params(spec.axis, spec.base, base_derived, float(value)), omega, spec.model)
         except PhysicsError as exc:
-            error = type(exc).__name__
-        if error:
             result.rows.append(SweepRow(
                 value=float(value), omega=omega, eof=np.array([]), epr_variance=np.array([]),
                 peak_eof=math.nan, peak_omegas=(), fwhm=math.nan,
-                derived=None, error=error))
+                derived=None, error=type(exc).__name__))
             continue
-        eof_curve = eof_array(ev.x)
-        stats = peak_statistics(omega, eof_curve)
         result.rows.append(SweepRow(
-            value=float(value), omega=omega, eof=eof_curve, epr_variance=ev.x,
+            value=float(value), omega=omega, eof=eof_curve, epr_variance=x,
             peak_eof=stats.peak_eof, peak_omegas=stats.peak_omegas,
             fwhm=stats.fwhm, derived=derived))
     return result
@@ -211,6 +217,7 @@ class SensitivityCase:
     label: str
     d: float
     peak_eof: float
+    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -226,35 +233,34 @@ def sensitivity_analysis(base: PhysicalParams, d_jitter: float,
                          omega_grid: np.ndarray | None = None) -> SensitivityReport:
     """Worst-case peak EOF under detuning and drive-power excursions.
 
-    The operating point is first moved to the optimum d; peak EOF is then
-    evaluated at d in {d_o - j, d_o, d_o + j} and with both drive powers
-    scaled by {1 - eps, 1, 1 + eps}.  Power scaling drags d through the
-    intensity-shift term, which the re-solve accounts for exactly.
+    The operating point is first moved to the optimum d; the baseline peak
+    EOF is taken there, and the excursions are the ``d`` sweep rows at
+    d_o -/+ j and the ``power_fluct`` rows at -/+ eps around it.  Power
+    scaling drags d through the intensity-shift term, which the re-solve
+    accounts for exactly.  A failed excursion is recorded as a case with its
+    error name and NaN d and peak; ``worst_peak_eof`` and ``degradation``
+    cover the cases that succeeded.  A failed baseline raises.
     """
     if d_jitter < 0 or power_jitter_frac < 0:
         raise ValueError("jitters must be >= 0")
-    derived0 = solve_steady_state(base)
-    d_o = optimum_d(derived0).d_o
+    d_o = optimum_d(solve_steady_state(base)).d_o
     at_opt = retuned_d(base, d_o)
     if omega_grid is None:
         omega_grid = default_omega_grid(base.gamma)
     omega = np.asarray(omega_grid, dtype=float)
 
-    def peak_for(params: PhysicalParams) -> tuple[float, float]:
-        derived = solve_steady_state(params)
-        return _peak_eof(derived, omega), derived.d
-
-    cases = []
-    base_peak, _ = peak_for(at_opt)
-    cases.append(SensitivityCase("baseline", d_o, base_peak))
-    for sign in (-1.0, +1.0):
-        if d_jitter > 0:
-            peak, dval = peak_for(retuned_d(at_opt, d_o + sign * d_jitter))
-            cases.append(SensitivityCase(f"d{'+-'[sign < 0]}jitter", dval, peak))
-        if power_jitter_frac > 0:
-            peak, dval = peak_for(_scaled_powers(at_opt, 1.0 + sign * power_jitter_frac))
-            cases.append(SensitivityCase(f"power{'+-'[sign < 0]}jitter", dval, peak))
-    worst = min(c.peak_eof for c in cases)
+    base_peak = _peak(at_opt, omega, "adiabatic")[3].peak_eof
+    excursions = (("d", "d", d_o, d_jitter), ("power", "power_fluct", 0.0, power_jitter_frac))
+    rows = {label: run_sweep(SweepSpec(axis, (mid - jitter, mid + jitter), at_opt, omega)).rows
+            for label, axis, mid, jitter in excursions if jitter > 0}
+    cases = [SensitivityCase("baseline", d_o, base_peak)]
+    for i, sign in enumerate("-+"):
+        for label, sweep in rows.items():
+            row = sweep[i]
+            cases.append(SensitivityCase(f"{label}{sign}jitter",
+                                         math.nan if row.derived is None else row.derived.d,
+                                         row.peak_eof, row.error))
+    worst = min(c.peak_eof for c in cases if c.error is None)
     degradation = 0.0 if base_peak == 0 else (base_peak - worst) / base_peak
     return SensitivityReport(baseline_peak_eof=base_peak, worst_peak_eof=worst,
                              degradation=degradation, cases=cases)
@@ -275,12 +281,12 @@ def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, fl
     if omega_grid is None:
         omega_grid = default_omega_grid(base.gamma)
     omega = np.asarray(omega_grid, dtype=float)
-
-    def peak(dval: float) -> float:
-        return _peak_eof(solve_steady_state(retuned_d(base, dval)), omega)
-
     if hi == lo:
         return lo
+    base_derived = solve_steady_state(base)
+
+    def peak(dval: float) -> float:
+        return _peak(_row_params("d", base, base_derived, dval), omega, "adiabatic")[3].peak_eof
 
     scan_d = np.linspace(lo, hi, scan_points)
     scan_v = np.array([peak(dv) for dv in scan_d])

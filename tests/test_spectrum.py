@@ -5,7 +5,7 @@ import pytest
 
 import optoepr as oe
 from optoepr.params import TWO_PI
-from optoepr.spectrum import ent_metrics, eof_array, epr_variance_array
+from optoepr.spectrum import ent_metrics, eof_array
 from optoepr.steady_state import DerivedParams
 
 GAMMA = TWO_PI * 3.2e6
@@ -64,6 +64,14 @@ class TestTransferFunctions:
         with pytest.raises(oe.DegenerateResponse):
             oe.transfer_functions(derived, 0.0)
 
+    def test_degenerate_response_flagged_per_point_on_grid(self):
+        # the batched closed form flags the response zero at omega = 0 only
+        derived = make_derived(g=2.0, d=-2.0, gamma=4.0, gamma_m_tilde=0.0, n_m=0.0)
+        ev = oe.evaluate(derived, [0.0, 1.0, -1.0], "adiabatic")
+        assert list(ev.error) == ["DegenerateResponse", "", ""]
+        assert np.isnan(ev.x[0])
+        assert np.all(np.isfinite(ev.x[1:]))
+
 
 class TestClosedFormCovariance:
     def test_vacuum_limit(self):
@@ -110,8 +118,8 @@ class TestClosedFormCovariance:
         from dataclasses import replace
         derived = replace(paper_derived, gamma_m_tilde=0.0)
         omegas = np.linspace(0.1 * GAMMA, 2 * GAMMA, 7)
-        x_plus = epr_variance_array(derived, omegas)
-        x_minus = epr_variance_array(derived, -omegas)
+        x_plus = oe.evaluate(derived, omegas, "adiabatic").x
+        x_minus = oe.evaluate(derived, -omegas, "adiabatic").x
         assert np.allclose(x_plus, x_minus, rtol=1e-12)
 
     def test_direct_combination_variances(self, paper_derived):

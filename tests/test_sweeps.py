@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import optoepr as oe
-from optoepr.spectrum import eof_array, epr_variance_array
+from optoepr.spectrum import eof_array
 from optoepr.sweeps import SweepSpec, peak_statistics, run_sweep
 
 
@@ -34,7 +34,7 @@ class TestRunSweep:
                          omega_grid=omega_grid)
         result = run_sweep(spec)
         assert len(result.rows) == 1
-        direct = eof_array(epr_variance_array(optimum_derived, omega_grid))
+        direct = eof_array(oe.evaluate(optimum_derived, omega_grid, "adiabatic").x)
         assert np.allclose(result.rows[0].eof, direct, rtol=1e-9)
 
     def test_temperature_insensitive_peak_and_narrowing_width(self, optimum_params,
@@ -95,7 +95,7 @@ class TestRunSweep:
             at_opt = oe.retuned_d(tuned, oe.optimum_d(derived).d_o)
             derived_opt = oe.solve_steady_state(at_opt)
             stats = peak_statistics(omega_grid,
-                                    eof_array(epr_variance_array(derived_opt, omega_grid)))
+                                    eof_array(oe.evaluate(derived_opt, omega_grid, "adiabatic").x))
             peaks.append(stats.peak_eof)
         assert peaks[0] < peaks[1] < peaks[2]
 
@@ -167,6 +167,22 @@ class TestSensitivityAnalysis:
             assert drift == pytest.approx(expected_shift, rel=0.05)
         assert report.worst_peak_eof > 4.5
 
+    def test_failed_power_case_recorded_at_strong_drive(self):
+        # at alpha = 2000 a 1% power excursion unbalances the amplitudes beyond
+        # the output model's tolerance; the detuning cases must survive it
+        params = oe.parse_config("defaults: paper\ntarget_alpha = 2000\n").params
+        with pytest.warns(UserWarning, match="unequal cavity amplitudes"):
+            report = oe.sensitivity_analysis(params, 0.02 * params.gamma, 0.01)
+        cases = {case.label: case for case in report.cases}
+        for label in ("d-jitter", "d+jitter"):
+            assert cases[label].error is None
+            assert math.isfinite(cases[label].peak_eof)
+        for label in ("power-jitter", "power+jitter"):
+            assert cases[label].error == "DomainError"
+            assert math.isnan(cases[label].peak_eof) and math.isnan(cases[label].d)
+        succeeded = [c.peak_eof for c in report.cases if c.error is None]
+        assert report.worst_peak_eof == min(succeeded)
+
     def test_negative_jitter_rejected(self, paper_params):
         with pytest.raises(ValueError):
             oe.sensitivity_analysis(paper_params, -1.0, 0.0)
@@ -175,11 +191,20 @@ class TestSensitivityAnalysis:
 class TestPowerFluctuation:
     def test_power_fluct_row_matches_power_jitter_case(self, paper_params, paper_derived,
                                                         omega_grid):
-        at_opt = oe.retuned_d(paper_params, oe.optimum_d(paper_derived).d_o)
+        d_o = oe.optimum_d(paper_derived).d_o
+        at_opt = oe.retuned_d(paper_params, d_o)
         rows = run_sweep(SweepSpec(axis="power_fluct", values=(0.01,), base=at_opt,
                                    omega_grid=omega_grid)).rows
-        report = oe.sensitivity_analysis(paper_params, 0.0, 0.01, omega_grid=omega_grid)
-        jitter = {case.label: case for case in report.cases}["power+jitter"]
+        d_jitter = 0.02 * paper_params.gamma
+        report = oe.sensitivity_analysis(paper_params, d_jitter, 0.01, omega_grid=omega_grid)
+        cases = {case.label: case for case in report.cases}
+        jitter = cases["power+jitter"]
         assert rows[0].error is None
         assert rows[0].peak_eof == jitter.peak_eof
         assert rows[0].derived.d == jitter.d
+        d_rows = run_sweep(SweepSpec(axis="d", values=(d_o - d_jitter, d_o + d_jitter),
+                                     base=at_opt, omega_grid=omega_grid)).rows
+        for row, label in zip(d_rows, ("d-jitter", "d+jitter")):
+            assert row.error is None and cases[label].error is None
+            assert row.peak_eof == cases[label].peak_eof
+            assert row.derived.d == cases[label].d
