@@ -342,8 +342,8 @@ def evaluate(derived: DerivedParams, omegas, model: str) -> Evaluation:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
     V = _covariances(_response_maps(derived, omegas, model), derived.n_m)
     n, k_x, _, residual = _reduce(V)
-    error = np.where(residual > _SYMMETRY_RTOL * np.abs(n), "NotSymmetricState", "").astype(object)
-    return Evaluation.from_standard_form(n, k_x, error)
+    return Evaluation.from_standard_form(n, k_x, residual > _SYMMETRY_RTOL * np.abs(n),
+                                         "NotSymmetricState")
 
 
 def log_negativity(V: Covariance4) -> float:

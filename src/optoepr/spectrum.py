@@ -87,22 +87,28 @@ class SpectrumPoint:
 @dataclass(frozen=True)
 class Evaluation:
     """One output model over a frequency grid: n, k_x and x = n - k_x, NaN where a
-    point failed, and per point the failure's name in ``error`` ("" if none)."""
+    point failed, per point whether it ``failed`` and the failure's name in
+    ``error`` ("" if none)."""
 
     n: np.ndarray
     k_x: np.ndarray
     x: np.ndarray
     error: np.ndarray
+    failed: np.ndarray
 
     @classmethod
     def from_standard_form(cls, n: np.ndarray, k_x: np.ndarray,
-                           error: np.ndarray) -> "Evaluation":
-        """Form x = n - k_x, flag x <= 0 as ``DomainError`` and blank every failed point."""
+                           failed: np.ndarray, name: str) -> "Evaluation":
+        """Name the ``failed`` points ``name``, form x = n - k_x, flag the other points
+        with x <= 0 as ``DomainError`` and blank every failed point."""
         x = n - k_x
-        error[(error == "") & (x <= 0)] = "DomainError"
-        failed = error != ""
+        domain = (x <= 0) & ~failed
+        error = np.full(x.shape, "", dtype=object)
+        error[failed] = name
+        error[domain] = "DomainError"
+        failed = failed | domain
         n, k_x, x = (np.where(failed, np.nan, a) for a in (n, k_x, x))
-        return cls(n=n, k_x=k_x, x=x, error=error)
+        return cls(n=n, k_x=k_x, x=x, error=error, failed=failed)
 
 
 @dataclass(frozen=True)
@@ -264,13 +270,14 @@ def closed_form_grid(derived: DerivedParams, omegas) -> Evaluation:
     ``DegenerateResponse``; n - k_x <= 0 fails it with ``DomainError``.
     """
     omegas = np.asarray(omegas, dtype=float)
-    error = np.full(omegas.shape, "", dtype=object)
     with np.errstate(divide="ignore", invalid="ignore"):
         n, v14, v24, abs_D2 = _covariance_entries(derived, omegas)
-        error[abs_D2 < (1e-30 * (derived.gamma**2 + omegas**2)) ** 2] = "DegenerateResponse"
+        k_x = np.hypot(v14, v24)
         if derived.alpha_mismatch() > ALPHA_MATCH_RTOL:
-            error[:] = "DomainError"
-        return Evaluation.from_standard_form(n, np.hypot(v14, v24), error)
+            return Evaluation.from_standard_form(n, k_x, np.ones(omegas.shape, bool),
+                                                 "DomainError")
+        degenerate = abs_D2 < (1e-30 * (derived.gamma**2 + omegas**2)) ** 2
+        return Evaluation.from_standard_form(n, k_x, degenerate, "DegenerateResponse")
 
 
 def spectrum_flags(derived: DerivedParams, omegas, error) -> list[tuple[str, ...]]:

@@ -121,7 +121,8 @@ def _intensity_roots(omegas, deltas, c, gamma):
     s = c * upper
     d1, d2 = (np.array([s * s, 2.0 * dj * s, dj * dj + gamma * gamma / 4.0]) for dj in deltas)
     a1, a2 = (om * om / 4.0 for om in omegas)
-    poly = np.polysub(upper * np.polymul([1.0, 0.0], np.polymul(d1, d2)), a1 * d2 + a2 * d1)
+    poly = np.append(upper * np.convolve(d1, d2), 0.0)   # upper u D_1 D_2, degree 5
+    poly[3:] -= a1 * d2 + a2 * d1
     scale = np.abs(poly)
     u = np.roots(poly[np.argmax(scale > np.finfo(float).eps * scale.max()):])
     u = np.sort(u.real[(u.imag == 0.0) & (u.real >= 0.0) & (u.real <= 1.0)])

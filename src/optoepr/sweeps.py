@@ -116,15 +116,30 @@ def _parabolic_refine(x: np.ndarray, y: np.ndarray, i: int) -> tuple[float, floa
 
 def peak_statistics(omega: np.ndarray, eof_curve: np.ndarray,
                     within: float = 0.01) -> PeakStats:
-    """Peak EOF, all near-peak local maxima, and the FWHM of the EOF curve."""
+    """Peak EOF, all near-peak local maxima, and the FWHM of the EOF curve.
+
+    A grid point is a local maximum when it is >= both neighbours and > at
+    least one, a missing neighbour past either end counting as -inf.  So an
+    endpoint at or above its one neighbour is a maximum (both ends of a
+    constant curve are), a run of equal points is a maximum at each end of
+    the run past which the curve drops, and a point next to a NaN never is.
+    A curve with no local maximum (all NaN, say) falls back to the point
+    ``np.argmax`` picks.  Each maximum is refined by the vertex of the
+    parabola through it and its neighbours, which assumes an evenly spaced
+    grid.
+
+    Raises ValueError for an empty curve or one whose length differs from
+    ``omega``'s.
+    """
     omega = np.asarray(omega, dtype=float)
     y = np.asarray(eof_curve, dtype=float)
-    maxima = []
-    for i in range(len(y)):
-        left = y[i - 1] if i > 0 else -math.inf
-        right = y[i + 1] if i < len(y) - 1 else -math.inf
-        if y[i] >= left and y[i] >= right and (y[i] > left or y[i] > right):
-            maxima.append(i)
+    if len(y) == 0:
+        raise ValueError("eof_curve must be nonempty")
+    if len(omega) != len(y):
+        raise ValueError(f"omega and eof_curve lengths differ: {len(omega)} != {len(y)}")
+    padded = np.concatenate(([-math.inf], y, [-math.inf]))
+    left, right = padded[:-2], padded[2:]
+    maxima = np.flatnonzero((y >= left) & (y >= right) & ((y > left) | (y > right))).tolist()
     if not maxima:
         maxima = [int(np.argmax(y))]
     refined = [_parabolic_refine(omega, y, i) for i in maxima]
@@ -160,8 +175,8 @@ def _peak(params: PhysicalParams, omega: np.ndarray, model: str):
     the :mod:`errors` class named by the first grid point :func:`evaluate` flags."""
     derived = solve_steady_state(params)
     ev = evaluate(derived, omega, model)
-    i = int(np.argmax(ev.error != ""))
-    if ev.error[i]:
+    if ev.failed.any():
+        i = int(np.argmax(ev.failed))
         raise getattr(errors, ev.error[i])(f"{model} output failed at omega = {omega[i]:.6e}")
     eof_curve = eof_array(ev.x)
     return derived, ev.x, eof_curve, peak_statistics(omega, eof_curve)
@@ -228,6 +243,16 @@ class SensitivityReport:
     cases: list[SensitivityCase]
 
 
+def _search_grid(base: PhysicalParams, omega_grid: np.ndarray | None) -> np.ndarray:
+    """``omega_grid`` as floats, the default grid of ``base`` if None; ValueError if empty."""
+    if omega_grid is None:
+        return default_omega_grid(base.gamma)
+    omega = np.asarray(omega_grid, dtype=float)
+    if len(omega) == 0:
+        raise ValueError("omega_grid must be nonempty")
+    return omega
+
+
 def sensitivity_analysis(base: PhysicalParams, d_jitter: float,
                          power_jitter_frac: float,
                          omega_grid: np.ndarray | None = None) -> SensitivityReport:
@@ -239,15 +264,14 @@ def sensitivity_analysis(base: PhysicalParams, d_jitter: float,
     scaling drags d through the intensity-shift term, which the re-solve
     accounts for exactly.  A failed excursion is recorded as a case with its
     error name and NaN d and peak; ``worst_peak_eof`` and ``degradation``
-    cover the cases that succeeded.  A failed baseline raises.
+    cover the cases that succeeded.  A failed baseline raises, and an empty
+    ``omega_grid`` raises ValueError before anything is solved.
     """
     if d_jitter < 0 or power_jitter_frac < 0:
         raise ValueError("jitters must be >= 0")
+    omega = _search_grid(base, omega_grid)
     d_o = optimum_d(solve_steady_state(base)).d_o
     at_opt = retuned_d(base, d_o)
-    if omega_grid is None:
-        omega_grid = default_omega_grid(base.gamma)
-    omega = np.asarray(omega_grid, dtype=float)
 
     base_peak = _peak(at_opt, omega, "adiabatic")[3].peak_eof
     excursions = (("d", "d", d_o, d_jitter), ("power", "power_fluct", 0.0, power_jitter_frac))
@@ -274,13 +298,12 @@ def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, fl
     A coarse scan first checks unimodality on the bracket; a bracket whose
     scan shows several separated local maxima raises :class:`BracketError`
     with the scan attached.  A degenerate bracket returns its single point.
+    An empty ``omega_grid`` raises ValueError before anything is solved.
     """
     lo, hi = float(search_bracket[0]), float(search_bracket[1])
     if hi < lo:
         raise BracketError(f"invalid bracket ({lo:g}, {hi:g})")
-    if omega_grid is None:
-        omega_grid = default_omega_grid(base.gamma)
-    omega = np.asarray(omega_grid, dtype=float)
+    omega = _search_grid(base, omega_grid)
     if hi == lo:
         return lo
     base_derived = solve_steady_state(base)

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import optoepr as oe
+from optoepr import langevin
 from optoepr.langevin import Covariance4, LinearResponse, adiabatic_response
 from optoepr.params import TWO_PI
 from tests.test_spectrum import make_derived
@@ -332,3 +334,25 @@ class TestBatchedKernel:
         report = oe.compare_models(paper_derived, grid, models=("adiabatic", "rwa3"))
         for row in report.rows:
             assert ("rwa3" in row.deviations) == (row.values["rwa3"].error is None)
+
+    @pytest.mark.parametrize("model", langevin.MODELS)
+    def test_failure_mask_matches_error_names(self, model, paper_params, paper_derived):
+        grid = oe.default_omega_grid(paper_params.gamma, 41)
+        unequal = replace(paper_derived, alpha_2=1.01 * paper_derived.alpha_2)
+        degenerate = make_derived(g=2.0, d=-2.0, gamma=4.0, gamma_m_tilde=0.0, n_m=0.0)
+        cases = [(paper_derived, grid), (unequal, grid), (degenerate, [0.0, 1.0, -1.0])]
+        for derived, omegas in cases:
+            if model == "adiabatic_response" and derived is degenerate:
+                # the exact eliminated model's drift itself is singular at omega = 0
+                with pytest.raises(oe.SingularDrift):
+                    oe.evaluate(derived, omegas, model)
+                continue
+            ev = oe.evaluate(derived, omegas, model)
+            assert ev.failed.dtype == bool
+            assert np.array_equal(ev.failed, ev.error != "")
+            for values in (ev.n, ev.k_x, ev.x):
+                assert np.array_equal(np.isnan(values), ev.failed)
+        if model == "adiabatic":
+            assert list(oe.evaluate(unequal, grid, model).error) == ["DomainError"] * len(grid)
+            assert list(oe.evaluate(degenerate, [0.0, 1.0, -1.0], model).error) == [
+                "DegenerateResponse", "", ""]

@@ -5,7 +5,7 @@ import pytest
 
 import optoepr as oe
 from optoepr.params import TWO_PI
-from optoepr.spectrum import ent_metrics, eof_array
+from optoepr.spectrum import Evaluation, ent_metrics, eof_array
 from optoepr.steady_state import DerivedParams
 
 GAMMA = TWO_PI * 3.2e6
@@ -71,6 +71,15 @@ class TestTransferFunctions:
         assert list(ev.error) == ["DegenerateResponse", "", ""]
         assert np.isnan(ev.x[0])
         assert np.all(np.isfinite(ev.x[1:]))
+
+    def test_failure_names_from_standard_form(self):
+        # a point failed upstream keeps its name even where n - k_x <= 0 as well
+        n, k_x = np.array([2.0, 1.0, 1.0, 3.0]), np.array([1.0, 1.0, 2.0, 1.0])
+        ev = Evaluation.from_standard_form(n, k_x, np.array([False, False, True, True]),
+                                           "DegenerateResponse")
+        assert list(ev.error) == ["", "DomainError", "DegenerateResponse", "DegenerateResponse"]
+        assert list(ev.failed) == [False, True, True, True]
+        assert ev.x[0] == 1.0 and np.all(np.isnan(ev.x[1:]))
 
 
 class TestClosedFormCovariance:

@@ -110,6 +110,17 @@ class TestIntensityRoots:
             assert abs(N - rhs) <= 1e-12 * N
 
 
+    @pytest.mark.parametrize("c", [0.0, 1e-30])
+    def test_vanishing_coupling_drops_to_the_linear_root(self, c):
+        params = linear_cavity_params()
+        omegas, deltas = params.drive_amplitudes(), params.bare_detunings()
+        roots = _intensity_roots(omegas, deltas, c, params.gamma)
+        linear = sum((om**2 / 4.0) / (dj**2 + params.gamma**2 / 4.0)
+                     for om, dj in zip(omegas, deltas))
+        assert len(roots) == 1
+        assert roots[0] == pytest.approx(linear, rel=1e-12)
+
+
 class TestBranchSelection:
     def test_designed_root_selected_at_strong_drive(self, paper_params):
         # the smallest root has Delta_2' < 0; the designed root N = 2e8 is the first in the window

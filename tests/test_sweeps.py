@@ -2,10 +2,55 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import optoepr as oe
+from optoepr import sweeps
 from optoepr.spectrum import eof_array
-from optoepr.sweeps import SweepSpec, peak_statistics, run_sweep
+from optoepr.sweeps import PeakStats, SweepSpec, _parabolic_refine, peak_statistics, run_sweep
+
+
+def reference_peak_statistics(omega, eof_curve, within=0.01):
+    """peak_statistics with its local maxima found point by point, as a reference."""
+    omega = np.asarray(omega, dtype=float)
+    y = np.asarray(eof_curve, dtype=float)
+    maxima = []
+    for i in range(len(y)):
+        left = y[i - 1] if i > 0 else -math.inf
+        right = y[i + 1] if i < len(y) - 1 else -math.inf
+        if y[i] >= left and y[i] >= right and (y[i] > left or y[i] > right):
+            maxima.append(i)
+    if not maxima:
+        maxima = [int(np.argmax(y))]
+    refined = [_parabolic_refine(omega, y, i) for i in maxima]
+    peak = max(v for _, v in refined)
+    peak_omegas = tuple(sorted(x for x, v in refined if v >= (1.0 - within) * peak))
+
+    half = 0.5 * peak
+    above = y >= half
+    fwhm = 0.0
+    if np.any(above):
+        lo = int(np.argmax(above))
+        hi = len(above) - 1 - int(np.argmax(above[::-1]))
+        left_edge = omega[lo]
+        if lo > 0 and y[lo] != y[lo - 1]:
+            left_edge = omega[lo - 1] + (half - y[lo - 1]) * (omega[lo] - omega[lo - 1]) / (y[lo] - y[lo - 1])
+        right_edge = omega[hi]
+        if hi < len(y) - 1 and y[hi] != y[hi + 1]:
+            right_edge = omega[hi] + (half - y[hi]) * (omega[hi + 1] - omega[hi]) / (y[hi + 1] - y[hi])
+        fwhm = float(right_edge - left_edge)
+    return PeakStats(peak_eof=float(peak), peak_omegas=peak_omegas, fwhm=fwhm)
+
+
+# Curves of 1 to 40 points: levels 0..4 (plateaus, flat tops and ends), levels
+# rounded from random floats, constants, and unrounded floats.
+CURVES = st.one_of(
+    st.lists(st.integers(0, 4), min_size=1, max_size=40).map(lambda v: 0.75 * np.array(v, float)),
+    st.lists(st.floats(0.0, 5.0), min_size=1, max_size=40).map(lambda v: np.round(v, 0)),
+    st.builds(np.full, st.integers(1, 12), st.floats(0.0, 20.0)),
+    st.lists(st.floats(0.0, 20.0), min_size=1, max_size=40).map(np.array),
+)
 
 
 class TestPeakStatistics:
@@ -25,6 +70,37 @@ class TestPeakStatistics:
         assert len(stats.peak_omegas) == 2
         assert stats.peak_omegas[0] == pytest.approx(-1.0, abs=1e-3)
         assert stats.peak_omegas[1] == pytest.approx(1.0, abs=1e-3)
+
+    @given(CURVES)
+    @example(np.array([2.0]))
+    @example(np.array([1.0, 2.0]))
+    @example(np.array([2.0, 1.0, 2.0]))
+    @example(np.array([3.0, 3.0, 1.0, 1.0, 2.0, 2.0]))
+    @example(np.array([0.0, 0.0, 0.0]))
+    def test_matches_pointwise_loop(self, curve):
+        omega = np.linspace(-1.0, 1.0, len(curve))
+        assert peak_statistics(omega, curve) == reference_peak_statistics(omega, curve)
+
+    @pytest.mark.parametrize("curve", [[math.nan] * 3, [1.0, math.nan, 3.0, 2.0],
+                                       [math.nan, 2.0, 2.0, 1.0]])
+    def test_nan_points_as_the_pointwise_loop(self, curve):
+        omega = np.linspace(-1.0, 1.0, len(curve))
+        # repr tells NaN fields apart where == cannot
+        assert repr(peak_statistics(omega, curve)) == repr(reference_peak_statistics(omega, curve))
+
+    def test_empty_curve_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            peak_statistics([], [])
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError, match="lengths differ"):
+            peak_statistics(np.linspace(-1.0, 1.0, 5), np.ones(4))
+
+
+def forbid_solves(monkeypatch):
+    def solve(params):
+        raise AssertionError("steady state solved before the grid was checked")
+    monkeypatch.setattr(sweeps, "solve_steady_state", solve)
 
 
 class TestRunSweep:
@@ -142,6 +218,11 @@ class TestFindOptimumD:
         with pytest.raises(oe.BracketError):
             oe.find_optimum_d_numeric(paper_params, (2e6, 1e6))
 
+    def test_empty_grid_rejected_before_solving(self, paper_params, monkeypatch):
+        forbid_solves(monkeypatch)
+        with pytest.raises(ValueError, match="omega_grid must be nonempty"):
+            oe.find_optimum_d_numeric(paper_params, (1e6, 2e6), omega_grid=np.array([]))
+
 
 class TestSensitivityAnalysis:
     def test_zero_jitter_zero_degradation(self, paper_params):
@@ -186,6 +267,11 @@ class TestSensitivityAnalysis:
     def test_negative_jitter_rejected(self, paper_params):
         with pytest.raises(ValueError):
             oe.sensitivity_analysis(paper_params, -1.0, 0.0)
+
+    def test_empty_grid_rejected_before_solving(self, paper_params, monkeypatch):
+        forbid_solves(monkeypatch)
+        with pytest.raises(ValueError, match="omega_grid must be nonempty"):
+            oe.sensitivity_analysis(paper_params, 1e5, 0.01, omega_grid=np.array([]))
 
 
 class TestPowerFluctuation:
