@@ -23,7 +23,8 @@ from .spectrum import (EntMetrics, OptimumD, SpectrumPoint, StandardForm, Transf
                        closed_form_covariance, ent_metrics, eof, optimum_d, spectrum,
                        squeezing_db, transfer_functions)
 from .steady_state import (DerivedParams, amplitude_to_drive, operating_point_params,
-                           retuned_d, solve_steady_state, steady_state_residual)
+                           retuned_d, solve_steady_state, solve_steady_states,
+                           steady_state_residual)
 from .sweeps import (SweepResult, SweepSpec, default_omega_grid, find_optimum_d_numeric,
                      peak_statistics, run_sweep, sensitivity_analysis)
 

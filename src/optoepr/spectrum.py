@@ -27,7 +27,9 @@ Quadrature normalization: X = a + a^dag, P = (a - a^dag)/i, vacuum variance 1.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -103,11 +105,13 @@ class Evaluation:
         with x <= 0 as ``DomainError`` and blank every failed point."""
         x = n - k_x
         domain = (x <= 0) & ~failed
-        error = np.full(x.shape, "", dtype=object)
+        error = np.empty(x.shape, dtype=object)
+        error.fill("")   # cheaper than np.full for an object array
         error[failed] = name
         error[domain] = "DomainError"
         failed = failed | domain
-        n, k_x, x = (np.where(failed, np.nan, a) for a in (n, k_x, x))
+        if failed.any():
+            n, k_x, x = (np.where(failed, np.nan, a) for a in (n, k_x, x))
         return cls(n=n, k_x=k_x, x=x, error=error, failed=failed)
 
 
@@ -161,8 +165,16 @@ def _denominator(derived: DerivedParams, omega):
     return Dw, abs(Dw) < 1e-30 * (gamma * gamma + omega * omega)
 
 
+# The DerivedParams fields that _covariance_entries reads.
+_CLOSED_FORM_FIELDS = ("g", "g_prime", "gamma", "gamma_m_tilde", "n_m")
+
+
 def _covariance_entries(derived: DerivedParams, omega):
-    """n, V14, V24 of the closed-form standard form and |Delta|^2 (numpy-polymorphic in omega)."""
+    """n, V14, V24 of the closed-form standard form and |Delta|^2.
+
+    numpy-polymorphic in omega and in the fields :data:`_CLOSED_FORM_FIELDS`
+    of ``derived``: (K, 1) columns of them give (K, N) arrays on an N-point grid.
+    """
     g, gp, gamma = derived.g, derived.g_prime, derived.gamma
     therm = derived.gamma * derived.gamma_m_tilde * (2.0 * derived.n_m + 1.0)
     w2 = omega * omega
@@ -262,22 +274,39 @@ def optimum_d(derived: DerivedParams) -> OptimumD:
     return OptimumD(d_o=d_o, S_o_db=squeezing_db(x), eof_o=eof(x), unbounded=False)
 
 
-def closed_form_grid(derived: DerivedParams, omegas) -> Evaluation:
+def closed_form_grid(derived: DerivedParams | Sequence[DerivedParams], omegas) -> Evaluation:
     """The closed-form standard form over a frequency grid, failures flagged per point.
 
-    Unequal amplitudes fail every point with ``DomainError``; a vanishing
-    response denominator (see :func:`transfer_functions`) fails a point with
-    ``DegenerateResponse``; n - k_x <= 0 fails it with ``DomainError``.
+    ``derived`` is one operating point, giving arrays shaped like ``omegas``,
+    or a sequence of K, giving (K, N) arrays over the N-point grid in one
+    pass: each row's scalars enter as a (K, 1) column, so row k equals
+    ``derived[k]`` evaluated alone, to the last bit.
+
+    Unequal amplitudes fail every point of a row with ``DomainError``; a
+    vanishing response denominator (see :func:`transfer_functions`) fails a
+    point with ``DegenerateResponse``; n - k_x <= 0 fails it with
+    ``DomainError``.
     """
     omegas = np.asarray(omegas, dtype=float)
+    rows = [derived] if isinstance(derived, DerivedParams) else list(derived)
+    mismatch = [d.alpha_mismatch() > ALPHA_MATCH_RTOL for d in rows]
+    gamma2 = [d.gamma**2 for d in rows]   # Python's float pow, not numpy's square
+    if len(rows) != 1:
+        params = SimpleNamespace(**{name: np.array([getattr(d, name) for d in rows])[:, None]
+                                    for name in _CLOSED_FORM_FIELDS})
+        mismatch, gamma2 = (np.array(v)[:, None] for v in (mismatch, gamma2))
+    else:   # one row's scalars broadcast as its (1, 1) columns would, but cheaper
+        params, mismatch, gamma2 = rows[0], mismatch[0], gamma2[0]
+        if not isinstance(derived, DerivedParams):
+            omegas = omegas[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        n, v14, v24, abs_D2 = _covariance_entries(derived, omegas)
+        n, v14, v24, abs_D2 = _covariance_entries(params, omegas)
         k_x = np.hypot(v14, v24)
-        if derived.alpha_mismatch() > ALPHA_MATCH_RTOL:
-            return Evaluation.from_standard_form(n, k_x, np.ones(omegas.shape, bool),
-                                                 "DomainError")
-        degenerate = abs_D2 < (1e-30 * (derived.gamma**2 + omegas**2)) ** 2
-        return Evaluation.from_standard_form(n, k_x, degenerate, "DegenerateResponse")
+        degenerate = abs_D2 < (1e-30 * (gamma2 + omegas**2)) ** 2
+        ev = Evaluation.from_standard_form(n, k_x, degenerate | mismatch, "DegenerateResponse")
+    if np.any(mismatch):
+        ev.error[np.broadcast_to(mismatch, ev.error.shape)] = "DomainError"
+    return ev
 
 
 def spectrum_flags(derived: DerivedParams, omegas, error) -> list[tuple[str, ...]]:
@@ -308,19 +337,19 @@ def eof_array(x: np.ndarray) -> np.ndarray:
     """Entanglement of formation [ebits] of symmetric states with EPR variances x.
 
     E = C+(x) log2 C+(x) - C-(x) log2 C-(x), C+-(x) = (x^-1/2 +- x^1/2)^2 / 4,
-    valid for x < 1; exactly 0 for x >= 1 (separable); NaN stays NaN.
+    valid for x < 1; exactly 0 for x >= 1 (separable); NaN stays NaN.  Any
+    shape, a (K, N) block of curves included.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise DomainError(f"EPR variance must be > 0, got {x[x <= 0].flat[0]:g}")
-    out = np.where(np.isnan(x), np.nan, 0.0)
-    mask = x < 1.0
-    if np.any(mask):
-        root = np.sqrt(x[mask])
-        c_plus = (1.0 / root + root) ** 2 / 4.0
-        c_minus = (1.0 / root - root) ** 2 / 4.0
-        term = c_plus * np.log2(c_plus)
-        nz = c_minus > 0
-        term[nz] -= c_minus[nz] * np.log2(c_minus[nz])
-        out[mask] = term
+    entangled = x < 1.0
+    out = np.where(x >= 1.0, 0.0, np.nan)   # NaN stays NaN; x < 1 is filled in below
+    root = np.sqrt(x[entangled])
+    inverse = 1.0 / root
+    c_plus = (inverse + root) ** 2 / 4.0
+    c_minus = (inverse - root) ** 2 / 4.0
+    # C-(x) log2 C-(x) -> 0 as C-(x) -> 0: log2 of 1 in its place
+    out[entangled] = (c_plus * np.log2(c_plus)
+                      - c_minus * np.log2(np.where(c_minus > 0, c_minus, 1.0)))
     return out

@@ -12,23 +12,29 @@ so N obeys the scalar self-consistency equation
 
 Every root lies in [0, sum_j Omega_j^2 / gamma^2].  Clearing the
 denominators turns the equation into a polynomial of degree 5 in N, so the
-solver takes all its real roots in that interval from the companion matrix
-(``np.roots``) and polishes each with one Newton step on the rational form.
+solver takes all its real roots in that interval from the eigenvalues of its
+companion matrix and polishes each with one Newton step on the rational form.
 Several roots mean optical bistability.  The operating point is the
 smallest root inside the window Delta_1' < 0 < Delta_2' that the
 two-sideband scheme needs; ``multistable`` records that the equation had
 more than one root, whether or not the others lie in the window.
+
+:func:`solve_steady_states` solves many parameter sets at once: their
+companion matrices, grouped by degree, go through one stacked eigenvalue
+call, and every row comes out as it would alone, to the last bit.
+:func:`solve_steady_state` is its one-row case.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoSteadyState, SignConventionViolated
+from .errors import NoSteadyState, PhysicsError, SignConventionViolated
 from .params import DriveSpec, PhysicalParams, thermal_occupancy
 
 # Symmetric-amplitude requirement of the output model.  Drive-power
@@ -36,6 +42,8 @@ from .params import DriveSpec, PhysicalParams, thermal_occupancy
 # which the robustness analyses must be able to evaluate; the state asymmetry
 # this induces is far below the standard-form residual tolerance.
 ALPHA_MATCH_RTOL = 1e-3
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -101,6 +109,29 @@ class DerivedParams:
         return 0.0 if scale == 0 else abs(a1 - a2) / scale
 
 
+def _quintic(omega_1, omega_2, delta_1, delta_2, c, gamma):
+    """upper and the coefficients (highest first) of the quintic in u = N / upper.
+
+    Leading coefficients below machine epsilon times the largest change the
+    polynomial on [0, 1] by less than its rounding, so they are dropped: a
+    vanishing coupling (c -> 0) lowers the degree instead of pushing
+    companion-matrix eigenvalues to infinity.  No coefficients if upper = 0.
+    D_1 D_2 is multiplied by ``np.convolve``, which sums through BLAS; a
+    written-out product would differ from it in the last bit.
+    """
+    upper = (omega_1 * omega_1 + omega_2 * omega_2) / gamma**2
+    if upper == 0.0:
+        return upper, []
+    s = c * upper
+    d1, d2 = ([s * s, 2.0 * dj * s, dj * dj + gamma * gamma / 4.0] for dj in (delta_1, delta_2))
+    poly = [upper * x for x in np.convolve(d1, d2).tolist()] + [0.0]   # upper u D_1 D_2
+    a1, a2 = omega_1 * omega_1 / 4.0, omega_2 * omega_2 / 4.0
+    for i in range(3):
+        poly[3 + i] -= a1 * d2[i] + a2 * d1[i]
+    floor = _EPS * max(map(abs, poly))
+    return upper, poly[next(i for i, x in enumerate(poly) if abs(x) > floor):]
+
+
 def _intensity_roots(omegas, deltas, c, gamma):
     """All real roots of N = sum_j (Omega_j^2/4) / D_j(N) in [0, upper], ascending.
 
@@ -109,45 +140,64 @@ def _intensity_roots(omegas, deltas, c, gamma):
 
         N D_1 D_2 - (Omega_1^2/4) D_2 - (Omega_2^2/4) D_1 = 0,
 
-    solved in u = N / upper.  Leading coefficients below machine epsilon
-    times the largest change the polynomial on [0, 1] by less than its
-    rounding, so they are dropped: a vanishing coupling (c -> 0) lowers the
-    degree instead of pushing companion-matrix eigenvalues to infinity.
-    Each root is polished with one Newton step on the rational form.
+    solved in u = N / upper (see :func:`_quintic`).  Each argument is a
+    scalar or an array of K rows (``omegas`` and ``deltas`` pairs of them):
+    scalars give one list of roots, arrays a list of K, row k's equal to the
+    bit to row k solved alone.
+
+    The quintics are grouped by degree once their leading and trailing zero
+    coefficients are stripped.  Each group's companion matrices, built as
+    ``np.roots`` builds them, go through one stacked ``np.linalg.eigvals``
+    call, and a stripped trailing zero is a root at 0.  Each real root in
+    [0, 1] is polished with one Newton step on the rational form; that step
+    is a few float operations per root, cheaper in Python than as a
+    vectorized pass over the few roots of a batch.
     """
-    upper = sum(om * om for om in omegas) / gamma**2
-    if upper == 0.0:
-        return [0.0]
-    s = c * upper
-    d1, d2 = (np.array([s * s, 2.0 * dj * s, dj * dj + gamma * gamma / 4.0]) for dj in deltas)
-    a1, a2 = (om * om / 4.0 for om in omegas)
-    poly = np.append(upper * np.convolve(d1, d2), 0.0)   # upper u D_1 D_2, degree 5
-    poly[3:] -= a1 * d2 + a2 * d1
-    scale = np.abs(poly)
-    u = np.roots(poly[np.argmax(scale > np.finfo(float).eps * scale.max()):])
-    u = np.sort(u.real[(u.imag == 0.0) & (u.real >= 0.0) & (u.real <= 1.0)])
+    columns = [*omegas, *deltas, c, gamma]
+    floats = [np.ravel(col).tolist() for col in columns]
+    count = max(map(len, floats))
+    rows = list(zip(*(col * count if len(col) == 1 else col for col in floats)))
+    quintics = [_quintic(*row) for row in rows]
+    # each row's roots in u, starting with the roots at 0 of its trailing zero coefficients
+    us = [[0.0] * (len(poly) - 1 - max((i for i, x in enumerate(poly) if x != 0.0), default=-1))
+          for _, poly in quintics]
+    groups = {}
+    for k, (_, poly) in enumerate(quintics):
+        groups.setdefault(len(poly) - len(us[k]), []).append(k)
+    for size, members in groups.items():
+        if size < 2:
+            continue
+        p = np.array([quintics[k][1][:size] for k in members])
+        A = np.zeros((len(members), size - 1, size - 1))
+        A[:, np.arange(1, size - 1), np.arange(size - 2)] = 1.0
+        A[:, 0, :] = -p[:, 1:] / p[:, :1]
+        for k, eig in zip(members, np.linalg.eigvals(A).tolist()):
+            us[k] = eig + us[k]
 
     roots = []
-    for N in (upper * u).tolist():
-        f, slope = N, 1.0
-        for om, dj in zip(omegas, deltas):
-            shifted = dj + c * N
-            den = shifted * shifted + gamma * gamma / 4.0
-            term = (om * om / 4.0) / den
-            f -= term
-            slope += term * 2.0 * c * shifted / den
-        roots.append(N - f / slope)
-    return roots
+    for row, (upper, poly), u in zip(rows, quintics, us):
+        if not poly:
+            roots.append([0.0])
+            continue
+        omegas, deltas, c, gamma = row[:2], row[2:4], row[4], row[5]
+        polished = []
+        for N in sorted(upper * z.real for z in u if z.imag == 0.0 and 0.0 <= z.real <= 1.0):
+            f, slope = N, 1.0
+            for om, dj in zip(omegas, deltas):
+                shifted = dj + c * N
+                den = shifted * shifted + gamma * gamma / 4.0
+                term = (om * om / 4.0) / den
+                f -= term
+                slope += term * 2.0 * c * shifted / den
+            polished.append(N - f / slope)
+        roots.append(polished)
+    return roots if any(np.ndim(col) for col in columns) else roots[0]
 
 
 def solve_steady_state(params: PhysicalParams) -> DerivedParams:
     """Solve the displacement steady state and derive the linearized-model parameters.
 
-    Finds every intensity root (see :func:`_intensity_roots`) and keeps the
-    smallest one inside the window Delta_1' < 0 < Delta_2'.  Both shifted
-    detunings Delta_j' = Delta_j + 2 eta^2 omega_m N grow with N, so the
-    window is an interval of N and each root is tested on its own.
-    ``multistable`` is set when the equation has more than one root.
+    The one-row case of :func:`solve_steady_states`; raises the row's error.
 
     Raises
     ------
@@ -159,13 +209,54 @@ def solve_steady_state(params: PhysicalParams) -> DerivedParams:
         delta <= 0 (delta does not depend on N), i.e. the drive frequencies
         are inconsistent with the two-sideband arrangement the model assumes.
     """
-    omega_1, omega_2 = params.drive_amplitudes()
-    delta_1, delta_2 = params.bare_detunings()
-    eta2wm2 = 2.0 * params.eta**2 * params.omega_m
+    derived, = _solve([params])
+    if isinstance(derived, PhysicsError):
+        raise derived
+    return derived
 
-    roots = _intensity_roots((omega_1, omega_2), (delta_1, delta_2), eta2wm2, params.gamma)
+
+def solve_steady_states(rows: Sequence[PhysicalParams]) -> list[DerivedParams | PhysicsError]:
+    """Steady state of every parameter set in ``rows``, their intensity roots in one batch.
+
+    Finds every intensity root of a row (see :func:`_intensity_roots`) and
+    keeps the smallest one inside the window Delta_1' < 0 < Delta_2'.  Both
+    shifted detunings Delta_j' = Delta_j + 2 eta^2 omega_m N grow with N, so
+    the window is an interval of N and each root is tested on its own.
+    ``multistable`` is set when the equation has more than one root.  A row
+    that fails holds, unraised, the error :func:`solve_steady_state` raises
+    for it; the other rows are unaffected.
+    """
+    return _solve(rows)
+
+
+def _solve(rows: Sequence[PhysicalParams]) -> list[DerivedParams | PhysicsError]:
+    """:func:`solve_steady_states`; warnings point at the caller of its public caller."""
+    if not rows:
+        return []
+    drives = [params.drive_amplitudes() for params in rows]
+    bare = [params.bare_detunings() for params in rows]
+    couplings = [2.0 * params.eta**2 * params.omega_m for params in rows]
+    roots = _intensity_roots(list(zip(*drives)), list(zip(*bare)), couplings,
+                             [params.gamma for params in rows])
+    results = []
+    for row in zip(rows, drives, bare, couplings, roots):
+        derived = _operating_point(*row)
+        if isinstance(derived, DerivedParams) and derived.alpha_mismatch() > ALPHA_MATCH_RTOL:
+            a1, a2 = abs(derived.alpha_1), abs(derived.alpha_2)
+            warnings.warn(f"unequal cavity amplitudes |alpha_1| = {a1:.6g}, |alpha_2| = {a2:.6g}; "
+                          "the adiabatic output model assumes alpha_1 = alpha_2", stacklevel=3)
+        results.append(derived)
+    return results
+
+
+def _operating_point(params: PhysicalParams, drive: tuple[float, float],
+                     bare: tuple[float, float], eta2wm2: float,
+                     roots: list[float]) -> DerivedParams | PhysicsError:
+    """The derived parameters at the root :func:`solve_steady_states` selects, or its error."""
+    omega_1, omega_2 = drive
+    delta_1, delta_2 = bare
     if not roots:
-        raise NoSteadyState("no intensity root in [0, sum Omega^2/gamma^2]")
+        return NoSteadyState("no intensity root in [0, sum Omega^2/gamma^2]")
     multistable = len(roots) > 1
     # with no root in the window, the smallest one fails the sign check below
     N = next((N for N in roots if delta_1 + eta2wm2 * N < 0.0 < delta_2 + eta2wm2 * N), roots[0])
@@ -182,20 +273,20 @@ def solve_steady_state(params: PhysicalParams) -> DerivedParams:
     beta_imag = params.eta * params.omega_m * N * (params.gamma_m / 2.0) / denom
 
     if d1p >= 0.0 or d2p <= 0.0:
-        raise SignConventionViolated(
+        return SignConventionViolated(
             f"operating point requires Delta_1' < 0 < Delta_2'; got {d1p:.4e}, {d2p:.4e}"
         )
     delta = 0.5 * (d2p - d1p) - params.omega_m
     d = -0.5 * (d1p + d2p)
     if delta <= 0.0:
-        raise SignConventionViolated(f"elimination requires delta > 0; got {delta:.4e}")
+        return SignConventionViolated(f"elimination requires delta > 0; got {delta:.4e}")
 
     a1, a2 = abs(alpha_1), abs(alpha_2)
     alpha = 0.5 * (a1 + a2)
     g = params.eta**2 * alpha**2 * params.omega_m**2 / delta
     gamma_m_tilde = (params.eta * alpha * params.omega_m / delta) ** 2 * params.gamma_m
 
-    derived = DerivedParams(
+    return DerivedParams(
         alpha_1=alpha_1,
         alpha_2=alpha_2,
         beta=beta,
@@ -214,10 +305,6 @@ def solve_steady_state(params: PhysicalParams) -> DerivedParams:
         eta=params.eta,
         multistable=multistable,
     )
-    if derived.alpha_mismatch() > ALPHA_MATCH_RTOL:
-        warnings.warn(f"unequal cavity amplitudes |alpha_1| = {a1:.6g}, |alpha_2| = {a2:.6g}; "
-                      "the adiabatic output model assumes alpha_1 = alpha_2", stacklevel=2)
-    return derived
 
 
 def steady_state_residual(params: PhysicalParams, derived: DerivedParams) -> float:

@@ -14,12 +14,19 @@ Sweep axes re-derive the operating point per row:
 * ``d_fluct``      absolute excursions of d around the base value.
 
 Every peak EOF is a sweep row's: ``find_optimum_d_numeric`` maximizes the
-``d`` row's peak, and ``sensitivity_analysis`` takes its excursions as ``d``
-and ``power_fluct`` rows around the optimum, recording a failed one by name.
+``d`` row's peak, its coarse scan being the ``d`` rows at the scan points,
+and ``sensitivity_analysis`` takes its excursions as ``d`` and
+``power_fluct`` rows around the optimum, recording a failed one by name.
+The rows of a sweep, of the scan and of the excursions are each evaluated
+in one pass: one batched steady-state solve and one (rows, N) closed-form
+evaluation, in blocks that bound its temporaries.  A row's numbers equal
+those of the row evaluated alone, to the last bit; only the golden-section
+steps of the optimizer evaluate one row at a time.
 
 Peak statistics are measured on the EOF(omega) curve: the peak is refined
 parabolically, ``peak_omegas`` collects every local maximum within 1% of the
-peak, and the FWHM is the width at half the peak EOF.
+peak, and the FWHM is the width at half the peak EOF.  The parabola assumes
+an evenly spaced grid, so an unevenly spaced ``omega_grid`` is rejected.
 """
 
 from __future__ import annotations
@@ -33,9 +40,9 @@ from . import errors
 from .errors import BracketError, PhysicsError
 from .langevin import MODELS, evaluate
 from .params import DriveSpec, PhysicalParams
-from .spectrum import eof_array, optimum_d
-from .steady_state import (DerivedParams, operating_point_params, retuned_d,
-                           solve_steady_state)
+from .spectrum import closed_form_grid, eof_array, optimum_d
+from .steady_state import (DerivedParams, operating_point_params, solve_steady_state,
+                           solve_steady_states)
 
 SWEEP_AXES = ("temperature", "alpha", "d", "Q", "power_fluct", "d_fluct")
 
@@ -43,11 +50,32 @@ SWEEP_AXES = ("temperature", "alpha", "d", "Q", "power_fluct", "d_fluct")
 DEFAULT_GRID_POINTS = 2001
 DEFAULT_GRID_HALF_WIDTH_GAMMAS = 2.0
 
+# Largest deviation of an omega grid's steps from the mean step, relative to
+# it, that still counts as evenly spaced.  On top of it a step may be off by
+# the rounding of the grid values (np.linspace stays within 2 eps max|omega|).
+_SPACING_RTOL = 1e-9
+
+# Most grid points evaluated at once: rows go through the closed form in
+# blocks of _BLOCK_POINTS // N rows of an N-point grid, which bounds the
+# (rows, N) temporaries.
+_BLOCK_POINTS = 2**14
+
 
 def default_omega_grid(gamma: float, points: int = DEFAULT_GRID_POINTS,
                        half_width: float | None = None) -> np.ndarray:
     hw = DEFAULT_GRID_HALF_WIDTH_GAMMAS * gamma if half_width is None else half_width
     return np.linspace(-hw, hw, points)
+
+
+def _check_grid(omega: np.ndarray) -> None:
+    """ValueError unless ``omega`` is nonempty and evenly spaced, as peak refinement assumes."""
+    if len(omega) == 0:
+        raise ValueError("omega_grid must be nonempty")
+    if len(omega) > 2:
+        step = (omega[-1] - omega[0]) / (len(omega) - 1)
+        rounding = 4.0 * np.finfo(float).eps * np.max(np.abs(omega))
+        if not np.all(np.abs(np.diff(omega) - step) <= _SPACING_RTOL * abs(step) + rounding):
+            raise ValueError("omega_grid must be evenly spaced")
 
 
 @dataclass(frozen=True)
@@ -66,8 +94,7 @@ class SweepSpec:
         diffs = np.diff(np.asarray(self.values, dtype=float))
         if len(diffs) and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ValueError("values must be strictly monotone")
-        if len(np.asarray(self.omega_grid)) == 0:
-            raise ValueError("omega_grid must be nonempty")
+        _check_grid(np.asarray(self.omega_grid, dtype=float))
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
 
@@ -126,7 +153,7 @@ def peak_statistics(omega: np.ndarray, eof_curve: np.ndarray,
     A curve with no local maximum (all NaN, say) falls back to the point
     ``np.argmax`` picks.  Each maximum is refined by the vertex of the
     parabola through it and its neighbours, which assumes an evenly spaced
-    grid.
+    grid.  The one-curve case of :func:`_peak_statistics_rows`.
 
     Raises ValueError for an empty curve or one whose length differs from
     ``omega``'s.
@@ -137,29 +164,48 @@ def peak_statistics(omega: np.ndarray, eof_curve: np.ndarray,
         raise ValueError("eof_curve must be nonempty")
     if len(omega) != len(y):
         raise ValueError(f"omega and eof_curve lengths differ: {len(omega)} != {len(y)}")
-    padded = np.concatenate(([-math.inf], y, [-math.inf]))
-    left, right = padded[:-2], padded[2:]
-    maxima = np.flatnonzero((y >= left) & (y >= right) & ((y > left) | (y > right))).tolist()
-    if not maxima:
-        maxima = [int(np.argmax(y))]
-    refined = [_parabolic_refine(omega, y, i) for i in maxima]
-    peak = max(v for _, v in refined)
-    peak_omegas = tuple(sorted(x for x, v in refined if v >= (1.0 - within) * peak))
+    return _peak_statistics_rows(omega, y[None, :], within)[0]
 
-    half = 0.5 * peak
-    above = y >= half
-    fwhm = 0.0
-    if np.any(above):
-        lo = int(np.argmax(above))
-        hi = len(above) - 1 - int(np.argmax(above[::-1]))
-        left_edge = omega[lo]
-        if lo > 0 and y[lo] != y[lo - 1]:
-            left_edge = omega[lo - 1] + (half - y[lo - 1]) * (omega[lo] - omega[lo - 1]) / (y[lo] - y[lo - 1])
-        right_edge = omega[hi]
-        if hi < len(y) - 1 and y[hi] != y[hi + 1]:
-            right_edge = omega[hi] + (half - y[hi]) * (omega[hi + 1] - omega[hi]) / (y[hi + 1] - y[hi])
-        fwhm = float(right_edge - left_edge)
-    return PeakStats(peak_eof=float(peak), peak_omegas=peak_omegas, fwhm=fwhm)
+
+def _peak_statistics_rows(omega: np.ndarray, y: np.ndarray, within: float) -> list[PeakStats]:
+    """:func:`peak_statistics` of each row of the (K, N) curves ``y`` on the N-point grid.
+
+    The local maxima and the points at or above half the peak are found for
+    all rows at once; the refinement and the edge interpolation are per row.
+    """
+    padded = np.full((y.shape[0], y.shape[1] + 2), -math.inf)
+    padded[:, 1:-1] = y
+    left, right = padded[:, :-2], padded[:, 2:]
+    rows, cols = np.nonzero((y >= left) & (y >= right) & ((y > left) | (y > right)))
+    maxima = [[] for _ in y]
+    for k, i in zip(rows.tolist(), cols.tolist()):
+        maxima[k].append(i)
+    peaks, peak_omegas = [], []
+    for curve, found in zip(y, maxima):
+        refined = [_parabolic_refine(omega, curve, i) for i in found or [int(np.argmax(curve))]]
+        peak = max(v for _, v in refined)
+        peaks.append(peak)
+        peak_omegas.append(tuple(sorted(x for x, v in refined if v >= (1.0 - within) * peak)))
+
+    halves = [0.5 * peak for peak in peaks]
+    above = y >= np.array(halves)[:, None]
+    last = y.shape[1] - 1
+    firsts = np.argmax(above, axis=1).tolist()
+    lasts = (last - np.argmax(above[:, ::-1], axis=1)).tolist()
+    stats = []
+    for c, peak, omegas, half, found, lo, hi in zip(y, peaks, peak_omegas, halves,
+                                                    above.any(axis=1).tolist(), firsts, lasts):
+        fwhm = 0.0
+        if found:
+            left_edge = omega[lo]
+            if lo > 0 and c[lo] != c[lo - 1]:
+                left_edge = omega[lo - 1] + (half - c[lo - 1]) * (omega[lo] - omega[lo - 1]) / (c[lo] - c[lo - 1])
+            right_edge = omega[hi]
+            if hi < last and c[hi] != c[hi + 1]:
+                right_edge = omega[hi] + (half - c[hi]) * (omega[hi + 1] - omega[hi]) / (c[hi + 1] - c[hi])
+            fwhm = float(right_edge - left_edge)
+        stats.append(PeakStats(peak_eof=float(peak), peak_omegas=omegas, fwhm=fwhm))
+    return stats
 
 
 def _scaled_powers(params: PhysicalParams, factor: float) -> PhysicalParams:
@@ -172,14 +218,60 @@ def _scaled_powers(params: PhysicalParams, factor: float) -> PhysicalParams:
 
 def _peak(params: PhysicalParams, omega: np.ndarray, model: str):
     """Derived params, x, EOF curve and peak statistics of ``model`` at ``params``; raises
-    the :mod:`errors` class named by the first grid point :func:`evaluate` flags."""
-    derived = solve_steady_state(params)
-    ev = evaluate(derived, omega, model)
-    if ev.failed.any():
-        i = int(np.argmax(ev.failed))
-        raise getattr(errors, ev.error[i])(f"{model} output failed at omega = {omega[i]:.6e}")
-    eof_curve = eof_array(ev.x)
-    return derived, ev.x, eof_curve, peak_statistics(omega, eof_curve)
+    the :mod:`errors` class named by the first grid point :func:`evaluate` flags.
+
+    The one-row case of :func:`_peaks`.
+    """
+    result, = _peaks([params], omega, model)
+    if isinstance(result, PhysicsError):
+        raise result
+    return result
+
+
+def _peaks(rows: list, omega: np.ndarray, model: str) -> list:
+    """:func:`_peak` of every row in one pass: each row's result or, unraised, its error.
+
+    A row is a parameter set or the :class:`PhysicsError` building it raised,
+    which is passed through.  The steady states are solved in one batch.
+    The closed form, ``eof_array`` and the peak statistics run over (rows, N)
+    arrays in blocks of at most ``_BLOCK_POINTS`` grid points; the other
+    models are evaluated row by row.  Each row equals its own :func:`_peak`,
+    to the last bit.
+    """
+    results = list(rows)
+    todo = [k for k, row in enumerate(rows) if not isinstance(row, PhysicsError)]
+    for k, derived in zip(todo, solve_steady_states([rows[k] for k in todo])):
+        results[k] = derived
+    solved = [k for k in todo if isinstance(results[k], DerivedParams)]
+    if model == "adiabatic":
+        size = max(1, _BLOCK_POINTS // len(omega))
+        blocks = [solved[start:start + size] for start in range(0, len(solved), size)]
+    else:
+        blocks = [[k] for k in solved]
+    for block in blocks:
+        derived = [results[k] for k in block]
+        if model == "adiabatic":
+            ev = closed_form_grid(derived, omega)
+        else:
+            try:
+                ev = evaluate(derived[0], omega, model)
+            except PhysicsError as exc:   # a singular drift fails its row
+                results[block[0]] = exc
+                continue
+        x = ev.x.reshape(len(block), -1)
+        failed = ev.failed.reshape(x.shape)
+        eof_curves = eof_array(x)
+        ok = ~failed.any(axis=1)
+        stats = iter(_peak_statistics_rows(omega, eof_curves[ok], 0.01))
+        for k, d, x_row, eof_curve, row_ok, row_failed, error in zip(
+                block, derived, x, eof_curves, ok, failed, ev.error.reshape(x.shape)):
+            if row_ok:
+                results[k] = (d, x_row, eof_curve, next(stats))
+            else:
+                i = int(np.argmax(row_failed))
+                results[k] = getattr(errors, error[i])(
+                    f"{model} output failed at omega = {omega[i]:.6e}")
+    return results
 
 
 def _row_params(axis: str, base: PhysicalParams, base_derived: DerivedParams,
@@ -199,29 +291,42 @@ def _row_params(axis: str, base: PhysicalParams, base_derived: DerivedParams,
     raise ValueError(axis)
 
 
+def _axis_rows(axis: str, base: PhysicalParams, base_derived: DerivedParams,
+               values) -> list:
+    """:func:`_row_params` of each value, or the PhysicsError building that row raised."""
+    rows = []
+    for value in values:
+        try:
+            rows.append(_row_params(axis, base, base_derived, value))
+        except PhysicsError as exc:
+            rows.append(exc)
+    return rows
+
+
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the entanglement spectrum for each axis value.
 
-    Row failures (e.g. NoSteadyState, or the first point of the grid
-    that fails in :func:`optoepr.langevin.evaluate`) are recorded on the row
-    by name, never fatal.
-    Rows are computed independently and assembled in value order.
+    The rows' steady states are solved in one batch and their spectra
+    evaluated together (see :func:`_peaks`), each row's numbers equal to
+    its own evaluation.  A row's failure (e.g. NoSteadyState, or the first
+    point of the grid that fails in :func:`optoepr.langevin.evaluate`) is
+    recorded on that row by name, never fatal.  Rows are in value order.
     """
     base_derived = solve_steady_state(spec.base)
     omega = np.asarray(spec.omega_grid, dtype=float)
+    values = [float(value) for value in spec.values]
     result = SweepResult(spec=spec)
-    for value in spec.values:
-        try:
-            derived, x, eof_curve, stats = _peak(
-                _row_params(spec.axis, spec.base, base_derived, float(value)), omega, spec.model)
-        except PhysicsError as exc:
+    for value, peak in zip(values, _peaks(_axis_rows(spec.axis, spec.base, base_derived, values),
+                                          omega, spec.model)):
+        if isinstance(peak, PhysicsError):
             result.rows.append(SweepRow(
-                value=float(value), omega=omega, eof=np.array([]), epr_variance=np.array([]),
+                value=value, omega=omega, eof=np.array([]), epr_variance=np.array([]),
                 peak_eof=math.nan, peak_omegas=(), fwhm=math.nan,
-                derived=None, error=type(exc).__name__))
+                derived=None, error=type(peak).__name__))
             continue
+        derived, x, eof_curve, stats = peak
         result.rows.append(SweepRow(
-            value=float(value), omega=omega, eof=eof_curve, epr_variance=x,
+            value=value, omega=omega, eof=eof_curve, epr_variance=x,
             peak_eof=stats.peak_eof, peak_omegas=stats.peak_omegas,
             fwhm=stats.fwhm, derived=derived))
     return result
@@ -244,12 +349,12 @@ class SensitivityReport:
 
 
 def _search_grid(base: PhysicalParams, omega_grid: np.ndarray | None) -> np.ndarray:
-    """``omega_grid`` as floats, the default grid of ``base`` if None; ValueError if empty."""
+    """``omega_grid`` as floats, the default grid of ``base`` if None; ValueError if it is
+    empty or unevenly spaced."""
     if omega_grid is None:
         return default_omega_grid(base.gamma)
     omega = np.asarray(omega_grid, dtype=float)
-    if len(omega) == 0:
-        raise ValueError("omega_grid must be nonempty")
+    _check_grid(omega)
     return omega
 
 
@@ -260,30 +365,42 @@ def sensitivity_analysis(base: PhysicalParams, d_jitter: float,
 
     The operating point is first moved to the optimum d; the baseline peak
     EOF is taken there, and the excursions are the ``d`` sweep rows at
-    d_o -/+ j and the ``power_fluct`` rows at -/+ eps around it.  Power
-    scaling drags d through the intensity-shift term, which the re-solve
-    accounts for exactly.  A failed excursion is recorded as a case with its
-    error name and NaN d and peak; ``worst_peak_eof`` and ``degradation``
-    cover the cases that succeeded.  A failed baseline raises, and an empty
+    d_o -/+ j and the ``power_fluct`` rows at -/+ eps around it, all of them
+    evaluated in one pass with the baseline.  Power scaling drags d through
+    the intensity-shift term, which the re-solve accounts for exactly.  A
+    failed excursion is recorded as a case with its error name and NaN d and
+    peak; ``worst_peak_eof`` and ``degradation`` cover the cases that
+    succeeded.  A failed baseline raises, and an empty or unevenly spaced
     ``omega_grid`` raises ValueError before anything is solved.
     """
     if d_jitter < 0 or power_jitter_frac < 0:
         raise ValueError("jitters must be >= 0")
     omega = _search_grid(base, omega_grid)
-    d_o = optimum_d(solve_steady_state(base)).d_o
-    at_opt = retuned_d(base, d_o)
+    base_derived = solve_steady_state(base)
+    d_o = optimum_d(base_derived).d_o
+    at_opt = _row_params("d", base, base_derived, d_o)
+    opt_derived = solve_steady_state(at_opt)
 
-    base_peak = _peak(at_opt, omega, "adiabatic")[3].peak_eof
-    excursions = (("d", "d", d_o, d_jitter), ("power", "power_fluct", 0.0, power_jitter_frac))
-    rows = {label: run_sweep(SweepSpec(axis, (mid - jitter, mid + jitter), at_opt, omega)).rows
-            for label, axis, mid, jitter in excursions if jitter > 0}
+    excursions = [(label, axis, mid, jitter) for label, axis, mid, jitter in
+                  (("d", "d", d_o, d_jitter), ("power", "power_fluct", 0.0, power_jitter_frac))
+                  if jitter > 0]
+    labels, rows = ["baseline"], [at_opt]
+    for sign in "-+":
+        for label, axis, mid, jitter in excursions:
+            labels.append(f"{label}{sign}jitter")
+            rows += _axis_rows(axis, at_opt, opt_derived,
+                               [mid - jitter if sign == "-" else mid + jitter])
+    peaks = _peaks(rows, omega, "adiabatic")
+    if isinstance(peaks[0], PhysicsError):
+        raise peaks[0]
+
+    base_peak = peaks[0][3].peak_eof
     cases = [SensitivityCase("baseline", d_o, base_peak)]
-    for i, sign in enumerate("-+"):
-        for label, sweep in rows.items():
-            row = sweep[i]
-            cases.append(SensitivityCase(f"{label}{sign}jitter",
-                                         math.nan if row.derived is None else row.derived.d,
-                                         row.peak_eof, row.error))
+    for label, peak in zip(labels[1:], peaks[1:]):
+        if isinstance(peak, PhysicsError):
+            cases.append(SensitivityCase(label, math.nan, math.nan, type(peak).__name__))
+        else:
+            cases.append(SensitivityCase(label, peak[0].d, peak[3].peak_eof))
     worst = min(c.peak_eof for c in cases if c.error is None)
     degradation = 0.0 if base_peak == 0 else (base_peak - worst) / base_peak
     return SensitivityReport(baseline_peak_eof=base_peak, worst_peak_eof=worst,
@@ -295,10 +412,13 @@ def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, fl
                            tol_frac: float = 1e-4, scan_points: int = 33) -> float:
     """Golden-section maximization of peak EOF over the offset d.
 
-    A coarse scan first checks unimodality on the bracket; a bracket whose
-    scan shows several separated local maxima raises :class:`BracketError`
-    with the scan attached.  A degenerate bracket returns its single point.
-    An empty ``omega_grid`` raises ValueError before anything is solved.
+    A coarse scan first checks unimodality on the bracket: its points are
+    the ``d`` sweep rows at ``scan_points`` evenly spaced offsets, evaluated
+    in one pass, and the first row that fails raises its error.  A bracket
+    whose scan shows several separated local maxima raises
+    :class:`BracketError` with the scan attached.  A degenerate bracket
+    returns its single point.  An empty or unevenly spaced ``omega_grid``
+    raises ValueError before anything is solved.
     """
     lo, hi = float(search_bracket[0]), float(search_bracket[1])
     if hi < lo:
@@ -312,7 +432,11 @@ def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, fl
         return _peak(_row_params("d", base, base_derived, dval), omega, "adiabatic")[3].peak_eof
 
     scan_d = np.linspace(lo, hi, scan_points)
-    scan_v = np.array([peak(dv) for dv in scan_d])
+    scan_v = []
+    for result in _peaks(_axis_rows("d", base, base_derived, scan_d), omega, "adiabatic"):
+        if isinstance(result, PhysicsError):
+            raise result
+        scan_v.append(result[3].peak_eof)
     interior_maxima = [i for i in range(1, scan_points - 1)
                        if scan_v[i] >= scan_v[i - 1] and scan_v[i] >= scan_v[i + 1]]
     if len(interior_maxima) > 1:

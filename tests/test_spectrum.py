@@ -1,12 +1,41 @@
 import math
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import optoepr as oe
+from optoepr.errors import DomainError
 from optoepr.params import TWO_PI
-from optoepr.spectrum import Evaluation, ent_metrics, eof_array
+from optoepr.spectrum import Evaluation, closed_form_grid, ent_metrics, eof_array
 from optoepr.steady_state import DerivedParams
+
+
+def reference_eof_array(x):
+    """eof_array as it was before its x < 1 subset was copied only once, as a reference."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0):
+        raise DomainError(f"EPR variance must be > 0, got {x[x <= 0].flat[0]:g}")
+    out = np.where(np.isnan(x), np.nan, 0.0)
+    mask = x < 1.0
+    if np.any(mask):
+        root = np.sqrt(x[mask])
+        c_plus = (1.0 / root + root) ** 2 / 4.0
+        c_minus = (1.0 / root - root) ** 2 / 4.0
+        term = c_plus * np.log2(c_plus)
+        nz = c_minus > 0
+        term[nz] -= c_minus[nz] * np.log2(c_minus[nz])
+        out[mask] = term
+    return out
+
+
+# EPR variances: NaN, exactly 1, near 0, around 1 and separable values.
+VARIANCES = st.one_of(st.just(math.nan), st.just(1.0), st.floats(1e-300, 1e-6),
+                      st.floats(1e-6, 1.0, exclude_max=True), st.floats(1.0, 1e6))
 
 GAMMA = TWO_PI * 3.2e6
 
@@ -80,6 +109,26 @@ class TestTransferFunctions:
         assert list(ev.error) == ["", "DomainError", "DegenerateResponse", "DegenerateResponse"]
         assert list(ev.failed) == [False, True, True, True]
         assert ev.x[0] == 1.0 and np.all(np.isnan(ev.x[1:]))
+
+
+class TestClosedFormRows:
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_rows_equal_single_evaluations(self, paper_derived, optimum_derived, count):
+        rows = [paper_derived, optimum_derived,
+                make_derived(g=2.0, d=-2.0, gamma=4.0, gamma_m_tilde=0.0, n_m=0.0),
+                replace(make_derived(), alpha_2=complex(1100.0)), make_derived()][:count]
+        omegas = np.array([0.0, 1.0, -1.0, 3e5, -2e7, 4e7])
+        block = closed_form_grid(rows, omegas)
+        assert block.x.shape == (count, len(omegas))
+        for k, derived in enumerate(rows):
+            alone = closed_form_grid(derived, omegas)
+            for name in ("n", "k_x", "x"):
+                assert np.array_equal(getattr(block, name)[k], getattr(alone, name), equal_nan=True)
+            assert list(block.error[k]) == list(alone.error)
+            assert np.array_equal(block.failed[k], alone.failed)
+        if count == 5:
+            assert set(block.error[2]) == {"DegenerateResponse", ""}
+            assert set(block.error[3]) == {"DomainError"}
 
 
 class TestClosedFormCovariance:
@@ -169,6 +218,15 @@ class TestEntanglementOfFormation:
     def test_vectorized_matches_scalar(self):
         xs = np.array([0.01, 0.2, 0.9, 1.0, 3.0])
         assert np.allclose(eof_array(xs), [oe.eof(x) for x in xs], rtol=1e-12)
+
+    @given(hnp.arrays(float, hnp.array_shapes(min_dims=1, max_dims=2, max_side=12),
+                      elements=VARIANCES))
+    def test_bits_match_the_reference(self, x):
+        assert np.array_equal(eof_array(x), reference_eof_array(x), equal_nan=True)
+
+    def test_domain_error_names_the_first_bad_value(self):
+        with pytest.raises(DomainError, match="got -0.5"):
+            eof_array(np.array([[0.5, math.nan], [-0.5, 0.0]]))
 
 
 class TestSqueezing:

@@ -120,6 +120,37 @@ class TestIntensityRoots:
         assert len(roots) == 1
         assert roots[0] == pytest.approx(linear, rel=1e-12)
 
+    def test_mixed_batch_equals_each_row_alone(self, paper_params):
+        # three roots, five roots, and a c = 0 row whose quintic drops to degree 1
+        rows = [(*params.drive_amplitudes(), *params.bare_detunings(),
+                 2.0 * params.eta**2 * params.omega_m, params.gamma)
+                for params in (paper_params, strong_drive_params(paper_params))]
+        linear = linear_cavity_params()
+        rows.append((*linear.drive_amplitudes(), *linear.bare_detunings(), 0.0, linear.gamma))
+        om1, om2, d1, d2, c, gamma = (np.array(col) for col in zip(*rows))
+        batch = _intensity_roots((om1, om2), (d1, d2), c, gamma)
+        alone = [_intensity_roots(row[:2], row[2:4], row[4], row[5]) for row in rows]
+        assert batch == alone
+        assert [len(roots) for roots in batch] == [3, 5, 1]
+
+
+class TestBatchedSolve:
+    def test_rows_equal_single_solves_and_keep_their_errors(self, paper_params):
+        drive = paper_params.drive
+        blue = oe.DriveSpec(mode="amplitudes", omega_l=paper_params.omega_p + paper_params.nu + 1e8,
+                            omega_lp=drive.omega_lp, omega_1=drive.omega_1, omega_2=drive.omega_2)
+        rows = [paper_params, paper_params.scaled(drive=blue), strong_drive_params(paper_params)]
+        batch = oe.solve_steady_states(rows)
+        assert batch[0] == oe.solve_steady_state(rows[0])
+        assert isinstance(batch[1], oe.SignConventionViolated)
+        with pytest.raises(oe.SignConventionViolated) as alone:
+            oe.solve_steady_state(rows[1])
+        assert str(batch[1]) == str(alone.value)
+        assert batch[2] == oe.solve_steady_state(rows[2])
+
+    def test_empty_batch(self):
+        assert oe.solve_steady_states([]) == []
+
 
 class TestBranchSelection:
     def test_designed_root_selected_at_strong_drive(self, paper_params):

@@ -81,6 +81,16 @@ class TestPeakStatistics:
         omega = np.linspace(-1.0, 1.0, len(curve))
         assert peak_statistics(omega, curve) == reference_peak_statistics(omega, curve)
 
+    @given(st.integers(1, 30).flatmap(lambda n: st.lists(
+        st.lists(st.sampled_from([0.0, 0.75, 1.5, 3.0, math.nan]) | st.floats(0.0, 20.0),
+                 min_size=n, max_size=n), min_size=1, max_size=5)))
+    def test_curves_of_a_block_as_the_pointwise_loop(self, curves):
+        y = np.array(curves)
+        omega = np.linspace(-1.0, 1.0, y.shape[1])
+        # repr tells NaN fields apart where == cannot
+        assert (repr(sweeps._peak_statistics_rows(omega, y, 0.01))
+                == repr([reference_peak_statistics(omega, curve) for curve in y]))
+
     @pytest.mark.parametrize("curve", [[math.nan] * 3, [1.0, math.nan, 3.0, 2.0],
                                        [math.nan, 2.0, 2.0, 1.0]])
     def test_nan_points_as_the_pointwise_loop(self, curve):
@@ -101,6 +111,10 @@ def forbid_solves(monkeypatch):
     def solve(params):
         raise AssertionError("steady state solved before the grid was checked")
     monkeypatch.setattr(sweeps, "solve_steady_state", solve)
+    monkeypatch.setattr(sweeps, "solve_steady_states", solve)
+
+
+UNEVEN = np.array([0.0, 1e6, 3e6])
 
 
 class TestRunSweep:
@@ -193,6 +207,99 @@ class TestRunSweep:
             SweepSpec(axis="d", values=(1.0, 3.0, 2.0), base=paper_params,
                       omega_grid=omega_grid)
 
+    def test_uneven_grid_rejected(self, paper_params):
+        with pytest.raises(ValueError, match="omega_grid must be evenly spaced"):
+            SweepSpec(axis="d", values=(1.0,), base=paper_params, omega_grid=UNEVEN)
+
+    @pytest.mark.parametrize("grid", [np.linspace(-4e7, 4e7, 100001), np.linspace(3e7, -1e7, 7),
+                                      np.linspace(1e9, 1e9 + 1e-3, 9),   # steps ~ the rounding
+                                      np.array([2e6]), np.array([1e6, 3e6])])
+    def test_linspace_grids_accepted(self, paper_params, grid):
+        assert SweepSpec(axis="d", values=(1.0,), base=paper_params, omega_grid=grid).axis == "d"
+
+
+class TestBatchedPeaks:
+    """The batched pass gives each row exactly what its own _peak gives."""
+
+    @pytest.mark.parametrize("points", [401, 2001])
+    def test_sweep_rows_equal_single_peaks(self, paper_params, paper_derived, points):
+        omega = oe.default_omega_grid(paper_params.gamma, points)
+        d_o = oe.optimum_d(paper_derived).d_o
+        values = tuple(np.linspace(0.3 * d_o, 3.0 * d_o, 11))
+        rows = run_sweep(SweepSpec(axis="d", values=values, base=paper_params,
+                                   omega_grid=omega)).rows
+        for value, row in zip(values, rows):
+            derived, x, eof_curve, stats = sweeps._peak(
+                sweeps._row_params("d", paper_params, paper_derived, float(value)),
+                omega, "adiabatic")
+            assert row.derived == derived
+            assert np.array_equal(row.epr_variance, x) and np.array_equal(row.eof, eof_curve)
+            assert (row.peak_eof, row.peak_omegas, row.fwhm) == (stats.peak_eof,
+                                                                 stats.peak_omegas, stats.fwhm)
+
+    @pytest.mark.parametrize("points", [401, 2001])   # one block of 33 rows; five of <= 8
+    def test_optimum_scan_equals_single_peaks(self, paper_params, paper_derived, points,
+                                              monkeypatch):
+        omega = oe.default_omega_grid(paper_params.gamma, points)
+        d_o = oe.optimum_d(paper_derived).d_o
+        batches = []
+        peaks = sweeps._peaks
+
+        def spy(rows, grid, model):
+            results = peaks(rows, grid, model)
+            batches.append(results)
+            return results
+        monkeypatch.setattr(sweeps, "_peaks", spy)
+        oe.find_optimum_d_numeric(paper_params, (0.3 * d_o, 3.0 * d_o), omega_grid=omega)
+        scan = batches[0]
+        assert len(scan) == 33
+        for dval, result in zip(np.linspace(0.3 * d_o, 3.0 * d_o, 33), scan):
+            alone = sweeps._peak(sweeps._row_params("d", paper_params, paper_derived, dval),
+                                 omega, "adiabatic")
+            assert result[3].peak_eof == alone[3].peak_eof
+
+    def test_failing_scan_row_raises_as_the_sequential_scan(self, paper_params, paper_derived,
+                                                            omega_grid):
+        # the scan reaches d where Delta_2' would be negative
+        d_o = oe.optimum_d(paper_derived).d_o
+        bracket = (d_o, paper_params.omega_m + 2.0 * paper_derived.delta)
+        expected = None
+        for dval in np.linspace(*bracket, 33):
+            try:
+                sweeps._peak(sweeps._row_params("d", paper_params, paper_derived, dval),
+                             omega_grid, "adiabatic")
+            except oe.PhysicsError as exc:
+                expected = exc
+                break
+        assert isinstance(expected, oe.SignConventionViolated)
+        with pytest.raises(type(expected)) as raised:
+            oe.find_optimum_d_numeric(paper_params, bracket, omega_grid=omega_grid)
+        assert str(raised.value) == str(expected)
+
+    def test_raised_evaluation_error_recorded_on_its_row(self, optimum_params, omega_grid,
+                                                         monkeypatch):
+        evaluate = sweeps.evaluate
+
+        def singular_when_hot(derived, omegas, model):
+            if derived.n_m > 1e5:
+                raise oe.SingularDrift("rwa3 drift singular on the frequency grid")
+            return evaluate(derived, omegas, model)
+        monkeypatch.setattr(sweeps, "evaluate", singular_when_hot)
+        rows = run_sweep(SweepSpec(axis="temperature", values=(4.0, 3000.0), base=optimum_params,
+                                   omega_grid=omega_grid[::20], model="rwa3")).rows
+        assert rows[0].error != "SingularDrift" and rows[1].error == "SingularDrift"
+
+    def test_failed_evaluation_kept_as_the_single_peak_raises_it(self, omega_grid):
+        # alpha = 2000: a 1% power excursion unbalances the amplitudes
+        params = oe.parse_config("defaults: paper\ntarget_alpha = 2000\n").params
+        rows = [params, sweeps._scaled_powers(params, 1.01)]
+        with pytest.warns(UserWarning, match="unequal cavity amplitudes"):
+            ok, failed = sweeps._peaks(rows, omega_grid, "adiabatic")
+            with pytest.raises(oe.DomainError) as raised:
+                sweeps._peak(rows[1], omega_grid, "adiabatic")
+        assert ok[3] == sweeps._peak(rows[0], omega_grid, "adiabatic")[3]
+        assert type(failed) is oe.DomainError and str(failed) == str(raised.value)
+
 
 class TestFindOptimumD:
     def test_matches_closed_form_within_five_percent(self, paper_params, paper_derived):
@@ -222,6 +329,11 @@ class TestFindOptimumD:
         forbid_solves(monkeypatch)
         with pytest.raises(ValueError, match="omega_grid must be nonempty"):
             oe.find_optimum_d_numeric(paper_params, (1e6, 2e6), omega_grid=np.array([]))
+
+    def test_uneven_grid_rejected_before_solving(self, paper_params, monkeypatch):
+        forbid_solves(monkeypatch)
+        with pytest.raises(ValueError, match="omega_grid must be evenly spaced"):
+            oe.find_optimum_d_numeric(paper_params, (1e6, 2e6), omega_grid=UNEVEN)
 
 
 class TestSensitivityAnalysis:
@@ -272,6 +384,22 @@ class TestSensitivityAnalysis:
         forbid_solves(monkeypatch)
         with pytest.raises(ValueError, match="omega_grid must be nonempty"):
             oe.sensitivity_analysis(paper_params, 1e5, 0.01, omega_grid=np.array([]))
+
+    def test_uneven_grid_rejected_before_solving(self, paper_params, monkeypatch):
+        forbid_solves(monkeypatch)
+        with pytest.raises(ValueError, match="omega_grid must be evenly spaced"):
+            oe.sensitivity_analysis(paper_params, 1e5, 0.01, omega_grid=UNEVEN)
+
+    def test_base_solved_once(self, paper_params, monkeypatch):
+        solved = []
+        solve = sweeps.solve_steady_state
+
+        def counting(params):
+            solved.append(params)
+            return solve(params)
+        monkeypatch.setattr(sweeps, "solve_steady_state", counting)
+        oe.sensitivity_analysis(paper_params, 0.02 * paper_params.gamma, 0.01)
+        assert solved.count(paper_params) == 1
 
 
 class TestPowerFluctuation:
