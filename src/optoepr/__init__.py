@@ -11,8 +11,8 @@ from .config import PAPER_DEFAULTS, RunConfig, paper_default_config, parse_confi
 from .constants import CODATA, PhysicalConstants
 from .errors import (BracketError, ConfigError, ConstraintViolated, DegenerateResponse,
                      DomainError, NonConvergent, NoSteadyState, NotSymmetricState,
-                     OptoEprError, ParseError, PhysicsError, SignConventionViolated,
-                     SingularDrift, UnitError, UnknownKey)
+                     OptoEprError, ParameterError, ParseError, PhysicsError,
+                     SignConventionViolated, SingularDrift, UnitError, UnknownKey)
 from .langevin import (Covariance4, LinearResponse, adiabatic_response, assemble_covariance,
                        compare_models, evaluate, full6_solve, intracavity_occupation,
                        log_negativity, rwa3_solve, standard_form_reduce)

@@ -70,3 +70,10 @@ class UnitError(ConfigError):
 
 class UnknownKey(ConfigError):
     """Key does not name any configurable quantity."""
+
+
+class ParameterError(ConfigError, ValueError):
+    """A parameter value lies outside the domain the model is defined on.
+
+    Also a ValueError, so library callers that validate by hand keep working.
+    """

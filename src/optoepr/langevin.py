@@ -41,12 +41,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergent, NotSymmetricState, SingularDrift
-from .spectrum import Evaluation, StandardForm, closed_form_grid, metric_columns
+from .spectrum import Evaluation, StandardForm, closed_form_grid, eof_array, squeezing_db
 from .steady_state import DerivedParams
 
 _MIRROR_PERM = np.array([1, 0, 3, 2, 5, 4])
 _A_ROWS = [0, 3]   # co-rotating outputs (a1_out, a2_out^dag)
 _B_ROWS = [1, 2]   # their mirrored partners
+# Output pairs (i, j) with one row in each block: the densities' only nonzero entries.
+_PAIRED = np.zeros((4, 4), dtype=bool)
+_PAIRED[np.ix_(_A_ROWS, _B_ROWS)] = True
+_PAIRED[np.ix_(_B_ROWS, _A_ROWS)] = True
 
 # Largest deviation of the diagonal blocks from n*I, relative to n, for which
 # the symmetric-state metrics are quoted.
@@ -251,14 +255,11 @@ def _masked_density(T_plus: np.ndarray, T_minus: np.ndarray, C: np.ndarray) -> n
     frequencies (a vanishing delta function), so only A-B products survive.
     For the 3-mode and adiabatic models the discarded products are
     identically zero; for the 6-operator model they would be spurious.
-    """
-    def block(T, rows):
-        out = np.zeros_like(T)
-        out[..., rows, :] = T[..., rows, :]
-        return out
 
-    return (block(T_plus, _A_ROWS) @ C @ _swap(block(T_minus, _B_ROWS))
-            + block(T_plus, _B_ROWS) @ C @ _swap(block(T_minus, _A_ROWS)))
+    Each kept entry is one row of ``T_plus`` against one row of ``T_minus``,
+    so a single product with the unpaired entries zeroed gives them all.
+    """
+    return np.where(_PAIRED, T_plus @ C @ _swap(T_minus), 0.0)
 
 
 def _covariances(T_plus: np.ndarray, n_m: float) -> np.ndarray:
@@ -447,13 +448,13 @@ def compare_models(derived: DerivedParams, omega_grid,
     devs, worst = model_deviations(evals, models)
     points = {}
     for m, ev in evals.items():
-        cols = metric_columns(ev.x)
-        points[m] = [ModelPoint(None, None, None, error=err) if err else ModelPoint(x, s_db, e)
-                     for x, s_db, e, err in zip(cols["epr_variance"], cols["S_db"], cols["eof"],
-                                                ev.error)]
-    dev_lists = {m: dev.tolist() for m, dev in devs.items()}
-    rows = [ComparisonRow(omega=omega, values={m: points[m][i] for m in models},
-                          deviations={m: d[i] for m, d in dev_lists.items()
-                                      if not math.isnan(d[i])})
-            for i, omega in enumerate(omegas.tolist())]
+        points[m] = [ModelPoint(None, None, None, error=err) if err
+                     else ModelPoint(x, squeezing_db(x), e)
+                     for x, e, err in zip(ev.x.tolist(), eof_array(ev.x).tolist(), ev.error)]
+    names = list(devs)
+    dev_rows = zip(*(devs[m].tolist() for m in names)) if names else [()] * len(omegas)
+    rows = [ComparisonRow(omega=omega, values=dict(zip(models, values)),
+                          deviations={m: d for m, d in zip(names, ds) if not math.isnan(d)})
+            for omega, values, ds in zip(omegas.tolist(), zip(*(points[m] for m in models)),
+                                         dev_rows)]
     return ComparisonReport(rows=rows, max_deviation=worst, baseline=models[0])

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .constants import CODATA, PhysicalConstants
-from .errors import ConstraintViolated
+from .errors import ConstraintViolated, ParameterError
 
 TWO_PI = 2.0 * math.pi
 
@@ -55,17 +55,17 @@ class DriveSpec:
 
     def __post_init__(self):
         if self.mode not in ("amplitudes", "powers"):
-            raise ValueError(f"drive mode must be 'amplitudes' or 'powers', got {self.mode!r}")
+            raise ParameterError(f"drive mode must be 'amplitudes' or 'powers', got {self.mode!r}")
         if self.mode == "amplitudes":
             if self.omega_1 is None or self.omega_2 is None:
-                raise ValueError("amplitude-mode drive requires omega_1 and omega_2")
+                raise ParameterError("amplitude-mode drive requires omega_1 and omega_2")
             if self.omega_1 < 0 or self.omega_2 < 0:
-                raise ValueError("drive amplitudes must be >= 0")
+                raise ParameterError("drive amplitudes must be >= 0")
         else:
             if self.p_1 is None or self.p_2 is None:
-                raise ValueError("power-mode drive requires p_1 and p_2")
+                raise ParameterError("power-mode drive requires p_1 and p_2")
             if self.p_1 < 0 or self.p_2 < 0:
-                raise ValueError("drive powers must be >= 0")
+                raise ParameterError("drive powers must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -111,17 +111,17 @@ class PhysicalParams:
     def __post_init__(self):
         for name in ("omega_p", "omega_m", "gamma", "gamma_m", "nu", "R", "n0"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+                raise ParameterError(f"{name} must be strictly positive")
         if self.T < 0:
-            raise ValueError("T must be >= 0")
+            raise ParameterError("T must be >= 0")
         if not 0 < self.eta < 1:
-            raise ValueError("eta must satisfy 0 < eta < 1")
+            raise ParameterError("eta must satisfy 0 < eta < 1")
         if self.gamma_m >= self.omega_m:
-            raise ValueError("gamma_m must be << omega_m; got gamma_m >= omega_m")
+            raise ParameterError("gamma_m must be << omega_m; got gamma_m >= omega_m")
         for name in ("omega_l", "omega_lp"):
             w = getattr(self.drive, name)
             if abs(w - self.omega_p) >= 10.0 * self.omega_m:
-                raise ValueError(
+                raise ParameterError(
                     f"{name} is {abs(w - self.omega_p):.3e} rad/s from omega_p; the sideband "
                     f"expansion requires |omega_L - omega_p| < 10 omega_m"
                 )

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoSteadyState, PhysicsError, SignConventionViolated
+from .errors import NoSteadyState, ParameterError, PhysicsError, SignConventionViolated
 from .params import DriveSpec, PhysicalParams, thermal_occupancy
 
 # Symmetric-amplitude requirement of the output model.  Drive-power
@@ -335,7 +335,7 @@ def amplitude_to_drive(target_alpha: float, Delta_j: float, params: PhysicalPara
     symmetric configuration alpha_1 = alpha_2 = target_alpha.
     """
     if target_alpha <= 0:
-        raise ValueError("target_alpha must be > 0")
+        raise ParameterError("target_alpha must be > 0")
     return target_alpha * math.sqrt(params.gamma**2 + 4.0 * Delta_j**2)
 
 
@@ -350,7 +350,7 @@ def operating_point_params(base: PhysicalParams, target_alpha: float,
     root.
     """
     if target_delta <= 0:
-        raise ValueError("target_delta must be > 0")
+        raise ParameterError("target_delta must be > 0")
     d1p_t = -(base.omega_m + target_delta + target_d)
     d2p_t = base.omega_m + target_delta - target_d
     if d2p_t <= 0:

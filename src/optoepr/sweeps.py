@@ -231,18 +231,19 @@ def _peak(params: PhysicalParams, omega: np.ndarray, model: str):
 def _peaks(rows: list, omega: np.ndarray, model: str) -> list:
     """:func:`_peak` of every row in one pass: each row's result or, unraised, its error.
 
-    A row is a parameter set or the :class:`PhysicsError` building it raised,
-    which is passed through.  The steady states are solved in one batch.
+    A row is a parameter set, its already solved :class:`DerivedParams`, or
+    the :class:`PhysicsError` building it raised; the last two are passed
+    through unsolved.  The other rows' steady states are solved in one batch.
     The closed form, ``eof_array`` and the peak statistics run over (rows, N)
     arrays in blocks of at most ``_BLOCK_POINTS`` grid points; the other
     models are evaluated row by row.  Each row equals its own :func:`_peak`,
     to the last bit.
     """
     results = list(rows)
-    todo = [k for k, row in enumerate(rows) if not isinstance(row, PhysicsError)]
+    todo = [k for k, row in enumerate(rows) if isinstance(row, PhysicalParams)]
     for k, derived in zip(todo, solve_steady_states([rows[k] for k in todo])):
         results[k] = derived
-    solved = [k for k in todo if isinstance(results[k], DerivedParams)]
+    solved = [k for k, row in enumerate(results) if isinstance(row, DerivedParams)]
     if model == "adiabatic":
         size = max(1, _BLOCK_POINTS // len(omega))
         blocks = [solved[start:start + size] for start in range(0, len(solved), size)]
@@ -384,7 +385,7 @@ def sensitivity_analysis(base: PhysicalParams, d_jitter: float,
     excursions = [(label, axis, mid, jitter) for label, axis, mid, jitter in
                   (("d", "d", d_o, d_jitter), ("power", "power_fluct", 0.0, power_jitter_frac))
                   if jitter > 0]
-    labels, rows = ["baseline"], [at_opt]
+    labels, rows = ["baseline"], [opt_derived]
     for sign in "-+":
         for label, axis, mid, jitter in excursions:
             labels.append(f"{label}{sign}jitter")

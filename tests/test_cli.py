@@ -1,5 +1,7 @@
 import csv
 
+import pytest
+
 from optoepr.cli import main
 from optoepr.io import read_jsonlines
 
@@ -166,6 +168,23 @@ drive_omega2_rads = 1e12
                            "--omega-points", "5")
         assert code == 2
         assert "monotone" in err
+
+    # Parameters outside their domain: eta >= 1, T < 0, delta <= 0, and a
+    # laser more than 10 omega_m from the cavity (directly, or as a sweep row).
+    INVALID_PARAMETERS = [
+        ("derive", "--set", "eta=2"),
+        ("derive", "--set", "temperature_k=-1"),
+        ("derive", "--set", "target_delta_hz=-5"),
+        ("spectrum", "--omega-points", "5", "--set", "target_alpha=20000"),
+        ("sweep", "--axis", "alpha", "--values", "500,20000", "--omega-points", "5"),
+    ]
+
+    @pytest.mark.parametrize("argv", INVALID_PARAMETERS, ids=lambda argv: " ".join(argv))
+    def test_invalid_parameter_exits_2(self, argv, capsys):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("configuration error: ")
+        assert "Traceback" not in err
 
     def test_config_file_loaded(self, tmp_path, capsys):
         cfg = tmp_path / "ok.cfg"

@@ -8,6 +8,7 @@ import optoepr as oe
 from optoepr import langevin
 from optoepr.langevin import Covariance4, LinearResponse, adiabatic_response
 from optoepr.params import TWO_PI
+from optoepr.spectrum import metric_columns
 from tests.test_spectrum import make_derived
 
 GAMMA = TWO_PI * 3.2e6
@@ -46,6 +47,18 @@ def exact_covariance_matrix(derived, omega):
         [-v24, v14, n, 0.0],
         [v14, v24, 0.0, n],
     ])
+
+
+def reference_masked_density(T_plus, T_minus, C):
+    """Co-rotating/mirrored pairing as two products of zero-padded row blocks, as a reference."""
+    def block(T, rows):
+        out = np.zeros_like(T)
+        out[..., rows, :] = T[..., rows, :]
+        return out
+
+    swap = langevin._swap
+    return (block(T_plus, langevin._A_ROWS) @ C @ swap(block(T_minus, langevin._B_ROWS))
+            + block(T_plus, langevin._B_ROWS) @ C @ swap(block(T_minus, langevin._A_ROWS)))
 
 
 def passthrough_response(omega=0.0):
@@ -143,6 +156,40 @@ class TestAssembleCovariance:
             minus = oe.assemble_covariance(oe.rwa3_solve(paper_derived, -omega),
                                            paper_derived.n_m)
             assert np.allclose(plus.entries, minus.entries, rtol=1e-9, atol=1e-9)
+
+
+class TestMaskedDensity:
+    """The single masked product equals the two zero-padded block products exactly."""
+
+    EXACT_MODELS = ("adiabatic_response", "rwa3", "full6")
+
+    def assert_equal_to_reference(self, T_plus, n_m):
+        T_minus = langevin._mirror(T_plus)
+        for C in (langevin._input_moments(n_m), langevin._J_IN):
+            for a, b in ((T_plus, T_minus), (T_minus, T_plus)):
+                assert np.array_equal(langevin._masked_density(a, b, C),
+                                      reference_masked_density(a, b, C))
+
+    @pytest.mark.parametrize("model", EXACT_MODELS)
+    def test_model_maps(self, model, paper_params, paper_derived):
+        in_band = oe.default_omega_grid(paper_params.gamma, 201)
+        off_band = np.linspace(-3.0 * paper_derived.delta, 3.0 * paper_derived.delta, 61)
+        for omegas in (in_band, off_band):
+            T = langevin._response_maps(paper_derived, omegas, model)
+            self.assert_equal_to_reference(T, paper_derived.n_m)
+
+    def test_seeded_random_maps(self):
+        rng = np.random.default_rng(20080101)
+        for scale in (1e-3, 1.0, 1e4):
+            T = scale * (rng.standard_normal((64, 4, 6)) + 1j * rng.standard_normal((64, 4, 6)))
+            self.assert_equal_to_reference(T, float(rng.uniform(0.0, 1e5)))
+
+    def test_unpaired_entries_zero(self):
+        rng = np.random.default_rng(7)
+        T = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+        D = langevin._masked_density(T, langevin._mirror(T), langevin._input_moments(3.0))
+        for i, j in [(0, 0), (0, 3), (3, 0), (3, 3), (1, 1), (1, 2), (2, 1), (2, 2)]:
+            assert D[i, j] == 0.0
 
 
 class TestStandardFormReduce:
@@ -328,6 +375,28 @@ class TestBatchedKernel:
                     assert point.error is None
                     assert point.epr_variance == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert failures == {"adiabatic": 0, "adiabatic_response": 0, "rwa3": 26, "full6": 28}
+
+    def test_point_metrics_equal_metric_columns(self, paper_params, paper_derived):
+        grid = oe.default_omega_grid(paper_params.gamma, 41)
+        report = oe.compare_models(paper_derived, grid, models=self.MODELS)
+        for model in self.MODELS:
+            ev = oe.evaluate(paper_derived, grid, model)
+            cols = metric_columns(ev.x)
+            for row, err, x, s_db, eof in zip(report.rows, ev.error, cols["epr_variance"],
+                                              cols["S_db"], cols["eof"]):
+                point = row.values[model]
+                if err:
+                    assert point == langevin.ModelPoint(None, None, None, error=err)
+                else:
+                    assert (point.epr_variance, point.S_db, point.eof) == (x, s_db, eof)
+                    assert point.error is None
+
+    def test_single_model_rows_have_no_deviations(self, paper_params, paper_derived):
+        grid = oe.default_omega_grid(paper_params.gamma, 5)
+        report = oe.compare_models(paper_derived, grid, models=("rwa3",))
+        assert [row.omega for row in report.rows] == grid.tolist()
+        assert all(row.deviations == {} for row in report.rows)
+        assert report.max_deviation == {} and report.baseline == "rwa3"
 
     def test_failed_points_left_out_of_deviation(self, paper_params, paper_derived):
         grid = oe.default_omega_grid(paper_params.gamma, 41)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -400,6 +401,37 @@ class TestSensitivityAnalysis:
         monkeypatch.setattr(sweeps, "solve_steady_state", counting)
         oe.sensitivity_analysis(paper_params, 0.02 * paper_params.gamma, 0.01)
         assert solved.count(paper_params) == 1
+
+    @pytest.mark.parametrize("target_alpha", [1000, 2000])   # 2000: power cases fail
+    def test_solved_baseline_row_not_solved_again(self, target_alpha, omega_grid, monkeypatch):
+        params = oe.parse_config(f"defaults: paper\ntarget_alpha = {target_alpha}\n").params
+        base_derived = oe.solve_steady_state(params)
+        at_opt = sweeps._row_params("d", params, base_derived, oe.optimum_d(base_derived).d_o)
+        batched = []
+        solve_rows, peaks = sweeps.solve_steady_states, sweeps._peaks
+
+        def counting(rows):
+            batched.append(len(rows))
+            return solve_rows(rows)
+
+        def resolving_baseline(rows, omega, model):
+            assert isinstance(rows[0], oe.DerivedParams)
+            return peaks([at_opt] + rows[1:], omega, model)
+
+        def analysis():
+            batched.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                report = oe.sensitivity_analysis(params, 0.02 * params.gamma, 0.01,
+                                                 omega_grid=omega_grid)
+            return repr(report), sum(batched)
+
+        monkeypatch.setattr(sweeps, "solve_steady_states", counting)
+        report, rows_solved = analysis()
+        monkeypatch.setattr(sweeps, "_peaks", resolving_baseline)
+        resolved_report, resolved_rows_solved = analysis()
+        assert report == resolved_report
+        assert rows_solved == 4 and resolved_rows_solved == 5
 
 
 class TestPowerFluctuation:
