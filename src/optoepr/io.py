@@ -44,20 +44,67 @@ def _json_value(value):
     return value
 
 
+def _csv_column(values: list) -> tuple[str, list]:
+    """The ``%`` spec of one CSV column and the values it formats.
+
+    A column of floats (missing ones included, as NaN) goes through
+    ``%.17g`` as it is; any other column is formatted cell by cell.
+    """
+    types = set(map(type, values))
+    if types == {float}:
+        return "%.17g", values
+    if types <= {float, type(None)}:
+        return "%.17g", [math.nan if v is None else v for v in values]
+    return "%s", [_fmt_value(v) for v in values]
+
+
+def _json_column(values: list) -> tuple[str, list]:
+    """The ``%`` spec of one JSON-lines column and the values it formats.
+
+    A column of floats is written with ``float.__repr__``, as ``json.dumps``
+    writes a float, and NaN or inf as ``null``; a column of strings encodes
+    each distinct string once; any other column is encoded cell by cell.
+    """
+    types = set(map(type, values))
+    if types == {float}:
+        if all(map(math.isfinite, values)):
+            return "%r", values
+        return "%s", [repr(v) if math.isfinite(v) else "null" for v in values]
+    if types == {str}:
+        encoded = {v: json.dumps(v) for v in set(values)}
+        return "%s", [encoded[v] for v in values]
+    return "%s", [json.dumps(_json_value(v), separators=(",", ":")) for v in values]
+
+
 def render_rows(rows, fmt: str, columns=BASE_COLUMNS) -> str:
-    """Render rows (mappings) to the requested format as a single string."""
+    """Render rows (mappings) to the requested format as a single string.
+
+    Each column's type is checked once over all rows, and every row is
+    then formatted with one ``%`` template.
+    """
+    rows = list(rows)
     if fmt == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_fmt_value(row.get(col)) for col in columns))
+        specs, cells = _columns(rows, columns, _csv_column)
+        template = ",".join(specs)
+        lines = [",".join(columns)] + [template % values for values in cells]
         return "\n".join(lines) + "\n"
     if fmt == "jsonlines":
-        lines = []
-        for row in rows:
-            obj = {col: _json_value(row.get(col)) for col in columns}
-            lines.append(json.dumps(obj, separators=(",", ":"), sort_keys=False))
+        columns = list(dict.fromkeys(columns))   # a repeated key is written once, as by a dict
+        specs, cells = _columns(rows, columns, _json_column)
+        template = "{" + ",".join(json.dumps(col).replace("%", "%%") + ":" + spec
+                                  for col, spec in zip(columns, specs)) + "}"
+        lines = [template % values for values in cells]
         return "\n".join(lines) + ("\n" if lines else "")
     raise ValueError(f"unknown format {fmt!r}")
+
+
+def _columns(rows, columns, encode):
+    """Each column's spec from ``encode`` and, per row, the tuple of its values."""
+    encoded = [encode([row.get(col) for row in rows]) for col in columns]
+    specs = [spec for spec, _ in encoded]
+    if not encoded:
+        return specs, [()] * len(rows)
+    return specs, zip(*(values for _, values in encoded))
 
 
 def emit_rows(rows, fmt: str, path: str | None, columns=BASE_COLUMNS) -> str:

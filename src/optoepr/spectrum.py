@@ -274,18 +274,11 @@ def optimum_d(derived: DerivedParams) -> OptimumD:
     return OptimumD(d_o=d_o, S_o_db=squeezing_db(x), eof_o=eof(x), unbounded=False)
 
 
-def closed_form_grid(derived: DerivedParams | Sequence[DerivedParams], omegas) -> Evaluation:
-    """The closed-form standard form over a frequency grid, failures flagged per point.
-
-    ``derived`` is one operating point, giving arrays shaped like ``omegas``,
-    or a sequence of K, giving (K, N) arrays over the N-point grid in one
-    pass: each row's scalars enter as a (K, 1) column, so row k equals
-    ``derived[k]`` evaluated alone, to the last bit.
-
-    Unequal amplitudes fail every point of a row with ``DomainError``; a
-    vanishing response denominator (see :func:`transfer_functions`) fails a
-    point with ``DegenerateResponse``; n - k_x <= 0 fails it with
-    ``DomainError``.
+def _closed_form(derived: DerivedParams | Sequence[DerivedParams], omegas):
+    """n, k_x and x = n - k_x of the closed form, nothing blanked, with the failure causes:
+    ``degenerate`` points, where the response denominator vanishes (see
+    :func:`transfer_functions`), and ``mismatch``, true for a row whose amplitudes differ
+    (a scalar for one row, else a (K, 1) column).  Shapes as in :func:`closed_form_grid`.
     """
     omegas = np.asarray(omegas, dtype=float)
     rows = [derived] if isinstance(derived, DerivedParams) else list(derived)
@@ -302,7 +295,37 @@ def closed_form_grid(derived: DerivedParams | Sequence[DerivedParams], omegas) -
     with np.errstate(divide="ignore", invalid="ignore"):
         n, v14, v24, abs_D2 = _covariance_entries(params, omegas)
         k_x = np.hypot(v14, v24)
+        x = n - k_x
         degenerate = abs_D2 < (1e-30 * (gamma2 + omegas**2)) ** 2
+    return n, k_x, x, degenerate, mismatch
+
+
+def closed_form_x(derived: DerivedParams | Sequence[DerivedParams], omegas):
+    """x = n - k_x of the closed form and the mask of the points that fail.
+
+    The points that fail are those :func:`closed_form_grid` names; x is not
+    blanked there, and no name is formed.  Shapes as in :func:`closed_form_grid`,
+    whose x equals this one wherever no point failed.
+    """
+    _, _, x, degenerate, mismatch = _closed_form(derived, omegas)
+    return x, degenerate | mismatch | (x <= 0)
+
+
+def closed_form_grid(derived: DerivedParams | Sequence[DerivedParams], omegas) -> Evaluation:
+    """The closed-form standard form over a frequency grid, failures flagged per point.
+
+    ``derived`` is one operating point, giving arrays shaped like ``omegas``,
+    or a sequence of K, giving (K, N) arrays over the N-point grid in one
+    pass: each row's scalars enter as a (K, 1) column, so row k equals
+    ``derived[k]`` evaluated alone, to the last bit.
+
+    Unequal amplitudes fail every point of a row with ``DomainError``; a
+    vanishing response denominator (see :func:`transfer_functions`) fails a
+    point with ``DegenerateResponse``; n - k_x <= 0 fails it with
+    ``DomainError``.
+    """
+    n, k_x, _, degenerate, mismatch = _closed_form(derived, omegas)
+    with np.errstate(invalid="ignore"):
         ev = Evaluation.from_standard_form(n, k_x, degenerate | mismatch, "DegenerateResponse")
     if np.any(mismatch):
         ev.error[np.broadcast_to(mismatch, ev.error.shape)] = "DomainError"

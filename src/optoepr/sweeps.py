@@ -20,13 +20,21 @@ and ``sensitivity_analysis`` takes its excursions as ``d`` and
 The rows of a sweep, of the scan and of the excursions are each evaluated
 in one pass: one batched steady-state solve and one (rows, N) closed-form
 evaluation, in blocks that bound its temporaries.  A row's numbers equal
-those of the row evaluated alone, to the last bit; only the golden-section
-steps of the optimizer evaluate one row at a time.
+those of the row evaluated alone, to the last bit.  The golden-section
+steps of the optimizer depend on each other: their two opening points are
+one 2-row pass, every later step a 1-row pass.  A search row forms only
+what the search reads (the solved parameters, x, the EOF curve and its
+peak); the peak's omegas and the FWHM are formed for sweep rows alone, and
+an error name only for a row that failed.  A sweep row outside the
+parameter domain is recorded as a ``ParameterError`` row; in a search it
+is raised, as an input error.
 
-Peak statistics are measured on the EOF(omega) curve: the peak is refined
-parabolically, ``peak_omegas`` collects every local maximum within 1% of the
-peak, and the FWHM is the width at half the peak EOF.  The parabola assumes
-an evenly spaced grid, so an unevenly spaced ``omega_grid`` is rejected.
+Peak statistics are measured on the EOF(omega) curve: every local maximum
+is refined parabolically and the peak is the largest vertex, in the search
+and the sweeps alike; ``peak_omegas`` collects every vertex within 1% of
+the peak, and the FWHM is the width at half the peak EOF.  The parabola
+assumes an evenly spaced grid, so an unevenly spaced ``omega_grid`` is
+rejected.
 """
 
 from __future__ import annotations
@@ -37,10 +45,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import errors
-from .errors import BracketError, PhysicsError
+from .errors import BracketError, ParameterError, PhysicsError
 from .langevin import MODELS, evaluate
 from .params import DriveSpec, PhysicalParams
-from .spectrum import closed_form_grid, eof_array, optimum_d
+from .spectrum import closed_form_grid, closed_form_x, eof_array, optimum_d
 from .steady_state import (DerivedParams, operating_point_params, solve_steady_state,
                            solve_steady_states)
 
@@ -153,7 +161,8 @@ def peak_statistics(omega: np.ndarray, eof_curve: np.ndarray,
     A curve with no local maximum (all NaN, say) falls back to the point
     ``np.argmax`` picks.  Each maximum is refined by the vertex of the
     parabola through it and its neighbours, which assumes an evenly spaced
-    grid.  The one-curve case of :func:`_peak_statistics_rows`.
+    grid, and the peak EOF is the largest vertex.  The one-curve case of
+    :func:`_peak_statistics_rows`.
 
     Raises ValueError for an empty curve or one whose length differs from
     ``omega``'s.
@@ -167,11 +176,11 @@ def peak_statistics(omega: np.ndarray, eof_curve: np.ndarray,
     return _peak_statistics_rows(omega, y[None, :], within)[0]
 
 
-def _peak_statistics_rows(omega: np.ndarray, y: np.ndarray, within: float) -> list[PeakStats]:
-    """:func:`peak_statistics` of each row of the (K, N) curves ``y`` on the N-point grid.
+def _refined_maxima(omega: np.ndarray, y: np.ndarray) -> list[list[tuple[float, float]]]:
+    """Per row of the (K, N) curves ``y``: the (omega, value) vertex of each local maximum.
 
-    The local maxima and the points at or above half the peak are found for
-    all rows at once; the refinement and the edge interpolation are per row.
+    The local maxima of all rows are found at once, by the rule of
+    :func:`peak_statistics`, and refined one by one.
     """
     padded = np.full((y.shape[0], y.shape[1] + 2), -math.inf)
     padded[:, 1:-1] = y
@@ -179,13 +188,28 @@ def _peak_statistics_rows(omega: np.ndarray, y: np.ndarray, within: float) -> li
     rows, cols = np.nonzero((y >= left) & (y >= right) & ((y > left) | (y > right)))
     maxima = [[] for _ in y]
     for k, i in zip(rows.tolist(), cols.tolist()):
-        maxima[k].append(i)
-    peaks, peak_omegas = [], []
-    for curve, found in zip(y, maxima):
-        refined = [_parabolic_refine(omega, curve, i) for i in found or [int(np.argmax(curve))]]
-        peak = max(v for _, v in refined)
-        peaks.append(peak)
-        peak_omegas.append(tuple(sorted(x for x, v in refined if v >= (1.0 - within) * peak)))
+        maxima[k].append(_parabolic_refine(omega, y[k], i))
+    for k, found in enumerate(maxima):
+        if not found:
+            found.append(_parabolic_refine(omega, y[k], int(np.argmax(y[k]))))
+    return maxima
+
+
+def _peak_eofs(omega: np.ndarray, y: np.ndarray) -> list[float]:
+    """The peak EOF of each row of the (K, N) curves ``y``, as :func:`peak_statistics` finds it."""
+    return [max(v for _, v in found) for found in _refined_maxima(omega, y)]
+
+
+def _peak_statistics_rows(omega: np.ndarray, y: np.ndarray, within: float) -> list[PeakStats]:
+    """:func:`peak_statistics` of each row of the (K, N) curves ``y`` on the N-point grid.
+
+    The local maxima and the points at or above half the peak are found for
+    all rows at once; the refinement and the edge interpolation are per row.
+    """
+    maxima = _refined_maxima(omega, y)
+    peaks = [max(v for _, v in found) for found in maxima]
+    peak_omegas = [tuple(sorted(x for x, v in found if v >= (1.0 - within) * peak))
+                   for found, peak in zip(maxima, peaks)]
 
     halves = [0.5 * peak for peak in peaks]
     above = y >= np.array(halves)[:, None]
@@ -216,63 +240,72 @@ def _scaled_powers(params: PhysicalParams, factor: float) -> PhysicalParams:
                                          p_1=p1 * factor, p_2=p2 * factor))
 
 
-def _peak(params: PhysicalParams, omega: np.ndarray, model: str):
-    """Derived params, x, EOF curve and peak statistics of ``model`` at ``params``; raises
-    the :mod:`errors` class named by the first grid point :func:`evaluate` flags.
-
-    The one-row case of :func:`_peaks`.
-    """
-    result, = _peaks([params], omega, model)
-    if isinstance(result, PhysicsError):
-        raise result
-    return result
-
-
 def _peaks(rows: list, omega: np.ndarray, model: str) -> list:
-    """:func:`_peak` of every row in one pass: each row's result or, unraised, its error.
+    """Derived params, x, EOF curve and peak EOF of ``model`` for every row, in one pass.
 
     A row is a parameter set, its already solved :class:`DerivedParams`, or
-    the :class:`PhysicsError` building it raised; the last two are passed
-    through unsolved.  The other rows' steady states are solved in one batch.
-    The closed form, ``eof_array`` and the peak statistics run over (rows, N)
-    arrays in blocks of at most ``_BLOCK_POINTS`` grid points; the other
-    models are evaluated row by row.  Each row equals its own :func:`_peak`,
-    to the last bit.
+    the error building it raised; the last two are passed through unsolved.
+    The other rows' steady states are solved in one batch.  The closed form
+    (:func:`closed_form_x`), ``eof_array`` and the peak search run over
+    (rows, N) arrays in blocks of at most ``_BLOCK_POINTS`` grid points; the
+    other models are evaluated row by row.  A row with a failed grid point
+    holds, unraised, the :mod:`errors` class named at its first failed point
+    (named only then), and its EOF curve is not formed.  Each row's numbers
+    equal those of the row evaluated alone, to the last bit.
     """
     results = list(rows)
     todo = [k for k, row in enumerate(rows) if isinstance(row, PhysicalParams)]
     for k, derived in zip(todo, solve_steady_states([rows[k] for k in todo])):
         results[k] = derived
     solved = [k for k, row in enumerate(results) if isinstance(row, DerivedParams)]
-    if model == "adiabatic":
-        size = max(1, _BLOCK_POINTS // len(omega))
-        blocks = [solved[start:start + size] for start in range(0, len(solved), size)]
-    else:
-        blocks = [[k] for k in solved]
-    for block in blocks:
+    size = max(1, _BLOCK_POINTS // len(omega)) if model == "adiabatic" else 1
+    for start in range(0, len(solved), size):
+        block = solved[start:start + size]
         derived = [results[k] for k in block]
         if model == "adiabatic":
-            ev = closed_form_grid(derived, omega)
+            x, failed = closed_form_x(derived, omega)
+            names = None
         else:
             try:
                 ev = evaluate(derived[0], omega, model)
             except PhysicsError as exc:   # a singular drift fails its row
                 results[block[0]] = exc
                 continue
-        x = ev.x.reshape(len(block), -1)
-        failed = ev.failed.reshape(x.shape)
-        eof_curves = eof_array(x)
-        ok = ~failed.any(axis=1)
-        stats = iter(_peak_statistics_rows(omega, eof_curves[ok], 0.01))
-        for k, d, x_row, eof_curve, row_ok, row_failed, error in zip(
-                block, derived, x, eof_curves, ok, failed, ev.error.reshape(x.shape)):
-            if row_ok:
-                results[k] = (d, x_row, eof_curve, next(stats))
-            else:
+            x, failed, names = ev.x[None, :], ev.failed[None, :], ev.error
+        bad = failed.any(axis=1)
+        curves = eof_array(x[~bad] if bad.any() else x)
+        done = zip(curves, _peak_eofs(omega, curves))
+        for k, d, x_row, row_failed, row_bad in zip(block, derived, x, failed, bad.tolist()):
+            if row_bad:
                 i = int(np.argmax(row_failed))
-                results[k] = getattr(errors, error[i])(
+                name = names[i] if names is not None else closed_form_grid(d, omega).error[i]
+                results[k] = getattr(errors, name)(
                     f"{model} output failed at omega = {omega[i]:.6e}")
+            else:
+                results[k] = (d, x_row, *next(done))
     return results
+
+
+def _search_peaks(rows: list, omega: np.ndarray) -> list[float]:
+    """The closed-form peak EOF of each row of a search; raises the first failed row's error.
+
+    A row out of the parameter domain (ParameterError) is raised before any
+    other, as building the rows raised it, and before anything is solved.
+    """
+    _raise_domain_error(rows)
+    peaks = []
+    for result in _peaks(rows, omega, "adiabatic"):
+        if isinstance(result, Exception):
+            raise result
+        peaks.append(result[3])
+    return peaks
+
+
+def _raise_domain_error(rows: list) -> None:
+    """Raise the first ParameterError among ``rows``, if any."""
+    for row in rows:
+        if isinstance(row, ParameterError):
+            raise row
 
 
 def _row_params(axis: str, base: PhysicalParams, base_derived: DerivedParams,
@@ -294,12 +327,13 @@ def _row_params(axis: str, base: PhysicalParams, base_derived: DerivedParams,
 
 def _axis_rows(axis: str, base: PhysicalParams, base_derived: DerivedParams,
                values) -> list:
-    """:func:`_row_params` of each value, or the PhysicsError building that row raised."""
+    """:func:`_row_params` of each value, or the PhysicsError or ParameterError building
+    that row raised."""
     rows = []
     for value in values:
         try:
             rows.append(_row_params(axis, base, base_derived, value))
-        except PhysicsError as exc:
+        except (PhysicsError, ParameterError) as exc:
             rows.append(exc)
     return rows
 
@@ -309,9 +343,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     The rows' steady states are solved in one batch and their spectra
     evaluated together (see :func:`_peaks`), each row's numbers equal to
-    its own evaluation.  A row's failure (e.g. NoSteadyState, or the first
-    point of the grid that fails in :func:`optoepr.langevin.evaluate`) is
-    recorded on that row by name, never fatal.  Rows are in value order.
+    its own evaluation; each row's :func:`peak_statistics` is then taken on
+    its EOF curve.  A row's failure (e.g. NoSteadyState, a value outside the
+    parameter domain, or the first point of the grid that fails in
+    :func:`optoepr.langevin.evaluate`) is recorded on that row by name,
+    never fatal.  Rows are in value order.
     """
     base_derived = solve_steady_state(spec.base)
     omega = np.asarray(spec.omega_grid, dtype=float)
@@ -319,13 +355,14 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     result = SweepResult(spec=spec)
     for value, peak in zip(values, _peaks(_axis_rows(spec.axis, spec.base, base_derived, values),
                                           omega, spec.model)):
-        if isinstance(peak, PhysicsError):
+        if isinstance(peak, Exception):
             result.rows.append(SweepRow(
                 value=value, omega=omega, eof=np.array([]), epr_variance=np.array([]),
                 peak_eof=math.nan, peak_omegas=(), fwhm=math.nan,
                 derived=None, error=type(peak).__name__))
             continue
-        derived, x, eof_curve, stats = peak
+        derived, x, eof_curve, _ = peak
+        stats = peak_statistics(omega, eof_curve)
         result.rows.append(SweepRow(
             value=value, omega=omega, eof=eof_curve, epr_variance=x,
             peak_eof=stats.peak_eof, peak_omegas=stats.peak_omegas,
@@ -367,15 +404,18 @@ def sensitivity_analysis(base: PhysicalParams, d_jitter: float,
     The operating point is first moved to the optimum d; the baseline peak
     EOF is taken there, and the excursions are the ``d`` sweep rows at
     d_o -/+ j and the ``power_fluct`` rows at -/+ eps around it, all of them
-    evaluated in one pass with the baseline.  Power scaling drags d through
-    the intensity-shift term, which the re-solve accounts for exactly.  A
-    failed excursion is recorded as a case with its error name and NaN d and
-    peak; ``worst_peak_eof`` and ``degradation`` cover the cases that
-    succeeded.  A failed baseline raises, and an empty or unevenly spaced
-    ``omega_grid`` raises ValueError before anything is solved.
+    evaluated in one pass with the baseline, each for its peak EOF only.
+    Power scaling drags d through the intensity-shift term, which the
+    re-solve accounts for exactly.  A failed excursion is recorded as a case
+    with its error name and NaN d and peak; ``worst_peak_eof`` and
+    ``degradation`` cover the cases that succeeded.  A failed baseline
+    raises, and so does an excursion outside the parameter domain
+    (ParameterError).  A negative or NaN jitter and an empty or unevenly
+    spaced ``omega_grid`` raise ValueError before anything is solved.
     """
-    if d_jitter < 0 or power_jitter_frac < 0:
-        raise ValueError("jitters must be >= 0")
+    for name, jitter in (("d_jitter", d_jitter), ("power_jitter_frac", power_jitter_frac)):
+        if not jitter >= 0:
+            raise ValueError(f"{name} must be >= 0, got {jitter!r}")
     omega = _search_grid(base, omega_grid)
     base_derived = solve_steady_state(base)
     d_o = optimum_d(base_derived).d_o
@@ -391,17 +431,18 @@ def sensitivity_analysis(base: PhysicalParams, d_jitter: float,
             labels.append(f"{label}{sign}jitter")
             rows += _axis_rows(axis, at_opt, opt_derived,
                                [mid - jitter if sign == "-" else mid + jitter])
+    _raise_domain_error(rows)
     peaks = _peaks(rows, omega, "adiabatic")
-    if isinstance(peaks[0], PhysicsError):
+    if isinstance(peaks[0], Exception):
         raise peaks[0]
 
-    base_peak = peaks[0][3].peak_eof
+    base_peak = peaks[0][3]
     cases = [SensitivityCase("baseline", d_o, base_peak)]
     for label, peak in zip(labels[1:], peaks[1:]):
-        if isinstance(peak, PhysicsError):
+        if isinstance(peak, Exception):
             cases.append(SensitivityCase(label, math.nan, math.nan, type(peak).__name__))
         else:
-            cases.append(SensitivityCase(label, peak[0].d, peak[3].peak_eof))
+            cases.append(SensitivityCase(label, peak[0].d, peak[3]))
     worst = min(c.peak_eof for c in cases if c.error is None)
     degradation = 0.0 if base_peak == 0 else (base_peak - worst) / base_peak
     return SensitivityReport(baseline_peak_eof=base_peak, worst_peak_eof=worst,
@@ -415,12 +456,20 @@ def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, fl
 
     A coarse scan first checks unimodality on the bracket: its points are
     the ``d`` sweep rows at ``scan_points`` evenly spaced offsets, evaluated
-    in one pass, and the first row that fails raises its error.  A bracket
-    whose scan shows several separated local maxima raises
-    :class:`BracketError` with the scan attached.  A degenerate bracket
-    returns its single point.  An empty or unevenly spaced ``omega_grid``
-    raises ValueError before anything is solved.
+    in one pass, and the first row that fails raises its error (a row
+    outside the parameter domain before any other).  A bracket whose scan
+    shows several separated local maxima raises :class:`BracketError` with
+    the scan attached.  The golden section then evaluates its two opening
+    points as one 2-row pass and each later point alone; every point is
+    evaluated for its peak EOF only.  A degenerate bracket returns its
+    single point.  ``tol_frac`` <= 0 or NaN, ``scan_points`` < 3 and an
+    empty or unevenly spaced ``omega_grid`` raise ValueError before
+    anything is solved.
     """
+    if not tol_frac > 0:
+        raise ValueError(f"tol_frac must be > 0, got {tol_frac!r}")
+    if scan_points < 3:
+        raise ValueError(f"scan_points must be >= 3, got {scan_points!r}")
     lo, hi = float(search_bracket[0]), float(search_bracket[1])
     if hi < lo:
         raise BracketError(f"invalid bracket ({lo:g}, {hi:g})")
@@ -429,15 +478,11 @@ def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, fl
         return lo
     base_derived = solve_steady_state(base)
 
-    def peak(dval: float) -> float:
-        return _peak(_row_params("d", base, base_derived, dval), omega, "adiabatic")[3].peak_eof
+    def peaks(*dvals) -> list[float]:
+        return _search_peaks(_axis_rows("d", base, base_derived, dvals), omega)
 
     scan_d = np.linspace(lo, hi, scan_points)
-    scan_v = []
-    for result in _peaks(_axis_rows("d", base, base_derived, scan_d), omega, "adiabatic"):
-        if isinstance(result, PhysicsError):
-            raise result
-        scan_v.append(result[3].peak_eof)
+    scan_v = peaks(*scan_d)
     interior_maxima = [i for i in range(1, scan_points - 1)
                        if scan_v[i] >= scan_v[i - 1] and scan_v[i] >= scan_v[i + 1]]
     if len(interior_maxima) > 1:
@@ -452,14 +497,14 @@ def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, fl
     a, b = lo, hi
     c = b - invphi * (b - a)
     e = a + invphi * (b - a)
-    fc, fe = peak(c), peak(e)
+    fc, fe = peaks(c, e)
     while (b - a) > tol_frac * max(abs(hi), abs(lo)):
         if fc > fe:
             b, e, fe = e, c, fc
             c = b - invphi * (b - a)
-            fc = peak(c)
+            fc, = peaks(c)
         else:
             a, c, fc = c, e, fe
             e = a + invphi * (b - a)
-            fe = peak(e)
+            fe, = peaks(e)
     return 0.5 * (a + b)

@@ -64,6 +64,20 @@ class TestSweep:
         assert code == 2
         assert "axis" in err
 
+    def test_out_of_domain_row_recorded(self, capsys):
+        # alpha = 20000 puts a laser more than 10 omega_m from the cavity: that
+        # row is an error row, the alpha = 500 rows are still written
+        code, out, err = run(capsys, "sweep", "--axis", "alpha", "--values", "500,20000",
+                             "--omega-points", "5")
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        flags = [r["flags"] for r in rows]
+        assert flags == ["alpha=500"] * 5 + ["alpha=20000;error:ParameterError"]
+        assert all(r["eof"] != "nan" for r in rows[:5])
+        notes = err.splitlines()
+        assert notes[0].startswith("# alpha=500: peak_eof=")
+        assert notes[1] == "# alpha=20000: ParameterError"
+
 
 class TestSharedRows:
     def test_spectrum_and_sweep_metric_columns_agree(self, tmp_path):
@@ -170,13 +184,13 @@ drive_omega2_rads = 1e12
         assert "monotone" in err
 
     # Parameters outside their domain: eta >= 1, T < 0, delta <= 0, and a
-    # laser more than 10 omega_m from the cavity (directly, or as a sweep row).
+    # laser more than 10 omega_m from the cavity (a sweep row out of the
+    # domain is recorded instead, see TestSweep).
     INVALID_PARAMETERS = [
         ("derive", "--set", "eta=2"),
         ("derive", "--set", "temperature_k=-1"),
         ("derive", "--set", "target_delta_hz=-5"),
         ("spectrum", "--omega-points", "5", "--set", "target_alpha=20000"),
-        ("sweep", "--axis", "alpha", "--values", "500,20000", "--omega-points", "5"),
     ]
 
     @pytest.mark.parametrize("argv", INVALID_PARAMETERS, ids=lambda argv: " ".join(argv))

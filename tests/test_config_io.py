@@ -1,6 +1,9 @@
+import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import optoepr as oe
 from optoepr.io import BASE_COLUMNS, read_jsonlines, render_rows
@@ -174,3 +177,86 @@ class TestEmitRows:
         path = tmp_path / "rows.csv"
         returned = emit_rows([self.row()], "csv", str(path))
         assert path.read_text() == returned
+
+
+def reference_render_rows(rows, fmt, columns=BASE_COLUMNS):
+    """render_rows formatting every cell on its own, as a reference."""
+    def csv_value(value):
+        if value is None:
+            return "nan"
+        if isinstance(value, str):
+            return value
+        if isinstance(value, float) and math.isnan(value):
+            return "nan"
+        if isinstance(value, (int, float)):
+            return f"{float(value):.17g}"
+        return str(value)
+
+    def json_value(value):
+        if value is None:
+            return None
+        if isinstance(value, float):
+            if math.isnan(value) or math.isinf(value):
+                return None
+            return float(f"{value:.17g}")
+        return value
+
+    if fmt == "csv":
+        lines = [",".join(columns)]
+        for row in rows:
+            lines.append(",".join(csv_value(row.get(col)) for col in columns))
+        return "\n".join(lines) + "\n"
+    lines = []
+    for row in rows:
+        obj = {col: json_value(row.get(col)) for col in columns}
+        lines.append(json.dumps(obj, separators=(",", ":"), sort_keys=False))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+# Cell values: floats of every kind, None, ints, bools and strings with the
+# characters CSV, JSON and % templates treat specially.
+CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, None, True, False]),
+    st.integers(-10**20, 10**20),
+    st.text(alphabet=st.sampled_from(list('ab,"%\\ \u00e9\u03b3\u2603\n')), max_size=6),
+)
+EXTRA_COLUMNS = st.lists(st.sampled_from(["dev_rwa3", "dev_%s", "x,y", 'q"', "\u03b3"]),
+                         max_size=3, unique=True)
+# a column is either of one kind (all floats, say) or mixed, and a row may
+# miss any key
+COLUMN_KINDS = st.sampled_from(["float", "float_or_none", "str", "mixed"])
+
+
+@st.composite
+def tables(draw):
+    columns = BASE_COLUMNS + tuple(draw(EXTRA_COLUMNS))
+    kinds = {col: draw(COLUMN_KINDS) for col in columns}
+    cell = {"float": st.floats(allow_nan=True, allow_infinity=True),
+            "float_or_none": st.one_of(st.floats(), st.none()),
+            "str": st.text(alphabet=st.sampled_from(list('ab,"%\u00e9')), max_size=4),
+            "mixed": CELLS}
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        row = {}
+        for col in columns + ("unlisted",):
+            if draw(st.booleans()) or kinds.get(col, "mixed") != "mixed":
+                if draw(st.integers(0, 9)):   # one key in ten is missing
+                    row[col] = draw(cell[kinds.get(col, "mixed")])
+        rows.append(row)
+    return rows, columns
+
+
+class TestColumnwiseRendering:
+    @given(tables(), st.sampled_from(["csv", "jsonlines"]))
+    def test_as_the_per_cell_renderer(self, table, fmt):
+        rows, columns = table
+        assert render_rows(rows, fmt, columns) == reference_render_rows(rows, fmt, columns)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonlines"])
+    def test_sweep_table_as_the_per_cell_renderer(self, fmt):
+        # a sweep's error row leaves every float column but model and flags missing
+        rows = [TestEmitRows().row(omega_rads=w, eof=math.nan if w < 0 else 0.1 * w)
+                for w in (-1.5, 0.0, 2.5e6)]
+        rows.insert(1, {"model": "adiabatic", "flags": "alpha=20000;error:ParameterError"})
+        assert render_rows(rows, fmt) == reference_render_rows(rows, fmt)

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 import optoepr as oe
 from optoepr.errors import DomainError
 from optoepr.params import TWO_PI
-from optoepr.spectrum import Evaluation, closed_form_grid, ent_metrics, eof_array
+from optoepr.spectrum import Evaluation, closed_form_grid, closed_form_x, ent_metrics, eof_array
 from optoepr.steady_state import DerivedParams
 
 
@@ -129,6 +129,18 @@ class TestClosedFormRows:
         if count == 5:
             assert set(block.error[2]) == {"DegenerateResponse", ""}
             assert set(block.error[3]) == {"DomainError"}
+
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_x_and_failures_as_the_named_evaluation(self, paper_derived, optimum_derived, count):
+        rows = [paper_derived, optimum_derived,
+                make_derived(g=2.0, d=-2.0, gamma=4.0, gamma_m_tilde=0.0, n_m=0.0),
+                replace(make_derived(), alpha_2=complex(1100.0)), make_derived()][:count]
+        omegas = np.array([0.0, 1.0, -1.0, 3e5, -2e7, 4e7])
+        named = closed_form_grid(rows, omegas)
+        for derived, expected in ((rows, named), (rows[0], closed_form_grid(rows[0], omegas))):
+            x, failed = closed_form_x(derived, omegas)
+            assert np.array_equal(failed, expected.failed)
+            assert np.array_equal(x[~failed], expected.x[~failed])
 
 
 class TestClosedFormCovariance:

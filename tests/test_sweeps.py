@@ -176,6 +176,14 @@ class TestRunSweep:
         assert rows[1].error is not None
         assert math.isnan(rows[1].peak_eof)
 
+    def test_out_of_domain_row_recorded_not_fatal(self, paper_params, omega_grid):
+        # alpha = 20000 puts a laser more than 10 omega_m from the cavity
+        rows = run_sweep(SweepSpec(axis="alpha", values=(500.0, 20000.0), base=paper_params,
+                                   omega_grid=omega_grid)).rows
+        assert rows[0].error is None and rows[0].peak_eof > 0.0
+        assert rows[1].error == "ParameterError"
+        assert math.isnan(rows[1].peak_eof) and rows[1].derived is None
+
     def test_peak_eof_monotone_in_alpha_with_reoptimized_d(self, paper_params,
                                                            paper_derived, omega_grid):
         peaks = []
@@ -219,8 +227,50 @@ class TestRunSweep:
         assert SweepSpec(axis="d", values=(1.0,), base=paper_params, omega_grid=grid).axis == "d"
 
 
+def alone(row, omega):
+    """_peaks of one row, raising its error."""
+    result, = sweeps._peaks([row], omega, "adiabatic")
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def reference_peak(derived, omega):
+    """x, EOF curve and peak EOF of one solved row, or the error its first failed point
+    names, taken from the named closed-form evaluation and the full peak statistics."""
+    ev = oe.evaluate(derived, omega, "adiabatic")
+    if ev.failed.any():
+        i = int(np.argmax(ev.failed))
+        return getattr(oe, ev.error[i])(f"adiabatic output failed at omega = {omega[i]:.6e}")
+    curve = eof_array(ev.x)
+    return ev.x, curve, peak_statistics(omega, curve).peak_eof
+
+
+def assert_as_reference(result, omega):
+    """A _peaks result equals reference_peak of its row, or records the same error."""
+    if isinstance(result, Exception):
+        return
+    derived, x, curve, peak = result
+    ref_x, ref_curve, ref_peak = reference_peak(derived, omega)
+    assert np.array_equal(x, ref_x) and np.array_equal(curve, ref_curve)
+    assert peak == ref_peak == peak_statistics(omega, curve).peak_eof
+
+
+def spy_peaks(monkeypatch):
+    """Record every _peaks call as (rows, results)."""
+    calls = []
+    peaks = sweeps._peaks
+
+    def spy(rows, omega, model):
+        results = peaks(rows, omega, model)
+        calls.append((list(rows), results))
+        return results
+    monkeypatch.setattr(sweeps, "_peaks", spy)
+    return calls
+
+
 class TestBatchedPeaks:
-    """The batched pass gives each row exactly what its own _peak gives."""
+    """The batched pass gives each row exactly what the row evaluated alone gives."""
 
     @pytest.mark.parametrize("points", [401, 2001])
     def test_sweep_rows_equal_single_peaks(self, paper_params, paper_derived, points):
@@ -230,34 +280,26 @@ class TestBatchedPeaks:
         rows = run_sweep(SweepSpec(axis="d", values=values, base=paper_params,
                                    omega_grid=omega)).rows
         for value, row in zip(values, rows):
-            derived, x, eof_curve, stats = sweeps._peak(
-                sweeps._row_params("d", paper_params, paper_derived, float(value)),
-                omega, "adiabatic")
+            derived, x, eof_curve, peak = alone(
+                sweeps._row_params("d", paper_params, paper_derived, float(value)), omega)
             assert row.derived == derived
             assert np.array_equal(row.epr_variance, x) and np.array_equal(row.eof, eof_curve)
+            stats = reference_peak_statistics(omega, eof_curve)
             assert (row.peak_eof, row.peak_omegas, row.fwhm) == (stats.peak_eof,
                                                                  stats.peak_omegas, stats.fwhm)
+            assert row.peak_eof == peak
 
     @pytest.mark.parametrize("points", [401, 2001])   # one block of 33 rows; five of <= 8
     def test_optimum_scan_equals_single_peaks(self, paper_params, paper_derived, points,
                                               monkeypatch):
         omega = oe.default_omega_grid(paper_params.gamma, points)
         d_o = oe.optimum_d(paper_derived).d_o
-        batches = []
-        peaks = sweeps._peaks
-
-        def spy(rows, grid, model):
-            results = peaks(rows, grid, model)
-            batches.append(results)
-            return results
-        monkeypatch.setattr(sweeps, "_peaks", spy)
+        calls = spy_peaks(monkeypatch)
         oe.find_optimum_d_numeric(paper_params, (0.3 * d_o, 3.0 * d_o), omega_grid=omega)
-        scan = batches[0]
+        rows, scan = calls[0]
         assert len(scan) == 33
-        for dval, result in zip(np.linspace(0.3 * d_o, 3.0 * d_o, 33), scan):
-            alone = sweeps._peak(sweeps._row_params("d", paper_params, paper_derived, dval),
-                                 omega, "adiabatic")
-            assert result[3].peak_eof == alone[3].peak_eof
+        for row, result in zip(rows, scan):
+            assert result[3] == alone(row, omega)[3]
 
     def test_failing_scan_row_raises_as_the_sequential_scan(self, paper_params, paper_derived,
                                                             omega_grid):
@@ -267,8 +309,7 @@ class TestBatchedPeaks:
         expected = None
         for dval in np.linspace(*bracket, 33):
             try:
-                sweeps._peak(sweeps._row_params("d", paper_params, paper_derived, dval),
-                             omega_grid, "adiabatic")
+                alone(sweeps._row_params("d", paper_params, paper_derived, dval), omega_grid)
             except oe.PhysicsError as exc:
                 expected = exc
                 break
@@ -297,9 +338,69 @@ class TestBatchedPeaks:
         with pytest.warns(UserWarning, match="unequal cavity amplitudes"):
             ok, failed = sweeps._peaks(rows, omega_grid, "adiabatic")
             with pytest.raises(oe.DomainError) as raised:
-                sweeps._peak(rows[1], omega_grid, "adiabatic")
-        assert ok[3] == sweeps._peak(rows[0], omega_grid, "adiabatic")[3]
-        assert type(failed) is oe.DomainError and str(failed) == str(raised.value)
+                alone(rows[1], omega_grid)
+            expected = reference_peak(oe.solve_steady_state(rows[1]), omega_grid)
+        assert ok[3] == alone(rows[0], omega_grid)[3]
+        assert_as_reference(ok, omega_grid)
+        assert type(failed) is type(expected) is oe.DomainError
+        assert str(failed) == str(raised.value) == str(expected)
+
+
+class TestSearchRows:
+    """Every row of the d-search and of the sensitivity analysis is the row's full evaluation."""
+
+    def test_scan_and_golden_rows_as_their_full_curves(self, paper_params, paper_derived,
+                                                       omega_grid, monkeypatch):
+        d_o = oe.optimum_d(paper_derived).d_o
+        calls = spy_peaks(monkeypatch)
+        oe.find_optimum_d_numeric(paper_params, (0.3 * d_o, 3.0 * d_o), omega_grid=omega_grid)
+        assert len(calls) > 3
+        for _, results in calls:
+            for result in results:
+                assert not isinstance(result, Exception)
+                assert_as_reference(result, omega_grid)
+
+    @pytest.mark.parametrize("target_alpha", [1000, 2000])   # 2000: power cases fail
+    def test_sensitivity_rows_as_their_full_curves(self, target_alpha, omega_grid, monkeypatch):
+        params = oe.parse_config(f"defaults: paper\ntarget_alpha = {target_alpha}\n").params
+        calls = spy_peaks(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            oe.sensitivity_analysis(params, 0.02 * params.gamma, 0.01, omega_grid=omega_grid)
+            (rows, results), = calls
+            for row, result in zip(rows, results):
+                derived = row if isinstance(row, oe.DerivedParams) else oe.solve_steady_state(row)
+                expected = reference_peak(derived, omega_grid)
+                if isinstance(expected, Exception):
+                    assert type(result) is type(expected) and str(result) == str(expected)
+                else:
+                    assert_as_reference(result, omega_grid)
+        assert sum(isinstance(r, Exception) for r in results) == (2 if target_alpha == 2000 else 0)
+
+    def test_search_solves_scan_then_one_row_per_step(self, paper_params, paper_derived,
+                                                      omega_grid, monkeypatch):
+        d_o = oe.optimum_d(paper_derived).d_o
+        lo, hi = 0.3 * d_o, 3.0 * d_o
+        batches, single = [], []
+        solve_rows, solve = sweeps.solve_steady_states, sweeps.solve_steady_state
+
+        def counting_rows(rows):
+            batches.append(len(rows))
+            return solve_rows(rows)
+
+        def counting(params):
+            single.append(params)
+            return solve(params)
+        monkeypatch.setattr(sweeps, "solve_steady_states", counting_rows)
+        monkeypatch.setattr(sweeps, "solve_steady_state", counting)
+        oe.find_optimum_d_numeric(paper_params, (lo, hi), omega_grid=omega_grid,
+                                  tol_frac=1e-4, scan_points=17)
+        steps = len(batches) - 2
+        assert single == [paper_params]
+        assert batches == [17, 2] + [1] * steps
+        # each step shrinks the bracket by 1/phi down to tol_frac of its larger end
+        invphi = (math.sqrt(5.0) - 1.0) / 2.0
+        assert abs(steps - math.log(1e-4 * hi / (hi - lo)) / math.log(invphi)) <= 1
 
 
 class TestFindOptimumD:
@@ -335,6 +436,29 @@ class TestFindOptimumD:
         forbid_solves(monkeypatch)
         with pytest.raises(ValueError, match="omega_grid must be evenly spaced"):
             oe.find_optimum_d_numeric(paper_params, (1e6, 2e6), omega_grid=UNEVEN)
+
+    # tol_frac <= 0 would never end the golden section, NaN would end it at once
+    @pytest.mark.parametrize("tol_frac", [0.0, -1.0, math.nan])
+    def test_bad_tol_frac_rejected_before_solving(self, paper_params, monkeypatch, tol_frac):
+        forbid_solves(monkeypatch)
+        with pytest.raises(ValueError, match="tol_frac must be > 0"):
+            oe.find_optimum_d_numeric(paper_params, (1e6, 2e6), tol_frac=tol_frac)
+
+    @pytest.mark.parametrize("scan_points", [2, 0, -5])
+    def test_too_few_scan_points_rejected_before_solving(self, paper_params, monkeypatch,
+                                                         scan_points):
+        forbid_solves(monkeypatch)
+        with pytest.raises(ValueError, match="scan_points must be >= 3"):
+            oe.find_optimum_d_numeric(paper_params, (1e6, 2e6), scan_points=scan_points)
+
+    def test_scan_row_out_of_domain_raised_before_solving(self, paper_params, paper_derived,
+                                                          monkeypatch):
+        # a laser more than 10 omega_m from the cavity fails the row's parameter checks
+        forbid_solves(monkeypatch)
+        monkeypatch.setattr(sweeps, "solve_steady_state", lambda params: paper_derived)
+        bracket = (-20.0 * paper_params.omega_m, 1e6)
+        with pytest.raises(oe.ParameterError):
+            oe.find_optimum_d_numeric(paper_params, bracket)
 
 
 class TestSensitivityAnalysis:
@@ -380,6 +504,19 @@ class TestSensitivityAnalysis:
     def test_negative_jitter_rejected(self, paper_params):
         with pytest.raises(ValueError):
             oe.sensitivity_analysis(paper_params, -1.0, 0.0)
+
+    @pytest.mark.parametrize("jitters, name", [((math.nan, 0.01), "d_jitter"),
+                                               ((1e5, math.nan), "power_jitter_frac"),
+                                               ((1e5, -0.01), "power_jitter_frac")])
+    def test_nan_jitter_rejected_before_solving(self, paper_params, monkeypatch, jitters, name):
+        forbid_solves(monkeypatch)
+        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+            oe.sensitivity_analysis(paper_params, *jitters)
+
+    def test_excursion_out_of_domain_raised(self, paper_params):
+        # a power excursion of -150% asks for a negative drive power
+        with pytest.raises(oe.ParameterError, match="drive powers must be >= 0"):
+            oe.sensitivity_analysis(paper_params, 0.0, 1.5)
 
     def test_empty_grid_rejected_before_solving(self, paper_params, monkeypatch):
         forbid_solves(monkeypatch)
