@@ -24,8 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParseError, UnitError, UnknownKey
-from .params import TWO_PI, DriveSpec, PhysicalParams
+from .errors import ParameterError, ParseError, UnitError, UnknownKey
+from .params import TWO_PI, DriveSpec, PhysicalParams, gamma_m_from_q
 from .steady_state import operating_point_params
 
 FORMATS = ("csv", "jsonlines")
@@ -160,6 +160,8 @@ def parse_config(text: str, flag_overrides: dict[str, str] | None = None,
         except ValueError:
             raise ParseError(f"key {key!r}: cannot parse {value!r} as a number",
                              seen.get(key))
+        if not math.isfinite(number):
+            raise ParameterError(f"key {key!r}: {value!r} is not a finite number")
         if name in fields:
             other = [k for k in resolved if _PHYSICAL_KEYS.get(k, (None,))[0] == name and k != key]
             raise ParseError(f"quantity {name!r} given more than once ({key!r} and {other})")
@@ -182,7 +184,8 @@ def _build_params(fields: dict[str, float]) -> PhysicalParams:
     _require(fields, "omega_p", "omega_m", "gamma", "nu", "eta", "T", "R", "n0")
     if ("gamma_m" in fields) == ("q_factor" in fields):
         raise ParseError("exactly one of gamma_m_* or q_factor must be given")
-    gamma_m = fields.get("gamma_m", fields["omega_m"] / fields.get("q_factor", math.nan))
+    gamma_m = (fields["gamma_m"] if "gamma_m" in fields
+               else gamma_m_from_q(fields["omega_m"], fields["q_factor"]))
 
     target_keys = {"target_alpha", "target_delta", "target_d", "target_d_over_gamma"} & set(fields)
     direct_keys = {"delta1", "delta2", "omega_l", "omega_lp",

@@ -30,7 +30,12 @@ is what suppresses thermal noise in the difference channel.
 Covariances are the symmetrized spectral densities over
 xi = (X1, P1, X2, P2): Hermitian cross-spectra are reduced to their real
 (frequency-even) part, the standard real covariance convention for
-stationary fields.
+stationary fields.  The two ordered densities <o(w) o(-w)> and
+<o(-w) o(w)> fold into one symmetric density, so each covariance is formed
+from 8 weighted Gram entries of the map at +w (:func:`_covariances`).  Its
+cross block [[a, b], [c, d]] reduces to Simon's standard form
+diag(k_x, k_p) in closed form, k_x = (hypot(a + d, b - c) +
+hypot(a - d, b + c)) / 2 and k_p = (ad - bc) / k_x (:func:`_reduce`).
 """
 
 from __future__ import annotations
@@ -51,18 +56,27 @@ _B_ROWS = [1, 2]   # their mirrored partners
 _PAIRED = np.zeros((4, 4), dtype=bool)
 _PAIRED[np.ix_(_A_ROWS, _B_ROWS)] = True
 _PAIRED[np.ix_(_B_ROWS, _A_ROWS)] = True
+# The paired density's 8 weighted Gram entries G[i, k], i and k in one row
+# block, come in (block, i, k) order: G_00, G_03, G_30, G_33, G_11, G_12,
+# G_21, G_22 (see :func:`_covariances`).  The flat (row, input) positions of
+# the response map's rows, block by block, and each entry's partner G[k, i]:
+_GRAM_MAP_ENTRIES = [6 * i + l for i in _A_ROWS + _B_ROWS for l in range(6)]
+_GRAM_PARTNER = [0, 2, 1, 3, 4, 6, 5, 7]
+# Flattened covariance over (X1, P1, X2, P2) from (n1, n2, a, b): diagonal
+# blocks n1 I and n2 I, cross blocks [[a, b], [b, -a]].
+_COV_LAYOUT = np.array([
+    [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1],
+    [0, 0, 1, 0, 0, 0, 0, -1, 1, 0, 0, 0, 0, -1, 0, 0],
+    [0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0],
+], dtype=float)
+# Flat (row-major) positions of the two diagonal 2x2 blocks of a 4x4 covariance, and I, I there.
+_DIAGONAL_BLOCKS = [0, 1, 4, 5, 10, 11, 14, 15]
+_DIAGONAL_IDENTITY = np.array([1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0])[:, None]
 
 # Largest deviation of the diagonal blocks from n*I, relative to n, for which
 # the symmetric-state metrics are quoted.
 _SYMMETRY_RTOL = 0.05
-
-# Quadrature map (X1, P1, X2, P2) <- (a1, a1^dag, a2, a2^dag) at fixed sideband.
-_QUAD = np.array([
-    [1.0, 1.0, 0.0, 0.0],
-    [-1.0j, 1.0j, 0.0, 0.0],
-    [0.0, 0.0, 1.0, 1.0],
-    [0.0, 0.0, -1.0j, 1.0j],
-])
 
 # Bosonic commutators [o_a(w), o_b(-w)] over (o, o^dag) pairs: the 6 inputs, the 4 outputs.
 # The output block is also the symplectic form for the X = a + a^dag
@@ -237,16 +251,6 @@ def adiabatic_response(derived: DerivedParams, omega: float) -> LinearResponse:
     return LinearResponse(omega, _response_maps(derived, [omega], "adiabatic_response")[0])
 
 
-def _input_moments(n_m: float) -> np.ndarray:
-    """Second moments <in_a(w) in_b(-w)> of the six inputs (vacuum optics, thermal mechanics)."""
-    C = np.zeros((6, 6))
-    C[0, 1] = 1.0
-    C[2, 3] = 1.0
-    C[4, 5] = n_m + 1.0
-    C[5, 4] = n_m
-    return C
-
-
 def _masked_density(T_plus: np.ndarray, T_minus: np.ndarray, C: np.ndarray) -> np.ndarray:
     """<o_i(w) o_j(-w)> with co-rotating/mirrored rows paired against each other only.
 
@@ -265,18 +269,40 @@ def _masked_density(T_plus: np.ndarray, T_minus: np.ndarray, C: np.ndarray) -> n
 def _covariances(T_plus: np.ndarray, n_m: float) -> np.ndarray:
     """Symmetrized quadrature covariances (..., 4, 4) of response maps (..., 4, 6).
 
-    Raises ValueError if any cross-spectrum is not Hermitian (a broken map).
+    The two masked densities D+ = P o (T+ C T-^T) and D- = P o (T- C T+^T)
+    enter as S = (Q D+ Q^T + (Q D- Q^T)^T) / 2, and because the pairing mask
+    P is symmetric this is one density, S = Q (P o (T+ Cs T-^T)) Q^T with
+    Cs = (C + C^T) / 2.  Cs couples each input only to its (o, o^dag)
+    partner l', with weight 1/2 (optical) or n_m + 1/2 (mechanical), and the
+    mirror T-[j, l] = conj(T+[j', l']) swaps partners back, so the paired
+    entry (i, j) is the weighted Gram entry
+    G[i, j'] = sum_l w_l T+[i, l] conj(T+[j', l]) with
+    w = (1/2, 1/2, 1/2, 1/2, n_m + 1/2, n_m + 1/2): 8 entries per point, i
+    and j' in the same block.  Q = diag(q, q), q = [[1, 1], [-i, i]], turns
+    them block by block into V = Re S: diagonal blocks n1 I and n2 I with
+    n1 = G_00 + G_11 and n2 = G_22 + G_33, cross block [[a, b], [b, -a]]
+    with a + i b = (G_03 + conj(G_12) + conj(G_30) + G_21) / 2, the mean of
+    two forms that are equal for a Hermitian G.
+
+    Raises ValueError if any cross-spectrum is not Hermitian (a broken map):
+    an entry differs from its partner's conjugate by more than 1e-7 of the
+    point's largest entry (or of 1), or is not finite.
     """
-    C = _input_moments(n_m)
-    T_minus = _mirror(T_plus)
-    D_plus = _masked_density(T_plus, T_minus, C)
-    D_minus = _masked_density(T_minus, T_plus, C)
-    S = 0.5 * (_QUAD @ D_plus @ _QUAD.T + _swap(_QUAD @ D_minus @ _QUAD.T))
-    herm_defect = np.max(np.abs(S - np.conj(_swap(S))), axis=(-2, -1))
-    scale = np.maximum(1.0, np.max(np.abs(S), axis=(-2, -1)))
-    if np.any(herm_defect > 1e-7 * scale):
-        raise ValueError(f"cross-spectrum not Hermitian: defect {np.max(herm_defect):.3e}")
-    return 0.5 * (S.real + _swap(S.real))
+    # (block, row, input, point).  einsum sums the products without forming
+    # them all: that (entry, input, point) temporary cost fresh memory pages
+    # on every call of a few-hundred-point grid.
+    R = np.ascontiguousarray(T_plus.reshape(-1, 24)[:, _GRAM_MAP_ENTRIES].T).reshape(2, 2, 6, -1)
+    w = np.array([0.5, 0.5, 0.5, 0.5, n_m + 0.5, n_m + 0.5])
+    g = np.einsum("bilp,bklp,l->bikp", R, np.conj(R), w).reshape(8, -1)     # (entry, point)
+    herm = np.max(np.abs(g - np.conj(g[_GRAM_PARTNER])), axis=0)
+    scale = np.maximum(1.0, np.max(np.abs(g), axis=0))
+    if not np.all(herm <= 1e-7 * scale):
+        raise ValueError(f"cross-spectrum not Hermitian: defect {np.max(herm):.3e}")
+    n1, n2 = g[0].real + g[4].real, g[3].real + g[7].real
+    pair, anti = g[1] + g[6], g[2] + g[5]          # G_03 + G_21, G_30 + G_12
+    a = 0.5 * (pair.real + anti.real)
+    b = 0.5 * (pair.imag - anti.imag)
+    return (np.array([n1, n2, a, b]).T @ _COV_LAYOUT).reshape(T_plus.shape[:-2] + (4, 4))
 
 
 def assemble_covariance(resp: LinearResponse, n_m: float) -> Covariance4:
@@ -292,17 +318,19 @@ def assemble_covariance(resp: LinearResponse, n_m: float) -> Covariance4:
 def _reduce(V: np.ndarray):
     """n, k_x, k_p and the diagonal-block residual of covariances (..., 4, 4).
 
-    The cross block is diagonalized singular-value style with the sign of
-    its determinant carried into k_p.
+    Two local rotations take the real cross block [[a, b], [c, d]] to
+    diag(k_x, k_p) (Simon, PRL 84, 2726 (2000)): k_x is its larger singular
+    value, sigma_1 = (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2, and
+    k_p = (ad - bc) / sigma_1 is the smaller one with the determinant's sign
+    (0 for a zero block).
     """
-    n = np.trace(V, axis1=-2, axis2=-1) / 4.0
-    nI = n[..., None, None] * np.eye(2)
-    residual = np.maximum(np.max(np.abs(V[..., 0:2, 0:2] - nI), axis=(-2, -1)),
-                          np.max(np.abs(V[..., 2:4, 2:4] - nI), axis=(-2, -1)))
-    cross = V[..., 0:2, 2:4]
-    svals = np.linalg.svd(cross, compute_uv=False)
-    k_p = svals[..., 1] * np.sign(np.linalg.det(cross))
-    return n, svals[..., 0], k_p, residual
+    v = V.reshape(-1, 16).T                        # (entry, point), row-major entries
+    n = (v[0] + v[5] + v[10] + v[15]) / 4.0
+    residual = np.max(np.abs(v[_DIAGONAL_BLOCKS] - n * _DIAGONAL_IDENTITY), axis=0)
+    a, b, c, d = v[2], v[3], v[6], v[7]
+    k_x = 0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c))
+    k_p = (a * d - b * c) / np.where(k_x > 0.0, k_x, 1.0)
+    return tuple(q.reshape(V.shape[:-2]) for q in (n, k_x, k_p, residual))
 
 
 def standard_form_reduce(V: Covariance4, residual_tol: float = _SYMMETRY_RTOL) -> StandardForm:
@@ -310,8 +338,8 @@ def standard_form_reduce(V: Covariance4, residual_tol: float = _SYMMETRY_RTOL) -
 
     The diagonal blocks must already be close to n*I (local rotations cannot
     fix them); their worst deviation is reported as ``residual``.  The cross
-    block is diagonalized singular-value style with the sign of its
-    determinant carried into k_p.
+    block goes to diag(k_x, k_p) in closed form: its singular values, the
+    determinant's sign carried into k_p (see :func:`_reduce`).
 
     Raises
     ------

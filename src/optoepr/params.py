@@ -24,6 +24,21 @@ DRIVE_BALANCE_TOL = 1e-9
 DEFAULT_REGIME_THRESHOLD = 5.0
 
 
+def _require_finite(obj, names) -> None:
+    """ParameterError naming the first of ``obj``'s fields ``names`` that is NaN or infinite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value!r}")
+
+
+def gamma_m_from_q(omega_m: float, q_factor: float) -> float:
+    """Mechanical decay rate omega_m / Q; ParameterError unless Q is finite and > 0."""
+    if not (math.isfinite(q_factor) and q_factor > 0):
+        raise ParameterError(f"q_factor must be finite and > 0, got {q_factor!r}")
+    return omega_m / q_factor
+
+
 @dataclass(frozen=True)
 class DriveSpec:
     """Four-laser drive reduced to the two normal-mode drives.
@@ -56,15 +71,18 @@ class DriveSpec:
     def __post_init__(self):
         if self.mode not in ("amplitudes", "powers"):
             raise ParameterError(f"drive mode must be 'amplitudes' or 'powers', got {self.mode!r}")
+        _require_finite(self, ("omega_l", "omega_lp"))
         if self.mode == "amplitudes":
             if self.omega_1 is None or self.omega_2 is None:
                 raise ParameterError("amplitude-mode drive requires omega_1 and omega_2")
-            if self.omega_1 < 0 or self.omega_2 < 0:
+            _require_finite(self, ("omega_1", "omega_2"))
+            if not (self.omega_1 >= 0 and self.omega_2 >= 0):
                 raise ParameterError("drive amplitudes must be >= 0")
         else:
             if self.p_1 is None or self.p_2 is None:
                 raise ParameterError("power-mode drive requires p_1 and p_2")
-            if self.p_1 < 0 or self.p_2 < 0:
+            _require_finite(self, ("p_1", "p_2"))
+            if not (self.p_1 >= 0 and self.p_2 >= 0):
                 raise ParameterError("drive powers must be >= 0")
 
 
@@ -109,6 +127,8 @@ class PhysicalParams:
     constants: PhysicalConstants = field(default=CODATA)
 
     def __post_init__(self):
+        _require_finite(self, ("omega_p", "omega_m", "gamma", "gamma_m", "nu", "eta", "T", "R",
+                               "n0"))
         for name in ("omega_p", "omega_m", "gamma", "gamma_m", "nu", "R", "n0"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be strictly positive")

@@ -334,8 +334,8 @@ def amplitude_to_drive(target_alpha: float, Delta_j: float, params: PhysicalPara
     is exact; :func:`operating_point_params` fixes the shift itself under the
     symmetric configuration alpha_1 = alpha_2 = target_alpha.
     """
-    if target_alpha <= 0:
-        raise ParameterError("target_alpha must be > 0")
+    if not (math.isfinite(target_alpha) and target_alpha > 0):
+        raise ParameterError(f"target_alpha must be finite and > 0, got {target_alpha!r}")
     return target_alpha * math.sqrt(params.gamma**2 + 4.0 * Delta_j**2)
 
 
@@ -349,8 +349,10 @@ def operating_point_params(base: PhysicalParams, target_alpha: float,
     amplitudes so that |alpha_1| = |alpha_2| = target_alpha exactly at that
     root.
     """
-    if target_delta <= 0:
-        raise ParameterError("target_delta must be > 0")
+    if not (math.isfinite(target_delta) and target_delta > 0):
+        raise ParameterError(f"target_delta must be finite and > 0, got {target_delta!r}")
+    if not math.isfinite(target_d):
+        raise ParameterError(f"target_d must be finite, got {target_d!r}")
     d1p_t = -(base.omega_m + target_delta + target_d)
     d2p_t = base.omega_m + target_delta - target_d
     if d2p_t <= 0:

@@ -47,7 +47,7 @@ import numpy as np
 from . import errors
 from .errors import BracketError, ParameterError, PhysicsError
 from .langevin import MODELS, evaluate
-from .params import DriveSpec, PhysicalParams
+from .params import DriveSpec, PhysicalParams, gamma_m_from_q
 from .spectrum import closed_form_grid, closed_form_x, eof_array, optimum_d
 from .steady_state import (DerivedParams, operating_point_params, solve_steady_state,
                            solve_steady_states)
@@ -67,6 +67,9 @@ _SPACING_RTOL = 1e-9
 # blocks of _BLOCK_POINTS // N rows of an N-point grid, which bounds the
 # (rows, N) temporaries.
 _BLOCK_POINTS = 2**14
+
+# Local maxima within this fraction of the peak EOF are reported as peaks.
+_NEAR_PEAK = 0.01
 
 
 def default_omega_grid(gamma: float, points: int = DEFAULT_GRID_POINTS,
@@ -150,7 +153,7 @@ def _parabolic_refine(x: np.ndarray, y: np.ndarray, i: int) -> tuple[float, floa
 
 
 def peak_statistics(omega: np.ndarray, eof_curve: np.ndarray,
-                    within: float = 0.01) -> PeakStats:
+                    within: float = _NEAR_PEAK) -> PeakStats:
     """Peak EOF, all near-peak local maxima, and the FWHM of the EOF curve.
 
     A grid point is a local maximum when it is >= both neighbours and > at
@@ -173,7 +176,8 @@ def peak_statistics(omega: np.ndarray, eof_curve: np.ndarray,
         raise ValueError("eof_curve must be nonempty")
     if len(omega) != len(y):
         raise ValueError(f"omega and eof_curve lengths differ: {len(omega)} != {len(y)}")
-    return _peak_statistics_rows(omega, y[None, :], within)[0]
+    curves = y[None, :]
+    return _peak_statistics_rows(omega, curves, _refined_maxima(omega, curves), within)[0]
 
 
 def _refined_maxima(omega: np.ndarray, y: np.ndarray) -> list[list[tuple[float, float]]]:
@@ -195,19 +199,20 @@ def _refined_maxima(omega: np.ndarray, y: np.ndarray) -> list[list[tuple[float, 
     return maxima
 
 
-def _peak_eofs(omega: np.ndarray, y: np.ndarray) -> list[float]:
-    """The peak EOF of each row of the (K, N) curves ``y``, as :func:`peak_statistics` finds it."""
-    return [max(v for _, v in found) for found in _refined_maxima(omega, y)]
+def _peak_value(maxima: list[tuple[float, float]]) -> float:
+    """The peak EOF of one row's refined maxima: the largest vertex."""
+    return max(v for _, v in maxima)
 
 
-def _peak_statistics_rows(omega: np.ndarray, y: np.ndarray, within: float) -> list[PeakStats]:
-    """:func:`peak_statistics` of each row of the (K, N) curves ``y`` on the N-point grid.
+def _peak_statistics_rows(omega: np.ndarray, y: np.ndarray, maxima: list,
+                          within: float) -> list[PeakStats]:
+    """:func:`peak_statistics` of each row of the (K, N) curves ``y`` on the N-point grid,
+    given the rows' :func:`_refined_maxima`.
 
-    The local maxima and the points at or above half the peak are found for
-    all rows at once; the refinement and the edge interpolation are per row.
+    The points at or above half the peak are found for all rows at once;
+    the edge interpolation is per row.
     """
-    maxima = _refined_maxima(omega, y)
-    peaks = [max(v for _, v in found) for found in maxima]
+    peaks = [_peak_value(found) for found in maxima]
     peak_omegas = [tuple(sorted(x for x, v in found if v >= (1.0 - within) * peak))
                    for found, peak in zip(maxima, peaks)]
 
@@ -241,17 +246,19 @@ def _scaled_powers(params: PhysicalParams, factor: float) -> PhysicalParams:
 
 
 def _peaks(rows: list, omega: np.ndarray, model: str) -> list:
-    """Derived params, x, EOF curve and peak EOF of ``model`` for every row, in one pass.
+    """Derived params, x, EOF curve and refined EOF maxima of ``model`` for every row, in one pass.
 
     A row is a parameter set, its already solved :class:`DerivedParams`, or
     the error building it raised; the last two are passed through unsolved.
     The other rows' steady states are solved in one batch.  The closed form
     (:func:`closed_form_x`), ``eof_array`` and the peak search run over
     (rows, N) arrays in blocks of at most ``_BLOCK_POINTS`` grid points; the
-    other models are evaluated row by row.  A row with a failed grid point
-    holds, unraised, the :mod:`errors` class named at its first failed point
-    (named only then), and its EOF curve is not formed.  Each row's numbers
-    equal those of the row evaluated alone, to the last bit.
+    other models are evaluated row by row.  The maxima are the row's
+    :func:`_refined_maxima`, whose largest vertex is its peak EOF.  A row
+    with a failed grid point holds, unraised, the :mod:`errors` class named
+    at its first failed point (named only then), and its EOF curve is not
+    formed.  Each row's numbers equal those of the row evaluated alone, to
+    the last bit.
     """
     results = list(rows)
     todo = [k for k, row in enumerate(rows) if isinstance(row, PhysicalParams)]
@@ -274,7 +281,7 @@ def _peaks(rows: list, omega: np.ndarray, model: str) -> list:
             x, failed, names = ev.x[None, :], ev.failed[None, :], ev.error
         bad = failed.any(axis=1)
         curves = eof_array(x[~bad] if bad.any() else x)
-        done = zip(curves, _peak_eofs(omega, curves))
+        done = zip(curves, _refined_maxima(omega, curves))
         for k, d, x_row, row_failed, row_bad in zip(block, derived, x, failed, bad.tolist()):
             if row_bad:
                 i = int(np.argmax(row_failed))
@@ -297,7 +304,7 @@ def _search_peaks(rows: list, omega: np.ndarray) -> list[float]:
     for result in _peaks(rows, omega, "adiabatic"):
         if isinstance(result, Exception):
             raise result
-        peaks.append(result[3])
+        peaks.append(_peak_value(result[3]))
     return peaks
 
 
@@ -319,7 +326,7 @@ def _row_params(axis: str, base: PhysicalParams, base_derived: DerivedParams,
         d = value if axis == "d" else base_derived.d + value
         return operating_point_params(base, base_derived.alpha, base_derived.delta, d)
     if axis == "Q":
-        return base.scaled(gamma_m=base.omega_m / value)
+        return base.scaled(gamma_m=gamma_m_from_q(base.omega_m, value))
     if axis == "power_fluct":
         return _scaled_powers(base, 1.0 + value)
     raise ValueError(axis)
@@ -343,11 +350,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     The rows' steady states are solved in one batch and their spectra
     evaluated together (see :func:`_peaks`), each row's numbers equal to
-    its own evaluation; each row's :func:`peak_statistics` is then taken on
-    its EOF curve.  A row's failure (e.g. NoSteadyState, a value outside the
-    parameter domain, or the first point of the grid that fails in
-    :func:`optoepr.langevin.evaluate`) is recorded on that row by name,
-    never fatal.  Rows are in value order.
+    its own evaluation; each row's :func:`peak_statistics` is then formed
+    from its EOF curve and the maxima that pass refined.  A row's failure
+    (e.g. NoSteadyState, a value outside the parameter domain, or the first
+    point of the grid that fails in :func:`optoepr.langevin.evaluate`) is
+    recorded on that row by name, never fatal.  Rows are in value order.
     """
     base_derived = solve_steady_state(spec.base)
     omega = np.asarray(spec.omega_grid, dtype=float)
@@ -361,8 +368,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 peak_eof=math.nan, peak_omegas=(), fwhm=math.nan,
                 derived=None, error=type(peak).__name__))
             continue
-        derived, x, eof_curve, _ = peak
-        stats = peak_statistics(omega, eof_curve)
+        derived, x, eof_curve, maxima = peak
+        stats, = _peak_statistics_rows(omega, eof_curve[None, :], [maxima], _NEAR_PEAK)
         result.rows.append(SweepRow(
             value=value, omega=omega, eof=eof_curve, epr_variance=x,
             peak_eof=stats.peak_eof, peak_omegas=stats.peak_omegas,
@@ -436,13 +443,13 @@ def sensitivity_analysis(base: PhysicalParams, d_jitter: float,
     if isinstance(peaks[0], Exception):
         raise peaks[0]
 
-    base_peak = peaks[0][3]
+    base_peak = _peak_value(peaks[0][3])
     cases = [SensitivityCase("baseline", d_o, base_peak)]
     for label, peak in zip(labels[1:], peaks[1:]):
         if isinstance(peak, Exception):
             cases.append(SensitivityCase(label, math.nan, math.nan, type(peak).__name__))
         else:
-            cases.append(SensitivityCase(label, peak[0].d, peak[3]))
+            cases.append(SensitivityCase(label, peak[0].d, _peak_value(peak[3])))
     worst = min(c.peak_eof for c in cases if c.error is None)
     degradation = 0.0 if base_peak == 0 else (base_peak - worst) / base_peak
     return SensitivityReport(baseline_peak_eof=base_peak, worst_peak_eof=worst,

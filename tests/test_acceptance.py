@@ -194,15 +194,23 @@ class TestAcceptance:
                f"S(0.1) = 10 dB: {decade}; max |logneg - S/(10 log10 2)| = {worst_ln:.2e}")
         assert ok
 
-    def test_criterion_12_determinism(self, tmp_path):
+    # the closed-form spectrum, and the exact-model covariance chain behind verify
+    DETERMINISM_COMMANDS = {
+        "spectrum": ["spectrum", "--at-optimum-d"],
+        "verify": ["verify", "--models", "adiabatic,adiabatic_response,rwa3,full6",
+                   "--omega-points", "101"],
+    }
+
+    @pytest.mark.parametrize("command", DETERMINISM_COMMANDS)
+    def test_criterion_12_determinism(self, tmp_path, command):
         cfg = tmp_path / "paper.cfg"
         cfg.write_text("defaults: paper\n")
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"
-        argv = ["spectrum", "--config", str(cfg), "--at-optimum-d"]
+        argv = self.DETERMINISM_COMMANDS[command] + ["--config", str(cfg)]
         assert main(argv + ["--out", str(out_a)]) == 0
         assert main(argv + ["--out", str(out_b)]) == 0
         ok = out_a.read_bytes() == out_b.read_bytes()
-        report("criterion 12 (byte-identical output)", ok,
+        report(f"criterion 12 (byte-identical {command} output)", ok,
                f"{out_a.stat().st_size} bytes, identical = {ok}")
         assert ok

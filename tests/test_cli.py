@@ -78,6 +78,18 @@ class TestSweep:
         assert notes[0].startswith("# alpha=500: peak_eof=")
         assert notes[1] == "# alpha=20000: ParameterError"
 
+    @pytest.mark.parametrize("axis, values", [("Q", "0,1"), ("T", "nan")])
+    def test_invalid_axis_value_row_recorded(self, axis, values, capsys):
+        # Q = 0 would divide omega_m by zero, Q = 1 puts gamma_m at omega_m,
+        # and a NaN temperature is outside the domain: each is an error row
+        code, out, err = run(capsys, "sweep", "--axis", axis, "--values", values,
+                             "--omega-points", "5")
+        assert code == 0
+        flags = [r["flags"] for r in csv.DictReader(out.splitlines())]
+        labels = [f"{axis}={v}" for v in values.split(",")]
+        assert flags == [f"{label};error:ParameterError" for label in labels]
+        assert err.splitlines() == [f"# {label}: ParameterError" for label in labels]
+
 
 class TestSharedRows:
     def test_spectrum_and_sweep_metric_columns_agree(self, tmp_path):
@@ -183,14 +195,22 @@ drive_omega2_rads = 1e12
         assert code == 2
         assert "monotone" in err
 
-    # Parameters outside their domain: eta >= 1, T < 0, delta <= 0, and a
-    # laser more than 10 omega_m from the cavity (a sweep row out of the
-    # domain is recorded instead, see TestSweep).
+    # Parameters outside their domain: eta >= 1, T < 0, delta <= 0, a laser
+    # more than 10 omega_m from the cavity, Q = 0 and NaN or infinite values
+    # (a sweep row out of the domain is recorded instead, see TestSweep).
     INVALID_PARAMETERS = [
         ("derive", "--set", "eta=2"),
         ("derive", "--set", "temperature_k=-1"),
         ("derive", "--set", "target_delta_hz=-5"),
         ("spectrum", "--omega-points", "5", "--set", "target_alpha=20000"),
+        ("derive", "--set", "q_factor=0"),
+        ("derive", "--set", "q_factor=nan"),
+        ("derive", "--set", "temperature_k=nan"),
+        ("derive", "--set", "temperature_k=inf"),
+        ("derive", "--set", "target_alpha=nan"),
+        ("derive", "--set", "target_delta_hz=nan"),
+        ("derive", "--set", "target_d_over_gamma=nan"),
+        ("derive", "--set", "omega_p_hz=nan"),
     ]
 
     @pytest.mark.parametrize("argv", INVALID_PARAMETERS, ids=lambda argv: " ".join(argv))

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import optoepr as oe
 from optoepr import langevin
@@ -12,6 +14,7 @@ from optoepr.spectrum import metric_columns
 from tests.test_spectrum import make_derived
 
 GAMMA = TWO_PI * 3.2e6
+EPS = np.finfo(float).eps
 
 
 def exact_standard_entries(derived, omega):
@@ -59,6 +62,50 @@ def reference_masked_density(T_plus, T_minus, C):
     swap = langevin._swap
     return (block(T_plus, langevin._A_ROWS) @ C @ swap(block(T_minus, langevin._B_ROWS))
             + block(T_plus, langevin._B_ROWS) @ C @ swap(block(T_minus, langevin._A_ROWS)))
+
+
+def reference_input_moments(n_m):
+    """Second moments <in_a(w) in_b(-w)> of the six inputs (vacuum optics, thermal mechanics)."""
+    C = np.zeros((6, 6))
+    C[0, 1] = 1.0
+    C[2, 3] = 1.0
+    C[4, 5] = n_m + 1.0
+    C[5, 4] = n_m
+    return C
+
+
+# Quadrature map (X1, P1, X2, P2) <- (a1, a1^dag, a2, a2^dag) at fixed sideband.
+REFERENCE_QUAD = np.array([
+    [1.0, 1.0, 0.0, 0.0],
+    [-1.0j, 1.0j, 0.0, 0.0],
+    [0.0, 0.0, 1.0, 1.0],
+    [0.0, 0.0, -1.0j, 1.0j],
+])
+
+
+def reference_covariances(T_plus, n_m):
+    """Covariances from the two ordered densities and two quadrature sandwiches, as a reference."""
+    C = reference_input_moments(n_m)
+    T_minus = langevin._mirror(T_plus)
+    swap = langevin._swap
+    D_plus = reference_masked_density(T_plus, T_minus, C)
+    D_minus = reference_masked_density(T_minus, T_plus, C)
+    Q = REFERENCE_QUAD
+    S = 0.5 * (Q @ D_plus @ Q.T + swap(Q @ D_minus @ Q.T))
+    herm_defect = np.max(np.abs(S - np.conj(swap(S))), axis=(-2, -1))
+    assert np.all(herm_defect <= 1e-7 * np.maximum(1.0, np.max(np.abs(S), axis=(-2, -1))))
+    return 0.5 * (S.real + swap(S.real))
+
+
+def reference_reduce(V):
+    """n, k_x, k_p and residual with the cross block reduced by a stacked svd and det."""
+    n = np.trace(V, axis1=-2, axis2=-1) / 4.0
+    nI = n[..., None, None] * np.eye(2)
+    residual = np.maximum(np.max(np.abs(V[..., 0:2, 0:2] - nI), axis=(-2, -1)),
+                          np.max(np.abs(V[..., 2:4, 2:4] - nI), axis=(-2, -1)))
+    cross = V[..., 0:2, 2:4]
+    svals = np.linalg.svd(cross, compute_uv=False)
+    return n, svals[..., 0], svals[..., 1] * np.sign(np.linalg.det(cross)), residual
 
 
 def passthrough_response(omega=0.0):
@@ -165,7 +212,7 @@ class TestMaskedDensity:
 
     def assert_equal_to_reference(self, T_plus, n_m):
         T_minus = langevin._mirror(T_plus)
-        for C in (langevin._input_moments(n_m), langevin._J_IN):
+        for C in (reference_input_moments(n_m), langevin._J_IN):
             for a, b in ((T_plus, T_minus), (T_minus, T_plus)):
                 assert np.array_equal(langevin._masked_density(a, b, C),
                                       reference_masked_density(a, b, C))
@@ -187,9 +234,61 @@ class TestMaskedDensity:
     def test_unpaired_entries_zero(self):
         rng = np.random.default_rng(7)
         T = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-        D = langevin._masked_density(T, langevin._mirror(T), langevin._input_moments(3.0))
+        D = langevin._masked_density(T, langevin._mirror(T), reference_input_moments(3.0))
         for i, j in [(0, 0), (0, 3), (3, 0), (3, 3), (1, 1), (1, 2), (2, 1), (2, 2)]:
             assert D[i, j] == 0.0
+
+
+class TestCovariances:
+    """One symmetric density gives the two-density covariances to rounding."""
+
+    EXACT_MODELS = ("adiabatic_response", "rwa3", "full6")
+
+    def assert_close_to_reference(self, T_plus, n_m):
+        V = langevin._covariances(T_plus, n_m)
+        ref = reference_covariances(T_plus, n_m)
+        assert V.shape == ref.shape and np.array_equal(V, langevin._swap(V))
+        deviation = np.max(np.abs(V - ref), axis=(-2, -1))
+        assert np.all(deviation <= 4.0 * EPS * np.max(np.abs(ref), axis=(-2, -1)))
+
+    @pytest.mark.parametrize("model", EXACT_MODELS)
+    def test_model_maps(self, model, paper_params, paper_derived):
+        in_band = oe.default_omega_grid(paper_params.gamma, 201)
+        off_band = np.linspace(-3.0 * paper_derived.delta, 3.0 * paper_derived.delta, 61)
+        for omegas in (in_band, off_band):
+            T = langevin._response_maps(paper_derived, omegas, model)
+            self.assert_close_to_reference(T, paper_derived.n_m)
+            self.assert_close_to_reference(T[len(omegas) // 3], paper_derived.n_m)
+
+    def test_seeded_random_maps(self):
+        rng = np.random.default_rng(20080101)
+        for scale in (1e-3, 1.0, 1e4):
+            T = scale * (rng.standard_normal((64, 4, 6)) + 1j * rng.standard_normal((64, 4, 6)))
+            self.assert_close_to_reference(T, float(rng.uniform(0.0, 1e5)))
+
+    def test_non_finite_map_rejected(self, paper_derived):
+        T = langevin._response_maps(paper_derived, [0.0, 1e5], "rwa3")
+        T[1, 2, 4] = np.nan
+        with pytest.raises(ValueError, match="not Hermitian"):
+            langevin._covariances(T, paper_derived.n_m)
+
+
+# Block entries before scaling: 0 or 1e-6 <= |entry| <= 1, so no product underflows.
+BLOCK_ENTRIES = st.just(0.0) | st.floats(1e-6, 1.0) | st.floats(-1.0, -1e-6)
+
+
+@st.composite
+def cross_blocks(draw):
+    """Real 2x2 blocks from 1e-100 to 1e100: general, zero, rank-one, negative determinant."""
+    kind = draw(st.sampled_from(["general", "zero", "rank_one", "negative_det"]))
+    a, b, c, d = (draw(BLOCK_ENTRIES) for _ in range(4))
+    if kind == "zero":
+        a = b = c = d = 0.0
+    elif kind == "rank_one":
+        c, d = c * a, c * b
+    elif kind == "negative_det" and a * d - b * c > 0.0:
+        a, b, c, d = c, d, a, b
+    return np.array([[a, b], [c, d]]) * 10.0 ** draw(st.integers(-100, 100))
 
 
 class TestStandardFormReduce:
@@ -230,6 +329,35 @@ class TestStandardFormReduce:
         V = np.diag([10.0, 10.0, 1.0, 1.0])
         with pytest.raises(oe.NotSymmetricState):
             oe.standard_form_reduce(Covariance4(entries=V, omega=0.0))
+
+    @given(cross_blocks())
+    @example(np.zeros((2, 2)))
+    @example(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    @example(np.array([[0.0, 1e100], [-1e100, 0.0]]))
+    @example(np.array([[1e-100, 0.0], [0.0, -1e-100]]))
+    def test_closed_form_cross_block_as_svd_and_det(self, cross):
+        V = np.eye(4)
+        V[0:2, 2:4] = cross
+        V[2:4, 0:2] = cross.T
+        _, k_x, k_p, _ = langevin._reduce(V)
+        svals = np.linalg.svd(cross, compute_uv=False)
+        assert abs(k_x - svals[0]) <= 4.0 * EPS * svals[0]
+        if svals[0] == 0.0:
+            assert k_p == 0.0
+        else:
+            expected = svals[1] * np.sign(np.linalg.det(cross))
+            assert abs(k_p - expected) <= 8.0 * EPS * svals[0]
+
+    @pytest.mark.parametrize("model", TestCovariances.EXACT_MODELS)
+    def test_model_covariances_as_the_svd_reference(self, model, paper_params, paper_derived):
+        grid = oe.default_omega_grid(paper_params.gamma, 201)
+        V = langevin._covariances(langevin._response_maps(paper_derived, grid, model),
+                                  paper_derived.n_m)
+        n, k_x, k_p, residual = langevin._reduce(V)
+        ref_n, ref_k_x, ref_k_p, ref_residual = reference_reduce(V)
+        assert np.array_equal(n, ref_n) and np.array_equal(residual, ref_residual)
+        assert np.all(np.abs(k_x - ref_k_x) <= 4.0 * EPS * ref_k_x)
+        assert np.all(np.abs(k_p - ref_k_p) <= 8.0 * EPS * ref_k_x)
 
 
 class TestLogNegativity:
@@ -375,6 +503,20 @@ class TestBatchedKernel:
                     assert point.error is None
                     assert point.epr_variance == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert failures == {"adiabatic": 0, "adiabatic_response": 0, "rwa3": 26, "full6": 28}
+
+    def test_failures_and_values_on_the_default_grid_as_the_reference(self, paper_params,
+                                                                       paper_derived):
+        grid = oe.default_omega_grid(paper_params.gamma, 2001)
+        failures = {}
+        for model in ("rwa3", "full6"):
+            ev = oe.evaluate(paper_derived, grid, model)
+            T = langevin._response_maps(paper_derived, grid, model)
+            n, k_x, _, residual = reference_reduce(reference_covariances(T, paper_derived.n_m))
+            assert np.array_equal(ev.failed, residual > 0.05 * np.abs(n))
+            ok = ~ev.failed
+            assert np.all(np.abs(ev.x[ok] - (n - k_x)[ok]) <= 1e-12 * (n - k_x)[ok])
+            failures[model] = int(np.count_nonzero(ev.error == "NotSymmetricState"))
+        assert failures == {"rwa3": 1300, "full6": 1310}
 
     def test_point_metrics_equal_metric_columns(self, paper_params, paper_derived):
         grid = oe.default_omega_grid(paper_params.gamma, 41)

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import optoepr as oe
 from optoepr.constants import CODATA
-from optoepr.params import TWO_PI
+from optoepr.params import TWO_PI, gamma_m_from_q
 
 OMEGA_M = TWO_PI * 73.5e6
 
@@ -144,6 +146,44 @@ class TestPhysicalParamsValidation:
         with pytest.raises(ValueError):
             oe.DriveSpec(mode="amplitudes", omega_l=paper_params.drive.omega_l,
                          omega_lp=paper_params.drive.omega_lp)
+
+    @pytest.mark.parametrize("name", ["omega_p", "omega_m", "gamma", "gamma_m", "nu", "eta",
+                                      "T", "R", "n0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_field_rejected_by_name(self, paper_params, name, value):
+        with pytest.raises(oe.ParameterError, match=f"{name} must be finite"):
+            paper_params.scaled(**{name: value})
+
+    @pytest.mark.parametrize("name", ["omega_l", "omega_1", "p_2"])
+    def test_non_finite_drive_rejected_by_name(self, paper_params, name):
+        drive = paper_params.drive
+        fields = dict(omega_l=drive.omega_l, omega_lp=drive.omega_lp)
+        if name == "p_2":
+            fields.update(mode="powers", p_1=1e-3, p_2=math.nan)
+        else:
+            fields.update(mode="amplitudes", omega_1=drive.omega_1, omega_2=drive.omega_2)
+            fields[name] = math.nan
+        with pytest.raises(oe.ParameterError, match=f"{name} must be finite"):
+            oe.DriveSpec(**fields)
+
+    @pytest.mark.parametrize("q_factor", [0.0, -3.0, math.nan, math.inf])
+    def test_gamma_m_from_q_rejects_q_by_name(self, q_factor):
+        with pytest.raises(oe.ParameterError, match="q_factor must be finite and > 0"):
+            gamma_m_from_q(OMEGA_M, q_factor)
+        assert gamma_m_from_q(OMEGA_M, 3e4) == OMEGA_M / 3e4
+
+    @pytest.mark.parametrize("target, name", [
+        (dict(target_alpha=math.nan), "target_alpha"),
+        (dict(target_alpha=math.inf), "target_alpha"),
+        (dict(target_delta=math.nan), "target_delta"),
+        (dict(target_d=math.nan), "target_d"),
+    ])
+    def test_operating_point_targets_rejected_by_name(self, paper_params, target, name):
+        kwargs = dict(target_alpha=1000.0, target_delta=TWO_PI * 1e7,
+                      target_d=0.07 * paper_params.gamma)
+        kwargs.update(target)
+        with pytest.raises(oe.ParameterError, match=f"{name} must be finite"):
+            oe.operating_point_params(paper_params, **kwargs)
 
 
 class TestValidateRegime:

@@ -89,8 +89,8 @@ class TestPeakStatistics:
         y = np.array(curves)
         omega = np.linspace(-1.0, 1.0, y.shape[1])
         # repr tells NaN fields apart where == cannot
-        assert (repr(sweeps._peak_statistics_rows(omega, y, 0.01))
-                == repr([reference_peak_statistics(omega, curve) for curve in y]))
+        stats = sweeps._peak_statistics_rows(omega, y, sweeps._refined_maxima(omega, y), 0.01)
+        assert repr(stats) == repr([reference_peak_statistics(omega, curve) for curve in y])
 
     @pytest.mark.parametrize("curve", [[math.nan] * 3, [1.0, math.nan, 3.0, 2.0],
                                        [math.nan, 2.0, 2.0, 1.0]])
@@ -250,10 +250,11 @@ def assert_as_reference(result, omega):
     """A _peaks result equals reference_peak of its row, or records the same error."""
     if isinstance(result, Exception):
         return
-    derived, x, curve, peak = result
+    derived, x, curve, maxima = result
     ref_x, ref_curve, ref_peak = reference_peak(derived, omega)
     assert np.array_equal(x, ref_x) and np.array_equal(curve, ref_curve)
-    assert peak == ref_peak == peak_statistics(omega, curve).peak_eof
+    assert maxima == sweeps._refined_maxima(omega, curve[None, :])[0]
+    assert max(v for _, v in maxima) == ref_peak == peak_statistics(omega, curve).peak_eof
 
 
 def spy_peaks(monkeypatch):
@@ -280,14 +281,26 @@ class TestBatchedPeaks:
         rows = run_sweep(SweepSpec(axis="d", values=values, base=paper_params,
                                    omega_grid=omega)).rows
         for value, row in zip(values, rows):
-            derived, x, eof_curve, peak = alone(
+            derived, x, eof_curve, maxima = alone(
                 sweeps._row_params("d", paper_params, paper_derived, float(value)), omega)
             assert row.derived == derived
             assert np.array_equal(row.epr_variance, x) and np.array_equal(row.eof, eof_curve)
             stats = reference_peak_statistics(omega, eof_curve)
             assert (row.peak_eof, row.peak_omegas, row.fwhm) == (stats.peak_eof,
                                                                  stats.peak_omegas, stats.fwhm)
-            assert row.peak_eof == peak
+            assert row.peak_eof == max(v for _, v in maxima)
+
+    def test_sweep_refines_each_row_once(self, paper_params, omega_grid, monkeypatch):
+        calls = []
+        refined = sweeps._refined_maxima
+
+        def spy(omega, y):
+            calls.append(y.shape[0])
+            return refined(omega, y)
+        monkeypatch.setattr(sweeps, "_refined_maxima", spy)
+        run_sweep(SweepSpec(axis="temperature", values=(4.0, 77.0, 300.0), base=paper_params,
+                            omega_grid=omega_grid))
+        assert calls == [3]   # the three rows in one block, none refined again for its stats
 
     @pytest.mark.parametrize("points", [401, 2001])   # one block of 33 rows; five of <= 8
     def test_optimum_scan_equals_single_peaks(self, paper_params, paper_derived, points,
