@@ -10,8 +10,13 @@ Three linear response models share one representation here:
   response map so the closed-form covariance can be cross-checked.
 
 Each model has one generator that solves its drift over a whole frequency
-grid in one stacked ``np.linalg.solve``, and the rest of the chain is stacked
-too.  :func:`evaluate` runs it for one model on one grid (the closed form
+grid, and the rest of the chain is stacked too.  In every drift the cavity
+modes couple only to the mechanics, so the solve eliminates the diagonal
+cavity block per frequency in closed form and inverts the remaining 1x1 or
+2x2 mechanical block (the inverse dressed mechanical susceptibility) by its
+adjugate, forming only the resolvent rows the model keeps
+(:func:`_resolvent`); no LU factorization or eigendecomposition is involved.
+:func:`evaluate` runs it for one model on one grid (the closed form
 included); the single-frequency functions are its one-point case.
 
 A :class:`LinearResponse` maps the six input operators
@@ -77,6 +82,9 @@ _DIAGONAL_IDENTITY = np.array([1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0])[:, None]
 # Largest deviation of the diagonal blocks from n*I, relative to n, for which
 # the symmetric-state metrics are quoted.
 _SYMMETRY_RTOL = 0.05
+
+# adj(S) = [[S11, -S01], [-S10, S00]] of a 2x2 S as a linear map of S's row-major entries.
+_ADJUGATE_2X2 = np.array([[0.0, 0, 0, 1], [0, -1, 0, 0], [0, 0, -1, 0], [1, 0, 0, 0]])
 
 # Bosonic commutators [o_a(w), o_b(-w)] over (o, o^dag) pairs: the 6 inputs, the 4 outputs.
 # The output block is also the symplectic form for the X = a + a^dag
@@ -144,18 +152,54 @@ def _mirror(T: np.ndarray) -> np.ndarray:
     return np.conj(T[..., [1, 0, 3, 2], :])[..., _MIRROR_PERM]
 
 
-def _resolvent(M: np.ndarray, L: np.ndarray, omegas: np.ndarray, label: str) -> np.ndarray:
-    """(-i w - M)^-1 L for every w of ``omegas``, shape (N, k, k); SingularDrift if singular."""
-    A = -1j * omegas[:, None, None] * np.eye(len(M)) - M
-    try:
-        # a complex L broadcasts without a full-size cast copy
-        return np.linalg.solve(A, np.broadcast_to(L.astype(complex), A.shape))
-    except np.linalg.LinAlgError as exc:
-        raise SingularDrift(f"{label} drift singular on the frequency grid") from exc
+def _resolvent(M: np.ndarray, l: np.ndarray, omegas: np.ndarray, rows: list[int],
+               cavity: int, label: str) -> np.ndarray:
+    """Rows ``rows`` of (-i w - M)^-1 diag(l) for every w of ``omegas``, shape (N, len(rows), k).
+
+    The first ``cavity`` modes of M couple only to the last one or two
+    (mechanical) ones, so A = -i w - M = [[D, X], [Y, E]] has a diagonal
+    cavity block D.  Eliminating it leaves the mechanical Schur complement
+    S = E - Y D^-1 X, the inverse dressed mechanical susceptibility, which
+    is inverted in closed form, S^-1 = adj(S) / det S (1x1 or 2x2).  The
+    kept rows are cavity rows r, whose row of A^-1 is
+    -(X_r / D_r) S^-1 [-Y D^-1, 1] plus 1/D_r on column r; with no cavity
+    modes, S = A and they are rows of S^-1.
+
+    Raises SingularDrift where a pivot, an entry of D or det S, is exactly zero.
+    """
+    m = len(M) - cavity
+    eye = np.eye(m)
+    z = -1j * omegas[:, None]
+    d = z - M.diagonal()[:cavity]
+    if not d.all():
+        raise SingularDrift(f"{label} drift singular on the frequency grid: zero cavity pivot")
+    d_inv = 1.0 / d
+    X, Y = M[:cavity, cavity:], M[cavity:, :cavity]          # -X and -Y
+    # S row-major, (N, m * m); Y D^-1 X is one (N, cavity) @ (cavity, m * m) product.
+    S = (z * eye.ravel() - M[cavity:, cavity:].ravel()
+         - d_inv @ (Y.T[:, :, None] * X[:, None, :]).reshape(cavity, m * m))
+    # u_r adj(S) [-Y, 1] diag(l) of every kept row r, linear in S: one column of G per
+    # (row, mode), with u_r = -X_r for a cavity row and the unit row for a mechanical one.
+    U = X[rows] if cavity else eye[rows]
+    YI = np.concatenate([Y, eye], axis=1) * l
+    G = (U.T[:, None, :, None] * YI[None, :, None, :]).reshape(m * m, -1)
+    if m == 1:
+        det, num = S[:, 0], G
+    else:
+        det, num = S[:, 0] * S[:, 3] - S[:, 1] * S[:, 2], S @ (_ADJUGATE_2X2 @ G)
+    if not det.all():
+        raise SingularDrift(f"{label} drift singular on the frequency grid: "
+                            "singular mechanical Schur complement")
+    if not cavity:
+        return num.reshape(-1, len(rows), m) / det[:, None, None]
+    out = num.reshape(-1, len(rows), len(M)) * (d_inv[:, rows] / det[:, None])[:, :, None]
+    out[:, :, :cavity] += np.eye(cavity)[rows] * l[:cavity]
+    out[:, :, :cavity] *= d_inv[:, None, :]
+    return out
 
 
 def _rwa3_drift(derived: DerivedParams) -> tuple[np.ndarray, np.ndarray]:
-    """Drift and input coupling of the 3-mode RWA system {a1, a2^dag, a_m}."""
+    """Drift and (diagonal) input coupling of the 3-mode RWA system {a1, a2^dag, a_m}."""
     gamma, gamma_m = derived.gamma, derived.gamma_m
     d = derived.d
     kappa = derived.eta * derived.omega_m * derived.alpha
@@ -164,20 +208,22 @@ def _rwa3_drift(derived: DerivedParams) -> tuple[np.ndarray, np.ndarray]:
         [0.0, 1j * d - gamma / 2.0, 1j * kappa],
         [-1j * kappa, -1j * kappa, 1j * derived.delta - gamma_m / 2.0],
     ], dtype=complex)
-    L = np.diag([math.sqrt(gamma), math.sqrt(gamma), math.sqrt(gamma_m)])
-    return M, L
+    return M, np.array([math.sqrt(gamma), math.sqrt(gamma), math.sqrt(gamma_m)])
 
 
 def _rwa3_generator(derived: DerivedParams, omegas: np.ndarray) -> np.ndarray:
     """Generator rows sqrt(gamma) (a1, a2^dag) of the 3-mode RWA system, shape (N, 2, 6)."""
-    S = _resolvent(*_rwa3_drift(derived), omegas, "3-mode")
+    S = _resolvent(*_rwa3_drift(derived), omegas, [0, 1], 2, "3-mode")
     gen = np.zeros((len(omegas), 2, 6), dtype=complex)
-    gen[:, :, [0, 3, 4]] = math.sqrt(derived.gamma) * S[:, :2, :]   # a1_in, a2_in^dag, a_m_in
+    gen[:, :, [0, 3, 4]] = math.sqrt(derived.gamma) * S   # a1_in, a2_in^dag, a_m_in
     return gen
 
 
-def _full6_drift(derived: DerivedParams) -> np.ndarray:
-    """Drift of (a1, a1^dag, a2, a2^dag, b, b^dag); each daggered row mirrors its partner's."""
+def _full6_drift(derived: DerivedParams) -> tuple[np.ndarray, np.ndarray]:
+    """Drift and (diagonal) input coupling of (a1, a1^dag, a2, a2^dag, b, b^dag).
+
+    Each daggered row of the drift mirrors its partner's.
+    """
     cm = derived.eta * derived.omega_m
     a1, a2 = derived.alpha_1, derived.alpha_2
     M = np.zeros((6, 6), dtype=complex)
@@ -188,7 +234,7 @@ def _full6_drift(derived: DerivedParams) -> np.ndarray:
     M[2, 4:] = -1j * cm * a2
     M[4, :4] = -1j * cm * np.array([np.conj(a1), a1, np.conj(a2), a2])
     M[1::2] = np.conj(M[0::2])[:, _MIRROR_PERM]
-    return M
+    return M, np.array([math.sqrt(derived.gamma)] * 4 + [math.sqrt(derived.gamma_m)] * 2)
 
 
 def _full6_generator(derived: DerivedParams, omegas: np.ndarray) -> np.ndarray:
@@ -198,17 +244,22 @@ def _full6_generator(derived: DerivedParams, omegas: np.ndarray) -> np.ndarray:
     co-rotating pair (a1, a2^dag) at rotating-frame sideband w lives at the
     pre-RWA frequency w + omega_m + delta.
     """
-    gamma, gamma_m = derived.gamma, derived.gamma_m
-    L = np.diag([math.sqrt(gamma)] * 4 + [math.sqrt(gamma_m)] * 2)
-    S = _resolvent(_full6_drift(derived), L, omegas + derived.omega_m + derived.delta, "6-mode")
-    return math.sqrt(gamma) * S[:, [0, 3], :]
+    S = _resolvent(*_full6_drift(derived), omegas + derived.omega_m + derived.delta,
+                   [0, 3], 4, "6-mode")
+    return math.sqrt(derived.gamma) * S
+
+
+def _adiabatic_drift(derived: DerivedParams) -> tuple[np.ndarray, np.ndarray]:
+    """Drift of the eliminated two-mode model (a1, a2^dag), with unit input coupling."""
+    gamma, g, gp = derived.gamma, derived.g, derived.g_prime
+    M = -np.array([[gamma / 2.0 + 1j * gp, 1j * g], [-1j * g, gamma / 2.0 - 1j * gp]])
+    return M, np.ones(2)
 
 
 def _adiabatic_generator(derived: DerivedParams, omegas: np.ndarray) -> np.ndarray:
     """Generator rows sqrt(gamma) (a1, a2^dag) of the eliminated two-mode model, shape (N, 2, 6)."""
-    gamma, g, gp = derived.gamma, derived.g, derived.g_prime
-    M = -np.array([[gamma / 2.0 + 1j * gp, 1j * g], [-1j * g, gamma / 2.0 - 1j * gp]])
-    Ainv = _resolvent(M, np.eye(2), omegas, "adiabatic")
+    gamma = derived.gamma
+    Ainv = _resolvent(*_adiabatic_drift(derived), omegas, [0, 1], 0, "adiabatic")
     gen = np.zeros((len(omegas), 2, 6), dtype=complex)
     gen[:, :, 0] = gamma * Ainv[:, :, 0]
     gen[:, :, 3] = gamma * Ainv[:, :, 1]
@@ -388,7 +439,7 @@ def log_negativity(V: Covariance4) -> float:
 
 def _rwa3_interior_density(derived: DerivedParams, omegas: np.ndarray) -> np.ndarray:
     """Spectral density <a1^dag a1>(w) of the intracavity field, batched over omegas."""
-    S = _resolvent(*_rwa3_drift(derived), omegas, "3-mode")
+    S = _resolvent(*_rwa3_drift(derived), omegas, [0], 2, "3-mode")
     # Occupation picks up the (n+1)-ordered moments of the daggered inputs:
     # vacuum through the a2_in^dag column, thermal through the mechanical one.
     return np.abs(S[:, 0, 1]) ** 2 + derived.n_m * np.abs(S[:, 0, 2]) ** 2

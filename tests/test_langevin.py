@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from optoepr import langevin
 from optoepr.langevin import Covariance4, LinearResponse, adiabatic_response
 from optoepr.params import TWO_PI
 from optoepr.spectrum import metric_columns
+from optoepr.steady_state import DerivedParams
 from tests.test_spectrum import make_derived
 
 GAMMA = TWO_PI * 3.2e6
@@ -113,6 +115,105 @@ def passthrough_response(omega=0.0):
     for k in range(4):
         rows[k, k] = 1.0
     return LinearResponse(omega=omega, map_rows=rows)
+
+
+def reference_resolvent(M, l, omegas):
+    """(-i w - M)^-1 diag(l) at every w of ``omegas`` by one stacked LU solve, shape (N, k, k)."""
+    A = -1j * omegas[:, None, None] * np.eye(len(M)) - M
+    return np.linalg.solve(A, np.broadcast_to(np.diag(l).astype(complex), A.shape))
+
+
+# Each exact model's resolvent call: its drift, the rows it keeps, its number of
+# cavity modes, and whether it is solved at the pre-RWA sideband w + omega_m + delta.
+# ``rwa3_interior`` is the intracavity density's call.
+KERNELS = {
+    "adiabatic_response": (langevin._adiabatic_drift, [0, 1], 0, False),
+    "rwa3": (langevin._rwa3_drift, [0, 1], 2, False),
+    "rwa3_interior": (langevin._rwa3_drift, [0], 2, False),
+    "full6": (langevin._full6_drift, [0, 3], 4, True),
+}
+
+# The retuned operating point of the strong-drive ``opsearch`` benchmark input 74
+# (target_alpha 11532, target_delta_hz 3.93e6, target_d_over_gamma 0.0288,
+# 2.66 K, Q 5.67e5) as the steady-state solver returns it: g is 570 gamma while
+# g' - g = d is 2.2e-4 gamma, so its drifts are ill-conditioned (up to 2.6e6).
+OP74 = DerivedParams(
+    alpha_1=(-11529.783504838944 - 238.26159236841045j),
+    alpha_2=(11529.783420143069 - 238.26589488662364j),
+    beta=-26598.535260671964, beta_imag_dropped=0.023440534413667728,
+    Delta_1p=-486482210.36347246, Delta_2p=486473422.07244444,
+    delta=24663696.14025885, d=4394.145514011383,
+    g=11500162561.664803, g_prime=11500166955.810316,
+    gamma_m_tilde=379535.85369015776, n_m=752.7395009288225,
+    gamma=20106192.982974675, gamma_m=813.9673608572623,
+    omega_m=461814120.0776996, eta=0.0001, multistable=True,
+)
+
+
+class TestResolvent:
+    """The cavity-elimination kernel against the stacked LU solve it replaced.
+
+    Tolerance: at each frequency, the largest deviation over the kept rows is
+    at most 8 eps cond(A) of that point's largest reference entry, A = -i w - M
+    (the forward-error scale of a backward-stable solve; both are one).  The
+    largest on these grids is 0.95 eps cond(A), at a point with cond(A) = 1.9.
+    """
+
+    def assert_rows_match(self, model, derived, sidebands):
+        drift, rows, cavity, pre_rwa = KERNELS[model]
+        M, l = drift(derived)
+        omegas = np.asarray(sidebands, dtype=float)
+        if pre_rwa:
+            omegas = omegas + derived.omega_m + derived.delta
+        got = langevin._resolvent(M, l, omegas, rows, cavity, model)
+        ref = reference_resolvent(M, l, omegas)[:, rows]
+        assert got.shape == ref.shape == (len(omegas), len(rows), len(M))
+        cond = np.linalg.cond(-1j * omegas[:, None, None] * np.eye(len(M)) - M)
+        deviation = np.max(np.abs(got - ref), axis=(-2, -1), initial=0.0)
+        scale = np.max(np.abs(ref), axis=(-2, -1), initial=0.0)
+        assert np.all(deviation <= 8.0 * EPS * cond * scale)
+
+    @pytest.mark.parametrize("model", KERNELS)
+    def test_paper_point_in_and_off_band(self, model, paper_params, paper_derived):
+        in_band = oe.default_omega_grid(paper_params.gamma, 201)
+        off_band = np.linspace(-3.0 * paper_derived.delta, 3.0 * paper_derived.delta, 61)
+        for grid in (in_band, off_band):
+            self.assert_rows_match(model, paper_derived, np.concatenate([grid, -grid]))
+
+    @pytest.mark.parametrize("model", KERNELS)
+    def test_strong_drive_point(self, model):
+        grid = oe.default_omega_grid(OP74.gamma, 41)
+        self.assert_rows_match(model, OP74, np.concatenate([[0.0], grid, -grid]))
+
+    @pytest.mark.parametrize("model", KERNELS)
+    def test_empty_and_one_point_grids(self, model, paper_derived):
+        self.assert_rows_match(model, paper_derived, [])
+        self.assert_rows_match(model, paper_derived, [0.3 * GAMMA])
+
+    def test_strong_drive_commutators(self):
+        # an eigendecomposition of the drift instead of the elimination read 2.5e-8 here
+        for solve in (oe.rwa3_solve, oe.full6_solve):
+            assert solve(OP74, 0.0).commutator_defect() <= 1e-9
+
+    @pytest.mark.parametrize("M, cavity, pivot", [
+        # cavity pivot D_0 = -M_00 = 0 at w = 0
+        ([[0, 0, 1], [0, -1, 1], [1, 1, -1]], 2, "zero cavity pivot"),
+        # 1x1 Schur complement 1 - (-1)(1)(-1) = 0 at w = 0
+        ([[-1, 0, 1], [0, -1, 0], [1, 0, -1]], 2, "singular mechanical"),
+        # 2x2 Schur complement [[1 - 1, 0], [0, 1]] at w = 0
+        ([[-1, 1, 0], [1, -1, 0], [0, 0, -1]], 1, "singular mechanical"),
+        # no cavity mode: the 2x2 drift itself, det 1 - 1 = 0 at w = 0
+        ([[-1, 1], [1, -1]], 0, "singular mechanical"),
+    ])
+    def test_singular_drift_raises_by_name(self, M, cavity, pivot):
+        M = np.array(M, dtype=complex)
+        omegas = np.array([1.0, 0.0, -2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(oe.SingularDrift, match=pivot):
+                langevin._resolvent(M, np.ones(len(M)), omegas, [0], cavity, "test")
+            # the same drift away from w = 0 is regular
+            langevin._resolvent(M, np.ones(len(M)), omegas[[0, 2]], [0], cavity, "test")
 
 
 class TestResponseStructure:
