@@ -292,12 +292,37 @@ def _closed_form(derived: DerivedParams | Sequence[DerivedParams], omegas):
         params, mismatch, gamma2 = rows[0], mismatch[0], gamma2[0]
         if not isinstance(derived, DerivedParams):
             omegas = omegas[None, :]
+    return (*_standard_form(params, gamma2, omegas), mismatch)
+
+
+def _standard_form(params, gamma2, omegas):
+    """n, k_x, x = n - k_x and the ``degenerate`` mask of the closed form of ``params``
+    (see :func:`_covariance_entries`), gamma^2 given as ``gamma2``."""
     with np.errstate(divide="ignore", invalid="ignore"):
         n, v14, v24, abs_D2 = _covariance_entries(params, omegas)
         k_x = np.hypot(v14, v24)
         x = n - k_x
         degenerate = abs_D2 < (1e-30 * (gamma2 + omegas**2)) ** 2
-    return n, k_x, x, degenerate, mismatch
+    return n, k_x, x, degenerate
+
+
+def offset_x(derived: DerivedParams, d, omegas):
+    """x = n - k_x of the closed form at ``derived`` moved to each offset in ``d``, and
+    the mask of the points where the response denominator vanishes.
+
+    Moving d with alpha and delta held, as :func:`operating_point_params` does at
+    its designed root N = 2 alpha^2, changes no field the closed form reads but
+    g' = g + d.  So nothing is solved: the K offsets enter as one (K, 1) column
+    of g', and row k equals :func:`closed_form_x` of ``derived`` with ``d`` and
+    ``g_prime`` replaced, to the last bit.  ``omegas`` is an N-point grid or a
+    (K, M) block of per-row frequencies.  The amplitudes are equal by design, so
+    no row is failed for a mismatch, and x <= 0 is left to the caller.
+    """
+    params = SimpleNamespace(g=derived.g, g_prime=derived.g + np.asarray(d, dtype=float)[:, None],
+                             gamma=derived.gamma, gamma_m_tilde=derived.gamma_m_tilde,
+                             n_m=derived.n_m)
+    _, _, x, degenerate = _standard_form(params, derived.gamma**2, np.asarray(omegas, dtype=float))
+    return x, degenerate
 
 
 def closed_form_x(derived: DerivedParams | Sequence[DerivedParams], omegas):

@@ -13,28 +13,34 @@ Sweep axes re-derive the operating point per row:
   the intensity shift exactly as the steady state dictates.
 * ``d_fluct``      absolute excursions of d around the base value.
 
-Every peak EOF is a sweep row's: ``find_optimum_d_numeric`` maximizes the
-``d`` row's peak, its coarse scan being the ``d`` rows at the scan points,
-and ``sensitivity_analysis`` takes its excursions as ``d`` and
-``power_fluct`` rows around the optimum, recording a failed one by name.
-The rows of a sweep, of the scan and of the excursions are each evaluated
-in one pass: one batched steady-state solve and one (rows, N) closed-form
-evaluation, in blocks that bound its temporaries.  A row's numbers equal
-those of the row evaluated alone, to the last bit.  The golden-section
-steps of the optimizer depend on each other: their two opening points are
-one 2-row pass, every later step a 1-row pass.  A search row forms only
-what the search reads (the solved parameters, x, the EOF curve and its
-peak); the peak's omegas and the FWHM are formed for sweep rows alone, and
-an error name only for a row that failed.  A sweep row outside the
-parameter domain is recorded as a ``ParameterError`` row; in a search it
-is raised, as an input error.
+``sensitivity_analysis`` takes its excursions as ``d`` and ``power_fluct``
+rows around the optimum, recording a failed one by name.  The rows of a
+sweep and of the excursions are each evaluated in one pass: one batched
+steady-state solve and one (rows, N) closed-form evaluation, in blocks that
+bound its temporaries.  A row's numbers equal those of the row evaluated
+alone, to the last bit.  An excursion forms only its peak EOF; the peak's
+omegas and the FWHM are formed for sweep rows alone, and an error name only
+for a row that failed.  A sweep row outside the parameter domain is
+recorded as a ``ParameterError`` row; in an analysis or a search it is
+raised, as an input error.
+
+``find_optimum_d_numeric`` solves the base alone.  Its rows are the ``d``
+rows at their designed root N = 2 alpha^2, where holding alpha and delta
+leaves every input of the closed form but g' = g + d at the base's: K
+offsets are one (K, N) closed-form block (``spectrum.offset_x``), checked
+for the errors the ``d`` rows would raise as one vector.  A row's objective
+is the EOF of its least x over continuous omega, refined in the grid cells
+next to its grid minimum; unlike the grid peak it is smooth in d.  A coarse
+scan checks unimodality, then refinement rounds of ``_ROUND_ROWS`` rows, one
+pass each, narrow the bracket to the two cells around the best row (of equal
+values the highest d) until it is ``tol_frac`` of its larger end wide.
 
 Peak statistics are measured on the EOF(omega) curve: every local maximum
-is refined parabolically and the peak is the largest vertex, in the search
-and the sweeps alike; ``peak_omegas`` collects every vertex within 1% of
-the peak, and the FWHM is the width at half the peak EOF.  The parabola
-assumes an evenly spaced grid, so an unevenly spaced ``omega_grid`` is
-rejected.
+is refined parabolically and the peak is the largest vertex, in the sweeps
+and the sensitivity analysis alike; ``peak_omegas`` collects every vertex
+within 1% of the peak, and the FWHM is the width at half the peak EOF.  The
+parabola assumes an evenly spaced grid, so an unevenly spaced
+``omega_grid`` is rejected.
 """
 
 from __future__ import annotations
@@ -45,10 +51,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import errors
-from .errors import BracketError, ParameterError, PhysicsError
+from .errors import (BracketError, DegenerateResponse, DomainError, ParameterError, PhysicsError,
+                     SignConventionViolated)
 from .langevin import MODELS, evaluate
 from .params import DriveSpec, PhysicalParams, gamma_m_from_q
-from .spectrum import closed_form_grid, closed_form_x, eof_array, optimum_d
+from .spectrum import closed_form_grid, closed_form_x, eof_array, offset_x, optimum_d
 from .steady_state import (DerivedParams, operating_point_params, solve_steady_state,
                            solve_steady_states)
 
@@ -70,6 +77,17 @@ _BLOCK_POINTS = 2**14
 
 # Local maxima within this fraction of the peak EOF are reported as peaks.
 _NEAR_PEAK = 0.01
+
+# Rows of each refinement round of find_optimum_d_numeric: a round narrows the
+# bracket to 2 of its _ROUND_ROWS - 1 cells.
+_ROUND_ROWS = 9
+
+# The continuous minimum of x(omega): _MIN_ROUNDS rounds of _MIN_POINTS
+# frequencies, each narrowing the cells around the best by (_MIN_POINTS - 1) / 2,
+# _MIN_OFFSETS their offsets in units of one cell.
+_MIN_POINTS = 33
+_MIN_ROUNDS = 3
+_MIN_OFFSETS = np.linspace(-1.0, 1.0, _MIN_POINTS)
 
 
 def default_omega_grid(gamma: float, points: int = DEFAULT_GRID_POINTS,
@@ -293,21 +311,6 @@ def _peaks(rows: list, omega: np.ndarray, model: str) -> list:
     return results
 
 
-def _search_peaks(rows: list, omega: np.ndarray) -> list[float]:
-    """The closed-form peak EOF of each row of a search; raises the first failed row's error.
-
-    A row out of the parameter domain (ParameterError) is raised before any
-    other, as building the rows raised it, and before anything is solved.
-    """
-    _raise_domain_error(rows)
-    peaks = []
-    for result in _peaks(rows, omega, "adiabatic"):
-        if isinstance(result, Exception):
-            raise result
-        peaks.append(_peak_value(result[3]))
-    return peaks
-
-
 def _raise_domain_error(rows: list) -> None:
     """Raise the first ParameterError among ``rows``, if any."""
     for row in rows:
@@ -456,22 +459,110 @@ def sensitivity_analysis(base: PhysicalParams, d_jitter: float,
                              degradation=degradation, cases=cases)
 
 
+def _offset_row_errors(base: PhysicalParams, base_derived: DerivedParams,
+                       d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Masks of the ``d`` rows at the offsets ``d`` that fail before they are evaluated.
+
+    The checks of :func:`operating_point_params` run over all offsets at once, in
+    its arithmetic: ``parameter`` marks a row whose building raises a
+    ParameterError (a non-finite d, or a laser 10 omega_m or more from the
+    cavity), ``building`` one whose building raises SignConventionViolated
+    (Delta_2' <= 0).  ``window`` marks a row built with Delta_1' >= 0, whose
+    designed root lies outside the window Delta_1' < 0 < Delta_2'.
+    """
+    shift = 2.0 * base.eta**2 * base.omega_m * (2.0 * base_derived.alpha**2)
+    d1p = -(base.omega_m + base_derived.delta + d)
+    d2p = base.omega_m + base_derived.delta - d
+    lasers = (base.omega_p + base.nu + (d1p - shift), base.omega_p - base.nu + (d2p - shift))
+    far = np.logical_or(*(np.abs(w - base.omega_p) >= 10.0 * base.omega_m for w in lasers))
+    finite = np.isfinite(d)
+    building = finite & (d2p <= 0)
+    parameter = ~finite | (far & ~building)
+    return parameter, building, (d1p >= 0) & ~building & ~parameter
+
+
+def _search_objective(base: PhysicalParams, base_derived: DerivedParams, d: np.ndarray,
+                      omega: np.ndarray) -> np.ndarray:
+    """The search's objective at the offsets ``d``: the EOF of each designed ``d`` row's
+    least x over continuous omega (:func:`offset_x`, :func:`_continuous_min`).
+
+    A failing row raises what its solved row raises.  A row outside the
+    parameter domain (ParameterError) is raised first, as an input error;
+    then the first failing row: one whose building fails, by
+    :func:`operating_point_params` on that row alone; a designed root outside
+    the window, in the words of the solve; a failed grid point, by the class
+    :func:`closed_form_grid` names there.
+    """
+    parameter, building, window = _offset_row_errors(base, base_derived, d)
+    if parameter.any():
+        _row_params("d", base, base_derived, float(d[np.argmax(parameter)]))
+    x, degenerate = offset_x(base_derived, d, omega)
+    failed = degenerate | (x <= 0)
+    bad = building | window | failed.any(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if building[k]:
+            _row_params("d", base, base_derived, float(d[k]))
+        if window[k]:
+            d1p = -(base.omega_m + base_derived.delta + d[k])
+            d2p = base.omega_m + base_derived.delta - d[k]
+            raise SignConventionViolated(
+                f"operating point requires Delta_1' < 0 < Delta_2'; got {d1p:.4e}, {d2p:.4e}")
+        i = int(np.argmax(failed[k]))
+        error = DegenerateResponse if degenerate[k, i] else DomainError
+        raise error(f"adiabatic output failed at omega = {omega[i]:.6e}")
+    return eof_array(_continuous_min(lambda w: offset_x(base_derived, d, w)[0], omega, x))
+
+
+def _continuous_min(x_at, omega: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per row of the (K, N) block ``x`` on the grid ``omega``: the least x(omega) over
+    continuous omega in the grid cells next to the row's grid minimum.
+
+    ``x_at`` evaluates the rows at a (K, M) block of frequencies.  Each of
+    ``_MIN_ROUNDS`` rounds evaluates ``_MIN_POINTS`` evenly spaced frequencies
+    across the two cells around each row's best point so far (clipped to the
+    grid's span) and keeps the best of them, so the cells narrow by
+    (``_MIN_POINTS`` - 1) / 2 per round.  The best point is among those
+    evaluated, so the result never exceeds the grid minimum.
+    """
+    rows = np.arange(x.shape[0])
+    best = np.argmin(x, axis=1)
+    center, least = omega[best], x[rows, best]
+    if len(omega) < 2:
+        return least
+    half = (omega[-1] - omega[0]) / (len(omega) - 1)
+    for _ in range(_MIN_ROUNDS):
+        w = np.clip(center[:, None] + half * _MIN_OFFSETS, omega[0], omega[-1])
+        values = x_at(w)
+        best = np.argmin(values, axis=1)
+        center, least = w[rows, best], np.minimum(least, values[rows, best])
+        half *= 2.0 / (_MIN_POINTS - 1)
+    return least
+
+
 def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, float],
                            omega_grid: np.ndarray | None = None,
                            tol_frac: float = 1e-4, scan_points: int = 33) -> float:
-    """Golden-section maximization of peak EOF over the offset d.
+    """Maximize over the offset d the EOF of the least EPR variance over frequency.
 
-    A coarse scan first checks unimodality on the bracket: its points are
-    the ``d`` sweep rows at ``scan_points`` evenly spaced offsets, evaluated
-    in one pass, and the first row that fails raises its error (a row
-    outside the parameter domain before any other).  A bracket whose scan
-    shows several separated local maxima raises :class:`BracketError` with
-    the scan attached.  The golden section then evaluates its two opening
-    points as one 2-row pass and each later point alone; every point is
-    evaluated for its peak EOF only.  A degenerate bracket returns its
-    single point.  ``tol_frac`` <= 0 or NaN, ``scan_points`` < 3 and an
-    empty or unevenly spaced ``omega_grid`` raise ValueError before
-    anything is solved.
+    The objective of an offset is the EOF of its ``d`` row's closed-form x at its
+    minimum over continuous omega (:func:`_continuous_min`), which, unlike the
+    grid peak, is smooth in d.  The rows are designed: held at their designed
+    root, they need no steady-state solve after the base's (:func:`offset_x`).
+    A coarse scan first checks unimodality on the bracket: its points are the
+    rows at ``scan_points`` evenly spaced offsets, evaluated in one pass, and
+    the first row that fails raises its error (a row outside the parameter
+    domain before any other).  A bracket whose scan shows several separated
+    local maxima raises :class:`BracketError` with the scan attached.  The
+    scan's best row and its two neighbours then bound the bracket, and each
+    refinement round evaluates ``_ROUND_ROWS`` evenly spaced rows across the
+    current bracket in one pass and keeps the two cells around the best.  Of
+    equal values the highest d is the best, so a flat objective moves the
+    bracket up.  The rounds stop once the bracket is at most
+    ``tol_frac * max(|lo|, |hi|)`` wide, or no float lies inside it, and the
+    search returns its midpoint.  A degenerate bracket returns its single
+    point.  ``tol_frac`` <= 0 or NaN, ``scan_points`` < 3 and an empty or
+    unevenly spaced ``omega_grid`` raise ValueError before anything is solved.
     """
     if not tol_frac > 0:
         raise ValueError(f"tol_frac must be > 0, got {tol_frac!r}")
@@ -485,11 +576,8 @@ def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, fl
         return lo
     base_derived = solve_steady_state(base)
 
-    def peaks(*dvals) -> list[float]:
-        return _search_peaks(_axis_rows("d", base, base_derived, dvals), omega)
-
     scan_d = np.linspace(lo, hi, scan_points)
-    scan_v = peaks(*scan_d)
+    scan_v = _search_objective(base, base_derived, scan_d, omega)
     interior_maxima = [i for i in range(1, scan_points - 1)
                        if scan_v[i] >= scan_v[i - 1] and scan_v[i] >= scan_v[i + 1]]
     if len(interior_maxima) > 1:
@@ -500,18 +588,16 @@ def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, fl
                 f"{[float(scan_d[i]) for i in interior_maxima]}"
             )
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    tol = tol_frac * max(abs(hi), abs(lo))
     a, b = lo, hi
-    c = b - invphi * (b - a)
-    e = a + invphi * (b - a)
-    fc, fe = peaks(c, e)
-    while (b - a) > tol_frac * max(abs(hi), abs(lo)):
-        if fc > fe:
-            b, e, fe = e, c, fc
-            c = b - invphi * (b - a)
-            fc, = peaks(c)
-        else:
-            a, c, fc = c, e, fe
-            e = a + invphi * (b - a)
-            fe, = peaks(e)
+    rows, values = scan_d, scan_v
+    while b - a > tol:
+        j = len(rows) - 1 - int(np.argmax(values[::-1]))   # the highest of equal values
+        bracket = float(rows[max(j - 1, 0)]), float(rows[min(j + 1, len(rows) - 1)])
+        if bracket == (a, b):   # no float left inside
+            break
+        a, b = bracket
+        if b - a > tol:
+            rows = np.linspace(a, b, _ROUND_ROWS)
+            values = _search_objective(base, base_derived, rows, omega)
     return 0.5 * (a + b)

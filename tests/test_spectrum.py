@@ -11,7 +11,8 @@ from hypothesis.extra import numpy as hnp
 import optoepr as oe
 from optoepr.errors import DomainError
 from optoepr.params import TWO_PI
-from optoepr.spectrum import Evaluation, closed_form_grid, closed_form_x, ent_metrics, eof_array
+from optoepr.spectrum import (Evaluation, closed_form_grid, closed_form_x, ent_metrics, eof_array,
+                              offset_x)
 from optoepr.steady_state import DerivedParams
 
 
@@ -141,6 +142,23 @@ class TestClosedFormRows:
             x, failed = closed_form_x(derived, omegas)
             assert np.array_equal(failed, expected.failed)
             assert np.array_equal(x[~failed], expected.x[~failed])
+
+
+    def test_offset_rows_as_the_moved_rows(self, paper_derived):
+        # an offset moves d and g' = g + d alone; g' = 0 = gamma^2/4 - g^2 degenerates at omega = 0
+        omegas = np.array([0.0, 1.0, -1.0, 3e5, -2e7, 4e7])
+        for derived, d in ((paper_derived, [1e5, 1.2e6, -3e5]),
+                           (make_derived(g=2.0, gamma=4.0, gamma_m_tilde=0.0, n_m=0.0), [1.0, -2.0])):
+            moved = [replace(derived, d=dk, g_prime=derived.g + dk) for dk in d]
+            x, degenerate = offset_x(derived, d, omegas)
+            assert np.array_equal(x, closed_form_x(moved, omegas)[0], equal_nan=True)
+            assert np.array_equal(degenerate,
+                                  closed_form_grid(moved, omegas).error == "DegenerateResponse")
+            per_row = np.vstack([omegas * (k + 1) for k in range(len(d))])
+            x, _ = offset_x(derived, d, per_row)
+            for k, row in enumerate(moved):
+                assert np.array_equal(x[k], closed_form_x(row, per_row[k])[0], equal_nan=True)
+        assert degenerate.tolist() == [[False] * 6, [True] + [False] * 5]
 
 
 class TestClosedFormCovariance:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import optoepr as oe
 from optoepr import sweeps
-from optoepr.spectrum import eof_array
+from optoepr.spectrum import closed_form_grid, eof_array, offset_x
 from optoepr.sweeps import PeakStats, SweepSpec, _parabolic_refine, peak_statistics, run_sweep
 
 
@@ -270,6 +270,87 @@ def spy_peaks(monkeypatch):
     return calls
 
 
+# Configs of the `opsearch` pool (perfbench) written out: a moderate one, and two
+# strong drives whose grid-peak objective showed separated maxima on the 33-point
+# scan, so that the search raised BracketError.
+MODERATE_CONFIG = ("defaults: paper\ntarget_alpha = 611.9592110650846\n"
+                   "target_delta_hz = 27098745.985448983\ntarget_d_over_gamma = 0.24833265076341998\n"
+                   "temperature_k = 62.35446312365716\nq_factor = 64893.719388428224\n")
+STRONG_CONFIGS = {
+    "alpha_11015": ("defaults: paper\ntarget_alpha = 11014.541807496174\n"
+                    "target_delta_hz = 7210599.971802066\ntarget_d_over_gamma = 0.15642596201563333\n"
+                    "temperature_k = 48.85455373626206\nq_factor = 4456.571267524191\n"),
+    "alpha_9136": ("defaults: paper\ntarget_alpha = 9136.412218260257\n"
+                   "target_delta_hz = 2243026.7940301253\ntarget_d_over_gamma = 0.26871118252803156\n"
+                   "temperature_k = 32.847275296907284\nq_factor = 132733.75452892095\n"),
+}
+
+
+def search_setup(config):
+    """Params, base steady state, the benchmark's bracket (d_o / 4 to 4 d_o, capped at
+    gamma / 2) and 401-point grid of a config."""
+    params = oe.parse_config(config).params
+    derived = oe.solve_steady_state(params)
+    d_o = oe.optimum_d(derived).d_o
+    return (params, derived, (0.25 * d_o, min(4.0 * d_o, 0.5 * params.gamma)),
+            oe.default_omega_grid(params.gamma, 401))
+
+
+def spy_objective(monkeypatch):
+    """Record the offsets of every pass of the d-search's objective."""
+    passes = []
+    objective = sweeps._search_objective
+
+    def spy(base, base_derived, d, omega):
+        passes.append(np.array(d))
+        return objective(base, base_derived, d, omega)
+    monkeypatch.setattr(sweeps, "_search_objective", spy)
+    return passes
+
+
+def continuous_min(derived, d, omega):
+    """The designed rows' x at the offsets ``d`` on the grid and their continuous minima."""
+    x, _ = offset_x(derived, d, omega)
+    return x, sweeps._continuous_min(lambda w: offset_x(derived, d, w)[0], omega, x)
+
+
+def assert_designed_rows(params, derived, d, omega):
+    """Each designed row at the offsets ``d`` is its solved ``d`` row, and its continuous
+    minimum is the least x over the cells next to its grid minimum.
+
+    The solved row realizes its offset only to about 1e-7 relative (the laser
+    frequencies carry eps omega_p), which moves x by up to about 2e-7 near the
+    optimum; so the designed row is compared at the solved row's realized offset,
+    where its x matches the solved row's closed form to 1e-8 relative.  The
+    continuous minimum is at most the grid minimum, and agrees with the minimum on
+    a 100x finer grid over the same cells: no worse than it by more than rounding
+    (4 ulp of n), and better by at most what that finer grid can miss, its
+    curvature times (spacing / 2)^2 / 2.
+    """
+    x, least = continuous_min(derived, d, omega)
+    rounding = []
+    for dk in d.tolist():
+        solved = oe.solve_steady_state(sweeps._row_params("d", params, derived, dk))
+        assert abs(solved.d - dk) <= 1e-6 * abs(dk)
+        named = closed_form_grid(solved, omega)
+        assert not named.failed.any()
+        designed, _ = offset_x(derived, [solved.d], omega)
+        assert np.max(np.abs(designed[0] - named.x) / named.x) <= 1e-8
+        rounding.append(4.0 * np.spacing(named.n[np.argmin(named.x)]))
+    assert np.all(least <= x.min(axis=1))
+
+    rows = np.arange(len(d))
+    i = np.argmin(x, axis=1)
+    left, right = omega[np.maximum(i - 1, 0)], omega[np.minimum(i + 1, len(omega) - 1)]
+    step = (right - left) / 200
+    fine = offset_x(derived, d, left[:, None] + step[:, None] * np.arange(201))[0]
+    j = np.clip(np.argmin(fine, axis=1), 1, 199)
+    curvature = (fine[rows, j - 1] - 2.0 * fine[rows, j] + fine[rows, j + 1]) / step**2
+    fine_min = fine.min(axis=1)
+    assert np.all(least <= fine_min + rounding)
+    assert np.all(fine_min - least <= curvature * step**2 / 8.0 + rounding)
+
+
 class TestBatchedPeaks:
     """The batched pass gives each row exactly what the row evaluated alone gives."""
 
@@ -302,17 +383,16 @@ class TestBatchedPeaks:
                             omega_grid=omega_grid))
         assert calls == [3]   # the three rows in one block, none refined again for its stats
 
-    @pytest.mark.parametrize("points", [401, 2001])   # one block of 33 rows; five of <= 8
+    @pytest.mark.parametrize("points", [401, 2001])
     def test_optimum_scan_equals_single_peaks(self, paper_params, paper_derived, points,
                                               monkeypatch):
+        # the search's scan rows are designed, not solved: each is its solved d row
         omega = oe.default_omega_grid(paper_params.gamma, points)
         d_o = oe.optimum_d(paper_derived).d_o
-        calls = spy_peaks(monkeypatch)
+        passes = spy_objective(monkeypatch)
         oe.find_optimum_d_numeric(paper_params, (0.3 * d_o, 3.0 * d_o), omega_grid=omega)
-        rows, scan = calls[0]
-        assert len(scan) == 33
-        for row, result in zip(rows, scan):
-            assert result[3] == alone(row, omega)[3]
+        assert len(passes[0]) == 33
+        assert_designed_rows(paper_params, paper_derived, passes[0], omega)
 
     def test_failing_scan_row_raises_as_the_sequential_scan(self, paper_params, paper_derived,
                                                             omega_grid):
@@ -360,18 +440,16 @@ class TestBatchedPeaks:
 
 
 class TestSearchRows:
-    """Every row of the d-search and of the sensitivity analysis is the row's full evaluation."""
+    """Every row of the d-search is its solved row, designed, and every row of the sensitivity
+    analysis is the row's full evaluation."""
 
-    def test_scan_and_golden_rows_as_their_full_curves(self, paper_params, paper_derived,
-                                                       omega_grid, monkeypatch):
-        d_o = oe.optimum_d(paper_derived).d_o
-        calls = spy_peaks(monkeypatch)
-        oe.find_optimum_d_numeric(paper_params, (0.3 * d_o, 3.0 * d_o), omega_grid=omega_grid)
-        assert len(calls) > 3
-        for _, results in calls:
-            for result in results:
-                assert not isinstance(result, Exception)
-                assert_as_reference(result, omega_grid)
+    def test_scan_and_round_rows_as_their_solved_rows(self, monkeypatch):
+        params, derived, bracket, omega = search_setup(MODERATE_CONFIG)
+        passes = spy_objective(monkeypatch)
+        oe.find_optimum_d_numeric(params, bracket, omega_grid=omega)
+        assert len(passes) > 3
+        for d in passes:
+            assert_designed_rows(params, derived, d, omega)
 
     @pytest.mark.parametrize("target_alpha", [1000, 2000])   # 2000: power cases fail
     def test_sensitivity_rows_as_their_full_curves(self, target_alpha, omega_grid, monkeypatch):
@@ -390,30 +468,36 @@ class TestSearchRows:
                     assert_as_reference(result, omega_grid)
         assert sum(isinstance(r, Exception) for r in results) == (2 if target_alpha == 2000 else 0)
 
-    def test_search_solves_scan_then_one_row_per_step(self, paper_params, paper_derived,
-                                                      omega_grid, monkeypatch):
+    def test_search_solves_the_base_then_one_pass_per_round(self, paper_params, paper_derived,
+                                                            omega_grid, monkeypatch):
         d_o = oe.optimum_d(paper_derived).d_o
         lo, hi = 0.3 * d_o, 3.0 * d_o
-        batches, single = [], []
-        solve_rows, solve = sweeps.solve_steady_states, sweeps.solve_steady_state
-
-        def counting_rows(rows):
-            batches.append(len(rows))
-            return solve_rows(rows)
+        single, built = [], []
+        solve, build = sweeps.solve_steady_state, sweeps.operating_point_params
 
         def counting(params):
             single.append(params)
             return solve(params)
-        monkeypatch.setattr(sweeps, "solve_steady_states", counting_rows)
+
+        def counting_built(*args):
+            built.append(args)
+            return build(*args)
+
+        def no_rows(rows):
+            raise AssertionError("the search solved a row")
         monkeypatch.setattr(sweeps, "solve_steady_state", counting)
+        monkeypatch.setattr(sweeps, "solve_steady_states", no_rows)
+        monkeypatch.setattr(sweeps, "operating_point_params", counting_built)
+        passes = spy_objective(monkeypatch)
         oe.find_optimum_d_numeric(paper_params, (lo, hi), omega_grid=omega_grid,
                                   tol_frac=1e-4, scan_points=17)
-        steps = len(batches) - 2
-        assert single == [paper_params]
-        assert batches == [17, 2] + [1] * steps
-        # each step shrinks the bracket by 1/phi down to tol_frac of its larger end
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        assert abs(steps - math.log(1e-4 * hi / (hi - lo)) / math.log(invphi)) <= 1
+        assert single == [paper_params] and built == []
+        rounds = len(passes) - 1
+        assert [len(d) for d in passes] == [17] + [sweeps._ROUND_ROWS] * rounds
+        # the scan keeps 2 of its 16 cells, each round 2 of its _ROUND_ROWS - 1, until
+        # the bracket is at most tol_frac of its larger end
+        kept = math.log(1e-4 * hi / (2.0 * (hi - lo) / 16.0)) / math.log(2.0 / (sweeps._ROUND_ROWS - 1))
+        assert kept % 1.0 > 0.01 and rounds == math.ceil(kept)
 
 
 class TestFindOptimumD:
@@ -472,6 +556,79 @@ class TestFindOptimumD:
         bracket = (-20.0 * paper_params.omega_m, 1e6)
         with pytest.raises(oe.ParameterError):
             oe.find_optimum_d_numeric(paper_params, bracket)
+
+
+    def test_separated_scan_maxima_raise(self, paper_params, monkeypatch):
+        # two humps, at d = 1.25e6 and 1.75e6, on the 33-point scan of (1e6, 2e6)
+        monkeypatch.setattr(sweeps, "_search_objective", lambda base, derived, d, omega:
+                            -np.minimum(np.abs(d - 1.25e6), np.abs(d - 1.75e6)))
+        with pytest.raises(oe.BracketError, match=r"scan maxima at d = \[1250000\.0, 1750000\.0\]"):
+            oe.find_optimum_d_numeric(paper_params, (1e6, 2e6))
+
+    def test_flat_objective_moves_the_bracket_up(self, paper_params, monkeypatch):
+        # on equal values the highest offset is the best, so a flat objective ends at hi
+        monkeypatch.setattr(sweeps, "_search_objective",
+                            lambda base, derived, d, omega: np.zeros(len(d)))
+        lo, hi = 1e6, 2e6
+        d_star = oe.find_optimum_d_numeric(paper_params, (lo, hi))
+        assert hi - 1e-4 * hi <= d_star <= hi
+
+    def test_search_ends_when_no_float_is_left_in_the_bracket(self, paper_params,
+                                                              paper_derived):
+        d_o = oe.optimum_d(paper_derived).d_o
+        d_star = oe.find_optimum_d_numeric(paper_params, (0.3 * d_o, 3.0 * d_o),
+                                           omega_grid=oe.default_omega_grid(paper_params.gamma, 201),
+                                           tol_frac=1e-300)
+        assert abs(d_star - d_o) / d_o < 0.05
+
+    @pytest.mark.parametrize("name", sorted(STRONG_CONFIGS))
+    def test_strong_drive_optimum_is_the_best_of_a_dense_scan(self, name):
+        # the continuous-minimum objective has one maximum on the scan where the grid
+        # peak had several; x is quantized at ulp(n) there, so d* itself is not pinned
+        params, derived, (lo, hi), omega = search_setup(STRONG_CONFIGS[name])
+        d_star = oe.find_optimum_d_numeric(params, (lo, hi), omega_grid=omega)
+        assert lo <= d_star <= hi
+        dense = np.linspace(lo, hi, 2001)
+        _, least = continuous_min(derived, dense, omega)
+        _, found = continuous_min(derived, np.array([d_star]), omega)
+        best = dense[np.argmin(least)]
+        solved = closed_form_grid(
+            oe.solve_steady_state(sweeps._row_params("d", params, derived, float(best))), omega)
+        floor = 4.0 * np.spacing(solved.n[np.argmin(solved.x)])
+        assert eof_array(found)[0] >= eof_array(least.min() + floor)
+
+    def test_offset_rows_fail_as_their_building(self, paper_params, paper_derived):
+        # the vector checks decide each row as operating_point_params and the solve do
+        edges = [paper_params.omega_m + paper_derived.delta, -(paper_params.omega_m + paper_derived.delta)]
+        shift = 2.0 * paper_params.eta**2 * paper_params.omega_m * (2.0 * paper_derived.alpha**2)
+        for sign in (1.0, -1.0):   # the offsets that put a laser 10 omega_m from the cavity
+            for nu in (paper_params.nu, -paper_params.nu):
+                edges.append(sign * (10.0 * paper_params.omega_m - nu) - paper_params.omega_m
+                             - paper_derived.delta - shift)
+                edges.append(-sign * (10.0 * paper_params.omega_m - nu) + paper_params.omega_m
+                             + paper_derived.delta - shift)
+        d = np.array([math.nan, math.inf, -math.inf]
+                     + [np.nextafter(e, direction) for e in edges for direction in (-math.inf, math.inf)]
+                     + edges + [edge * f for edge in edges for f in (0.99, 1.01)])
+        parameter, building, window = sweeps._offset_row_errors(paper_params, paper_derived, d)
+        assert parameter.any() and building.any() and window.any()
+        for k, dk in enumerate(d.tolist()):
+            try:
+                sweeps._row_params("d", paper_params, paper_derived, dk)
+                raised = None
+            except (oe.ParameterError, oe.PhysicsError) as exc:
+                raised = type(exc)
+            assert parameter[k] == (raised is oe.ParameterError), dk
+            assert building[k] == (raised is oe.SignConventionViolated), dk
+            d1p = -(paper_params.omega_m + paper_derived.delta + dk)
+            assert window[k] == (raised is None and d1p >= 0), dk
+
+    def test_designed_root_outside_the_window_raised(self, paper_params, paper_derived,
+                                                      omega_grid):
+        edge = -(paper_params.omega_m + paper_derived.delta)
+        with pytest.raises(oe.SignConventionViolated, match="Delta_1' < 0 < Delta_2'"):
+            oe.find_optimum_d_numeric(paper_params, (1.1 * edge, 0.9 * edge),
+                                      omega_grid=omega_grid)
 
 
 class TestSensitivityAnalysis:
