@@ -196,6 +196,8 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
     if not models or set(models) - set(MODELS):
         raise ConfigError(f"--models {args.models!r}: expected a comma-separated list "
                           f"from {', '.join(MODELS)}")
+    if len(set(models)) != len(models):
+        raise ConfigError(f"--models {args.models!r}: each model may be listed once")
     params = _maybe_retune(cfg.params, args)
     derived = solve_steady_state(params)
     grid = _grid(args, params.gamma)

@@ -47,11 +47,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NonConvergent, NotSymmetricState, SingularDrift
-from .spectrum import Evaluation, StandardForm, closed_form_grid, eof_array, squeezing_db
+from .spectrum import Evaluation, StandardForm, closed_form_grid, metric_columns
 from .steady_state import DerivedParams
 
 _MIRROR_PERM = np.array([1, 0, 3, 2, 5, 4])
@@ -407,20 +410,30 @@ def standard_form_reduce(V: Covariance4, residual_tol: float = _SYMMETRY_RTOL) -
     return StandardForm(n=n, k_x=k_x, k_p=k_p, residual=residual)
 
 
+def _one_d_grid(omega_grid) -> np.ndarray:
+    """``omega_grid`` as a float array; raises ValueError unless it is 1-D."""
+    omegas = np.asarray(omega_grid, dtype=float)
+    if omegas.ndim != 1:
+        raise ValueError(f"frequency grid must be 1-D, got shape {omegas.shape}")
+    return omegas
+
+
 def evaluate(derived: DerivedParams, omegas, model: str) -> Evaluation:
     """n, k_x and n - k_x of one model over a frequency grid, in one batched pass.
 
     ``model`` is one of :data:`MODELS` (``adiabatic`` is the closed form).
     Failed points are flagged by name: ``NotSymmetricState`` where an exact
     model's diagonal blocks deviate from n*I by more than 5% of n,
-    ``DomainError`` where n - k_x <= 0.  Raises ValueError for an unknown
-    model and SingularDrift if a drift is singular anywhere on the grid.
+    ``DomainError`` where n - k_x <= 0.  The closed form takes a grid of any
+    shape, the exact models a 1-D one.  Raises ValueError for an unknown model
+    or an exact model's grid that is not 1-D, and SingularDrift if a drift is
+    singular anywhere on the grid.
     """
     if model == "adiabatic":
         return closed_form_grid(derived, omegas)
     if model not in _GENERATORS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
-    V = _covariances(_response_maps(derived, omegas, model), derived.n_m)
+    V = _covariances(_response_maps(derived, _one_d_grid(omegas), model), derived.n_m)
     n, k_x, _, residual = _reduce(V)
     return Evaluation.from_standard_form(n, k_x, residual > _SYMMETRY_RTOL * np.abs(n),
                                          "NotSymmetricState")
@@ -476,16 +489,18 @@ def intracavity_occupation(derived: DerivedParams, rel_tol: float = 5e-3,
     )
 
 
-@dataclass(frozen=True)
-class ModelPoint:
+class ModelPoint(NamedTuple):
+    """One model's metrics at one frequency, or, if the point failed, the failure's name."""
+
     epr_variance: float | None
     S_db: float | None
     eof: float | None
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
+    """Every model's :class:`ModelPoint` at one frequency and the finite deviations there."""
+
     omega: float
     values: dict[str, ModelPoint]
     deviations: dict[str, float]
@@ -511,29 +526,56 @@ def model_deviations(evals: dict[str, Evaluation], models: tuple[str, ...]
     return devs, worst
 
 
+def _records(cls, fields) -> list:
+    """``cls`` records, a NamedTuple's, from an iterable of complete field tuples.
+
+    ``tuple.__new__`` builds each one in C, with no Python call per record.
+    """
+    return list(map(partial(tuple.__new__, cls), fields))
+
+
 def compare_models(derived: DerivedParams, omega_grid,
                    models: tuple[str, ...] = ("adiabatic", "rwa3", "full6")) -> ComparisonReport:
     """Cross-validate the closed-form model against the exact solvers.
 
     The first model in ``models`` is the deviation baseline.  ``adiabatic``
     is the closed form from :mod:`optoepr.spectrum`; ``adiabatic_response`` (the eliminated
-    model assembled exactly) is also accepted.  Per-point failures are
-    recorded in-row and excluded from the deviation summary.
+    model assembled exactly) is also accepted.  Each model is evaluated once
+    over the whole 1-D grid (:func:`evaluate`), its metrics are formed as
+    :func:`~optoepr.spectrum.metric_columns` and the deviations as
+    :func:`model_deviations`.  The report holds one :class:`ComparisonRow` per
+    grid point: its ``values`` map each model to a :class:`ModelPoint`, which
+    names the failure of a failed point in place of its metrics, and its
+    ``deviations`` map each non-baseline model to its relative deviation there,
+    left out where either model failed.  Failed points are also left out of
+    ``max_deviation``.
+
+    Raises ValueError for an unknown model, and for no model, a repeated
+    model or a grid that is not 1-D before any model is evaluated.
     """
     if not models:
         raise ValueError("at least one model required")
-    omegas = np.asarray(omega_grid, dtype=float)
+    if len(set(models)) != len(models):
+        raise ValueError(f"each model may be compared once; got {models}")
+    omegas = _one_d_grid(omega_grid)
     evals = {m: evaluate(derived, omegas, m) for m in models}
     devs, worst = model_deviations(evals, models)
-    points = {}
-    for m, ev in evals.items():
-        points[m] = [ModelPoint(None, None, None, error=err) if err
-                     else ModelPoint(x, squeezing_db(x), e)
-                     for x, e, err in zip(ev.x.tolist(), eof_array(ev.x).tolist(), ev.error)]
-    names = list(devs)
-    dev_rows = zip(*(devs[m].tolist() for m in names)) if names else [()] * len(omegas)
-    rows = [ComparisonRow(omega=omega, values=dict(zip(models, values)),
-                          deviations={m: d for m, d in zip(names, ds) if not math.isnan(d)})
-            for omega, values, ds in zip(omegas.tolist(), zip(*(points[m] for m in models)),
-                                         dev_rows)]
+    points = []
+    for ev in evals.values():
+        cols = metric_columns(ev.x)
+        column = _records(ModelPoint, zip(cols["epr_variance"], cols["S_db"], cols["eof"],
+                                          repeat(None)))
+        failures = _records(ModelPoint, zip(repeat(None), repeat(None), repeat(None),
+                                            ev.error[ev.failed].tolist()))
+        for i, point in zip(ev.failed.nonzero()[0].tolist(), failures):
+            column[i] = point
+        points.append(column)
+    names = models[1:]
+    # (point, model) deviations; (N, 0) for one model, whose rows get empty dicts
+    block = np.array([devs[m] for m in names]).reshape(len(names), len(omegas)).T
+    deviations = list(map(dict, map(zip, repeat(names), block.tolist())))
+    for i, k in zip(*(a.tolist() for a in np.isnan(block).nonzero())):
+        del deviations[i][names[k]]
+    values = map(dict, map(zip, repeat(models), zip(*points)))
+    rows = _records(ComparisonRow, zip(omegas.tolist(), values, deviations))
     return ComparisonReport(rows=rows, max_deviation=worst, baseline=models[0])

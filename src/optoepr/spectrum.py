@@ -246,14 +246,18 @@ def metric_columns(x: np.ndarray) -> dict[str, list[float]]:
     """epr_variance, S_db, eof and log_negativity of each EPR variance in ``x``.
 
     NaN entries (failed points) stay NaN.  S_db and log_negativity take their
-    logarithms from :mod:`math`, as :func:`ent_metrics` does, to the last digit.
+    logarithms from :mod:`math`, as :func:`squeezing_db` and :func:`_log_negativity`
+    do, to the last bit (numpy's ``log10`` and ``log2`` are not correctly rounded).
+    Raises DomainError at the first x <= 0, as :func:`squeezing_db` would.
     """
-    xs = np.asarray(x, dtype=float).tolist()
+    x = np.asarray(x, dtype=float)
+    eofs = eof_array(x).tolist()   # checks x <= 0 before math.log10 could see it
+    xs = x.tolist()
     return {
         "epr_variance": xs,
-        "S_db": [squeezing_db(v) for v in xs],
-        "eof": eof_array(x).tolist(),
-        "log_negativity": [_log_negativity(v) for v in xs],
+        "S_db": [-10.0 * v for v in map(math.log10, xs)],
+        "eof": eofs,
+        "log_negativity": [0.0 if v >= 1.0 else -lg for v, lg in zip(xs, map(math.log2, xs))],
     }
 
 

@@ -178,6 +178,12 @@ drive_omega2_rads = 1e12
         assert code == 2
         assert "configuration error" in err and "bogus" in err
 
+    def test_repeated_verify_model_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--models", "rwa3,rwa3", "--omega-points", "5")
+        assert code == 2
+        assert "configuration error" in err and "once" in err
+        assert out == ""
+
     def test_empty_verify_models_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--models", ",", "--omega-points", "5")
         assert code == 2

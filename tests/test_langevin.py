@@ -668,3 +668,127 @@ class TestBatchedKernel:
             assert list(oe.evaluate(unequal, grid, model).error) == ["DomainError"] * len(grid)
             assert list(oe.evaluate(degenerate, [0.0, 1.0, -1.0], model).error) == [
                 "DegenerateResponse", "", ""]
+
+
+# A config of the `oracle_grid` pool (perfbench) written out: on its 201-point
+# default grid rwa3 and full6 fail 94 points as NotSymmetricState.
+ORACLE_CONFIG = ("defaults: paper\ntarget_alpha = 807.4552652242064\n"
+                 "target_delta_hz = 25757671.221442174\ntarget_d_over_gamma = 0.1883510661743733\n"
+                 "temperature_k = 305.8818424941077\nq_factor = 57623.23031183088\n")
+
+
+def bits(value):
+    """``value`` with every float as its hex form and every dict as its item list, so
+    that == compares floats to the bit and dicts in order."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return [(k, bits(v)) for k, v in value.items()]
+    if isinstance(value, (tuple, list)):
+        return [bits(v) for v in value]
+    return value
+
+
+class TestComparisonRecords:
+    """compare_models' records, against the same records assembled point by point."""
+
+    MODELS = TestBatchedKernel.MODELS
+
+    @pytest.fixture(scope="class", params=["paper", "oracle_pool"])
+    def case(self, request, paper_params, paper_derived):
+        if request.param == "paper":
+            params, derived = paper_params, paper_derived
+        else:
+            params = oe.parse_config(ORACLE_CONFIG).params
+            derived = oe.solve_steady_state(params)
+        grid = oe.default_omega_grid(params.gamma, 201)
+        return derived, grid, oe.compare_models(derived, grid, models=self.MODELS)
+
+    def test_points_as_their_assembly(self, case):
+        derived, grid, report = case
+        evals = {m: oe.evaluate(derived, grid, m) for m in self.MODELS}
+        failures = 0
+        for model, ev in evals.items():
+            cols = metric_columns(ev.x)
+            for i, row in enumerate(report.rows):
+                point = row.values[model]
+                assert type(point) is langevin.ModelPoint
+                if ev.failed[i]:
+                    expected = (None, None, None, ev.error[i])
+                    failures += ev.error[i] == "NotSymmetricState"
+                else:
+                    expected = (cols["epr_variance"][i], cols["S_db"][i], cols["eof"][i], None)
+                assert bits(point) == bits(expected)
+        assert failures > 0
+        assert [type(row) for row in report.rows] == [langevin.ComparisonRow] * len(grid)
+        assert bits([row.omega for row in report.rows]) == bits(grid.tolist())
+        assert [list(row.values) for row in report.rows] == [list(self.MODELS)] * len(grid)
+
+    def test_deviations_hold_exactly_the_finite_entries(self, case):
+        derived, grid, report = case
+        evals = {m: oe.evaluate(derived, grid, m) for m in self.MODELS}
+        devs, worst = langevin.model_deviations(evals, self.MODELS)
+        dropped = 0
+        for i, row in enumerate(report.rows):
+            finite = {m: float(devs[m][i]) for m in self.MODELS[1:] if np.isfinite(devs[m][i])}
+            dropped += len(self.MODELS) - 1 - len(finite)
+            assert bits(row.deviations) == bits(finite)
+        assert (dropped > 0) == any(ev.failed.any() for ev in evals.values())
+        assert bits(report.max_deviation) == bits(worst)
+        assert report.baseline == self.MODELS[0]
+
+    def test_records_are_immutable_tuples(self, case):
+        _, _, report = case
+        row = report.rows[0]
+        point = row.values["rwa3"]
+        with pytest.raises(AttributeError):
+            point.eof = 1.0
+        with pytest.raises(AttributeError):
+            row.omega = 1.0
+        x, s_db, eof, error = point
+        assert point == (x, s_db, eof, error)
+        assert langevin.ModelPoint(None, None, None, error="NotSymmetricState") == \
+            (None, None, None, "NotSymmetricState")
+
+
+class TestCompareModelsArguments:
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        """The models compare_models evaluates."""
+        calls = []
+        evaluate = langevin.evaluate
+
+        def spy(derived, omegas, model):
+            calls.append(model)
+            return evaluate(derived, omegas, model)
+
+        monkeypatch.setattr(langevin, "evaluate", spy)
+        return calls
+
+    def test_repeated_model_rejected(self, paper_derived, evaluated):
+        with pytest.raises(ValueError, match="once"):
+            oe.compare_models(paper_derived, [0.0], models=("rwa3", "rwa3"))
+        with pytest.raises(ValueError, match="once"):
+            oe.compare_models(paper_derived, [0.0], models=("adiabatic", "rwa3", "adiabatic"))
+        assert evaluated == []
+
+    @pytest.mark.parametrize("grid", [0.0, [[0.0, 1e6]], np.zeros((2, 3))],
+                             ids=["scalar", "row", "2d"])
+    def test_grid_not_1d_rejected_before_any_model(self, grid, paper_derived, evaluated):
+        with pytest.raises(ValueError, match="1-D"):
+            oe.compare_models(paper_derived, grid, models=("adiabatic", "rwa3"))
+        assert evaluated == []
+
+    @pytest.mark.parametrize("model", ["adiabatic_response", "rwa3", "full6"])
+    def test_exact_models_reject_a_grid_not_1d(self, model, paper_derived):
+        for grid in (0.0, np.zeros((2, 3))):
+            with pytest.raises(ValueError, match="1-D"):
+                oe.evaluate(paper_derived, grid, model)
+
+    def test_closed_form_takes_any_shape(self, paper_derived):
+        grid = np.linspace(-1e6, 1e6, 6)
+        flat = oe.evaluate(paper_derived, grid, "adiabatic")
+        block = oe.evaluate(paper_derived, grid.reshape(2, 3), "adiabatic")
+        assert np.array_equal(block.x, flat.x.reshape(2, 3))
+        point = oe.evaluate(paper_derived, 0.0, "adiabatic")
+        assert point.x.shape == () and point.x == oe.evaluate(paper_derived, [0.0], "adiabatic").x[0]

@@ -11,8 +11,8 @@ from hypothesis.extra import numpy as hnp
 import optoepr as oe
 from optoepr.errors import DomainError
 from optoepr.params import TWO_PI
-from optoepr.spectrum import (Evaluation, closed_form_grid, closed_form_x, ent_metrics, eof_array,
-                              offset_x)
+from optoepr.spectrum import (Evaluation, _log_negativity, closed_form_grid, closed_form_x,
+                              ent_metrics, eof_array, metric_columns, offset_x)
 from optoepr.steady_state import DerivedParams
 
 
@@ -280,6 +280,28 @@ class TestSqueezing:
     def test_domain_error(self):
         with pytest.raises(oe.DomainError):
             oe.squeezing_db(0.0)
+
+
+class TestMetricColumns:
+    def test_columns_as_the_per_element_functions_to_the_bit(self):
+        rng = np.random.default_rng(7)
+        x = np.concatenate([np.exp(rng.uniform(-30.0, 5.0, 199_997)),
+                            [math.nan, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]])
+        rng.shuffle(x)
+        xs = x.tolist()
+        cols = metric_columns(x)
+        expected = {"epr_variance": x, "S_db": np.array([oe.squeezing_db(v) for v in xs]),
+                    "log_negativity": np.array([_log_negativity(v) for v in xs])}
+        for name, column in expected.items():
+            assert np.array_equal(np.array(cols[name]).view(np.uint64), column.view(np.uint64))
+        assert np.array_equal(np.array(cols["eof"]), eof_array(x), equal_nan=True)
+
+    def test_domain_error_as_the_scalar_one(self):
+        with pytest.raises(DomainError) as scalar:
+            oe.squeezing_db(-2.0)
+        with pytest.raises(DomainError) as column:
+            metric_columns(np.array([0.5, math.nan, -2.0, 0.0]))
+        assert str(column.value) == str(scalar.value)
 
 
 class TestMetricConsistency:
