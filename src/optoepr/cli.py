@@ -84,7 +84,7 @@ def _load_config(args) -> RunConfig:
 def _grid(args, gamma: float) -> np.ndarray:
     lo = -2.0 * gamma if args.omega_min is None else args.omega_min
     hi = 2.0 * gamma if args.omega_max is None else args.omega_max
-    if args.omega_points < 1 or hi < lo:
+    if args.omega_points < 1 or not np.isfinite([lo, hi]).all() or hi < lo:
         raise ConfigError("invalid omega grid")
     return np.linspace(lo, hi, args.omega_points)
 

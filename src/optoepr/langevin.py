@@ -37,10 +37,15 @@ xi = (X1, P1, X2, P2): Hermitian cross-spectra are reduced to their real
 (frequency-even) part, the standard real covariance convention for
 stationary fields.  The two ordered densities <o(w) o(-w)> and
 <o(-w) o(w)> fold into one symmetric density, so each covariance is formed
-from 8 weighted Gram entries of the map at +w (:func:`_covariances`).  Its
-cross block [[a, b], [c, d]] reduces to Simon's standard form
-diag(k_x, k_p) in closed form, k_x = (hypot(a + d, b - c) +
-hypot(a - d, b + c)) / 2 and k_p = (ad - bc) / k_x (:func:`_reduce`).
+from 8 weighted Gram entries of the map at +w.  They give its blocks
+directly (:func:`_covariance_blocks`): diagonal blocks n1 I and n2 I, cross
+block [[a, b], [b, -a]].  :func:`evaluate` reduces those four numbers per
+point in closed form, n = (n1 + n2) / 2 and k_x = hypot(a, b) in exact
+arithmetic, and never lays out a 4x4 matrix; only
+:func:`assemble_covariance` does.  A general cross block [[a, b], [c, d]]
+reduces to Simon's standard form diag(k_x, k_p) by
+k_x = (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2 and
+k_p = (ad - bc) / k_x (:func:`_reduce`).
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonConvergent, NotSymmetricState, SingularDrift
-from .spectrum import Evaluation, StandardForm, closed_form_grid, metric_columns
+from .spectrum import Evaluation, StandardForm, closed_form_grid, epr_columns
 from .steady_state import DerivedParams
 
 _MIRROR_PERM = np.array([1, 0, 3, 2, 5, 4])
@@ -320,8 +325,10 @@ def _masked_density(T_plus: np.ndarray, T_minus: np.ndarray, C: np.ndarray) -> n
     return np.where(_PAIRED, T_plus @ C @ _swap(T_minus), 0.0)
 
 
-def _covariances(T_plus: np.ndarray, n_m: float) -> np.ndarray:
-    """Symmetrized quadrature covariances (..., 4, 4) of response maps (..., 4, 6).
+def _covariance_blocks(T_plus: np.ndarray, n_m: float):
+    """Blocks (n1, n2, a, b) of the symmetrized quadrature covariances of response maps
+    (..., 4, 6), each flat over the maps: diagonal blocks n1 I and n2 I, cross block
+    [[a, b], [b, -a]].
 
     The two masked densities D+ = P o (T+ C T-^T) and D- = P o (T- C T+^T)
     enter as S = (Q D+ Q^T + (Q D- Q^T)^T) / 2, and because the pairing mask
@@ -333,10 +340,9 @@ def _covariances(T_plus: np.ndarray, n_m: float) -> np.ndarray:
     G[i, j'] = sum_l w_l T+[i, l] conj(T+[j', l]) with
     w = (1/2, 1/2, 1/2, 1/2, n_m + 1/2, n_m + 1/2): 8 entries per point, i
     and j' in the same block.  Q = diag(q, q), q = [[1, 1], [-i, i]], turns
-    them block by block into V = Re S: diagonal blocks n1 I and n2 I with
-    n1 = G_00 + G_11 and n2 = G_22 + G_33, cross block [[a, b], [b, -a]]
-    with a + i b = (G_03 + conj(G_12) + conj(G_30) + G_21) / 2, the mean of
-    two forms that are equal for a Hermitian G.
+    them block by block into V = Re S: n1 = G_00 + G_11, n2 = G_22 + G_33 and
+    a + i b = (G_03 + conj(G_12) + conj(G_30) + G_21) / 2, the mean of two
+    forms that are equal for a Hermitian G.
 
     Raises ValueError if any cross-spectrum is not Hermitian (a broken map):
     an entry differs from its partner's conjugate by more than 1e-7 of the
@@ -354,9 +360,14 @@ def _covariances(T_plus: np.ndarray, n_m: float) -> np.ndarray:
         raise ValueError(f"cross-spectrum not Hermitian: defect {np.max(herm):.3e}")
     n1, n2 = g[0].real + g[4].real, g[3].real + g[7].real
     pair, anti = g[1] + g[6], g[2] + g[5]          # G_03 + G_21, G_30 + G_12
-    a = 0.5 * (pair.real + anti.real)
-    b = 0.5 * (pair.imag - anti.imag)
-    return (np.array([n1, n2, a, b]).T @ _COV_LAYOUT).reshape(T_plus.shape[:-2] + (4, 4))
+    return n1, n2, 0.5 * (pair.real + anti.real), 0.5 * (pair.imag - anti.imag)
+
+
+def _covariances(T_plus: np.ndarray, n_m: float) -> np.ndarray:
+    """Symmetrized quadrature covariances (..., 4, 4) of response maps (..., 4, 6), laid
+    out from their blocks (:func:`_covariance_blocks`)."""
+    blocks = np.array(_covariance_blocks(T_plus, n_m))
+    return (blocks.T @ _COV_LAYOUT).reshape(T_plus.shape[:-2] + (4, 4))
 
 
 def assemble_covariance(resp: LinearResponse, n_m: float) -> Covariance4:
@@ -411,30 +422,41 @@ def standard_form_reduce(V: Covariance4, residual_tol: float = _SYMMETRY_RTOL) -
 
 
 def _one_d_grid(omega_grid) -> np.ndarray:
-    """``omega_grid`` as a float array; raises ValueError unless it is 1-D."""
+    """``omega_grid`` as a float array; raises ValueError unless it is 1-D and finite."""
     omegas = np.asarray(omega_grid, dtype=float)
     if omegas.ndim != 1:
         raise ValueError(f"frequency grid must be 1-D, got shape {omegas.shape}")
+    if not np.isfinite(omegas).all():
+        raise ValueError("frequency grid must be finite, got a NaN or infinite frequency")
     return omegas
 
 
 def evaluate(derived: DerivedParams, omegas, model: str) -> Evaluation:
     """n, k_x and n - k_x of one model over a frequency grid, in one batched pass.
 
-    ``model`` is one of :data:`MODELS` (``adiabatic`` is the closed form).
-    Failed points are flagged by name: ``NotSymmetricState`` where an exact
-    model's diagonal blocks deviate from n*I by more than 5% of n,
-    ``DomainError`` where n - k_x <= 0.  The closed form takes a grid of any
-    shape, the exact models a 1-D one.  Raises ValueError for an unknown model
-    or an exact model's grid that is not 1-D, and SingularDrift if a drift is
+    ``model`` is one of :data:`MODELS` (``adiabatic`` is the closed form).  An
+    exact model's covariance blocks (n1, n2, a, b) per point
+    (:func:`_covariance_blocks`) reduce in closed form, with no 4x4 matrix: n is
+    the mean of the diagonal, (n1 + n1 + n2 + n2) / 4, the diagonal-block
+    residual max(|n1 - n|, |n2 - n|) and k_x = hypot(a + a, b + b) / 2, to the
+    last bit what :func:`_reduce` gives on the laid-out covariance.  Failed
+    points are flagged by name: ``NotSymmetricState`` where an exact model's
+    residual exceeds 5% of n, ``DomainError`` where n - k_x <= 0.  The closed
+    form takes a grid of any shape, the exact models a finite 1-D one.  Raises
+    ValueError for an unknown model or an exact model's grid that is not 1-D
+    or not finite (before anything is solved), and SingularDrift if a drift is
     singular anywhere on the grid.
     """
     if model == "adiabatic":
         return closed_form_grid(derived, omegas)
     if model not in _GENERATORS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
-    V = _covariances(_response_maps(derived, _one_d_grid(omegas), model), derived.n_m)
-    n, k_x, _, residual = _reduce(V)
+    n1, n2, a, b = _covariance_blocks(_response_maps(derived, _one_d_grid(omegas), model),
+                                      derived.n_m)
+    # _reduce's arithmetic on the laid-out blocks: the cross block's first hypot is hypot(0, 0)
+    n = (n1 + n1 + n2 + n2) / 4.0
+    residual = np.maximum(np.abs(n1 - n), np.abs(n2 - n))
+    k_x = 0.5 * np.hypot(a + a, b + b)
     return Evaluation.from_standard_form(n, k_x, residual > _SYMMETRY_RTOL * np.abs(n),
                                          "NotSymmetricState")
 
@@ -541,17 +563,18 @@ def compare_models(derived: DerivedParams, omega_grid,
     The first model in ``models`` is the deviation baseline.  ``adiabatic``
     is the closed form from :mod:`optoepr.spectrum`; ``adiabatic_response`` (the eliminated
     model assembled exactly) is also accepted.  Each model is evaluated once
-    over the whole 1-D grid (:func:`evaluate`), its metrics are formed as
-    :func:`~optoepr.spectrum.metric_columns` and the deviations as
-    :func:`model_deviations`.  The report holds one :class:`ComparisonRow` per
-    grid point: its ``values`` map each model to a :class:`ModelPoint`, which
-    names the failure of a failed point in place of its metrics, and its
-    ``deviations`` map each non-baseline model to its relative deviation there,
-    left out where either model failed.  Failed points are also left out of
-    ``max_deviation``.
+    over the whole 1-D grid (:func:`evaluate`), the metrics its records keep
+    are formed as :func:`~optoepr.spectrum.epr_columns` (no log negativity)
+    and the deviations as :func:`model_deviations`.  The report holds one
+    :class:`ComparisonRow` per grid point: its ``values`` map each model to a
+    :class:`ModelPoint`, which names the failure of a failed point in place of
+    its metrics, and its ``deviations`` map each non-baseline model to its
+    relative deviation there, left out where either model failed.  Failed
+    points are also left out of ``max_deviation``.
 
     Raises ValueError for an unknown model, and for no model, a repeated
-    model or a grid that is not 1-D before any model is evaluated.
+    model or a grid that is not 1-D or not finite before any model is
+    evaluated.
     """
     if not models:
         raise ValueError("at least one model required")
@@ -562,7 +585,7 @@ def compare_models(derived: DerivedParams, omega_grid,
     devs, worst = model_deviations(evals, models)
     points = []
     for ev in evals.values():
-        cols = metric_columns(ev.x)
+        cols = epr_columns(ev.x)
         column = _records(ModelPoint, zip(cols["epr_variance"], cols["S_db"], cols["eof"],
                                           repeat(None)))
         failures = _records(ModelPoint, zip(repeat(None), repeat(None), repeat(None),

@@ -174,16 +174,20 @@ def _covariance_entries(derived: DerivedParams, omega):
 
     numpy-polymorphic in omega and in the fields :data:`_CLOSED_FORM_FIELDS`
     of ``derived``: (K, 1) columns of them give (K, N) arrays on an N-point grid.
+    g'^2, g^2, gamma^2/4 and the thermal mechanical term that n and V24 share
+    are each formed once, every sum and product in the association order of
+    the formulas in the module docstring.
     """
     g, gp, gamma = derived.g, derived.g_prime, derived.gamma
     therm = derived.gamma * derived.gamma_m_tilde * (2.0 * derived.n_m + 1.0)
+    g2, gp2, quarter = g * g, gp * gp, gamma * gamma / 4.0
     w2 = omega * omega
-    u_minus_v = w2 + gamma * gamma / 4.0 + g * g - gp * gp
-    abs_D2 = (gamma * gamma / 4.0 - w2 + gp * gp - g * g) ** 2 + w2 * gamma * gamma
-    mech_factor = (omega + gp - g) ** 2 + gamma * gamma / 4.0
-    n = (u_minus_v**2 + (gp * gp + g * g) * gamma * gamma + mech_factor * therm) / abs_D2
+    u_minus_v = w2 + quarter + g2 - gp2
+    abs_D2 = (quarter - w2 + gp2 - g2) ** 2 + w2 * gamma * gamma
+    mech = ((omega + gp - g) ** 2 + quarter) * therm
+    n = (u_minus_v**2 + (gp2 + g2) * gamma * gamma + mech) / abs_D2
     v14 = -2.0 * g * gamma * u_minus_v / abs_D2
-    v24 = (2.0 * gp * g * gamma * gamma + mech_factor * therm) / abs_D2
+    v24 = (2.0 * gp * g * gamma * gamma + mech) / abs_D2
     return n, v14, v24, abs_D2
 
 
@@ -242,23 +246,30 @@ def ent_metrics(sf: StandardForm) -> EntMetrics:
     )
 
 
-def metric_columns(x: np.ndarray) -> dict[str, list[float]]:
-    """epr_variance, S_db, eof and log_negativity of each EPR variance in ``x``.
+def epr_columns(x: np.ndarray) -> dict[str, list[float]]:
+    """epr_variance, S_db and eof of each EPR variance in ``x``.
 
-    NaN entries (failed points) stay NaN.  S_db and log_negativity take their
-    logarithms from :mod:`math`, as :func:`squeezing_db` and :func:`_log_negativity`
-    do, to the last bit (numpy's ``log10`` and ``log2`` are not correctly rounded).
-    Raises DomainError at the first x <= 0, as :func:`squeezing_db` would.
+    NaN entries (failed points) stay NaN.  S_db takes its logarithms from
+    :mod:`math`, as :func:`squeezing_db` does, to the last bit (numpy's ``log10``
+    is not correctly rounded).  Raises DomainError at the first x <= 0, as
+    :func:`squeezing_db` would.
     """
     x = np.asarray(x, dtype=float)
     eofs = eof_array(x).tolist()   # checks x <= 0 before math.log10 could see it
     xs = x.tolist()
-    return {
-        "epr_variance": xs,
-        "S_db": [-10.0 * v for v in map(math.log10, xs)],
-        "eof": eofs,
-        "log_negativity": [0.0 if v >= 1.0 else -lg for v, lg in zip(xs, map(math.log2, xs))],
-    }
+    return {"epr_variance": xs, "S_db": [-10.0 * v for v in map(math.log10, xs)], "eof": eofs}
+
+
+def metric_columns(x: np.ndarray) -> dict[str, list[float]]:
+    """:func:`epr_columns` and the log_negativity of each EPR variance in ``x``.
+
+    log_negativity takes its logarithms from :mod:`math`, as :func:`_log_negativity`
+    does, to the last bit (numpy's ``log2`` is not correctly rounded).
+    """
+    cols = epr_columns(x)
+    xs = cols["epr_variance"]
+    cols["log_negativity"] = [0.0 if v >= 1.0 else -lg for v, lg in zip(xs, map(math.log2, xs))]
+    return cols
 
 
 def optimum_d(derived: DerivedParams) -> OptimumD:
@@ -296,23 +307,29 @@ def _closed_form(derived: DerivedParams | Sequence[DerivedParams], omegas):
         params, mismatch, gamma2 = rows[0], mismatch[0], gamma2[0]
         if not isinstance(derived, DerivedParams):
             omegas = omegas[None, :]
-    return (*_standard_form(params, gamma2, omegas), mismatch)
+    n, k_x, x, abs_D2 = _standard_form(params, omegas)
+    return n, k_x, x, degenerate_mask(abs_D2, gamma2, omegas), mismatch
 
 
-def _standard_form(params, gamma2, omegas):
-    """n, k_x, x = n - k_x and the ``degenerate`` mask of the closed form of ``params``
-    (see :func:`_covariance_entries`), gamma^2 given as ``gamma2``."""
+def _standard_form(params, omegas):
+    """n, k_x, x = n - k_x and |Delta|^2 of the closed form of ``params``
+    (see :func:`_covariance_entries`)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         n, v14, v24, abs_D2 = _covariance_entries(params, omegas)
         k_x = np.hypot(v14, v24)
-        x = n - k_x
-        degenerate = abs_D2 < (1e-30 * (gamma2 + omegas**2)) ** 2
-    return n, k_x, x, degenerate
+        return n, k_x, n - k_x, abs_D2
+
+
+def degenerate_mask(abs_D2, gamma2, omegas):
+    """Where the response denominator has vanished, |Delta| < 1e-30 (gamma^2 + omega^2)
+    as :func:`transfer_functions` tests it, from |Delta|^2 and gamma^2 = ``gamma2``."""
+    return abs_D2 < (1e-30 * (gamma2 + omegas**2)) ** 2
 
 
 def offset_x(derived: DerivedParams, d, omegas):
     """x = n - k_x of the closed form at ``derived`` moved to each offset in ``d``, and
-    the mask of the points where the response denominator vanishes.
+    |Delta|^2, from which :func:`degenerate_mask` (with ``derived.gamma**2``) forms the
+    mask of the points where the response denominator vanishes.
 
     Moving d with alpha and delta held, as :func:`operating_point_params` does at
     its designed root N = 2 alpha^2, changes no field the closed form reads but
@@ -325,8 +342,8 @@ def offset_x(derived: DerivedParams, d, omegas):
     params = SimpleNamespace(g=derived.g, g_prime=derived.g + np.asarray(d, dtype=float)[:, None],
                              gamma=derived.gamma, gamma_m_tilde=derived.gamma_m_tilde,
                              n_m=derived.n_m)
-    _, _, x, degenerate = _standard_form(params, derived.gamma**2, np.asarray(omegas, dtype=float))
-    return x, degenerate
+    _, _, x, abs_D2 = _standard_form(params, np.asarray(omegas, dtype=float))
+    return x, abs_D2
 
 
 def closed_form_x(derived: DerivedParams | Sequence[DerivedParams], omegas):

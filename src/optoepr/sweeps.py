@@ -55,7 +55,8 @@ from .errors import (BracketError, DegenerateResponse, DomainError, ParameterErr
                      SignConventionViolated)
 from .langevin import MODELS, evaluate
 from .params import DriveSpec, PhysicalParams, gamma_m_from_q
-from .spectrum import closed_form_grid, closed_form_x, eof_array, offset_x, optimum_d
+from .spectrum import (closed_form_grid, closed_form_x, degenerate_mask, eof_array, offset_x,
+                       optimum_d)
 from .steady_state import (DerivedParams, operating_point_params, solve_steady_state,
                            solve_steady_states)
 
@@ -496,7 +497,8 @@ def _search_objective(base: PhysicalParams, base_derived: DerivedParams, d: np.n
     parameter, building, window = _offset_row_errors(base, base_derived, d)
     if parameter.any():
         _row_params("d", base, base_derived, float(d[np.argmax(parameter)]))
-    x, degenerate = offset_x(base_derived, d, omega)
+    x, abs_D2 = offset_x(base_derived, d, omega)
+    degenerate = degenerate_mask(abs_D2, base_derived.gamma**2, omega)
     failed = degenerate | (x <= 0)
     bad = building | window | failed.any(axis=1)
     if bad.any():

@@ -201,6 +201,22 @@ drive_omega2_rads = 1e12
         assert code == 2
         assert "monotone" in err
 
+    NON_FINITE_GRIDS = [
+        ("spectrum", "--omega-min", "nan", "--omega-points", "3"),
+        ("spectrum", "--omega-max", "inf", "--omega-points", "3"),
+        ("verify", "--omega-min", "nan", "--omega-points", "5"),
+        ("verify", "--omega-min=-inf", "--omega-points", "5"),
+        ("sweep", "--axis", "T", "--omega-min", "nan", "--omega-points", "5"),
+    ]
+
+    @pytest.mark.parametrize("argv", NON_FINITE_GRIDS, ids=lambda argv: " ".join(argv))
+    def test_non_finite_grid_bound_exits_2(self, argv, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        code, out, err = run(capsys, *argv, "--out", str(table))
+        assert code == 2
+        assert err == "configuration error: invalid omega grid\n"
+        assert out == "" and not table.exists()
+
     # Parameters outside their domain: eta >= 1, T < 0, delta <= 0, a laser
     # more than 10 omega_m from the cavity, Q = 0 and NaN or infinite values
     # (a sweep row out of the domain is recorded instead, see TestSweep).

@@ -751,6 +751,58 @@ class TestComparisonRecords:
             (None, None, None, "NotSymmetricState")
 
 
+def reference_evaluation(derived, omegas, model):
+    """An exact model's Evaluation by the general 4x4 path, the covariances laid out and
+    reduced by :func:`langevin._reduce`, as the reference."""
+    V = langevin._covariances(langevin._response_maps(derived, omegas, model), derived.n_m)
+    n, k_x, _, residual = langevin._reduce(V)
+    return langevin.Evaluation.from_standard_form(n, k_x, residual > 0.05 * np.abs(n),
+                                                  "NotSymmetricState")
+
+
+class TestBlockReduction:
+    """evaluate reduces the covariance blocks in closed form, to the last bit what the
+    general 4x4 path gives."""
+
+    EXACT_MODELS = ("adiabatic_response", "rwa3", "full6")
+
+    def assert_as_the_4x4_path(self, derived, omegas, model):
+        omegas = np.asarray(omegas, dtype=float)
+        got, ref = oe.evaluate(derived, omegas, model), reference_evaluation(derived, omegas, model)
+        for name in ("n", "k_x", "x", "failed"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.shape == b.shape == omegas.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes(), name
+        assert got.error.tolist() == ref.error.tolist()
+        return got
+
+    @pytest.mark.parametrize("model", EXACT_MODELS)
+    def test_paper_point(self, model, paper_params, paper_derived):
+        grid = oe.default_omega_grid(paper_params.gamma, 201)
+        ev = self.assert_as_the_4x4_path(paper_derived, grid, model)
+        assert (ev.error == "NotSymmetricState").any() == (model != "adiabatic_response")
+
+    @pytest.mark.parametrize("model", EXACT_MODELS)
+    def test_strong_drive_point(self, model):
+        self.assert_as_the_4x4_path(OP74, oe.default_omega_grid(OP74.gamma, 201), model)
+
+    @pytest.mark.parametrize("model", EXACT_MODELS)
+    def test_oracle_pool_config(self, model):
+        params = oe.parse_config(ORACLE_CONFIG).params
+        derived = oe.solve_steady_state(params)
+        ev = self.assert_as_the_4x4_path(derived, oe.default_omega_grid(params.gamma, 201),
+                                         model)
+        if model != "adiabatic_response":
+            assert np.count_nonzero(ev.error == "NotSymmetricState") == 94
+
+    @pytest.mark.parametrize("model", EXACT_MODELS)
+    def test_empty_and_one_point_grids(self, model, paper_derived):
+        assert self.assert_as_the_4x4_path(paper_derived, [], model).x.shape == (0,)
+        grid = oe.default_omega_grid(paper_derived.gamma, 201)
+        for omega in grid[[77, 81, 87, 89, 100, 109, 111]]:   # symmetric points, |w| <= 0.46 gamma
+            self.assert_as_the_4x4_path(paper_derived, [omega], model)
+
+
 class TestCompareModelsArguments:
     @pytest.fixture
     def evaluated(self, monkeypatch):
@@ -777,6 +829,19 @@ class TestCompareModelsArguments:
     def test_grid_not_1d_rejected_before_any_model(self, grid, paper_derived, evaluated):
         with pytest.raises(ValueError, match="1-D"):
             oe.compare_models(paper_derived, grid, models=("adiabatic", "rwa3"))
+        assert evaluated == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("model", ["adiabatic_response", "rwa3", "full6"])
+    def test_exact_models_reject_a_grid_not_finite(self, model, paper_derived):
+        for grid in ([0.0, math.nan], [math.inf], [-math.inf, 0.0, 1e6]):
+            with pytest.raises(ValueError, match="frequency grid must be finite"):
+                oe.evaluate(paper_derived, grid, model)
+
+    @pytest.mark.filterwarnings("error")
+    def test_grid_not_finite_rejected_before_any_model(self, paper_derived, evaluated):
+        with pytest.raises(ValueError, match="frequency grid must be finite"):
+            oe.compare_models(paper_derived, [0.0, math.nan], models=("adiabatic", "rwa3"))
         assert evaluated == []
 
     @pytest.mark.parametrize("model", ["adiabatic_response", "rwa3", "full6"])

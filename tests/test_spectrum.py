@@ -1,6 +1,7 @@
 import math
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from hypothesis.extra import numpy as hnp
 import optoepr as oe
 from optoepr.errors import DomainError
 from optoepr.params import TWO_PI
-from optoepr.spectrum import (Evaluation, _log_negativity, closed_form_grid, closed_form_x,
-                              ent_metrics, eof_array, metric_columns, offset_x)
+from optoepr.spectrum import (_CLOSED_FORM_FIELDS, Evaluation, _covariance_entries,
+                              _log_negativity, _standard_form, closed_form_grid, closed_form_x,
+                              degenerate_mask, ent_metrics, eof_array, epr_columns,
+                              metric_columns, offset_x)
 from optoepr.steady_state import DerivedParams
 
 
@@ -150,7 +153,8 @@ class TestClosedFormRows:
         for derived, d in ((paper_derived, [1e5, 1.2e6, -3e5]),
                            (make_derived(g=2.0, gamma=4.0, gamma_m_tilde=0.0, n_m=0.0), [1.0, -2.0])):
             moved = [replace(derived, d=dk, g_prime=derived.g + dk) for dk in d]
-            x, degenerate = offset_x(derived, d, omegas)
+            x, abs_D2 = offset_x(derived, d, omegas)
+            degenerate = degenerate_mask(abs_D2, derived.gamma**2, omegas)
             assert np.array_equal(x, closed_form_x(moved, omegas)[0], equal_nan=True)
             assert np.array_equal(degenerate,
                                   closed_form_grid(moved, omegas).error == "DegenerateResponse")
@@ -159,6 +163,97 @@ class TestClosedFormRows:
             for k, row in enumerate(moved):
                 assert np.array_equal(x[k], closed_form_x(row, per_row[k])[0], equal_nan=True)
         assert degenerate.tolist() == [[False] * 6, [True] + [False] * 5]
+
+
+def reference_covariance_entries(derived, omega):
+    """n, V14, V24 and |Delta|^2 as the closed form formed them before its repeated
+    subexpressions were formed once, as the reference."""
+    g, gp, gamma = derived.g, derived.g_prime, derived.gamma
+    therm = derived.gamma * derived.gamma_m_tilde * (2.0 * derived.n_m + 1.0)
+    w2 = omega * omega
+    u_minus_v = w2 + gamma * gamma / 4.0 + g * g - gp * gp
+    abs_D2 = (gamma * gamma / 4.0 - w2 + gp * gp - g * g) ** 2 + w2 * gamma * gamma
+    mech_factor = (omega + gp - g) ** 2 + gamma * gamma / 4.0
+    n = (u_minus_v**2 + (gp * gp + g * g) * gamma * gamma + mech_factor * therm) / abs_D2
+    v14 = -2.0 * g * gamma * u_minus_v / abs_D2
+    v24 = (2.0 * gp * g * gamma * gamma + mech_factor * therm) / abs_D2
+    return n, v14, v24, abs_D2
+
+
+def reference_standard_form(params, gamma2, omegas):
+    """n, k_x, x and the degenerate mask as the closed form formed them in one pass, as
+    the reference."""
+    n, v14, v24, abs_D2 = reference_covariance_entries(params, omegas)
+    k_x = np.hypot(v14, v24)
+    return n, k_x, n - k_x, abs_D2 < (1e-30 * (gamma2 + omegas**2)) ** 2
+
+
+def same_bits(got, expected):
+    """Whether two arrays (or floats) have the same shape, dtype and bytes."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    return (got.shape == expected.shape and got.dtype == expected.dtype
+            and got.tobytes() == expected.tobytes())
+
+
+def columns(rows):
+    """The closed-form fields of ``rows`` as (K, 1) columns."""
+    return SimpleNamespace(**{name: np.array([getattr(d, name) for d in rows])[:, None]
+                              for name in _CLOSED_FORM_FIELDS})
+
+
+# Closed-form fields of one row: g from 0 to strong drive, g' = g + d with |d| up to
+# a few gamma, and a bath from none to hot.
+CLOSED_FORM_ROWS = st.tuples(st.floats(0.0, 2e10), st.floats(-1e8, 1e8), st.floats(1e5, 1e9),
+                             st.floats(0.0, 1e7), st.floats(0.0, 1e7))
+
+
+class TestClosedFormKernel:
+    """The closed-form kernel against the formulas it was written as, to the last bit."""
+
+    # the last two lie just outside and inside the degenerate row's vanishing denominator
+    ROW_OMEGAS = np.array([0.0, 1.0, -1.0, 3e5, -2e7, 4e7, 1e-20, -1e-35])
+
+    def assert_as_the_reference(self, params, gamma2, omegas):
+        with np.errstate(all="ignore"):
+            entries = _covariance_entries(params, omegas)
+            expected = reference_covariance_entries(params, omegas)
+            assert all(map(same_bits, entries, expected))
+            n, k_x, x, abs_D2 = _standard_form(params, omegas)
+            ref_n, ref_k_x, ref_x, ref_degenerate = reference_standard_form(params, gamma2, omegas)
+        assert same_bits(abs_D2, entries[3])
+        assert all(map(same_bits, (n, k_x, x), (ref_n, ref_k_x, ref_x)))
+        assert same_bits(degenerate_mask(abs_D2, gamma2, omegas), ref_degenerate)
+
+    def scalar_rows(self, paper_derived, optimum_derived):
+        return [paper_derived, optimum_derived, make_derived(),
+                make_derived(g=2.0, d=-2.0, gamma=4.0, gamma_m_tilde=0.0, n_m=0.0)]
+
+    def test_scalar_rows(self, paper_derived, optimum_derived):
+        grid = oe.default_omega_grid(paper_derived.gamma, 201)
+        for derived in self.scalar_rows(paper_derived, optimum_derived):
+            for omegas in (grid, self.ROW_OMEGAS, 0.3 * GAMMA, np.float64(-0.7 * GAMMA)):
+                self.assert_as_the_reference(derived, derived.gamma**2, omegas)
+        abs_D2 = _standard_form(derived, self.ROW_OMEGAS)[3]
+        assert degenerate_mask(abs_D2, derived.gamma**2, self.ROW_OMEGAS).tolist() == \
+            [True] + [False] * 6 + [True]
+
+    def test_columns_of_every_field(self, paper_derived, optimum_derived):
+        rows = self.scalar_rows(paper_derived, optimum_derived)
+        # every field differs between rows
+        rows += [replace(make_derived(g=5e9, d=-3e6, gamma=1.3e8), gamma_m_tilde=2e4, n_m=7.5)]
+        gamma2 = np.array([d.gamma**2 for d in rows])[:, None]
+        for omegas in (oe.default_omega_grid(paper_derived.gamma, 201), self.ROW_OMEGAS):
+            self.assert_as_the_reference(columns(rows), gamma2, omegas)
+
+    @given(st.lists(CLOSED_FORM_ROWS, min_size=1, max_size=4), st.data())
+    def test_blocks(self, rows, data):
+        fields = np.array(rows).T[:, :, None]
+        params = SimpleNamespace(g=fields[0], g_prime=fields[0] + fields[1], gamma=fields[2],
+                                 gamma_m_tilde=fields[3], n_m=fields[4])
+        omegas = data.draw(hnp.arrays(float, (len(rows), data.draw(st.integers(1, 8))),
+                                      elements=st.floats(-1e9, 1e9)))
+        gamma2 = np.array([gamma**2 for gamma in fields[2, :, 0].tolist()])[:, None]
+        self.assert_as_the_reference(params, gamma2, omegas)
 
 
 class TestClosedFormCovariance:
@@ -295,6 +390,15 @@ class TestMetricColumns:
         for name, column in expected.items():
             assert np.array_equal(np.array(cols[name]).view(np.uint64), column.view(np.uint64))
         assert np.array_equal(np.array(cols["eof"]), eof_array(x), equal_nan=True)
+
+    def test_epr_columns_are_metric_columns_without_log_negativity(self):
+        x = np.array([0.02, math.nan, 1.0, 3.5, 1e-9])
+        cols = metric_columns(x)
+        del cols["log_negativity"]
+        assert list(epr_columns(x)) == ["epr_variance", "S_db", "eof"]
+        assert all(same_bits(epr_columns(x)[k], v) for k, v in cols.items())
+        with pytest.raises(DomainError):
+            epr_columns(np.array([0.5, -2.0]))
 
     def test_domain_error_as_the_scalar_one(self):
         with pytest.raises(DomainError) as scalar:
