@@ -1,10 +1,11 @@
 """EPR entanglement of the output beams of a driven two-mode optomechanical cavity.
 
-The package evaluates the closed-form adiabatic output model (transfer
-functions, standard-form spectral covariance, EOF / squeezing / negativity)
-and cross-validates it against exact frequency-domain solutions of the
-underlying linearized Langevin systems (3-mode rotating-wave and 6-operator
-pre-RWA).
+The package evaluates the closed-form adiabatic output model (the
+standard-form spectral covariance over a frequency grid, in one batched
+pass, and its EOF / squeezing / negativity) and cross-validates it against
+exact frequency-domain solutions of the underlying linearized Langevin
+systems (3-mode rotating-wave and 6-operator pre-RWA).  ``evaluate`` serves
+every model, the closed form included.
 """
 
 from .config import PAPER_DEFAULTS, RunConfig, paper_default_config, parse_config, serialize_config
@@ -19,9 +20,7 @@ from .langevin import (Covariance4, LinearResponse, adiabatic_response, assemble
 from .params import (DriveSpec, PhysicalParams, RegimeReport, amplitude_to_power,
                      detunings, eta_from_geometry, normal_mode_drives, power_to_amplitude,
                      thermal_occupancy, validate_regime)
-from .spectrum import (EntMetrics, OptimumD, SpectrumPoint, StandardForm, TransferPoint,
-                       closed_form_covariance, ent_metrics, eof, optimum_d, spectrum,
-                       squeezing_db, transfer_functions)
+from .spectrum import OptimumD, StandardForm, eof, optimum_d, squeezing_db
 from .steady_state import (DerivedParams, amplitude_to_drive, operating_point_params,
                            retuned_d, solve_steady_state, solve_steady_states,
                            steady_state_residual)

@@ -119,6 +119,8 @@ def _cmd_derive(args, cfg: RunConfig) -> int:
     # regime ratios are quoted at the elimination band edge unless the
     # caller pins a band explicitly
     omega_max = abs(args.omega_max) if args.omega_max is not None else 0.1 * derived.delta
+    if not np.isfinite(omega_max):
+        raise ConfigError("invalid omega grid")
     report = validate_regime(params, derived, omega_max=omega_max)
     print("derived parameters (rad/s unless noted):")
     print(f"  |alpha_1| = {abs(derived.alpha_1):.6g}   |alpha_2| = {abs(derived.alpha_2):.6g}")

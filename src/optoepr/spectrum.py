@@ -1,20 +1,28 @@
-"""Closed-form output model: transfer functions, standard-form covariance, metrics.
+"""Closed-form output model: standard-form covariance over a frequency grid, metrics.
 
-After adiabatic elimination of the mechanical mode, the two-mode output
-state has the closed form
+After adiabatic elimination of the mechanical mode, the two output modes
+respond to the optical vacuum inputs and the mechanical noise input through
+the transfer functions
 
     Delta(w) = (-i w + gamma/2)^2 + g'^2 - g^2
     G(w) = (w^2 + gamma^2/4 + g^2 - g'^2 - i g' gamma) / Delta(w)
     H(w) = i g gamma / Delta(w)
     I(w) = (-i w + gamma/2 - i g' + i g) sqrt(gamma gamma_m~) / Delta(w)
 
-with the spectral covariance in standard form
+(|G|^2 - |H|^2 = 1 identically), and the two-mode output state
+has the spectral covariance in standard form
 
     n   = [(w^2 + gamma^2/4 + g^2 - g'^2)^2 + (g'^2 + g^2) gamma^2
            + ((w + g' - g)^2 + gamma^2/4) gamma gamma_m~ (2 n_m + 1)] / |Delta|^2
     V14 = -2 g gamma (w^2 + gamma^2/4 + g^2 - g'^2) / |Delta|^2
     V24 = [2 g' g gamma^2 + ((w + g' - g)^2 + gamma^2/4) gamma gamma_m~ (2 n_m + 1)] / |Delta|^2
     k_x = sqrt(V14^2 + V24^2)
+
+:func:`closed_form_grid` evaluates n and k_x from these formulas for one or
+K operating points over a grid in one pass, without forming G, H or I.  The
+point-by-point chain through them (transfer functions, 4x4 covariance,
+metrics) is kept in ``tests/closed_form_reference.py``, as the reference the
+batched kernel is checked against to the last bit.
 
 The exact frequency-domain solvers in :mod:`optoepr.langevin`
 cross-validate this model; see ``compare_models`` for where they agree and
@@ -28,24 +36,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DegenerateResponse, DomainError
+from .errors import DomainError
 from .steady_state import ALPHA_MATCH_RTOL, DerivedParams
-
-
-@dataclass(frozen=True)
-class TransferPoint:
-    """Complex transfer functions of the output model at one sideband frequency."""
-
-    omega: float
-    G: complex
-    H: complex
-    I: complex
-    Delta_of_omega: complex
 
 
 @dataclass(frozen=True)
@@ -56,34 +53,6 @@ class StandardForm:
     k_x: float
     k_p: float
     residual: float
-
-    def epr_combination_variances(self) -> tuple[float, float]:
-        """Direct quadrature-combination variances (squeezed, anti-squeezed).
-
-        <d^2(X1 -/+ X2)> and <d^2(P1 +/- P2)> evaluate to 2(n - k_x) and
-        2(n + k_x) in this normalization; recorded for transparency next to
-        the operative EPR variance n - k_x.
-        """
-        return 2.0 * (self.n - self.k_x), 2.0 * (self.n + self.k_x)
-
-
-@dataclass(frozen=True)
-class EntMetrics:
-    """Entanglement metrics of a symmetric two-mode Gaussian state."""
-
-    epr_variance: float
-    S_db: float
-    eof: float
-    entangled: bool
-    log_negativity: float
-
-
-@dataclass(frozen=True)
-class SpectrumPoint:
-    omega: float
-    standard_form: StandardForm | None
-    metrics: EntMetrics | None
-    flags: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -125,46 +94,6 @@ class OptimumD:
     unbounded: bool
 
 
-def _require_symmetric(derived: DerivedParams):
-    if derived.alpha_mismatch() > ALPHA_MATCH_RTOL:
-        raise DomainError(
-            f"output model requires |alpha_1| = |alpha_2|; relative mismatch "
-            f"{derived.alpha_mismatch():.3e} exceeds {ALPHA_MATCH_RTOL:g}"
-        )
-
-
-def transfer_functions(derived: DerivedParams, omega: float) -> TransferPoint:
-    """Evaluate G, H, I and Delta at one sideband frequency.
-
-    Raises
-    ------
-    DegenerateResponse
-        If |Delta(omega)| is vanishingly small relative to gamma^2 + omega^2,
-        signalling a parametric instability outside the model's regime.
-    """
-    _require_symmetric(derived)
-    g, gp, gamma = derived.g, derived.g_prime, derived.gamma
-    Dw, degenerate = _denominator(derived, omega)
-    if degenerate:
-        raise DegenerateResponse(f"response denominator vanished at omega = {omega:.6e}")
-    u_minus_v = omega * omega + gamma * gamma / 4.0 + g * g - gp * gp
-    s = math.sqrt(derived.gamma * derived.gamma_m_tilde)
-    return TransferPoint(
-        omega=omega,
-        G=(u_minus_v - 1j * gp * gamma) / Dw,
-        H=1j * g * gamma / Dw,
-        I=(-1j * omega + gamma / 2.0 - 1j * (gp - g)) * s / Dw,
-        Delta_of_omega=Dw,
-    )
-
-
-def _denominator(derived: DerivedParams, omega):
-    """Delta(omega) and whether it has vanished (numpy-polymorphic in omega)."""
-    g, gp, gamma = derived.g, derived.g_prime, derived.gamma
-    Dw = (-1j * omega + gamma / 2.0) ** 2 + gp * gp - g * g
-    return Dw, abs(Dw) < 1e-30 * (gamma * gamma + omega * omega)
-
-
 # The DerivedParams fields that _covariance_entries reads.
 _CLOSED_FORM_FIELDS = ("g", "g_prime", "gamma", "gamma_m_tilde", "n_m")
 
@@ -191,27 +120,6 @@ def _covariance_entries(derived: DerivedParams, omega):
     return n, v14, v24, abs_D2
 
 
-def closed_form_covariance(tp: TransferPoint, n_m: float,
-                           derived: DerivedParams) -> tuple[np.ndarray, StandardForm]:
-    """Assemble the 4x4 spectral covariance (standard form) at tp.omega.
-
-    Returns the matrix over (X1, P1, X2, P2) together with its
-    :class:`StandardForm` summary (k_p = -k_x exactly for this closed form).
-    ``n_m`` overrides the occupancy stored in ``derived``, which lets callers
-    probe thermal sensitivity without re-solving the steady state.
-    """
-    scaled = derived if n_m == derived.n_m else replace(derived, n_m=n_m)
-    n, v14, v24, _ = _covariance_entries(scaled, tp.omega)
-    k_x = float(np.hypot(v14, v24))
-    V = np.array([
-        [n, 0.0, k_x, 0.0],
-        [0.0, n, 0.0, -k_x],
-        [k_x, 0.0, n, 0.0],
-        [0.0, -k_x, 0.0, n],
-    ])
-    return V, StandardForm(n=float(n), k_x=k_x, k_p=-k_x, residual=0.0)
-
-
 def eof(x: float) -> float:
     """Entanglement of formation [ebits] of a symmetric state with EPR variance x.
 
@@ -225,25 +133,6 @@ def squeezing_db(x: float) -> float:
     if x <= 0:
         raise DomainError(f"EPR variance must be > 0, got {x:g}")
     return -10.0 * math.log10(x)
-
-
-def _log_negativity(x: float) -> float:
-    """Logarithmic negativity max(0, -log2 x) of a symmetric state; NaN stays NaN."""
-    return 0.0 if x >= 1.0 else -math.log2(x)
-
-
-def ent_metrics(sf: StandardForm) -> EntMetrics:
-    """All entanglement metrics of a standard-form covariance."""
-    x = sf.n - sf.k_x
-    if x <= 0:
-        raise DomainError(f"unphysical standard form: n - k_x = {x:g} <= 0")
-    return EntMetrics(
-        epr_variance=x,
-        S_db=squeezing_db(x),
-        eof=eof(x),
-        entangled=x < 1.0,
-        log_negativity=_log_negativity(x),
-    )
 
 
 def epr_columns(x: np.ndarray) -> dict[str, list[float]]:
@@ -263,8 +152,8 @@ def epr_columns(x: np.ndarray) -> dict[str, list[float]]:
 def metric_columns(x: np.ndarray) -> dict[str, list[float]]:
     """:func:`epr_columns` and the log_negativity of each EPR variance in ``x``.
 
-    log_negativity takes its logarithms from :mod:`math`, as :func:`_log_negativity`
-    does, to the last bit (numpy's ``log2`` is not correctly rounded).
+    log_negativity is max(0, -log2 x), its logarithms taken from :mod:`math`
+    (numpy's ``log2`` is not correctly rounded).
     """
     cols = epr_columns(x)
     xs = cols["epr_variance"]
@@ -289,11 +178,54 @@ def optimum_d(derived: DerivedParams) -> OptimumD:
     return OptimumD(d_o=d_o, S_o_db=squeezing_db(x), eof_o=eof(x), unbounded=False)
 
 
-def _closed_form(derived: DerivedParams | Sequence[DerivedParams], omegas):
-    """n, k_x and x = n - k_x of the closed form, nothing blanked, with the failure causes:
-    ``degenerate`` points, where the response denominator vanishes (see
-    :func:`transfer_functions`), and ``mismatch``, true for a row whose amplitudes differ
-    (a scalar for one row, else a (K, 1) column).  Shapes as in :func:`closed_form_grid`.
+def _standard_form(params, omegas):
+    """n, k_x, x = n - k_x and |Delta|^2 of the closed form of ``params``
+    (see :func:`_covariance_entries`)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n, v14, v24, abs_D2 = _covariance_entries(params, omegas)
+        k_x = np.hypot(v14, v24)
+        return n, k_x, n - k_x, abs_D2
+
+
+def degenerate_mask(abs_D2, gamma2, omegas):
+    """Where the response denominator has vanished, |Delta| < 1e-30 (gamma^2 + omega^2),
+    from |Delta|^2 and gamma^2 = ``gamma2``: a parametric instability outside the
+    model's regime."""
+    return abs_D2 < (1e-30 * (gamma2 + omegas**2)) ** 2
+
+
+def offset_x(derived: DerivedParams, d, omegas):
+    """x = n - k_x of the closed form at ``derived`` moved to each offset in ``d``, and
+    |Delta|^2, from which :func:`degenerate_mask` (with ``derived.gamma**2``) forms the
+    mask of the points where the response denominator vanishes.
+
+    Moving d with alpha and delta held, as :func:`operating_point_params` does at
+    its designed root N = 2 alpha^2, changes no field the closed form reads but
+    g' = g + d.  So nothing is solved: the K offsets enter as one (K, 1) column
+    of g', and row k equals the x of :func:`closed_form_grid` of ``derived`` with
+    ``d`` and ``g_prime`` replaced, to the last bit, wherever that x is not
+    blanked.  ``omegas`` is an N-point grid or a (K, M) block of per-row
+    frequencies.  The amplitudes are equal by design, so no row is failed for a
+    mismatch, and x <= 0 is left to the caller.
+    """
+    params = SimpleNamespace(g=derived.g, g_prime=derived.g + np.asarray(d, dtype=float)[:, None],
+                             gamma=derived.gamma, gamma_m_tilde=derived.gamma_m_tilde,
+                             n_m=derived.n_m)
+    _, _, x, abs_D2 = _standard_form(params, np.asarray(omegas, dtype=float))
+    return x, abs_D2
+
+
+def closed_form_grid(derived: DerivedParams | Sequence[DerivedParams], omegas) -> Evaluation:
+    """The closed-form standard form over a frequency grid, failures flagged per point.
+
+    ``derived`` is one operating point, giving arrays shaped like ``omegas``,
+    or a sequence of K, giving (K, N) arrays over the N-point grid in one
+    pass: each row's scalars enter as a (K, 1) column, so row k equals
+    ``derived[k]`` evaluated alone, to the last bit.
+
+    Unequal amplitudes fail every point of a row with ``DomainError``; a
+    vanishing response denominator (:func:`degenerate_mask`) fails a point
+    with ``DegenerateResponse``; n - k_x <= 0 fails it with ``DomainError``.
     """
     omegas = np.asarray(omegas, dtype=float)
     rows = [derived] if isinstance(derived, DerivedParams) else list(derived)
@@ -307,72 +239,10 @@ def _closed_form(derived: DerivedParams | Sequence[DerivedParams], omegas):
         params, mismatch, gamma2 = rows[0], mismatch[0], gamma2[0]
         if not isinstance(derived, DerivedParams):
             omegas = omegas[None, :]
-    n, k_x, x, abs_D2 = _standard_form(params, omegas)
-    return n, k_x, x, degenerate_mask(abs_D2, gamma2, omegas), mismatch
-
-
-def _standard_form(params, omegas):
-    """n, k_x, x = n - k_x and |Delta|^2 of the closed form of ``params``
-    (see :func:`_covariance_entries`)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        n, v14, v24, abs_D2 = _covariance_entries(params, omegas)
-        k_x = np.hypot(v14, v24)
-        return n, k_x, n - k_x, abs_D2
-
-
-def degenerate_mask(abs_D2, gamma2, omegas):
-    """Where the response denominator has vanished, |Delta| < 1e-30 (gamma^2 + omega^2)
-    as :func:`transfer_functions` tests it, from |Delta|^2 and gamma^2 = ``gamma2``."""
-    return abs_D2 < (1e-30 * (gamma2 + omegas**2)) ** 2
-
-
-def offset_x(derived: DerivedParams, d, omegas):
-    """x = n - k_x of the closed form at ``derived`` moved to each offset in ``d``, and
-    |Delta|^2, from which :func:`degenerate_mask` (with ``derived.gamma**2``) forms the
-    mask of the points where the response denominator vanishes.
-
-    Moving d with alpha and delta held, as :func:`operating_point_params` does at
-    its designed root N = 2 alpha^2, changes no field the closed form reads but
-    g' = g + d.  So nothing is solved: the K offsets enter as one (K, 1) column
-    of g', and row k equals :func:`closed_form_x` of ``derived`` with ``d`` and
-    ``g_prime`` replaced, to the last bit.  ``omegas`` is an N-point grid or a
-    (K, M) block of per-row frequencies.  The amplitudes are equal by design, so
-    no row is failed for a mismatch, and x <= 0 is left to the caller.
-    """
-    params = SimpleNamespace(g=derived.g, g_prime=derived.g + np.asarray(d, dtype=float)[:, None],
-                             gamma=derived.gamma, gamma_m_tilde=derived.gamma_m_tilde,
-                             n_m=derived.n_m)
-    _, _, x, abs_D2 = _standard_form(params, np.asarray(omegas, dtype=float))
-    return x, abs_D2
-
-
-def closed_form_x(derived: DerivedParams | Sequence[DerivedParams], omegas):
-    """x = n - k_x of the closed form and the mask of the points that fail.
-
-    The points that fail are those :func:`closed_form_grid` names; x is not
-    blanked there, and no name is formed.  Shapes as in :func:`closed_form_grid`,
-    whose x equals this one wherever no point failed.
-    """
-    _, _, x, degenerate, mismatch = _closed_form(derived, omegas)
-    return x, degenerate | mismatch | (x <= 0)
-
-
-def closed_form_grid(derived: DerivedParams | Sequence[DerivedParams], omegas) -> Evaluation:
-    """The closed-form standard form over a frequency grid, failures flagged per point.
-
-    ``derived`` is one operating point, giving arrays shaped like ``omegas``,
-    or a sequence of K, giving (K, N) arrays over the N-point grid in one
-    pass: each row's scalars enter as a (K, 1) column, so row k equals
-    ``derived[k]`` evaluated alone, to the last bit.
-
-    Unequal amplitudes fail every point of a row with ``DomainError``; a
-    vanishing response denominator (see :func:`transfer_functions`) fails a
-    point with ``DegenerateResponse``; n - k_x <= 0 fails it with
-    ``DomainError``.
-    """
-    n, k_x, _, degenerate, mismatch = _closed_form(derived, omegas)
+    n, k_x, _, abs_D2 = _standard_form(params, omegas)
+    failed = degenerate_mask(abs_D2, gamma2, omegas) | mismatch
     with np.errstate(invalid="ignore"):
-        ev = Evaluation.from_standard_form(n, k_x, degenerate | mismatch, "DegenerateResponse")
+        ev = Evaluation.from_standard_form(n, k_x, failed, "DegenerateResponse")
     if np.any(mismatch):
         ev.error[np.broadcast_to(mismatch, ev.error.shape)] = "DomainError"
     return ev
@@ -383,23 +253,6 @@ def spectrum_flags(derived: DerivedParams, omegas, error) -> list[tuple[str, ...
     outside = (np.abs(np.asarray(omegas, dtype=float)) >= derived.delta).tolist()
     return [(("omega_outside_elimination_band",) if out else ()) + ((f"error:{e}",) if e else ())
             for out, e in zip(outside, error)]
-
-
-def spectrum(derived: DerivedParams, omega_grid) -> list[SpectrumPoint]:
-    """Evaluate the closed-form output state on a frequency grid.
-
-    Per-point failures are recorded in the point's flags instead of aborting
-    the grid; points with |omega| >= delta carry an elimination-regime
-    warning flag.
-    """
-    omegas = np.asarray(omega_grid, dtype=float)
-    ev = closed_form_grid(derived, omegas)
-    points = []
-    for omega, n, k_x, flags in zip(omegas.tolist(), ev.n.tolist(), ev.k_x.tolist(),
-                                    spectrum_flags(derived, omegas, ev.error)):
-        sf = None if math.isnan(n) else StandardForm(n=n, k_x=k_x, k_p=-k_x, residual=0.0)
-        points.append(SpectrumPoint(omega, sf, None if sf is None else ent_metrics(sf), flags))
-    return points
 
 
 def eof_array(x: np.ndarray) -> np.ndarray:

@@ -55,8 +55,7 @@ from .errors import (BracketError, DegenerateResponse, DomainError, ParameterErr
                      SignConventionViolated)
 from .langevin import MODELS, evaluate
 from .params import DriveSpec, PhysicalParams, gamma_m_from_q
-from .spectrum import (closed_form_grid, closed_form_x, degenerate_mask, eof_array, offset_x,
-                       optimum_d)
+from .spectrum import closed_form_grid, degenerate_mask, eof_array, offset_x, optimum_d
 from .steady_state import (DerivedParams, operating_point_params, solve_steady_state,
                            solve_steady_states)
 
@@ -270,14 +269,13 @@ def _peaks(rows: list, omega: np.ndarray, model: str) -> list:
     A row is a parameter set, its already solved :class:`DerivedParams`, or
     the error building it raised; the last two are passed through unsolved.
     The other rows' steady states are solved in one batch.  The closed form
-    (:func:`closed_form_x`), ``eof_array`` and the peak search run over
+    (:func:`closed_form_grid`), ``eof_array`` and the peak search run over
     (rows, N) arrays in blocks of at most ``_BLOCK_POINTS`` grid points; the
     other models are evaluated row by row.  The maxima are the row's
     :func:`_refined_maxima`, whose largest vertex is its peak EOF.  A row
     with a failed grid point holds, unraised, the :mod:`errors` class named
-    at its first failed point (named only then), and its EOF curve is not
-    formed.  Each row's numbers equal those of the row evaluated alone, to
-    the last bit.
+    at its first failed point, and its EOF curve is not formed.  Each row's
+    numbers equal those of the row evaluated alone, to the last bit.
     """
     results = list(rows)
     todo = [k for k, row in enumerate(rows) if isinstance(row, PhysicalParams)]
@@ -289,23 +287,22 @@ def _peaks(rows: list, omega: np.ndarray, model: str) -> list:
         block = solved[start:start + size]
         derived = [results[k] for k in block]
         if model == "adiabatic":
-            x, failed = closed_form_x(derived, omega)
-            names = None
+            ev = closed_form_grid(derived, omega)
         else:
             try:
                 ev = evaluate(derived[0], omega, model)
             except PhysicsError as exc:   # a singular drift fails its row
                 results[block[0]] = exc
                 continue
-            x, failed, names = ev.x[None, :], ev.failed[None, :], ev.error
+        x, failed, error = (a.reshape(len(block), -1) for a in (ev.x, ev.failed, ev.error))
         bad = failed.any(axis=1)
         curves = eof_array(x[~bad] if bad.any() else x)
         done = zip(curves, _refined_maxima(omega, curves))
-        for k, d, x_row, row_failed, row_bad in zip(block, derived, x, failed, bad.tolist()):
+        for k, d, x_row, row_failed, row_error, row_bad in zip(block, derived, x, failed, error,
+                                                               bad.tolist()):
             if row_bad:
                 i = int(np.argmax(row_failed))
-                name = names[i] if names is not None else closed_form_grid(d, omega).error[i]
-                results[k] = getattr(errors, name)(
+                results[k] = getattr(errors, row_error[i])(
                     f"{model} output failed at omega = {omega[i]:.6e}")
             else:
                 results[k] = (d, x_row, *next(done))

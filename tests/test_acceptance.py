@@ -17,8 +17,9 @@ import pytest
 import optoepr as oe
 from optoepr.cli import main
 from optoepr.langevin import adiabatic_response
-from optoepr.spectrum import eof_array
+from optoepr.spectrum import closed_form_grid, eof_array
 from optoepr.sweeps import SweepSpec, run_sweep
+from tests.closed_form_reference import transfer_functions
 
 
 def report(criterion: str, passed: bool, detail: str):
@@ -96,7 +97,7 @@ class TestAcceptance:
         lossless = replace(paper_derived, gamma_m_tilde=0.0)
         worst_ghi = 0.0
         for omega in np.linspace(-paper_derived.gamma, paper_derived.gamma, 101):
-            tp = oe.transfer_functions(lossless, omega)
+            tp = transfer_functions(lossless, omega)
             worst_ghi = max(worst_ghi, abs(abs(tp.G) ** 2 - abs(tp.H) ** 2 - 1.0))
         worst_out = 0.0
         for omega in np.linspace(-paper_derived.gamma, paper_derived.gamma, 21):
@@ -111,6 +112,7 @@ class TestAcceptance:
 
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="closed-form thermal terms are inconsistent with the exact "
                "Langevin model at 300 K (exact solvers mutually agree to < 5%; the "
                "closed form cancels thermal noise that the exact model does not); "
@@ -136,6 +138,7 @@ class TestAcceptance:
 
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="same root cause as 8a: with mechanical noise on, the closed-form "
                "entries differ from the exact response covariance in the thermal "
                "factors; the 1e-10 reproduction does hold at gamma_m~ = 0, which is "
@@ -144,14 +147,13 @@ class TestAcceptance:
     )
     def test_criterion_08c_closed_form_entries_reproduced(self, paper_derived):
         worst = 0.0
-        for omega in (0.0, 0.02 * paper_derived.delta, 0.1 * paper_derived.delta):
+        omegas = [0.0, 0.02 * paper_derived.delta, 0.1 * paper_derived.delta]
+        closed = closed_form_grid(paper_derived, omegas)
+        for omega, n, k_x in zip(omegas, closed.n.tolist(), closed.k_x.tolist()):
             V = oe.assemble_covariance(adiabatic_response(paper_derived, omega),
                                        paper_derived.n_m)
             sf = oe.standard_form_reduce(V)
-            tp = oe.transfer_functions(paper_derived, omega)
-            _, sf_closed = oe.closed_form_covariance(tp, paper_derived.n_m, paper_derived)
-            worst = max(worst, abs(sf.n - sf_closed.n) / sf_closed.n,
-                        abs(sf.k_x - sf_closed.k_x) / sf_closed.k_x)
+            worst = max(worst, abs(sf.n - n) / n, abs(sf.k_x - k_x) / k_x)
         ok = worst <= 1e-10
         report("criterion 8c (closed-form entries reproduced to 1e-10)", ok,
                f"max relative entry deviation = {worst:.3g} at paper defaults")

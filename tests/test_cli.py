@@ -207,6 +207,8 @@ drive_omega2_rads = 1e12
         ("verify", "--omega-min", "nan", "--omega-points", "5"),
         ("verify", "--omega-min=-inf", "--omega-points", "5"),
         ("sweep", "--axis", "T", "--omega-min", "nan", "--omega-points", "5"),
+        ("derive", "--omega-max", "nan"),
+        ("derive", "--omega-max", "inf"),
     ]
 
     @pytest.mark.parametrize("argv", NON_FINITE_GRIDS, ids=lambda argv: " ".join(argv))

@@ -37,3 +37,29 @@ def test_foreign_imports_found():
               "def f():\n    import hypothesis\n")
     assert foreign_imports(source) == ["<source>:5: scipy", "<source>:6: scipy.linalg",
                                        "<source>:8: hypothesis"]
+
+
+BENCHMARK_WORKLOADS = PACKAGE.parent.parent / "perfbench" / "workloads.py"
+
+
+def attributes_read(source: str, names) -> set[tuple[str, str]]:
+    """``(name, attribute)`` of every ``<name>.<attribute>`` read in ``source``."""
+    return {(node.value.id, node.attr) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id in names}
+
+
+def test_benchmark_calls_only_existing_api():
+    # the benchmark imports the package as ``oe`` and its io module as ``tabio``
+    import optoepr
+    from optoepr import io as tabio
+    modules = {"oe": optoepr, "tabio": tabio}
+    read = attributes_read(BENCHMARK_WORKLOADS.read_text(), modules)
+    assert {name for name, _ in read} == set(modules)
+    assert sorted(f"{name}.{attr}" for name, attr in read
+                  if not hasattr(modules[name], attr)) == []
+
+
+def test_attributes_read_found():
+    source = "import optoepr as oe\nx = oe.solve(1).y\noe.z = 2\nother.w\n"
+    assert attributes_read(source, {"oe"}) == {("oe", "solve")}

@@ -11,8 +11,9 @@ import optoepr as oe
 from optoepr import langevin
 from optoepr.langevin import Covariance4, LinearResponse, adiabatic_response
 from optoepr.params import TWO_PI
-from optoepr.spectrum import metric_columns
+from optoepr.spectrum import closed_form_grid, metric_columns
 from optoepr.steady_state import DerivedParams
+from tests import closed_form_reference as ref
 from tests.test_spectrum import make_derived
 
 GAMMA = TWO_PI * 3.2e6
@@ -267,13 +268,13 @@ class TestAssembleCovariance:
         # assembly to machine precision
         from dataclasses import replace
         derived = replace(paper_derived, gamma_m_tilde=0.0)
-        for omega in (0.0, 0.35 * GAMMA, 1.2 * GAMMA):
+        omegas = [0.0, 0.35 * GAMMA, 1.2 * GAMMA]
+        closed = closed_form_grid(derived, omegas)
+        for omega, n, k_x in zip(omegas, closed.n.tolist(), closed.k_x.tolist()):
             V = oe.assemble_covariance(adiabatic_response(derived, omega), derived.n_m)
-            tp = oe.transfer_functions(derived, omega)
-            _, sf = oe.closed_form_covariance(tp, derived.n_m, derived)
             reduced = oe.standard_form_reduce(V)
-            assert reduced.n == pytest.approx(sf.n, rel=1e-12)
-            assert reduced.k_x == pytest.approx(sf.k_x, rel=1e-12)
+            assert reduced.n == pytest.approx(n, rel=1e-12)
+            assert reduced.k_x == pytest.approx(k_x, rel=1e-12)
 
     def test_thermal_terms_enter_only_through_mechanical_columns(self, paper_derived):
         resp = oe.rwa3_solve(paper_derived, 0.1 * GAMMA)
@@ -483,8 +484,8 @@ class TestLogNegativity:
             pytest.approx(0.0, abs=1e-12)
 
     def test_matches_squeezing_metric_on_closed_form(self, optimum_derived):
-        tp = oe.transfer_functions(optimum_derived, 0.0)
-        V, sf = oe.closed_form_covariance(tp, optimum_derived.n_m, optimum_derived)
+        tp = ref.transfer_functions(optimum_derived, 0.0)
+        V, sf = ref.closed_form_covariance(tp, optimum_derived.n_m, optimum_derived)
         ln = oe.log_negativity(Covariance4(entries=V, omega=0.0))
         x = sf.n - sf.k_x
         assert ln == pytest.approx(-math.log2(x), rel=1e-9)
@@ -579,8 +580,8 @@ class TestBatchedKernel:
         """n - k_x from the single-frequency chain, or the name of its failure."""
         try:
             if model == "adiabatic":
-                tp = oe.transfer_functions(derived, omega)
-                sf = oe.closed_form_covariance(tp, derived.n_m, derived)[1]
+                tp = ref.transfer_functions(derived, omega)
+                sf = ref.closed_form_covariance(tp, derived.n_m, derived)[1]
             else:
                 resp = self.SOLVERS[model](derived, omega)
                 sf = oe.standard_form_reduce(oe.assemble_covariance(resp, derived.n_m))

@@ -13,10 +13,10 @@ import optoepr as oe
 from optoepr.errors import DomainError
 from optoepr.params import TWO_PI
 from optoepr.spectrum import (_CLOSED_FORM_FIELDS, Evaluation, _covariance_entries,
-                              _log_negativity, _standard_form, closed_form_grid, closed_form_x,
-                              degenerate_mask, ent_metrics, eof_array, epr_columns,
-                              metric_columns, offset_x)
+                              _standard_form, closed_form_grid, degenerate_mask, eof_array,
+                              epr_columns, metric_columns, offset_x, spectrum_flags)
 from optoepr.steady_state import DerivedParams
+from tests import closed_form_reference as ref
 
 
 def reference_eof_array(x):
@@ -64,7 +64,7 @@ class TestTransferFunctions:
     def test_undriven_cavity_is_pure_phase(self):
         derived = make_derived(g=0.0, gamma_m_tilde=0.0, alpha=0.0)
         for omega in (0.0, 0.3 * GAMMA, 2.0 * GAMMA):
-            tp = oe.transfer_functions(derived, omega)
+            tp = ref.transfer_functions(derived, omega)
             assert tp.H == 0.0
             assert tp.I == 0.0
             assert abs(tp.G) == pytest.approx(1.0, rel=1e-12)
@@ -72,20 +72,20 @@ class TestTransferFunctions:
     def test_beam_splitter_identity_101_points(self, paper_derived):
         # |G|^2 - |H|^2 = 1, exact algebra of the printed coefficients
         for omega in np.linspace(-GAMMA, GAMMA, 101):
-            tp = oe.transfer_functions(paper_derived, omega)
+            tp = ref.transfer_functions(paper_derived, omega)
             assert abs(tp.G) ** 2 - abs(tp.H) ** 2 == pytest.approx(1.0, rel=1e-12)
 
     def test_commutator_defect_bounded_by_noise_rate(self, paper_derived):
         # with mechanical noise present the defect is |I|^2 <= 5 gamma_m~/gamma
         bound = 5.0 * paper_derived.gamma_m_tilde / paper_derived.gamma
         for omega in np.linspace(-GAMMA, GAMMA, 41):
-            tp = oe.transfer_functions(paper_derived, omega)
+            tp = ref.transfer_functions(paper_derived, omega)
             defect = abs(tp.G) ** 2 - abs(tp.H) ** 2 + abs(tp.I) ** 2 - 1.0
             assert abs(defect) <= bound
 
     def test_delta_of_omega_definition(self, paper_derived):
         omega = 0.4 * GAMMA
-        tp = oe.transfer_functions(paper_derived, omega)
+        tp = ref.transfer_functions(paper_derived, omega)
         expected = ((-1j * omega + paper_derived.gamma / 2) ** 2
                     + paper_derived.g_prime**2 - paper_derived.g**2)
         assert tp.Delta_of_omega == pytest.approx(expected)
@@ -95,7 +95,7 @@ class TestTransferFunctions:
         # values chosen exactly representable so Delta(0) is a float zero
         derived = make_derived(g=2.0, d=-2.0, gamma=4.0, gamma_m_tilde=0.0, n_m=0.0)
         with pytest.raises(oe.DegenerateResponse):
-            oe.transfer_functions(derived, 0.0)
+            ref.transfer_functions(derived, 0.0)
 
     def test_degenerate_response_flagged_per_point_on_grid(self):
         # the batched closed form flags the response zero at omega = 0 only
@@ -113,6 +113,20 @@ class TestTransferFunctions:
         assert list(ev.error) == ["", "DomainError", "DegenerateResponse", "DegenerateResponse"]
         assert list(ev.failed) == [False, True, True, True]
         assert ev.x[0] == 1.0 and np.all(np.isnan(ev.x[1:]))
+
+
+def assert_as_the_scalar_chain(ev, derived, omegas):
+    """An evaluation of ``derived`` by :func:`closed_form_grid` equals the point-by-point
+    reference chain: n, k_x and x to the last bit where it names no failure, and the
+    class the chain raises where it names one (its ``error:`` flag)."""
+    points = ref.spectrum(derived, omegas)
+    assert spectrum_flags(derived, omegas, ev.error) == [p.flags for p in points]
+    assert np.array_equal(ev.failed, ev.error != "")
+    good = ~ev.failed
+    for name, column in (("n", [p.standard_form.n for p in points if p.standard_form]),
+                         ("k_x", [p.standard_form.k_x for p in points if p.standard_form]),
+                         ("x", [p.metrics.epr_variance for p in points if p.metrics])):
+        assert same_bits(getattr(ev, name)[good], np.array(column, dtype=float))
 
 
 class TestClosedFormRows:
@@ -136,15 +150,42 @@ class TestClosedFormRows:
 
     @pytest.mark.parametrize("count", [1, 5])
     def test_x_and_failures_as_the_named_evaluation(self, paper_derived, optimum_derived, count):
+        # every row of a block as the scalar chain, which names each failure by raising it
         rows = [paper_derived, optimum_derived,
                 make_derived(g=2.0, d=-2.0, gamma=4.0, gamma_m_tilde=0.0, n_m=0.0),
                 replace(make_derived(), alpha_2=complex(1100.0)), make_derived()][:count]
         omegas = np.array([0.0, 1.0, -1.0, 3e5, -2e7, 4e7])
-        named = closed_form_grid(rows, omegas)
-        for derived, expected in ((rows, named), (rows[0], closed_form_grid(rows[0], omegas))):
-            x, failed = closed_form_x(derived, omegas)
-            assert np.array_equal(failed, expected.failed)
-            assert np.array_equal(x[~failed], expected.x[~failed])
+        block = closed_form_grid(rows, omegas)
+        for k, derived in enumerate(rows):
+            row = Evaluation(**{f: getattr(block, f)[k] for f in ("n", "k_x", "x", "error", "failed")})
+            assert_as_the_scalar_chain(row, derived, omegas)
+
+    def test_scalar_chain_to_the_bit(self, paper_derived, optimum_derived, omega_grid):
+        # the default 2001-point grid at the paper point and at its optimum, where no
+        # point fails, then rows failing with DegenerateResponse and DomainError
+        for derived in (paper_derived, optimum_derived):
+            ev = closed_form_grid(derived, omega_grid)
+            assert len(omega_grid) == 2001 and not ev.failed.any()
+            assert_as_the_scalar_chain(ev, derived, omega_grid)
+        failing = [(make_derived(g=2.0, d=-2.0, gamma=4.0, gamma_m_tilde=0.0, n_m=0.0),
+                    np.array([0.0, 1.0, -1.0]), {"DegenerateResponse", ""}),
+                   (replace(make_derived(), alpha_2=complex(1100.0)), omega_grid[::100],
+                    {"DomainError"}),
+                   # g / gamma = 5000 at half its optimum d: x = n - k_x rounds to <= 0
+                   # at most of these points
+                   (make_derived(g=1e11, d=250.0, gamma=2e7, gamma_m_tilde=0.0, n_m=0.0),
+                    np.linspace(-1e4, 1e4, 21), {"DomainError", ""})]
+        for derived, omegas, names in failing:
+            ev = closed_form_grid(derived, omegas)
+            assert set(ev.error) == names
+            assert_as_the_scalar_chain(ev, derived, omegas)
+        with pytest.raises(oe.DegenerateResponse):
+            ref.transfer_functions(failing[0][0], 0.0)
+        with pytest.raises(oe.DomainError):
+            ref.transfer_functions(failing[1][0], 0.0)
+        with pytest.raises(oe.DomainError):
+            ref.ent_metrics(ref.closed_form_covariance(
+                ref.transfer_functions(failing[2][0], 0.0), 0.0, failing[2][0])[1])
 
 
     def test_offset_rows_as_the_moved_rows(self, paper_derived):
@@ -155,13 +196,15 @@ class TestClosedFormRows:
             moved = [replace(derived, d=dk, g_prime=derived.g + dk) for dk in d]
             x, abs_D2 = offset_x(derived, d, omegas)
             degenerate = degenerate_mask(abs_D2, derived.gamma**2, omegas)
-            assert np.array_equal(x, closed_form_x(moved, omegas)[0], equal_nan=True)
-            assert np.array_equal(degenerate,
-                                  closed_form_grid(moved, omegas).error == "DegenerateResponse")
+            ev = closed_form_grid(moved, omegas)
+            assert np.array_equal(ev.failed, degenerate | (x <= 0))
+            assert np.array_equal(x[~ev.failed], ev.x[~ev.failed])
+            assert np.array_equal(degenerate, ev.error == "DegenerateResponse")
             per_row = np.vstack([omegas * (k + 1) for k in range(len(d))])
             x, _ = offset_x(derived, d, per_row)
             for k, row in enumerate(moved):
-                assert np.array_equal(x[k], closed_form_x(row, per_row[k])[0], equal_nan=True)
+                alone = closed_form_grid(row, per_row[k])
+                assert np.array_equal(x[k][~alone.failed], alone.x[~alone.failed])
         assert degenerate.tolist() == [[False] * 6, [True] + [False] * 5]
 
 
@@ -259,30 +302,28 @@ class TestClosedFormKernel:
 class TestClosedFormCovariance:
     def test_vacuum_limit(self):
         derived = make_derived(g=0.0, gamma_m_tilde=0.0, alpha=0.0)
-        tp = oe.transfer_functions(derived, 0.2 * GAMMA)
-        V, sf = oe.closed_form_covariance(tp, 0.0, derived)
-        assert sf.n == pytest.approx(1.0, rel=1e-12)
-        assert sf.k_x == pytest.approx(0.0, abs=1e-12)
+        ev = closed_form_grid(derived, 0.2 * GAMMA)
+        assert float(ev.n) == pytest.approx(1.0, rel=1e-12)
+        assert float(ev.k_x) == pytest.approx(0.0, abs=1e-12)
+        V, _ = ref.closed_form_covariance(ref.transfer_functions(derived, 0.2 * GAMMA), 0.0,
+                                          derived)
         assert np.allclose(V, np.eye(4), atol=1e-12)
 
     def test_optimum_point_epr_variance(self, optimum_derived):
         # at d = d_o, omega = 0 the thermal terms cancel: n - k_x = 4 (d_o/gamma)^2
-        tp = oe.transfer_functions(optimum_derived, 0.0)
-        _, sf = oe.closed_form_covariance(tp, optimum_derived.n_m, optimum_derived)
-        assert sf.n - sf.k_x == pytest.approx(0.0210, rel=0.02)
+        x = float(closed_form_grid(optimum_derived, 0.0).x)
+        assert x == pytest.approx(0.0210, rel=0.02)
         d_over_gamma = optimum_derived.d / optimum_derived.gamma
-        assert sf.n - sf.k_x == pytest.approx(4 * d_over_gamma**2, rel=5e-3)
+        assert x == pytest.approx(4 * d_over_gamma**2, rel=5e-3)
 
     def test_thermal_insensitivity_at_optimum(self, optimum_derived):
-        tp = oe.transfer_functions(optimum_derived, 0.0)
-        _, sf1 = oe.closed_form_covariance(tp, optimum_derived.n_m, optimum_derived)
-        _, sf2 = oe.closed_form_covariance(tp, 2 * optimum_derived.n_m, optimum_derived)
-        x1, x2 = sf1.n - sf1.k_x, sf2.n - sf2.k_x
+        hot = replace(optimum_derived, n_m=2 * optimum_derived.n_m)
+        x1, x2 = (float(closed_form_grid(derived, 0.0).x) for derived in (optimum_derived, hot))
         assert abs(x2 - x1) < 5e-3 * x1
 
     def test_matrix_is_standard_form(self, paper_derived):
-        tp = oe.transfer_functions(paper_derived, 0.5 * GAMMA)
-        V, sf = oe.closed_form_covariance(tp, paper_derived.n_m, paper_derived)
+        tp = ref.transfer_functions(paper_derived, 0.5 * GAMMA)
+        V, sf = ref.closed_form_covariance(tp, paper_derived.n_m, paper_derived)
         expected = np.array([
             [sf.n, 0, sf.k_x, 0],
             [0, sf.n, 0, -sf.k_x],
@@ -306,9 +347,9 @@ class TestClosedFormCovariance:
         assert np.allclose(x_plus, x_minus, rtol=1e-12)
 
     def test_direct_combination_variances(self, paper_derived):
-        tp = oe.transfer_functions(paper_derived, 0.0)
-        _, sf = oe.closed_form_covariance(tp, paper_derived.n_m, paper_derived)
-        squeezed, anti = sf.epr_combination_variances()
+        tp = ref.transfer_functions(paper_derived, 0.0)
+        _, sf = ref.closed_form_covariance(tp, paper_derived.n_m, paper_derived)
+        squeezed, anti = ref.epr_combination_variances(sf)
         assert squeezed == pytest.approx(2 * (sf.n - sf.k_x))
         assert anti == pytest.approx(2 * (sf.n + sf.k_x))
 
@@ -386,7 +427,7 @@ class TestMetricColumns:
         xs = x.tolist()
         cols = metric_columns(x)
         expected = {"epr_variance": x, "S_db": np.array([oe.squeezing_db(v) for v in xs]),
-                    "log_negativity": np.array([_log_negativity(v) for v in xs])}
+                    "log_negativity": np.array([ref.log_negativity(v) for v in xs])}
         for name, column in expected.items():
             assert np.array_equal(np.array(cols[name]).view(np.uint64), column.view(np.uint64))
         assert np.array_equal(np.array(cols["eof"]), eof_array(x), equal_nan=True)
@@ -410,19 +451,17 @@ class TestMetricColumns:
 
 class TestMetricConsistency:
     def test_log_negativity_matches_squeezing(self, paper_derived):
-        for omega in (0.0, 0.3 * GAMMA, GAMMA):
-            tp = oe.transfer_functions(paper_derived, omega)
-            _, sf = oe.closed_form_covariance(tp, paper_derived.n_m, paper_derived)
-            m = ent_metrics(sf)
-            if m.entangled:
-                assert m.log_negativity == pytest.approx(
-                    m.S_db / (10 * math.log10(2)), rel=1e-9)
+        cols = metric_columns(closed_form_grid(paper_derived, [0.0, 0.3 * GAMMA, GAMMA]).x)
+        for x, log_negativity, S_db in zip(cols["epr_variance"], cols["log_negativity"],
+                                           cols["S_db"]):
+            if x < 1.0:
+                assert log_negativity == pytest.approx(S_db / (10 * math.log10(2)), rel=1e-9)
 
     def test_entangled_flag(self):
         derived = make_derived()
-        tp = oe.transfer_functions(derived, 0.0)
-        _, sf = oe.closed_form_covariance(tp, derived.n_m, derived)
-        m = ent_metrics(sf)
+        tp = ref.transfer_functions(derived, 0.0)
+        _, sf = ref.closed_form_covariance(tp, derived.n_m, derived)
+        m = ref.ent_metrics(sf)
         assert m.entangled == (m.epr_variance < 1.0)
 
 
@@ -452,31 +491,37 @@ class TestOptimumD:
 
 
 class TestSpectrum:
+    """The closed-form spectrum as the CLI forms it: ``evaluate`` and ``spectrum_flags``."""
+
     def test_empty_grid(self, paper_derived):
-        assert oe.spectrum(paper_derived, []) == []
+        ev = oe.evaluate(paper_derived, [], "adiabatic")
+        assert ev.x.shape == (0,)
+        assert spectrum_flags(paper_derived, [], ev.error) == []
 
     def test_peak_near_zero_at_optimum(self, optimum_derived, omega_grid):
-        points = oe.spectrum(optimum_derived, omega_grid)
-        eofs = np.array([p.metrics.eof for p in points])
-        peak_omega = points[int(np.argmax(eofs))].omega
+        eofs = eof_array(oe.evaluate(optimum_derived, omega_grid, "adiabatic").x)
+        peak_omega = omega_grid[int(np.argmax(eofs))]
         assert abs(peak_omega) < 0.05 * optimum_derived.gamma
 
     def test_strong_driving_splits_peak(self, paper_params, paper_derived, omega_grid):
         strong = oe.operating_point_params(paper_params, 3000.0,
                                            paper_derived.delta, paper_derived.d)
         derived = oe.solve_steady_state(strong)
-        points = oe.spectrum(derived, omega_grid)
-        eofs = np.array([p.metrics.eof for p in points])
-        peak_omega = points[int(np.argmax(eofs))].omega
+        eofs = eof_array(oe.evaluate(derived, omega_grid, "adiabatic").x)
+        peak_omega = omega_grid[int(np.argmax(eofs))]
         assert abs(peak_omega) > 0.5 * derived.gamma
 
     def test_elimination_band_flag(self, paper_derived):
-        points = oe.spectrum(paper_derived, [0.0, 2.0 * paper_derived.delta])
-        assert points[0].flags == ()
-        assert "omega_outside_elimination_band" in points[1].flags
+        omegas = [0.0, 2.0 * paper_derived.delta]
+        flags = spectrum_flags(paper_derived, omegas,
+                               oe.evaluate(paper_derived, omegas, "adiabatic").error)
+        assert flags[0] == ()
+        assert "omega_outside_elimination_band" in flags[1]
 
     def test_order_preserving_and_deterministic(self, paper_derived, omega_grid):
-        a = oe.spectrum(paper_derived, omega_grid[:50])
-        b = oe.spectrum(paper_derived, omega_grid[:50])
-        assert [p.omega for p in a] == list(omega_grid[:50])
-        assert a == b
+        a = oe.evaluate(paper_derived, omega_grid[:50], "adiabatic")
+        b = oe.evaluate(paper_derived, omega_grid[:50], "adiabatic")
+        whole = oe.evaluate(paper_derived, omega_grid, "adiabatic")
+        for name in ("n", "k_x", "x"):
+            assert same_bits(getattr(a, name), getattr(b, name))
+            assert same_bits(getattr(a, name), getattr(whole, name)[:50])
