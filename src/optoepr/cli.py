@@ -151,7 +151,7 @@ def _cmd_sweep(args, cfg: RunConfig) -> int:
     params = _maybe_retune(cfg.params, args)
     grid = _grid(args, params.gamma)
     try:
-        if args.values:
+        if args.values is not None:   # an empty --values is an error, not the defaults
             values = tuple(float(v) for v in args.values.split(","))
         elif axis == "d":
             values = tuple(np.linspace(0.02 * params.gamma, 0.14 * params.gamma, 7))
@@ -187,7 +187,7 @@ def _cmd_optimum(args, cfg: RunConfig) -> int:
         print("warning: squeezing unbounded in this limit")
     if args.numeric:
         bracket = (0.25 * opt.d_o, min(4.0 * opt.d_o, 0.5 * params.gamma))
-        d_star = find_optimum_d_numeric(params, bracket)
+        d_star = find_optimum_d_numeric(params, bracket, omega_grid=_grid(args, params.gamma))
         print(f"numeric optimum d* = {d_star:.10g} rad/s "
               f"({abs(d_star - opt.d_o) / opt.d_o:.3%} from closed form)")
     return 0

@@ -18,11 +18,18 @@ has the spectral covariance in standard form
     V24 = [2 g' g gamma^2 + ((w + g' - g)^2 + gamma^2/4) gamma gamma_m~ (2 n_m + 1)] / |Delta|^2
     k_x = sqrt(V14^2 + V24^2)
 
-:func:`closed_form_grid` evaluates n and k_x from these formulas for one or
-K operating points over a grid in one pass, without forming G, H or I.  The
-point-by-point chain through them (transfer functions, 4x4 covariance,
-metrics) is kept in ``tests/closed_form_reference.py``, as the reference the
-batched kernel is checked against to the last bit.
+One kernel, :func:`_closed_form`, evaluates n and k_x from these formulas
+without forming G, H or I, in two parts: a row part that forms once the terms
+that hold no frequency, and a frequency part that evaluates the rest over any
+frequencies, in place.  :func:`closed_form_grid` runs both parts once, for one
+or K operating points over a grid; :func:`offset_x` runs the row part once for
+K offsets of d and returns the frequency part, which the d-search calls on
+its grid and on each round of its continuous minimum.  Every square is a
+product, so one frequency alone and the same frequency on a grid give the
+same bits.  The point-by-point chain through G, H and I (transfer
+functions, 4x4 covariance, metrics) is kept in
+``tests/closed_form_reference.py``, as the reference the kernel is checked
+against to the last bit.
 
 The exact frequency-domain solvers in :mod:`optoepr.langevin`
 cross-validate this model; see ``compare_models`` for where they agree and
@@ -94,30 +101,66 @@ class OptimumD:
     unbounded: bool
 
 
-# The DerivedParams fields that _covariance_entries reads.
+# The DerivedParams fields that the closed-form kernel reads.
 _CLOSED_FORM_FIELDS = ("g", "g_prime", "gamma", "gamma_m_tilde", "n_m")
 
 
-def _covariance_entries(derived: DerivedParams, omega):
-    """n, V14, V24 of the closed-form standard form and |Delta|^2.
+def _closed_form(params):
+    """The closed-form kernel of ``params``: the row part is formed here, the frequency
+    part is returned, ``standard_form(omegas) -> (n, k_x, x, |Delta|^2)``.
 
-    numpy-polymorphic in omega and in the fields :data:`_CLOSED_FORM_FIELDS`
-    of ``derived``: (K, 1) columns of them give (K, N) arrays on an N-point grid.
-    g'^2, g^2, gamma^2/4 and the thermal mechanical term that n and V24 share
-    are each formed once, every sum and product in the association order of
-    the formulas in the module docstring.
+    numpy-polymorphic in the fields :data:`_CLOSED_FORM_FIELDS` of ``params``
+    and in omega: (K, 1) columns of them give (K, N) arrays on an N-point grid
+    or on a (K, N) block of per-row frequencies.  g' has the rows' shape, and
+    every other field is a scalar or has that shape.  The row part forms what
+    holds no frequency once: g^2, g'^2, gamma^2/4, the thermal factor of the
+    mechanical term, (g'^2 + g^2) gamma^2, 2 g' g gamma^2 and -2 g gamma, each
+    scalar as a 0-d array, which numpy combines with an array faster than a
+    float.  The frequency part forms the terms that hold omega alone at omega's
+    shape, then works in place on the arrays it has allocated, under one
+    ``np.errstate``.  Every sum and product is formed in the association order
+    of the formulas in the module docstring and every square as a product (a
+    ``** 2`` of a 0-d value would be a ``pow``), so a point has the same bits
+    whatever the shape it comes in.
     """
-    g, gp, gamma = derived.g, derived.g_prime, derived.gamma
-    therm = derived.gamma * derived.gamma_m_tilde * (2.0 * derived.n_m + 1.0)
+    g, gp, gamma = params.g, params.g_prime, params.gamma
+    therm = gamma * params.gamma_m_tilde * (2.0 * params.n_m + 1.0)
     g2, gp2, quarter = g * g, gp * gp, gamma * gamma / 4.0
-    w2 = omega * omega
-    u_minus_v = w2 + quarter + g2 - gp2
-    abs_D2 = (quarter - w2 + gp2 - g2) ** 2 + w2 * gamma * gamma
-    mech = ((omega + gp - g) ** 2 + quarter) * therm
-    n = (u_minus_v**2 + (gp2 + g2) * gamma * gamma + mech) / abs_D2
-    v14 = -2.0 * g * gamma * u_minus_v / abs_D2
-    v24 = (2.0 * gp * g * gamma * gamma + mech) / abs_D2
-    return n, v14, v24, abs_D2
+    static = (gp2 + g2) * gamma * gamma
+    cross = 2.0 * gp * g * gamma * gamma
+    v14_factor = -2.0 * g * gamma
+    g, gp, gamma, therm, g2, gp2, quarter, static, cross, v14_factor = (
+        np.asarray(v, dtype=float)
+        for v in (g, gp, gamma, therm, g2, gp2, quarter, static, cross, v14_factor))
+
+    def standard_form(omegas):
+        w2 = omegas * omegas
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u_minus_v = w2 + quarter + g2 - gp2
+            abs_D2 = quarter - w2 + gp2
+            abs_D2 -= g2
+            abs_D2 *= abs_D2
+            damping = w2 * gamma
+            damping *= gamma
+            abs_D2 += damping
+            mech = omegas + gp
+            mech -= g
+            mech *= mech
+            mech += quarter
+            mech *= therm
+            n = u_minus_v * u_minus_v
+            n += static
+            n += mech
+            n /= abs_D2
+            v24 = mech
+            v24 += cross
+            v24 /= abs_D2
+            v14 = u_minus_v
+            v14 *= v14_factor
+            v14 /= abs_D2
+            k_x = np.hypot(v14, v24)
+            return n, k_x, n - k_x, abs_D2
+    return standard_form
 
 
 def eof(x: float) -> float:
@@ -178,41 +221,38 @@ def optimum_d(derived: DerivedParams) -> OptimumD:
     return OptimumD(d_o=d_o, S_o_db=squeezing_db(x), eof_o=eof(x), unbounded=False)
 
 
-def _standard_form(params, omegas):
-    """n, k_x, x = n - k_x and |Delta|^2 of the closed form of ``params``
-    (see :func:`_covariance_entries`)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        n, v14, v24, abs_D2 = _covariance_entries(params, omegas)
-        k_x = np.hypot(v14, v24)
-        return n, k_x, n - k_x, abs_D2
-
-
 def degenerate_mask(abs_D2, gamma2, omegas):
     """Where the response denominator has vanished, |Delta| < 1e-30 (gamma^2 + omega^2),
     from |Delta|^2 and gamma^2 = ``gamma2``: a parametric instability outside the
-    model's regime."""
-    return abs_D2 < (1e-30 * (gamma2 + omegas**2)) ** 2
+    model's regime.  Squares are products, as in :func:`_closed_form`."""
+    bound = 1e-30 * (gamma2 + omegas * omegas)
+    return abs_D2 < bound * bound
 
 
-def offset_x(derived: DerivedParams, d, omegas):
-    """x = n - k_x of the closed form at ``derived`` moved to each offset in ``d``, and
-    |Delta|^2, from which :func:`degenerate_mask` (with ``derived.gamma**2``) forms the
-    mask of the points where the response denominator vanishes.
+def offset_x(derived: DerivedParams, d):
+    """The evaluator of the closed form at ``derived`` moved to each offset in ``d``:
+    ``x_at(omegas) -> (x, |Delta|^2)``, x = n - k_x per offset, from whose |Delta|^2
+    :func:`degenerate_mask` (with ``derived.gamma**2``) forms the mask of the points
+    where the response denominator vanishes.
 
     Moving d with alpha and delta held, as :func:`operating_point_params` does at
     its designed root N = 2 alpha^2, changes no field the closed form reads but
     g' = g + d.  So nothing is solved: the K offsets enter as one (K, 1) column
-    of g', and row k equals the x of :func:`closed_form_grid` of ``derived`` with
-    ``d`` and ``g_prime`` replaced, to the last bit, wherever that x is not
-    blanked.  ``omegas`` is an N-point grid or a (K, M) block of per-row
-    frequencies.  The amplitudes are equal by design, so no row is failed for a
-    mismatch, and x <= 0 is left to the caller.
+    of g', whose row part :func:`_closed_form` forms here, once for all the
+    ``x_at`` calls, and row k equals the x of :func:`closed_form_grid` of
+    ``derived`` with ``d`` and ``g_prime`` replaced, to the last bit, wherever
+    that x is not blanked.  ``omegas`` is an N-point grid, a (K, M) block of
+    per-row frequencies or one frequency.  The amplitudes are equal by design,
+    so no row is failed for a mismatch, and x <= 0 is left to the caller.
     """
-    params = SimpleNamespace(g=derived.g, g_prime=derived.g + np.asarray(d, dtype=float)[:, None],
-                             gamma=derived.gamma, gamma_m_tilde=derived.gamma_m_tilde,
-                             n_m=derived.n_m)
-    _, _, x, abs_D2 = _standard_form(params, np.asarray(omegas, dtype=float))
-    return x, abs_D2
+    standard_form = _closed_form(SimpleNamespace(
+        g=derived.g, g_prime=derived.g + np.asarray(d, dtype=float)[:, None],
+        gamma=derived.gamma, gamma_m_tilde=derived.gamma_m_tilde, n_m=derived.n_m))
+
+    def x_at(omegas):
+        _, _, x, abs_D2 = standard_form(np.asarray(omegas, dtype=float))
+        return x, abs_D2
+    return x_at
 
 
 def closed_form_grid(derived: DerivedParams | Sequence[DerivedParams], omegas) -> Evaluation:
@@ -239,7 +279,7 @@ def closed_form_grid(derived: DerivedParams | Sequence[DerivedParams], omegas) -
         params, mismatch, gamma2 = rows[0], mismatch[0], gamma2[0]
         if not isinstance(derived, DerivedParams):
             omegas = omegas[None, :]
-    n, k_x, _, abs_D2 = _standard_form(params, omegas)
+    n, k_x, _, abs_D2 = _closed_form(params)(omegas)
     failed = degenerate_mask(abs_D2, gamma2, omegas) | mismatch
     with np.errstate(invalid="ignore"):
         ev = Evaluation.from_standard_form(n, k_x, failed, "DegenerateResponse")

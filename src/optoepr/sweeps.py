@@ -30,10 +30,16 @@ leaves every input of the closed form but g' = g + d at the base's: K
 offsets are one (K, N) closed-form block (``spectrum.offset_x``), checked
 for the errors the ``d`` rows would raise as one vector.  A row's objective
 is the EOF of its least x over continuous omega, refined in the grid cells
-next to its grid minimum; unlike the grid peak it is smooth in d.  A coarse
-scan checks unimodality, then refinement rounds of ``_ROUND_ROWS`` rows, one
-pass each, narrow the bracket to the two cells around the best row (of equal
-values the highest d) until it is ``tol_frac`` of its larger end wide.
+next to its grid minimum; unlike the grid peak it is smooth in d.  One block
+of offsets forms the row part of the closed form once, and its evaluator
+serves the grid pass and every refinement of the continuous minimum.  A
+coarse scan checks unimodality, then refinement rounds of ``_ROUND_ROWS``
+rows, one pass each, narrow the bracket to the two cells around the best row
+(of equal values the highest d) until it is ``tol_frac`` of its larger end
+wide.  A round's two ends are rows of the pass before, reproduced exactly by
+``np.linspace``, so a round scores its ``_ROUND_ROWS - 2`` inner rows, and
+one fewer when its middle row is the pass before's best offset: no offset is
+scored twice in one search.
 
 Peak statistics are measured on the EOF(omega) curve: every local maximum
 is refined parabolically and the peak is the largest vertex, in the sweeps
@@ -97,9 +103,12 @@ def default_omega_grid(gamma: float, points: int = DEFAULT_GRID_POINTS,
 
 
 def _check_grid(omega: np.ndarray) -> None:
-    """ValueError unless ``omega`` is nonempty and evenly spaced, as peak refinement assumes."""
+    """ValueError unless ``omega`` is nonempty, ascending and evenly spaced, as peak
+    refinement and the continuous minimum assume."""
     if len(omega) == 0:
         raise ValueError("omega_grid must be nonempty")
+    if omega[-1] < omega[0]:
+        raise ValueError("omega_grid must be ascending")
     if len(omega) > 2:
         step = (omega[-1] - omega[0]) / (len(omega) - 1)
         rounding = 4.0 * np.finfo(float).eps * np.max(np.abs(omega))
@@ -185,8 +194,9 @@ def peak_statistics(omega: np.ndarray, eof_curve: np.ndarray,
     grid, and the peak EOF is the largest vertex.  The one-curve case of
     :func:`_peak_statistics_rows`.
 
-    Raises ValueError for an empty curve or one whose length differs from
-    ``omega``'s.
+    Raises ValueError for an empty curve, one whose length differs from
+    ``omega``'s, and a descending ``omega``, on which the FWHM would come out
+    negative.
     """
     omega = np.asarray(omega, dtype=float)
     y = np.asarray(eof_curve, dtype=float)
@@ -194,6 +204,8 @@ def peak_statistics(omega: np.ndarray, eof_curve: np.ndarray,
         raise ValueError("eof_curve must be nonempty")
     if len(omega) != len(y):
         raise ValueError(f"omega and eof_curve lengths differ: {len(omega)} != {len(y)}")
+    if np.any(omega[1:] < omega[:-1]):
+        raise ValueError("omega must be ascending")
     curves = y[None, :]
     return _peak_statistics_rows(omega, curves, _refined_maxima(omega, curves), within)[0]
 
@@ -494,7 +506,8 @@ def _search_objective(base: PhysicalParams, base_derived: DerivedParams, d: np.n
     parameter, building, window = _offset_row_errors(base, base_derived, d)
     if parameter.any():
         _row_params("d", base, base_derived, float(d[np.argmax(parameter)]))
-    x, abs_D2 = offset_x(base_derived, d, omega)
+    x_at = offset_x(base_derived, d)
+    x, abs_D2 = x_at(omega)
     degenerate = degenerate_mask(abs_D2, base_derived.gamma**2, omega)
     failed = degenerate | (x <= 0)
     bad = building | window | failed.any(axis=1)
@@ -510,17 +523,18 @@ def _search_objective(base: PhysicalParams, base_derived: DerivedParams, d: np.n
         i = int(np.argmax(failed[k]))
         error = DegenerateResponse if degenerate[k, i] else DomainError
         raise error(f"adiabatic output failed at omega = {omega[i]:.6e}")
-    return eof_array(_continuous_min(lambda w: offset_x(base_derived, d, w)[0], omega, x))
+    return eof_array(_continuous_min(x_at, omega, x))
 
 
 def _continuous_min(x_at, omega: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Per row of the (K, N) block ``x`` on the grid ``omega``: the least x(omega) over
     continuous omega in the grid cells next to the row's grid minimum.
 
-    ``x_at`` evaluates the rows at a (K, M) block of frequencies.  Each of
-    ``_MIN_ROUNDS`` rounds evaluates ``_MIN_POINTS`` evenly spaced frequencies
-    across the two cells around each row's best point so far (clipped to the
-    grid's span) and keeps the best of them, so the cells narrow by
+    ``x_at`` is the rows' :func:`offset_x` evaluator, called on a (K, M) block of
+    frequencies in each round.  Each of ``_MIN_ROUNDS`` rounds evaluates
+    ``_MIN_POINTS`` evenly spaced frequencies across the two cells around each
+    row's best point so far (clipped to the grid's span) and keeps the best of
+    them, so the cells narrow by
     (``_MIN_POINTS`` - 1) / 2 per round.  The best point is among those
     evaluated, so the result never exceeds the grid minimum.
     """
@@ -532,7 +546,7 @@ def _continuous_min(x_at, omega: np.ndarray, x: np.ndarray) -> np.ndarray:
     half = (omega[-1] - omega[0]) / (len(omega) - 1)
     for _ in range(_MIN_ROUNDS):
         w = np.clip(center[:, None] + half * _MIN_OFFSETS, omega[0], omega[-1])
-        values = x_at(w)
+        values = x_at(w)[0]
         best = np.argmin(values, axis=1)
         center, least = w[rows, best], np.minimum(least, values[rows, best])
         half *= 2.0 / (_MIN_POINTS - 1)
@@ -554,10 +568,11 @@ def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, fl
     domain before any other).  A bracket whose scan shows several separated
     local maxima raises :class:`BracketError` with the scan attached.  The
     scan's best row and its two neighbours then bound the bracket, and each
-    refinement round evaluates ``_ROUND_ROWS`` evenly spaced rows across the
-    current bracket in one pass and keeps the two cells around the best.  Of
-    equal values the highest d is the best, so a flat objective moves the
-    bracket up.  The rounds stop once the bracket is at most
+    refinement round takes ``_ROUND_ROWS`` evenly spaced rows across the
+    current bracket, scores in one pass those that no earlier pass scored
+    (all but the ends, and the middle where it is the previous best) and keeps
+    the two cells around the best.  Of equal values the highest d is the
+    best, so a flat objective moves the bracket up.  The rounds stop once the bracket is at most
     ``tol_frac * max(|lo|, |hi|)`` wide, or no float lies inside it, and the
     search returns its midpoint.  A degenerate bracket returns its single
     point.  ``tol_frac`` <= 0 or NaN, ``scan_points`` < 3 and an empty or
@@ -590,6 +605,7 @@ def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, fl
     tol = tol_frac * max(abs(hi), abs(lo))
     a, b = lo, hi
     rows, values = scan_d, scan_v
+    scored = dict(zip(scan_d.tolist(), scan_v.tolist()))   # this search's scored offsets
     while b - a > tol:
         j = len(rows) - 1 - int(np.argmax(values[::-1]))   # the highest of equal values
         bracket = float(rows[max(j - 1, 0)]), float(rows[min(j + 1, len(rows) - 1)])
@@ -597,6 +613,12 @@ def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, fl
             break
         a, b = bracket
         if b - a > tol:
+            # np.linspace reproduces a and b exactly, and often the best row between
+            # them: a round scores only the offsets no earlier pass scored
             rows = np.linspace(a, b, _ROUND_ROWS)
-            values = _search_objective(base, base_derived, rows, omega)
+            new = list(dict.fromkeys(dk for dk in rows.tolist() if dk not in scored))
+            if new:
+                scored.update(zip(new, _search_objective(base, base_derived, np.array(new),
+                                                         omega).tolist()))
+            values = np.array([scored[dk] for dk in rows.tolist()])
     return 0.5 * (a + b)

@@ -1,8 +1,11 @@
 import csv
 
+import numpy as np
 import pytest
 
-from optoepr.cli import main
+import optoepr as oe
+from optoepr import cli
+from optoepr.cli import _build_parser, _grid, main
 from optoepr.io import read_jsonlines
 
 
@@ -113,6 +116,27 @@ class TestOptimum:
         assert "S_o = 16.77" in out
         assert "EOF_o = 5.01" in out
 
+    def test_default_grid_is_the_search_default(self):
+        # without grid flags the search runs on default_omega_grid, to the bit
+        for gamma in (oe.parse_config("defaults: paper\n").params.gamma, 1.0, 3e7 / 7.0):
+            grid = _grid(_build_parser().parse_args(["optimum", "--numeric"]), gamma)
+            expected = oe.default_omega_grid(gamma)
+            assert grid.dtype == expected.dtype and grid.tobytes() == expected.tobytes()
+
+    def test_numeric_search_runs_on_the_grid_flags(self, capsys, monkeypatch):
+        grids = []
+        search = cli.find_optimum_d_numeric
+
+        def spy(params, bracket, omega_grid=None):
+            grids.append(omega_grid)
+            return search(params, bracket, omega_grid=omega_grid)
+        monkeypatch.setattr(cli, "find_optimum_d_numeric", spy)
+        code, out, _ = run(capsys, "optimum", "--numeric", "--omega-points", "201",
+                           "--omega-min=-3e7", "--omega-max", "3e7")
+        assert code == 0 and "numeric optimum d* = " in out
+        grid, = grids
+        assert grid.tobytes() == np.linspace(-3e7, 3e7, 201).tobytes()
+
 
 class TestVerify:
     def test_deviation_columns(self, tmp_path, capsys):
@@ -194,6 +218,14 @@ drive_omega2_rads = 1e12
                            "--omega-points", "5")
         assert code == 2
         assert "configuration error" in err
+
+    def test_empty_sweep_values_exit_2(self, capsys):
+        # an empty --values is a configuration error, not the axis's default values
+        code, out, err = run(capsys, "sweep", "--axis", "T", "--values", "",
+                             "--omega-points", "5")
+        assert code == 2
+        assert err.startswith("configuration error: invalid --values ''")
+        assert out == ""
 
     def test_non_monotone_sweep_values_exit_2(self, capsys):
         code, _, err = run(capsys, "sweep", "--axis", "T", "--values", "300,4,300",

@@ -12,9 +12,9 @@ from hypothesis.extra import numpy as hnp
 import optoepr as oe
 from optoepr.errors import DomainError
 from optoepr.params import TWO_PI
-from optoepr.spectrum import (_CLOSED_FORM_FIELDS, Evaluation, _covariance_entries,
-                              _standard_form, closed_form_grid, degenerate_mask, eof_array,
-                              epr_columns, metric_columns, offset_x, spectrum_flags)
+from optoepr.spectrum import (_CLOSED_FORM_FIELDS, Evaluation, _closed_form, closed_form_grid,
+                              degenerate_mask, eof_array, epr_columns, metric_columns, offset_x,
+                              spectrum_flags)
 from optoepr.steady_state import DerivedParams
 from tests import closed_form_reference as ref
 
@@ -42,6 +42,12 @@ VARIANCES = st.one_of(st.just(math.nan), st.just(1.0), st.floats(1e-300, 1e-6),
                       st.floats(1e-6, 1.0, exclude_max=True), st.floats(1.0, 1e6))
 
 GAMMA = TWO_PI * 3.2e6
+
+
+# Closed-form fields of one row: g from 0 to strong drive, g' = g + d with |d| up to
+# a few gamma, and a bath from none to hot.
+CLOSED_FORM_ROWS = st.tuples(st.floats(0.0, 2e10), st.floats(-1e8, 1e8), st.floats(1e5, 1e9),
+                             st.floats(0.0, 1e7), st.floats(0.0, 1e7))
 
 
 def make_derived(g=3.394334e7, d=None, gamma=GAMMA, gamma_m_tilde=8316.118,
@@ -194,41 +200,83 @@ class TestClosedFormRows:
         for derived, d in ((paper_derived, [1e5, 1.2e6, -3e5]),
                            (make_derived(g=2.0, gamma=4.0, gamma_m_tilde=0.0, n_m=0.0), [1.0, -2.0])):
             moved = [replace(derived, d=dk, g_prime=derived.g + dk) for dk in d]
-            x, abs_D2 = offset_x(derived, d, omegas)
+            x_at = offset_x(derived, d)
+            x, abs_D2 = x_at(omegas)
             degenerate = degenerate_mask(abs_D2, derived.gamma**2, omegas)
             ev = closed_form_grid(moved, omegas)
             assert np.array_equal(ev.failed, degenerate | (x <= 0))
             assert np.array_equal(x[~ev.failed], ev.x[~ev.failed])
             assert np.array_equal(degenerate, ev.error == "DegenerateResponse")
             per_row = np.vstack([omegas * (k + 1) for k in range(len(d))])
-            x, _ = offset_x(derived, d, per_row)
+            x, _ = x_at(per_row)
             for k, row in enumerate(moved):
                 alone = closed_form_grid(row, per_row[k])
                 assert np.array_equal(x[k][~alone.failed], alone.x[~alone.failed])
         assert degenerate.tolist() == [[False] * 6, [True] + [False] * 5]
 
+    @pytest.mark.parametrize("at", ["paper", "optimum"])
+    def test_each_grid_point_alone_as_on_the_grid(self, paper_derived, optimum_derived,
+                                                  omega_grid, at):
+        # a frequency evaluated alone, as a float or a 0-d array, has the bits it has on
+        # the grid: every square is a product, so no 0-d ** 2 becomes a pow
+        derived = paper_derived if at == "paper" else optimum_derived
+        grid = closed_form_grid(derived, omega_grid)
+        for i, w in enumerate(omega_grid.tolist()):
+            for omega in (w, np.float64(w), np.array(w)):
+                alone = closed_form_grid(derived, omega)
+                assert all(same_bits(getattr(alone, name), getattr(grid, name)[i])
+                           for name in ("n", "k_x", "x"))
+                assert alone.error == grid.error[i] and alone.failed == grid.failed[i]
+
+    @given(CLOSED_FORM_ROWS, st.lists(st.floats(-1e8, 1e8), min_size=1, max_size=4), st.data())
+    def test_evaluator_rows_as_the_moved_rows(self, fields, d, data):
+        # the evaluator's rows on a grid, on a (K, M) block and at one frequency are the
+        # moved rows' closed_form_grid, to the bit wherever that x is not blanked
+        g, _, gamma, gamma_m_tilde, n_m = fields
+        derived = make_derived(g=g, gamma=gamma, gamma_m_tilde=gamma_m_tilde, n_m=n_m)
+        moved = [replace(derived, d=dk, g_prime=derived.g + dk) for dk in d]
+        frequencies = st.floats(-1e9, 1e9)
+        grid = data.draw(hnp.arrays(float, data.draw(st.integers(1, 8)), elements=frequencies))
+        block = data.draw(hnp.arrays(float, (len(d), data.draw(st.integers(1, 8))),
+                                     elements=frequencies))
+        point = np.array(data.draw(frequencies))
+        x_at = offset_x(derived, d)
+        for omegas, per_row in ((grid, [grid] * len(d)), (block, block), (point, [point] * len(d))):
+            x, abs_D2 = x_at(omegas)
+            assert x.shape == abs_D2.shape == (len(d),) + (omegas.shape[-1:] or (1,))
+            degenerate = degenerate_mask(abs_D2, derived.gamma**2, omegas)
+            for k, row in enumerate(moved):
+                alone = closed_form_grid(row, per_row[k])
+                kept = ~np.atleast_1d(alone.failed)
+                assert same_bits(x[k][kept], np.atleast_1d(alone.x)[kept])
+                assert np.array_equal(np.atleast_1d(alone.error == "DegenerateResponse"),
+                                      degenerate[k])
+
 
 def reference_covariance_entries(derived, omega):
     """n, V14, V24 and |Delta|^2 as the closed form formed them before its repeated
-    subexpressions were formed once, as the reference."""
+    subexpressions were formed once, every square a product, as the reference."""
     g, gp, gamma = derived.g, derived.g_prime, derived.gamma
     therm = derived.gamma * derived.gamma_m_tilde * (2.0 * derived.n_m + 1.0)
     w2 = omega * omega
     u_minus_v = w2 + gamma * gamma / 4.0 + g * g - gp * gp
-    abs_D2 = (gamma * gamma / 4.0 - w2 + gp * gp - g * g) ** 2 + w2 * gamma * gamma
-    mech_factor = (omega + gp - g) ** 2 + gamma * gamma / 4.0
-    n = (u_minus_v**2 + (gp * gp + g * g) * gamma * gamma + mech_factor * therm) / abs_D2
+    re_D = gamma * gamma / 4.0 - w2 + gp * gp - g * g
+    abs_D2 = re_D * re_D + w2 * gamma * gamma
+    shift = omega + gp - g
+    mech_factor = shift * shift + gamma * gamma / 4.0
+    n = (u_minus_v * u_minus_v + (gp * gp + g * g) * gamma * gamma + mech_factor * therm) / abs_D2
     v14 = -2.0 * g * gamma * u_minus_v / abs_D2
     v24 = (2.0 * gp * g * gamma * gamma + mech_factor * therm) / abs_D2
     return n, v14, v24, abs_D2
 
 
 def reference_standard_form(params, gamma2, omegas):
-    """n, k_x, x and the degenerate mask as the closed form formed them in one pass, as
-    the reference."""
+    """n, k_x, x, |Delta|^2 and the degenerate mask as the closed form formed them in one
+    pass, as the reference."""
     n, v14, v24, abs_D2 = reference_covariance_entries(params, omegas)
     k_x = np.hypot(v14, v24)
-    return n, k_x, n - k_x, abs_D2 < (1e-30 * (gamma2 + omegas**2)) ** 2
+    bound = 1e-30 * (gamma2 + omegas * omegas)
+    return n, k_x, n - k_x, abs_D2, abs_D2 < bound * bound
 
 
 def same_bits(got, expected):
@@ -244,12 +292,6 @@ def columns(rows):
                               for name in _CLOSED_FORM_FIELDS})
 
 
-# Closed-form fields of one row: g from 0 to strong drive, g' = g + d with |d| up to
-# a few gamma, and a bath from none to hot.
-CLOSED_FORM_ROWS = st.tuples(st.floats(0.0, 2e10), st.floats(-1e8, 1e8), st.floats(1e5, 1e9),
-                             st.floats(0.0, 1e7), st.floats(0.0, 1e7))
-
-
 class TestClosedFormKernel:
     """The closed-form kernel against the formulas it was written as, to the last bit."""
 
@@ -258,14 +300,10 @@ class TestClosedFormKernel:
 
     def assert_as_the_reference(self, params, gamma2, omegas):
         with np.errstate(all="ignore"):
-            entries = _covariance_entries(params, omegas)
-            expected = reference_covariance_entries(params, omegas)
-            assert all(map(same_bits, entries, expected))
-            n, k_x, x, abs_D2 = _standard_form(params, omegas)
-            ref_n, ref_k_x, ref_x, ref_degenerate = reference_standard_form(params, gamma2, omegas)
-        assert same_bits(abs_D2, entries[3])
-        assert all(map(same_bits, (n, k_x, x), (ref_n, ref_k_x, ref_x)))
-        assert same_bits(degenerate_mask(abs_D2, gamma2, omegas), ref_degenerate)
+            got = _closed_form(params)(np.asarray(omegas, dtype=float))
+            *expected, ref_degenerate = reference_standard_form(params, gamma2, omegas)
+        assert all(map(same_bits, got, expected))
+        assert same_bits(degenerate_mask(got[3], gamma2, omegas), ref_degenerate)
 
     def scalar_rows(self, paper_derived, optimum_derived):
         return [paper_derived, optimum_derived, make_derived(),
@@ -276,7 +314,7 @@ class TestClosedFormKernel:
         for derived in self.scalar_rows(paper_derived, optimum_derived):
             for omegas in (grid, self.ROW_OMEGAS, 0.3 * GAMMA, np.float64(-0.7 * GAMMA)):
                 self.assert_as_the_reference(derived, derived.gamma**2, omegas)
-        abs_D2 = _standard_form(derived, self.ROW_OMEGAS)[3]
+        abs_D2 = _closed_form(derived)(self.ROW_OMEGAS)[3]
         assert degenerate_mask(abs_D2, derived.gamma**2, self.ROW_OMEGAS).tolist() == \
             [True] + [False] * 6 + [True]
 

@@ -107,6 +107,15 @@ class TestPeakStatistics:
         with pytest.raises(ValueError, match="lengths differ"):
             peak_statistics(np.linspace(-1.0, 1.0, 5), np.ones(4))
 
+    def test_descending_grid_rejected(self):
+        # read on the reversed grid, the half-maximum edges swap and the FWHM turns negative
+        omega = np.linspace(-2.0, 2.0, 401)
+        curve = np.exp(-omega * omega / 0.25)
+        assert peak_statistics(omega, curve).fwhm == pytest.approx(math.sqrt(math.log(2.0)),
+                                                                   rel=1e-4)
+        with pytest.raises(ValueError, match="omega must be ascending"):
+            peak_statistics(omega[::-1], curve[::-1])
+
 
 def forbid_solves(monkeypatch):
     def solve(params):
@@ -220,11 +229,17 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="omega_grid must be evenly spaced"):
             SweepSpec(axis="d", values=(1.0,), base=paper_params, omega_grid=UNEVEN)
 
-    @pytest.mark.parametrize("grid", [np.linspace(-4e7, 4e7, 100001), np.linspace(3e7, -1e7, 7),
+    @pytest.mark.parametrize("grid", [np.linspace(-4e7, 4e7, 100001), np.linspace(-1e7, 3e7, 7),
                                       np.linspace(1e9, 1e9 + 1e-3, 9),   # steps ~ the rounding
                                       np.array([2e6]), np.array([1e6, 3e6])])
     def test_linspace_grids_accepted(self, paper_params, grid):
         assert SweepSpec(axis="d", values=(1.0,), base=paper_params, omega_grid=grid).axis == "d"
+
+    @pytest.mark.parametrize("grid", [np.linspace(3e7, -1e7, 7), np.array([3e6, 1e6])],
+                             ids=["7_points", "2_points"])
+    def test_descending_grid_rejected(self, paper_params, grid):
+        with pytest.raises(ValueError, match="omega_grid must be ascending"):
+            SweepSpec(axis="d", values=(1.0,), base=paper_params, omega_grid=grid)
 
 
 def alone(row, omega):
@@ -310,8 +325,9 @@ def spy_objective(monkeypatch):
 
 def continuous_min(derived, d, omega):
     """The designed rows' x at the offsets ``d`` on the grid and their continuous minima."""
-    x, _ = offset_x(derived, d, omega)
-    return x, sweeps._continuous_min(lambda w: offset_x(derived, d, w)[0], omega, x)
+    x_at = offset_x(derived, d)
+    x, _ = x_at(omega)
+    return x, sweeps._continuous_min(x_at, omega, x)
 
 
 def assert_designed_rows(params, derived, d, omega):
@@ -334,7 +350,7 @@ def assert_designed_rows(params, derived, d, omega):
         assert abs(solved.d - dk) <= 1e-6 * abs(dk)
         named = closed_form_grid(solved, omega)
         assert not named.failed.any()
-        designed, _ = offset_x(derived, [solved.d], omega)
+        designed, _ = offset_x(derived, [solved.d])(omega)
         assert np.max(np.abs(designed[0] - named.x) / named.x) <= 1e-8
         rounding.append(4.0 * np.spacing(named.n[np.argmin(named.x)]))
     assert np.all(least <= x.min(axis=1))
@@ -343,7 +359,7 @@ def assert_designed_rows(params, derived, d, omega):
     i = np.argmin(x, axis=1)
     left, right = omega[np.maximum(i - 1, 0)], omega[np.minimum(i + 1, len(omega) - 1)]
     step = (right - left) / 200
-    fine = offset_x(derived, d, left[:, None] + step[:, None] * np.arange(201))[0]
+    fine = offset_x(derived, d)(left[:, None] + step[:, None] * np.arange(201))[0]
     j = np.clip(np.argmin(fine, axis=1), 1, 199)
     curvature = (fine[rows, j - 1] - 2.0 * fine[rows, j] + fine[rows, j + 1]) / step**2
     fine_min = fine.min(axis=1)
@@ -451,6 +467,16 @@ class TestSearchRows:
         for d in passes:
             assert_designed_rows(params, derived, d, omega)
 
+    @pytest.mark.parametrize("config", ["paper", "moderate"])
+    def test_no_offset_scored_twice(self, config, monkeypatch):
+        # a round takes its bracket's ends from the pass before and scores only the rows inside
+        params, derived, bracket, omega = search_setup(
+            "defaults: paper\n" if config == "paper" else MODERATE_CONFIG)
+        passes = spy_objective(monkeypatch)
+        oe.find_optimum_d_numeric(params, bracket, omega_grid=omega)
+        scored = np.concatenate(passes)
+        assert len(passes) > 3 and len(np.unique(scored)) == len(scored)
+
     @pytest.mark.parametrize("target_alpha", [1000, 2000])   # 2000: power cases fail
     def test_sensitivity_rows_as_their_full_curves(self, target_alpha, omega_grid, monkeypatch):
         params = oe.parse_config(f"defaults: paper\ntarget_alpha = {target_alpha}\n").params
@@ -493,7 +519,19 @@ class TestSearchRows:
                                   tol_frac=1e-4, scan_points=17)
         assert single == [paper_params] and built == []
         rounds = len(passes) - 1
-        assert [len(d) for d in passes] == [17] + [sweeps._ROUND_ROWS] * rounds
+        # a round's rows are _ROUND_ROWS evenly spaced from one scored offset to another;
+        # it scores the _ROUND_ROWS - 2 inside, less any an earlier pass scored: its
+        # middle row where np.linspace reproduces the best offset of the pass before
+        reused = []
+        for k in range(1, len(passes)):
+            seen, d = np.concatenate(passes[:k]), passes[k]
+            rows = np.linspace(seen[seen < d[0]].max(), seen[seen > d[-1]].min(),
+                               sweeps._ROUND_ROWS)[1:-1]
+            assert np.array_equal(d, rows[~np.isin(rows, seen)])
+            reused.append(np.isin(rows, seen).tolist())
+        middle_only = [False] * 3 + [True] + [False] * 3
+        assert all(r in ([False] * 7, middle_only) for r in reused) and middle_only in reused
+        assert [len(d) for d in passes] == [17] + [sweeps._ROUND_ROWS - 2 - sum(r) for r in reused]
         # the scan keeps 2 of its 16 cells, each round 2 of its _ROUND_ROWS - 1, until
         # the bracket is at most tol_frac of its larger end
         kept = math.log(1e-4 * hi / (2.0 * (hi - lo) / 16.0)) / math.log(2.0 / (sweeps._ROUND_ROWS - 1))
@@ -533,6 +571,15 @@ class TestFindOptimumD:
         forbid_solves(monkeypatch)
         with pytest.raises(ValueError, match="omega_grid must be evenly spaced"):
             oe.find_optimum_d_numeric(paper_params, (1e6, 2e6), omega_grid=UNEVEN)
+
+    def test_descending_grid_rejected_before_solving(self, paper_params, omega_grid,
+                                                     monkeypatch):
+        # on a descending grid the continuous minimum would clip every round to one point
+        forbid_solves(monkeypatch)
+        with pytest.raises(ValueError, match="omega_grid must be ascending"):
+            oe.find_optimum_d_numeric(paper_params, (1e6, 2e6), omega_grid=omega_grid[::-1])
+        with pytest.raises(ValueError, match="omega_grid must be ascending"):
+            oe.sensitivity_analysis(paper_params, 1e5, 0.01, omega_grid=omega_grid[::-1])
 
     # tol_frac <= 0 would never end the golden section, NaN would end it at once
     @pytest.mark.parametrize("tol_frac", [0.0, -1.0, math.nan])
