@@ -8,6 +8,7 @@ Commands: derive, spectrum, sweep, optimum, verify, occupation.  Without
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -19,7 +20,8 @@ from .langevin import MODELS, evaluate, intracavity_occupation, model_deviations
 from .params import validate_regime
 from .spectrum import metric_columns, optimum_d, spectrum_flags
 from .steady_state import retuned_d, solve_steady_state
-from .sweeps import SweepSpec, find_optimum_d_numeric, run_sweep
+from .sweeps import (DEFAULT_GRID_HALF_WIDTH_GAMMAS, DEFAULT_GRID_POINTS, SweepSpec,
+                     find_optimum_d_numeric, run_sweep)
 
 _AXIS_NAMES = {"T": "temperature", "alpha": "alpha", "d": "d", "Q": "Q"}
 _DEFAULT_SWEEP_VALUES = {
@@ -47,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="grid start [rad/s] (default -2 gamma)")
     parser.add_argument("--omega-max", type=float, default=None,
                         help="grid end [rad/s] (default +2 gamma)")
-    parser.add_argument("--omega-points", type=int, default=2001)
+    parser.add_argument("--omega-points", type=int, default=DEFAULT_GRID_POINTS)
     parser.add_argument("--axis", choices=sorted(_AXIS_NAMES), help="sweep axis")
     parser.add_argument("--values", help="comma-separated sweep values")
     parser.add_argument("--models", default="adiabatic,rwa3,full6",
@@ -82,8 +84,9 @@ def _load_config(args) -> RunConfig:
 
 
 def _grid(args, gamma: float) -> np.ndarray:
-    lo = -2.0 * gamma if args.omega_min is None else args.omega_min
-    hi = 2.0 * gamma if args.omega_max is None else args.omega_max
+    half_width = DEFAULT_GRID_HALF_WIDTH_GAMMAS * gamma
+    lo = -half_width if args.omega_min is None else args.omega_min
+    hi = half_width if args.omega_max is None else args.omega_max
     if args.omega_points < 1 or not np.isfinite([lo, hi]).all() or hi < lo:
         raise ConfigError("invalid omega grid")
     return np.linspace(lo, hi, args.omega_points)
@@ -96,31 +99,40 @@ def _maybe_retune(params, args):
     return retuned_d(params, optimum_d(derived).d_o)
 
 
-def _rows(omegas: np.ndarray, gamma: float, model: str, x: np.ndarray, flags, **columns):
+def _rows(omegas: np.ndarray, gamma: float, model: str, x: np.ndarray, flags,
+          n=None, k_x=None, devs=()) -> list[tuple]:
     """Table rows of one model's EPR variance ``x`` over a grid (NaN marks a failed point).
 
-    ``columns`` adds per-point arrays such as n, k_x or dev_<model>.
+    Each row is a tuple in :data:`~optoepr.io.BASE_COLUMNS` order followed by
+    one cell per array of ``devs``; ``n`` and ``k_x`` are NaN when not given.
     """
-    cols = {"omega_rads": omegas.tolist(), "omega_over_gamma": (omegas / gamma).tolist(),
-            **metric_columns(x), **{name: a.tolist() for name, a in columns.items()},
-            "model": [model] * len(omegas), "flags": list(flags)}
-    return [dict(zip(cols, row)) for row in zip(*cols.values())]
+    missing = [math.nan] * len(omegas)
+    metrics = metric_columns(x)
+    return list(zip(omegas.tolist(), (omegas / gamma).tolist(),
+                    missing if n is None else n.tolist(), missing if k_x is None else k_x.tolist(),
+                    metrics["epr_variance"], metrics["S_db"], metrics["eof"],
+                    metrics["log_negativity"], [model] * len(omegas), flags,
+                    *(dev.tolist() for dev in devs)))
 
 
 def _emit(rows, cfg: RunConfig, columns=tabio.BASE_COLUMNS) -> None:
-    text = tabio.emit_rows(rows, cfg.format, cfg.output_path, columns)
+    text = tabio.render_rows(rows, cfg.format, columns)
     if cfg.output_path is None:
         sys.stdout.write(text)
+    else:
+        with open(cfg.output_path, "w", newline="") as handle:
+            handle.write(text)
 
 
 def _cmd_derive(args, cfg: RunConfig) -> int:
     params = _maybe_retune(cfg.params, args)
     derived = solve_steady_state(params)
     # regime ratios are quoted at the elimination band edge unless the
-    # caller pins a band explicitly
-    omega_max = abs(args.omega_max) if args.omega_max is not None else 0.1 * derived.delta
-    if not np.isfinite(omega_max):
+    # caller pins a band explicitly, then at its largest |bound|
+    bounds = [abs(b) for b in (args.omega_min, args.omega_max) if b is not None]
+    if not np.isfinite(bounds).all():
         raise ConfigError("invalid omega grid")
+    omega_max = max(bounds) if bounds else 0.1 * derived.delta
     report = validate_regime(params, derived, omega_max=omega_max)
     print("derived parameters (rad/s unless noted):")
     print(f"  |alpha_1| = {abs(derived.alpha_1):.6g}   |alpha_2| = {abs(derived.alpha_2):.6g}")
@@ -164,7 +176,7 @@ def _cmd_sweep(args, cfg: RunConfig) -> int:
     for row in run_sweep(spec).rows:
         tag = f"{args.axis}={row.value:.17g}"
         if row.error:
-            rows.append({"model": "adiabatic", "flags": f"{tag};error:{row.error}"})
+            rows.append((math.nan,) * 8 + ("adiabatic", f"{tag};error:{row.error}"))
             notes.append(f"# {args.axis}={row.value:g}: {row.error}")
         else:
             rows += _rows(row.omega, params.gamma, "adiabatic", row.epr_variance,
@@ -205,9 +217,8 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
     grid = _grid(args, params.gamma)
     evals = {m: evaluate(derived, grid, m) for m in models}
     devs, worst = model_deviations(evals, models)
-    dev_cols = {f"dev_{m}": dev for m, dev in devs.items()}
     per_model = [_rows(grid, params.gamma, m, evals[m].x,
-                       (f"error:{e}" if e else "" for e in evals[m].error), **dev_cols)
+                       (f"error:{e}" if e else "" for e in evals[m].error), devs=devs.values())
                  for m in models]
     _emit([row for group in zip(*per_model) for row in group], cfg,
           tabio.BASE_COLUMNS + tuple(f"dev_{m}" for m in models[1:]))

@@ -398,7 +398,7 @@ def _reduce(V: np.ndarray):
     return tuple(q.reshape(V.shape[:-2]) for q in (n, k_x, k_p, residual))
 
 
-def standard_form_reduce(V: Covariance4, residual_tol: float = _SYMMETRY_RTOL) -> StandardForm:
+def standard_form_reduce(V: Covariance4) -> StandardForm:
     """Reduce a covariance to standard form by two local rotations.
 
     The diagonal blocks must already be close to n*I (local rotations cannot
@@ -409,11 +409,11 @@ def standard_form_reduce(V: Covariance4, residual_tol: float = _SYMMETRY_RTOL) -
     Raises
     ------
     NotSymmetricState
-        If the residual exceeds ``residual_tol * n``; symmetric-state metrics
+        If the residual exceeds ``_SYMMETRY_RTOL * n``; symmetric-state metrics
         must not be quoted for such a state.
     """
     n, k_x, k_p, residual = (float(v) for v in _reduce(V.entries))
-    if residual > residual_tol * abs(n):
+    if residual > _SYMMETRY_RTOL * abs(n):
         raise NotSymmetricState(
             f"diagonal blocks deviate from n*I by {residual:.3e} (n = {n:.3e}); "
             "state is not symmetric enough for the standard form"

@@ -283,11 +283,10 @@ def eta_from_geometry(omega_p: float, omega_m: float, m: float, R: float,
     return (omega_p / omega_m) * x_zpf / R
 
 
-def validate_regime(params: PhysicalParams, derived, omega_max: float,
-                    thresholds: dict[str, float] | None = None) -> RegimeReport:
+def validate_regime(params: PhysicalParams, derived, omega_max: float) -> RegimeReport:
     """Evaluate the approximation-validity ratios for a solved operating point.
 
-    Checks (each ratio must reach its threshold, default 5):
+    Checks (each ratio must reach DEFAULT_REGIME_THRESHOLD = 5):
 
     * ``rwa``            omega_m / max(delta, d, gamma, gamma_m)
     * ``elimination``    delta / max(omega_max, gamma_m)
@@ -301,16 +300,11 @@ def validate_regime(params: PhysicalParams, derived, omega_max: float,
     omega_max : float
         Largest sideband frequency magnitude the caller intends to evaluate.
     """
-    thr = dict(thresholds or {})
-
-    def threshold(name):
-        return thr.get(name, DEFAULT_REGIME_THRESHOLD)
-
     checks = []
 
     def add(name, ratio):
-        t = threshold(name)
-        checks.append(RegimeCheck(name, ratio, t, ratio >= t))
+        checks.append(RegimeCheck(name, ratio, DEFAULT_REGIME_THRESHOLD,
+                                  ratio >= DEFAULT_REGIME_THRESHOLD))
 
     add("rwa", params.omega_m / max(abs(derived.delta), abs(derived.d), params.gamma, params.gamma_m))
     add("elimination", derived.delta / max(abs(omega_max), params.gamma_m))

@@ -96,9 +96,8 @@ _MIN_ROUNDS = 3
 _MIN_OFFSETS = np.linspace(-1.0, 1.0, _MIN_POINTS)
 
 
-def default_omega_grid(gamma: float, points: int = DEFAULT_GRID_POINTS,
-                       half_width: float | None = None) -> np.ndarray:
-    hw = DEFAULT_GRID_HALF_WIDTH_GAMMAS * gamma if half_width is None else half_width
+def default_omega_grid(gamma: float, points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
+    hw = DEFAULT_GRID_HALF_WIDTH_GAMMAS * gamma
     return np.linspace(-hw, hw, points)
 
 
@@ -179,8 +178,7 @@ def _parabolic_refine(x: np.ndarray, y: np.ndarray, i: int) -> tuple[float, floa
     return float(xv), float(yv)
 
 
-def peak_statistics(omega: np.ndarray, eof_curve: np.ndarray,
-                    within: float = _NEAR_PEAK) -> PeakStats:
+def peak_statistics(omega: np.ndarray, eof_curve: np.ndarray) -> PeakStats:
     """Peak EOF, all near-peak local maxima, and the FWHM of the EOF curve.
 
     A grid point is a local maximum when it is >= both neighbours and > at
@@ -191,8 +189,8 @@ def peak_statistics(omega: np.ndarray, eof_curve: np.ndarray,
     A curve with no local maximum (all NaN, say) falls back to the point
     ``np.argmax`` picks.  Each maximum is refined by the vertex of the
     parabola through it and its neighbours, which assumes an evenly spaced
-    grid, and the peak EOF is the largest vertex.  The one-curve case of
-    :func:`_peak_statistics_rows`.
+    grid, and the peak EOF is the largest vertex; the peak frequencies are
+    the vertices within ``_NEAR_PEAK`` (1%) of it.
 
     Raises ValueError for an empty curve, one whose length differs from
     ``omega``'s, and a descending ``omega``, on which the FWHM would come out
@@ -206,8 +204,7 @@ def peak_statistics(omega: np.ndarray, eof_curve: np.ndarray,
         raise ValueError(f"omega and eof_curve lengths differ: {len(omega)} != {len(y)}")
     if np.any(omega[1:] < omega[:-1]):
         raise ValueError("omega must be ascending")
-    curves = y[None, :]
-    return _peak_statistics_rows(omega, curves, _refined_maxima(omega, curves), within)[0]
+    return _peak_statistics_row(omega, y, _refined_maxima(omega, y[None, :])[0])
 
 
 def _refined_maxima(omega: np.ndarray, y: np.ndarray) -> list[list[tuple[float, float]]]:
@@ -234,37 +231,26 @@ def _peak_value(maxima: list[tuple[float, float]]) -> float:
     return max(v for _, v in maxima)
 
 
-def _peak_statistics_rows(omega: np.ndarray, y: np.ndarray, maxima: list,
-                          within: float) -> list[PeakStats]:
-    """:func:`peak_statistics` of each row of the (K, N) curves ``y`` on the N-point grid,
-    given the rows' :func:`_refined_maxima`.
-
-    The points at or above half the peak are found for all rows at once;
-    the edge interpolation is per row.
-    """
-    peaks = [_peak_value(found) for found in maxima]
-    peak_omegas = [tuple(sorted(x for x, v in found if v >= (1.0 - within) * peak))
-                   for found, peak in zip(maxima, peaks)]
-
-    halves = [0.5 * peak for peak in peaks]
-    above = y >= np.array(halves)[:, None]
-    last = y.shape[1] - 1
-    firsts = np.argmax(above, axis=1).tolist()
-    lasts = (last - np.argmax(above[:, ::-1], axis=1)).tolist()
-    stats = []
-    for c, peak, omegas, half, found, lo, hi in zip(y, peaks, peak_omegas, halves,
-                                                    above.any(axis=1).tolist(), firsts, lasts):
-        fwhm = 0.0
-        if found:
-            left_edge = omega[lo]
-            if lo > 0 and c[lo] != c[lo - 1]:
-                left_edge = omega[lo - 1] + (half - c[lo - 1]) * (omega[lo] - omega[lo - 1]) / (c[lo] - c[lo - 1])
-            right_edge = omega[hi]
-            if hi < last and c[hi] != c[hi + 1]:
-                right_edge = omega[hi] + (half - c[hi]) * (omega[hi + 1] - omega[hi]) / (c[hi + 1] - c[hi])
-            fwhm = float(right_edge - left_edge)
-        stats.append(PeakStats(peak_eof=float(peak), peak_omegas=omegas, fwhm=fwhm))
-    return stats
+def _peak_statistics_row(omega: np.ndarray, y: np.ndarray, maxima: list) -> PeakStats:
+    """:func:`peak_statistics` of the curve ``y`` on ``omega``, given its refined maxima
+    (its row of :func:`_refined_maxima`)."""
+    peak = _peak_value(maxima)
+    peak_omegas = tuple(sorted(x for x, v in maxima if v >= (1.0 - _NEAR_PEAK) * peak))
+    half = 0.5 * peak
+    above = y >= half
+    fwhm = 0.0
+    if above.any():
+        last = len(y) - 1
+        lo = int(np.argmax(above))
+        hi = last - int(np.argmax(above[::-1]))
+        left_edge = omega[lo]
+        if lo > 0 and y[lo] != y[lo - 1]:
+            left_edge = omega[lo - 1] + (half - y[lo - 1]) * (omega[lo] - omega[lo - 1]) / (y[lo] - y[lo - 1])
+        right_edge = omega[hi]
+        if hi < last and y[hi] != y[hi + 1]:
+            right_edge = omega[hi] + (half - y[hi]) * (omega[hi + 1] - omega[hi]) / (y[hi + 1] - y[hi])
+        fwhm = float(right_edge - left_edge)
+    return PeakStats(peak_eof=float(peak), peak_omegas=peak_omegas, fwhm=fwhm)
 
 
 def _scaled_powers(params: PhysicalParams, factor: float) -> PhysicalParams:
@@ -382,7 +368,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 derived=None, error=type(peak).__name__))
             continue
         derived, x, eof_curve, maxima = peak
-        stats, = _peak_statistics_rows(omega, eof_curve[None, :], [maxima], _NEAR_PEAK)
+        stats = _peak_statistics_row(omega, eof_curve, maxima)
         result.rows.append(SweepRow(
             value=value, omega=omega, eof=eof_curve, epr_variance=x,
             peak_eof=stats.peak_eof, peak_omegas=stats.peak_omegas,

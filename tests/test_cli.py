@@ -6,13 +6,28 @@ import pytest
 import optoepr as oe
 from optoepr import cli
 from optoepr.cli import _build_parser, _grid, main
-from optoepr.io import read_jsonlines
+from optoepr.io import BASE_COLUMNS, read_jsonlines
+from optoepr.langevin import evaluate, model_deviations
+from optoepr.spectrum import metric_columns, spectrum_flags
+from tests.test_config_io import reference_render_rows
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def reference_rows(omegas, gamma, model, x, flags, **columns):
+    """Table rows as one dict per grid point, a key per column, as a reference.
+
+    ``columns`` adds per-point arrays such as n, k_x or dev_<model>; a
+    column a row lacks renders as missing.
+    """
+    cols = {"omega_rads": omegas.tolist(), "omega_over_gamma": (omegas / gamma).tolist(),
+            **metric_columns(x), **{name: a.tolist() for name, a in columns.items()},
+            "model": [model] * len(omegas), "flags": list(flags)}
+    return [dict(zip(cols, row)) for row in zip(*cols.values())]
 
 
 class TestDerive:
@@ -22,6 +37,16 @@ class TestDerive:
         assert "|alpha_1| = 1000" in out
         assert "regime checks:" in out
         assert "overall: pass" in out
+
+    @pytest.mark.parametrize("bounds", [("--omega-min=-1e9",),
+                                        ("--omega-min=-1e9", "--omega-max", "1e6"),
+                                        ("--omega-min", "1e6", "--omega-max", "1e9")])
+    def test_elimination_quoted_at_the_largest_bound(self, bounds, capsys):
+        # the band reaches 1e9 rad/s, so delta / 1e9 = 0.063 fails the check
+        code, out, _ = run(capsys, "derive", *bounds)
+        assert code == 0
+        assert "  [FAIL] elimination: ratio = 0.0628 (threshold 5)\n" in out
+        assert "overall: FAIL" in out
 
 
 class TestSpectrum:
@@ -50,6 +75,14 @@ class TestSpectrum:
         assert out.startswith("omega_rads,")
         assert len(out.splitlines()) == 6
 
+    def test_negative_exponent_bound_in_equals_form(self, capsys):
+        # argparse reads "-4e7" after a space as an option, not as a number
+        code, out, _ = run(capsys, "spectrum", "--omega-points", "3",
+                           "--omega-min=-4e7", "--omega-max=4e7")
+        assert code == 0
+        assert [r["omega_rads"] for r in csv.DictReader(out.splitlines())] == ["-40000000", "0",
+                                                                               "40000000"]
+
 
 class TestSweep:
     def test_temperature_sweep(self, tmp_path, capsys):
@@ -61,6 +94,17 @@ class TestSweep:
         assert len(body) == 1 + 2 * 101
         assert "T=4" in body[1]
         assert "peak_eof=" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonlines"])
+    def test_out_file_equals_stdout(self, fmt, tmp_path, capsys):
+        path = tmp_path / "table.txt"
+        argv = ["sweep", "--axis", "alpha", "--values", "500,20000", "--omega-points", "5",
+                "--format", fmt]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        code, out_with_file, _ = run(capsys, *argv, "--out", str(path))
+        assert code == 0 and out_with_file == ""
+        assert path.read_bytes() == out.encode()
 
     def test_axis_required(self, capsys):
         code, _, err = run(capsys, "sweep")
@@ -106,6 +150,62 @@ class TestSharedRows:
         assert len(a) == len(b) == 2001
         for col in ("omega_rads", "epr_variance", "S_db", "eof", "log_negativity"):
             assert [r[col] for r in a] == [r[col] for r in b], col
+
+
+class TestTablesAsTheReference:
+    """CLI tables byte for byte against the per-cell renderer fed per-point dicts."""
+
+    # +-8e7 rad/s reaches past delta, so some rows carry the elimination-band flag
+    GRID = ("--omega-points", "17", "--omega-min=-8e7", "--omega-max", "8e7")
+
+    @staticmethod
+    def grid():
+        return np.linspace(-8e7, 8e7, 17)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonlines"])
+    def test_spectrum(self, fmt, paper_derived, capsys):
+        code, out, _ = run(capsys, "spectrum", "--format", fmt, *self.GRID)
+        grid = self.grid()
+        ev = evaluate(paper_derived, grid, "adiabatic")
+        flags = (";".join(f) for f in spectrum_flags(paper_derived, grid, ev.error))
+        rows = reference_rows(grid, paper_derived.gamma, "adiabatic", ev.x, flags,
+                              n=ev.n, k_x=ev.k_x)
+        assert any("omega_outside_elimination_band" in row["flags"] for row in rows)
+        assert code == 0 and out == reference_render_rows(rows, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonlines"])
+    def test_sweep_with_an_error_row(self, fmt, paper_params, capsys):
+        code, out, _ = run(capsys, "sweep", "--axis", "alpha", "--values", "500,20000",
+                           "--format", fmt, *self.GRID)
+        spec = oe.SweepSpec(axis="alpha", values=(500.0, 20000.0), base=paper_params,
+                            omega_grid=self.grid(), model="adiabatic")
+        rows = []
+        for row in oe.run_sweep(spec).rows:
+            tag = f"alpha={row.value:.17g}"
+            if row.error:
+                rows.append({"model": "adiabatic", "flags": f"{tag};error:{row.error}"})
+            else:
+                rows += reference_rows(row.omega, paper_params.gamma, "adiabatic",
+                                       row.epr_variance, [tag] * len(row.omega))
+        assert rows[-1] == {"model": "adiabatic", "flags": "alpha=20000;error:ParameterError"}
+        assert code == 0 and out == reference_render_rows(rows, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonlines"])
+    def test_verify(self, fmt, paper_derived, capsys):
+        models = ("adiabatic", "rwa3", "full6")
+        code, out, _ = run(capsys, "verify", "--models", ",".join(models), "--format", fmt,
+                           *self.GRID)
+        grid = self.grid()
+        evals = {m: evaluate(paper_derived, grid, m) for m in models}
+        devs, _ = model_deviations(evals, models)
+        dev_cols = {f"dev_{m}": dev for m, dev in devs.items()}
+        per_model = [reference_rows(grid, paper_derived.gamma, m, evals[m].x,
+                                    (f"error:{e}" if e else "" for e in evals[m].error),
+                                    **dev_cols)
+                     for m in models]
+        rows = [row for group in zip(*per_model) for row in group]
+        columns = BASE_COLUMNS + tuple(dev_cols)
+        assert code == 0 and out == reference_render_rows(rows, fmt, columns)
 
 
 class TestOptimum:
@@ -241,6 +341,7 @@ drive_omega2_rads = 1e12
         ("sweep", "--axis", "T", "--omega-min", "nan", "--omega-points", "5"),
         ("derive", "--omega-max", "nan"),
         ("derive", "--omega-max", "inf"),
+        ("derive", "--omega-min=nan"),
     ]
 
     @pytest.mark.parametrize("argv", NON_FINITE_GRIDS, ids=lambda argv: " ".join(argv))

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -116,7 +117,7 @@ class TestSerializeRoundTrip:
 
 
 class TestEmitRows:
-    def row(self, **extra):
+    def row(self, columns=BASE_COLUMNS, **extra):
         base = {
             "omega_rads": 1.25e6, "omega_over_gamma": 0.0621,
             "n": 23.5, "k_x": 23.4, "epr_variance": 0.021,
@@ -124,7 +125,7 @@ class TestEmitRows:
             "model": "adiabatic", "flags": "",
         }
         base.update(extra)
-        return base
+        return tuple(base[col] for col in columns)
 
     def test_empty_rows_header_only(self):
         text = render_rows([], "csv")
@@ -140,10 +141,10 @@ class TestEmitRows:
         rows = [self.row(omega_rads=-1.2345678901234567e7, eof=0.1 + 0.2)]
         text = render_rows(rows, "jsonlines")
         parsed = read_jsonlines(text)
-        again = render_rows(parsed, "jsonlines")
+        again = render_rows([tuple(row.values()) for row in parsed], "jsonlines")
         assert again == text
-        assert parsed[0]["omega_rads"] == rows[0]["omega_rads"]
-        assert parsed[0]["eof"] == rows[0]["eof"]
+        assert parsed[0]["omega_rads"] == rows[0][0]
+        assert parsed[0]["eof"] == rows[0][6]
 
     def test_seventeen_digit_floats(self):
         text = render_rows([self.row(omega_rads=math.pi * 1e7)], "csv")
@@ -154,16 +155,17 @@ class TestEmitRows:
         assert render_rows(rows, "csv") == render_rows(rows, "csv")
 
     def test_missing_values(self):
-        text = render_rows([self.row(n=None, eof=float("nan"))], "csv")
+        # a missing value is a NaN cell: nan in CSV, null in JSON lines
+        text = render_rows([self.row(n=math.nan, eof=math.nan)], "csv")
         cells = text.splitlines()[1].split(",")
         assert cells[2] == "nan"
         assert cells[6] == "nan"
-        js = read_jsonlines(render_rows([self.row(n=None)], "jsonlines"))
+        js = read_jsonlines(render_rows([self.row(n=math.nan)], "jsonlines"))
         assert js[0]["n"] is None
 
     def test_deviation_columns_appended(self):
         cols = BASE_COLUMNS + ("dev_rwa3",)
-        text = render_rows([self.row(dev_rwa3=0.031)], "csv", columns=cols)
+        text = render_rows([self.row(cols, dev_rwa3=0.031)], "csv", columns=cols)
         assert text.splitlines()[0].endswith("flags,dev_rwa3")
         last_cell = text.splitlines()[1].split(",")[-1]
         assert float(last_cell) == 0.031  # 17-significant-digit serialization round-trips
@@ -172,11 +174,20 @@ class TestEmitRows:
         with pytest.raises(ValueError):
             render_rows([], "xml")
 
-    def test_emit_writes_file(self, tmp_path):
-        from optoepr.io import emit_rows
-        path = tmp_path / "rows.csv"
-        returned = emit_rows([self.row()], "csv", str(path))
-        assert path.read_text() == returned
+    @pytest.mark.parametrize("fmt", ["csv", "jsonlines"])
+    @pytest.mark.parametrize("cell", [None, 3, True, np.float64(0.5), "0.5"],
+                             ids=["None", "int", "bool", "float64", "mixed"])
+    def test_cell_of_another_type_rejected(self, cell, fmt):
+        # a column is all floats or all strings; anything else is a bug upstream,
+        # so n here is a float in the first row and the cell in the second
+        with pytest.raises(TypeError, match="'n'"):
+            render_rows([self.row(), self.row(n=cell)], fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonlines"])
+    @pytest.mark.parametrize("rows", [[()], [("a",) * 11]], ids=["short", "long"])
+    def test_row_of_another_length_rejected(self, rows, fmt):
+        with pytest.raises(ValueError, match="one cell per column"):
+            render_rows(rows, fmt)
 
 
 def reference_render_rows(rows, fmt, columns=BASE_COLUMNS):
@@ -213,37 +224,23 @@ def reference_render_rows(rows, fmt, columns=BASE_COLUMNS):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-# Cell values: floats of every kind, None, ints, bools and strings with the
-# characters CSV, JSON and % templates treat specially.
-CELLS = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, None, True, False]),
-    st.integers(-10**20, 10**20),
-    st.text(alphabet=st.sampled_from(list('ab,"%\\ \u00e9\u03b3\u2603\n')), max_size=6),
-)
+# Cells: floats of every kind, -0.0, NaN and the infinities among them, and
+# strings with the characters CSV, JSON and % templates treat specially.
+CELLS = {
+    float: st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                     st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])),
+    str: st.text(alphabet=st.sampled_from(list('ab,"%\\ \u00e9\u03b3\u2603\n')), max_size=6),
+}
 EXTRA_COLUMNS = st.lists(st.sampled_from(["dev_rwa3", "dev_%s", "x,y", 'q"', "\u03b3"]),
                          max_size=3, unique=True)
-# a column is either of one kind (all floats, say) or mixed, and a row may
-# miss any key
-COLUMN_KINDS = st.sampled_from(["float", "float_or_none", "str", "mixed"])
 
 
 @st.composite
 def tables(draw):
+    """Tuple rows under BASE_COLUMNS and some extra columns, each column all floats or all strings."""
     columns = BASE_COLUMNS + tuple(draw(EXTRA_COLUMNS))
-    kinds = {col: draw(COLUMN_KINDS) for col in columns}
-    cell = {"float": st.floats(allow_nan=True, allow_infinity=True),
-            "float_or_none": st.one_of(st.floats(), st.none()),
-            "str": st.text(alphabet=st.sampled_from(list('ab,"%\u00e9')), max_size=4),
-            "mixed": CELLS}
-    rows = []
-    for _ in range(draw(st.integers(0, 6))):
-        row = {}
-        for col in columns + ("unlisted",):
-            if draw(st.booleans()) or kinds.get(col, "mixed") != "mixed":
-                if draw(st.integers(0, 9)):   # one key in ten is missing
-                    row[col] = draw(cell[kinds.get(col, "mixed")])
-        rows.append(row)
+    kinds = [draw(st.sampled_from([float, str])) for _ in columns]
+    rows = [tuple(draw(CELLS[kind]) for kind in kinds) for _ in range(draw(st.integers(0, 6)))]
     return rows, columns
 
 
@@ -251,12 +248,17 @@ class TestColumnwiseRendering:
     @given(tables(), st.sampled_from(["csv", "jsonlines"]))
     def test_as_the_per_cell_renderer(self, table, fmt):
         rows, columns = table
-        assert render_rows(rows, fmt, columns) == reference_render_rows(rows, fmt, columns)
+        expected = reference_render_rows([dict(zip(columns, row)) for row in rows], fmt, columns)
+        assert render_rows(rows, fmt, columns) == expected
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonlines"])
     def test_sweep_table_as_the_per_cell_renderer(self, fmt):
-        # a sweep's error row leaves every float column but model and flags missing
-        rows = [TestEmitRows().row(omega_rads=w, eof=math.nan if w < 0 else 0.1 * w)
-                for w in (-1.5, 0.0, 2.5e6)]
-        rows.insert(1, {"model": "adiabatic", "flags": "alpha=20000;error:ParameterError"})
-        assert render_rows(rows, fmt) == reference_render_rows(rows, fmt)
+        # a sweep's error row, NaN in every float column, renders as a row
+        # that holds only model and flags
+        row = TestEmitRows().row
+        rows = [row(omega_rads=w, eof=math.nan if w < 0 else 0.1 * w) for w in (-1.5, 0.0, 2.5e6)]
+        error = {"model": "adiabatic", "flags": "alpha=20000;error:ParameterError"}
+        expected = [dict(zip(BASE_COLUMNS, r)) for r in rows]
+        rows.insert(1, (math.nan,) * 8 + tuple(error.values()))
+        expected.insert(1, error)
+        assert render_rows(rows, fmt) == reference_render_rows(expected, fmt)

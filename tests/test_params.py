@@ -212,12 +212,6 @@ class TestValidateRegime:
         spacing = next(c for c in report.checks if c.name == "mode_spacing")
         assert not spacing.passed and spacing.ratio == pytest.approx(1.0)
 
-    def test_thresholds_overridable(self, paper_params, paper_derived):
-        report = oe.validate_regime(paper_params, paper_derived, omega_max=1e5,
-                                    thresholds={"rwa": 100.0})
-        rwa = next(c for c in report.checks if c.name == "rwa")
-        assert rwa.threshold == 100.0 and not rwa.passed
-
     def test_deterministic_and_pure(self, paper_params, paper_derived):
         a = oe.validate_regime(paper_params, paper_derived, omega_max=1e5)
         b = oe.validate_regime(paper_params, paper_derived, omega_max=1e5)

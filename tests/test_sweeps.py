@@ -89,7 +89,8 @@ class TestPeakStatistics:
         y = np.array(curves)
         omega = np.linspace(-1.0, 1.0, y.shape[1])
         # repr tells NaN fields apart where == cannot
-        stats = sweeps._peak_statistics_rows(omega, y, sweeps._refined_maxima(omega, y), 0.01)
+        stats = [sweeps._peak_statistics_row(omega, curve, maxima)
+                 for curve, maxima in zip(y, sweeps._refined_maxima(omega, y))]
         assert repr(stats) == repr([reference_peak_statistics(omega, curve) for curve in y])
 
     @pytest.mark.parametrize("curve", [[math.nan] * 3, [1.0, math.nan, 3.0, 2.0],
