@@ -8,6 +8,7 @@ Commands: derive, spectrum, sweep, optimum, verify, occupation.  Without
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -19,7 +20,7 @@ from .errors import ConfigError, OptoEprError, PhysicsError
 from .langevin import MODELS, evaluate, intracavity_occupation, model_deviations
 from .params import validate_regime
 from .spectrum import metric_columns, optimum_d, spectrum_flags
-from .steady_state import retuned_d, solve_steady_state
+from .steady_state import operating_point_params, solve_steady_state
 from .sweeps import (DEFAULT_GRID_HALF_WIDTH_GAMMAS, DEFAULT_GRID_POINTS, SweepSpec,
                      find_optimum_d_numeric, run_sweep)
 
@@ -73,14 +74,9 @@ def _load_config(args) -> RunConfig:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
-    cfg = parse_config(text, overrides, command=args.command)
-    if args.format:
-        cfg = RunConfig(params=cfg.params, command=cfg.command,
-                        output_path=cfg.output_path, format=args.format)
-    if args.out:
-        cfg = RunConfig(params=cfg.params, command=cfg.command,
-                        output_path=args.out, format=cfg.format)
-    return cfg
+    cfg = parse_config(text, overrides)
+    return dataclasses.replace(cfg, format=args.format or cfg.format,
+                               output_path=args.out or cfg.output_path)
 
 
 def _grid(args, gamma: float) -> np.ndarray:
@@ -95,8 +91,9 @@ def _grid(args, gamma: float) -> np.ndarray:
 def _maybe_retune(params, args):
     if not args.at_optimum_d:
         return params
+    # retuned_d's arithmetic, on the base solved once
     derived = solve_steady_state(params)
-    return retuned_d(params, optimum_d(derived).d_o)
+    return operating_point_params(params, derived.alpha, derived.delta, optimum_d(derived).d_o)
 
 
 def _rows(omegas: np.ndarray, gamma: float, model: str, x: np.ndarray, flags,

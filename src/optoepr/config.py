@@ -3,7 +3,9 @@
 One pair per line, ``#`` comments, a ``defaults: paper`` directive that
 preloads the default operating point, and command-line ``--set key=value``
 overrides that replace file values.  Linear-frequency keys (``_hz``) are
-converted by 2*pi at this boundary; everything downstream is angular.
+converted by 2*pi and drive powers (``_w``) to drive amplitudes
+(:func:`~optoepr.params.power_to_amplitude`) at this boundary; everything
+downstream is angular and holds the drive as amplitudes.
 
 The drive can be given two ways (mutually exclusive):
 
@@ -14,9 +16,10 @@ The drive can be given two ways (mutually exclusive):
 * direct style - ``delta1_*``/``delta2_*`` bare detunings plus either
   ``drive_omega1_rads``/``drive_omega2_rads`` or ``p1_w``/``p2_w``.
 
-Serialization writes the fully resolved configuration in direct style with
-17 significant digits, which round-trips binary64 exactly, so
-parse(serialize(config)) == config.
+Serialization writes the fully resolved configuration in direct style, with
+laser frequencies and drive amplitudes (``drive_omega*_rads``) whichever
+style it was loaded from, to 17 significant digits, which round-trips
+binary64 exactly, so parse(serialize(config)) == config.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError, ParseError, UnitError, UnknownKey
-from .params import TWO_PI, DriveSpec, PhysicalParams, gamma_m_from_q
+from .params import TWO_PI, DriveSpec, PhysicalParams, gamma_m_from_q, power_to_amplitude
 from .steady_state import operating_point_params
 
 FORMATS = ("csv", "jsonlines")
@@ -59,13 +62,11 @@ _PHYSICAL_KEYS = {
 }
 _RUN_KEYS = ("format", "out")
 
-# Stems that exist only with a unit suffix; used to distinguish UnitError
-# from UnknownKey.
-_SUFFIXED_STEMS = {
-    "omega_p", "omega_m", "gamma", "gamma_m", "nu", "temperature", "radius",
-    "target_delta", "target_d", "delta1", "delta2", "omega_l", "omega_lp",
-    "drive_omega1", "drive_omega2", "p1", "p2",
-}
+# Stems that exist only with a unit suffix, in key order; used to distinguish
+# UnitError from UnknownKey.
+_SUFFIXED_STEMS = tuple(dict.fromkeys(
+    stem for stem, _, unit in (key.rpartition("_") for key in _PHYSICAL_KEYS)
+    if unit in ("hz", "rads", "k", "m", "w")))
 
 PAPER_DEFAULTS = {
     "omega_p_hz": "3.0e14",
@@ -86,7 +87,6 @@ PAPER_DEFAULTS = {
 @dataclass(frozen=True)
 class RunConfig:
     params: PhysicalParams
-    command: str | None = None
     output_path: str | None = None
     format: str = "csv"
 
@@ -126,8 +126,7 @@ def _parse_pairs(text: str):
     return pairs, use_paper
 
 
-def parse_config(text: str, flag_overrides: dict[str, str] | None = None,
-                 command: str | None = None) -> RunConfig:
+def parse_config(text: str, flag_overrides: dict[str, str] | None = None) -> RunConfig:
     """Parse a configuration document with optional flag overrides.
 
     ``flag_overrides`` replace file values (and paper defaults); duplicate
@@ -171,7 +170,7 @@ def parse_config(text: str, flag_overrides: dict[str, str] | None = None,
     if fmt not in FORMATS:
         raise ParseError(f"format must be one of {FORMATS}, got {fmt!r}")
     params = _build_params(fields)
-    return RunConfig(params=params, command=command, output_path=run.get("out"), format=fmt)
+    return RunConfig(params=params, output_path=run.get("out"), format=fmt)
 
 
 def _require(fields: dict, *names: str):
@@ -204,8 +203,7 @@ def _build_params(fields: dict[str, float]) -> PhysicalParams:
         if ("target_d" in fields) == ("target_d_over_gamma" in fields):
             raise ParseError("exactly one of target_d_* or target_d_over_gamma must be given")
         target_d = fields.get("target_d", fields.get("target_d_over_gamma", 0.0) * fields["gamma"])
-        placeholder = DriveSpec(mode="amplitudes",
-                                omega_l=common["omega_p"] + common["nu"] - common["omega_m"],
+        placeholder = DriveSpec(omega_l=common["omega_p"] + common["nu"] - common["omega_m"],
                                 omega_lp=common["omega_p"] - common["nu"] + common["omega_m"],
                                 omega_1=0.0, omega_2=0.0)
         base = PhysicalParams(drive=placeholder, **common)
@@ -227,13 +225,14 @@ def _build_params(fields: dict[str, float]) -> PhysicalParams:
         raise ParseError("give either drive_omega1/2_rads or p1/2_w, not both/neither")
     if has_amp:
         _require(fields, "drive_omega1", "drive_omega2")
-        drive = DriveSpec(mode="amplitudes", omega_l=omega_l, omega_lp=omega_lp,
-                          omega_1=fields["drive_omega1"], omega_2=fields["drive_omega2"])
-    else:
-        _require(fields, "p1", "p2")
-        drive = DriveSpec(mode="powers", omega_l=omega_l, omega_lp=omega_lp,
-                          p_1=fields["p1"], p_2=fields["p2"])
-    return PhysicalParams(drive=drive, **common)
+        return PhysicalParams(drive=DriveSpec(omega_l, omega_lp, fields["drive_omega1"],
+                                              fields["drive_omega2"]), **common)
+    _require(fields, "p1", "p2")
+    # the powers convert with gamma only once the undriven cavity has validated it
+    unpowered = PhysicalParams(drive=DriveSpec(omega_l, omega_lp, 0.0, 0.0), **common)
+    return unpowered.scaled(drive=DriveSpec(
+        omega_l, omega_lp, power_to_amplitude(fields["p1"], omega_l, unpowered.gamma),
+        power_to_amplitude(fields["p2"], omega_lp, unpowered.gamma)))
 
 
 def _fmt(x: float) -> str:
@@ -256,19 +255,15 @@ def serialize_config(config: RunConfig) -> str:
         f"n0 = {_fmt(p.n0)}",
         f"omega_l_rads = {_fmt(p.drive.omega_l)}",
         f"omega_lp_rads = {_fmt(p.drive.omega_lp)}",
+        f"drive_omega1_rads = {_fmt(p.drive.omega_1)}",
+        f"drive_omega2_rads = {_fmt(p.drive.omega_2)}",
     ]
-    if p.drive.mode == "amplitudes":
-        lines.append(f"drive_omega1_rads = {_fmt(p.drive.omega_1)}")
-        lines.append(f"drive_omega2_rads = {_fmt(p.drive.omega_2)}")
-    else:
-        lines.append(f"p1_w = {_fmt(p.drive.p_1)}")
-        lines.append(f"p2_w = {_fmt(p.drive.p_2)}")
     lines.append(f"format = {config.format}")
     if config.output_path:
         lines.append(f"out = {config.output_path}")
     return "\n".join(lines) + "\n"
 
 
-def paper_default_config(command: str | None = None) -> RunConfig:
+def paper_default_config() -> RunConfig:
     """The default operating point as a ready-to-run configuration."""
-    return parse_config("defaults: paper\n", command=command)
+    return parse_config("defaults: paper\n")

@@ -91,6 +91,11 @@ _DIAGONAL_IDENTITY = np.array([1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0])[:, None]
 # the symmetric-state metrics are quoted.
 _SYMMETRY_RTOL = 0.05
 
+# intracavity_occupation doubles its grid until the integral moves by less than
+# _OCCUPATION_RTOL of itself, and gives up past _OCCUPATION_MAX_POINTS points.
+_OCCUPATION_RTOL = 5e-3
+_OCCUPATION_MAX_POINTS = 2**20
+
 # adj(S) = [[S11, -S01], [-S10, S00]] of a 2x2 S as a linear map of S's row-major entries.
 _ADJUGATE_2X2 = np.array([[0.0, 0, 0, 1], [0, -1, 0, 0], [0, 0, -1, 0], [1, 0, 0, 0]])
 
@@ -480,34 +485,34 @@ def _rwa3_interior_density(derived: DerivedParams, omegas: np.ndarray) -> np.nda
     return np.abs(S[:, 0, 1]) ** 2 + derived.n_m * np.abs(S[:, 0, 2]) ** 2
 
 
-def intracavity_occupation(derived: DerivedParams, rel_tol: float = 5e-3,
-                           max_points: int = 2**20) -> float:
+def intracavity_occupation(derived: DerivedParams) -> float:
     """Stationary <a1^dag a1> from the 3-mode interior solution.
 
     Integrates the intracavity spectral density over [-delta, delta],
     doubling the grid until the trapezoid integral changes by less than
-    ``rel_tol``.
+    ``_OCCUPATION_RTOL`` (0.5%) of itself.
 
     Raises
     ------
     NonConvergent
-        If the grid would exceed ``max_points``.
+        If the grid would exceed ``_OCCUPATION_MAX_POINTS`` (2**20) points.
     """
     npts = 2049
     previous = None
-    while npts <= max_points:
+    while npts <= _OCCUPATION_MAX_POINTS:
         omegas = np.linspace(-derived.delta, derived.delta, npts)
         density = _rwa3_interior_density(derived, omegas)
         value = float(np.trapezoid(density, omegas)) / (2.0 * math.pi)
         if previous is not None:
             if value == 0.0 and previous == 0.0:
                 return 0.0
-            if abs(value - previous) <= rel_tol * abs(value):
+            if abs(value - previous) <= _OCCUPATION_RTOL * abs(value):
                 return value
         previous = value
         npts = 2 * (npts - 1) + 1
     raise NonConvergent(
-        f"occupation integral not converged to {rel_tol:g} within {max_points} points"
+        f"occupation integral not converged to {_OCCUPATION_RTOL:g} within "
+        f"{_OCCUPATION_MAX_POINTS} points"
     )
 
 

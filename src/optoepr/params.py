@@ -1,8 +1,10 @@
 """Laboratory parameters, unit conventions and validity-regime checks.
 
-All frequencies and rates are stored as angular quantities [rad/s].  Linear
-frequencies (Hz) are accepted only at configuration boundaries, where they
-are multiplied by 2*pi once.  Types are immutable after construction and all
+All frequencies and rates are stored as angular quantities [rad/s], and the
+drive as its two normal-mode amplitudes.  Linear frequencies (Hz) and laser
+powers (W) are accepted only at configuration boundaries, where Hz are
+multiplied by 2*pi once and powers converted to amplitudes once
+(:func:`power_to_amplitude`).  Types are immutable after construction and all
 operations are pure functions, so everything here is safe to share between
 workers.
 """
@@ -43,47 +45,23 @@ def gamma_m_from_q(omega_m: float, q_factor: float) -> float:
 class DriveSpec:
     """Four-laser drive reduced to the two normal-mode drives.
 
-    Exactly one of the pairs (omega_1, omega_2) or (p_1, p_2) is
-    authoritative, selected by ``mode``; the other pair may be left None and
-    is derived on demand (the power/amplitude conversion needs the cavity
-    decay rate, so it lives on :class:`PhysicalParams`).
-
     Attributes
     ----------
-    mode : str
-        "amplitudes" or "powers".
-    omega_1, omega_2 : float or None
-        Drive amplitudes of the two normal modes [rad/s].
-    p_1, p_2 : float or None
-        Input laser powers for the two normal-mode drives [W].
     omega_l, omega_lp : float
         Absolute laser angular frequencies driving mode 1 and mode 2 [rad/s].
+    omega_1, omega_2 : float
+        Drive amplitudes of the two normal modes [rad/s].
     """
 
-    mode: str
     omega_l: float
     omega_lp: float
-    omega_1: float | None = None
-    omega_2: float | None = None
-    p_1: float | None = None
-    p_2: float | None = None
+    omega_1: float
+    omega_2: float
 
     def __post_init__(self):
-        if self.mode not in ("amplitudes", "powers"):
-            raise ParameterError(f"drive mode must be 'amplitudes' or 'powers', got {self.mode!r}")
-        _require_finite(self, ("omega_l", "omega_lp"))
-        if self.mode == "amplitudes":
-            if self.omega_1 is None or self.omega_2 is None:
-                raise ParameterError("amplitude-mode drive requires omega_1 and omega_2")
-            _require_finite(self, ("omega_1", "omega_2"))
-            if not (self.omega_1 >= 0 and self.omega_2 >= 0):
-                raise ParameterError("drive amplitudes must be >= 0")
-        else:
-            if self.p_1 is None or self.p_2 is None:
-                raise ParameterError("power-mode drive requires p_1 and p_2")
-            _require_finite(self, ("p_1", "p_2"))
-            if not (self.p_1 >= 0 and self.p_2 >= 0):
-                raise ParameterError("drive powers must be >= 0")
+        _require_finite(self, ("omega_l", "omega_lp", "omega_1", "omega_2"))
+        if not (self.omega_1 >= 0 and self.omega_2 >= 0):
+            raise ParameterError("drive amplitudes must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -152,19 +130,11 @@ class PhysicalParams:
 
     def drive_amplitudes(self) -> tuple[float, float]:
         """Normal-mode drive amplitudes (Omega_1, Omega_2) [rad/s]."""
-        d = self.drive
-        if d.mode == "amplitudes":
-            return d.omega_1, d.omega_2
-        return (
-            power_to_amplitude(d.p_1, d.omega_l, self.gamma, self.constants),
-            power_to_amplitude(d.p_2, d.omega_lp, self.gamma, self.constants),
-        )
+        return self.drive.omega_1, self.drive.omega_2
 
     def drive_powers(self) -> tuple[float, float]:
         """Input laser powers (P_1, P_2) [W]."""
         d = self.drive
-        if d.mode == "powers":
-            return d.p_1, d.p_2
         return (
             amplitude_to_power(d.omega_1, d.omega_l, self.gamma, self.constants),
             amplitude_to_power(d.omega_2, d.omega_lp, self.gamma, self.constants),
@@ -224,11 +194,16 @@ def thermal_occupancy(omega_m: float, T: float, constants: PhysicalConstants = C
 
 def power_to_amplitude(P: float, omega_L: float, gamma: float,
                        constants: PhysicalConstants = CODATA) -> float:
-    """Drive amplitude Omega = 2 sqrt(P gamma / (hbar omega_L)) [rad/s]."""
-    if P < 0:
-        raise ValueError("P must be >= 0")
-    if omega_L <= 0 or gamma <= 0:
-        raise ValueError("omega_L and gamma must be > 0")
+    """Drive amplitude Omega = 2 sqrt(P gamma / (hbar omega_L)) [rad/s].
+
+    The one conversion of a drive power: the configuration's ``p1_w``/``p2_w``
+    and the power excursions of :mod:`optoepr.sweeps` both go through it.
+    ParameterError unless P >= 0 and omega_L, gamma > 0.
+    """
+    if not P >= 0:
+        raise ParameterError("drive powers must be >= 0")
+    if not (omega_L > 0 and gamma > 0):
+        raise ParameterError("omega_L and gamma must be > 0")
     return 2.0 * math.sqrt(P * gamma / (constants.hbar * omega_L))
 
 
@@ -242,23 +217,24 @@ def amplitude_to_power(Omega: float, omega_L: float, gamma: float,
     return constants.hbar * omega_L * Omega**2 / (4.0 * gamma)
 
 
-def normal_mode_drives(Omega_a: float, Omega_b: float, Omega_ap: float, Omega_bp: float,
-                       tol: float = DRIVE_BALANCE_TOL) -> tuple[float, float]:
+def normal_mode_drives(Omega_a: float, Omega_b: float, Omega_ap: float,
+                       Omega_bp: float) -> tuple[float, float]:
     """Combine the four laser amplitudes into the two normal-mode drives.
 
     The symmetric/antisymmetric balance conditions Omega_a = Omega_b and
-    Omega_a' = -Omega_b' must hold; otherwise each laser would drive both
-    normal modes and the two-drive reduction is physically inconsistent.
+    Omega_a' = -Omega_b' must hold to ``DRIVE_BALANCE_TOL`` of the normal-mode
+    drive they form; otherwise each laser would drive both normal modes and
+    the two-drive reduction is physically inconsistent.
 
     Returns
     -------
     (Omega_1, Omega_2) = (Omega_a + Omega_b, Omega_a' - Omega_b')
     """
-    if abs(Omega_a - Omega_b) > tol * abs(Omega_a + Omega_b):
+    if abs(Omega_a - Omega_b) > DRIVE_BALANCE_TOL * abs(Omega_a + Omega_b):
         raise ConstraintViolated(
             f"symmetric drive unbalanced: |Omega_a - Omega_b| = {abs(Omega_a - Omega_b):.3e}"
         )
-    if abs(Omega_ap + Omega_bp) > tol * abs(Omega_ap - Omega_bp):
+    if abs(Omega_ap + Omega_bp) > DRIVE_BALANCE_TOL * abs(Omega_ap - Omega_bp):
         raise ConstraintViolated(
             f"antisymmetric drive unbalanced: |Omega_a' + Omega_b'| = {abs(Omega_ap + Omega_bp):.3e}"
         )

@@ -132,18 +132,17 @@ def _quintic(omega_1, omega_2, delta_1, delta_2, c, gamma):
     return upper, poly[next(i for i, x in enumerate(poly) if abs(x) > floor):]
 
 
-def _intensity_roots(omegas, deltas, c, gamma):
-    """All real roots of N = sum_j (Omega_j^2/4) / D_j(N) in [0, upper], ascending.
+def _intensity_roots(rows):
+    """Per row (Omega_1, Omega_2, Delta_1, Delta_2, c, gamma) of ``rows``: all real roots
+    of N = sum_j (Omega_j^2/4) / D_j(N) in [0, upper], ascending.
 
     D_j(N) = (Delta_j + c N)^2 + gamma^2/4 and upper = sum_j Omega_j^2 / gamma^2.
     Multiplying through by D_1 D_2 gives the quintic
 
         N D_1 D_2 - (Omega_1^2/4) D_2 - (Omega_2^2/4) D_1 = 0,
 
-    solved in u = N / upper (see :func:`_quintic`).  Each argument is a
-    scalar or an array of K rows (``omegas`` and ``deltas`` pairs of them):
-    scalars give one list of roots, arrays a list of K, row k's equal to the
-    bit to row k solved alone.
+    solved in u = N / upper (see :func:`_quintic`).  Row k's roots are, to the
+    last bit, those of row k solved alone.
 
     The quintics are grouped by degree once their leading and trailing zero
     coefficients are stripped.  Each group's companion matrices, built as
@@ -153,10 +152,6 @@ def _intensity_roots(omegas, deltas, c, gamma):
     is a few float operations per root, cheaper in Python than as a
     vectorized pass over the few roots of a batch.
     """
-    columns = [*omegas, *deltas, c, gamma]
-    floats = [np.ravel(col).tolist() for col in columns]
-    count = max(map(len, floats))
-    rows = list(zip(*(col * count if len(col) == 1 else col for col in floats)))
     quintics = [_quintic(*row) for row in rows]
     # each row's roots in u, starting with the roots at 0 of its trailing zero coefficients
     us = [[0.0] * (len(poly) - 1 - max((i for i, x in enumerate(poly) if x != 0.0), default=-1))
@@ -191,7 +186,7 @@ def _intensity_roots(omegas, deltas, c, gamma):
                 slope += term * 2.0 * c * shifted / den
             polished.append(N - f / slope)
         roots.append(polished)
-    return roots if any(np.ndim(col) for col in columns) else roots[0]
+    return roots
 
 
 def solve_steady_state(params: PhysicalParams) -> DerivedParams:
@@ -236,8 +231,8 @@ def _solve(rows: Sequence[PhysicalParams]) -> list[DerivedParams | PhysicsError]
     drives = [params.drive_amplitudes() for params in rows]
     bare = [params.bare_detunings() for params in rows]
     couplings = [2.0 * params.eta**2 * params.omega_m for params in rows]
-    roots = _intensity_roots(list(zip(*drives)), list(zip(*bare)), couplings,
-                             [params.gamma for params in rows])
+    roots = _intensity_roots([(*drive, *detunings, c, params.gamma) for params, drive, detunings, c
+                              in zip(rows, drives, bare, couplings)])
     results = []
     for row in zip(rows, drives, bare, couplings, roots):
         derived = _operating_point(*row)
@@ -368,8 +363,7 @@ def operating_point_params(base: PhysicalParams, target_alpha: float,
 
     omega_1 = amplitude_to_drive(target_alpha, d1p_t, base)
     omega_2 = amplitude_to_drive(target_alpha, d2p_t, base)
-    drive = DriveSpec(mode="amplitudes", omega_l=omega_l, omega_lp=omega_lp,
-                      omega_1=omega_1, omega_2=omega_2)
+    drive = DriveSpec(omega_l=omega_l, omega_lp=omega_lp, omega_1=omega_1, omega_2=omega_2)
     return base.scaled(drive=drive)
 
 
@@ -379,8 +373,7 @@ def retuned_d(params: PhysicalParams, new_d: float) -> PhysicalParams:
     Both effective detunings shift by the same amount -(new_d - d); the
     drive amplitudes are rebalanced at the same time so that
     |alpha_1| = |alpha_2| stays at the current common value (detuning and
-    power are always tuned together to keep the amplitudes equal).  The
-    returned drive is in amplitudes mode.
+    power are always tuned together to keep the amplitudes equal).
     """
     derived = solve_steady_state(params)
     return operating_point_params(params, target_alpha=derived.alpha,

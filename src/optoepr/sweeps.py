@@ -11,7 +11,6 @@ Sweep axes re-derive the operating point per row:
 * ``Q``            mechanical quality factor (gamma_m = omega_m / Q).
 * ``power_fluct``  both drive powers scaled by (1 + value); d drifts through
   the intensity shift exactly as the steady state dictates.
-* ``d_fluct``      absolute excursions of d around the base value.
 
 ``sensitivity_analysis`` takes its excursions as ``d`` and ``power_fluct``
 rows around the optimum, recording a failed one by name.  The rows of a
@@ -35,7 +34,7 @@ of offsets forms the row part of the closed form once, and its evaluator
 serves the grid pass and every refinement of the continuous minimum.  A
 coarse scan checks unimodality, then refinement rounds of ``_ROUND_ROWS``
 rows, one pass each, narrow the bracket to the two cells around the best row
-(of equal values the highest d) until it is ``tol_frac`` of its larger end
+(of equal values the highest d) until it is ``_TOL_FRAC`` of its larger end
 wide.  A round's two ends are rows of the pass before, reproduced exactly by
 ``np.linspace``, so a round scores its ``_ROUND_ROWS - 2`` inner rows, and
 one fewer when its middle row is the pass before's best offset: no offset is
@@ -60,12 +59,12 @@ from . import errors
 from .errors import (BracketError, DegenerateResponse, DomainError, ParameterError, PhysicsError,
                      SignConventionViolated)
 from .langevin import MODELS, evaluate
-from .params import DriveSpec, PhysicalParams, gamma_m_from_q
+from .params import DriveSpec, PhysicalParams, gamma_m_from_q, power_to_amplitude
 from .spectrum import closed_form_grid, degenerate_mask, eof_array, offset_x, optimum_d
 from .steady_state import (DerivedParams, operating_point_params, solve_steady_state,
                            solve_steady_states)
 
-SWEEP_AXES = ("temperature", "alpha", "d", "Q", "power_fluct", "d_fluct")
+SWEEP_AXES = ("temperature", "alpha", "d", "Q", "power_fluct")
 
 # Default evaluation grid: 2001 points over [-2 gamma, 2 gamma].
 DEFAULT_GRID_POINTS = 2001
@@ -84,9 +83,12 @@ _BLOCK_POINTS = 2**14
 # Local maxima within this fraction of the peak EOF are reported as peaks.
 _NEAR_PEAK = 0.01
 
-# Rows of each refinement round of find_optimum_d_numeric: a round narrows the
-# bracket to 2 of its _ROUND_ROWS - 1 cells.
+# find_optimum_d_numeric scans its bracket at _SCAN_POINTS offsets, then
+# narrows it in rounds of _ROUND_ROWS rows, each keeping 2 of its
+# _ROUND_ROWS - 1 cells, until it is _TOL_FRAC of its larger end wide.
+_SCAN_POINTS = 33
 _ROUND_ROWS = 9
+_TOL_FRAC = 1e-4
 
 # The continuous minimum of x(omega): _MIN_ROUNDS rounds of _MIN_POINTS
 # frequencies, each narrowing the cells around the best by (_MIN_POINTS - 1) / 2,
@@ -193,8 +195,9 @@ def peak_statistics(omega: np.ndarray, eof_curve: np.ndarray) -> PeakStats:
     the vertices within ``_NEAR_PEAK`` (1%) of it.
 
     Raises ValueError for an empty curve, one whose length differs from
-    ``omega``'s, and a descending ``omega``, on which the FWHM would come out
-    negative.
+    ``omega``'s, a descending ``omega``, on which the FWHM would come out
+    negative, and an unevenly spaced one, on which the parabola misplaces the
+    peak.
     """
     omega = np.asarray(omega, dtype=float)
     y = np.asarray(eof_curve, dtype=float)
@@ -202,8 +205,7 @@ def peak_statistics(omega: np.ndarray, eof_curve: np.ndarray) -> PeakStats:
         raise ValueError("eof_curve must be nonempty")
     if len(omega) != len(y):
         raise ValueError(f"omega and eof_curve lengths differ: {len(omega)} != {len(y)}")
-    if np.any(omega[1:] < omega[:-1]):
-        raise ValueError("omega must be ascending")
+    _check_grid(omega)
     return _peak_statistics_row(omega, y, _refined_maxima(omega, y[None, :])[0])
 
 
@@ -255,10 +257,10 @@ def _peak_statistics_row(omega: np.ndarray, y: np.ndarray, maxima: list) -> Peak
 
 def _scaled_powers(params: PhysicalParams, factor: float) -> PhysicalParams:
     """``params`` with both drive powers multiplied by ``factor`` (laser frequencies kept)."""
-    p1, p2 = params.drive_powers()
     d = params.drive
-    return params.scaled(drive=DriveSpec(mode="powers", omega_l=d.omega_l, omega_lp=d.omega_lp,
-                                         p_1=p1 * factor, p_2=p2 * factor))
+    omega_1, omega_2 = (power_to_amplitude(p * factor, w, params.gamma, params.constants)
+                        for p, w in zip(params.drive_powers(), (d.omega_l, d.omega_lp)))
+    return params.scaled(drive=DriveSpec(d.omega_l, d.omega_lp, omega_1, omega_2))
 
 
 def _peaks(rows: list, omega: np.ndarray, model: str) -> list:
@@ -321,9 +323,8 @@ def _row_params(axis: str, base: PhysicalParams, base_derived: DerivedParams,
         return base.scaled(T=value)
     if axis == "alpha":
         return operating_point_params(base, value, base_derived.delta, base_derived.d)
-    if axis in ("d", "d_fluct"):
-        d = value if axis == "d" else base_derived.d + value
-        return operating_point_params(base, base_derived.alpha, base_derived.delta, d)
+    if axis == "d":
+        return operating_point_params(base, base_derived.alpha, base_derived.delta, value)
     if axis == "Q":
         return base.scaled(gamma_m=gamma_m_from_q(base.omega_m, value))
     if axis == "power_fluct":
@@ -540,8 +541,7 @@ def _continuous_min(x_at, omega: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, float],
-                           omega_grid: np.ndarray | None = None,
-                           tol_frac: float = 1e-4, scan_points: int = 33) -> float:
+                           omega_grid: np.ndarray | None = None) -> float:
     """Maximize over the offset d the EOF of the least EPR variance over frequency.
 
     The objective of an offset is the EOF of its ``d`` row's closed-form x at its
@@ -549,7 +549,7 @@ def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, fl
     grid peak, is smooth in d.  The rows are designed: held at their designed
     root, they need no steady-state solve after the base's (:func:`offset_x`).
     A coarse scan first checks unimodality on the bracket: its points are the
-    rows at ``scan_points`` evenly spaced offsets, evaluated in one pass, and
+    rows at ``_SCAN_POINTS`` evenly spaced offsets, evaluated in one pass, and
     the first row that fails raises its error (a row outside the parameter
     domain before any other).  A bracket whose scan shows several separated
     local maxima raises :class:`BracketError` with the scan attached.  The
@@ -559,15 +559,11 @@ def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, fl
     (all but the ends, and the middle where it is the previous best) and keeps
     the two cells around the best.  Of equal values the highest d is the
     best, so a flat objective moves the bracket up.  The rounds stop once the bracket is at most
-    ``tol_frac * max(|lo|, |hi|)`` wide, or no float lies inside it, and the
+    ``_TOL_FRAC * max(|lo|, |hi|)`` wide, or no float lies inside it, and the
     search returns its midpoint.  A degenerate bracket returns its single
-    point.  ``tol_frac`` <= 0 or NaN, ``scan_points`` < 3 and an empty or
-    unevenly spaced ``omega_grid`` raise ValueError before anything is solved.
+    point.  An empty or unevenly spaced ``omega_grid`` raises ValueError
+    before anything is solved.
     """
-    if not tol_frac > 0:
-        raise ValueError(f"tol_frac must be > 0, got {tol_frac!r}")
-    if scan_points < 3:
-        raise ValueError(f"scan_points must be >= 3, got {scan_points!r}")
     lo, hi = float(search_bracket[0]), float(search_bracket[1])
     if hi < lo:
         raise BracketError(f"invalid bracket ({lo:g}, {hi:g})")
@@ -576,9 +572,9 @@ def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, fl
         return lo
     base_derived = solve_steady_state(base)
 
-    scan_d = np.linspace(lo, hi, scan_points)
+    scan_d = np.linspace(lo, hi, _SCAN_POINTS)
     scan_v = _search_objective(base, base_derived, scan_d, omega)
-    interior_maxima = [i for i in range(1, scan_points - 1)
+    interior_maxima = [i for i in range(1, _SCAN_POINTS - 1)
                        if scan_v[i] >= scan_v[i - 1] and scan_v[i] >= scan_v[i + 1]]
     if len(interior_maxima) > 1:
         gaps = np.diff(interior_maxima)
@@ -588,7 +584,7 @@ def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, fl
                 f"{[float(scan_d[i]) for i in interior_maxima]}"
             )
 
-    tol = tol_frac * max(abs(hi), abs(lo))
+    tol = _TOL_FRAC * max(abs(hi), abs(lo))
     a, b = lo, hi
     rows, values = scan_d, scan_v
     scored = dict(zip(scan_d.tolist(), scan_v.tolist()))   # this search's scored offsets

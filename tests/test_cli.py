@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import optoepr as oe
-from optoepr import cli
+from optoepr import cli, steady_state
 from optoepr.cli import _build_parser, _grid, main
 from optoepr.io import BASE_COLUMNS, read_jsonlines
 from optoepr.langevin import evaluate, model_deviations
 from optoepr.spectrum import metric_columns, spectrum_flags
-from tests.test_config_io import reference_render_rows
+from tests.test_config_io import POWERS_CONFIG, reference_render_rows
 
 
 def run(capsys, *argv):
@@ -82,6 +82,23 @@ class TestSpectrum:
         assert code == 0
         assert [r["omega_rads"] for r in csv.DictReader(out.splitlines())] == ["-40000000", "0",
                                                                                "40000000"]
+
+
+class TestAtOptimumD:
+    def test_base_solved_once(self, paper_params, paper_derived, monkeypatch, capsys):
+        # the retune reuses the base's steady state instead of solving it again
+        retuned = oe.retuned_d(paper_params, oe.optimum_d(paper_derived).d_o)
+        solved = []
+        solve = steady_state.solve_steady_state
+
+        def counting(params):
+            solved.append(params)
+            return solve(params)
+        monkeypatch.setattr(cli, "solve_steady_state", counting)
+        monkeypatch.setattr(steady_state, "solve_steady_state", counting)
+        code, _, _ = run(capsys, "derive", "--at-optimum-d")
+        assert code == 0
+        assert solved == [paper_params, retuned]
 
 
 class TestSweep:
@@ -376,6 +393,18 @@ drive_omega2_rads = 1e12
         assert code == 2
         assert err.startswith("configuration error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("override, message", [
+        ("p1_w=-1", "drive powers must be >= 0"),
+        ("gamma_hz=-3.2e6", "gamma must be strictly positive"),
+    ])
+    def test_invalid_powers_config_exits_2(self, override, message, tmp_path, capsys):
+        cfg = tmp_path / "powers.cfg"
+        cfg.write_text(POWERS_CONFIG)
+        code, out, err = run(capsys, "derive", "--config", str(cfg), "--set", override)
+        assert code == 2
+        assert err == f"configuration error: {message}\n"
+        assert out == ""
 
     def test_config_file_loaded(self, tmp_path, capsys):
         cfg = tmp_path / "ok.cfg"

@@ -11,6 +11,23 @@ from optoepr.io import BASE_COLUMNS, read_jsonlines, render_rows
 from optoepr.params import TWO_PI
 
 
+POWERS_CONFIG = """
+omega_p_hz = 3.0e14
+omega_m_hz = 73.5e6
+gamma_hz = 3.2e6
+q_factor = 30000
+nu_hz = 1.0e8
+eta = 1.0e-4
+temperature_k = 300
+radius_m = 38e-6
+n0 = 1.45
+delta1_hz = -86.6e6
+delta2_hz = 80.2e6
+p1_w = 0.01
+p2_w = 0.02
+"""
+
+
 class TestParseConfig:
     def test_paper_defaults_directive(self):
         cfg = oe.parse_config("defaults: paper\n")
@@ -70,25 +87,27 @@ class TestParseConfig:
             oe.parse_config("defaults: paper\ndelta1_hz = -5e8\n")
 
     def test_direct_style_with_powers(self):
-        text = """
-omega_p_hz = 3.0e14
-omega_m_hz = 73.5e6
-gamma_hz = 3.2e6
-q_factor = 30000
-nu_hz = 1.0e8
-eta = 1.0e-4
-temperature_k = 300
-radius_m = 38e-6
-n0 = 1.45
-delta1_hz = -86.6e6
-delta2_hz = 80.2e6
-p1_w = 0.01
-p2_w = 0.01
-"""
-        cfg = oe.parse_config(text)
-        assert cfg.params.drive.mode == "powers"
-        omega_1, omega_2 = cfg.params.drive_amplitudes()
-        assert omega_1 > 0 and omega_2 > 0
+        # powers convert to amplitudes once, at load, by the one conversion
+        params = oe.parse_config(POWERS_CONFIG).params
+        drive = params.drive
+        assert drive.omega_l == TWO_PI * 3.0e14 + TWO_PI * 1.0e8 + TWO_PI * -86.6e6
+        assert drive.omega_1 == oe.power_to_amplitude(0.01, drive.omega_l, params.gamma)
+        assert drive.omega_2 == oe.power_to_amplitude(0.02, drive.omega_lp, params.gamma)
+        assert params.drive_amplitudes() == (drive.omega_1, drive.omega_2)
+        assert params.drive_powers() == pytest.approx((0.01, 0.02), rel=1e-15)
+
+    @pytest.mark.parametrize("override, message", [
+        ({"p1_w": "-1"}, "drive powers must be >= 0"),
+        ({"p2_w": "-1"}, "drive powers must be >= 0"),
+        ({"p2_w": "nan"}, "key 'p2_w': 'nan' is not a finite number"),
+    ])
+    def test_bad_power_rejected(self, override, message):
+        with pytest.raises(oe.ParameterError, match=message):
+            oe.parse_config(POWERS_CONFIG, override)
+
+    def test_powers_convert_after_gamma_is_validated(self):
+        with pytest.raises(oe.ParameterError, match="gamma must be strictly positive"):
+            oe.parse_config(POWERS_CONFIG, {"gamma_hz": "-3.2e6"})
 
     def test_format_key_validated(self):
         with pytest.raises(oe.ParseError, match="format"):
@@ -104,15 +123,12 @@ class TestSerializeRoundTrip:
         assert again.format == cfg.format
 
     def test_identity_on_power_drive(self):
-        text = ("defaults: paper\n")
-        cfg = oe.parse_config(text)
-        # convert to powers mode and round-trip
-        p1, p2 = cfg.params.drive_powers()
-        drive = oe.DriveSpec(mode="powers", omega_l=cfg.params.drive.omega_l,
-                             omega_lp=cfg.params.drive.omega_lp, p_1=p1, p_2=p2)
-        cfg2 = oe.RunConfig(params=cfg.params.scaled(drive=drive), format="jsonlines")
-        again = oe.parse_config(oe.serialize_config(cfg2))
-        assert again.params == cfg2.params
+        # a powers config serializes as its amplitudes, which parse back exactly
+        cfg = oe.parse_config(POWERS_CONFIG + "format = jsonlines\n")
+        text = oe.serialize_config(cfg)
+        assert "p1_w" not in text and f"drive_omega1_rads = {cfg.params.drive.omega_1:.17g}" in text
+        again = oe.parse_config(text)
+        assert again.params == cfg.params
         assert again.format == "jsonlines"
 
 

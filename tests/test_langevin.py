@@ -503,9 +503,11 @@ class TestIntracavityOccupation:
         # regression anchor for the converged integral
         assert occ == pytest.approx(706.1, rel=0.02)
 
-    def test_nonconvergent_budget(self, paper_derived):
-        with pytest.raises(oe.NonConvergent):
-            oe.intracavity_occupation(paper_derived, rel_tol=1e-12, max_points=4097)
+    def test_nonconvergent_budget(self, paper_derived, monkeypatch):
+        monkeypatch.setattr(langevin, "_OCCUPATION_RTOL", 1e-12)
+        monkeypatch.setattr(langevin, "_OCCUPATION_MAX_POINTS", 4097)
+        with pytest.raises(oe.NonConvergent, match="not converged to 1e-12 within 4097 points"):
+            oe.intracavity_occupation(paper_derived)
 
 
 class TestModelAgreement:

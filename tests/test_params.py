@@ -53,6 +53,11 @@ class TestDriveConversions:
         omega = oe.power_to_amplitude(10e-3, TWO_PI * 3e14, TWO_PI * 3.2e6)
         assert omega == pytest.approx(2.0114e12, rel=5e-3)
 
+    @pytest.mark.parametrize("P", [-1e-3, math.nan])
+    def test_negative_or_nan_power_rejected(self, P):
+        with pytest.raises(oe.ParameterError, match="drive powers must be >= 0"):
+            oe.power_to_amplitude(P, TWO_PI * 3e14, TWO_PI * 3.2e6)
+
     def test_round_trip_identity(self):
         omega_L = TWO_PI * 3e14
         gamma = TWO_PI * 3.2e6
@@ -135,17 +140,20 @@ class TestPhysicalParamsValidation:
 
     def test_laser_must_be_near_cavity(self, paper_params):
         drive = paper_params.drive
-        bad = oe.DriveSpec(mode="amplitudes",
-                           omega_l=paper_params.omega_p + 20 * paper_params.omega_m,
+        bad = oe.DriveSpec(omega_l=paper_params.omega_p + 20 * paper_params.omega_m,
                            omega_lp=drive.omega_lp,
                            omega_1=drive.omega_1, omega_2=drive.omega_2)
         with pytest.raises(ValueError, match="sideband"):
             paper_params.scaled(drive=bad)
 
-    def test_drive_mode_requires_matching_pair(self, paper_params):
-        with pytest.raises(ValueError):
-            oe.DriveSpec(mode="amplitudes", omega_l=paper_params.drive.omega_l,
-                         omega_lp=paper_params.drive.omega_lp)
+    @pytest.mark.parametrize("name", ["omega_1", "omega_2"])
+    def test_negative_drive_amplitude_rejected(self, paper_params, name):
+        drive = paper_params.drive
+        fields = dict(omega_l=drive.omega_l, omega_lp=drive.omega_lp,
+                      omega_1=drive.omega_1, omega_2=drive.omega_2)
+        fields[name] = -1.0
+        with pytest.raises(oe.ParameterError, match="drive amplitudes must be >= 0"):
+            oe.DriveSpec(**fields)
 
     @pytest.mark.parametrize("name", ["omega_p", "omega_m", "gamma", "gamma_m", "nu", "eta",
                                       "T", "R", "n0"])
@@ -154,15 +162,12 @@ class TestPhysicalParamsValidation:
         with pytest.raises(oe.ParameterError, match=f"{name} must be finite"):
             paper_params.scaled(**{name: value})
 
-    @pytest.mark.parametrize("name", ["omega_l", "omega_1", "p_2"])
+    @pytest.mark.parametrize("name", ["omega_l", "omega_1"])
     def test_non_finite_drive_rejected_by_name(self, paper_params, name):
         drive = paper_params.drive
-        fields = dict(omega_l=drive.omega_l, omega_lp=drive.omega_lp)
-        if name == "p_2":
-            fields.update(mode="powers", p_1=1e-3, p_2=math.nan)
-        else:
-            fields.update(mode="amplitudes", omega_1=drive.omega_1, omega_2=drive.omega_2)
-            fields[name] = math.nan
+        fields = dict(omega_l=drive.omega_l, omega_lp=drive.omega_lp,
+                      omega_1=drive.omega_1, omega_2=drive.omega_2)
+        fields[name] = math.nan
         with pytest.raises(oe.ParameterError, match=f"{name} must be finite"):
             oe.DriveSpec(**fields)
 
@@ -204,7 +209,7 @@ class TestValidateRegime:
 
     def test_mode_spacing_fails_at_fsr_drive(self, paper_params, paper_derived):
         fsr = paper_params.free_spectral_range()
-        drive = oe.DriveSpec(mode="amplitudes", omega_l=paper_params.drive.omega_l,
+        drive = oe.DriveSpec(omega_l=paper_params.drive.omega_l,
                              omega_lp=paper_params.drive.omega_lp,
                              omega_1=fsr, omega_2=fsr)
         loud = paper_params.scaled(drive=drive)

@@ -11,7 +11,7 @@ from optoepr.steady_state import _intensity_roots, steady_state_residual
 def linear_cavity_params(omega_1=1e12, omega_2=1.1e12, eta=1e-30):
     """Negligible coupling: the displacement equations decouple and are exactly Lorentzian."""
     base = oe.paper_default_config().params
-    drive = oe.DriveSpec(mode="amplitudes", omega_l=base.drive.omega_l,
+    drive = oe.DriveSpec(omega_l=base.drive.omega_l,
                          omega_lp=base.drive.omega_lp, omega_1=omega_1, omega_2=omega_2)
     return base.scaled(eta=eta, drive=drive)
 
@@ -83,8 +83,7 @@ class TestSignConvention:
     def test_wrong_sideband_arrangement_rejected(self, paper_params):
         # both lasers on the blue side of their modes: Delta_1' > 0
         drive = paper_params.drive
-        bad = oe.DriveSpec(mode="amplitudes",
-                           omega_l=paper_params.omega_p + paper_params.nu + 1e8,
+        bad = oe.DriveSpec(omega_l=paper_params.omega_p + paper_params.nu + 1e8,
                            omega_lp=drive.omega_lp,
                            omega_1=drive.omega_1, omega_2=drive.omega_2)
         with pytest.raises(oe.SignConventionViolated):
@@ -101,7 +100,7 @@ class TestIntensityRoots:
         params = strong_drive_params(paper_params)
         omegas, deltas = params.drive_amplitudes(), params.bare_detunings()
         c = 2.0 * params.eta**2 * params.omega_m
-        roots = _intensity_roots(omegas, deltas, c, params.gamma)
+        roots, = _intensity_roots([(*omegas, *deltas, c, params.gamma)])
         expected = (3.26e7, 7.14e7, 2.000e8, 2.054e8, 2.91e8)
         assert roots == pytest.approx(expected, rel=2e-3)
         for N in roots:
@@ -114,7 +113,7 @@ class TestIntensityRoots:
     def test_vanishing_coupling_drops_to_the_linear_root(self, c):
         params = linear_cavity_params()
         omegas, deltas = params.drive_amplitudes(), params.bare_detunings()
-        roots = _intensity_roots(omegas, deltas, c, params.gamma)
+        roots, = _intensity_roots([(*omegas, *deltas, c, params.gamma)])
         linear = sum((om**2 / 4.0) / (dj**2 + params.gamma**2 / 4.0)
                      for om, dj in zip(omegas, deltas))
         assert len(roots) == 1
@@ -127,9 +126,8 @@ class TestIntensityRoots:
                 for params in (paper_params, strong_drive_params(paper_params))]
         linear = linear_cavity_params()
         rows.append((*linear.drive_amplitudes(), *linear.bare_detunings(), 0.0, linear.gamma))
-        om1, om2, d1, d2, c, gamma = (np.array(col) for col in zip(*rows))
-        batch = _intensity_roots((om1, om2), (d1, d2), c, gamma)
-        alone = [_intensity_roots(row[:2], row[2:4], row[4], row[5]) for row in rows]
+        batch = _intensity_roots(rows)
+        alone = [_intensity_roots([row])[0] for row in rows]
         assert batch == alone
         assert [len(roots) for roots in batch] == [3, 5, 1]
 
@@ -137,7 +135,7 @@ class TestIntensityRoots:
 class TestBatchedSolve:
     def test_rows_equal_single_solves_and_keep_their_errors(self, paper_params):
         drive = paper_params.drive
-        blue = oe.DriveSpec(mode="amplitudes", omega_l=paper_params.omega_p + paper_params.nu + 1e8,
+        blue = oe.DriveSpec(omega_l=paper_params.omega_p + paper_params.nu + 1e8,
                             omega_lp=drive.omega_lp, omega_1=drive.omega_1, omega_2=drive.omega_2)
         rows = [paper_params, paper_params.scaled(drive=blue), strong_drive_params(paper_params)]
         batch = oe.solve_steady_states(rows)

@@ -114,8 +114,19 @@ class TestPeakStatistics:
         curve = np.exp(-omega * omega / 0.25)
         assert peak_statistics(omega, curve).fwhm == pytest.approx(math.sqrt(math.log(2.0)),
                                                                    rel=1e-4)
-        with pytest.raises(ValueError, match="omega must be ascending"):
+        with pytest.raises(ValueError, match="omega_grid must be ascending"):
             peak_statistics(omega[::-1], curve[::-1])
+
+    def test_uneven_grid_rejected(self):
+        # the parabola assumes even spacing: on this grid it reads 1.0368 at 0.2805 for a
+        # Gaussian whose maximum is 1.0 at 0.3
+        omega = np.sort(np.concatenate([np.linspace(-2.0, 0.25, 30), [0.31, 0.9],
+                                        np.linspace(1.0, 2.0, 9)]))
+        even = np.linspace(-2.0, 2.0, 41)
+        stats = peak_statistics(even, np.exp(-(even - 0.3) ** 2))
+        assert stats.peak_eof == pytest.approx(1.0) and stats.peak_omegas == pytest.approx((0.3,))
+        with pytest.raises(ValueError, match="omega_grid must be evenly spaced"):
+            peak_statistics(omega, np.exp(-(omega - 0.3) ** 2))
 
 
 def forbid_solves(monkeypatch):
@@ -515,9 +526,9 @@ class TestSearchRows:
         monkeypatch.setattr(sweeps, "solve_steady_state", counting)
         monkeypatch.setattr(sweeps, "solve_steady_states", no_rows)
         monkeypatch.setattr(sweeps, "operating_point_params", counting_built)
+        monkeypatch.setattr(sweeps, "_SCAN_POINTS", 17)
         passes = spy_objective(monkeypatch)
-        oe.find_optimum_d_numeric(paper_params, (lo, hi), omega_grid=omega_grid,
-                                  tol_frac=1e-4, scan_points=17)
+        oe.find_optimum_d_numeric(paper_params, (lo, hi), omega_grid=omega_grid)
         assert single == [paper_params] and built == []
         rounds = len(passes) - 1
         # a round's rows are _ROUND_ROWS evenly spaced from one scored offset to another;
@@ -534,8 +545,8 @@ class TestSearchRows:
         assert all(r in ([False] * 7, middle_only) for r in reused) and middle_only in reused
         assert [len(d) for d in passes] == [17] + [sweeps._ROUND_ROWS - 2 - sum(r) for r in reused]
         # the scan keeps 2 of its 16 cells, each round 2 of its _ROUND_ROWS - 1, until
-        # the bracket is at most tol_frac of its larger end
-        kept = math.log(1e-4 * hi / (2.0 * (hi - lo) / 16.0)) / math.log(2.0 / (sweeps._ROUND_ROWS - 1))
+        # the bracket is at most _TOL_FRAC of its larger end
+        kept = math.log(sweeps._TOL_FRAC * hi / (2.0 * (hi - lo) / 16.0)) / math.log(2.0 / (sweeps._ROUND_ROWS - 1))
         assert kept % 1.0 > 0.01 and rounds == math.ceil(kept)
 
 
@@ -582,20 +593,6 @@ class TestFindOptimumD:
         with pytest.raises(ValueError, match="omega_grid must be ascending"):
             oe.sensitivity_analysis(paper_params, 1e5, 0.01, omega_grid=omega_grid[::-1])
 
-    # tol_frac <= 0 would never end the golden section, NaN would end it at once
-    @pytest.mark.parametrize("tol_frac", [0.0, -1.0, math.nan])
-    def test_bad_tol_frac_rejected_before_solving(self, paper_params, monkeypatch, tol_frac):
-        forbid_solves(monkeypatch)
-        with pytest.raises(ValueError, match="tol_frac must be > 0"):
-            oe.find_optimum_d_numeric(paper_params, (1e6, 2e6), tol_frac=tol_frac)
-
-    @pytest.mark.parametrize("scan_points", [2, 0, -5])
-    def test_too_few_scan_points_rejected_before_solving(self, paper_params, monkeypatch,
-                                                         scan_points):
-        forbid_solves(monkeypatch)
-        with pytest.raises(ValueError, match="scan_points must be >= 3"):
-            oe.find_optimum_d_numeric(paper_params, (1e6, 2e6), scan_points=scan_points)
-
     def test_scan_row_out_of_domain_raised_before_solving(self, paper_params, paper_derived,
                                                           monkeypatch):
         # a laser more than 10 omega_m from the cavity fails the row's parameter checks
@@ -622,11 +619,11 @@ class TestFindOptimumD:
         assert hi - 1e-4 * hi <= d_star <= hi
 
     def test_search_ends_when_no_float_is_left_in_the_bracket(self, paper_params,
-                                                              paper_derived):
+                                                              paper_derived, monkeypatch):
+        monkeypatch.setattr(sweeps, "_TOL_FRAC", 1e-300)
         d_o = oe.optimum_d(paper_derived).d_o
         d_star = oe.find_optimum_d_numeric(paper_params, (0.3 * d_o, 3.0 * d_o),
-                                           omega_grid=oe.default_omega_grid(paper_params.gamma, 201),
-                                           tol_frac=1e-300)
+                                           omega_grid=oe.default_omega_grid(paper_params.gamma, 201))
         assert abs(d_star - d_o) / d_o < 0.05
 
     @pytest.mark.parametrize("name", sorted(STRONG_CONFIGS))
@@ -790,6 +787,15 @@ class TestSensitivityAnalysis:
 
 
 class TestPowerFluctuation:
+    def test_scaled_powers_convert_once(self, paper_params):
+        # the scaled powers go through power_to_amplitude once, from the base's amplitudes
+        drive, gamma = paper_params.drive, paper_params.gamma
+        p1, p2 = paper_params.drive_powers()
+        scaled = sweeps._scaled_powers(paper_params, 1.01)
+        assert scaled == paper_params.scaled(drive=oe.DriveSpec(
+            drive.omega_l, drive.omega_lp, oe.power_to_amplitude(p1 * 1.01, drive.omega_l, gamma),
+            oe.power_to_amplitude(p2 * 1.01, drive.omega_lp, gamma)))
+
     def test_power_fluct_row_matches_power_jitter_case(self, paper_params, paper_derived,
                                                         omega_grid):
         d_o = oe.optimum_d(paper_derived).d_o
