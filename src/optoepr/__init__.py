@@ -9,7 +9,6 @@ every model, the closed form included.
 """
 
 from .config import PAPER_DEFAULTS, RunConfig, paper_default_config, parse_config, serialize_config
-from .constants import CODATA, PhysicalConstants
 from .errors import (BracketError, ConfigError, ConstraintViolated, DegenerateResponse,
                      DomainError, NonConvergent, NoSteadyState, NotSymmetricState,
                      OptoEprError, ParameterError, ParseError, PhysicsError,

@@ -1,25 +1,10 @@
 """Physical constants (CODATA 2018 exact values, SI units)."""
 
-from dataclasses import dataclass
+HBAR = 1.054571817e-34
+"""Reduced Planck constant [J s]."""
 
+K_B = 1.380649e-23
+"""Boltzmann constant [J/K]."""
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Fundamental constants used across the model.
-
-    Attributes
-    ----------
-    hbar : float
-        Reduced Planck constant [J s].
-    k_B : float
-        Boltzmann constant [J/K].
-    c : float
-        Speed of light in vacuum [m/s].
-    """
-
-    hbar: float = 1.054571817e-34
-    k_B: float = 1.380649e-23
-    c: float = 2.99792458e8
-
-
-CODATA = PhysicalConstants()
+C = 2.99792458e8
+"""Speed of light in vacuum [m/s]."""

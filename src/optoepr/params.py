@@ -12,9 +12,9 @@ workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from .constants import CODATA, PhysicalConstants
+from .constants import C, HBAR, K_B
 from .errors import ConstraintViolated, ParameterError
 
 TWO_PI = 2.0 * math.pi
@@ -89,7 +89,6 @@ class PhysicalParams:
     n0 : float
         Refractive index of the cavity material.
     drive : DriveSpec
-    constants : PhysicalConstants
     """
 
     omega_p: float
@@ -102,7 +101,6 @@ class PhysicalParams:
     R: float
     n0: float
     drive: DriveSpec
-    constants: PhysicalConstants = field(default=CODATA)
 
     def __post_init__(self):
         _require_finite(self, ("omega_p", "omega_m", "gamma", "gamma_m", "nu", "eta", "T", "R",
@@ -136,8 +134,8 @@ class PhysicalParams:
         """Input laser powers (P_1, P_2) [W]."""
         d = self.drive
         return (
-            amplitude_to_power(d.omega_1, d.omega_l, self.gamma, self.constants),
-            amplitude_to_power(d.omega_2, d.omega_lp, self.gamma, self.constants),
+            amplitude_to_power(d.omega_1, d.omega_l, self.gamma),
+            amplitude_to_power(d.omega_2, d.omega_lp, self.gamma),
         )
 
     def bare_detunings(self) -> tuple[float, float]:
@@ -146,7 +144,7 @@ class PhysicalParams:
 
     def free_spectral_range(self) -> float:
         """Distance between adjacent cavity modes, c/(R n0) [rad/s-equivalent]."""
-        return self.constants.c / (self.R * self.n0)
+        return C / (self.R * self.n0)
 
     def scaled(self, **changes) -> "PhysicalParams":
         """Copy with selected fields replaced."""
@@ -177,23 +175,26 @@ class RegimeReport:
         return "\n".join(lines)
 
 
-def thermal_occupancy(omega_m: float, T: float, constants: PhysicalConstants = CODATA) -> float:
+def thermal_occupancy(omega_m: float, T: float) -> float:
     """Bose-Einstein occupancy of a bath mode at angular frequency omega_m.
 
-    Returns exactly 0 for T = 0 instead of evaluating the exponential.
+    Returns exactly 0 for T = 0 and wherever exp(-hbar omega_m / (k_B T))
+    underflows, where ``math.expm1`` would overflow or k_B T is itself 0.
     """
     if omega_m <= 0:
         raise ValueError("omega_m must be > 0")
     if T < 0:
         raise ValueError("T must be >= 0")
-    if T == 0:
+    k_t = K_B * T
+    if k_t == 0.0:
         return 0.0
-    x = constants.hbar * omega_m / (constants.k_B * T)
-    return 1.0 / math.expm1(x)
+    try:
+        return 1.0 / math.expm1(HBAR * omega_m / k_t)
+    except OverflowError:
+        return 0.0
 
 
-def power_to_amplitude(P: float, omega_L: float, gamma: float,
-                       constants: PhysicalConstants = CODATA) -> float:
+def power_to_amplitude(P: float, omega_L: float, gamma: float) -> float:
     """Drive amplitude Omega = 2 sqrt(P gamma / (hbar omega_L)) [rad/s].
 
     The one conversion of a drive power: the configuration's ``p1_w``/``p2_w``
@@ -204,17 +205,16 @@ def power_to_amplitude(P: float, omega_L: float, gamma: float,
         raise ParameterError("drive powers must be >= 0")
     if not (omega_L > 0 and gamma > 0):
         raise ParameterError("omega_L and gamma must be > 0")
-    return 2.0 * math.sqrt(P * gamma / (constants.hbar * omega_L))
+    return 2.0 * math.sqrt(P * gamma / (HBAR * omega_L))
 
 
-def amplitude_to_power(Omega: float, omega_L: float, gamma: float,
-                       constants: PhysicalConstants = CODATA) -> float:
+def amplitude_to_power(Omega: float, omega_L: float, gamma: float) -> float:
     """Inverse of :func:`power_to_amplitude`: P = hbar omega_L Omega^2 / (4 gamma)."""
     if Omega < 0:
         raise ValueError("Omega must be >= 0")
     if omega_L <= 0 or gamma <= 0:
         raise ValueError("omega_L and gamma must be > 0")
-    return constants.hbar * omega_L * Omega**2 / (4.0 * gamma)
+    return HBAR * omega_L * Omega**2 / (4.0 * gamma)
 
 
 def normal_mode_drives(Omega_a: float, Omega_b: float, Omega_ap: float,
@@ -250,12 +250,11 @@ def detunings(omega_L: float, omega_Lp: float, omega_p: float, nu: float) -> tup
     return omega_L - omega_p - nu, omega_Lp - omega_p + nu
 
 
-def eta_from_geometry(omega_p: float, omega_m: float, m: float, R: float,
-                      constants: PhysicalConstants = CODATA) -> float:
+def eta_from_geometry(omega_p: float, omega_m: float, m: float, R: float) -> float:
     """Dimensionless coupling (omega_p/omega_m) x_zpf / R with x_zpf = sqrt(hbar/(m omega_m))."""
     if min(omega_p, omega_m, m, R) <= 0:
         raise ValueError("all arguments must be > 0")
-    x_zpf = math.sqrt(constants.hbar / (m * omega_m))
+    x_zpf = math.sqrt(HBAR / (m * omega_m))
     return (omega_p / omega_m) * x_zpf / R
 
 

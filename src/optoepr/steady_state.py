@@ -268,9 +268,7 @@ def _operating_point(params: PhysicalParams, drive: tuple[float, float],
     beta_imag = params.eta * params.omega_m * N * (params.gamma_m / 2.0) / denom
 
     if d1p >= 0.0 or d2p <= 0.0:
-        return SignConventionViolated(
-            f"operating point requires Delta_1' < 0 < Delta_2'; got {d1p:.4e}, {d2p:.4e}"
-        )
+        return window_error(d1p, d2p)
     delta = 0.5 * (d2p - d1p) - params.omega_m
     d = -0.5 * (d1p + d2p)
     if delta <= 0.0:
@@ -293,13 +291,19 @@ def _operating_point(params: PhysicalParams, drive: tuple[float, float],
         g=g,
         g_prime=g + d,
         gamma_m_tilde=gamma_m_tilde,
-        n_m=thermal_occupancy(params.omega_m, params.T, params.constants),
+        n_m=thermal_occupancy(params.omega_m, params.T),
         gamma=params.gamma,
         gamma_m=params.gamma_m,
         omega_m=params.omega_m,
         eta=params.eta,
         multistable=multistable,
     )
+
+
+def window_error(d1p: float, d2p: float) -> SignConventionViolated:
+    """The error of an operating point outside the window Delta_1' < 0 < Delta_2'."""
+    return SignConventionViolated(
+        f"operating point requires Delta_1' < 0 < Delta_2'; got {d1p:.4e}, {d2p:.4e}")
 
 
 def steady_state_residual(params: PhysicalParams, derived: DerivedParams) -> float:

@@ -26,8 +26,9 @@ raised, as an input error.
 ``find_optimum_d_numeric`` solves the base alone.  Its rows are the ``d``
 rows at their designed root N = 2 alpha^2, where holding alpha and delta
 leaves every input of the closed form but g' = g + d at the base's: K
-offsets are one (K, N) closed-form block (``spectrum.offset_x``), checked
-for the errors the ``d`` rows would raise as one vector.  A row's objective
+offsets are one (K, N) closed-form block (``spectrum.offset_x``).  Only the
+bracket's two ends are built to check the rows: the offsets whose rows pass
+form an interval, and every row lies between the ends.  A row's objective
 is the EOF of its least x over continuous omega, refined in the grid cells
 next to its grid minimum; unlike the grid peak it is smooth in d.  One block
 of offsets forms the row part of the closed form once, and its evaluator
@@ -56,13 +57,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import errors
-from .errors import (BracketError, DegenerateResponse, DomainError, ParameterError, PhysicsError,
-                     SignConventionViolated)
+from .errors import BracketError, DegenerateResponse, DomainError, ParameterError, PhysicsError
 from .langevin import MODELS, evaluate
 from .params import DriveSpec, PhysicalParams, gamma_m_from_q, power_to_amplitude
 from .spectrum import closed_form_grid, degenerate_mask, eof_array, offset_x, optimum_d
 from .steady_state import (DerivedParams, operating_point_params, solve_steady_state,
-                           solve_steady_states)
+                           solve_steady_states, window_error)
 
 SWEEP_AXES = ("temperature", "alpha", "d", "Q", "power_fluct")
 
@@ -258,7 +258,7 @@ def _peak_statistics_row(omega: np.ndarray, y: np.ndarray, maxima: list) -> Peak
 def _scaled_powers(params: PhysicalParams, factor: float) -> PhysicalParams:
     """``params`` with both drive powers multiplied by ``factor`` (laser frequencies kept)."""
     d = params.drive
-    omega_1, omega_2 = (power_to_amplitude(p * factor, w, params.gamma, params.constants)
+    omega_1, omega_2 = (power_to_amplitude(p * factor, w, params.gamma)
                         for p, w in zip(params.drive_powers(), (d.omega_l, d.omega_lp)))
     return params.scaled(drive=DriveSpec(d.omega_l, d.omega_lp, omega_1, omega_2))
 
@@ -456,58 +456,54 @@ def sensitivity_analysis(base: PhysicalParams, d_jitter: float,
                              degradation=degradation, cases=cases)
 
 
-def _offset_row_errors(base: PhysicalParams, base_derived: DerivedParams,
-                       d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Masks of the ``d`` rows at the offsets ``d`` that fail before they are evaluated.
+def _offset_error(base: PhysicalParams, base_derived: DerivedParams,
+                  d: float) -> PhysicsError | ParameterError | None:
+    """What the designed ``d`` row at the offset ``d`` raises before it is evaluated, or None.
 
-    The checks of :func:`operating_point_params` run over all offsets at once, in
-    its arithmetic: ``parameter`` marks a row whose building raises a
-    ParameterError (a non-finite d, or a laser 10 omega_m or more from the
-    cavity), ``building`` one whose building raises SignConventionViolated
-    (Delta_2' <= 0).  ``window`` marks a row built with Delta_1' >= 0, whose
-    designed root lies outside the window Delta_1' < 0 < Delta_2'.
+    That is the error building the row raises (:func:`operating_point_params`),
+    else, for a designed root outside the window Delta_1' < 0 < Delta_2', the
+    error the solve raises for it (building has checked Delta_2' > 0).
     """
-    shift = 2.0 * base.eta**2 * base.omega_m * (2.0 * base_derived.alpha**2)
+    try:
+        _row_params("d", base, base_derived, d)
+    except (PhysicsError, ParameterError) as exc:
+        return exc
     d1p = -(base.omega_m + base_derived.delta + d)
-    d2p = base.omega_m + base_derived.delta - d
-    lasers = (base.omega_p + base.nu + (d1p - shift), base.omega_p - base.nu + (d2p - shift))
-    far = np.logical_or(*(np.abs(w - base.omega_p) >= 10.0 * base.omega_m for w in lasers))
-    finite = np.isfinite(d)
-    building = finite & (d2p <= 0)
-    parameter = ~finite | (far & ~building)
-    return parameter, building, (d1p >= 0) & ~building & ~parameter
+    return window_error(d1p, base.omega_m + base_derived.delta - d) if d1p >= 0.0 else None
 
 
-def _search_objective(base: PhysicalParams, base_derived: DerivedParams, d: np.ndarray,
+def _raise_scan_failure(base: PhysicalParams, base_derived: DerivedParams, d: np.ndarray,
+                        omega: np.ndarray) -> None:
+    """Raise what scanning the offsets ``d`` row by row raises, given that one of them fails.
+
+    A row outside the parameter domain (ParameterError) is raised first, as an
+    input error; then the first failing row's error: :func:`_offset_error`, or
+    a failed grid point, found by evaluating the rows before the first
+    :func:`_offset_error` (each row's numbers are its own, to the last bit).
+    """
+    failures = [_offset_error(base, base_derived, dk) for dk in d.tolist()]
+    _raise_domain_error(failures)
+    k = next(k for k, exc in enumerate(failures) if exc is not None)
+    if k:
+        _search_objective(base_derived, d[:k], omega)
+    raise failures[k]
+
+
+def _search_objective(base_derived: DerivedParams, d: np.ndarray,
                       omega: np.ndarray) -> np.ndarray:
     """The search's objective at the offsets ``d``: the EOF of each designed ``d`` row's
     least x over continuous omega (:func:`offset_x`, :func:`_continuous_min`).
 
-    A failing row raises what its solved row raises.  A row outside the
-    parameter domain (ParameterError) is raised first, as an input error;
-    then the first failing row: one whose building fails, by
-    :func:`operating_point_params` on that row alone; a designed root outside
-    the window, in the words of the solve; a failed grid point, by the class
-    :func:`closed_form_grid` names there.
+    The rows must build and lie in the window (see :func:`_offset_error`).  A
+    row with a failed grid point raises, for the first such row, the class
+    :func:`closed_form_grid` names at its first failed point.
     """
-    parameter, building, window = _offset_row_errors(base, base_derived, d)
-    if parameter.any():
-        _row_params("d", base, base_derived, float(d[np.argmax(parameter)]))
     x_at = offset_x(base_derived, d)
     x, abs_D2 = x_at(omega)
     degenerate = degenerate_mask(abs_D2, base_derived.gamma**2, omega)
     failed = degenerate | (x <= 0)
-    bad = building | window | failed.any(axis=1)
-    if bad.any():
-        k = int(np.argmax(bad))
-        if building[k]:
-            _row_params("d", base, base_derived, float(d[k]))
-        if window[k]:
-            d1p = -(base.omega_m + base_derived.delta + d[k])
-            d2p = base.omega_m + base_derived.delta - d[k]
-            raise SignConventionViolated(
-                f"operating point requires Delta_1' < 0 < Delta_2'; got {d1p:.4e}, {d2p:.4e}")
-        i = int(np.argmax(failed[k]))
+    if failed.any():
+        k, i = divmod(int(np.argmax(failed)), len(omega))
         error = DegenerateResponse if degenerate[k, i] else DomainError
         raise error(f"adiabatic output failed at omega = {omega[i]:.6e}")
     return eof_array(_continuous_min(x_at, omega, x))
@@ -551,14 +547,17 @@ def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, fl
     A coarse scan first checks unimodality on the bracket: its points are the
     rows at ``_SCAN_POINTS`` evenly spaced offsets, evaluated in one pass, and
     the first row that fails raises its error (a row outside the parameter
-    domain before any other).  A bracket whose scan shows several separated
-    local maxima raises :class:`BracketError` with the scan attached.  The
-    scan's best row and its two neighbours then bound the bracket, and each
-    refinement round takes ``_ROUND_ROWS`` evenly spaced rows across the
-    current bracket, scores in one pass those that no earlier pass scored
-    (all but the ends, and the middle where it is the previous best) and keeps
-    the two cells around the best.  Of equal values the highest d is the
-    best, so a flat objective moves the bracket up.  The rounds stop once the bracket is at most
+    domain before any other).  Only the bracket's two ends are built to check
+    the rows, as the offsets whose rows pass form an interval; where an end
+    fails, the scan's rows are built one by one to find the error.  A bracket
+    whose scan shows several separated local maxima raises
+    :class:`BracketError` with the scan attached.  The scan's best row and its
+    two neighbours then bound the bracket, and each refinement round takes
+    ``_ROUND_ROWS`` evenly spaced rows across the current bracket, scores in
+    one pass those that no earlier pass scored (all but the ends, and the
+    middle where it is the previous best) and keeps the two cells around the
+    best.  Of equal values the highest d is the best, so a flat objective
+    moves the bracket up.  The rounds stop once the bracket is at most
     ``_TOL_FRAC * max(|lo|, |hi|)`` wide, or no float lies inside it, and the
     search returns its midpoint.  A degenerate bracket returns its single
     point.  An empty or unevenly spaced ``omega_grid`` raises ValueError
@@ -573,7 +572,14 @@ def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, fl
     base_derived = solve_steady_state(base)
 
     scan_d = np.linspace(lo, hi, _SCAN_POINTS)
-    scan_v = _search_objective(base, base_derived, scan_d, omega)
+    # Each rule a row must pass before it is evaluated (finite d, Delta_2' > 0, each
+    # laser within 10 omega_m of the cavity, Delta_1' < 0) compares a monotone, rounded
+    # function of d with a bound, so the offsets that pass form an interval.  Every scan
+    # and round row lies in [lo, hi], both ends reproduced by np.linspace: where the ends
+    # pass, every row does.
+    if any(_offset_error(base, base_derived, end) is not None for end in (lo, hi)):
+        _raise_scan_failure(base, base_derived, scan_d, omega)
+    scan_v = _search_objective(base_derived, scan_d, omega)
     interior_maxima = [i for i in range(1, _SCAN_POINTS - 1)
                        if scan_v[i] >= scan_v[i - 1] and scan_v[i] >= scan_v[i + 1]]
     if len(interior_maxima) > 1:
@@ -600,7 +606,7 @@ def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, fl
             rows = np.linspace(a, b, _ROUND_ROWS)
             new = list(dict.fromkeys(dk for dk in rows.tolist() if dk not in scored))
             if new:
-                scored.update(zip(new, _search_objective(base, base_derived, np.array(new),
+                scored.update(zip(new, _search_objective(base_derived, np.array(new),
                                                          omega).tolist()))
             values = np.array([scored[dk] for dk in rows.tolist()])
     return 0.5 * (a + b)

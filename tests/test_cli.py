@@ -48,6 +48,12 @@ class TestDerive:
         assert "  [FAIL] elimination: ratio = 0.0628 (threshold 5)\n" in out
         assert "overall: FAIL" in out
 
+    def test_tiny_temperature(self, capsys):
+        # at 1 uK the thermal occupancy underflows to 0
+        code, out, _ = run(capsys, "derive", "--set", "temperature_k=1e-6")
+        assert code == 0
+        assert "  n_m = 0   multistable = True\n" in out
+
 
 class TestSpectrum:
     def test_csv_schema_and_determinism(self, tmp_path, capsys):
@@ -141,6 +147,15 @@ class TestSweep:
         notes = err.splitlines()
         assert notes[0].startswith("# alpha=500: peak_eof=")
         assert notes[1] == "# alpha=20000: ParameterError"
+
+    def test_tiny_temperature_row(self, capsys):
+        # at 1 uK the thermal occupancy underflows to 0
+        code, out, err = run(capsys, "sweep", "--axis", "T", "--values", "1e-6,4",
+                             "--omega-points", "5")
+        assert code == 0
+        flags = [r["flags"] for r in csv.DictReader(out.splitlines())]
+        assert flags == ["T=9.9999999999999995e-07"] * 5 + ["T=4"] * 5
+        assert err.startswith("# T=1e-06: peak_eof=")
 
     @pytest.mark.parametrize("axis, values", [("Q", "0,1"), ("T", "nan")])
     def test_invalid_axis_value_row_recorded(self, axis, values, capsys):

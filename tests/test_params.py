@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import optoepr as oe
-from optoepr.constants import CODATA
+from optoepr.constants import HBAR, K_B
 from optoepr.params import TWO_PI, gamma_m_from_q
 
 OMEGA_M = TWO_PI * 73.5e6
@@ -35,8 +35,17 @@ class TestThermalOccupancy:
         # k_B T >> hbar w: n ~ k_B T / (hbar w) - 1/2 to better than 1e-3 relative
         for T in (77.0, 300.0, 1000.0):
             n = oe.thermal_occupancy(OMEGA_M, T)
-            classical = CODATA.k_B * T / (CODATA.hbar * OMEGA_M) - 0.5
+            classical = K_B * T / (HBAR * OMEGA_M) - 0.5
             assert abs(n - classical) < 1e-3 * n
+
+    @pytest.mark.parametrize("T", [1e-6, 1e-300, 5e-324])
+    def test_underflowing_occupancy_is_zero(self, T):
+        # hbar w / (k_B T) is far past the overflow of expm1 (at T = 5e-324, k_B T is 0)
+        assert oe.thermal_occupancy(OMEGA_M, T) == 0.0
+
+    def test_bose_einstein_form(self):
+        for T in (1e-3, 0.05, 4.0, 300.0, 1e6):
+            assert oe.thermal_occupancy(OMEGA_M, T) == 1.0 / math.expm1(HBAR * OMEGA_M / (K_B * T))
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -123,7 +132,7 @@ class TestEtaFromGeometry:
         # choose m so that x_zpf / R = 1e-4 (omega_m / omega_p) => eta = 1e-4
         omega_p, omega_m, R = TWO_PI * 3e14, OMEGA_M, 38e-6
         x_target = 1e-4 * (omega_m / omega_p) * R
-        m = CODATA.hbar / (omega_m * x_target**2)
+        m = HBAR / (omega_m * x_target**2)
         assert oe.eta_from_geometry(omega_p, omega_m, m, R) == pytest.approx(1e-4, rel=1e-12)
 
 

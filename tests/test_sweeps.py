@@ -328,9 +328,9 @@ def spy_objective(monkeypatch):
     passes = []
     objective = sweeps._search_objective
 
-    def spy(base, base_derived, d, omega):
+    def spy(base_derived, d, omega):
         passes.append(np.array(d))
-        return objective(base, base_derived, d, omega)
+        return objective(base_derived, d, omega)
     monkeypatch.setattr(sweeps, "_search_objective", spy)
     return passes
 
@@ -379,6 +379,64 @@ def assert_designed_rows(params, derived, d, omega):
     assert np.all(fine_min - least <= curvature * step**2 / 8.0 + rounding)
 
 
+def domain_edge_bracket(params, derived, edge):
+    """A search bracket from inside the domain of the ``d`` rows across one of its edges:
+    a non-finite end, Delta_2' = 0, Delta_1' = 0, or laser 1 or 2 10 omega_m below (-) or
+    above (+) the cavity."""
+    d_o = oe.optimum_d(derived).d_o
+    if edge == "d_above_inf":
+        return d_o, math.inf
+    if edge == "d_below_inf":
+        return -math.inf, d_o
+    if edge == "d_nan":
+        return d_o, math.nan
+    center = params.omega_m + derived.delta
+    if edge == "delta_2p":   # Delta_2' = center - d
+        return d_o, center + derived.delta
+    if edge == "delta_1p":   # Delta_1' = -(center + d)
+        return -2.0 * center, d_o
+    # laser j sits at omega_p -/+ nu + Delta_j' - shift, Delta_j' = -/+ center - d
+    j, side = int(edge[6]), edge[7]
+    shift = 2.0 * params.eta**2 * params.omega_m * (2.0 * derived.alpha**2)
+    sign = 1.0 if side == "+" else -1.0
+    at = (params.nu if j == 1 else -params.nu) + (-center if j == 1 else center) - shift
+    d = at - sign * 10.0 * params.omega_m   # the offset putting the laser at the edge
+    return (d_o, d + abs(d)) if d > d_o else (d - abs(d), d_o)
+
+
+def wide_nu_point(params, derived):
+    """The paper's operating point at nu = 10 omega_m + (omega_m + delta) / 2, and its
+    steady state: laser 1 reaches 10 omega_m above the cavity, and laser 2 10 omega_m
+    below it, inside the window Delta_1' < 0 < Delta_2'."""
+    nu = 10.0 * params.omega_m + 0.5 * (params.omega_m + derived.delta)
+    wide = oe.operating_point_params(params.scaled(nu=nu), derived.alpha, derived.delta,
+                                     derived.d)
+    return wide, oe.solve_steady_state(wide)
+
+
+def sequential_scan_error(params, derived, scan, omega):
+    """The error of scanning the offsets ``scan`` one ``d`` row at a time: a row outside
+    the parameter domain before any other, then the first row whose building or full
+    evaluation fails; None if none fails."""
+    rows = []
+    for dval in scan:
+        try:
+            rows.append(sweeps._row_params("d", params, derived, dval))
+        except (oe.ParameterError, oe.PhysicsError) as exc:
+            rows.append(exc)
+    parameter = [row for row in rows if isinstance(row, oe.ParameterError)]
+    if parameter:
+        return parameter[0]
+    for row in rows:
+        if isinstance(row, Exception):
+            return row
+        try:
+            alone(row, omega)
+        except oe.PhysicsError as exc:
+            return exc
+    return None
+
+
 class TestBatchedPeaks:
     """The batched pass gives each row exactly what the row evaluated alone gives."""
 
@@ -421,23 +479,6 @@ class TestBatchedPeaks:
         oe.find_optimum_d_numeric(paper_params, (0.3 * d_o, 3.0 * d_o), omega_grid=omega)
         assert len(passes[0]) == 33
         assert_designed_rows(paper_params, paper_derived, passes[0], omega)
-
-    def test_failing_scan_row_raises_as_the_sequential_scan(self, paper_params, paper_derived,
-                                                            omega_grid):
-        # the scan reaches d where Delta_2' would be negative
-        d_o = oe.optimum_d(paper_derived).d_o
-        bracket = (d_o, paper_params.omega_m + 2.0 * paper_derived.delta)
-        expected = None
-        for dval in np.linspace(*bracket, 33):
-            try:
-                alone(sweeps._row_params("d", paper_params, paper_derived, dval), omega_grid)
-            except oe.PhysicsError as exc:
-                expected = exc
-                break
-        assert isinstance(expected, oe.SignConventionViolated)
-        with pytest.raises(type(expected)) as raised:
-            oe.find_optimum_d_numeric(paper_params, bracket, omega_grid=omega_grid)
-        assert str(raised.value) == str(expected)
 
     def test_raised_evaluation_error_recorded_on_its_row(self, optimum_params, omega_grid,
                                                          monkeypatch):
@@ -529,7 +570,9 @@ class TestSearchRows:
         monkeypatch.setattr(sweeps, "_SCAN_POINTS", 17)
         passes = spy_objective(monkeypatch)
         oe.find_optimum_d_numeric(paper_params, (lo, hi), omega_grid=omega_grid)
-        assert single == [paper_params] and built == []
+        # the bracket's two ends are built, to check it, and no row after them
+        assert single == [paper_params]
+        assert [args[3] for args in built] == [lo, hi]
         rounds = len(passes) - 1
         # a round's rows are _ROUND_ROWS evenly spaced from one scored offset to another;
         # it scores the _ROUND_ROWS - 2 inside, less any an earlier pass scored: its
@@ -605,7 +648,7 @@ class TestFindOptimumD:
 
     def test_separated_scan_maxima_raise(self, paper_params, monkeypatch):
         # two humps, at d = 1.25e6 and 1.75e6, on the 33-point scan of (1e6, 2e6)
-        monkeypatch.setattr(sweeps, "_search_objective", lambda base, derived, d, omega:
+        monkeypatch.setattr(sweeps, "_search_objective", lambda derived, d, omega:
                             -np.minimum(np.abs(d - 1.25e6), np.abs(d - 1.75e6)))
         with pytest.raises(oe.BracketError, match=r"scan maxima at d = \[1250000\.0, 1750000\.0\]"):
             oe.find_optimum_d_numeric(paper_params, (1e6, 2e6))
@@ -613,7 +656,7 @@ class TestFindOptimumD:
     def test_flat_objective_moves_the_bracket_up(self, paper_params, monkeypatch):
         # on equal values the highest offset is the best, so a flat objective ends at hi
         monkeypatch.setattr(sweeps, "_search_objective",
-                            lambda base, derived, d, omega: np.zeros(len(d)))
+                            lambda derived, d, omega: np.zeros(len(d)))
         lo, hi = 1e6, 2e6
         d_star = oe.find_optimum_d_numeric(paper_params, (lo, hi))
         assert hi - 1e-4 * hi <= d_star <= hi
@@ -642,31 +685,29 @@ class TestFindOptimumD:
         floor = 4.0 * np.spacing(solved.n[np.argmin(solved.x)])
         assert eof_array(found)[0] >= eof_array(least.min() + floor)
 
-    def test_offset_rows_fail_as_their_building(self, paper_params, paper_derived):
-        # the vector checks decide each row as operating_point_params and the solve do
-        edges = [paper_params.omega_m + paper_derived.delta, -(paper_params.omega_m + paper_derived.delta)]
-        shift = 2.0 * paper_params.eta**2 * paper_params.omega_m * (2.0 * paper_derived.alpha**2)
-        for sign in (1.0, -1.0):   # the offsets that put a laser 10 omega_m from the cavity
-            for nu in (paper_params.nu, -paper_params.nu):
-                edges.append(sign * (10.0 * paper_params.omega_m - nu) - paper_params.omega_m
-                             - paper_derived.delta - shift)
-                edges.append(-sign * (10.0 * paper_params.omega_m - nu) + paper_params.omega_m
-                             + paper_derived.delta - shift)
-        d = np.array([math.nan, math.inf, -math.inf]
-                     + [np.nextafter(e, direction) for e in edges for direction in (-math.inf, math.inf)]
-                     + edges + [edge * f for edge in edges for f in (0.99, 1.01)])
-        parameter, building, window = sweeps._offset_row_errors(paper_params, paper_derived, d)
-        assert parameter.any() and building.any() and window.any()
-        for k, dk in enumerate(d.tolist()):
-            try:
-                sweeps._row_params("d", paper_params, paper_derived, dk)
-                raised = None
-            except (oe.ParameterError, oe.PhysicsError) as exc:
-                raised = type(exc)
-            assert parameter[k] == (raised is oe.ParameterError), dk
-            assert building[k] == (raised is oe.SignConventionViolated), dk
-            d1p = -(paper_params.omega_m + paper_derived.delta + dk)
-            assert window[k] == (raised is None and d1p >= 0), dk
+    @pytest.mark.parametrize("point, edge, raised", [
+        *[("paper", edge, oe.ParameterError) for edge in ("d_above_inf", "d_below_inf", "d_nan")],
+        ("paper", "delta_2p", oe.SignConventionViolated),
+        ("paper", "delta_1p", oe.SignConventionViolated),
+        # at the paper point both Delta' edges lie inside the laser edges
+        ("paper", "laser_1-", oe.SignConventionViolated), ("paper", "laser_1+", oe.ParameterError),
+        ("paper", "laser_2-", oe.SignConventionViolated), ("paper", "laser_2+", oe.ParameterError),
+        ("wide_nu", "laser_1+", oe.ParameterError), ("wide_nu", "laser_2-", oe.ParameterError)])
+    def test_offset_rows_fail_as_the_sequential_scan(self, point, edge, raised, paper_params,
+                                                     paper_derived, omega_grid):
+        params, derived = ((paper_params, paper_derived) if point == "paper"
+                           else wide_nu_point(paper_params, paper_derived))
+        # a search across the edge raises what the rows' sequential scan raises
+        bracket = domain_edge_bracket(params, derived, edge)
+        # on an infinite bracket np.linspace warns of the inf * 0 it forms
+        invalid = "ignore" if edge.endswith("inf") else "warn"
+        with np.errstate(invalid=invalid):
+            scan = np.linspace(*bracket, 33).tolist()
+        expected = sequential_scan_error(params, derived, scan, omega_grid)
+        assert type(expected) is raised
+        with pytest.raises(raised) as error, np.errstate(invalid=invalid):
+            oe.find_optimum_d_numeric(params, bracket, omega_grid=omega_grid)
+        assert str(error.value) == str(expected)
 
     def test_designed_root_outside_the_window_raised(self, paper_params, paper_derived,
                                                       omega_grid):
