@@ -75,7 +75,13 @@ def _load_config(args) -> RunConfig:
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
     cfg = parse_config(text, overrides)
-    return dataclasses.replace(cfg, format=args.format or cfg.format,
+    params = cfg.params
+    if args.at_optimum_d:
+        # retuned_d's arithmetic, on the base solved once
+        derived = solve_steady_state(params)
+        params = operating_point_params(params, derived.alpha, derived.delta,
+                                        optimum_d(derived).d_o)
+    return dataclasses.replace(cfg, params=params, format=args.format or cfg.format,
                                output_path=args.out or cfg.output_path)
 
 
@@ -86,14 +92,6 @@ def _grid(args, gamma: float) -> np.ndarray:
     if args.omega_points < 1 or not np.isfinite([lo, hi]).all() or hi < lo:
         raise ConfigError("invalid omega grid")
     return np.linspace(lo, hi, args.omega_points)
-
-
-def _maybe_retune(params, args):
-    if not args.at_optimum_d:
-        return params
-    # retuned_d's arithmetic, on the base solved once
-    derived = solve_steady_state(params)
-    return operating_point_params(params, derived.alpha, derived.delta, optimum_d(derived).d_o)
 
 
 def _rows(omegas: np.ndarray, gamma: float, model: str, x: np.ndarray, flags,
@@ -122,7 +120,7 @@ def _emit(rows, cfg: RunConfig, columns=tabio.BASE_COLUMNS) -> None:
 
 
 def _cmd_derive(args, cfg: RunConfig) -> int:
-    params = _maybe_retune(cfg.params, args)
+    params = cfg.params
     derived = solve_steady_state(params)
     # regime ratios are quoted at the elimination band edge unless the
     # caller pins a band explicitly, then at its largest |bound|
@@ -144,7 +142,7 @@ def _cmd_derive(args, cfg: RunConfig) -> int:
 
 
 def _cmd_spectrum(args, cfg: RunConfig) -> int:
-    params = _maybe_retune(cfg.params, args)
+    params = cfg.params
     derived = solve_steady_state(params)
     grid = _grid(args, params.gamma)
     ev = evaluate(derived, grid, "adiabatic")
@@ -157,7 +155,7 @@ def _cmd_sweep(args, cfg: RunConfig) -> int:
     if not args.axis:
         raise ConfigError("sweep requires --axis {T|alpha|d|Q}")
     axis = _AXIS_NAMES[args.axis]
-    params = _maybe_retune(cfg.params, args)
+    params = cfg.params
     grid = _grid(args, params.gamma)
     try:
         if args.values is not None:   # an empty --values is an error, not the defaults
@@ -209,7 +207,7 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
                           f"from {', '.join(MODELS)}")
     if len(set(models)) != len(models):
         raise ConfigError(f"--models {args.models!r}: each model may be listed once")
-    params = _maybe_retune(cfg.params, args)
+    params = cfg.params
     derived = solve_steady_state(params)
     grid = _grid(args, params.gamma)
     evals = {m: evaluate(derived, grid, m) for m in models}

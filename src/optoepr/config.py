@@ -11,15 +11,16 @@ The drive can be given two ways (mutually exclusive):
 
 * target style - ``target_alpha``, ``target_delta_hz`` (or ``_rads``) and
   one of ``target_d_over_gamma`` / ``target_d_hz`` / ``target_d_rads``; the
-  loader back-solves laser frequencies and amplitudes for that operating
-  point.
-* direct style - ``delta1_*``/``delta2_*`` bare detunings plus either
+  loader back-solves detunings and amplitudes for that operating point.
+* direct style - ``delta1_*``/``delta2_*`` bare detunings, stored as given,
+  or ``omega_l_*``/``omega_lp_*`` laser frequencies, converted once to
+  detunings (:func:`~optoepr.params.detunings`), plus either
   ``drive_omega1_rads``/``drive_omega2_rads`` or ``p1_w``/``p2_w``.
 
 Serialization writes the fully resolved configuration in direct style, with
-laser frequencies and drive amplitudes (``drive_omega*_rads``) whichever
-style it was loaded from, to 17 significant digits, which round-trips
-binary64 exactly, so parse(serialize(config)) == config.
+the detunings (``delta*_rads``) and amplitudes (``drive_omega*_rads``) the
+drive holds whichever style it was loaded from, to 17 significant digits,
+which round-trips binary64 exactly, so parse(serialize(config)) == config.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError, ParseError, UnitError, UnknownKey
-from .params import TWO_PI, DriveSpec, PhysicalParams, gamma_m_from_q, power_to_amplitude
+from .params import (TWO_PI, DriveSpec, PhysicalParams, detunings, gamma_m_from_q,
+                     power_to_amplitude)
 from .steady_state import operating_point_params
 
 FORMATS = ("csv", "jsonlines")
@@ -61,6 +63,14 @@ _PHYSICAL_KEYS = {
     "p2_w": ("p2", 1.0),
 }
 _RUN_KEYS = ("format", "out")
+
+# The key serialize_config writes each field of PhysicalParams and of its DriveSpec under.
+_CANONICAL_KEYS = (
+    ("omega_p", "omega_p_rads"), ("omega_m", "omega_m_rads"), ("gamma", "gamma_rads"),
+    ("gamma_m", "gamma_m_rads"), ("nu", "nu_rads"), ("eta", "eta"), ("T", "temperature_k"),
+    ("R", "radius_m"), ("n0", "n0"), ("Delta_1", "delta1_rads"), ("Delta_2", "delta2_rads"),
+    ("omega_1", "drive_omega1_rads"), ("omega_2", "drive_omega2_rads"),
+)
 
 # Stems that exist only with a unit suffix, in key order; used to distinguish
 # UnitError from UnknownKey.
@@ -203,9 +213,7 @@ def _build_params(fields: dict[str, float]) -> PhysicalParams:
         if ("target_d" in fields) == ("target_d_over_gamma" in fields):
             raise ParseError("exactly one of target_d_* or target_d_over_gamma must be given")
         target_d = fields.get("target_d", fields.get("target_d_over_gamma", 0.0) * fields["gamma"])
-        placeholder = DriveSpec(omega_l=common["omega_p"] + common["nu"] - common["omega_m"],
-                                omega_lp=common["omega_p"] - common["nu"] + common["omega_m"],
-                                omega_1=0.0, omega_2=0.0)
+        placeholder = DriveSpec(-common["omega_m"], common["omega_m"], 0.0, 0.0)
         base = PhysicalParams(drive=placeholder, **common)
         return operating_point_params(base, target_alpha=fields["target_alpha"],
                                       target_delta=fields["target_delta"], target_d=target_d)
@@ -214,25 +222,25 @@ def _build_params(fields: dict[str, float]) -> PhysicalParams:
         _require(fields, "omega_l", "omega_lp")
         if "delta1" in fields or "delta2" in fields:
             raise ParseError("give laser frequencies as omega_l/omega_lp or delta1/delta2, not both")
-        omega_l, omega_lp = fields["omega_l"], fields["omega_lp"]
+        delta_1, delta_2 = detunings(fields["omega_l"], fields["omega_lp"], common["omega_p"],
+                                     common["nu"])
     else:
         _require(fields, "delta1", "delta2")
-        omega_l = common["omega_p"] + common["nu"] + fields["delta1"]
-        omega_lp = common["omega_p"] - common["nu"] + fields["delta2"]
+        delta_1, delta_2 = fields["delta1"], fields["delta2"]
     has_amp = "drive_omega1" in fields or "drive_omega2" in fields
     has_pow = "p1" in fields or "p2" in fields
     if has_amp == has_pow:
         raise ParseError("give either drive_omega1/2_rads or p1/2_w, not both/neither")
     if has_amp:
         _require(fields, "drive_omega1", "drive_omega2")
-        return PhysicalParams(drive=DriveSpec(omega_l, omega_lp, fields["drive_omega1"],
+        return PhysicalParams(drive=DriveSpec(delta_1, delta_2, fields["drive_omega1"],
                                               fields["drive_omega2"]), **common)
     _require(fields, "p1", "p2")
     # the powers convert with gamma only once the undriven cavity has validated it
-    unpowered = PhysicalParams(drive=DriveSpec(omega_l, omega_lp, 0.0, 0.0), **common)
-    return unpowered.scaled(drive=DriveSpec(
-        omega_l, omega_lp, power_to_amplitude(fields["p1"], omega_l, unpowered.gamma),
-        power_to_amplitude(fields["p2"], omega_lp, unpowered.gamma)))
+    unpowered = PhysicalParams(drive=DriveSpec(delta_1, delta_2, 0.0, 0.0), **common)
+    omega_1, omega_2 = (power_to_amplitude(fields[p], omega_L, unpowered.gamma)
+                        for p, omega_L in zip(("p1", "p2"), unpowered.laser_frequencies()))
+    return unpowered.scaled(drive=DriveSpec(delta_1, delta_2, omega_1, omega_2))
 
 
 def _fmt(x: float) -> str:
@@ -241,23 +249,9 @@ def _fmt(x: float) -> str:
 
 def serialize_config(config: RunConfig) -> str:
     """Canonical direct-style text; parse(serialize(c)) reproduces c exactly."""
-    p = config.params
-    lines = [
-        "# optoepr configuration (canonical form)",
-        f"omega_p_rads = {_fmt(p.omega_p)}",
-        f"omega_m_rads = {_fmt(p.omega_m)}",
-        f"gamma_rads = {_fmt(p.gamma)}",
-        f"gamma_m_rads = {_fmt(p.gamma_m)}",
-        f"nu_rads = {_fmt(p.nu)}",
-        f"eta = {_fmt(p.eta)}",
-        f"temperature_k = {_fmt(p.T)}",
-        f"radius_m = {_fmt(p.R)}",
-        f"n0 = {_fmt(p.n0)}",
-        f"omega_l_rads = {_fmt(p.drive.omega_l)}",
-        f"omega_lp_rads = {_fmt(p.drive.omega_lp)}",
-        f"drive_omega1_rads = {_fmt(p.drive.omega_1)}",
-        f"drive_omega2_rads = {_fmt(p.drive.omega_2)}",
-    ]
+    fields = {**vars(config.params), **vars(config.params.drive)}
+    lines = ["# optoepr configuration (canonical form)"]
+    lines += [f"{key} = {_fmt(fields[name])}" for name, key in _CANONICAL_KEYS]
     lines.append(f"format = {config.format}")
     if config.output_path:
         lines.append(f"out = {config.output_path}")

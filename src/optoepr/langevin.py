@@ -17,7 +17,9 @@ cavity block per frequency in closed form and inverts the remaining 1x1 or
 adjugate, forming only the resolvent rows the model keeps
 (:func:`_resolvent`); no LU factorization or eigendecomposition is involved.
 :func:`evaluate` runs it for one model on one grid (the closed form
-included); the single-frequency functions are its one-point case.
+included); the single-frequency functions are its one-point case in long
+double: a commutator cancels entries ~sqrt(n) down to 1, so a double map's
+defect is ~eps n (~1e-9 at strong drive), an x86 long-double map's ~1e-13.
 
 A :class:`LinearResponse` maps the six input operators
 (a1_in, a1_in^dag, a2_in, a2_in^dag, a_m_in, a_m_in^dag), evaluated at the
@@ -176,13 +178,15 @@ def _resolvent(M: np.ndarray, l: np.ndarray, omegas: np.ndarray, rows: list[int]
     is inverted in closed form, S^-1 = adj(S) / det S (1x1 or 2x2).  The
     kept rows are cavity rows r, whose row of A^-1 is
     -(X_r / D_r) S^-1 [-Y D^-1, 1] plus 1/D_r on column r; with no cavity
-    modes, S = A and they are rows of S^-1.
+    modes, S = A and they are rows of S^-1.  It works in the precision of
+    ``omegas``: a long-double grid gives long-double rows.
 
     Raises SingularDrift where a pivot, an entry of D or det S, is exactly zero.
     """
     m = len(M) - cavity
     eye = np.eye(m)
     z = -1j * omegas[:, None]
+    M = np.asarray(M, dtype=z.dtype)
     d = z - M.diagonal()[:cavity]
     if not d.all():
         raise SingularDrift(f"{label} drift singular on the frequency grid: zero cavity pivot")
@@ -227,7 +231,7 @@ def _rwa3_drift(derived: DerivedParams) -> tuple[np.ndarray, np.ndarray]:
 def _rwa3_generator(derived: DerivedParams, omegas: np.ndarray) -> np.ndarray:
     """Generator rows sqrt(gamma) (a1, a2^dag) of the 3-mode RWA system, shape (N, 2, 6)."""
     S = _resolvent(*_rwa3_drift(derived), omegas, [0, 1], 2, "3-mode")
-    gen = np.zeros((len(omegas), 2, 6), dtype=complex)
+    gen = np.zeros((len(omegas), 2, 6), dtype=S.dtype)
     gen[:, :, [0, 3, 4]] = math.sqrt(derived.gamma) * S   # a1_in, a2_in^dag, a_m_in
     return gen
 
@@ -273,7 +277,7 @@ def _adiabatic_generator(derived: DerivedParams, omegas: np.ndarray) -> np.ndarr
     """Generator rows sqrt(gamma) (a1, a2^dag) of the eliminated two-mode model, shape (N, 2, 6)."""
     gamma = derived.gamma
     Ainv = _resolvent(*_adiabatic_drift(derived), omegas, [0, 1], 0, "adiabatic")
-    gen = np.zeros((len(omegas), 2, 6), dtype=complex)
+    gen = np.zeros((len(omegas), 2, 6), dtype=Ainv.dtype)
     gen[:, :, 0] = gamma * Ainv[:, :, 0]
     gen[:, :, 3] = gamma * Ainv[:, :, 1]
     gen[:, :, 4] = math.sqrt(gamma * derived.gamma_m_tilde) * (Ainv[:, :, 0] - Ainv[:, :, 1])
@@ -291,8 +295,9 @@ MODELS = ("adiabatic",) + tuple(_GENERATORS)
 
 
 def _response_maps(derived: DerivedParams, omegas, model: str) -> np.ndarray:
-    """4x6 response maps of an exact model at every sideband of ``omegas``, shape (N, 4, 6)."""
-    omegas = np.asarray(omegas, dtype=float)
+    """4x6 response maps of an exact model at every sideband of ``omegas``, shape (N, 4, 6),
+    in the precision of ``omegas``."""
+    omegas = np.asarray(omegas)
     gen = _GENERATORS[model](derived, np.concatenate([omegas, -omegas]))
     gen[:, 0, 0] -= 1.0   # a_out = -a_in + sqrt(gamma) a
     gen[:, 1, 3] -= 1.0
@@ -300,19 +305,25 @@ def _response_maps(derived: DerivedParams, omegas, model: str) -> np.ndarray:
     return np.stack([plus[:, 0], minus[:, 0], minus[:, 1], plus[:, 1]], axis=1)
 
 
+def _one_point(derived: DerivedParams, omega: float, model: str) -> LinearResponse:
+    """The response of ``model`` at one sideband, its map solved and held in long double."""
+    return LinearResponse(omega, _response_maps(derived, np.array([omega], dtype=np.longdouble),
+                                                model)[0])
+
+
 def rwa3_solve(derived: DerivedParams, omega: float) -> LinearResponse:
     """Exact output response of the 3-mode rotating-wave system at sideband omega."""
-    return LinearResponse(omega, _response_maps(derived, [omega], "rwa3")[0])
+    return _one_point(derived, omega, "rwa3")
 
 
 def full6_solve(derived: DerivedParams, omega: float) -> LinearResponse:
     """Exact output response of the 6-operator pre-RWA model at sideband omega."""
-    return LinearResponse(omega, _response_maps(derived, [omega], "full6")[0])
+    return _one_point(derived, omega, "full6")
 
 
 def adiabatic_response(derived: DerivedParams, omega: float) -> LinearResponse:
     """The adiabatic output model expressed as a LinearResponse (for cross-checks)."""
-    return LinearResponse(omega, _response_maps(derived, [omega], "adiabatic_response")[0])
+    return _one_point(derived, omega, "adiabatic_response")
 
 
 def _masked_density(T_plus: np.ndarray, T_minus: np.ndarray, C: np.ndarray) -> np.ndarray:

@@ -1,12 +1,14 @@
 """Laboratory parameters, unit conventions and validity-regime checks.
 
 All frequencies and rates are stored as angular quantities [rad/s], and the
-drive as its two normal-mode amplitudes.  Linear frequencies (Hz) and laser
-powers (W) are accepted only at configuration boundaries, where Hz are
-multiplied by 2*pi once and powers converted to amplitudes once
-(:func:`power_to_amplitude`).  Types are immutable after construction and all
-operations are pure functions, so everything here is safe to share between
-workers.
+drive as its two lasers' detunings from their normal modes and its two
+normal-mode amplitudes.  Linear frequencies (Hz) and laser powers (W) are
+accepted only at configuration boundaries, where Hz are multiplied by 2*pi
+once and powers converted to amplitudes once (:func:`power_to_amplitude`),
+whose photon energy alone needs the absolute laser frequencies
+(:meth:`PhysicalParams.laser_frequencies`).  Types are immutable after
+construction and all operations are pure functions, so everything here is
+safe to share between workers.
 """
 
 from __future__ import annotations
@@ -47,19 +49,20 @@ class DriveSpec:
 
     Attributes
     ----------
-    omega_l, omega_lp : float
-        Absolute laser angular frequencies driving mode 1 and mode 2 [rad/s].
+    Delta_1, Delta_2 : float
+        Signed bare detunings of the lasers driving mode 1 (at omega_p + nu)
+        and mode 2 (at omega_p - nu) from their modes [rad/s].
     omega_1, omega_2 : float
         Drive amplitudes of the two normal modes [rad/s].
     """
 
-    omega_l: float
-    omega_lp: float
+    Delta_1: float
+    Delta_2: float
     omega_1: float
     omega_2: float
 
     def __post_init__(self):
-        _require_finite(self, ("omega_l", "omega_lp", "omega_1", "omega_2"))
+        _require_finite(self, ("Delta_1", "Delta_2", "omega_1", "omega_2"))
         if not (self.omega_1 >= 0 and self.omega_2 >= 0):
             raise ParameterError("drive amplitudes must be >= 0")
 
@@ -114,11 +117,11 @@ class PhysicalParams:
             raise ParameterError("eta must satisfy 0 < eta < 1")
         if self.gamma_m >= self.omega_m:
             raise ParameterError("gamma_m must be << omega_m; got gamma_m >= omega_m")
-        for name in ("omega_l", "omega_lp"):
-            w = getattr(self.drive, name)
-            if abs(w - self.omega_p) >= 10.0 * self.omega_m:
+        for name, offset in (("omega_l", self.nu + self.drive.Delta_1),
+                             ("omega_lp", self.drive.Delta_2 - self.nu)):
+            if abs(offset) >= 10.0 * self.omega_m:
                 raise ParameterError(
-                    f"{name} is {abs(w - self.omega_p):.3e} rad/s from omega_p; the sideband "
+                    f"{name} is {abs(offset):.3e} rad/s from omega_p; the sideband "
                     f"expansion requires |omega_L - omega_p| < 10 omega_m"
                 )
 
@@ -132,15 +135,13 @@ class PhysicalParams:
 
     def drive_powers(self) -> tuple[float, float]:
         """Input laser powers (P_1, P_2) [W]."""
-        d = self.drive
-        return (
-            amplitude_to_power(d.omega_1, d.omega_l, self.gamma),
-            amplitude_to_power(d.omega_2, d.omega_lp, self.gamma),
-        )
+        return tuple(amplitude_to_power(amplitude, omega_L, self.gamma) for amplitude, omega_L
+                     in zip(self.drive_amplitudes(), self.laser_frequencies()))
 
-    def bare_detunings(self) -> tuple[float, float]:
-        """Signed bare detunings (Delta_1, Delta_2) of the two normal modes [rad/s]."""
-        return detunings(self.drive.omega_l, self.drive.omega_lp, self.omega_p, self.nu)
+    def laser_frequencies(self) -> tuple[float, float]:
+        """(omega_p + nu + Delta_1, omega_p - nu + Delta_2), formed only for photon energies."""
+        return (self.omega_p + self.nu + self.drive.Delta_1,
+                self.omega_p - self.nu + self.drive.Delta_2)
 
     def free_spectral_range(self) -> float:
         """Distance between adjacent cavity modes, c/(R n0) [rad/s-equivalent]."""
@@ -291,8 +292,8 @@ def validate_regime(params: PhysicalParams, derived, omega_max: float) -> Regime
 
     n_tot = abs(derived.alpha_1) ** 2 + abs(derived.alpha_2) ** 2
     shift = 2.0 * params.eta**2 * params.omega_m * n_tot
-    d1, d2 = params.bare_detunings()
-    for name, dj in (("linearization_1", d1), ("linearization_2", d2)):
+    for name, dj in (("linearization_1", params.drive.Delta_1),
+                     ("linearization_2", params.drive.Delta_2)):
         add(name, math.inf if shift == 0 else abs(dj) / shift)
 
     return RegimeReport(tuple(checks), all(c.passed for c in checks))

@@ -229,7 +229,7 @@ def _solve(rows: Sequence[PhysicalParams]) -> list[DerivedParams | PhysicsError]
     if not rows:
         return []
     drives = [params.drive_amplitudes() for params in rows]
-    bare = [params.bare_detunings() for params in rows]
+    bare = [(params.drive.Delta_1, params.drive.Delta_2) for params in rows]
     couplings = [2.0 * params.eta**2 * params.omega_m for params in rows]
     roots = _intensity_roots([(*drive, *detunings, c, params.gamma) for params, drive, detunings, c
                               in zip(rows, drives, bare, couplings)])
@@ -312,7 +312,7 @@ def steady_state_residual(params: PhysicalParams, derived: DerivedParams) -> flo
     Diagnostic for the root quality; < 1e-10 |Omega_j| for a converged solve.
     """
     omega_1, omega_2 = params.drive_amplitudes()
-    delta_1, delta_2 = params.bare_detunings()
+    delta_1, delta_2 = params.drive.Delta_1, params.drive.Delta_2
     N = derived.n_total
     worst = 0.0
     for om, dj, aj in ((omega_1, delta_1, derived.alpha_1), (omega_2, delta_2, derived.alpha_2)):
@@ -340,13 +340,13 @@ def amplitude_to_drive(target_alpha: float, Delta_j: float, params: PhysicalPara
 
 def operating_point_params(base: PhysicalParams, target_alpha: float,
                            target_delta: float, target_d: float) -> PhysicalParams:
-    """Re-derive laser frequencies and drive amplitudes hitting a requested operating point.
+    """Re-derive the drive's detunings and amplitudes hitting a requested operating point.
 
     Chooses the effective detunings Delta_1' = -(omega_m + delta + d) and
-    Delta_2' = omega_m + delta - d, backs out the bare detunings by removing
-    the intensity shift at N = 2 target_alpha^2, and sets the drive
-    amplitudes so that |alpha_1| = |alpha_2| = target_alpha exactly at that
-    root.
+    Delta_2' = omega_m + delta - d, backs out the bare detunings the drive
+    holds by removing the intensity shift at N = 2 target_alpha^2, and sets
+    the drive amplitudes so that |alpha_1| = |alpha_2| = target_alpha exactly
+    at that root.
     """
     if not (math.isfinite(target_delta) and target_delta > 0):
         raise ParameterError(f"target_delta must be finite and > 0, got {target_delta!r}")
@@ -360,14 +360,9 @@ def operating_point_params(base: PhysicalParams, target_alpha: float,
         )
 
     shift = 2.0 * base.eta**2 * base.omega_m * (2.0 * target_alpha**2)
-    delta_1 = d1p_t - shift
-    delta_2 = d2p_t - shift
-    omega_l = base.omega_p + base.nu + delta_1
-    omega_lp = base.omega_p - base.nu + delta_2
-
-    omega_1 = amplitude_to_drive(target_alpha, d1p_t, base)
-    omega_2 = amplitude_to_drive(target_alpha, d2p_t, base)
-    drive = DriveSpec(omega_l=omega_l, omega_lp=omega_lp, omega_1=omega_1, omega_2=omega_2)
+    drive = DriveSpec(Delta_1=d1p_t - shift, Delta_2=d2p_t - shift,
+                      omega_1=amplitude_to_drive(target_alpha, d1p_t, base),
+                      omega_2=amplitude_to_drive(target_alpha, d2p_t, base))
     return base.scaled(drive=drive)
 
 

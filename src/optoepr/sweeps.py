@@ -4,13 +4,13 @@ Sweep axes re-derive the operating point per row:
 
 * ``temperature``  bath temperature [K]; the steady state is unchanged, only
   the occupancy moves.
-* ``alpha``        target cavity amplitude; drives and laser frequencies are
+* ``alpha``        target cavity amplitude; drive amplitudes and detunings are
   re-derived per point holding delta and d fixed.
-* ``d``            both laser frequencies shift by the same amount, moving d
+* ``d``            shifts both detunings by the same amount, moving d
   without touching delta.
 * ``Q``            mechanical quality factor (gamma_m = omega_m / Q).
-* ``power_fluct``  both drive powers scaled by (1 + value); d drifts through
-  the intensity shift exactly as the steady state dictates.
+* ``power_fluct``  both drive powers scaled by (1 + value), detunings kept; d
+  drifts through the intensity shift exactly as the steady state dictates.
 
 ``sensitivity_analysis`` takes its excursions as ``d`` and ``power_fluct``
 rows around the optimum, recording a failed one by name.  The rows of a
@@ -256,11 +256,11 @@ def _peak_statistics_row(omega: np.ndarray, y: np.ndarray, maxima: list) -> Peak
 
 
 def _scaled_powers(params: PhysicalParams, factor: float) -> PhysicalParams:
-    """``params`` with both drive powers multiplied by ``factor`` (laser frequencies kept)."""
+    """``params`` with both drive powers multiplied by ``factor`` (detunings kept)."""
     d = params.drive
     omega_1, omega_2 = (power_to_amplitude(p * factor, w, params.gamma)
-                        for p, w in zip(params.drive_powers(), (d.omega_l, d.omega_lp)))
-    return params.scaled(drive=DriveSpec(d.omega_l, d.omega_lp, omega_1, omega_2))
+                        for p, w in zip(params.drive_powers(), params.laser_frequencies()))
+    return params.scaled(drive=DriveSpec(d.Delta_1, d.Delta_2, omega_1, omega_2))
 
 
 def _peaks(rows: list, omega: np.ndarray, model: str) -> list:
@@ -560,11 +560,12 @@ def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, fl
     moves the bracket up.  The rounds stop once the bracket is at most
     ``_TOL_FRAC * max(|lo|, |hi|)`` wide, or no float lies inside it, and the
     search returns its midpoint.  A degenerate bracket returns its single
-    point.  An empty or unevenly spaced ``omega_grid`` raises ValueError
-    before anything is solved.
+    point.  A bracket with a non-finite end or with hi < lo raises
+    :class:`BracketError`, and an empty or unevenly spaced ``omega_grid``
+    ValueError, before anything is solved.
     """
     lo, hi = float(search_bracket[0]), float(search_bracket[1])
-    if hi < lo:
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise BracketError(f"invalid bracket ({lo:g}, {hi:g})")
     omega = _search_grid(base, omega_grid)
     if hi == lo:
@@ -572,8 +573,8 @@ def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, fl
     base_derived = solve_steady_state(base)
 
     scan_d = np.linspace(lo, hi, _SCAN_POINTS)
-    # Each rule a row must pass before it is evaluated (finite d, Delta_2' > 0, each
-    # laser within 10 omega_m of the cavity, Delta_1' < 0) compares a monotone, rounded
+    # Each rule a row must pass before it is evaluated (Delta_2' > 0, each laser
+    # within 10 omega_m of the cavity, Delta_1' < 0) compares a monotone, rounded
     # function of d with a bound, so the offsets that pass form an interval.  Every scan
     # and round row lies in [lo, hi], both ends reproduced by np.linspace: where the ends
     # pass, every row does.

@@ -7,7 +7,9 @@ here, and one config of each ``cli_tables`` kind goes through
 ``optoepr.cli.main``; each op is checked as the benchmark checks it: its
 invariants, then its summary against the reference at the workload's own
 tolerances.  ``perfbench/workloads.py`` supplies the pools, the ops and the
-checks.
+checks.  The pools also serve as a spread of operating points on which the
+drive's coordinates are checked: each ``d`` row of the d-search's scan
+realizes its offset, and every pool config survives serialization.
 """
 
 import importlib.util
@@ -16,9 +18,11 @@ import pathlib
 import warnings
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from optoepr import cli
+import optoepr as oe
+from optoepr import cli, sweeps
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
@@ -78,3 +82,47 @@ def test_cli_kind_as_recorded(kind, tmp_path, capsys):
     table = pathlib.Path(out).read_bytes() if out is not None else None
     raw = SimpleNamespace(stdout=stdout, table=table)
     assert check(workload, pool[index], raw, reference["out"]) == []
+
+
+def test_opsearch_scan_rows_realize_their_offset():
+    # the drive holds the detunings operating_point_params designs, so a solved d row's
+    # offset misses its target only by the rounding of its intensity root
+    worst = 0.0
+    for text in wl.OpSearch().pool():
+        params = oe.parse_config(text).params
+        derived = oe.solve_steady_state(params)
+        d_o = oe.optimum_d(derived).d_o
+        # the bracket opsearch searches, at the d-search's scan points
+        scan = np.linspace(0.25 * d_o, min(4.0 * d_o, 0.5 * params.gamma), sweeps._SCAN_POINTS)
+        rows = [sweeps._row_params("d", params, derived, d) for d in scan.tolist()]
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "unequal cavity amplitudes", UserWarning)
+            solved = oe.solve_steady_states(rows)
+        worst = max([worst] + [abs(row.d - d) / abs(d) for row, d in zip(solved, scan)])
+    assert worst <= 1e-8
+
+
+# A direct-style drive given as laser frequencies and powers, converted once at load.
+LASER_FREQUENCY_CONFIG = """
+omega_p_hz = 3.0e14
+omega_m_hz = 73.5e6
+gamma_hz = 3.2e6
+q_factor = 30000
+nu_hz = 1.0e8
+eta = 1.0e-4
+temperature_k = 300
+radius_m = 38e-6
+n0 = 1.45
+omega_l_hz = 300000013.4e6
+omega_lp_hz = 299999980.2e6
+p1_w = 0.01
+p2_w = 0.02
+"""
+
+
+def test_serialization_round_trip_is_exact(tmp_path):
+    texts = (wl.OpSearch().pool() + wl.OracleGrid().pool()
+             + [item["text"] for item in wl.CliTables(tmp_path).pool()] + [LASER_FREQUENCY_CONFIG])
+    for text in texts:
+        cfg = oe.parse_config(text)
+        assert oe.parse_config(oe.serialize_config(cfg)) == cfg

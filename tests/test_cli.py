@@ -106,6 +106,26 @@ class TestAtOptimumD:
         assert code == 0
         assert solved == [paper_params, retuned]
 
+    def test_occupation_of_the_retuned_point(self, paper_params, paper_derived, capsys):
+        retuned = oe.retuned_d(paper_params, oe.optimum_d(paper_derived).d_o)
+        value = oe.intracavity_occupation(oe.solve_steady_state(retuned))
+        code, out, _ = run(capsys, "occupation", "--at-optimum-d")
+        assert code == 0
+        assert out.startswith(f"<a1^dag a1> = {value:.6g}\n")
+        assert run(capsys, "occupation")[1] != out
+
+    @pytest.mark.parametrize("argv", [
+        ["derive"], ["optimum"], ["occupation"], ["spectrum", "--omega-points", "5"],
+        ["sweep", "--axis", "T", "--values", "4", "--omega-points", "5"],
+        ["verify", "--omega-points", "5"]], ids=lambda argv: argv[0])
+    def test_every_command_runs_at_the_retuned_point(self, argv, paper_params, paper_derived,
+                                                     tmp_path, capsys):
+        # the flag acts as a config holding the retuned point would
+        retuned = oe.retuned_d(paper_params, oe.optimum_d(paper_derived).d_o)
+        path = tmp_path / "retuned.txt"
+        path.write_text(oe.serialize_config(oe.RunConfig(params=retuned)))
+        assert run(capsys, *argv, "--at-optimum-d") == run(capsys, *argv, "--config", str(path))
+
 
 class TestSweep:
     def test_temperature_sweep(self, tmp_path, capsys):

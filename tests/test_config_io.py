@@ -90,11 +90,24 @@ class TestParseConfig:
         # powers convert to amplitudes once, at load, by the one conversion
         params = oe.parse_config(POWERS_CONFIG).params
         drive = params.drive
-        assert drive.omega_l == TWO_PI * 3.0e14 + TWO_PI * 1.0e8 + TWO_PI * -86.6e6
-        assert drive.omega_1 == oe.power_to_amplitude(0.01, drive.omega_l, params.gamma)
-        assert drive.omega_2 == oe.power_to_amplitude(0.02, drive.omega_lp, params.gamma)
+        assert (drive.Delta_1, drive.Delta_2) == (TWO_PI * -86.6e6, TWO_PI * 80.2e6)
+        omega_l, omega_lp = params.laser_frequencies()
+        assert omega_l == TWO_PI * 3.0e14 + TWO_PI * 1.0e8 + TWO_PI * -86.6e6
+        assert drive.omega_1 == oe.power_to_amplitude(0.01, omega_l, params.gamma)
+        assert drive.omega_2 == oe.power_to_amplitude(0.02, omega_lp, params.gamma)
         assert params.drive_amplitudes() == (drive.omega_1, drive.omega_2)
         assert params.drive_powers() == pytest.approx((0.01, 0.02), rel=1e-15)
+
+    def test_laser_frequencies_convert_to_detunings_once(self):
+        text = POWERS_CONFIG.replace("delta1_hz = -86.6e6", "omega_l_hz = 300000013.4e6")
+        text = text.replace("delta2_hz = 80.2e6", "omega_lp_hz = 299999980.2e6")
+        params = oe.parse_config(text).params
+        delta_1, delta_2 = oe.detunings(TWO_PI * 300000013.4e6, TWO_PI * 299999980.2e6,
+                                        params.omega_p, params.nu)
+        assert (params.drive.Delta_1, params.drive.Delta_2) == (delta_1, delta_2)
+        omega_l, omega_lp = params.laser_frequencies()
+        assert params.drive.omega_1 == oe.power_to_amplitude(0.01, omega_l, params.gamma)
+        assert params.drive.omega_2 == oe.power_to_amplitude(0.02, omega_lp, params.gamma)
 
     @pytest.mark.parametrize("override, message", [
         ({"p1_w": "-1"}, "drive powers must be >= 0"),
@@ -118,6 +131,9 @@ class TestSerializeRoundTrip:
     def test_identity_on_paper_config(self):
         cfg = oe.parse_config("defaults: paper\n")
         text = oe.serialize_config(cfg)
+        # the drive is written as the detunings it holds
+        assert f"delta1_rads = {cfg.params.drive.Delta_1:.17g}" in text
+        assert "omega_l" not in text
         again = oe.parse_config(text)
         assert again.params == cfg.params
         assert again.format == cfg.format

@@ -63,3 +63,31 @@ def test_benchmark_calls_only_existing_api():
 def test_attributes_read_found():
     source = "import optoepr as oe\nx = oe.solve(1).y\noe.z = 2\nother.w\n"
     assert attributes_read(source, {"oe"}) == {("oe", "solve")}
+
+
+# The cavity frequency and the mode splitting: read in params alone, the one module
+# that forms absolute laser frequencies (omega_p -/+ nu + Delta_j) from the detunings
+# the drive holds.
+CAVITY_FREQUENCIES = ("omega_p", "nu")
+
+
+def cavity_frequency_reads(source: str, filename: str = "<source>") -> list[str]:
+    """``file:line: attribute`` of every read of an attribute in :data:`CAVITY_FREQUENCIES`."""
+    return sorted(f"{filename}:{node.lineno}: {node.attr}"
+                  for node in ast.walk(ast.parse(source, filename))
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and node.attr in CAVITY_FREQUENCIES)
+
+
+def test_only_params_reads_the_cavity_frequencies():
+    sources = sorted(path for path in PACKAGE.glob("*.py") if path.name != "params.py")
+    assert len(sources) > 5
+    found = [line for path in sources
+             for line in cavity_frequency_reads(path.read_text(), path.name)]
+    assert found == []
+
+
+def test_cavity_frequency_reads_found():
+    source = "w = p.omega_p + p.nu\np.nu = 1.0\nfields['omega_p']\nomega_p = nu\nx = a.b.nu\n"
+    assert cavity_frequency_reads(source) == ["<source>:1: nu", "<source>:1: omega_p",
+                                              "<source>:5: nu"]

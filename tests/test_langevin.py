@@ -196,6 +196,15 @@ class TestResolvent:
         for solve in (oe.rwa3_solve, oe.full6_solve):
             assert solve(OP74, 0.0).commutator_defect() <= 1e-9
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS, reason="long double is double here")
+    def test_one_point_maps_held_in_long_double(self):
+        # n ~ 2.7e6 here: a map rounded to double carries a commutator defect of ~eps n,
+        # 2e-10 to 1.7e-9 over a few ulp of the operating point
+        for solve in (oe.rwa3_solve, oe.full6_solve):
+            resp = solve(OP74, 0.0)
+            assert resp.map_rows.dtype == np.clongdouble
+            assert resp.commutator_defect() <= 1e-11
+
     @pytest.mark.parametrize("M, cavity, pivot", [
         # cavity pivot D_0 = -M_00 = 0 at w = 0
         ([[0, 0, 1], [0, -1, 1], [1, 1, -1]], 2, "zero cavity pivot"),

@@ -149,8 +149,8 @@ class TestPhysicalParamsValidation:
 
     def test_laser_must_be_near_cavity(self, paper_params):
         drive = paper_params.drive
-        bad = oe.DriveSpec(omega_l=paper_params.omega_p + 20 * paper_params.omega_m,
-                           omega_lp=drive.omega_lp,
+        bad = oe.DriveSpec(Delta_1=20 * paper_params.omega_m - paper_params.nu,
+                           Delta_2=drive.Delta_2,
                            omega_1=drive.omega_1, omega_2=drive.omega_2)
         with pytest.raises(ValueError, match="sideband"):
             paper_params.scaled(drive=bad)
@@ -158,7 +158,7 @@ class TestPhysicalParamsValidation:
     @pytest.mark.parametrize("name", ["omega_1", "omega_2"])
     def test_negative_drive_amplitude_rejected(self, paper_params, name):
         drive = paper_params.drive
-        fields = dict(omega_l=drive.omega_l, omega_lp=drive.omega_lp,
+        fields = dict(Delta_1=drive.Delta_1, Delta_2=drive.Delta_2,
                       omega_1=drive.omega_1, omega_2=drive.omega_2)
         fields[name] = -1.0
         with pytest.raises(oe.ParameterError, match="drive amplitudes must be >= 0"):
@@ -171,10 +171,10 @@ class TestPhysicalParamsValidation:
         with pytest.raises(oe.ParameterError, match=f"{name} must be finite"):
             paper_params.scaled(**{name: value})
 
-    @pytest.mark.parametrize("name", ["omega_l", "omega_1"])
+    @pytest.mark.parametrize("name", ["Delta_1", "omega_1"])
     def test_non_finite_drive_rejected_by_name(self, paper_params, name):
         drive = paper_params.drive
-        fields = dict(omega_l=drive.omega_l, omega_lp=drive.omega_lp,
+        fields = dict(Delta_1=drive.Delta_1, Delta_2=drive.Delta_2,
                       omega_1=drive.omega_1, omega_2=drive.omega_2)
         fields[name] = math.nan
         with pytest.raises(oe.ParameterError, match=f"{name} must be finite"):
@@ -218,8 +218,8 @@ class TestValidateRegime:
 
     def test_mode_spacing_fails_at_fsr_drive(self, paper_params, paper_derived):
         fsr = paper_params.free_spectral_range()
-        drive = oe.DriveSpec(omega_l=paper_params.drive.omega_l,
-                             omega_lp=paper_params.drive.omega_lp,
+        drive = oe.DriveSpec(Delta_1=paper_params.drive.Delta_1,
+                             Delta_2=paper_params.drive.Delta_2,
                              omega_1=fsr, omega_2=fsr)
         loud = paper_params.scaled(drive=drive)
         report = oe.validate_regime(loud, paper_derived, omega_max=1e5)

@@ -11,8 +11,8 @@ from optoepr.steady_state import _intensity_roots, steady_state_residual
 def linear_cavity_params(omega_1=1e12, omega_2=1.1e12, eta=1e-30):
     """Negligible coupling: the displacement equations decouple and are exactly Lorentzian."""
     base = oe.paper_default_config().params
-    drive = oe.DriveSpec(omega_l=base.drive.omega_l,
-                         omega_lp=base.drive.omega_lp, omega_1=omega_1, omega_2=omega_2)
+    drive = oe.DriveSpec(Delta_1=base.drive.Delta_1,
+                         Delta_2=base.drive.Delta_2, omega_1=omega_1, omega_2=omega_2)
     return base.scaled(eta=eta, drive=drive)
 
 
@@ -21,7 +21,7 @@ class TestLinearCavityLimit:
         params = linear_cavity_params()
         with pytest.warns(UserWarning, match="unequal"):
             derived = oe.solve_steady_state(params)
-        d1, d2 = params.bare_detunings()
+        d1, d2 = params.drive.Delta_1, params.drive.Delta_2
         expect_1 = 1e12 / math.sqrt(params.gamma**2 + 4 * d1**2)
         expect_2 = 1.1e12 / math.sqrt(params.gamma**2 + 4 * d2**2)
         assert abs(derived.alpha_1) == pytest.approx(expect_1, rel=1e-12)
@@ -83,8 +83,8 @@ class TestSignConvention:
     def test_wrong_sideband_arrangement_rejected(self, paper_params):
         # both lasers on the blue side of their modes: Delta_1' > 0
         drive = paper_params.drive
-        bad = oe.DriveSpec(omega_l=paper_params.omega_p + paper_params.nu + 1e8,
-                           omega_lp=drive.omega_lp,
+        bad = oe.DriveSpec(Delta_1=1e8,
+                           Delta_2=drive.Delta_2,
                            omega_1=drive.omega_1, omega_2=drive.omega_2)
         with pytest.raises(oe.SignConventionViolated):
             oe.solve_steady_state(paper_params.scaled(drive=bad))
@@ -98,7 +98,7 @@ def strong_drive_params(paper_params):
 class TestIntensityRoots:
     def test_all_five_roots_at_strong_drive(self, paper_params):
         params = strong_drive_params(paper_params)
-        omegas, deltas = params.drive_amplitudes(), params.bare_detunings()
+        omegas, deltas = params.drive_amplitudes(), (params.drive.Delta_1, params.drive.Delta_2)
         c = 2.0 * params.eta**2 * params.omega_m
         roots, = _intensity_roots([(*omegas, *deltas, c, params.gamma)])
         expected = (3.26e7, 7.14e7, 2.000e8, 2.054e8, 2.91e8)
@@ -112,7 +112,7 @@ class TestIntensityRoots:
     @pytest.mark.parametrize("c", [0.0, 1e-30])
     def test_vanishing_coupling_drops_to_the_linear_root(self, c):
         params = linear_cavity_params()
-        omegas, deltas = params.drive_amplitudes(), params.bare_detunings()
+        omegas, deltas = params.drive_amplitudes(), (params.drive.Delta_1, params.drive.Delta_2)
         roots, = _intensity_roots([(*omegas, *deltas, c, params.gamma)])
         linear = sum((om**2 / 4.0) / (dj**2 + params.gamma**2 / 4.0)
                      for om, dj in zip(omegas, deltas))
@@ -121,11 +121,12 @@ class TestIntensityRoots:
 
     def test_mixed_batch_equals_each_row_alone(self, paper_params):
         # three roots, five roots, and a c = 0 row whose quintic drops to degree 1
-        rows = [(*params.drive_amplitudes(), *params.bare_detunings(),
+        rows = [(*params.drive_amplitudes(), params.drive.Delta_1, params.drive.Delta_2,
                  2.0 * params.eta**2 * params.omega_m, params.gamma)
                 for params in (paper_params, strong_drive_params(paper_params))]
         linear = linear_cavity_params()
-        rows.append((*linear.drive_amplitudes(), *linear.bare_detunings(), 0.0, linear.gamma))
+        rows.append((*linear.drive_amplitudes(), linear.drive.Delta_1, linear.drive.Delta_2, 0.0,
+                     linear.gamma))
         batch = _intensity_roots(rows)
         alone = [_intensity_roots([row])[0] for row in rows]
         assert batch == alone
@@ -135,8 +136,8 @@ class TestIntensityRoots:
 class TestBatchedSolve:
     def test_rows_equal_single_solves_and_keep_their_errors(self, paper_params):
         drive = paper_params.drive
-        blue = oe.DriveSpec(omega_l=paper_params.omega_p + paper_params.nu + 1e8,
-                            omega_lp=drive.omega_lp, omega_1=drive.omega_1, omega_2=drive.omega_2)
+        blue = oe.DriveSpec(Delta_1=1e8,
+                            Delta_2=drive.Delta_2, omega_1=drive.omega_1, omega_2=drive.omega_2)
         rows = [paper_params, paper_params.scaled(drive=blue), strong_drive_params(paper_params)]
         batch = oe.solve_steady_states(rows)
         assert batch[0] == oe.solve_steady_state(rows[0])

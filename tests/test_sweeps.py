@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -346,9 +347,8 @@ def assert_designed_rows(params, derived, d, omega):
     """Each designed row at the offsets ``d`` is its solved ``d`` row, and its continuous
     minimum is the least x over the cells next to its grid minimum.
 
-    The solved row realizes its offset only to about 1e-7 relative (the laser
-    frequencies carry eps omega_p), which moves x by up to about 2e-7 near the
-    optimum; so the designed row is compared at the solved row's realized offset,
+    The solved row realizes its offset only up to the rounding of its intensity
+    root, so the designed row is compared at the solved row's realized offset,
     where its x matches the solved row's closed form to 1e-8 relative.  The
     continuous minimum is at most the grid minimum, and agrees with the minimum on
     a 100x finer grid over the same cells: no worse than it by more than rounding
@@ -381,15 +381,9 @@ def assert_designed_rows(params, derived, d, omega):
 
 def domain_edge_bracket(params, derived, edge):
     """A search bracket from inside the domain of the ``d`` rows across one of its edges:
-    a non-finite end, Delta_2' = 0, Delta_1' = 0, or laser 1 or 2 10 omega_m below (-) or
-    above (+) the cavity."""
+    Delta_2' = 0, Delta_1' = 0, or laser 1 or 2 10 omega_m below (-) or above (+) the
+    cavity."""
     d_o = oe.optimum_d(derived).d_o
-    if edge == "d_above_inf":
-        return d_o, math.inf
-    if edge == "d_below_inf":
-        return -math.inf, d_o
-    if edge == "d_nan":
-        return d_o, math.nan
     center = params.omega_m + derived.delta
     if edge == "delta_2p":   # Delta_2' = center - d
         return d_o, center + derived.delta
@@ -574,14 +568,18 @@ class TestSearchRows:
         assert single == [paper_params]
         assert [args[3] for args in built] == [lo, hi]
         rounds = len(passes) - 1
-        # a round's rows are _ROUND_ROWS evenly spaced from one scored offset to another;
-        # it scores the _ROUND_ROWS - 2 inside, less any an earlier pass scored: its
-        # middle row where np.linspace reproduces the best offset of the pass before
+        # a round's rows are _ROUND_ROWS evenly spaced between the two rows of the pass
+        # before around its best (two scored offsets of different passes may lie 1 ulp
+        # apart, so the ends are taken from that pass's rows); it scores the
+        # _ROUND_ROWS - 2 inside, less any an earlier pass scored: its middle row where
+        # np.linspace reproduces the best offset of the pass before
         reused = []
+        previous = passes[0]   # the scan scores all its rows
         for k in range(1, len(passes)):
             seen, d = np.concatenate(passes[:k]), passes[k]
-            rows = np.linspace(seen[seen < d[0]].max(), seen[seen > d[-1]].min(),
-                               sweeps._ROUND_ROWS)[1:-1]
+            previous = np.linspace(previous[previous < d[0]].max(),
+                                   previous[previous > d[-1]].min(), sweeps._ROUND_ROWS)
+            rows = previous[1:-1]
             assert np.array_equal(d, rows[~np.isin(rows, seen)])
             reused.append(np.isin(rows, seen).tolist())
         middle_only = [False] * 3 + [True] + [False] * 3
@@ -685,8 +683,21 @@ class TestFindOptimumD:
         floor = 4.0 * np.spacing(solved.n[np.argmin(solved.x)])
         assert eof_array(found)[0] >= eof_array(least.min() + floor)
 
+    @pytest.mark.parametrize("bracket", [
+        pytest.param((1e6, math.inf), id="d_above_inf"),
+        pytest.param((-math.inf, 1e6), id="d_below_inf"),
+        pytest.param((1e6, math.nan), id="d_nan"),
+        pytest.param((math.nan, 1e6), id="lo_nan"),
+        pytest.param((math.inf, math.inf), id="both_inf"),   # lo == hi: not returned
+        pytest.param((-math.inf, -math.inf), id="both_minus_inf")])
+    def test_non_finite_bracket_rejected_before_solving(self, paper_params, bracket,
+                                                        monkeypatch):
+        forbid_solves(monkeypatch)
+        lo, hi = bracket
+        with pytest.raises(oe.BracketError, match=re.escape(f"invalid bracket ({lo:g}, {hi:g})")):
+            oe.find_optimum_d_numeric(paper_params, bracket)
+
     @pytest.mark.parametrize("point, edge, raised", [
-        *[("paper", edge, oe.ParameterError) for edge in ("d_above_inf", "d_below_inf", "d_nan")],
         ("paper", "delta_2p", oe.SignConventionViolated),
         ("paper", "delta_1p", oe.SignConventionViolated),
         # at the paper point both Delta' edges lie inside the laser edges
@@ -699,13 +710,10 @@ class TestFindOptimumD:
                            else wide_nu_point(paper_params, paper_derived))
         # a search across the edge raises what the rows' sequential scan raises
         bracket = domain_edge_bracket(params, derived, edge)
-        # on an infinite bracket np.linspace warns of the inf * 0 it forms
-        invalid = "ignore" if edge.endswith("inf") else "warn"
-        with np.errstate(invalid=invalid):
-            scan = np.linspace(*bracket, 33).tolist()
-        expected = sequential_scan_error(params, derived, scan, omega_grid)
+        expected = sequential_scan_error(params, derived, np.linspace(*bracket, 33).tolist(),
+                                         omega_grid)
         assert type(expected) is raised
-        with pytest.raises(raised) as error, np.errstate(invalid=invalid):
+        with pytest.raises(raised) as error:
             oe.find_optimum_d_numeric(params, bracket, omega_grid=omega_grid)
         assert str(error.value) == str(expected)
 
@@ -832,10 +840,11 @@ class TestPowerFluctuation:
         # the scaled powers go through power_to_amplitude once, from the base's amplitudes
         drive, gamma = paper_params.drive, paper_params.gamma
         p1, p2 = paper_params.drive_powers()
+        omega_l, omega_lp = paper_params.laser_frequencies()
         scaled = sweeps._scaled_powers(paper_params, 1.01)
         assert scaled == paper_params.scaled(drive=oe.DriveSpec(
-            drive.omega_l, drive.omega_lp, oe.power_to_amplitude(p1 * 1.01, drive.omega_l, gamma),
-            oe.power_to_amplitude(p2 * 1.01, drive.omega_lp, gamma)))
+            drive.Delta_1, drive.Delta_2, oe.power_to_amplitude(p1 * 1.01, omega_l, gamma),
+            oe.power_to_amplitude(p2 * 1.01, omega_lp, gamma)))
 
     def test_power_fluct_row_matches_power_jitter_case(self, paper_params, paper_derived,
                                                         omega_grid):
