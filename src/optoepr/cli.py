@@ -226,8 +226,9 @@ def _cmd_occupation(args, cfg: RunConfig) -> int:
     derived = solve_steady_state(cfg.params)
     value = intracavity_occupation(derived)
     alpha_sq = abs(derived.alpha_1) ** 2
+    ratio = value / alpha_sq if alpha_sq else math.nan   # an undriven cavity holds no photons
     print(f"<a1^dag a1> = {value:.6g}")
-    print(f"|alpha_1|^2 = {alpha_sq:.6g}  (ratio {value / alpha_sq:.3e})")
+    print(f"|alpha_1|^2 = {alpha_sq:.6g}  (ratio {ratio:.3e})")
     return 0
 
 

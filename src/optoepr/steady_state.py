@@ -19,10 +19,9 @@ smallest root inside the window Delta_1' < 0 < Delta_2' that the
 two-sideband scheme needs; ``multistable`` records that the equation had
 more than one root, whether or not the others lie in the window.
 
-:func:`solve_steady_states` solves many parameter sets at once: their
-companion matrices, grouped by degree, go through one stacked eigenvalue
-call, and every row comes out as it would alone, to the last bit.
-:func:`solve_steady_state` is its one-row case.
+:func:`solve_steady_state` solves one parameter set and raises its error;
+:func:`solve_steady_states` solves a list of them one by one and keeps each
+row's error unraised.
 """
 
 from __future__ import annotations
@@ -109,19 +108,29 @@ class DerivedParams:
         return 0.0 if scale == 0 else abs(a1 - a2) / scale
 
 
-def _quintic(omega_1, omega_2, delta_1, delta_2, c, gamma):
-    """upper and the coefficients (highest first) of the quintic in u = N / upper.
+def _intensity_roots(omega_1, omega_2, delta_1, delta_2, c, gamma):
+    """All real roots of N = sum_j (Omega_j^2/4) / D_j(N) in [0, upper], ascending.
 
-    Leading coefficients below machine epsilon times the largest change the
-    polynomial on [0, 1] by less than its rounding, so they are dropped: a
-    vanishing coupling (c -> 0) lowers the degree instead of pushing
-    companion-matrix eigenvalues to infinity.  No coefficients if upper = 0.
-    D_1 D_2 is multiplied by ``np.convolve``, which sums through BLAS; a
-    written-out product would differ from it in the last bit.
+    D_j(N) = (Delta_j + c N)^2 + gamma^2/4 and upper = sum_j Omega_j^2 / gamma^2.
+    Multiplying through by D_1 D_2 gives the quintic
+
+        N D_1 D_2 - (Omega_1^2/4) D_2 - (Omega_2^2/4) D_1 = 0,
+
+    solved in u = N / upper from the eigenvalues of its companion matrix,
+    built as ``np.roots`` builds it.  Leading coefficients below machine
+    epsilon times the largest change the polynomial on [0, 1] by less than
+    its rounding, so they are dropped: a vanishing coupling (c -> 0) lowers
+    the degree instead of pushing companion-matrix eigenvalues to infinity.
+    The equation has a root in [0, upper], and none at 0, where the quintic
+    is -(Omega_1^2 D_2 + Omega_2^2 D_1)/4 < 0; so the degree stays at least 1
+    and no zero root is split off, as ``np.roots`` would.  D_1 D_2 is
+    multiplied by ``np.convolve``, which sums through BLAS; a written-out
+    product would differ from it in the last bit.  Each real root in [0, 1]
+    is polished with one Newton step on the rational form.
     """
     upper = (omega_1 * omega_1 + omega_2 * omega_2) / gamma**2
     if upper == 0.0:
-        return upper, []
+        return [0.0]
     s = c * upper
     d1, d2 = ([s * s, 2.0 * dj * s, dj * dj + gamma * gamma / 4.0] for dj in (delta_1, delta_2))
     poly = [upper * x for x in np.convolve(d1, d2).tolist()] + [0.0]   # upper u D_1 D_2
@@ -129,70 +138,31 @@ def _quintic(omega_1, omega_2, delta_1, delta_2, c, gamma):
     for i in range(3):
         poly[3 + i] -= a1 * d2[i] + a2 * d1[i]
     floor = _EPS * max(map(abs, poly))
-    return upper, poly[next(i for i, x in enumerate(poly) if abs(x) > floor):]
-
-
-def _intensity_roots(rows):
-    """Per row (Omega_1, Omega_2, Delta_1, Delta_2, c, gamma) of ``rows``: all real roots
-    of N = sum_j (Omega_j^2/4) / D_j(N) in [0, upper], ascending.
-
-    D_j(N) = (Delta_j + c N)^2 + gamma^2/4 and upper = sum_j Omega_j^2 / gamma^2.
-    Multiplying through by D_1 D_2 gives the quintic
-
-        N D_1 D_2 - (Omega_1^2/4) D_2 - (Omega_2^2/4) D_1 = 0,
-
-    solved in u = N / upper (see :func:`_quintic`).  Row k's roots are, to the
-    last bit, those of row k solved alone.
-
-    The quintics are grouped by degree once their leading and trailing zero
-    coefficients are stripped.  Each group's companion matrices, built as
-    ``np.roots`` builds them, go through one stacked ``np.linalg.eigvals``
-    call, and a stripped trailing zero is a root at 0.  Each real root in
-    [0, 1] is polished with one Newton step on the rational form; that step
-    is a few float operations per root, cheaper in Python than as a
-    vectorized pass over the few roots of a batch.
-    """
-    quintics = [_quintic(*row) for row in rows]
-    # each row's roots in u, starting with the roots at 0 of its trailing zero coefficients
-    us = [[0.0] * (len(poly) - 1 - max((i for i, x in enumerate(poly) if x != 0.0), default=-1))
-          for _, poly in quintics]
-    groups = {}
-    for k, (_, poly) in enumerate(quintics):
-        groups.setdefault(len(poly) - len(us[k]), []).append(k)
-    for size, members in groups.items():
-        if size < 2:
-            continue
-        p = np.array([quintics[k][1][:size] for k in members])
-        A = np.zeros((len(members), size - 1, size - 1))
-        A[:, np.arange(1, size - 1), np.arange(size - 2)] = 1.0
-        A[:, 0, :] = -p[:, 1:] / p[:, :1]
-        for k, eig in zip(members, np.linalg.eigvals(A).tolist()):
-            us[k] = eig + us[k]
-
+    poly = poly[next(i for i, x in enumerate(poly) if abs(x) > floor):]
+    companion = np.diag(np.ones(len(poly) - 2), -1)
+    companion[0] = -np.array(poly[1:]) / poly[0]
     roots = []
-    for row, (upper, poly), u in zip(rows, quintics, us):
-        if not poly:
-            roots.append([0.0])
-            continue
-        omegas, deltas, c, gamma = row[:2], row[2:4], row[4], row[5]
-        polished = []
-        for N in sorted(upper * z.real for z in u if z.imag == 0.0 and 0.0 <= z.real <= 1.0):
-            f, slope = N, 1.0
-            for om, dj in zip(omegas, deltas):
-                shifted = dj + c * N
-                den = shifted * shifted + gamma * gamma / 4.0
-                term = (om * om / 4.0) / den
-                f -= term
-                slope += term * 2.0 * c * shifted / den
-            polished.append(N - f / slope)
-        roots.append(polished)
+    for N in sorted(upper * z.real for z in np.linalg.eigvals(companion).tolist()
+                    if z.imag == 0.0 and 0.0 <= z.real <= 1.0):
+        f, slope = N, 1.0
+        for om, dj in ((omega_1, delta_1), (omega_2, delta_2)):
+            shifted = dj + c * N
+            den = shifted * shifted + gamma * gamma / 4.0
+            term = (om * om / 4.0) / den
+            f -= term
+            slope += term * 2.0 * c * shifted / den
+        roots.append(N - f / slope)
     return roots
 
 
 def solve_steady_state(params: PhysicalParams) -> DerivedParams:
     """Solve the displacement steady state and derive the linearized-model parameters.
 
-    The one-row case of :func:`solve_steady_states`; raises the row's error.
+    Finds every intensity root (see :func:`_intensity_roots`) and keeps the
+    smallest one inside the window Delta_1' < 0 < Delta_2'.  Both shifted
+    detunings Delta_j' = Delta_j + 2 eta^2 omega_m N grow with N, so the
+    window is an interval of N and each root is tested on its own.
+    ``multistable`` is set when the equation has more than one root.
 
     Raises
     ------
@@ -204,52 +174,33 @@ def solve_steady_state(params: PhysicalParams) -> DerivedParams:
         delta <= 0 (delta does not depend on N), i.e. the drive frequencies
         are inconsistent with the two-sideband arrangement the model assumes.
     """
-    derived, = _solve([params])
+    derived = _solve(params)
     if isinstance(derived, PhysicsError):
         raise derived
     return derived
 
 
 def solve_steady_states(rows: Sequence[PhysicalParams]) -> list[DerivedParams | PhysicsError]:
-    """Steady state of every parameter set in ``rows``, their intensity roots in one batch.
+    """:func:`solve_steady_state` of every parameter set in ``rows``, solved one by one.
 
-    Finds every intensity root of a row (see :func:`_intensity_roots`) and
-    keeps the smallest one inside the window Delta_1' < 0 < Delta_2'.  Both
-    shifted detunings Delta_j' = Delta_j + 2 eta^2 omega_m N grow with N, so
-    the window is an interval of N and each root is tested on its own.
-    ``multistable`` is set when the equation has more than one root.  A row
-    that fails holds, unraised, the error :func:`solve_steady_state` raises
-    for it; the other rows are unaffected.
+    A row that fails holds, unraised, the error :func:`solve_steady_state`
+    raises for it; the other rows are unaffected.
     """
-    return _solve(rows)
-
-
-def _solve(rows: Sequence[PhysicalParams]) -> list[DerivedParams | PhysicsError]:
-    """:func:`solve_steady_states`; warnings point at the caller of its public caller."""
-    if not rows:
-        return []
-    drives = [params.drive_amplitudes() for params in rows]
-    bare = [(params.drive.Delta_1, params.drive.Delta_2) for params in rows]
-    couplings = [2.0 * params.eta**2 * params.omega_m for params in rows]
-    roots = _intensity_roots([(*drive, *detunings, c, params.gamma) for params, drive, detunings, c
-                              in zip(rows, drives, bare, couplings)])
     results = []
-    for row in zip(rows, drives, bare, couplings, roots):
-        derived = _operating_point(*row)
-        if isinstance(derived, DerivedParams) and derived.alpha_mismatch() > ALPHA_MATCH_RTOL:
-            a1, a2 = abs(derived.alpha_1), abs(derived.alpha_2)
-            warnings.warn(f"unequal cavity amplitudes |alpha_1| = {a1:.6g}, |alpha_2| = {a2:.6g}; "
-                          "the adiabatic output model assumes alpha_1 = alpha_2", stacklevel=3)
-        results.append(derived)
+    for params in rows:   # before Python 3.12 a comprehension adds a frame to the stacklevel
+        results.append(_solve(params))
     return results
 
 
-def _operating_point(params: PhysicalParams, drive: tuple[float, float],
-                     bare: tuple[float, float], eta2wm2: float,
-                     roots: list[float]) -> DerivedParams | PhysicsError:
-    """The derived parameters at the root :func:`solve_steady_states` selects, or its error."""
-    omega_1, omega_2 = drive
-    delta_1, delta_2 = bare
+def _solve(params: PhysicalParams) -> DerivedParams | PhysicsError:
+    """The derived parameters at the root :func:`solve_steady_state` selects, or its error.
+
+    Its warning points at the caller of its public caller.
+    """
+    omega_1, omega_2 = params.drive_amplitudes()
+    delta_1, delta_2 = params.drive.Delta_1, params.drive.Delta_2
+    eta2wm2 = 2.0 * params.eta**2 * params.omega_m
+    roots = _intensity_roots(omega_1, omega_2, delta_1, delta_2, eta2wm2, params.gamma)
     if not roots:
         return NoSteadyState("no intensity root in [0, sum Omega^2/gamma^2]")
     multistable = len(roots) > 1
@@ -279,7 +230,7 @@ def _operating_point(params: PhysicalParams, drive: tuple[float, float],
     g = params.eta**2 * alpha**2 * params.omega_m**2 / delta
     gamma_m_tilde = (params.eta * alpha * params.omega_m / delta) ** 2 * params.gamma_m
 
-    return DerivedParams(
+    derived = DerivedParams(
         alpha_1=alpha_1,
         alpha_2=alpha_2,
         beta=beta,
@@ -298,6 +249,10 @@ def _operating_point(params: PhysicalParams, drive: tuple[float, float],
         eta=params.eta,
         multistable=multistable,
     )
+    if derived.alpha_mismatch() > ALPHA_MATCH_RTOL:
+        warnings.warn(f"unequal cavity amplitudes |alpha_1| = {a1:.6g}, |alpha_2| = {a2:.6g}; "
+                      "the adiabatic output model assumes alpha_1 = alpha_2", stacklevel=3)
+    return derived
 
 
 def window_error(d1p: float, d2p: float) -> SignConventionViolated:

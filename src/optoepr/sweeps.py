@@ -14,14 +14,14 @@ Sweep axes re-derive the operating point per row:
 
 ``sensitivity_analysis`` takes its excursions as ``d`` and ``power_fluct``
 rows around the optimum, recording a failed one by name.  The rows of a
-sweep and of the excursions are each evaluated in one pass: one batched
-steady-state solve and one (rows, N) closed-form evaluation, in blocks that
-bound its temporaries.  A row's numbers equal those of the row evaluated
-alone, to the last bit.  An excursion forms only its peak EOF; the peak's
-omegas and the FWHM are formed for sweep rows alone, and an error name only
-for a row that failed.  A sweep row outside the parameter domain is
-recorded as a ``ParameterError`` row; in an analysis or a search it is
-raised, as an input error.
+sweep and of the excursions are each evaluated in one pass: their steady
+states are solved one by one, then their spectra form one (rows, N)
+closed-form evaluation, in blocks that bound its temporaries.  A row's
+numbers equal those of the row evaluated alone, to the last bit.  An
+excursion forms only its peak EOF; the peak's omegas and the FWHM are formed
+for sweep rows alone, and an error name only for a row that failed.  A
+sweep row outside the parameter domain is recorded as a ``ParameterError``
+row; in an analysis or a search it is raised, as an input error.
 
 ``find_optimum_d_numeric`` solves the base alone.  Its rows are the ``d``
 rows at their designed root N = 2 alpha^2, where holding alpha and delta
@@ -268,7 +268,7 @@ def _peaks(rows: list, omega: np.ndarray, model: str) -> list:
 
     A row is a parameter set, its already solved :class:`DerivedParams`, or
     the error building it raised; the last two are passed through unsolved.
-    The other rows' steady states are solved in one batch.  The closed form
+    The other rows' steady states are solved one by one.  The closed form
     (:func:`closed_form_grid`), ``eof_array`` and the peak search run over
     (rows, N) arrays in blocks of at most ``_BLOCK_POINTS`` grid points; the
     other models are evaluated row by row.  The maxima are the row's
@@ -348,7 +348,7 @@ def _axis_rows(axis: str, base: PhysicalParams, base_derived: DerivedParams,
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the entanglement spectrum for each axis value.
 
-    The rows' steady states are solved in one batch and their spectra
+    The rows' steady states are solved one by one and their spectra
     evaluated together (see :func:`_peaks`), each row's numbers equal to
     its own evaluation; each row's :func:`peak_statistics` is then formed
     from its EOF curve and the maxima that pass refined.  A row's failure

@@ -310,6 +310,15 @@ class TestOccupation:
         assert "<a1^dag a1> = 706" in out
         assert "ratio" in out
 
+    def test_undriven_cavity_prints_a_nan_ratio(self, tmp_path, capsys):
+        drive = oe.DriveSpec(Delta_1=-5e8, Delta_2=5e8, omega_1=0.0, omega_2=0.0)
+        undriven = oe.paper_default_config().params.scaled(drive=drive)
+        path = tmp_path / "undriven.txt"
+        path.write_text(oe.serialize_config(oe.RunConfig(params=undriven)))
+        code, out, err = run(capsys, "occupation", "--config", str(path))
+        assert (code, err) == (0, "")
+        assert out == "<a1^dag a1> = 0\n|alpha_1|^2 = 0  (ratio nan)\n"
+
 
 class TestErrorPaths:
     def test_unknown_key_exits_2(self, capsys):

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -100,7 +101,7 @@ class TestIntensityRoots:
         params = strong_drive_params(paper_params)
         omegas, deltas = params.drive_amplitudes(), (params.drive.Delta_1, params.drive.Delta_2)
         c = 2.0 * params.eta**2 * params.omega_m
-        roots, = _intensity_roots([(*omegas, *deltas, c, params.gamma)])
+        roots = _intensity_roots(*omegas, *deltas, c, params.gamma)
         expected = (3.26e7, 7.14e7, 2.000e8, 2.054e8, 2.91e8)
         assert roots == pytest.approx(expected, rel=2e-3)
         for N in roots:
@@ -113,7 +114,7 @@ class TestIntensityRoots:
     def test_vanishing_coupling_drops_to_the_linear_root(self, c):
         params = linear_cavity_params()
         omegas, deltas = params.drive_amplitudes(), (params.drive.Delta_1, params.drive.Delta_2)
-        roots, = _intensity_roots([(*omegas, *deltas, c, params.gamma)])
+        roots = _intensity_roots(*omegas, *deltas, c, params.gamma)
         linear = sum((om**2 / 4.0) / (dj**2 + params.gamma**2 / 4.0)
                      for om, dj in zip(omegas, deltas))
         assert len(roots) == 1
@@ -127,10 +128,7 @@ class TestIntensityRoots:
         linear = linear_cavity_params()
         rows.append((*linear.drive_amplitudes(), linear.drive.Delta_1, linear.drive.Delta_2, 0.0,
                      linear.gamma))
-        batch = _intensity_roots(rows)
-        alone = [_intensity_roots([row])[0] for row in rows]
-        assert batch == alone
-        assert [len(roots) for roots in batch] == [3, 5, 1]
+        assert [len(_intensity_roots(*row)) for row in rows] == [3, 5, 1]
 
 
 class TestBatchedSolve:
@@ -149,6 +147,17 @@ class TestBatchedSolve:
 
     def test_empty_batch(self):
         assert oe.solve_steady_states([]) == []
+
+    def test_unequal_amplitude_warning_names_the_calling_line(self):
+        params = linear_cavity_params()
+        with pytest.warns(UserWarning, match="unequal") as single:
+            oe.solve_steady_state(params)
+        line = inspect.currentframe().f_lineno - 1   # the call's line, just above
+        assert [(w.filename, w.lineno) for w in single] == [(__file__, line)]
+        with pytest.warns(UserWarning, match="unequal") as rows:
+            oe.solve_steady_states([params, params])
+        line = inspect.currentframe().f_lineno - 1
+        assert [(w.filename, w.lineno) for w in rows] == [(__file__, line)] * 2
 
 
 class TestBranchSelection:
