@@ -21,8 +21,7 @@ from .params import (DriveSpec, PhysicalParams, RegimeReport, amplitude_to_power
                      thermal_occupancy, validate_regime)
 from .spectrum import OptimumD, StandardForm, eof, optimum_d, squeezing_db
 from .steady_state import (DerivedParams, amplitude_to_drive, operating_point_params,
-                           retuned_d, solve_steady_state, solve_steady_states,
-                           steady_state_residual)
+                           retuned_d, solve_steady_state, steady_state_residual)
 from .sweeps import (SweepResult, SweepSpec, default_omega_grid, find_optimum_d_numeric,
                      peak_statistics, run_sweep, sensitivity_analysis)
 

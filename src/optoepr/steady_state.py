@@ -19,21 +19,19 @@ smallest root inside the window Delta_1' < 0 < Delta_2' that the
 two-sideband scheme needs; ``multistable`` records that the equation had
 more than one root, whether or not the others lie in the window.
 
-:func:`solve_steady_state` solves one parameter set and raises its error;
-:func:`solve_steady_states` solves a list of them one by one and keeps each
-row's error unraised.
+:func:`solve_steady_state` solves one parameter set at a time and raises
+its error.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoSteadyState, ParameterError, PhysicsError, SignConventionViolated
+from .errors import NoSteadyState, ParameterError, SignConventionViolated
 from .params import DriveSpec, PhysicalParams, thermal_occupancy
 
 # Symmetric-amplitude requirement of the output model.  Drive-power
@@ -43,6 +41,7 @@ from .params import DriveSpec, PhysicalParams, thermal_occupancy
 ALPHA_MATCH_RTOL = 1e-3
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)   # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -126,10 +125,14 @@ def _intensity_roots(omega_1, omega_2, delta_1, delta_2, c, gamma):
     and no zero root is split off, as ``np.roots`` would.  D_1 D_2 is
     multiplied by ``np.convolve``, which sums through BLAS; a written-out
     product would differ from it in the last bit.  Each real root in [0, 1]
-    is polished with one Newton step on the rational form.
+    is polished with one Newton step on the rational form.  Every root lies
+    in (0, 1], and one next to 1 (|Delta_j + c N| << gamma) may be computed
+    a few ulp above it, so eigenvalues up to 4 eps above 1 are kept.  An
+    ``upper`` below the smallest normal float is the undriven cavity, root 0:
+    its subnormal products lose the digits that keep the root in the bracket.
     """
     upper = (omega_1 * omega_1 + omega_2 * omega_2) / gamma**2
-    if upper == 0.0:
+    if upper < _TINY:
         return [0.0]
     s = c * upper
     d1, d2 = ([s * s, 2.0 * dj * s, dj * dj + gamma * gamma / 4.0] for dj in (delta_1, delta_2))
@@ -143,7 +146,7 @@ def _intensity_roots(omega_1, omega_2, delta_1, delta_2, c, gamma):
     companion[0] = -np.array(poly[1:]) / poly[0]
     roots = []
     for N in sorted(upper * z.real for z in np.linalg.eigvals(companion).tolist()
-                    if z.imag == 0.0 and 0.0 <= z.real <= 1.0):
+                    if z.imag == 0.0 and 0.0 <= z.real <= 1.0 + 4.0 * _EPS):
         f, slope = N, 1.0
         for om, dj in ((omega_1, delta_1), (omega_2, delta_2)):
             shifted = dj + c * N
@@ -162,47 +165,26 @@ def solve_steady_state(params: PhysicalParams) -> DerivedParams:
     smallest one inside the window Delta_1' < 0 < Delta_2'.  Both shifted
     detunings Delta_j' = Delta_j + 2 eta^2 omega_m N grow with N, so the
     window is an interval of N and each root is tested on its own.
-    ``multistable`` is set when the equation has more than one root.
+    ``multistable`` is set when the equation has more than one root.  Unequal
+    cavity amplitudes warn, at the caller's line.
 
     Raises
     ------
     NoSteadyState
-        If no root exists in the physical bracket (cannot happen for finite
-        drives; kept as a guard).
+        If no root exists in the physical bracket (cannot happen: a drive too
+        weak for the bracket to be a normal float leaves the cavity empty, and
+        any other has a root there; kept as a guard).
     SignConventionViolated
         If no root lies in the window Delta_1' < 0 < Delta_2', or if
         delta <= 0 (delta does not depend on N), i.e. the drive frequencies
         are inconsistent with the two-sideband arrangement the model assumes.
-    """
-    derived = _solve(params)
-    if isinstance(derived, PhysicsError):
-        raise derived
-    return derived
-
-
-def solve_steady_states(rows: Sequence[PhysicalParams]) -> list[DerivedParams | PhysicsError]:
-    """:func:`solve_steady_state` of every parameter set in ``rows``, solved one by one.
-
-    A row that fails holds, unraised, the error :func:`solve_steady_state`
-    raises for it; the other rows are unaffected.
-    """
-    results = []
-    for params in rows:   # before Python 3.12 a comprehension adds a frame to the stacklevel
-        results.append(_solve(params))
-    return results
-
-
-def _solve(params: PhysicalParams) -> DerivedParams | PhysicsError:
-    """The derived parameters at the root :func:`solve_steady_state` selects, or its error.
-
-    Its warning points at the caller of its public caller.
     """
     omega_1, omega_2 = params.drive_amplitudes()
     delta_1, delta_2 = params.drive.Delta_1, params.drive.Delta_2
     eta2wm2 = 2.0 * params.eta**2 * params.omega_m
     roots = _intensity_roots(omega_1, omega_2, delta_1, delta_2, eta2wm2, params.gamma)
     if not roots:
-        return NoSteadyState("no intensity root in [0, sum Omega^2/gamma^2]")
+        raise NoSteadyState("no intensity root in [0, sum Omega^2/gamma^2]")
     multistable = len(roots) > 1
     # with no root in the window, the smallest one fails the sign check below
     N = next((N for N in roots if delta_1 + eta2wm2 * N < 0.0 < delta_2 + eta2wm2 * N), roots[0])
@@ -219,11 +201,11 @@ def _solve(params: PhysicalParams) -> DerivedParams | PhysicsError:
     beta_imag = params.eta * params.omega_m * N * (params.gamma_m / 2.0) / denom
 
     if d1p >= 0.0 or d2p <= 0.0:
-        return window_error(d1p, d2p)
+        raise window_error(d1p, d2p)
     delta = 0.5 * (d2p - d1p) - params.omega_m
     d = -0.5 * (d1p + d2p)
     if delta <= 0.0:
-        return SignConventionViolated(f"elimination requires delta > 0; got {delta:.4e}")
+        raise SignConventionViolated(f"elimination requires delta > 0; got {delta:.4e}")
 
     a1, a2 = abs(alpha_1), abs(alpha_2)
     alpha = 0.5 * (a1 + a2)
@@ -251,7 +233,7 @@ def _solve(params: PhysicalParams) -> DerivedParams | PhysicsError:
     )
     if derived.alpha_mismatch() > ALPHA_MATCH_RTOL:
         warnings.warn(f"unequal cavity amplitudes |alpha_1| = {a1:.6g}, |alpha_2| = {a2:.6g}; "
-                      "the adiabatic output model assumes alpha_1 = alpha_2", stacklevel=3)
+                      "the adiabatic output model assumes alpha_1 = alpha_2", stacklevel=2)
     return derived
 
 

@@ -13,9 +13,9 @@ Sweep axes re-derive the operating point per row:
   drifts through the intensity shift exactly as the steady state dictates.
 
 ``sensitivity_analysis`` takes its excursions as ``d`` and ``power_fluct``
-rows around the optimum, recording a failed one by name.  The rows of a
-sweep and of the excursions are each evaluated in one pass: their steady
-states are solved one by one, then their spectra form one (rows, N)
+rows around the optimum, recording a failed one by name.  Each row of a
+sweep and of the excursions is solved where it is built, and the solved
+rows are evaluated in one pass: their spectra form one (rows, N)
 closed-form evaluation, in blocks that bound its temporaries.  A row's
 numbers equal those of the row evaluated alone, to the last bit.  An
 excursion forms only its peak EOF; the peak's omegas and the FWHM are formed
@@ -61,8 +61,7 @@ from .errors import BracketError, DegenerateResponse, DomainError, ParameterErro
 from .langevin import MODELS, evaluate
 from .params import DriveSpec, PhysicalParams, gamma_m_from_q, power_to_amplitude
 from .spectrum import closed_form_grid, degenerate_mask, eof_array, offset_x, optimum_d
-from .steady_state import (DerivedParams, operating_point_params, solve_steady_state,
-                           solve_steady_states, window_error)
+from .steady_state import DerivedParams, operating_point_params, solve_steady_state, window_error
 
 SWEEP_AXES = ("temperature", "alpha", "d", "Q", "power_fluct")
 
@@ -266,22 +265,19 @@ def _scaled_powers(params: PhysicalParams, factor: float) -> PhysicalParams:
 def _peaks(rows: list, omega: np.ndarray, model: str) -> list:
     """Derived params, x, EOF curve and refined EOF maxima of ``model`` for every row, in one pass.
 
-    A row is a parameter set, its already solved :class:`DerivedParams`, or
-    the error building it raised; the last two are passed through unsolved.
-    The other rows' steady states are solved one by one.  The closed form
-    (:func:`closed_form_grid`), ``eof_array`` and the peak search run over
-    (rows, N) arrays in blocks of at most ``_BLOCK_POINTS`` grid points; the
-    other models are evaluated row by row.  The maxima are the row's
+    A row is its solved :class:`DerivedParams` (see :func:`_axis_rows`), or
+    the error building or solving it raised, which is passed through; no row
+    is solved here.  The closed form (:func:`closed_form_grid`),
+    ``eof_array`` and the peak search run over (rows, N) arrays in blocks of
+    at most ``_BLOCK_POINTS`` grid points; the other models are evaluated
+    row by row.  The maxima are the row's
     :func:`_refined_maxima`, whose largest vertex is its peak EOF.  A row
     with a failed grid point holds, unraised, the :mod:`errors` class named
     at its first failed point, and its EOF curve is not formed.  Each row's
     numbers equal those of the row evaluated alone, to the last bit.
     """
     results = list(rows)
-    todo = [k for k, row in enumerate(rows) if isinstance(row, PhysicalParams)]
-    for k, derived in zip(todo, solve_steady_states([rows[k] for k in todo])):
-        results[k] = derived
-    solved = [k for k, row in enumerate(results) if isinstance(row, DerivedParams)]
+    solved = [k for k, row in enumerate(rows) if isinstance(row, DerivedParams)]
     size = max(1, _BLOCK_POINTS // len(omega)) if model == "adiabatic" else 1
     for start in range(0, len(solved), size):
         block = solved[start:start + size]
@@ -334,12 +330,12 @@ def _row_params(axis: str, base: PhysicalParams, base_derived: DerivedParams,
 
 def _axis_rows(axis: str, base: PhysicalParams, base_derived: DerivedParams,
                values) -> list:
-    """:func:`_row_params` of each value, or the PhysicsError or ParameterError building
-    that row raised."""
+    """The steady state of each value's :func:`_row_params`, or the PhysicsError or
+    ParameterError building or solving that row raised."""
     rows = []
     for value in values:
         try:
-            rows.append(_row_params(axis, base, base_derived, value))
+            rows.append(solve_steady_state(_row_params(axis, base, base_derived, value)))
         except (PhysicsError, ParameterError) as exc:
             rows.append(exc)
     return rows
@@ -348,10 +344,10 @@ def _axis_rows(axis: str, base: PhysicalParams, base_derived: DerivedParams,
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the entanglement spectrum for each axis value.
 
-    The rows' steady states are solved one by one and their spectra
-    evaluated together (see :func:`_peaks`), each row's numbers equal to
-    its own evaluation; each row's :func:`peak_statistics` is then formed
-    from its EOF curve and the maxima that pass refined.  A row's failure
+    Each row is solved where it is built (:func:`_axis_rows`) and the solved
+    rows' spectra are evaluated together (see :func:`_peaks`), each row's
+    numbers equal to its own evaluation; each row's :func:`peak_statistics`
+    is then formed from its EOF curve and the maxima that pass refined.  A row's failure
     (e.g. NoSteadyState, a value outside the parameter domain, or the first
     point of the grid that fails in :func:`optoepr.langevin.evaluate`) is
     recorded on that row by name, never fatal.  Rows are in value order.
@@ -417,8 +413,9 @@ def sensitivity_analysis(base: PhysicalParams, d_jitter: float,
     with its error name and NaN d and peak; ``worst_peak_eof`` and
     ``degradation`` cover the cases that succeeded.  A failed baseline
     raises, and so does an excursion outside the parameter domain
-    (ParameterError).  A negative or NaN jitter and an empty or unevenly
-    spaced ``omega_grid`` raise ValueError before anything is solved.
+    (ParameterError), before a later excursion is solved.  A negative or NaN
+    jitter and an empty or unevenly spaced ``omega_grid`` raise ValueError
+    before anything is solved.
     """
     for name, jitter in (("d_jitter", d_jitter), ("power_jitter_frac", power_jitter_frac)):
         if not jitter >= 0:
@@ -438,7 +435,7 @@ def sensitivity_analysis(base: PhysicalParams, d_jitter: float,
             labels.append(f"{label}{sign}jitter")
             rows += _axis_rows(axis, at_opt, opt_derived,
                                [mid - jitter if sign == "-" else mid + jitter])
-    _raise_domain_error(rows)
+            _raise_domain_error(rows[-1:])
     peaks = _peaks(rows, omega, "adiabatic")
     if isinstance(peaks[0], Exception):
         raise peaks[0]

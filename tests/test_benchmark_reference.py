@@ -97,7 +97,7 @@ def test_opsearch_scan_rows_realize_their_offset():
         rows = [sweeps._row_params("d", params, derived, d) for d in scan.tolist()]
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "unequal cavity amplitudes", UserWarning)
-            solved = oe.solve_steady_states(rows)
+            solved = [oe.solve_steady_state(row) for row in rows]
         worst = max([worst] + [abs(row.d - d) / abs(d) for row, d in zip(solved, scan)])
     assert worst <= 1e-8
 

@@ -1,8 +1,11 @@
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import optoepr as oe
 from optoepr.params import TWO_PI
@@ -130,23 +133,59 @@ class TestIntensityRoots:
                      linear.gamma))
         assert [len(_intensity_roots(*row)) for row in rows] == [3, 5, 1]
 
+    def test_subnormal_bracket_is_the_undriven_cavity(self):
+        # upper = 8.8e-319: the quintic's subnormal coefficients lose the root in [0, upper]
+        assert _intensity_roots(2.01e-151, 0.0, -2.54e3, 6.91e6, 0.0, 2.14e8) == [0.0]
+
+    def test_root_at_the_bracket_end_kept(self):
+        # |Delta_j + c N| << gamma puts the root within rounding of upper, and its
+        # companion-matrix eigenvalue at 1 + eps
+        omegas, deltas = (0.08910731132868606, 532779315.96440756), (-2765.3668692225187,
+                                                                    -167.2439812383435)
+        c, gamma = 36.501050036345774, 247952972.57145017
+        roots = _intensity_roots(*omegas, *deltas, c, gamma)
+        upper = sum(om * om for om in omegas) / gamma**2
+        assert roots == pytest.approx([upper], rel=1e-12)
+
+    def test_weak_drive_solves_from_valid_params(self):
+        # eta^2 underflows to c = 0, and the bracket, 8.8e-319, is subnormal
+        params = oe.paper_default_config().params.scaled(
+            omega_m=3e6, gamma_m=1e3, nu=5e6, gamma=2.14e8, eta=1e-200,
+            drive=oe.DriveSpec(-2.54e3, 6.91e6, 2.01e-151, 0.0))
+        with pytest.warns(UserWarning, match="unequal cavity amplitudes"):
+            derived = oe.solve_steady_state(params)
+        assert (derived.Delta_1p, derived.Delta_2p, derived.g) == (-2.54e3, 6.91e6, 0.0)
+
+    @given(drives=st.tuples(st.floats(-170.0, 14.0), st.floats(-170.0, 14.0),
+                            st.booleans()),
+           detunings=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0),
+                               st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0])),
+           c=st.one_of(st.just(0.0), st.floats(-6.0, 4.0).map(lambda e: 10.0**e)),
+           gamma=st.floats(5.0, 10.0).map(lambda e: 10.0**e))
+    def test_every_drive_has_a_root(self, drives, detunings, c, gamma):
+        # drives from 1e-170 to 1e14 rad/s, one of them possibly off
+        e1, e2, second_off = drives
+        omegas = 10.0**e1, 0.0 if second_off else 10.0**e2
+        deltas = detunings[2] * 10.0 ** detunings[0], detunings[3] * 10.0 ** detunings[1]
+        roots = _intensity_roots(*omegas, *deltas, c, gamma)
+        upper = sum(om * om for om in omegas) / gamma**2
+        assert roots and all(0.0 <= N <= upper * (1.0 + 8.0 * np.finfo(float).eps) for N in roots)
+
 
 class TestBatchedSolve:
+    """Parameter sets solved one after another are independent: a failed one raises its
+    own error and leaves the solves around it unchanged."""
+
     def test_rows_equal_single_solves_and_keep_their_errors(self, paper_params):
         drive = paper_params.drive
         blue = oe.DriveSpec(Delta_1=1e8,
                             Delta_2=drive.Delta_2, omega_1=drive.omega_1, omega_2=drive.omega_2)
         rows = [paper_params, paper_params.scaled(drive=blue), strong_drive_params(paper_params)]
-        batch = oe.solve_steady_states(rows)
-        assert batch[0] == oe.solve_steady_state(rows[0])
-        assert isinstance(batch[1], oe.SignConventionViolated)
-        with pytest.raises(oe.SignConventionViolated) as alone:
+        first, last = oe.solve_steady_state(rows[0]), oe.solve_steady_state(rows[2])
+        with pytest.raises(oe.SignConventionViolated,
+                           match=re.escape("requires Delta_1' < 0 < Delta_2'")):
             oe.solve_steady_state(rows[1])
-        assert str(batch[1]) == str(alone.value)
-        assert batch[2] == oe.solve_steady_state(rows[2])
-
-    def test_empty_batch(self):
-        assert oe.solve_steady_states([]) == []
+        assert oe.solve_steady_state(rows[0]) == first and oe.solve_steady_state(rows[2]) == last
 
     def test_unequal_amplitude_warning_names_the_calling_line(self):
         params = linear_cavity_params()
@@ -154,10 +193,6 @@ class TestBatchedSolve:
             oe.solve_steady_state(params)
         line = inspect.currentframe().f_lineno - 1   # the call's line, just above
         assert [(w.filename, w.lineno) for w in single] == [(__file__, line)]
-        with pytest.warns(UserWarning, match="unequal") as rows:
-            oe.solve_steady_states([params, params])
-        line = inspect.currentframe().f_lineno - 1
-        assert [(w.filename, w.lineno) for w in rows] == [(__file__, line)] * 2
 
 
 class TestBranchSelection:

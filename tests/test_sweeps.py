@@ -134,7 +134,6 @@ def forbid_solves(monkeypatch):
     def solve(params):
         raise AssertionError("steady state solved before the grid was checked")
     monkeypatch.setattr(sweeps, "solve_steady_state", solve)
-    monkeypatch.setattr(sweeps, "solve_steady_states", solve)
 
 
 UNEVEN = np.array([0.0, 1e6, 3e6])
@@ -198,6 +197,18 @@ class TestRunSweep:
         assert rows[1].error is not None
         assert math.isnan(rows[1].peak_eof)
 
+    def test_row_failing_its_solve_recorded_by_name(self, paper_params, paper_derived,
+                                                    omega_grid):
+        # eleven times the drive power pushes the operating point out of the window
+        recorded, = sweeps._axis_rows("power_fluct", paper_params, paper_derived, [10.0])
+        with pytest.raises(oe.SignConventionViolated) as raised:
+            oe.solve_steady_state(sweeps._scaled_powers(paper_params, 11.0))
+        assert type(recorded) is type(raised.value) and str(recorded) == str(raised.value)
+        row, = run_sweep(SweepSpec(axis="power_fluct", values=(10.0,), base=paper_params,
+                                   omega_grid=omega_grid)).rows
+        assert row.error == "SignConventionViolated"
+        assert math.isnan(row.peak_eof) and row.derived is None
+
     def test_out_of_domain_row_recorded_not_fatal(self, paper_params, omega_grid):
         # alpha = 20000 puts a laser more than 10 omega_m from the cavity
         rows = run_sweep(SweepSpec(axis="alpha", values=(500.0, 20000.0), base=paper_params,
@@ -255,9 +266,9 @@ class TestRunSweep:
             SweepSpec(axis="d", values=(1.0,), base=paper_params, omega_grid=grid)
 
 
-def alone(row, omega):
-    """_peaks of one row, raising its error."""
-    result, = sweeps._peaks([row], omega, "adiabatic")
+def alone(derived, omega):
+    """_peaks of one solved row, raising its error."""
+    result, = sweeps._peaks([derived], omega, "adiabatic")
     if isinstance(result, Exception):
         raise result
     return result
@@ -425,7 +436,7 @@ def sequential_scan_error(params, derived, scan, omega):
         if isinstance(row, Exception):
             return row
         try:
-            alone(row, omega)
+            alone(oe.solve_steady_state(row), omega)
         except oe.PhysicsError as exc:
             return exc
     return None
@@ -442,8 +453,8 @@ class TestBatchedPeaks:
         rows = run_sweep(SweepSpec(axis="d", values=values, base=paper_params,
                                    omega_grid=omega)).rows
         for value, row in zip(values, rows):
-            derived, x, eof_curve, maxima = alone(
-                sweeps._row_params("d", paper_params, paper_derived, float(value)), omega)
+            derived, x, eof_curve, maxima = alone(oe.solve_steady_state(
+                sweeps._row_params("d", paper_params, paper_derived, float(value))), omega)
             assert row.derived == derived
             assert np.array_equal(row.epr_variance, x) and np.array_equal(row.eof, eof_curve)
             stats = reference_peak_statistics(omega, eof_curve)
@@ -490,12 +501,12 @@ class TestBatchedPeaks:
     def test_failed_evaluation_kept_as_the_single_peak_raises_it(self, omega_grid):
         # alpha = 2000: a 1% power excursion unbalances the amplitudes
         params = oe.parse_config("defaults: paper\ntarget_alpha = 2000\n").params
-        rows = [params, sweeps._scaled_powers(params, 1.01)]
         with pytest.warns(UserWarning, match="unequal cavity amplitudes"):
-            ok, failed = sweeps._peaks(rows, omega_grid, "adiabatic")
-            with pytest.raises(oe.DomainError) as raised:
-                alone(rows[1], omega_grid)
-            expected = reference_peak(oe.solve_steady_state(rows[1]), omega_grid)
+            rows = [oe.solve_steady_state(p) for p in (params, sweeps._scaled_powers(params, 1.01))]
+        ok, failed = sweeps._peaks(rows, omega_grid, "adiabatic")
+        with pytest.raises(oe.DomainError) as raised:
+            alone(rows[1], omega_grid)
+        expected = reference_peak(rows[1], omega_grid)
         assert ok[3] == alone(rows[0], omega_grid)[3]
         assert_as_reference(ok, omega_grid)
         assert type(failed) is type(expected) is oe.DomainError
@@ -533,8 +544,7 @@ class TestSearchRows:
             oe.sensitivity_analysis(params, 0.02 * params.gamma, 0.01, omega_grid=omega_grid)
             (rows, results), = calls
             for row, result in zip(rows, results):
-                derived = row if isinstance(row, oe.DerivedParams) else oe.solve_steady_state(row)
-                expected = reference_peak(derived, omega_grid)
+                expected = row if isinstance(row, Exception) else reference_peak(row, omega_grid)
                 if isinstance(expected, Exception):
                     assert type(result) is type(expected) and str(result) == str(expected)
                 else:
@@ -556,15 +566,13 @@ class TestSearchRows:
             built.append(args)
             return build(*args)
 
-        def no_rows(rows):
-            raise AssertionError("the search solved a row")
         monkeypatch.setattr(sweeps, "solve_steady_state", counting)
-        monkeypatch.setattr(sweeps, "solve_steady_states", no_rows)
         monkeypatch.setattr(sweeps, "operating_point_params", counting_built)
         monkeypatch.setattr(sweeps, "_SCAN_POINTS", 17)
         passes = spy_objective(monkeypatch)
         oe.find_optimum_d_numeric(paper_params, (lo, hi), omega_grid=omega_grid)
-        # the bracket's two ends are built, to check it, and no row after them
+        # the base alone is solved; the bracket's two ends are built, to check it, and no
+        # row after them
         assert single == [paper_params]
         assert [args[3] for args in built] == [lo, hi]
         rounds = len(passes) - 1
@@ -808,30 +816,33 @@ class TestSensitivityAnalysis:
         params = oe.parse_config(f"defaults: paper\ntarget_alpha = {target_alpha}\n").params
         base_derived = oe.solve_steady_state(params)
         at_opt = sweeps._row_params("d", params, base_derived, oe.optimum_d(base_derived).d_o)
-        batched = []
-        solve_rows, peaks = sweeps.solve_steady_states, sweeps._peaks
+        solved = []
+        solve, peaks = sweeps.solve_steady_state, sweeps._peaks
 
-        def counting(rows):
-            batched.append(len(rows))
-            return solve_rows(rows)
+        def counting(params):
+            solved.append(params)
+            return solve(params)
 
         def resolving_baseline(rows, omega, model):
             assert isinstance(rows[0], oe.DerivedParams)
-            return peaks([at_opt] + rows[1:], omega, model)
+            return peaks([sweeps.solve_steady_state(at_opt)] + rows[1:], omega, model)
 
         def analysis():
-            batched.clear()
+            solved.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 report = oe.sensitivity_analysis(params, 0.02 * params.gamma, 0.01,
                                                  omega_grid=omega_grid)
-            return repr(report), sum(batched)
+            # the rows past the base and the optimum: the four excursions, and the
+            # baseline where it is solved again
+            return repr(report), solved.count(at_opt), len(solved) - 2
 
-        monkeypatch.setattr(sweeps, "solve_steady_states", counting)
-        report, rows_solved = analysis()
+        monkeypatch.setattr(sweeps, "solve_steady_state", counting)
+        report, baseline_solves, rows_solved = analysis()
         monkeypatch.setattr(sweeps, "_peaks", resolving_baseline)
-        resolved_report, resolved_rows_solved = analysis()
+        resolved_report, resolved_baseline_solves, resolved_rows_solved = analysis()
         assert report == resolved_report
+        assert baseline_solves == 1 and resolved_baseline_solves == 2
         assert rows_solved == 4 and resolved_rows_solved == 5
 
 

@@ -9,17 +9,21 @@ even here.  The operating points are the benchmark pools
 driven, and the ``oracle_grid`` pool.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import optoepr as oe
 from optoepr.langevin import MODELS
+from optoepr.spectrum import closed_form_grid, offset_x
 from tests.test_benchmark_reference import wl
 
-POOL = [oe.parse_config(text).params for text in wl.OpSearch().pool() + wl.OracleGrid().pool()]
+OPSEARCH_POOL = [oe.parse_config(text).params for text in wl.OpSearch().pool()]
+POOL = OPSEARCH_POOL + [oe.parse_config(text).params for text in wl.OracleGrid().pool()]
 ORACLE_POOL = [oe.solve_steady_state(oe.parse_config(text).params)
                for text in wl.OracleGrid().pool()]
 GRID_POINTS = wl.OracleGrid.GRID_POINTS
@@ -31,6 +35,18 @@ RATES = ("Delta_1p", "Delta_2p", "delta", "d", "g", "g_prime", "gamma_m_tilde", 
 # |n(w) - n(-w)| / |n(w)| of full6 reads at most 4.4e-16 at the paper point and on the
 # oracle_grid configs below (5.6e-16 over both pools at 201 and 2001 points).
 FULL6_EVEN_RTOL = 4.0 * np.finfo(float).eps
+
+
+def scaled_params(params, factor):
+    """``params`` with omega_p, omega_m, gamma, gamma_m, nu, T and the drive scaled by
+    ``factor``; eta, R and n0 kept."""
+    drive = params.drive
+    return params.scaled(
+        omega_p=factor * params.omega_p, omega_m=factor * params.omega_m,
+        gamma=factor * params.gamma, gamma_m=factor * params.gamma_m, nu=factor * params.nu,
+        T=factor * params.T,
+        drive=oe.DriveSpec(factor * drive.Delta_1, factor * drive.Delta_2,
+                           factor * drive.omega_1, factor * drive.omega_2))
 
 
 def scaled_rates(derived, factor):
@@ -52,16 +68,8 @@ def assert_same_evaluation(a, b):
 class TestPowerOfTwoScaling:
     @given(st.sampled_from(POOL), even_powers(-3, 5))
     def test_steady_state_scales_its_rates(self, params, factor):
-        # omega_p, omega_m, gamma, gamma_m, nu, T and the drive scaled; eta, R and n0 kept
-        drive = params.drive
-        scaled = params.scaled(
-            omega_p=factor * params.omega_p, omega_m=factor * params.omega_m,
-            gamma=factor * params.gamma, gamma_m=factor * params.gamma_m, nu=factor * params.nu,
-            T=factor * params.T,
-            drive=oe.DriveSpec(factor * drive.Delta_1, factor * drive.Delta_2,
-                               factor * drive.omega_1, factor * drive.omega_2))
-        assert oe.solve_steady_state(scaled) == scaled_rates(oe.solve_steady_state(params),
-                                                             factor)
+        assert oe.solve_steady_state(scaled_params(params, factor)) == scaled_rates(
+            oe.solve_steady_state(params), factor)
 
     @given(st.sampled_from(ORACLE_POOL), st.sampled_from(MODELS), even_powers(-10, 6))
     def test_models_are_unchanged_on_scaled_rates(self, derived, model, factor):
@@ -83,3 +91,94 @@ class TestEvenInOmega:
             assert np.array_equal(plus.failed, minus.failed)
             ok = ~plus.failed
             assert np.all(np.abs(plus.n[ok] - minus.n[ok]) <= FULL6_EVEN_RTOL * plus.n[ok])
+
+
+# (opsearch op, k) whose sensitivity cases do not scale to the bit.  The d - jitter row's
+# drive amplitude (amplitude_to_drive) squares Delta_1' with ``**``, i.e. the C library's
+# pow, which is not correctly rounded: (2^k x)**2 can differ from 2^(2k) x**2 by 1 ulp.
+# The amplitude then moves by 1 ulp, and the case's peak EOF by 1.5e-13 relative.
+POW_MISMATCHES = [(83, -4), (83, 4), (83, 6)]
+
+
+def search_setup(params):
+    """The steady state, closed-form optimum d, bracket and grid of an ``opsearch`` op."""
+    derived = oe.solve_steady_state(params)
+    d_o = oe.optimum_d(derived).d_o
+    return (derived, d_o, (0.25 * d_o, min(4.0 * d_o, 0.5 * params.gamma)),
+            oe.default_omega_grid(params.gamma, wl.OpSearch.GRID_POINTS))
+
+
+def outcome(f, *args, **kwargs):
+    """``f(*args, **kwargs)``, or the class of the PhysicsError it raises."""
+    try:
+        return f(*args, **kwargs)
+    except oe.PhysicsError as exc:
+        return type(exc)
+
+
+class TestPowerOfTwoScalingOfTheAnalyses:
+    """The closed-form rows, the d-search, the sensitivity analysis and the occupation
+    scale with the rates, their inputs (offsets, brackets, jitters, grids) scaled alike.
+    Strong ``opsearch`` ops unbalance the amplitudes of their power excursions; that
+    warning is not the subject here."""
+
+    @given(st.lists(st.sampled_from(ORACLE_POOL), min_size=2, max_size=4), even_powers(-5, 5))
+    def test_closed_form_rows_are_unchanged(self, rows, factor):
+        grid = oe.default_omega_grid(rows[0].gamma, GRID_POINTS)
+        assert_same_evaluation(closed_form_grid([scaled_rates(r, factor) for r in rows],
+                                                factor * grid),
+                               closed_form_grid(rows, grid))
+
+    @settings(max_examples=30)
+    @given(st.sampled_from(OPSEARCH_POOL), even_powers(-2, 3))
+    def test_offset_rows_are_unchanged(self, params, factor):
+        derived, _, bracket, grid = search_setup(params)
+        d = np.linspace(*bracket, 9)
+        x, abs_D2 = offset_x(derived, d)(grid)
+        scaled_x, scaled_abs_D2 = offset_x(scaled_rates(derived, factor), factor * d)(factor * grid)
+        assert np.array_equal(scaled_x, x) and np.array_equal(scaled_abs_D2, factor**4 * abs_D2)
+
+    @settings(max_examples=20)
+    @given(st.sampled_from(OPSEARCH_POOL), even_powers(-2, 3))
+    def test_optimum_d_scales(self, params, factor):
+        _, _, (lo, hi), grid = search_setup(params)
+        d_star = outcome(oe.find_optimum_d_numeric, params, (lo, hi), omega_grid=grid)
+        scaled = outcome(oe.find_optimum_d_numeric, scaled_params(params, factor),
+                         (factor * lo, factor * hi), omega_grid=factor * grid)
+        assert scaled == (d_star * factor if isinstance(d_star, float) else d_star)
+
+    @staticmethod
+    def assert_sensitivity_cases_scale(params, factor):
+        _, d_o, _, grid = search_setup(params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            report = outcome(oe.sensitivity_analysis, params, 0.05 * d_o, 0.01, omega_grid=grid)
+            scaled = outcome(oe.sensitivity_analysis, scaled_params(params, factor),
+                             factor * 0.05 * d_o, 0.01, omega_grid=factor * grid)
+        if isinstance(report, type):
+            assert scaled is report
+            return
+        assert ((scaled.baseline_peak_eof, scaled.worst_peak_eof, scaled.degradation)
+                == (report.baseline_peak_eof, report.worst_peak_eof, report.degradation))
+        # repr: a failed case's d and peak are NaN
+        assert ([repr((c.label, c.d, c.peak_eof, c.error)) for c in scaled.cases]
+                == [repr((c.label, factor * c.d, c.peak_eof, c.error)) for c in report.cases])
+
+    @settings(max_examples=20)
+    @given(st.integers(0, len(OPSEARCH_POOL) - 1), st.integers(-2, 3).map(lambda j: 2 * j))
+    def test_sensitivity_cases_scale(self, index, k):
+        assume((index, k) not in POW_MISMATCHES)
+        self.assert_sensitivity_cases_scale(OPSEARCH_POOL[index], 2.0**k)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="pow(x, 2) is not 2^k-equivariant")
+    @pytest.mark.parametrize("index, k", POW_MISMATCHES)
+    def test_sensitivity_cases_scale_where_pow_rounds_apart(self, index, k):
+        self.assert_sensitivity_cases_scale(OPSEARCH_POOL[index], 2.0**k)
+
+    @settings(max_examples=6, deadline=None)   # up to ~0.1 s per occupation
+    @given(st.sampled_from(OPSEARCH_POOL), even_powers(-2, 3))
+    def test_occupation_is_unchanged(self, params, factor):
+        derived = oe.solve_steady_state(params)
+        assert (outcome(oe.intracavity_occupation, scaled_rates(derived, factor))
+                == outcome(oe.intracavity_occupation, derived))
