@@ -3,6 +3,11 @@
 Commands: derive, spectrum, sweep, optimum, verify, occupation.  Without
 ``--config`` the built-in default operating point is used.  Exit codes:
 0 success, 2 configuration error, 3 physics-domain error, 4 IO error.
+
+Each command imports what it runs beyond the closed form: ``sweep`` and
+``optimum --numeric`` load :mod:`optoepr.sweeps`, ``verify`` and
+``occupation`` load :mod:`optoepr.langevin`, and ``derive``, ``spectrum``
+and ``optimum`` load neither.
 """
 
 from __future__ import annotations
@@ -17,12 +22,10 @@ import numpy as np
 from . import io as tabio
 from .config import RunConfig, parse_config
 from .errors import ConfigError, OptoEprError, PhysicsError
-from .langevin import MODELS, evaluate, intracavity_occupation, model_deviations
 from .params import validate_regime
-from .spectrum import metric_columns, optimum_d, spectrum_flags
+from .spectrum import (DEFAULT_GRID_HALF_WIDTH_GAMMAS, DEFAULT_GRID_POINTS, closed_form_grid,
+                       metric_columns, optimum_d, spectrum_flags)
 from .steady_state import operating_point_params, solve_steady_state
-from .sweeps import (DEFAULT_GRID_HALF_WIDTH_GAMMAS, DEFAULT_GRID_POINTS, SweepSpec,
-                     find_optimum_d_numeric, run_sweep)
 
 _AXIS_NAMES = {"T": "temperature", "alpha": "alpha", "d": "d", "Q": "Q"}
 _DEFAULT_SWEEP_VALUES = {
@@ -85,11 +88,11 @@ def _load_config(args) -> RunConfig:
                                output_path=args.out or cfg.output_path)
 
 
-def _grid(args, gamma: float) -> np.ndarray:
+def _grid(args, gamma: float, min_points: int = 1) -> np.ndarray:
     half_width = DEFAULT_GRID_HALF_WIDTH_GAMMAS * gamma
     lo = -half_width if args.omega_min is None else args.omega_min
     hi = half_width if args.omega_max is None else args.omega_max
-    if args.omega_points < 1 or not np.isfinite([lo, hi]).all() or hi < lo:
+    if args.omega_points < min_points or not np.isfinite([lo, hi]).all() or hi < lo:
         raise ConfigError("invalid omega grid")
     return np.linspace(lo, hi, args.omega_points)
 
@@ -124,8 +127,9 @@ def _cmd_derive(args, cfg: RunConfig) -> int:
     derived = solve_steady_state(params)
     # regime ratios are quoted at the elimination band edge unless the
     # caller pins a band explicitly, then at its largest |bound|
-    bounds = [abs(b) for b in (args.omega_min, args.omega_max) if b is not None]
-    if not np.isfinite(bounds).all():
+    lo, hi = args.omega_min, args.omega_max
+    bounds = [abs(b) for b in (lo, hi) if b is not None]
+    if not np.isfinite(bounds).all() or (len(bounds) == 2 and hi < lo):
         raise ConfigError("invalid omega grid")
     omega_max = max(bounds) if bounds else 0.1 * derived.delta
     report = validate_regime(params, derived, omega_max=omega_max)
@@ -145,13 +149,14 @@ def _cmd_spectrum(args, cfg: RunConfig) -> int:
     params = cfg.params
     derived = solve_steady_state(params)
     grid = _grid(args, params.gamma)
-    ev = evaluate(derived, grid, "adiabatic")
+    ev = closed_form_grid(derived, grid)
     flags = (";".join(f) for f in spectrum_flags(derived, grid, ev.error))
     _emit(_rows(grid, derived.gamma, "adiabatic", ev.x, flags, n=ev.n, k_x=ev.k_x), cfg)
     return 0
 
 
 def _cmd_sweep(args, cfg: RunConfig) -> int:
+    from .sweeps import SweepSpec, run_sweep
     if not args.axis:
         raise ConfigError("sweep requires --axis {T|alpha|d|Q}")
     axis = _AXIS_NAMES[args.axis]
@@ -193,14 +198,18 @@ def _cmd_optimum(args, cfg: RunConfig) -> int:
     if opt.unbounded:
         print("warning: squeezing unbounded in this limit")
     if args.numeric:
+        from .sweeps import find_optimum_d_numeric
         bracket = (0.25 * opt.d_o, min(4.0 * opt.d_o, 0.5 * params.gamma))
-        d_star = find_optimum_d_numeric(params, bracket, omega_grid=_grid(args, params.gamma))
+        # the search refines between grid points: it needs two
+        grid = _grid(args, params.gamma, min_points=2)
+        d_star = find_optimum_d_numeric(params, bracket, omega_grid=grid)
         print(f"numeric optimum d* = {d_star:.10g} rad/s "
               f"({abs(d_star - opt.d_o) / opt.d_o:.3%} from closed form)")
     return 0
 
 
 def _cmd_verify(args, cfg: RunConfig) -> int:
+    from .langevin import MODELS, evaluate, model_deviations
     models = tuple(m.strip() for m in args.models.split(",") if m.strip())
     if not models or set(models) - set(MODELS):
         raise ConfigError(f"--models {args.models!r}: expected a comma-separated list "
@@ -218,11 +227,13 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
     _emit([row for group in zip(*per_model) for row in group], cfg,
           tabio.BASE_COLUMNS + tuple(f"dev_{m}" for m in models[1:]))
     for model, dev in worst.items():
-        print(f"# max |rel dev| of n-k_x, {model} vs {models[0]}: {dev:.6g}", file=sys.stderr)
+        summary = "no point compared" if np.isnan(devs[model]).all() else f"{dev:.6g}"
+        print(f"# max |rel dev| of n-k_x, {model} vs {models[0]}: {summary}", file=sys.stderr)
     return 0
 
 
 def _cmd_occupation(args, cfg: RunConfig) -> int:
+    from .langevin import intracavity_occupation
     derived = solve_steady_state(cfg.params)
     value = intracavity_occupation(derived)
     alpha_sq = abs(derived.alpha_1) ** 2

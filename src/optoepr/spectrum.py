@@ -51,6 +51,11 @@ import numpy as np
 from .errors import DomainError
 from .steady_state import ALPHA_MATCH_RTOL, DerivedParams
 
+# Default evaluation grid of the command line and the sweeps: 2001 points
+# over [-2 gamma, 2 gamma].
+DEFAULT_GRID_POINTS = 2001
+DEFAULT_GRID_HALF_WIDTH_GAMMAS = 2.0
+
 
 @dataclass(frozen=True)
 class StandardForm:

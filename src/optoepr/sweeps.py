@@ -21,7 +21,9 @@ numbers equal those of the row evaluated alone, to the last bit.  An
 excursion forms only its peak EOF; the peak's omegas and the FWHM are formed
 for sweep rows alone, and an error name only for a row that failed.  A
 sweep row outside the parameter domain is recorded as a ``ParameterError``
-row; in an analysis or a search it is raised, as an input error.
+row; in an analysis or a search it is raised, as an input error.  Only a
+sweep of an exact model loads :mod:`optoepr.langevin`, where its model is
+checked and where its rows are evaluated.
 
 ``find_optimum_d_numeric`` solves the base alone.  Its rows are the ``d``
 rows at their designed root N = 2 alpha^2, where holding alpha and delta
@@ -58,16 +60,12 @@ import numpy as np
 
 from . import errors
 from .errors import BracketError, DegenerateResponse, DomainError, ParameterError, PhysicsError
-from .langevin import MODELS, evaluate
 from .params import DriveSpec, PhysicalParams, gamma_m_from_q, power_to_amplitude
-from .spectrum import closed_form_grid, degenerate_mask, eof_array, offset_x, optimum_d
+from .spectrum import (DEFAULT_GRID_HALF_WIDTH_GAMMAS, DEFAULT_GRID_POINTS, closed_form_grid,
+                       degenerate_mask, eof_array, offset_x, optimum_d)
 from .steady_state import DerivedParams, operating_point_params, solve_steady_state, window_error
 
 SWEEP_AXES = ("temperature", "alpha", "d", "Q", "power_fluct")
-
-# Default evaluation grid: 2001 points over [-2 gamma, 2 gamma].
-DEFAULT_GRID_POINTS = 2001
-DEFAULT_GRID_HALF_WIDTH_GAMMAS = 2.0
 
 # Largest deviation of an omega grid's steps from the mean step, relative to
 # it, that still counts as evenly spaced.  On top of it a step may be off by
@@ -133,8 +131,10 @@ class SweepSpec:
         if len(diffs) and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ValueError("values must be strictly monotone")
         _check_grid(np.asarray(self.omega_grid, dtype=float))
-        if self.model not in MODELS:
-            raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
+        if self.model != "adiabatic":   # the closed form needs no langevin
+            from .langevin import MODELS
+            if self.model not in MODELS:
+                raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
 
 
 @dataclass(frozen=True)
@@ -279,6 +279,8 @@ def _peaks(rows: list, omega: np.ndarray, model: str) -> list:
     results = list(rows)
     solved = [k for k, row in enumerate(rows) if isinstance(row, DerivedParams)]
     size = max(1, _BLOCK_POINTS // len(omega)) if model == "adiabatic" else 1
+    if model != "adiabatic":
+        from .langevin import evaluate
     for start in range(0, len(solved), size):
         block = solved[start:start + size]
         derived = [results[k] for k in block]
@@ -521,8 +523,6 @@ def _continuous_min(x_at, omega: np.ndarray, x: np.ndarray) -> np.ndarray:
     rows = np.arange(x.shape[0])
     best = np.argmin(x, axis=1)
     center, least = omega[best], x[rows, best]
-    if len(omega) < 2:
-        return least
     half = (omega[-1] - omega[0]) / (len(omega) - 1)
     for _ in range(_MIN_ROUNDS):
         w = np.clip(center[:, None] + half * _MIN_OFFSETS, omega[0], omega[-1])
@@ -558,13 +558,16 @@ def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, fl
     ``_TOL_FRAC * max(|lo|, |hi|)`` wide, or no float lies inside it, and the
     search returns its midpoint.  A degenerate bracket returns its single
     point.  A bracket with a non-finite end or with hi < lo raises
-    :class:`BracketError`, and an empty or unevenly spaced ``omega_grid``
-    ValueError, before anything is solved.
+    :class:`BracketError`, and an ``omega_grid`` of fewer than 2 points (with
+    no cell to refine the minimum in) or unevenly spaced ValueError, before
+    anything is solved.
     """
     lo, hi = float(search_bracket[0]), float(search_bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise BracketError(f"invalid bracket ({lo:g}, {hi:g})")
     omega = _search_grid(base, omega_grid)
+    if len(omega) < 2:
+        raise ValueError(f"omega_grid must have at least 2 points, got {len(omega)}")
     if hi == lo:
         return lo
     base_derived = solve_steady_state(base)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import optoepr as oe
-from optoepr import cli, steady_state
+from optoepr import cli, steady_state, sweeps
 from optoepr.cli import _build_parser, _grid, main
 from optoepr.io import BASE_COLUMNS, read_jsonlines
 from optoepr.langevin import evaluate, model_deviations
@@ -276,18 +276,25 @@ class TestOptimum:
             assert grid.dtype == expected.dtype and grid.tobytes() == expected.tobytes()
 
     def test_numeric_search_runs_on_the_grid_flags(self, capsys, monkeypatch):
+        # the command imports the search where it runs it, from sweeps
         grids = []
-        search = cli.find_optimum_d_numeric
+        search = sweeps.find_optimum_d_numeric
 
         def spy(params, bracket, omega_grid=None):
             grids.append(omega_grid)
             return search(params, bracket, omega_grid=omega_grid)
-        monkeypatch.setattr(cli, "find_optimum_d_numeric", spy)
+        monkeypatch.setattr(sweeps, "find_optimum_d_numeric", spy)
         code, out, _ = run(capsys, "optimum", "--numeric", "--omega-points", "201",
                            "--omega-min=-3e7", "--omega-max", "3e7")
         assert code == 0 and "numeric optimum d* = " in out
         grid, = grids
         assert grid.tobytes() == np.linspace(-3e7, 3e7, 201).tobytes()
+
+    def test_numeric_search_on_one_point_exits_2(self, capsys):
+        # one grid point leaves the search no cell to refine its minimum in
+        code, _, err = run(capsys, "optimum", "--numeric", "--omega-points", "1")
+        assert code == 2
+        assert err == "configuration error: invalid omega grid\n"
 
 
 class TestVerify:
@@ -301,6 +308,26 @@ class TestVerify:
         assert lines[0].endswith("flags,dev_rwa3")
         assert len(lines) == 1 + 5 * 2
         assert "max |rel dev|" in err
+
+    def test_no_point_compared_is_said(self, tmp_path, capsys):
+        # at omega = -2 gamma alone both exact models fail (NotSymmetricState): their
+        # worst deviation is 0.0 by model_deviations' rule, which compared nothing
+        code, _, err = run(capsys, "verify", "--omega-points", "1", "--out",
+                           str(tmp_path / "v.csv"))
+        assert code == 0
+        assert err == ("# max |rel dev| of n-k_x, rwa3 vs adiabatic: no point compared\n"
+                       "# max |rel dev| of n-k_x, full6 vs adiabatic: no point compared\n")
+
+    def test_worst_deviation_printed_where_a_point_compares(self, tmp_path, capsys):
+        derived = oe.solve_steady_state(oe.paper_default_config().params)
+        grid = np.linspace(-1e6, 1e6, 5)
+        models = ("adiabatic", "rwa3")
+        _, worst = model_deviations({m: evaluate(derived, grid, m) for m in models}, models)
+        code, _, err = run(capsys, "verify", "--models", ",".join(models), "--omega-points", "5",
+                           "--omega-min=-1e6", "--omega-max", "1e6",
+                           "--out", str(tmp_path / "v.csv"))
+        assert code == 0
+        assert err == f"# max |rel dev| of n-k_x, rwa3 vs adiabatic: {worst['rwa3']:.6g}\n"
 
 
 class TestOccupation:
@@ -412,6 +439,26 @@ drive_omega2_rads = 1e12
         assert code == 2
         assert err == "configuration error: invalid omega grid\n"
         assert out == "" and not table.exists()
+
+    INVERTED_GRIDS = [
+        ("derive", "--omega-min", "1", "--omega-max", "0"),
+        ("derive", "--omega-min=-1e6", "--omega-max=-2e6"),
+        ("spectrum", "--omega-min", "1", "--omega-max", "0", "--omega-points", "3"),
+        ("verify", "--omega-min", "1", "--omega-max", "0", "--omega-points", "5"),
+        ("sweep", "--axis", "T", "--omega-min", "1", "--omega-max", "0", "--omega-points", "5"),
+    ]
+
+    @pytest.mark.parametrize("argv", INVERTED_GRIDS, ids=lambda argv: " ".join(argv))
+    def test_inverted_grid_exits_2(self, argv, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        code, out, err = run(capsys, *argv, "--out", str(table))
+        assert code == 2
+        assert err == "configuration error: invalid omega grid\n"
+        assert out == "" and not table.exists()
+
+    def test_derive_accepts_one_bound_beyond_the_default_band(self, capsys):
+        # derive has no grid: a lone bound only sets where the ratios are quoted
+        assert run(capsys, "derive", "--omega-min", "1e9")[0] == 0
 
     # Parameters outside their domain: eta >= 1, T < 0, delta <= 0, a laser
     # more than 10 omega_m from the cavity, Q = 0 and NaN or infinite values

@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import optoepr as oe
-from optoepr import sweeps
+from optoepr import langevin, sweeps
 from optoepr.spectrum import closed_form_grid, eof_array, offset_x
 from optoepr.sweeps import PeakStats, SweepSpec, _parabolic_refine, peak_statistics, run_sweep
 
@@ -487,13 +487,14 @@ class TestBatchedPeaks:
 
     def test_raised_evaluation_error_recorded_on_its_row(self, optimum_params, omega_grid,
                                                          monkeypatch):
-        evaluate = sweeps.evaluate
+        # an exact model's rows go through langevin.evaluate, imported where it is run
+        evaluate = langevin.evaluate
 
         def singular_when_hot(derived, omegas, model):
             if derived.n_m > 1e5:
                 raise oe.SingularDrift("rwa3 drift singular on the frequency grid")
             return evaluate(derived, omegas, model)
-        monkeypatch.setattr(sweeps, "evaluate", singular_when_hot)
+        monkeypatch.setattr(langevin, "evaluate", singular_when_hot)
         rows = run_sweep(SweepSpec(axis="temperature", values=(4.0, 3000.0), base=optimum_params,
                                    omega_grid=omega_grid[::20], model="rwa3")).rows
         assert rows[0].error != "SingularDrift" and rows[1].error == "SingularDrift"
@@ -632,6 +633,14 @@ class TestFindOptimumD:
         forbid_solves(monkeypatch)
         with pytest.raises(ValueError, match="omega_grid must be evenly spaced"):
             oe.find_optimum_d_numeric(paper_params, (1e6, 2e6), omega_grid=UNEVEN)
+
+    @pytest.mark.parametrize("bracket", [(1e6, 2e6), (1e6, 1e6)])
+    def test_one_point_grid_rejected_before_solving(self, paper_params, monkeypatch, bracket):
+        # one point has no cell to refine the minimum in: the objective would be the
+        # EOF at that frequency alone
+        forbid_solves(monkeypatch)
+        with pytest.raises(ValueError, match="omega_grid must have at least 2 points, got 1"):
+            oe.find_optimum_d_numeric(paper_params, bracket, omega_grid=np.array([-6.4e7]))
 
     def test_descending_grid_rejected_before_solving(self, paper_params, omega_grid,
                                                      monkeypatch):
