@@ -192,17 +192,18 @@ def _cmd_optimum(args, cfg: RunConfig) -> int:
     params = cfg.params
     derived = solve_steady_state(params)
     opt = optimum_d(derived)
+    if args.numeric:   # searched before anything is printed: a failed search prints nothing
+        from .sweeps import find_optimum_d_numeric
+        bracket = (0.25 * opt.d_o, min(4.0 * opt.d_o, 0.5 * params.gamma))
+        # the search refines between grid points: it needs two
+        grid = _grid(args, params.gamma, min_points=2)
+        d_star = find_optimum_d_numeric(params, bracket, omega_grid=grid)
     print(f"d_o = {opt.d_o:.10g} rad/s = {opt.d_o / params.gamma:.6g} gamma")
     print(f"S_o = {opt.S_o_db:.6g} dB")
     print(f"EOF_o = {opt.eof_o:.6g} ebits")
     if opt.unbounded:
         print("warning: squeezing unbounded in this limit")
     if args.numeric:
-        from .sweeps import find_optimum_d_numeric
-        bracket = (0.25 * opt.d_o, min(4.0 * opt.d_o, 0.5 * params.gamma))
-        # the search refines between grid points: it needs two
-        grid = _grid(args, params.gamma, min_points=2)
-        d_star = find_optimum_d_numeric(params, bracket, omega_grid=grid)
         print(f"numeric optimum d* = {d_star:.10g} rad/s "
               f"({abs(d_star - opt.d_o) / opt.d_o:.3%} from closed form)")
     return 0

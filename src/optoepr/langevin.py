@@ -61,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonConvergent, NotSymmetricState, SingularDrift
-from .spectrum import Evaluation, StandardForm, closed_form_grid, epr_columns
+from .spectrum import Evaluation, StandardForm, closed_form_grid, epr_columns, one_d_grid
 from .steady_state import DerivedParams
 
 _MIRROR_PERM = np.array([1, 0, 3, 2, 5, 4])
@@ -437,16 +437,6 @@ def standard_form_reduce(V: Covariance4) -> StandardForm:
     return StandardForm(n=n, k_x=k_x, k_p=k_p, residual=residual)
 
 
-def _one_d_grid(omega_grid) -> np.ndarray:
-    """``omega_grid`` as a float array; raises ValueError unless it is 1-D and finite."""
-    omegas = np.asarray(omega_grid, dtype=float)
-    if omegas.ndim != 1:
-        raise ValueError(f"frequency grid must be 1-D, got shape {omegas.shape}")
-    if not np.isfinite(omegas).all():
-        raise ValueError("frequency grid must be finite, got a NaN or infinite frequency")
-    return omegas
-
-
 def evaluate(derived: DerivedParams, omegas, model: str) -> Evaluation:
     """n, k_x and n - k_x of one model over a frequency grid, in one batched pass.
 
@@ -457,17 +447,17 @@ def evaluate(derived: DerivedParams, omegas, model: str) -> Evaluation:
     residual max(|n1 - n|, |n2 - n|) and k_x = hypot(a + a, b + b) / 2, to the
     last bit what :func:`_reduce` gives on the laid-out covariance.  Failed
     points are flagged by name: ``NotSymmetricState`` where an exact model's
-    residual exceeds 5% of n, ``DomainError`` where n - k_x <= 0.  The closed
-    form takes a grid of any shape, the exact models a finite 1-D one.  Raises
-    ValueError for an unknown model or an exact model's grid that is not 1-D
-    or not finite (before anything is solved), and SingularDrift if a drift is
-    singular anywhere on the grid.
+    residual exceeds 5% of n, ``DomainError`` where n - k_x is not positive.
+    The closed form takes a grid of any shape, the exact models a finite 1-D
+    one.  Raises ValueError for an unknown model or an exact model's grid that
+    breaks that rule (:func:`~optoepr.spectrum.one_d_grid`, before anything is
+    solved), and SingularDrift if a drift is singular anywhere on the grid.
     """
     if model == "adiabatic":
         return closed_form_grid(derived, omegas)
     if model not in _GENERATORS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
-    n1, n2, a, b = _covariance_blocks(_response_maps(derived, _one_d_grid(omegas), model),
+    n1, n2, a, b = _covariance_blocks(_response_maps(derived, one_d_grid(omegas), model),
                                       derived.n_m)
     # _reduce's arithmetic on the laid-out blocks: the cross block's first hypot is hypot(0, 0)
     n = (n1 + n1 + n2 + n2) / 4.0
@@ -596,7 +586,7 @@ def compare_models(derived: DerivedParams, omega_grid,
         raise ValueError("at least one model required")
     if len(set(models)) != len(models):
         raise ValueError(f"each model may be compared once; got {models}")
-    omegas = _one_d_grid(omega_grid)
+    omegas = one_d_grid(omega_grid)
     evals = {m: evaluate(derived, omegas, m) for m in models}
     devs, worst = model_deviations(evals, models)
     points = []

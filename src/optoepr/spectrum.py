@@ -44,7 +44,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -55,6 +54,17 @@ from .steady_state import ALPHA_MATCH_RTOL, DerivedParams
 # over [-2 gamma, 2 gamma].
 DEFAULT_GRID_POINTS = 2001
 DEFAULT_GRID_HALF_WIDTH_GAMMAS = 2.0
+
+
+def one_d_grid(omega_grid) -> np.ndarray:
+    """The frequency-grid rule: ``omega_grid`` as a float array, ValueError unless it
+    is 1-D and finite."""
+    omegas = np.asarray(omega_grid, dtype=float)
+    if omegas.ndim != 1:
+        raise ValueError(f"frequency grid must be 1-D, got shape {omegas.shape}")
+    if not np.isfinite(omegas).all():
+        raise ValueError("frequency grid must be finite, got a NaN or infinite frequency")
+    return omegas
 
 
 @dataclass(frozen=True)
@@ -83,9 +93,9 @@ class Evaluation:
     def from_standard_form(cls, n: np.ndarray, k_x: np.ndarray,
                            failed: np.ndarray, name: str) -> "Evaluation":
         """Name the ``failed`` points ``name``, form x = n - k_x, flag the other points
-        with x <= 0 as ``DomainError`` and blank every failed point."""
+        whose x is not positive (or NaN) as ``DomainError``, blank every failed point."""
         x = n - k_x
-        domain = (x <= 0) & ~failed
+        domain = ~(x > 0) & ~failed
         error = np.empty(x.shape, dtype=object)
         error.fill("")   # cheaper than np.full for an object array
         error[failed] = name
@@ -106,37 +116,37 @@ class OptimumD:
     unbounded: bool
 
 
-# The DerivedParams fields that the closed-form kernel reads.
+# The DerivedParams fields the closed-form kernel takes, in its argument order.
 _CLOSED_FORM_FIELDS = ("g", "g_prime", "gamma", "gamma_m_tilde", "n_m")
 
 
-def _closed_form(params):
-    """The closed-form kernel of ``params``: the row part is formed here, the frequency
-    part is returned, ``standard_form(omegas) -> (n, k_x, x, |Delta|^2)``.
+def _closed_form(g, g_prime, gamma, gamma_m_tilde, n_m):
+    """The closed-form kernel of the five numbers :data:`_CLOSED_FORM_FIELDS` names:
+    the row part is formed here, the frequency part is returned,
+    ``standard_form(omegas) -> (n, k_x, x, |Delta|^2)``.
 
-    numpy-polymorphic in the fields :data:`_CLOSED_FORM_FIELDS` of ``params``
-    and in omega: (K, 1) columns of them give (K, N) arrays on an N-point grid
-    or on a (K, N) block of per-row frequencies.  g' has the rows' shape, and
-    every other field is a scalar or has that shape.  The row part forms what
-    holds no frequency once: g^2, g'^2, gamma^2/4, the thermal factor of the
-    mechanical term, (g'^2 + g^2) gamma^2, 2 g' g gamma^2 and -2 g gamma, each
-    scalar as a 0-d array, which numpy combines with an array faster than a
-    float.  The frequency part forms the terms that hold omega alone at omega's
-    shape, then works in place on the arrays it has allocated, under one
+    numpy-polymorphic in the five numbers and in omega: (K, 1) columns of them
+    give (K, N) arrays on an N-point grid or on a (K, N) block of per-row
+    frequencies.  g' has the rows' shape, and every other number is a scalar
+    or has that shape.  The row part forms what holds no frequency once: g^2,
+    g'^2, gamma^2/4, the thermal factor of the mechanical term,
+    (g'^2 + g^2) gamma^2, 2 g' g gamma^2 and -2 g gamma, each scalar as a 0-d
+    array, which numpy combines with an array faster than a float.  The
+    frequency part forms the terms that hold omega alone at omega's shape,
+    then works in place on the arrays it has allocated, under one
     ``np.errstate``.  Every sum and product is formed in the association order
     of the formulas in the module docstring and every square as a product (a
     ``** 2`` of a 0-d value would be a ``pow``), so a point has the same bits
     whatever the shape it comes in.
     """
-    g, gp, gamma = params.g, params.g_prime, params.gamma
-    therm = gamma * params.gamma_m_tilde * (2.0 * params.n_m + 1.0)
-    g2, gp2, quarter = g * g, gp * gp, gamma * gamma / 4.0
+    therm = gamma * gamma_m_tilde * (2.0 * n_m + 1.0)
+    g2, gp2, quarter = g * g, g_prime * g_prime, gamma * gamma / 4.0
     static = (gp2 + g2) * gamma * gamma
-    cross = 2.0 * gp * g * gamma * gamma
+    cross = 2.0 * g_prime * g * gamma * gamma
     v14_factor = -2.0 * g * gamma
     g, gp, gamma, therm, g2, gp2, quarter, static, cross, v14_factor = (
         np.asarray(v, dtype=float)
-        for v in (g, gp, gamma, therm, g2, gp2, quarter, static, cross, v14_factor))
+        for v in (g, g_prime, gamma, therm, g2, gp2, quarter, static, cross, v14_factor))
 
     def standard_form(omegas):
         w2 = omegas * omegas
@@ -242,17 +252,17 @@ def offset_x(derived: DerivedParams, d):
 
     Moving d with alpha and delta held, as :func:`operating_point_params` does at
     its designed root N = 2 alpha^2, changes no field the closed form reads but
-    g' = g + d.  So nothing is solved: the K offsets enter as one (K, 1) column
-    of g', whose row part :func:`_closed_form` forms here, once for all the
-    ``x_at`` calls, and row k equals the x of :func:`closed_form_grid` of
-    ``derived`` with ``d`` and ``g_prime`` replaced, to the last bit, wherever
-    that x is not blanked.  ``omegas`` is an N-point grid, a (K, M) block of
-    per-row frequencies or one frequency.  The amplitudes are equal by design,
-    so no row is failed for a mismatch, and x <= 0 is left to the caller.
+    g' = g + d.  So nothing is solved: the K offsets enter :func:`_closed_form`
+    as one (K, 1) column of g' beside four scalars, its row part is formed
+    here, once for all the ``x_at`` calls, and row k equals the x of
+    :func:`closed_form_grid` of ``derived`` with ``d`` and ``g_prime``
+    replaced, to the last bit, wherever that x is not blanked.  ``omegas`` is
+    an N-point grid, a (K, M) block of per-row frequencies or one frequency.
+    The amplitudes are equal by design, so no row is failed for a mismatch;
+    an x that is not positive is left to the caller.
     """
-    standard_form = _closed_form(SimpleNamespace(
-        g=derived.g, g_prime=derived.g + np.asarray(d, dtype=float)[:, None],
-        gamma=derived.gamma, gamma_m_tilde=derived.gamma_m_tilde, n_m=derived.n_m))
+    standard_form = _closed_form(derived.g, derived.g + np.asarray(d, dtype=float)[:, None],
+                                 derived.gamma, derived.gamma_m_tilde, derived.n_m)
 
     def x_at(omegas):
         _, _, x, abs_D2 = standard_form(np.asarray(omegas, dtype=float))
@@ -270,21 +280,23 @@ def closed_form_grid(derived: DerivedParams | Sequence[DerivedParams], omegas) -
 
     Unequal amplitudes fail every point of a row with ``DomainError``; a
     vanishing response denominator (:func:`degenerate_mask`) fails a point
-    with ``DegenerateResponse``; n - k_x <= 0 fails it with ``DomainError``.
+    with ``DegenerateResponse``; an n - k_x that is not positive (NaN at a
+    non-finite frequency) fails it with ``DomainError``.
     """
     omegas = np.asarray(omegas, dtype=float)
     rows = [derived] if isinstance(derived, DerivedParams) else list(derived)
     mismatch = [d.alpha_mismatch() > ALPHA_MATCH_RTOL for d in rows]
     gamma2 = [d.gamma**2 for d in rows]   # Python's float pow, not numpy's square
     if len(rows) != 1:
-        params = SimpleNamespace(**{name: np.array([getattr(d, name) for d in rows])[:, None]
-                                    for name in _CLOSED_FORM_FIELDS})
+        fields = [np.array([getattr(d, name) for d in rows])[:, None]
+                  for name in _CLOSED_FORM_FIELDS]
         mismatch, gamma2 = (np.array(v)[:, None] for v in (mismatch, gamma2))
     else:   # one row's scalars broadcast as its (1, 1) columns would, but cheaper
-        params, mismatch, gamma2 = rows[0], mismatch[0], gamma2[0]
+        fields = [getattr(rows[0], name) for name in _CLOSED_FORM_FIELDS]
+        mismatch, gamma2 = mismatch[0], gamma2[0]
         if not isinstance(derived, DerivedParams):
             omegas = omegas[None, :]
-    n, k_x, _, abs_D2 = _closed_form(params)(omegas)
+    n, k_x, _, abs_D2 = _closed_form(*fields)(omegas)
     failed = degenerate_mask(abs_D2, gamma2, omegas) | mismatch
     with np.errstate(invalid="ignore"):
         ev = Evaluation.from_standard_form(n, k_x, failed, "DegenerateResponse")

@@ -268,11 +268,12 @@ def amplitude_to_drive(target_alpha: float, Delta_j: float, params: PhysicalPara
     |alpha_j| = (Omega_j / 2) / |Delta_j' + i gamma / 2| is linear in the
     drive, so the closed form Omega_j = target_alpha sqrt(gamma^2 + 4 Delta_j'^2)
     is exact; :func:`operating_point_params` fixes the shift itself under the
-    symmetric configuration alpha_1 = alpha_2 = target_alpha.
+    symmetric configuration alpha_1 = alpha_2 = target_alpha.  Squares are
+    products (``**`` is libm's ``pow``, not correctly rounded): 2^k rates scale Omega_j exactly.
     """
     if not (math.isfinite(target_alpha) and target_alpha > 0):
         raise ParameterError(f"target_alpha must be finite and > 0, got {target_alpha!r}")
-    return target_alpha * math.sqrt(params.gamma**2 + 4.0 * Delta_j**2)
+    return target_alpha * math.sqrt(params.gamma * params.gamma + 4.0 * (Delta_j * Delta_j))
 
 
 def operating_point_params(base: PhysicalParams, target_alpha: float,

@@ -47,8 +47,8 @@ Peak statistics are measured on the EOF(omega) curve: every local maximum
 is refined parabolically and the peak is the largest vertex, in the sweeps
 and the sensitivity analysis alike; ``peak_omegas`` collects every vertex
 within 1% of the peak, and the FWHM is the width at half the peak EOF.  The
-parabola assumes an evenly spaced grid, so an unevenly spaced
-``omega_grid`` is rejected.
+parabola assumes an evenly spaced grid.  Every entry point checks its
+``omega_grid`` by one rule before anything is solved (:func:`_check_grid`).
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from . import errors
 from .errors import BracketError, DegenerateResponse, DomainError, ParameterError, PhysicsError
 from .params import DriveSpec, PhysicalParams, gamma_m_from_q, power_to_amplitude
 from .spectrum import (DEFAULT_GRID_HALF_WIDTH_GAMMAS, DEFAULT_GRID_POINTS, closed_form_grid,
-                       degenerate_mask, eof_array, offset_x, optimum_d)
+                       degenerate_mask, eof_array, offset_x, one_d_grid, optimum_d)
 from .steady_state import DerivedParams, operating_point_params, solve_steady_state, window_error
 
 SWEEP_AXES = ("temperature", "alpha", "d", "Q", "power_fluct")
@@ -100,9 +100,11 @@ def default_omega_grid(gamma: float, points: int = DEFAULT_GRID_POINTS) -> np.nd
     return np.linspace(-hw, hw, points)
 
 
-def _check_grid(omega: np.ndarray) -> None:
-    """ValueError unless ``omega`` is nonempty, ascending and evenly spaced, as peak
-    refinement and the continuous minimum assume."""
+def _check_grid(omega_grid) -> np.ndarray:
+    """``omega_grid`` as a float array; ValueError unless it is 1-D and finite
+    (:func:`~optoepr.spectrum.one_d_grid`), nonempty, ascending and evenly spaced, as
+    peak refinement and the continuous minimum assume."""
+    omega = one_d_grid(omega_grid)
     if len(omega) == 0:
         raise ValueError("omega_grid must be nonempty")
     if omega[-1] < omega[0]:
@@ -112,10 +114,15 @@ def _check_grid(omega: np.ndarray) -> None:
         rounding = 4.0 * np.finfo(float).eps * np.max(np.abs(omega))
         if not np.all(np.abs(np.diff(omega) - step) <= _SPACING_RTOL * abs(step) + rounding):
             raise ValueError("omega_grid must be evenly spaced")
+    return omega
 
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """``values`` along ``axis`` from ``base``, rows of ``model`` on ``omega_grid``, held as
+    the array :func:`_check_grid` returns.  ValueError for an unknown axis or model, values
+    empty or not strictly monotone, and a grid that check rejects."""
+
     axis: str
     values: tuple[float, ...]
     base: PhysicalParams
@@ -130,7 +137,7 @@ class SweepSpec:
         diffs = np.diff(np.asarray(self.values, dtype=float))
         if len(diffs) and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ValueError("values must be strictly monotone")
-        _check_grid(np.asarray(self.omega_grid, dtype=float))
+        object.__setattr__(self, "omega_grid", _check_grid(self.omega_grid))
         if self.model != "adiabatic":   # the closed form needs no langevin
             from .langevin import MODELS
             if self.model not in MODELS:
@@ -193,18 +200,15 @@ def peak_statistics(omega: np.ndarray, eof_curve: np.ndarray) -> PeakStats:
     grid, and the peak EOF is the largest vertex; the peak frequencies are
     the vertices within ``_NEAR_PEAK`` (1%) of it.
 
-    Raises ValueError for an empty curve, one whose length differs from
-    ``omega``'s, a descending ``omega``, on which the FWHM would come out
-    negative, and an unevenly spaced one, on which the parabola misplaces the
-    peak.
+    Raises ValueError for an ``omega`` that :func:`_check_grid` rejects (not
+    1-D, not finite or empty; descending, on which the FWHM would come out
+    negative; unevenly spaced, on which the parabola misplaces the peak) and a
+    curve whose length differs from ``omega``'s.
     """
-    omega = np.asarray(omega, dtype=float)
+    omega = _check_grid(omega)
     y = np.asarray(eof_curve, dtype=float)
-    if len(y) == 0:
-        raise ValueError("eof_curve must be nonempty")
     if len(omega) != len(y):
         raise ValueError(f"omega and eof_curve lengths differ: {len(omega)} != {len(y)}")
-    _check_grid(omega)
     return _peak_statistics_row(omega, y, _refined_maxima(omega, y[None, :])[0])
 
 
@@ -355,7 +359,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     recorded on that row by name, never fatal.  Rows are in value order.
     """
     base_derived = solve_steady_state(spec.base)
-    omega = np.asarray(spec.omega_grid, dtype=float)
+    omega = spec.omega_grid
     values = [float(value) for value in spec.values]
     result = SweepResult(spec=spec)
     for value, peak in zip(values, _peaks(_axis_rows(spec.axis, spec.base, base_derived, values),
@@ -391,16 +395,6 @@ class SensitivityReport:
     cases: list[SensitivityCase]
 
 
-def _search_grid(base: PhysicalParams, omega_grid: np.ndarray | None) -> np.ndarray:
-    """``omega_grid`` as floats, the default grid of ``base`` if None; ValueError if it is
-    empty or unevenly spaced."""
-    if omega_grid is None:
-        return default_omega_grid(base.gamma)
-    omega = np.asarray(omega_grid, dtype=float)
-    _check_grid(omega)
-    return omega
-
-
 def sensitivity_analysis(base: PhysicalParams, d_jitter: float,
                          power_jitter_frac: float,
                          omega_grid: np.ndarray | None = None) -> SensitivityReport:
@@ -416,13 +410,13 @@ def sensitivity_analysis(base: PhysicalParams, d_jitter: float,
     ``degradation`` cover the cases that succeeded.  A failed baseline
     raises, and so does an excursion outside the parameter domain
     (ParameterError), before a later excursion is solved.  A negative or NaN
-    jitter and an empty or unevenly spaced ``omega_grid`` raise ValueError
-    before anything is solved.
+    jitter and an ``omega_grid`` that :func:`_check_grid` rejects raise
+    ValueError before anything is solved.
     """
     for name, jitter in (("d_jitter", d_jitter), ("power_jitter_frac", power_jitter_frac)):
         if not jitter >= 0:
             raise ValueError(f"{name} must be >= 0, got {jitter!r}")
-    omega = _search_grid(base, omega_grid)
+    omega = default_omega_grid(base.gamma) if omega_grid is None else _check_grid(omega_grid)
     base_derived = solve_steady_state(base)
     d_o = optimum_d(base_derived).d_o
     at_opt = _row_params("d", base, base_derived, d_o)
@@ -500,7 +494,7 @@ def _search_objective(base_derived: DerivedParams, d: np.ndarray,
     x_at = offset_x(base_derived, d)
     x, abs_D2 = x_at(omega)
     degenerate = degenerate_mask(abs_D2, base_derived.gamma**2, omega)
-    failed = degenerate | (x <= 0)
+    failed = degenerate | ~(x > 0)
     if failed.any():
         k, i = divmod(int(np.argmax(failed)), len(omega))
         error = DegenerateResponse if degenerate[k, i] else DomainError
@@ -558,14 +552,14 @@ def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, fl
     ``_TOL_FRAC * max(|lo|, |hi|)`` wide, or no float lies inside it, and the
     search returns its midpoint.  A degenerate bracket returns its single
     point.  A bracket with a non-finite end or with hi < lo raises
-    :class:`BracketError`, and an ``omega_grid`` of fewer than 2 points (with
-    no cell to refine the minimum in) or unevenly spaced ValueError, before
-    anything is solved.
+    :class:`BracketError`, and an ``omega_grid`` that :func:`_check_grid`
+    rejects or of fewer than 2 points (with no cell to refine the minimum in)
+    ValueError, before anything is solved.
     """
     lo, hi = float(search_bracket[0]), float(search_bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise BracketError(f"invalid bracket ({lo:g}, {hi:g})")
-    omega = _search_grid(base, omega_grid)
+    omega = default_omega_grid(base.gamma) if omega_grid is None else _check_grid(omega_grid)
     if len(omega) < 2:
         raise ValueError(f"omega_grid must have at least 2 points, got {len(omega)}")
     if hi == lo:

@@ -292,9 +292,20 @@ class TestOptimum:
 
     def test_numeric_search_on_one_point_exits_2(self, capsys):
         # one grid point leaves the search no cell to refine its minimum in
-        code, _, err = run(capsys, "optimum", "--numeric", "--omega-points", "1")
+        code, out, err = run(capsys, "optimum", "--numeric", "--omega-points", "1")
         assert code == 2
         assert err == "configuration error: invalid omega grid\n"
+        assert out == ""
+
+    def test_failed_search_prints_nothing(self, capsys, monkeypatch):
+        # the closed-form lines wait for the search: a failed one leaves stdout empty
+        def fail(params, bracket, omega_grid=None):
+            raise oe.BracketError("peak EOF not unimodal on bracket")
+        monkeypatch.setattr(sweeps, "find_optimum_d_numeric", fail)
+        code, out, err = run(capsys, "optimum", "--numeric")
+        assert code == 3
+        assert out == ""
+        assert err == "physics error: peak EOF not unimodal on bracket\n"
 
 
 class TestVerify:

@@ -1,7 +1,6 @@
 import math
 
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -119,6 +118,18 @@ class TestTransferFunctions:
         assert list(ev.error) == ["", "DomainError", "DegenerateResponse", "DegenerateResponse"]
         assert list(ev.failed) == [False, True, True, True]
         assert ev.x[0] == 1.0 and np.all(np.isnan(ev.x[1:]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_frequency_is_a_domain_error(self, paper_derived):
+        # x is NaN at an infinite or NaN frequency: not a positive number, so the point
+        # fails by name, as Evaluation promises NaN only where a point failed
+        ev = oe.evaluate(paper_derived, [0.0, math.inf, math.nan], "adiabatic")
+        assert list(ev.error) == ["", "DomainError", "DomainError"]
+        assert list(ev.failed) == [False, True, True]
+        assert ev.x[0] > 0 and np.all(np.isnan(ev.x[1:]))
+        nan_x = Evaluation.from_standard_form(np.array([1.0, np.nan]), np.array([0.5, 0.5]),
+                                              np.array([False, False]), "DegenerateResponse")
+        assert list(nan_x.error) == ["", "DomainError"]
 
 
 def assert_as_the_scalar_chain(ev, derived, omegas):
@@ -253,11 +264,12 @@ class TestClosedFormRows:
                                       degenerate[k])
 
 
-def reference_covariance_entries(derived, omega):
-    """n, V14, V24 and |Delta|^2 as the closed form formed them before its repeated
+def reference_covariance_entries(fields, omega):
+    """n, V14, V24 and |Delta|^2 of the closed form's five numbers ``fields`` (in
+    ``_CLOSED_FORM_FIELDS`` order) as the closed form formed them before its repeated
     subexpressions were formed once, every square a product, as the reference."""
-    g, gp, gamma = derived.g, derived.g_prime, derived.gamma
-    therm = derived.gamma * derived.gamma_m_tilde * (2.0 * derived.n_m + 1.0)
+    g, gp, gamma, gamma_m_tilde, n_m = fields
+    therm = gamma * gamma_m_tilde * (2.0 * n_m + 1.0)
     w2 = omega * omega
     u_minus_v = w2 + gamma * gamma / 4.0 + g * g - gp * gp
     re_D = gamma * gamma / 4.0 - w2 + gp * gp - g * g
@@ -270,10 +282,10 @@ def reference_covariance_entries(derived, omega):
     return n, v14, v24, abs_D2
 
 
-def reference_standard_form(params, gamma2, omegas):
+def reference_standard_form(fields, gamma2, omegas):
     """n, k_x, x, |Delta|^2 and the degenerate mask as the closed form formed them in one
     pass, as the reference."""
-    n, v14, v24, abs_D2 = reference_covariance_entries(params, omegas)
+    n, v14, v24, abs_D2 = reference_covariance_entries(fields, omegas)
     k_x = np.hypot(v14, v24)
     bound = 1e-30 * (gamma2 + omegas * omegas)
     return n, k_x, n - k_x, abs_D2, abs_D2 < bound * bound
@@ -286,10 +298,15 @@ def same_bits(got, expected):
             and got.tobytes() == expected.tobytes())
 
 
+def fields_of(derived):
+    """The closed form's five numbers of one operating point."""
+    return tuple(getattr(derived, name) for name in _CLOSED_FORM_FIELDS)
+
+
 def columns(rows):
-    """The closed-form fields of ``rows`` as (K, 1) columns."""
-    return SimpleNamespace(**{name: np.array([getattr(d, name) for d in rows])[:, None]
-                              for name in _CLOSED_FORM_FIELDS})
+    """The closed form's five numbers of ``rows`` as (K, 1) columns."""
+    return tuple(np.array([getattr(d, name) for d in rows])[:, None]
+                 for name in _CLOSED_FORM_FIELDS)
 
 
 class TestClosedFormKernel:
@@ -298,10 +315,10 @@ class TestClosedFormKernel:
     # the last two lie just outside and inside the degenerate row's vanishing denominator
     ROW_OMEGAS = np.array([0.0, 1.0, -1.0, 3e5, -2e7, 4e7, 1e-20, -1e-35])
 
-    def assert_as_the_reference(self, params, gamma2, omegas):
+    def assert_as_the_reference(self, fields, gamma2, omegas):
         with np.errstate(all="ignore"):
-            got = _closed_form(params)(np.asarray(omegas, dtype=float))
-            *expected, ref_degenerate = reference_standard_form(params, gamma2, omegas)
+            got = _closed_form(*fields)(np.asarray(omegas, dtype=float))
+            *expected, ref_degenerate = reference_standard_form(fields, gamma2, omegas)
         assert all(map(same_bits, got, expected))
         assert same_bits(degenerate_mask(got[3], gamma2, omegas), ref_degenerate)
 
@@ -313,8 +330,8 @@ class TestClosedFormKernel:
         grid = oe.default_omega_grid(paper_derived.gamma, 201)
         for derived in self.scalar_rows(paper_derived, optimum_derived):
             for omegas in (grid, self.ROW_OMEGAS, 0.3 * GAMMA, np.float64(-0.7 * GAMMA)):
-                self.assert_as_the_reference(derived, derived.gamma**2, omegas)
-        abs_D2 = _closed_form(derived)(self.ROW_OMEGAS)[3]
+                self.assert_as_the_reference(fields_of(derived), derived.gamma**2, omegas)
+        abs_D2 = _closed_form(*fields_of(derived))(self.ROW_OMEGAS)[3]
         assert degenerate_mask(abs_D2, derived.gamma**2, self.ROW_OMEGAS).tolist() == \
             [True] + [False] * 6 + [True]
 
@@ -329,8 +346,7 @@ class TestClosedFormKernel:
     @given(st.lists(CLOSED_FORM_ROWS, min_size=1, max_size=4), st.data())
     def test_blocks(self, rows, data):
         fields = np.array(rows).T[:, :, None]
-        params = SimpleNamespace(g=fields[0], g_prime=fields[0] + fields[1], gamma=fields[2],
-                                 gamma_m_tilde=fields[3], n_m=fields[4])
+        params = (fields[0], fields[0] + fields[1], fields[2], fields[3], fields[4])
         omegas = data.draw(hnp.arrays(float, (len(rows), data.draw(st.integers(1, 8))),
                                       elements=st.floats(-1e9, 1e9)))
         gamma2 = np.array([gamma**2 for gamma in fields[2, :, 0].tolist()])[:, None]

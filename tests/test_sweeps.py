@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import optoepr as oe
-from optoepr import langevin, sweeps
+from optoepr import langevin, spectrum, sweeps
 from optoepr.spectrum import closed_form_grid, eof_array, offset_x
 from optoepr.sweeps import PeakStats, SweepSpec, _parabolic_refine, peak_statistics, run_sweep
 
@@ -137,6 +137,42 @@ def forbid_solves(monkeypatch):
 
 
 UNEVEN = np.array([0.0, 1e6, 3e6])
+
+
+# Grids the frequency-grid rule (spectrum.one_d_grid) rejects, with its message.
+NOT_FINITE = "frequency grid must be finite, got a NaN or infinite frequency"
+BAD_GRIDS = {"infinite": ([0.0, math.inf], NOT_FINITE),
+             "nan": ([math.nan, 0.0, 1.0], NOT_FINITE),
+             "2d": (np.zeros((2, 3)), "frequency grid must be 1-D, got shape (2, 3)")}
+
+# Every entry point that takes a frequency grid and checks it by the rule, as a call
+# on (params, derived, grid).
+GRID_ENTRY_POINTS = {
+    **{f"evaluate {model}": lambda params, derived, grid, model=model:
+       oe.evaluate(derived, grid, model) for model in ("adiabatic_response", "rwa3", "full6")},
+    "compare_models": lambda params, derived, grid: oe.compare_models(derived, grid),
+    "SweepSpec": lambda params, derived, grid: SweepSpec(
+        axis="temperature", values=(4.0, 300.0), base=params, omega_grid=grid),
+    "peak_statistics": lambda params, derived, grid: peak_statistics(grid, np.zeros(len(grid))),
+    "sensitivity_analysis": lambda params, derived, grid: oe.sensitivity_analysis(
+        params, 1e5, 0.01, omega_grid=grid),
+    "find_optimum_d_numeric": lambda params, derived, grid: oe.find_optimum_d_numeric(
+        params, (1e6, 2e6), omega_grid=grid),
+}
+
+
+@pytest.mark.parametrize("grid_name", BAD_GRIDS)
+@pytest.mark.parametrize("entry", GRID_ENTRY_POINTS)
+def test_grid_rule_rejects_before_solving(entry, grid_name, paper_params, paper_derived,
+                                          monkeypatch):
+    def fail(*args):
+        raise AssertionError("solved or evaluated before the grid was checked")
+    forbid_solves(monkeypatch)
+    monkeypatch.setattr(langevin, "_response_maps", fail)
+    monkeypatch.setattr(spectrum, "_closed_form", fail)
+    grid, message = BAD_GRIDS[grid_name]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GRID_ENTRY_POINTS[entry](paper_params, paper_derived, grid)
 
 
 class TestRunSweep:
