@@ -176,7 +176,8 @@ def _cmd_sweep(args, cfg: RunConfig) -> int:
     for row in run_sweep(spec).rows:
         tag = f"{args.axis}={row.value:.17g}"
         if row.error:
-            rows.append((math.nan,) * 8 + ("adiabatic", f"{tag};error:{row.error}"))
+            rows += _rows(np.array([math.nan]), params.gamma, "adiabatic", np.array([math.nan]),
+                          [f"{tag};error:{row.error}"])
             notes.append(f"# {args.axis}={row.value:g}: {row.error}")
         else:
             rows += _rows(row.omega, params.gamma, "adiabatic", row.epr_variance,

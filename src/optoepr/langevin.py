@@ -28,7 +28,7 @@ response's sideband frequency, onto the four outputs
 mirrored-frequency convention: the row/column for o^dag at sideband w is the
 complex conjugate of o's at -w, with partner columns swapped.  The map at -w
 is therefore fully determined by the map at +w, which is what the
-covariance assembly exploits.
+weighted Gram below exploits.
 
 The mechanical bath enters both optical modes through the same noise
 operator (the correlated (a_m_in, -a_m_in) injection); this sign structure
@@ -37,16 +37,18 @@ is what suppresses thermal noise in the difference channel.
 Covariances are the symmetrized spectral densities over
 xi = (X1, P1, X2, P2): Hermitian cross-spectra are reduced to their real
 (frequency-even) part, the standard real covariance convention for
-stationary fields.  The two ordered densities <o(w) o(-w)> and
-<o(-w) o(w)> fold into one symmetric density, so each covariance is formed
-from 8 weighted Gram entries of the map at +w.  They give its blocks
-directly (:func:`_covariance_blocks`): diagonal blocks n1 I and n2 I, cross
-block [[a, b], [b, -a]].  :func:`evaluate` reduces those four numbers per
-point in closed form, n = (n1 + n2) / 2 and k_x = hypot(a, b) in exact
-arithmetic, and never lays out a 4x4 matrix; only
-:func:`assemble_covariance` does.  A general cross block [[a, b], [c, d]]
-reduces to Simon's standard form diag(k_x, k_p) by
-k_x = (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2 and
+stationary fields.  Every second-order quantity of a map comes from one
+weighted Gram of its rows at +w, G[i, k] = sum_l w_l T[i, l] conj(T[k, l])
+over the 8 pairs (i, k) in one row block (:func:`_gram`).  With the inputs'
+symmetrized occupations as weights it gives the covariance blocks directly
+(:func:`_covariance_blocks`): diagonal blocks n1 I and n2 I, cross block
+[[a, b], [b, -a]].  With +1 for each input o and -1 for each o^dag it gives
+the output commutators (:meth:`LinearResponse.commutator_defect`).
+:func:`evaluate` reduces the four covariance numbers per point in closed
+form, n = (n1 + n2) / 2 and k_x = hypot(a, b) in exact arithmetic, and
+never lays out a 4x4 matrix; only :func:`assemble_covariance` does.  A
+general cross block [[a, b], [c, d]] reduces to Simon's standard form
+diag(k_x, k_p) by k_x = (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2 and
 k_p = (ad - bc) / k_x (:func:`_reduce`).
 """
 
@@ -67,24 +69,14 @@ from .steady_state import DerivedParams
 _MIRROR_PERM = np.array([1, 0, 3, 2, 5, 4])
 _A_ROWS = [0, 3]   # co-rotating outputs (a1_out, a2_out^dag)
 _B_ROWS = [1, 2]   # their mirrored partners
-# Output pairs (i, j) with one row in each block: the densities' only nonzero entries.
-_PAIRED = np.zeros((4, 4), dtype=bool)
-_PAIRED[np.ix_(_A_ROWS, _B_ROWS)] = True
-_PAIRED[np.ix_(_B_ROWS, _A_ROWS)] = True
-# The paired density's 8 weighted Gram entries G[i, k], i and k in one row
-# block, come in (block, i, k) order: G_00, G_03, G_30, G_33, G_11, G_12,
-# G_21, G_22 (see :func:`_covariances`).  The flat (row, input) positions of
-# the response map's rows, block by block, and each entry's partner G[k, i]:
+# The flat (row, input) positions of the response map's rows, block by block, and
+# each Gram entry's partner G[k, i] in :func:`_gram`'s order.
 _GRAM_MAP_ENTRIES = [6 * i + l for i in _A_ROWS + _B_ROWS for l in range(6)]
 _GRAM_PARTNER = [0, 2, 1, 3, 4, 6, 5, 7]
-# Flattened covariance over (X1, P1, X2, P2) from (n1, n2, a, b): diagonal
-# blocks n1 I and n2 I, cross blocks [[a, b], [b, -a]].
-_COV_LAYOUT = np.array([
-    [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1],
-    [0, 0, 1, 0, 0, 0, 0, -1, 1, 0, 0, 0, 0, -1, 0, 0],
-    [0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0],
-], dtype=float)
+# Gram weights of the commutators, +1 for each input o and -1 for each o^dag, and
+# the bosonic values [o_i(w), o_j(-w)] (j the partner of k) in the Gram's order.
+_COMMUTATOR_WEIGHTS = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+_BOSONIC_GRAM = np.array([1.0, 0.0, 0.0, -1.0, -1.0, 0.0, 0.0, 1.0])[:, None]
 # Flat (row-major) positions of the two diagonal 2x2 blocks of a 4x4 covariance, and I, I there.
 _DIAGONAL_BLOCKS = [0, 1, 4, 5, 10, 11, 14, 15]
 _DIAGONAL_IDENTITY = np.array([1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0])[:, None]
@@ -101,11 +93,10 @@ _OCCUPATION_MAX_POINTS = 2**20
 # adj(S) = [[S11, -S01], [-S10, S00]] of a 2x2 S as a linear map of S's row-major entries.
 _ADJUGATE_2X2 = np.array([[0.0, 0, 0, 1], [0, -1, 0, 0], [0, 0, -1, 0], [1, 0, 0, 0]])
 
-# Bosonic commutators [o_a(w), o_b(-w)] over (o, o^dag) pairs: the 6 inputs, the 4 outputs.
-# The output block is also the symplectic form for the X = a + a^dag
-# normalization (vacuum variance 1) over (X1, P1, X2, P2).
-_J_IN = np.kron(np.eye(3, dtype=int), [[0, 1], [-1, 0]]).astype(float)
-SYMPLECTIC_FORM = _J_OUT = _J_IN[:4, :4]
+# The symplectic form over (X1, P1, X2, P2) for the X = a + a^dag normalization
+# (vacuum variance 1).
+SYMPLECTIC_FORM = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
+                            [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -136,35 +127,24 @@ class LinearResponse:
 
     ``map_rows`` is the 4x6 matrix from the input basis
     (a1_in, a1_in^dag, a2_in, a2_in^dag, a_m_in, a_m_in^dag) to
-    (a1_out, a1_out^dag, a2_out, a2_out^dag).
+    (a1_out, a1_out^dag, a2_out, a2_out^dag).  Its map at -omega follows
+    from conjugate pairing, so the covariance (:func:`assemble_covariance`)
+    and the commutators are both weighted Grams of these rows (:func:`_gram`).
     """
 
     omega: float
     map_rows: np.ndarray
 
-    def mirrored(self) -> np.ndarray:
-        """The 4x6 response map at -omega, from conjugate pairing."""
-        return _mirror(self.map_rows)
-
     def commutator_defect(self) -> float:
         """Max deviation of the output commutators from the bosonic values.
 
-        Pairs the co-rotating and mirrored row blocks against each other
-        only, exactly as the covariance assembly does: same-block products
-        connect distinct physical frequencies and carry no commutator weight.
+        The commutators [o_i(w), o_j(-w)] of outputs i and j in different
+        row blocks are the Gram entries of the map (:func:`_gram`) with
+        weight +1 on each input o and -1 on each o^dag; the bosonic values
+        are +-1 between an output and its own partner, 0 otherwise.
         """
-        J = _masked_density(self.map_rows, self.mirrored(), _J_IN)
-        return float(np.max(np.abs(J - _J_OUT)))
-
-
-def _swap(A: np.ndarray) -> np.ndarray:
-    """Transpose of each matrix in a stack."""
-    return np.swapaxes(A, -1, -2)
-
-
-def _mirror(T: np.ndarray) -> np.ndarray:
-    """Response maps (..., 4, 6) at -omega: rows swapped within partner pairs, conjugated."""
-    return np.conj(T[..., [1, 0, 3, 2], :])[..., _MIRROR_PERM]
+        g = _gram(self.map_rows, _COMMUTATOR_WEIGHTS)
+        return float(np.max(np.abs(g - _BOSONIC_GRAM)))
 
 
 def _resolvent(M: np.ndarray, l: np.ndarray, omegas: np.ndarray, rows: list[int],
@@ -326,19 +306,25 @@ def adiabatic_response(derived: DerivedParams, omega: float) -> LinearResponse:
     return _one_point(derived, omega, "adiabatic_response")
 
 
-def _masked_density(T_plus: np.ndarray, T_minus: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """<o_i(w) o_j(-w)> with co-rotating/mirrored rows paired against each other only.
+def _gram(T_plus: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weighted Gram entries G[i, k] = sum_l w_l T+[i, l] conj(T+[k, l]) of response maps
+    (..., 4, 6), i and k in one row block: shape (8, maps flat), in (block, i, k) order
+    G_00, G_03, G_30, G_33, G_11, G_12, G_21, G_22.
 
-    Rows of a response live at the model's physical frequency for their
-    block; pairing a block with itself would cross distinct physical
-    frequencies (a vanishing delta function), so only A-B products survive.
-    For the 3-mode and adiabatic models the discarded products are
-    identically zero; for the 6-operator model they would be spurious.
-
-    Each kept entry is one row of ``T_plus`` against one row of ``T_minus``,
-    so a single product with the unpaired entries zeroed gives them all.
+    G[i, k] is the density <o_i(w) o_j(-w)>, j the partner of k, of inputs whose
+    moments pair each input l with its partner alone, with weight w_l (the mirror
+    T-[j, l] = conj(T+[k, l']) swaps partners back).  Only i and k in one block are
+    formed, so i and j sit in different blocks: the rows of a block live at the
+    model's physical frequency for that block, and a same-block product
+    <o_i(w) o_j(-w)> crosses two physical frequencies (a vanishing delta function),
+    identically zero for the 3-mode and adiabatic models and spurious for the
+    6-operator one.
     """
-    return np.where(_PAIRED, T_plus @ C @ _swap(T_minus), 0.0)
+    # (block, row, input, map).  einsum sums the products without forming
+    # them all: that (entry, input, map) temporary cost fresh memory pages
+    # on every call of a few-hundred-point grid.
+    R = np.ascontiguousarray(T_plus.reshape(-1, 24)[:, _GRAM_MAP_ENTRIES].T).reshape(2, 2, 6, -1)
+    return np.einsum("bilp,bklp,l->bikp", R, np.conj(R), w).reshape(8, -1)
 
 
 def _covariance_blocks(T_plus: np.ndarray, n_m: float):
@@ -346,17 +332,14 @@ def _covariance_blocks(T_plus: np.ndarray, n_m: float):
     (..., 4, 6), each flat over the maps: diagonal blocks n1 I and n2 I, cross block
     [[a, b], [b, -a]].
 
-    The two masked densities D+ = P o (T+ C T-^T) and D- = P o (T- C T+^T)
-    enter as S = (Q D+ Q^T + (Q D- Q^T)^T) / 2, and because the pairing mask
-    P is symmetric this is one density, S = Q (P o (T+ Cs T-^T)) Q^T with
-    Cs = (C + C^T) / 2.  Cs couples each input only to its (o, o^dag)
-    partner l', with weight 1/2 (optical) or n_m + 1/2 (mechanical), and the
-    mirror T-[j, l] = conj(T+[j', l']) swaps partners back, so the paired
-    entry (i, j) is the weighted Gram entry
-    G[i, j'] = sum_l w_l T+[i, l] conj(T+[j', l]) with
-    w = (1/2, 1/2, 1/2, 1/2, n_m + 1/2, n_m + 1/2): 8 entries per point, i
-    and j' in the same block.  Q = diag(q, q), q = [[1, 1], [-i, i]], turns
-    them block by block into V = Re S: n1 = G_00 + G_11, n2 = G_22 + G_33 and
+    The two ordered densities <o_i(w) o_j(-w)> and <o_j(-w) o_i(w)> enter the
+    covariance as their mean, one density of the symmetrized input moments:
+    each input is coupled only to its (o, o^dag) partner, with weight 1/2
+    (optical) or n_m + 1/2 (mechanical).  So the density is the weighted Gram
+    G of the maps (:func:`_gram`) with w = (1/2, 1/2, 1/2, 1/2, n_m + 1/2,
+    n_m + 1/2), 8 entries per map.  The quadrature map Q = diag(q, q),
+    q = [[1, 1], [-i, i]], turns the density block by block into V, the real
+    part of its quadrature form: n1 = G_00 + G_11, n2 = G_22 + G_33 and
     a + i b = (G_03 + conj(G_12) + conj(G_30) + G_21) / 2, the mean of two
     forms that are equal for a Hermitian G.
 
@@ -364,12 +347,7 @@ def _covariance_blocks(T_plus: np.ndarray, n_m: float):
     an entry differs from its partner's conjugate by more than 1e-7 of the
     point's largest entry (or of 1), or is not finite.
     """
-    # (block, row, input, point).  einsum sums the products without forming
-    # them all: that (entry, input, point) temporary cost fresh memory pages
-    # on every call of a few-hundred-point grid.
-    R = np.ascontiguousarray(T_plus.reshape(-1, 24)[:, _GRAM_MAP_ENTRIES].T).reshape(2, 2, 6, -1)
-    w = np.array([0.5, 0.5, 0.5, 0.5, n_m + 0.5, n_m + 0.5])
-    g = np.einsum("bilp,bklp,l->bikp", R, np.conj(R), w).reshape(8, -1)     # (entry, point)
+    g = _gram(T_plus, np.array([0.5, 0.5, 0.5, 0.5, n_m + 0.5, n_m + 0.5]))
     herm = np.max(np.abs(g - np.conj(g[_GRAM_PARTNER])), axis=0)
     scale = np.maximum(1.0, np.max(np.abs(g), axis=0))
     if not np.all(herm <= 1e-7 * scale):
@@ -379,21 +357,17 @@ def _covariance_blocks(T_plus: np.ndarray, n_m: float):
     return n1, n2, 0.5 * (pair.real + anti.real), 0.5 * (pair.imag - anti.imag)
 
 
-def _covariances(T_plus: np.ndarray, n_m: float) -> np.ndarray:
-    """Symmetrized quadrature covariances (..., 4, 4) of response maps (..., 4, 6), laid
-    out from their blocks (:func:`_covariance_blocks`)."""
-    blocks = np.array(_covariance_blocks(T_plus, n_m))
-    return (blocks.T @ _COV_LAYOUT).reshape(T_plus.shape[:-2] + (4, 4))
-
-
 def assemble_covariance(resp: LinearResponse, n_m: float) -> Covariance4:
     """Symmetrized quadrature covariance of the outputs for given bath occupancy.
 
     Optical inputs are vacuum; the mechanical input carries ``n_m``; all
     anomalous input moments vanish.  The Hermitian cross-spectrum is reduced
-    to its real, frequency-even part.
+    to its real, frequency-even part, laid out from its blocks
+    (:func:`_covariance_blocks`).
     """
-    return Covariance4(entries=_covariances(resp.map_rows, n_m), omega=resp.omega)
+    n1, n2, a, b = (v[0] for v in _covariance_blocks(resp.map_rows, n_m))
+    return Covariance4(entries=np.array([[n1, 0.0, a, b], [0.0, n1, b, -a],
+                                         [a, b, n2, 0.0], [b, -a, 0.0, n2]]), omega=resp.omega)
 
 
 def _reduce(V: np.ndarray):

@@ -182,9 +182,9 @@ def thermal_occupancy(omega_m: float, T: float) -> float:
     Returns exactly 0 for T = 0 and wherever exp(-hbar omega_m / (k_B T))
     underflows, where ``math.expm1`` would overflow or k_B T is itself 0.
     """
-    if omega_m <= 0:
+    if not omega_m > 0:
         raise ValueError("omega_m must be > 0")
-    if T < 0:
+    if not T >= 0:
         raise ValueError("T must be >= 0")
     k_t = K_B * T
     if k_t == 0.0:
@@ -211,9 +211,9 @@ def power_to_amplitude(P: float, omega_L: float, gamma: float) -> float:
 
 def amplitude_to_power(Omega: float, omega_L: float, gamma: float) -> float:
     """Inverse of :func:`power_to_amplitude`: P = hbar omega_L Omega^2 / (4 gamma)."""
-    if Omega < 0:
+    if not Omega >= 0:
         raise ValueError("Omega must be >= 0")
-    if omega_L <= 0 or gamma <= 0:
+    if not (omega_L > 0 and gamma > 0):
         raise ValueError("omega_L and gamma must be > 0")
     return HBAR * omega_L * Omega**2 / (4.0 * gamma)
 
@@ -253,7 +253,7 @@ def detunings(omega_L: float, omega_Lp: float, omega_p: float, nu: float) -> tup
 
 def eta_from_geometry(omega_p: float, omega_m: float, m: float, R: float) -> float:
     """Dimensionless coupling (omega_p/omega_m) x_zpf / R with x_zpf = sqrt(hbar/(m omega_m))."""
-    if min(omega_p, omega_m, m, R) <= 0:
+    if not all(v > 0 for v in (omega_p, omega_m, m, R)):
         raise ValueError("all arguments must be > 0")
     x_zpf = math.sqrt(HBAR / (m * omega_m))
     return (omega_p / omega_m) * x_zpf / R

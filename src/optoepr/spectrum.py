@@ -116,7 +116,7 @@ class OptimumD:
     unbounded: bool
 
 
-# The DerivedParams fields the closed-form kernel takes, in its argument order.
+# The DerivedParams attributes the closed-form kernel takes, in its argument order.
 _CLOSED_FORM_FIELDS = ("g", "g_prime", "gamma", "gamma_m_tilde", "n_m")
 
 

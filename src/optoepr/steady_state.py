@@ -63,8 +63,6 @@ class DerivedParams:
         Common normal-mode offset -(Delta_1p + Delta_2p)/2, the entanglement knob.
     g : float
         Effective parametric rate eta^2 |alpha|^2 omega_m^2 / delta.
-    g_prime : float
-        g + d.
     gamma_m_tilde : float
         Effective mechanical noise rate (eta |alpha| omega_m / delta)^2 gamma_m.
     n_m : float
@@ -82,7 +80,6 @@ class DerivedParams:
     delta: float
     d: float
     g: float
-    g_prime: float
     gamma_m_tilde: float
     n_m: float
     gamma: float
@@ -90,6 +87,11 @@ class DerivedParams:
     omega_m: float
     eta: float
     multistable: bool
+
+    @property
+    def g_prime(self) -> float:
+        """g + d."""
+        return self.g + self.d
 
     @property
     def alpha(self) -> float:
@@ -222,7 +224,6 @@ def solve_steady_state(params: PhysicalParams) -> DerivedParams:
         delta=delta,
         d=d,
         g=g,
-        g_prime=g + d,
         gamma_m_tilde=gamma_m_tilde,
         n_m=thermal_occupancy(params.omega_m, params.T),
         gamma=params.gamma,

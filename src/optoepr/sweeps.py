@@ -203,10 +203,16 @@ def peak_statistics(omega: np.ndarray, eof_curve: np.ndarray) -> PeakStats:
     Raises ValueError for an ``omega`` that :func:`_check_grid` rejects (not
     1-D, not finite or empty; descending, on which the FWHM would come out
     negative; unevenly spaced, on which the parabola misplaces the peak) and a
-    curve whose length differs from ``omega``'s.
+    curve that is not 1-D, holds an infinite value (the FWHM interpolation
+    has no meaning there; NaN marks a failed point and is allowed) or whose
+    length differs from ``omega``'s.
     """
     omega = _check_grid(omega)
     y = np.asarray(eof_curve, dtype=float)
+    if y.ndim != 1:
+        raise ValueError(f"eof_curve must be 1-D, got shape {y.shape}")
+    if np.isinf(y).any():
+        raise ValueError("eof_curve must not hold an infinite value")
     if len(omega) != len(y):
         raise ValueError(f"omega and eof_curve lengths differ: {len(omega)} != {len(y)}")
     return _peak_statistics_row(omega, y, _refined_maxima(omega, y[None, :])[0])

@@ -136,6 +136,28 @@ class TestEtaFromGeometry:
         assert oe.eta_from_geometry(omega_p, omega_m, m, R) == pytest.approx(1e-4, rel=1e-12)
 
 
+# Each argument of the helpers that checked it with a comparison a NaN fails, set to
+# NaN in turn: each raises as power_to_amplitude and gamma_m_from_q do for a NaN.
+NAN_ARGUMENTS = {
+    "thermal_occupancy": (oe.thermal_occupancy, (OMEGA_M, 300.0),
+                          ["omega_m must be > 0", "T must be >= 0"]),
+    "amplitude_to_power": (oe.amplitude_to_power, (2e12, TWO_PI * 3e14, TWO_PI * 3.2e6),
+                           ["Omega must be >= 0"] + ["omega_L and gamma must be > 0"] * 2),
+    "eta_from_geometry": (oe.eta_from_geometry, (TWO_PI * 3e14, OMEGA_M, 1e-12, 38e-6),
+                          ["all arguments must be > 0"] * 4),
+}
+
+
+@pytest.mark.parametrize("helper, position", [(name, i) for name, (_, args, _) in
+                                              NAN_ARGUMENTS.items() for i in range(len(args))])
+def test_nan_argument_rejected(helper, position):
+    function, args, messages = NAN_ARGUMENTS[helper]
+    assert math.isfinite(function(*args))
+    args = args[:position] + (math.nan,) + args[position + 1:]
+    with pytest.raises(ValueError, match=messages[position]):
+        function(*args)
+
+
 class TestPhysicalParamsValidation:
     def test_gamma_m_must_be_below_omega_m(self, paper_params):
         with pytest.raises(ValueError, match="gamma_m"):

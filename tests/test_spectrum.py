@@ -59,7 +59,7 @@ def make_derived(g=3.394334e7, d=None, gamma=GAMMA, gamma_m_tilde=8316.118,
         alpha_1=complex(alpha), alpha_2=complex(alpha), beta=-2e-4 * alpha**2,
         beta_imag_dropped=0.0,
         Delta_1p=-(omega_m + delta + d), Delta_2p=omega_m + delta - d,
-        delta=delta, d=d, g=g, g_prime=g + d, gamma_m_tilde=gamma_m_tilde,
+        delta=delta, d=d, g=g, gamma_m_tilde=gamma_m_tilde,
         n_m=n_m, gamma=gamma, gamma_m=omega_m / 30000.0, omega_m=omega_m,
         eta=1e-4, multistable=False,
     )
@@ -210,7 +210,7 @@ class TestClosedFormRows:
         omegas = np.array([0.0, 1.0, -1.0, 3e5, -2e7, 4e7])
         for derived, d in ((paper_derived, [1e5, 1.2e6, -3e5]),
                            (make_derived(g=2.0, gamma=4.0, gamma_m_tilde=0.0, n_m=0.0), [1.0, -2.0])):
-            moved = [replace(derived, d=dk, g_prime=derived.g + dk) for dk in d]
+            moved = [replace(derived, d=dk) for dk in d]
             x_at = offset_x(derived, d)
             x, abs_D2 = x_at(omegas)
             degenerate = degenerate_mask(abs_D2, derived.gamma**2, omegas)
@@ -245,7 +245,7 @@ class TestClosedFormRows:
         # moved rows' closed_form_grid, to the bit wherever that x is not blanked
         g, _, gamma, gamma_m_tilde, n_m = fields
         derived = make_derived(g=g, gamma=gamma, gamma_m_tilde=gamma_m_tilde, n_m=n_m)
-        moved = [replace(derived, d=dk, g_prime=derived.g + dk) for dk in d]
+        moved = [replace(derived, d=dk) for dk in d]
         frequencies = st.floats(-1e9, 1e9)
         grid = data.draw(hnp.arrays(float, data.draw(st.integers(1, 8)), elements=frequencies))
         block = data.draw(hnp.arrays(float, (len(d), data.draw(st.integers(1, 8))),

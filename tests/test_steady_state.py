@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import re
@@ -65,6 +66,12 @@ class TestPaperOperatingPoint:
 
     def test_g_prime_minus_g_is_d(self, paper_derived):
         assert paper_derived.g_prime - paper_derived.g == paper_derived.d
+
+    def test_g_prime_follows_g_and_d(self, paper_derived):
+        # g' is g + d of the record itself, not a field that a replace could leave behind
+        moved = dataclasses.replace(paper_derived, g=2.0 * paper_derived.g, d=-3.0)
+        assert moved.g_prime == 2.0 * paper_derived.g - 3.0
+        assert "g_prime" not in {f.name for f in dataclasses.fields(oe.DerivedParams)}
 
     def test_gamma_m_tilde_ratio_exact(self, paper_derived):
         ratio = (paper_derived.eta * paper_derived.alpha * paper_derived.omega_m

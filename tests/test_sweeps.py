@@ -109,6 +109,21 @@ class TestPeakStatistics:
         with pytest.raises(ValueError, match="lengths differ"):
             peak_statistics(np.linspace(-1.0, 1.0, 5), np.ones(4))
 
+    @pytest.mark.parametrize("curve, message", [
+        ([0.1, math.inf, 0.2], "must not hold an infinite value"),
+        ([-math.inf, 0.3, 0.2], "must not hold an infinite value"),
+        ([[0.1], [0.3], [0.2]], r"must be 1-D, got shape \(3, 1\)"),
+        ([[0.1, 0.3, 0.2]], r"must be 1-D, got shape \(1, 3\)"),
+    ], ids=["inf", "minus_inf", "column", "row"])
+    def test_curve_not_1d_or_infinite_rejected(self, curve, message):
+        # an infinite point gave fwhm = nan with two RuntimeWarnings; NaN marks a failed
+        # point and stays allowed
+        with pytest.raises(ValueError, match="eof_curve " + message):
+            peak_statistics(np.linspace(-1.0, 1.0, 3), curve)
+        omega, nan_curve = np.linspace(-1.0, 1.0, 5), [0.1, math.nan, 0.2, 0.5, 0.3]
+        assert repr(peak_statistics(omega, nan_curve)) == repr(
+            reference_peak_statistics(omega, nan_curve))
+
     def test_descending_grid_rejected(self):
         # read on the reversed grid, the half-maximum edges swap and the FWHM turns negative
         omega = np.linspace(-2.0, 2.0, 401)

@@ -29,8 +29,7 @@ ORACLE_POOL = [oe.solve_steady_state(oe.parse_config(text).params)
 GRID_POINTS = wl.OracleGrid.GRID_POINTS
 
 # The rate fields of DerivedParams; the others are dimensionless.
-RATES = ("Delta_1p", "Delta_2p", "delta", "d", "g", "g_prime", "gamma_m_tilde", "gamma", "gamma_m",
-         "omega_m")
+RATES = ("Delta_1p", "Delta_2p", "delta", "d", "g", "gamma_m_tilde", "gamma", "gamma_m", "omega_m")
 
 # |n(w) - n(-w)| / |n(w)| of full6 reads at most 4.4e-16 at the paper point and on the
 # oracle_grid configs below (5.6e-16 over both pools at 201 and 2001 points).
