@@ -63,7 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonConvergent, NotSymmetricState, SingularDrift
-from .spectrum import Evaluation, StandardForm, closed_form_grid, epr_columns, one_d_grid
+from .spectrum import Evaluation, StandardForm, closed_form_grid, one_d_grid
 from .steady_state import DerivedParams
 
 _MIRROR_PERM = np.array([1, 0, 3, 2, 5, 4])
@@ -492,20 +492,18 @@ def intracavity_occupation(derived: DerivedParams) -> float:
 
 
 class ModelPoint(NamedTuple):
-    """One model's metrics at one frequency, or, if the point failed, the failure's name."""
+    """One model at one frequency: its EPR variance x = n - k_x and None, or, if the
+    point failed, None and the failure's name."""
 
     epr_variance: float | None
-    S_db: float | None
-    eof: float | None
-    error: str | None = None
+    error: str | None
 
 
 class ComparisonRow(NamedTuple):
-    """Every model's :class:`ModelPoint` at one frequency and the finite deviations there."""
+    """Every model's :class:`ModelPoint` at one frequency."""
 
     omega: float
     values: dict[str, ModelPoint]
-    deviations: dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -543,14 +541,13 @@ def compare_models(derived: DerivedParams, omega_grid,
     The first model in ``models`` is the deviation baseline.  ``adiabatic``
     is the closed form from :mod:`optoepr.spectrum`; ``adiabatic_response`` (the eliminated
     model assembled exactly) is also accepted.  Each model is evaluated once
-    over the whole 1-D grid (:func:`evaluate`), the metrics its records keep
-    are formed as :func:`~optoepr.spectrum.epr_columns` (no log negativity)
-    and the deviations as :func:`model_deviations`.  The report holds one
-    :class:`ComparisonRow` per grid point: its ``values`` map each model to a
-    :class:`ModelPoint`, which names the failure of a failed point in place of
-    its metrics, and its ``deviations`` map each non-baseline model to its
-    relative deviation there, left out where either model failed.  Failed
-    points are also left out of ``max_deviation``.
+    over the whole 1-D grid (:func:`evaluate`).  The report holds one
+    :class:`ComparisonRow` per grid point, whose ``values`` map each model to
+    a :class:`ModelPoint`: x = n - k_x, or the failure's name where the point
+    failed.  ``max_deviation`` is :func:`model_deviations`' worst case per
+    non-baseline model, which leaves failed points out; the per-point
+    deviations and the metrics of x (:func:`~optoepr.spectrum.metric_columns`)
+    are formed from the same evaluations by their own functions.
 
     Raises ValueError for an unknown model, and for no model, a repeated
     model or a grid that is not 1-D or not finite before any model is
@@ -562,23 +559,10 @@ def compare_models(derived: DerivedParams, omega_grid,
         raise ValueError(f"each model may be compared once; got {models}")
     omegas = one_d_grid(omega_grid)
     evals = {m: evaluate(derived, omegas, m) for m in models}
-    devs, worst = model_deviations(evals, models)
-    points = []
-    for ev in evals.values():
-        cols = epr_columns(ev.x)
-        column = _records(ModelPoint, zip(cols["epr_variance"], cols["S_db"], cols["eof"],
-                                          repeat(None)))
-        failures = _records(ModelPoint, zip(repeat(None), repeat(None), repeat(None),
-                                            ev.error[ev.failed].tolist()))
-        for i, point in zip(ev.failed.nonzero()[0].tolist(), failures):
-            column[i] = point
-        points.append(column)
-    names = models[1:]
-    # (point, model) deviations; (N, 0) for one model, whose rows get empty dicts
-    block = np.array([devs[m] for m in names]).reshape(len(names), len(omegas)).T
-    deviations = list(map(dict, map(zip, repeat(names), block.tolist())))
-    for i, k in zip(*(a.tolist() for a in np.isnan(block).nonzero())):
-        del deviations[i][names[k]]
-    values = map(dict, map(zip, repeat(models), zip(*points)))
-    rows = _records(ComparisonRow, zip(omegas.tolist(), values, deviations))
+    _, worst = model_deviations(evals, models)
+    columns = [_records(ModelPoint, zip(np.where(ev.failed, None, ev.x).tolist(),
+                                        np.where(ev.failed, ev.error, None).tolist()))
+               for ev in evals.values()]
+    values = map(dict, map(zip, repeat(models), zip(*columns)))
+    rows = _records(ComparisonRow, zip(omegas.tolist(), values))
     return ComparisonReport(rows=rows, max_deviation=worst, baseline=models[0])

@@ -28,18 +28,19 @@ DRIVE_BALANCE_TOL = 1e-9
 DEFAULT_REGIME_THRESHOLD = 5.0
 
 
-def _require_finite(obj, names) -> None:
-    """ParameterError naming the first of ``obj``'s fields ``names`` that is NaN or infinite."""
-    for name in names:
-        value = getattr(obj, name)
+def _require_finite(error, **values: float) -> None:
+    """``error`` naming the first of ``values`` that is NaN or infinite."""
+    for name, value in values.items():
         if not math.isfinite(value):
-            raise ParameterError(f"{name} must be finite, got {value!r}")
+            raise error(f"{name} must be finite, got {value!r}")
 
 
 def gamma_m_from_q(omega_m: float, q_factor: float) -> float:
-    """Mechanical decay rate omega_m / Q; ParameterError unless Q is finite and > 0."""
+    """Mechanical decay rate omega_m / Q; ParameterError unless omega_m is finite and
+    Q is finite and > 0."""
     if not (math.isfinite(q_factor) and q_factor > 0):
         raise ParameterError(f"q_factor must be finite and > 0, got {q_factor!r}")
+    _require_finite(ParameterError, omega_m=omega_m)
     return omega_m / q_factor
 
 
@@ -62,7 +63,8 @@ class DriveSpec:
     omega_2: float
 
     def __post_init__(self):
-        _require_finite(self, ("Delta_1", "Delta_2", "omega_1", "omega_2"))
+        _require_finite(ParameterError, Delta_1=self.Delta_1, Delta_2=self.Delta_2,
+                        omega_1=self.omega_1, omega_2=self.omega_2)
         if not (self.omega_1 >= 0 and self.omega_2 >= 0):
             raise ParameterError("drive amplitudes must be >= 0")
 
@@ -106,8 +108,9 @@ class PhysicalParams:
     drive: DriveSpec
 
     def __post_init__(self):
-        _require_finite(self, ("omega_p", "omega_m", "gamma", "gamma_m", "nu", "eta", "T", "R",
-                               "n0"))
+        _require_finite(ParameterError, omega_p=self.omega_p, omega_m=self.omega_m,
+                        gamma=self.gamma, gamma_m=self.gamma_m, nu=self.nu, eta=self.eta,
+                        T=self.T, R=self.R, n0=self.n0)
         for name in ("omega_p", "omega_m", "gamma", "gamma_m", "nu", "R", "n0"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be strictly positive")
@@ -181,11 +184,13 @@ def thermal_occupancy(omega_m: float, T: float) -> float:
 
     Returns exactly 0 for T = 0 and wherever exp(-hbar omega_m / (k_B T))
     underflows, where ``math.expm1`` would overflow or k_B T is itself 0.
+    ValueError unless both are finite, omega_m > 0 and T >= 0.
     """
     if not omega_m > 0:
         raise ValueError("omega_m must be > 0")
     if not T >= 0:
         raise ValueError("T must be >= 0")
+    _require_finite(ValueError, omega_m=omega_m, T=T)
     k_t = K_B * T
     if k_t == 0.0:
         return 0.0
@@ -200,21 +205,26 @@ def power_to_amplitude(P: float, omega_L: float, gamma: float) -> float:
 
     The one conversion of a drive power: the configuration's ``p1_w``/``p2_w``
     and the power excursions of :mod:`optoepr.sweeps` both go through it.
-    ParameterError unless P >= 0 and omega_L, gamma > 0.
+    ParameterError unless all three are finite, P >= 0 and omega_L, gamma > 0.
     """
     if not P >= 0:
         raise ParameterError("drive powers must be >= 0")
     if not (omega_L > 0 and gamma > 0):
         raise ParameterError("omega_L and gamma must be > 0")
+    _require_finite(ParameterError, P=P, omega_L=omega_L, gamma=gamma)
     return 2.0 * math.sqrt(P * gamma / (HBAR * omega_L))
 
 
 def amplitude_to_power(Omega: float, omega_L: float, gamma: float) -> float:
-    """Inverse of :func:`power_to_amplitude`: P = hbar omega_L Omega^2 / (4 gamma)."""
+    """Inverse of :func:`power_to_amplitude`: P = hbar omega_L Omega^2 / (4 gamma).
+
+    ValueError unless all three are finite, Omega >= 0 and omega_L, gamma > 0.
+    """
     if not Omega >= 0:
         raise ValueError("Omega must be >= 0")
     if not (omega_L > 0 and gamma > 0):
         raise ValueError("omega_L and gamma must be > 0")
+    _require_finite(ValueError, Omega=Omega, omega_L=omega_L, gamma=gamma)
     return HBAR * omega_L * Omega**2 / (4.0 * gamma)
 
 
@@ -230,7 +240,11 @@ def normal_mode_drives(Omega_a: float, Omega_b: float, Omega_ap: float,
     Returns
     -------
     (Omega_1, Omega_2) = (Omega_a + Omega_b, Omega_a' - Omega_b')
+
+    Raises ParameterError for an amplitude that is not finite.
     """
+    _require_finite(ParameterError, Omega_a=Omega_a, Omega_b=Omega_b, Omega_ap=Omega_ap,
+                    Omega_bp=Omega_bp)
     if abs(Omega_a - Omega_b) > DRIVE_BALANCE_TOL * abs(Omega_a + Omega_b):
         raise ConstraintViolated(
             f"symmetric drive unbalanced: |Omega_a - Omega_b| = {abs(Omega_a - Omega_b):.3e}"
@@ -255,6 +269,7 @@ def eta_from_geometry(omega_p: float, omega_m: float, m: float, R: float) -> flo
     """Dimensionless coupling (omega_p/omega_m) x_zpf / R with x_zpf = sqrt(hbar/(m omega_m))."""
     if not all(v > 0 for v in (omega_p, omega_m, m, R)):
         raise ValueError("all arguments must be > 0")
+    _require_finite(ValueError, omega_p=omega_p, omega_m=omega_m, m=m, R=R)
     x_zpf = math.sqrt(HBAR / (m * omega_m))
     return (omega_p / omega_m) * x_zpf / R
 

@@ -193,30 +193,20 @@ def squeezing_db(x: float) -> float:
     return -10.0 * math.log10(x)
 
 
-def epr_columns(x: np.ndarray) -> dict[str, list[float]]:
-    """epr_variance, S_db and eof of each EPR variance in ``x``.
+def metric_columns(x: np.ndarray) -> dict[str, list[float]]:
+    """epr_variance, S_db, eof and log_negativity of each EPR variance in ``x``.
 
-    NaN entries (failed points) stay NaN.  S_db takes its logarithms from
-    :mod:`math`, as :func:`squeezing_db` does, to the last bit (numpy's ``log10``
-    is not correctly rounded).  Raises DomainError at the first x <= 0, as
-    :func:`squeezing_db` would.
+    NaN entries (failed points) stay NaN.  S_db = -10 log10 x and
+    log_negativity = max(0, -log2 x) take their logarithms from :mod:`math`,
+    as :func:`squeezing_db` does, to the last bit (numpy's ``log10`` and
+    ``log2`` are not correctly rounded).  Raises DomainError at the first
+    x <= 0, as :func:`squeezing_db` would.
     """
     x = np.asarray(x, dtype=float)
     eofs = eof_array(x).tolist()   # checks x <= 0 before math.log10 could see it
     xs = x.tolist()
-    return {"epr_variance": xs, "S_db": [-10.0 * v for v in map(math.log10, xs)], "eof": eofs}
-
-
-def metric_columns(x: np.ndarray) -> dict[str, list[float]]:
-    """:func:`epr_columns` and the log_negativity of each EPR variance in ``x``.
-
-    log_negativity is max(0, -log2 x), its logarithms taken from :mod:`math`
-    (numpy's ``log2`` is not correctly rounded).
-    """
-    cols = epr_columns(x)
-    xs = cols["epr_variance"]
-    cols["log_negativity"] = [0.0 if v >= 1.0 else -lg for v, lg in zip(xs, map(math.log2, xs))]
-    return cols
+    return {"epr_variance": xs, "S_db": [-10.0 * v for v in map(math.log10, xs)], "eof": eofs,
+            "log_negativity": [0.0 if v >= 1.0 else -lg for v, lg in zip(xs, map(math.log2, xs))]}
 
 
 def optimum_d(derived: DerivedParams) -> OptimumD:
@@ -290,7 +280,7 @@ def closed_form_grid(derived: DerivedParams | Sequence[DerivedParams], omegas) -
     if len(rows) != 1:
         fields = [np.array([getattr(d, name) for d in rows])[:, None]
                   for name in _CLOSED_FORM_FIELDS]
-        mismatch, gamma2 = (np.array(v)[:, None] for v in (mismatch, gamma2))
+        mismatch, gamma2 = np.array(mismatch, dtype=bool)[:, None], np.array(gamma2)[:, None]
     else:   # one row's scalars broadcast as its (1, 1) columns would, but cheaper
         fields = [getattr(rows[0], name) for name in _CLOSED_FORM_FIELDS]
         mismatch, gamma2 = mismatch[0], gamma2[0]

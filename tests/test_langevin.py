@@ -608,6 +608,57 @@ class TestModelAgreement:
             oe.compare_models(paper_derived, [0.0], models=("adiabatic", "bogus"))
 
 
+def eliminated_further(derived, s):
+    """``derived`` with delta and gamma_m times s and the amplitudes times sqrt(s): g, g'
+    and gamma_m_tilde are held, so ``adiabatic_response`` is unchanged while rwa3's
+    mechanics sit s times further from the cavity band."""
+    root = math.sqrt(s)
+    return replace(derived, delta=s * derived.delta, gamma_m=s * derived.gamma_m,
+                   alpha_1=root * derived.alpha_1, alpha_2=root * derived.alpha_2)
+
+
+def rotated_further(derived, s):
+    """``derived`` with omega_m times s, the amplitudes over s and the detunings moved
+    with omega_m: kappa = eta omega_m alpha, delta and d are held, so ``rwa3`` is
+    unchanged while full6's counter-rotating terms sit s times further off."""
+    omega_m = s * derived.omega_m
+    return replace(derived, omega_m=omega_m,
+                   alpha_1=derived.alpha_1 / s, alpha_2=derived.alpha_2 / s,
+                   Delta_1p=-(omega_m + derived.delta + derived.d),
+                   Delta_2p=omega_m + derived.delta - derived.d)
+
+
+class TestConvergenceOrder:
+    """Each approximation's error falls at its order as the ratio it rests on doubles.
+
+    At the paper point, over s = 1, 2, 4 ... 32, the relative deviation of
+    x = n - k_x falls per doubling by 4.00 to 3.85 for the elimination at
+    omega = 0.3 gamma (second order in 1/delta; at omega = gamma the s = 1 point
+    is NotSymmetricState) and by 1.96 to 2.01 for the rotating wave at omega = 0
+    and 0.3 gamma (first order in 1/omega_m).  The bands hold those ratios.
+    """
+
+    SCALES = [2.0**k for k in range(6)]
+
+    @pytest.mark.parametrize("scan, held, model, omega_over_gamma, band", [
+        (eliminated_further, "adiabatic_response", "rwa3", 0.3, (3.8, 4.05)),
+        (rotated_further, "rwa3", "full6", 0.0, (1.95, 2.02)),
+        (rotated_further, "rwa3", "full6", 0.3, (1.95, 2.02)),
+    ])
+    def test_deviation_falls_at_its_order(self, paper_derived, scan, held, model,
+                                          omega_over_gamma, band):
+        grid = [omega_over_gamma * paper_derived.gamma]
+        held_x, devs = set(), []
+        for s in self.SCALES:
+            derived = scan(paper_derived, s)
+            exact = float(oe.evaluate(derived, grid, held).x[0])
+            held_x.add(exact)
+            devs.append(abs(float(oe.evaluate(derived, grid, model).x[0]) - exact) / exact)
+        assert len(held_x) == 1   # the scan leaves the held model's inputs to the bit
+        ratios = [a / b for a, b in zip(devs, devs[1:])]
+        assert all(band[0] <= r <= band[1] for r in ratios), ratios
+
+
 class TestBatchedKernel:
     """compare_models evaluates each model in one batched pass; it must match
     the single-frequency chain point by point."""
@@ -666,27 +717,35 @@ class TestBatchedKernel:
         for model in self.MODELS:
             ev = oe.evaluate(paper_derived, grid, model)
             cols = metric_columns(ev.x)
-            for row, err, x, s_db, eof in zip(report.rows, ev.error, cols["epr_variance"],
-                                              cols["S_db"], cols["eof"]):
+            for i, (row, err) in enumerate(zip(report.rows, ev.error)):
                 point = row.values[model]
                 if err:
-                    assert point == langevin.ModelPoint(None, None, None, error=err)
+                    assert point == langevin.ModelPoint(None, err)
                 else:
-                    assert (point.epr_variance, point.S_db, point.eof) == (x, s_db, eof)
-                    assert point.error is None
+                    assert point == langevin.ModelPoint(cols["epr_variance"][i], None)
+                    # the record's x gives the columns' metrics
+                    alone = metric_columns(np.array([point.epr_variance]))
+                    assert alone == {name: [column[i]] for name, column in cols.items()}
 
     def test_single_model_rows_have_no_deviations(self, paper_params, paper_derived):
         grid = oe.default_omega_grid(paper_params.gamma, 5)
         report = oe.compare_models(paper_derived, grid, models=("rwa3",))
         assert [row.omega for row in report.rows] == grid.tolist()
-        assert all(row.deviations == {} for row in report.rows)
+        assert all(list(row.values) == ["rwa3"] for row in report.rows)
+        evals = {"rwa3": oe.evaluate(paper_derived, grid, "rwa3")}
+        assert langevin.model_deviations(evals, ("rwa3",)) == ({}, {})
         assert report.max_deviation == {} and report.baseline == "rwa3"
 
     def test_failed_points_left_out_of_deviation(self, paper_params, paper_derived):
         grid = oe.default_omega_grid(paper_params.gamma, 41)
-        report = oe.compare_models(paper_derived, grid, models=("adiabatic", "rwa3"))
-        for row in report.rows:
-            assert ("rwa3" in row.deviations) == (row.values["rwa3"].error is None)
+        models = ("adiabatic", "rwa3")
+        report = oe.compare_models(paper_derived, grid, models=models)
+        devs, worst = langevin.model_deviations(
+            {m: oe.evaluate(paper_derived, grid, m) for m in models}, models)
+        compared = [row.values["rwa3"].error is None for row in report.rows]
+        assert np.array_equal(np.isnan(devs["rwa3"]), np.logical_not(compared))
+        assert not all(compared)
+        assert report.max_deviation == worst == {"rwa3": float(np.max(devs["rwa3"][compared]))}
 
     @pytest.mark.parametrize("model", langevin.MODELS)
     def test_failure_mask_matches_error_names(self, model, paper_params, paper_derived):
@@ -755,10 +814,10 @@ class TestComparisonRecords:
                 point = row.values[model]
                 assert type(point) is langevin.ModelPoint
                 if ev.failed[i]:
-                    expected = (None, None, None, ev.error[i])
+                    expected = (None, ev.error[i])
                     failures += ev.error[i] == "NotSymmetricState"
                 else:
-                    expected = (cols["epr_variance"][i], cols["S_db"][i], cols["eof"][i], None)
+                    expected = (cols["epr_variance"][i], None)
                 assert bits(point) == bits(expected)
         assert failures > 0
         assert [type(row) for row in report.rows] == [langevin.ComparisonRow] * len(grid)
@@ -771,9 +830,14 @@ class TestComparisonRecords:
         devs, worst = langevin.model_deviations(evals, self.MODELS)
         dropped = 0
         for i, row in enumerate(report.rows):
-            finite = {m: float(devs[m][i]) for m in self.MODELS[1:] if np.isfinite(devs[m][i])}
+            base = row.values[self.MODELS[0]].epr_variance
+            # finite exactly where both records hold an x, and formed from those x
+            finite = {m: abs(row.values[m].epr_variance - base) / abs(base)
+                      for m in self.MODELS[1:]
+                      if base is not None and row.values[m].epr_variance is not None}
             dropped += len(self.MODELS) - 1 - len(finite)
-            assert bits(row.deviations) == bits(finite)
+            assert bits({m: float(devs[m][i]) for m in self.MODELS[1:]
+                         if np.isfinite(devs[m][i])}) == bits(finite)
         assert (dropped > 0) == any(ev.failed.any() for ev in evals.values())
         assert bits(report.max_deviation) == bits(worst)
         assert report.baseline == self.MODELS[0]
@@ -783,13 +847,14 @@ class TestComparisonRecords:
         row = report.rows[0]
         point = row.values["rwa3"]
         with pytest.raises(AttributeError):
-            point.eof = 1.0
+            point.epr_variance = 1.0
         with pytest.raises(AttributeError):
             row.omega = 1.0
-        x, s_db, eof, error = point
-        assert point == (x, s_db, eof, error)
-        assert langevin.ModelPoint(None, None, None, error="NotSymmetricState") == \
-            (None, None, None, "NotSymmetricState")
+        x, error = point
+        assert point == (x, error)
+        assert langevin.ModelPoint(None, "NotSymmetricState") == (None, "NotSymmetricState")
+        assert langevin.ModelPoint._fields == ("epr_variance", "error")
+        assert langevin.ComparisonRow._fields == ("omega", "values")
 
 
 def reference_evaluation(derived, omegas, model):

@@ -158,6 +158,34 @@ def test_nan_argument_rejected(helper, position):
         function(*args)
 
 
+# Every helper's arguments, each set in turn to +-inf and NaN: each raises its own class,
+# exactly, whichever check (a sign or finiteness) the value fails first.
+NON_FINITE_ARGUMENTS = {
+    "thermal_occupancy": (oe.thermal_occupancy, (OMEGA_M, 300.0), ValueError),
+    "amplitude_to_power": (oe.amplitude_to_power, (2e12, TWO_PI * 3e14, TWO_PI * 3.2e6),
+                           ValueError),
+    "eta_from_geometry": (oe.eta_from_geometry, (TWO_PI * 3e14, OMEGA_M, 1e-12, 38e-6),
+                          ValueError),
+    "power_to_amplitude": (oe.power_to_amplitude, (10e-3, TWO_PI * 3e14, TWO_PI * 3.2e6),
+                           oe.ParameterError),
+    "normal_mode_drives": (oe.normal_mode_drives, (1.0, 1.0, 1.0, -1.0), oe.ParameterError),
+    "gamma_m_from_q": (gamma_m_from_q, (OMEGA_M, 1e4), oe.ParameterError),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("helper, position", [(name, i) for name, (_, args, _) in
+                                              NON_FINITE_ARGUMENTS.items()
+                                              for i in range(len(args))])
+def test_non_finite_argument_rejected(helper, position, value):
+    function, args, error = NON_FINITE_ARGUMENTS[helper]
+    assert all(map(math.isfinite, np.atleast_1d(function(*args))))
+    args = args[:position] + (value,) + args[position + 1:]
+    with pytest.raises(ValueError) as raised:
+        function(*args)
+    assert raised.type is error
+
+
 class TestPhysicalParamsValidation:
     def test_gamma_m_must_be_below_omega_m(self, paper_params):
         with pytest.raises(ValueError, match="gamma_m"):

@@ -12,8 +12,7 @@ import optoepr as oe
 from optoepr.errors import DomainError
 from optoepr.params import TWO_PI
 from optoepr.spectrum import (_CLOSED_FORM_FIELDS, Evaluation, _closed_form, closed_form_grid,
-                              degenerate_mask, eof_array, epr_columns, metric_columns, offset_x,
-                              spectrum_flags)
+                              degenerate_mask, eof_array, metric_columns, offset_x, spectrum_flags)
 from optoepr.steady_state import DerivedParams
 from tests import closed_form_reference as ref
 
@@ -176,6 +175,13 @@ class TestClosedFormRows:
         for k, derived in enumerate(rows):
             row = Evaluation(**{f: getattr(block, f)[k] for f in ("n", "k_x", "x", "error", "failed")})
             assert_as_the_scalar_chain(row, derived, omegas)
+
+    def test_no_rows(self):
+        omegas = np.array([0.0, 1.0, -1.0])
+        for ev in (closed_form_grid([], omegas), oe.evaluate([], omegas, "adiabatic")):
+            for name in ("n", "k_x", "x", "error", "failed"):
+                assert getattr(ev, name).shape == (0, len(omegas))
+            assert ev.failed.dtype == bool
 
     def test_scalar_chain_to_the_bit(self, paper_derived, optimum_derived, omega_grid):
         # the default 2001-point grid at the paper point and at its optimum, where no
@@ -485,15 +491,6 @@ class TestMetricColumns:
         for name, column in expected.items():
             assert np.array_equal(np.array(cols[name]).view(np.uint64), column.view(np.uint64))
         assert np.array_equal(np.array(cols["eof"]), eof_array(x), equal_nan=True)
-
-    def test_epr_columns_are_metric_columns_without_log_negativity(self):
-        x = np.array([0.02, math.nan, 1.0, 3.5, 1e-9])
-        cols = metric_columns(x)
-        del cols["log_negativity"]
-        assert list(epr_columns(x)) == ["epr_variance", "S_db", "eof"]
-        assert all(same_bits(epr_columns(x)[k], v) for k, v in cols.items())
-        with pytest.raises(DomainError):
-            epr_columns(np.array([0.5, -2.0]))
 
     def test_domain_error_as_the_scalar_one(self):
         with pytest.raises(DomainError) as scalar:
