@@ -27,6 +27,10 @@ from .spectrum import (DEFAULT_GRID_HALF_WIDTH_GAMMAS, DEFAULT_GRID_POINTS, clos
                        metric_columns, optimum_d, spectrum_flags)
 from .steady_state import operating_point_params, solve_steady_state
 
+# A table command forms and writes its rows for at most this many grid points at a
+# time, so that its memory does not grow with its table.
+_BLOCK_POINTS = 1024
+
 _AXIS_NAMES = {"T": "temperature", "alpha": "alpha", "d": "d", "Q": "Q"}
 _DEFAULT_SWEEP_VALUES = {
     "temperature": "4,77,300",
@@ -97,6 +101,11 @@ def _grid(args, gamma: float, min_points: int = 1) -> np.ndarray:
     return np.linspace(lo, hi, args.omega_points)
 
 
+def _blocks(npoints: int) -> list[slice]:
+    """Consecutive slices of an ``npoints``-point grid, ``_BLOCK_POINTS`` points or fewer each."""
+    return [slice(start, start + _BLOCK_POINTS) for start in range(0, npoints, _BLOCK_POINTS)]
+
+
 def _rows(omegas: np.ndarray, gamma: float, model: str, x: np.ndarray, flags,
           n=None, k_x=None, devs=()) -> list[tuple]:
     """Table rows of one model's EPR variance ``x`` over a grid (NaN marks a failed point).
@@ -113,13 +122,17 @@ def _rows(omegas: np.ndarray, gamma: float, model: str, x: np.ndarray, flags,
                     *(dev.tolist() for dev in devs)))
 
 
-def _emit(rows, cfg: RunConfig, columns=tabio.BASE_COLUMNS) -> None:
-    text = tabio.render_rows(rows, cfg.format, columns)
+def _emit(blocks, cfg: RunConfig, columns=tabio.BASE_COLUMNS) -> None:
+    """Write a table, given as blocks of rows, to ``--out`` or stdout.
+
+    Called once the command's physics has run, so that a command that fails
+    leaves no file and writes no table.
+    """
     if cfg.output_path is None:
-        sys.stdout.write(text)
+        tabio.write_rows(sys.stdout, blocks, cfg.format, columns)
     else:
         with open(cfg.output_path, "w", newline="") as handle:
-            handle.write(text)
+            tabio.write_rows(handle, blocks, cfg.format, columns)
 
 
 def _cmd_derive(args, cfg: RunConfig) -> int:
@@ -150,8 +163,9 @@ def _cmd_spectrum(args, cfg: RunConfig) -> int:
     derived = solve_steady_state(params)
     grid = _grid(args, params.gamma)
     ev = closed_form_grid(derived, grid)
-    flags = (";".join(f) for f in spectrum_flags(derived, grid, ev.error))
-    _emit(_rows(grid, derived.gamma, "adiabatic", ev.x, flags, n=ev.n, k_x=ev.k_x), cfg)
+    _emit((_rows(grid[s], derived.gamma, "adiabatic", ev.x[s],
+                 (";".join(f) for f in spectrum_flags(derived, grid[s], ev.error[s])),
+                 n=ev.n[s], k_x=ev.k_x[s]) for s in _blocks(len(grid))), cfg)
     return 0
 
 
@@ -172,19 +186,25 @@ def _cmd_sweep(args, cfg: RunConfig) -> int:
         spec = SweepSpec(axis=axis, values=values, base=params, omega_grid=grid, model="adiabatic")
     except ValueError as exc:
         raise ConfigError(f"invalid --values {args.values!r}: {exc}") from exc
-    rows, notes = [], []
-    for row in run_sweep(spec).rows:
-        tag = f"{args.axis}={row.value:.17g}"
-        if row.error:
-            rows += _rows(np.array([math.nan]), params.gamma, "adiabatic", np.array([math.nan]),
-                          [f"{tag};error:{row.error}"])
-            notes.append(f"# {args.axis}={row.value:g}: {row.error}")
-        else:
-            rows += _rows(row.omega, params.gamma, "adiabatic", row.epr_variance,
-                          [tag] * len(row.omega))
-            notes.append(f"# {args.axis}={row.value:g}: peak_eof={row.peak_eof:.6g} "
-                         f"fwhm={row.fwhm:.6g} peaks_at={[f'{w:.4g}' for w in row.peak_omegas]}")
-    _emit(rows, cfg)
+    rows = run_sweep(spec).rows
+
+    def blocks():
+        for row in rows:
+            tag = f"{args.axis}={row.value:.17g}"
+            if row.error:
+                yield _rows(np.array([math.nan]), params.gamma, "adiabatic", np.array([math.nan]),
+                            [f"{tag};error:{row.error}"])
+                continue
+            for s in _blocks(len(row.omega)):
+                omegas = row.omega[s]
+                yield _rows(omegas, params.gamma, "adiabatic", row.epr_variance[s],
+                            [tag] * len(omegas))
+
+    _emit(blocks(), cfg)
+    notes = [f"# {args.axis}={row.value:g}: {row.error}" if row.error else
+             f"# {args.axis}={row.value:g}: peak_eof={row.peak_eof:.6g} "
+             f"fwhm={row.fwhm:.6g} peaks_at={[f'{w:.4g}' for w in row.peak_omegas]}"
+             for row in rows]
     print("\n".join(notes), file=sys.stderr)
     return 0
 
@@ -223,11 +243,16 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
     grid = _grid(args, params.gamma)
     evals = {m: evaluate(derived, grid, m) for m in models}
     devs, worst = model_deviations(evals, models)
-    per_model = [_rows(grid, params.gamma, m, evals[m].x,
-                       (f"error:{e}" if e else "" for e in evals[m].error), devs=devs.values())
-                 for m in models]
-    _emit([row for group in zip(*per_model) for row in group], cfg,
-          tabio.BASE_COLUMNS + tuple(f"dev_{m}" for m in models[1:]))
+
+    def blocks():   # each grid point's rows, one per model, together
+        for s in _blocks(len(grid)):
+            per_model = [_rows(grid[s], params.gamma, m, evals[m].x[s],
+                               (f"error:{e}" if e else "" for e in evals[m].error[s]),
+                               devs=[dev[s] for dev in devs.values()])
+                         for m in models]
+            yield [row for group in zip(*per_model) for row in group]
+
+    _emit(blocks(), cfg, tabio.BASE_COLUMNS + tuple(f"dev_{m}" for m in models[1:]))
     for model, dev in worst.items():
         summary = "no point compared" if np.isnan(devs[model]).all() else f"{dev:.6g}"
         print(f"# max |rel dev| of n-k_x, {model} vs {models[0]}: {summary}", file=sys.stderr)

@@ -89,6 +89,9 @@ _SYMMETRY_RTOL = 0.05
 # _OCCUPATION_RTOL of itself, and gives up past _OCCUPATION_MAX_POINTS points.
 _OCCUPATION_RTOL = 5e-3
 _OCCUPATION_MAX_POINTS = 2**20
+# It evaluates the density at most _OCCUPATION_BLOCK frequencies at a time, so that
+# its memory does not grow with the grid.
+_OCCUPATION_BLOCK = 4096
 
 # adj(S) = [[S11, -S01], [-S10, S00]] of a 2x2 S as a linear map of S's row-major entries.
 _ADJUGATE_2X2 = np.array([[0.0, 0, 0, 1], [0, -1, 0, 0], [0, 0, -1, 0], [1, 0, 0, 0]])
@@ -465,7 +468,11 @@ def intracavity_occupation(derived: DerivedParams) -> float:
 
     Integrates the intracavity spectral density over [-delta, delta],
     doubling the grid until the trapezoid integral changes by less than
-    ``_OCCUPATION_RTOL`` (0.5%) of itself.
+    ``_OCCUPATION_RTOL`` (0.5%) of itself.  A doubled grid's even-index
+    points are the previous grid, to the bit (``linspace(-delta, delta,
+    2n - 1)[::2]`` is ``linspace(-delta, delta, n)``), so each doubling
+    evaluates the density only at its new points, ``_OCCUPATION_BLOCK`` at
+    a time, and integrates the full grid as if it had been evaluated whole.
 
     Raises
     ------
@@ -473,10 +480,18 @@ def intracavity_occupation(derived: DerivedParams) -> float:
         If the grid would exceed ``_OCCUPATION_MAX_POINTS`` (2**20) points.
     """
     npts = 2049
-    previous = None
+    density = previous = None
     while npts <= _OCCUPATION_MAX_POINTS:
         omegas = np.linspace(-derived.delta, derived.delta, npts)
-        density = _rwa3_interior_density(derived, omegas)
+        finer = np.empty(npts)
+        if density is None:   # the first grid: every point is new
+            new = slice(None)
+        else:                 # the previous grid is this one's even-index points
+            finer[::2], new = density, slice(1, None, 2)
+        density, points = finer, omegas[new]
+        for start in range(0, len(points), _OCCUPATION_BLOCK):
+            block = slice(start, start + _OCCUPATION_BLOCK)
+            density[new][block] = _rwa3_interior_density(derived, points[block])
         value = float(np.trapezoid(density, omegas)) / (2.0 * math.pi)
         if previous is not None:
             if value == 0.0 and previous == 0.0:

@@ -37,10 +37,12 @@ def _require_finite(error, **values: float) -> None:
 
 def gamma_m_from_q(omega_m: float, q_factor: float) -> float:
     """Mechanical decay rate omega_m / Q; ParameterError unless omega_m is finite and
-    Q is finite and > 0."""
+    > 0 and Q is finite and > 0."""
     if not (math.isfinite(q_factor) and q_factor > 0):
         raise ParameterError(f"q_factor must be finite and > 0, got {q_factor!r}")
     _require_finite(ParameterError, omega_m=omega_m)
+    if omega_m <= 0:
+        raise ParameterError("omega_m must be strictly positive")
     return omega_m / q_factor
 
 
@@ -241,7 +243,8 @@ def normal_mode_drives(Omega_a: float, Omega_b: float, Omega_ap: float,
     -------
     (Omega_1, Omega_2) = (Omega_a + Omega_b, Omega_a' - Omega_b')
 
-    Raises ParameterError for an amplitude that is not finite.
+    Raises ParameterError for an amplitude that is not finite or for a
+    negative normal-mode drive, which no :class:`DriveSpec` can hold.
     """
     _require_finite(ParameterError, Omega_a=Omega_a, Omega_b=Omega_b, Omega_ap=Omega_ap,
                     Omega_bp=Omega_bp)
@@ -253,7 +256,10 @@ def normal_mode_drives(Omega_a: float, Omega_b: float, Omega_ap: float,
         raise ConstraintViolated(
             f"antisymmetric drive unbalanced: |Omega_a' + Omega_b'| = {abs(Omega_ap + Omega_bp):.3e}"
         )
-    return Omega_a + Omega_b, Omega_ap - Omega_bp
+    drives = Omega_a + Omega_b, Omega_ap - Omega_bp
+    if not (drives[0] >= 0 and drives[1] >= 0):
+        raise ParameterError("drive amplitudes must be >= 0")
+    return drives
 
 
 def detunings(omega_L: float, omega_Lp: float, omega_p: float, nu: float) -> tuple[float, float]:

@@ -23,6 +23,7 @@ import pytest
 
 import optoepr as oe
 from optoepr import cli, sweeps
+from tests.test_langevin import reference_intracavity_occupation
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
@@ -82,6 +83,17 @@ def test_cli_kind_as_recorded(kind, tmp_path, capsys):
     table = pathlib.Path(out).read_bytes() if out is not None else None
     raw = SimpleNamespace(stdout=stdout, table=table)
     assert check(workload, pool[index], raw, reference["out"]) == []
+
+
+def test_occupation_as_the_full_grid_loop(tmp_path):
+    # the occupation reuses each level's density on the next, doubled grid; on every
+    # cli_tables config (config 5 doubles up to 65537 points) it is the same bits as
+    # the loop that evaluates every point of every level
+    configs = {item["config"]: item["text"] for item in wl.CliTables(tmp_path).pool()}
+    assert len(configs) == 18
+    for text in configs.values():
+        derived = oe.solve_steady_state(oe.parse_config(text).params)
+        assert oe.intracavity_occupation(derived) == reference_intracavity_occupation(derived)
 
 
 def test_opsearch_scan_rows_realize_their_offset():

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,9 +215,14 @@ class TestTablesAsTheReference:
     def grid():
         return np.linspace(-8e7, 8e7, 17)
 
+    def table(self, capsys, *argv):
+        """Exit code and table of a command that writes its table to stdout."""
+        code, out, _ = run(capsys, *argv)
+        return code, out
+
     @pytest.mark.parametrize("fmt", ["csv", "jsonlines"])
     def test_spectrum(self, fmt, paper_derived, capsys):
-        code, out, _ = run(capsys, "spectrum", "--format", fmt, *self.GRID)
+        code, out = self.table(capsys, "spectrum", "--format", fmt, *self.GRID)
         grid = self.grid()
         ev = evaluate(paper_derived, grid, "adiabatic")
         flags = (";".join(f) for f in spectrum_flags(paper_derived, grid, ev.error))
@@ -227,8 +233,8 @@ class TestTablesAsTheReference:
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonlines"])
     def test_sweep_with_an_error_row(self, fmt, paper_params, capsys):
-        code, out, _ = run(capsys, "sweep", "--axis", "alpha", "--values", "500,20000",
-                           "--format", fmt, *self.GRID)
+        code, out = self.table(capsys, "sweep", "--axis", "alpha", "--values", "500,20000",
+                               "--format", fmt, *self.GRID)
         spec = oe.SweepSpec(axis="alpha", values=(500.0, 20000.0), base=paper_params,
                             omega_grid=self.grid(), model="adiabatic")
         rows = []
@@ -245,8 +251,8 @@ class TestTablesAsTheReference:
     @pytest.mark.parametrize("fmt", ["csv", "jsonlines"])
     def test_verify(self, fmt, paper_derived, capsys):
         models = ("adiabatic", "rwa3", "full6")
-        code, out, _ = run(capsys, "verify", "--models", ",".join(models), "--format", fmt,
-                           *self.GRID)
+        code, out = self.table(capsys, "verify", "--models", ",".join(models), "--format", fmt,
+                               *self.GRID)
         grid = self.grid()
         evals = {m: evaluate(paper_derived, grid, m) for m in models}
         devs, _ = model_deviations(evals, models)
@@ -258,6 +264,55 @@ class TestTablesAsTheReference:
         rows = [row for group in zip(*per_model) for row in group]
         columns = BASE_COLUMNS + tuple(dev_cols)
         assert code == 0 and out == reference_render_rows(rows, fmt, columns)
+
+
+class TestTablesInBlocks(TestTablesAsTheReference):
+    """The same tables, formed and written 5 grid points at a time (the 17-point grid
+    in four blocks), to stdout and to ``--out``."""
+
+    @pytest.fixture(autouse=True, params=["stdout", "out"])
+    def small_blocks(self, request, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "_BLOCK_POINTS", 5)
+        self.out = tmp_path / "table" if request.param == "out" else None
+
+    def table(self, capsys, *argv):
+        if self.out is None:
+            return super().table(capsys, *argv)
+        code, out, _ = run(capsys, *argv, "--out", str(self.out))
+        assert out == ""
+        return code, self.out.read_bytes().decode()
+
+
+class TestTableMemory:
+    """A table command's traced memory does not grow with its table: only the
+    physics' arrays grow with the grid, not the rows or their text."""
+
+    @staticmethod
+    def peak(tmp_path, *argv):
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--out", str(tmp_path / "table")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # Measured: 0.87 -> 1.61 MB for 3 -> 12 sweep values and 0.96 -> 1.71 MB for
+    # 2001 -> 20001 spectrum points, against 4.1 -> 16.7 and 1.5 -> 16.7 MB when
+    # every row was held and rendered at once.
+    GROWTH = 2.5
+
+    def test_sweep_values(self, tmp_path):
+        args = ("sweep", "--axis", "T", "--values")
+        self.peak(tmp_path, *args, "4,77,300")   # the imports it makes are not the table's
+        few = self.peak(tmp_path, *args, "4,77,300")
+        many = self.peak(tmp_path, *args, ",".join(str(4.0 + 25.0 * i) for i in range(12)))
+        assert many <= self.GROWTH * few
+
+    def test_spectrum_points(self, tmp_path):
+        self.peak(tmp_path, "spectrum")
+        few = self.peak(tmp_path, "spectrum", "--omega-points", "2001")
+        many = self.peak(tmp_path, "spectrum", "--omega-points", "20001")
+        assert many <= self.GROWTH * few
 
 
 class TestOptimum:
@@ -358,6 +413,24 @@ class TestOccupation:
         assert out == "<a1^dag a1> = 0\n|alpha_1|^2 = 0  (ratio nan)\n"
 
 
+# Lasers blue of both modes violate the sign convention: the steady state fails.
+BLUE_DRIVEN_CONFIG = """
+omega_p_hz = 3.0e14
+omega_m_hz = 73.5e6
+gamma_hz = 3.2e6
+q_factor = 30000
+nu_hz = 1.0e8
+eta = 1.0e-4
+temperature_k = 300
+radius_m = 38e-6
+n0 = 1.45
+delta1_hz = 83.5e6
+delta2_hz = 83.5e6
+drive_omega1_rads = 1e12
+drive_omega2_rads = 1e12
+"""
+
+
 class TestErrorPaths:
     def test_unknown_key_exits_2(self, capsys):
         code, _, err = run(capsys, "derive", "--set", "nonsense=1")
@@ -374,23 +447,8 @@ class TestErrorPaths:
         assert "io error" in err
 
     def test_physics_error_exits_3(self, tmp_path, capsys):
-        # lasers blue of both modes violate the sign convention
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("""
-omega_p_hz = 3.0e14
-omega_m_hz = 73.5e6
-gamma_hz = 3.2e6
-q_factor = 30000
-nu_hz = 1.0e8
-eta = 1.0e-4
-temperature_k = 300
-radius_m = 38e-6
-n0 = 1.45
-delta1_hz = 83.5e6
-delta2_hz = 83.5e6
-drive_omega1_rads = 1e12
-drive_omega2_rads = 1e12
-""")
+        cfg.write_text(BLUE_DRIVEN_CONFIG)
         code, _, err = run(capsys, "derive", "--config", str(cfg))
         assert code == 3
         assert "physics error" in err
@@ -465,6 +523,20 @@ drive_omega2_rads = 1e12
         code, out, err = run(capsys, *argv, "--out", str(table))
         assert code == 2
         assert err == "configuration error: invalid omega grid\n"
+        assert out == "" and not table.exists()
+
+    @pytest.mark.parametrize("command", [("sweep", "--axis", "T"), ("spectrum",), ("verify",)],
+                             ids=lambda command: command[0])
+    def test_failed_physics_writes_no_table(self, command, tmp_path, capsys):
+        # the physics runs before the table is opened: a command whose steady state
+        # fails leaves no --out file (an inverted band: test_inverted_grid_exits_2)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(BLUE_DRIVEN_CONFIG)
+        table = tmp_path / "table.csv"
+        code, out, err = run(capsys, *command, "--omega-points", "5", "--config", str(cfg),
+                             "--out", str(table))
+        assert code == 3
+        assert err.startswith("physics error: ")
         assert out == "" and not table.exists()
 
     def test_derive_accepts_one_bound_beyond_the_default_band(self, capsys):

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import optoepr as oe
-from optoepr.io import BASE_COLUMNS, read_jsonlines, render_rows
+from optoepr.io import BASE_COLUMNS, read_jsonlines, render_rows, write_rows
 from optoepr.params import TWO_PI
 
 
@@ -220,6 +221,42 @@ class TestEmitRows:
     def test_row_of_another_length_rejected(self, rows, fmt):
         with pytest.raises(ValueError, match="one cell per column"):
             render_rows(rows, fmt)
+
+
+class TestWriteRows:
+    row = TestEmitRows.row
+
+    def blocks(self):
+        rows = [self.row(omega_rads=float(w), n=math.nan if w == 3 else 1.5 * w,
+                         flags="" if w % 2 else "a,\"b\"") for w in range(7)]
+        return rows, [rows[:3], [], rows[3:4], rows[4:]]
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonlines"])
+    def test_blocks_as_the_whole_table(self, fmt):
+        rows, blocks = self.blocks()
+        handle = io.StringIO()
+        write_rows(handle, iter(blocks), fmt)
+        assert handle.getvalue() == render_rows(rows, fmt)
+        assert handle.getvalue().count(",".join(BASE_COLUMNS)) == (fmt == "csv")
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonlines"])
+    @pytest.mark.parametrize("blocks", [[], [[]]], ids=["none", "empty"])
+    def test_no_rows_as_the_empty_table(self, blocks, fmt):
+        handle = io.StringIO()
+        write_rows(handle, blocks, fmt)
+        assert handle.getvalue() == render_rows([], fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonlines"])
+    @pytest.mark.parametrize("first, later", [(1.5, "1.5"), ("1.5", 1.5)],
+                             ids=["float-then-str", "str-then-float"])
+    def test_column_of_another_type_in_a_later_block(self, first, later, fmt):
+        # each block is all floats or all strings in n, but the table is not: the
+        # later block raises before any of its text is written
+        blocks = [[self.row(n=first)] * 2, [self.row(n=later)]]
+        handle = io.StringIO()
+        with pytest.raises(TypeError, match="'n'.*first block"):
+            write_rows(handle, blocks, fmt)
+        assert handle.getvalue() == render_rows(blocks[0], fmt)
 
 
 def reference_render_rows(rows, fmt, columns=BASE_COLUMNS):

@@ -547,6 +547,46 @@ class TestIntracavityOccupation:
         with pytest.raises(oe.NonConvergent, match="not converged to 1e-12 within 4097 points"):
             oe.intracavity_occupation(paper_derived)
 
+    def test_as_the_full_grid_loop(self, paper_derived, optimum_derived):
+        for derived in (paper_derived, optimum_derived):
+            assert oe.intracavity_occupation(derived) == reference_intracavity_occupation(derived)
+
+    def test_blocks_do_not_move_the_value(self, paper_derived, monkeypatch):
+        # blocks that split each level's new points unevenly give the same bits
+        expected = reference_intracavity_occupation(paper_derived)
+        monkeypatch.setattr(langevin, "_OCCUPATION_BLOCK", 999)
+        assert oe.intracavity_occupation(paper_derived) == expected
+
+    @pytest.mark.parametrize("delta", np.concatenate([
+        np.geomspace(1e5, 1e9, 9), np.random.default_rng(7).uniform(1e5, 1e9, 6),
+        [TWO_PI * 1e7, math.nextafter(TWO_PI * 1e7, math.inf), 3.0 * TWO_PI * 1e7 / 7.0]]))
+    def test_doubled_grid_holds_the_previous_one(self, delta):
+        # the premise of the reuse of each level's density: the even-index points of
+        # every doubling the loop makes are the previous level's grid, to the bit
+        npts = 2049
+        coarse = np.linspace(-delta, delta, npts)
+        while 2 * (npts - 1) + 1 <= langevin._OCCUPATION_MAX_POINTS:
+            npts = 2 * (npts - 1) + 1
+            fine = np.linspace(-delta, delta, npts)
+            assert np.array_equal(fine[::2], coarse)
+            coarse = fine
+
+
+def reference_intracavity_occupation(derived):
+    """intracavity_occupation evaluating the density on every point of each level's grid,
+    as a reference."""
+    npts, previous = 2049, None
+    while npts <= langevin._OCCUPATION_MAX_POINTS:
+        omegas = np.linspace(-derived.delta, derived.delta, npts)
+        density = langevin._rwa3_interior_density(derived, omegas)
+        value = float(np.trapezoid(density, omegas)) / (2.0 * math.pi)
+        if previous is not None and (value == previous == 0.0 or
+                                     abs(value - previous) <= langevin._OCCUPATION_RTOL * abs(value)):
+            return value
+        previous = value
+        npts = 2 * (npts - 1) + 1
+    raise oe.NonConvergent("occupation integral not converged")
+
 
 class TestModelAgreement:
     def test_adiabatic_response_tracks_rwa3(self, paper_derived):

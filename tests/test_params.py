@@ -186,6 +186,29 @@ def test_non_finite_argument_rejected(helper, position, value):
     assert raised.type is error
 
 
+# Finite arguments outside a helper's domain, each with the ParameterError message of
+# the check in PhysicalParams or DriveSpec that would reject the value it returned.
+OUT_OF_DOMAIN_ARGUMENTS = [
+    (gamma_m_from_q, (-1.0, 10.0), "omega_m must be strictly positive"),
+    (gamma_m_from_q, (0.0, 10.0), "omega_m must be strictly positive"),
+    (oe.normal_mode_drives, (-1.0, -1.0, -1.0, 1.0), "drive amplitudes must be >= 0"),
+    (oe.normal_mode_drives, (-1.0, -1.0, 1.0, -1.0), "drive amplitudes must be >= 0"),
+    (oe.normal_mode_drives, (1.0, 1.0, -1.0, 1.0), "drive amplitudes must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("function, args, message", OUT_OF_DOMAIN_ARGUMENTS,
+                         ids=lambda v: v.__name__ if callable(v) else None)
+def test_out_of_domain_argument_rejected(function, args, message):
+    with pytest.raises(oe.ParameterError, match=message):
+        function(*args)
+
+
+def test_zero_drives_accepted():
+    # the undriven cavity is in the domain: a drive of 0 is not negative
+    assert oe.normal_mode_drives(0.0, 0.0, 0.0, 0.0) == (0.0, 0.0)
+
+
 class TestPhysicalParamsValidation:
     def test_gamma_m_must_be_below_omega_m(self, paper_params):
         with pytest.raises(ValueError, match="gamma_m"):
