@@ -13,19 +13,18 @@ and ``optimum`` load neither.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
 import numpy as np
 
 from . import io as tabio
-from .config import RunConfig, parse_config
+from .config import parse_config
 from .errors import ConfigError, OptoEprError, PhysicsError
-from .params import validate_regime
+from .params import PhysicalParams, validate_regime
 from .spectrum import (DEFAULT_GRID_HALF_WIDTH_GAMMAS, DEFAULT_GRID_POINTS, closed_form_grid,
                        metric_columns, optimum_d, spectrum_flags)
-from .steady_state import operating_point_params, solve_steady_state
+from .steady_state import retuned_d, solve_steady_state
 
 # A table command forms and writes its rows for at most this many grid points at a
 # time, so that its memory does not grow with its table.
@@ -52,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override a configuration key (repeatable)")
     parser.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
-    parser.add_argument("--format", choices=["csv", "jsonlines"], default=None)
+    parser.add_argument("--format", choices=["csv", "jsonlines"], default="csv")
     parser.add_argument("--omega-min", type=float, default=None,
                         help="grid start [rad/s] (default -2 gamma)")
     parser.add_argument("--omega-max", type=float, default=None,
@@ -69,7 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> RunConfig:
+def _load_config(args) -> PhysicalParams:
+    """The operating point of ``--config`` (or the paper defaults) and ``--set``,
+    retuned to the closed-form optimum d under ``--at-optimum-d``."""
     if args.config:
         with open(args.config) as handle:
             text = handle.read()
@@ -81,15 +82,10 @@ def _load_config(args) -> RunConfig:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
-    cfg = parse_config(text, overrides)
-    params = cfg.params
+    params = parse_config(text, overrides).params
     if args.at_optimum_d:
-        # retuned_d's arithmetic, on the base solved once
-        derived = solve_steady_state(params)
-        params = operating_point_params(params, derived.alpha, derived.delta,
-                                        optimum_d(derived).d_o)
-    return dataclasses.replace(cfg, params=params, format=args.format or cfg.format,
-                               output_path=args.out or cfg.output_path)
+        params = retuned_d(params, optimum_d(solve_steady_state(params)).d_o)
+    return params
 
 
 def _grid(args, gamma: float, min_points: int = 1) -> np.ndarray:
@@ -122,21 +118,20 @@ def _rows(omegas: np.ndarray, gamma: float, model: str, x: np.ndarray, flags,
                     *(dev.tolist() for dev in devs)))
 
 
-def _emit(blocks, cfg: RunConfig, columns=tabio.BASE_COLUMNS) -> None:
-    """Write a table, given as blocks of rows, to ``--out`` or stdout.
+def _emit(blocks, args, columns=tabio.BASE_COLUMNS) -> None:
+    """Write a table, given as blocks of rows, to ``--out`` or stdout in ``--format``.
 
     Called once the command's physics has run, so that a command that fails
     leaves no file and writes no table.
     """
-    if cfg.output_path is None:
-        tabio.write_rows(sys.stdout, blocks, cfg.format, columns)
+    if not args.out:   # an empty --out writes to stdout too
+        tabio.write_rows(sys.stdout, blocks, args.format, columns)
     else:
-        with open(cfg.output_path, "w", newline="") as handle:
-            tabio.write_rows(handle, blocks, cfg.format, columns)
+        with open(args.out, "w", newline="") as handle:
+            tabio.write_rows(handle, blocks, args.format, columns)
 
 
-def _cmd_derive(args, cfg: RunConfig) -> int:
-    params = cfg.params
+def _cmd_derive(args, params: PhysicalParams) -> int:
     derived = solve_steady_state(params)
     # regime ratios are quoted at the elimination band edge unless the
     # caller pins a band explicitly, then at its largest |bound|
@@ -158,23 +153,21 @@ def _cmd_derive(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_spectrum(args, cfg: RunConfig) -> int:
-    params = cfg.params
+def _cmd_spectrum(args, params: PhysicalParams) -> int:
     derived = solve_steady_state(params)
     grid = _grid(args, params.gamma)
     ev = closed_form_grid(derived, grid)
     _emit((_rows(grid[s], derived.gamma, "adiabatic", ev.x[s],
                  (";".join(f) for f in spectrum_flags(derived, grid[s], ev.error[s])),
-                 n=ev.n[s], k_x=ev.k_x[s]) for s in _blocks(len(grid))), cfg)
+                 n=ev.n[s], k_x=ev.k_x[s]) for s in _blocks(len(grid))), args)
     return 0
 
 
-def _cmd_sweep(args, cfg: RunConfig) -> int:
+def _cmd_sweep(args, params: PhysicalParams) -> int:
     from .sweeps import SweepSpec, run_sweep
     if not args.axis:
         raise ConfigError("sweep requires --axis {T|alpha|d|Q}")
     axis = _AXIS_NAMES[args.axis]
-    params = cfg.params
     grid = _grid(args, params.gamma)
     try:
         if args.values is not None:   # an empty --values is an error, not the defaults
@@ -200,7 +193,7 @@ def _cmd_sweep(args, cfg: RunConfig) -> int:
                 yield _rows(omegas, params.gamma, "adiabatic", row.epr_variance[s],
                             [tag] * len(omegas))
 
-    _emit(blocks(), cfg)
+    _emit(blocks(), args)
     notes = [f"# {args.axis}={row.value:g}: {row.error}" if row.error else
              f"# {args.axis}={row.value:g}: peak_eof={row.peak_eof:.6g} "
              f"fwhm={row.fwhm:.6g} peaks_at={[f'{w:.4g}' for w in row.peak_omegas]}"
@@ -209,8 +202,7 @@ def _cmd_sweep(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_optimum(args, cfg: RunConfig) -> int:
-    params = cfg.params
+def _cmd_optimum(args, params: PhysicalParams) -> int:
     derived = solve_steady_state(params)
     opt = optimum_d(derived)
     if args.numeric:   # searched before anything is printed: a failed search prints nothing
@@ -230,7 +222,7 @@ def _cmd_optimum(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify(args, cfg: RunConfig) -> int:
+def _cmd_verify(args, params: PhysicalParams) -> int:
     from .langevin import MODELS, evaluate, model_deviations
     models = tuple(m.strip() for m in args.models.split(",") if m.strip())
     if not models or set(models) - set(MODELS):
@@ -238,7 +230,6 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
                           f"from {', '.join(MODELS)}")
     if len(set(models)) != len(models):
         raise ConfigError(f"--models {args.models!r}: each model may be listed once")
-    params = cfg.params
     derived = solve_steady_state(params)
     grid = _grid(args, params.gamma)
     evals = {m: evaluate(derived, grid, m) for m in models}
@@ -252,16 +243,16 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
                          for m in models]
             yield [row for group in zip(*per_model) for row in group]
 
-    _emit(blocks(), cfg, tabio.BASE_COLUMNS + tuple(f"dev_{m}" for m in models[1:]))
+    _emit(blocks(), args, tabio.BASE_COLUMNS + tuple(f"dev_{m}" for m in models[1:]))
     for model, dev in worst.items():
         summary = "no point compared" if np.isnan(devs[model]).all() else f"{dev:.6g}"
         print(f"# max |rel dev| of n-k_x, {model} vs {models[0]}: {summary}", file=sys.stderr)
     return 0
 
 
-def _cmd_occupation(args, cfg: RunConfig) -> int:
+def _cmd_occupation(args, params: PhysicalParams) -> int:
     from .langevin import intracavity_occupation
-    derived = solve_steady_state(cfg.params)
+    derived = solve_steady_state(params)
     value = intracavity_occupation(derived)
     alpha_sq = abs(derived.alpha_1) ** 2
     ratio = value / alpha_sq if alpha_sq else math.nan   # an undriven cavity holds no photons
@@ -283,8 +274,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
-        return _COMMANDS[args.command](args, cfg)
+        return _COMMANDS[args.command](args, _load_config(args))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

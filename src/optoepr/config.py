@@ -5,7 +5,9 @@ preloads the default operating point, and command-line ``--set key=value``
 overrides that replace file values.  Linear-frequency keys (``_hz``) are
 converted by 2*pi and drive powers (``_w``) to drive amplitudes
 (:func:`~optoepr.params.power_to_amplitude`) at this boundary; everything
-downstream is angular and holds the drive as amplitudes.
+downstream is angular and holds the drive as amplitudes.  A configuration
+is the operating point alone: the command line's ``--format`` and ``--out``
+decide how and where a table is written, and no key names them.
 
 The drive can be given two ways (mutually exclusive):
 
@@ -32,8 +34,6 @@ from .errors import ParameterError, ParseError, UnitError, UnknownKey
 from .params import (TWO_PI, DriveSpec, PhysicalParams, detunings, gamma_m_from_q,
                      power_to_amplitude)
 from .steady_state import operating_point_params
-
-FORMATS = ("csv", "jsonlines")
 
 _HZ = TWO_PI
 
@@ -62,7 +62,6 @@ _PHYSICAL_KEYS = {
     "p1_w": ("p1", 1.0),
     "p2_w": ("p2", 1.0),
 }
-_RUN_KEYS = ("format", "out")
 
 # The key serialize_config writes each field of PhysicalParams and of its DriveSpec under.
 _CANONICAL_KEYS = (
@@ -97,15 +96,11 @@ PAPER_DEFAULTS = {
 @dataclass(frozen=True)
 class RunConfig:
     params: PhysicalParams
-    output_path: str | None = None
-    format: str = "csv"
 
 
 def _classify(key: str):
     if key in _PHYSICAL_KEYS:
         return _PHYSICAL_KEYS[key]
-    if key in _RUN_KEYS:
-        return (key, None)
     for stem in _SUFFIXED_STEMS:
         if key == stem or (key.startswith(stem + "_") and key not in _PHYSICAL_KEYS):
             valid = sorted(k for k, (f, _) in _PHYSICAL_KEYS.items() if k.startswith(stem))
@@ -158,12 +153,8 @@ def parse_config(text: str, flag_overrides: dict[str, str] | None = None) -> Run
         resolved[key] = str(value)
 
     fields: dict[str, float] = {}
-    run: dict[str, str] = {}
     for key, value in resolved.items():
         name, factor = _classify(key)
-        if factor is None:
-            run[name] = value
-            continue
         try:
             number = float(value)
         except ValueError:
@@ -176,11 +167,7 @@ def parse_config(text: str, flag_overrides: dict[str, str] | None = None) -> Run
             raise ParseError(f"quantity {name!r} given more than once ({key!r} and {other})")
         fields[name] = number * factor
 
-    fmt = run.get("format", "csv")
-    if fmt not in FORMATS:
-        raise ParseError(f"format must be one of {FORMATS}, got {fmt!r}")
-    params = _build_params(fields)
-    return RunConfig(params=params, output_path=run.get("out"), format=fmt)
+    return RunConfig(params=_build_params(fields))
 
 
 def _require(fields: dict, *names: str):
@@ -252,9 +239,6 @@ def serialize_config(config: RunConfig) -> str:
     fields = {**vars(config.params), **vars(config.params.drive)}
     lines = ["# optoepr configuration (canonical form)"]
     lines += [f"{key} = {_fmt(fields[name])}" for name, key in _CANONICAL_KEYS]
-    lines.append(f"format = {config.format}")
-    if config.output_path:
-        lines.append(f"out = {config.output_path}")
     return "\n".join(lines) + "\n"
 
 

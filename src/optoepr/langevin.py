@@ -425,15 +425,20 @@ def evaluate(derived: DerivedParams, omegas, model: str) -> Evaluation:
     last bit what :func:`_reduce` gives on the laid-out covariance.  Failed
     points are flagged by name: ``NotSymmetricState`` where an exact model's
     residual exceeds 5% of n, ``DomainError`` where n - k_x is not positive.
-    The closed form takes a grid of any shape, the exact models a finite 1-D
-    one.  Raises ValueError for an unknown model or an exact model's grid that
-    breaks that rule (:func:`~optoepr.spectrum.one_d_grid`, before anything is
-    solved), and SingularDrift if a drift is singular anywhere on the grid.
+    The closed form takes a sequence of operating points too
+    (:func:`~optoepr.spectrum.closed_form_grid`) and a grid of any shape, the
+    exact models one operating point and a finite 1-D grid.  Raises ValueError
+    for an unknown model, or an exact model's input that breaks that rule
+    (:func:`~optoepr.spectrum.one_d_grid` for the grid), before anything is
+    solved, and SingularDrift if a drift is singular anywhere on the grid.
     """
     if model == "adiabatic":
         return closed_form_grid(derived, omegas)
     if model not in _GENERATORS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
+    if not isinstance(derived, DerivedParams):
+        raise ValueError(f"model {model!r} takes one operating point, "
+                         f"got {type(derived).__name__}")
     n1, n2, a, b = _covariance_blocks(_response_maps(derived, one_d_grid(omegas), model),
                                       derived.n_m)
     # _reduce's arithmetic on the laid-out blocks: the cross block's first hypot is hypot(0, 0)

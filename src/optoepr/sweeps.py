@@ -96,6 +96,10 @@ _MIN_OFFSETS = np.linspace(-1.0, 1.0, _MIN_POINTS)
 
 
 def default_omega_grid(gamma: float, points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
+    """``points`` frequencies evenly over [-2 gamma, 2 gamma]; ValueError unless gamma
+    is finite and > 0."""
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and > 0, got {gamma!r}")
     hw = DEFAULT_GRID_HALF_WIDTH_GAMMAS * gamma
     return np.linspace(-hw, hw, points)
 

@@ -92,19 +92,27 @@ class TestSpectrum:
 
 
 class TestAtOptimumD:
-    def test_base_solved_once(self, paper_params, paper_derived, monkeypatch, capsys):
-        # the retune reuses the base's steady state instead of solving it again
-        retuned = oe.retuned_d(paper_params, oe.optimum_d(paper_derived).d_o)
-        solved = []
-        solve = steady_state.solve_steady_state
+    def test_retunes_through_retuned_d(self, paper_params, paper_derived, monkeypatch, capsys):
+        # the flag moves d by retuned_d to the base's closed-form optimum, holding
+        # |alpha| and delta of the base as operating_point_params would
+        d_o = oe.optimum_d(paper_derived).d_o
+        retuned = oe.retuned_d(paper_params, d_o)
+        assert retuned == steady_state.operating_point_params(
+            paper_params, paper_derived.alpha, paper_derived.delta, d_o)
+        retunes, solved = [], []
 
-        def counting(params):
+        def retuning(*args):
+            retunes.append(args)
+            return steady_state.retuned_d(*args)
+
+        def solving(params):
             solved.append(params)
-            return solve(params)
-        monkeypatch.setattr(cli, "solve_steady_state", counting)
-        monkeypatch.setattr(steady_state, "solve_steady_state", counting)
+            return steady_state.solve_steady_state(params)
+        monkeypatch.setattr(cli, "retuned_d", retuning)
+        monkeypatch.setattr(cli, "solve_steady_state", solving)
         code, _, _ = run(capsys, "derive", "--at-optimum-d")
         assert code == 0
+        assert retunes == [(paper_params, d_o)]
         assert solved == [paper_params, retuned]
 
     def test_occupation_of_the_retuned_point(self, paper_params, paper_derived, capsys):
@@ -436,6 +444,21 @@ class TestErrorPaths:
         code, _, err = run(capsys, "derive", "--set", "nonsense=1")
         assert code == 2
         assert "configuration error" in err
+
+    @pytest.mark.parametrize("key", ["format", "out"])
+    @pytest.mark.parametrize("where", ["file", "--set"])
+    def test_table_keys_are_unknown(self, key, where, tmp_path, capsys):
+        # how and where a table is written is --format and --out alone
+        table = tmp_path / "table.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"defaults: paper\n{key} = {table}\n" if where == "file"
+                       else "defaults: paper\n")
+        setting = ["--set", f"{key}={table}"] if where == "--set" else []
+        code, out, err = run(capsys, "spectrum", "--omega-points", "5", "--config", str(cfg),
+                             *setting)
+        assert code == 2
+        assert err == f"configuration error: unknown configuration key '{key}'\n"
+        assert out == "" and not table.exists()
 
     def test_bad_set_syntax_exits_2(self, capsys):
         code, _, err = run(capsys, "derive", "--set", "nonsense")

@@ -124,8 +124,13 @@ class TestParseConfig:
             oe.parse_config(POWERS_CONFIG, {"gamma_hz": "-3.2e6"})
 
     def test_format_key_validated(self):
-        with pytest.raises(oe.ParseError, match="format"):
-            oe.parse_config("defaults: paper\nformat = yaml\n")
+        # the table's format and path are the command line's --format and --out alone,
+        # so neither is a configuration key, in a file or as an override
+        for key in ("format", "out"):
+            with pytest.raises(oe.UnknownKey, match=f"'{key}'"):
+                oe.parse_config(f"defaults: paper\n{key} = csv\n")
+            with pytest.raises(oe.UnknownKey, match=f"'{key}'"):
+                oe.parse_config("defaults: paper\n", {key: "csv"})
 
 
 class TestSerializeRoundTrip:
@@ -135,18 +140,17 @@ class TestSerializeRoundTrip:
         # the drive is written as the detunings it holds
         assert f"delta1_rads = {cfg.params.drive.Delta_1:.17g}" in text
         assert "omega_l" not in text
-        again = oe.parse_config(text)
-        assert again.params == cfg.params
-        assert again.format == cfg.format
+        # the canonical text is the operating point alone: no format or out line
+        keys = [line.partition("=")[0].strip() for line in text.splitlines()[1:]]
+        assert len(keys) == 13 and not {"format", "out"} & set(keys)
+        assert oe.parse_config(text).params == cfg.params
 
     def test_identity_on_power_drive(self):
         # a powers config serializes as its amplitudes, which parse back exactly
-        cfg = oe.parse_config(POWERS_CONFIG + "format = jsonlines\n")
+        cfg = oe.parse_config(POWERS_CONFIG)
         text = oe.serialize_config(cfg)
         assert "p1_w" not in text and f"drive_omega1_rads = {cfg.params.drive.omega_1:.17g}" in text
-        again = oe.parse_config(text)
-        assert again.params == cfg.params
-        assert again.format == "jsonlines"
+        assert oe.parse_config(text).params == cfg.params
 
 
 class TestEmitRows:

@@ -1,6 +1,7 @@
 """The package imports nothing but the standard library and numpy (scipy is for tests only)."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -91,3 +92,36 @@ def test_cavity_frequency_reads_found():
     source = "w = p.omega_p + p.nu\np.nu = 1.0\nfields['omega_p']\nomega_p = nu\nx = a.b.nu\n"
     assert cavity_frequency_reads(source) == ["<source>:1: nu", "<source>:1: omega_p",
                                               "<source>:5: nu"]
+
+
+BENCHMARK_PROBED = {PACKAGE.parent.parent / "perfbench" / "worker.py": "PER_FUNCTION",
+                    PACKAGE.parent.parent / "perfbench" / "tracing.py": "PROBES"}
+# Probed names the package no longer defines: the batched paths replaced them, and
+# the benchmark still reports them (at zero).
+STALE_PROBED = {"spectrum.spectrum", "spectrum.epr_variance_array"}
+
+
+def dict_keys_of(source: str, name: str) -> list[str]:
+    """The string keys of the dict literal assigned to ``name`` in ``source``
+    (a ``**`` entry has no key and adds none)."""
+    return [key.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+            and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)
+            for key in node.value.keys if isinstance(key, ast.Constant)]
+
+
+def test_benchmark_probes_only_existing_functions():
+    # each "module.function" the benchmark times or probes is optoepr.<module>.<function>;
+    # the cli.* names are spans the benchmark opens itself
+    probed = {key for path, name in BENCHMARK_PROBED.items()
+              for key in dict_keys_of(path.read_text(), name)}
+    assert {"config.parse_config", "spectrum.optimum_d", "langevin.compare_models"} <= probed
+    missing = {key for key in probed if not key.startswith("cli.")
+               and not hasattr(importlib.import_module(f"optoepr.{key.partition('.')[0]}"),
+                               key.partition(".")[2])}
+    assert missing == STALE_PROBED
+
+
+def test_dict_keys_of_found():
+    source = "A = {'x.y': 1, **{'z': 2}}\nB = {'w': 1}\nA.k = {'v': 0}\n"
+    assert dict_keys_of(source, "A") == ["x.y"]

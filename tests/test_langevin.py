@@ -647,6 +647,18 @@ class TestModelAgreement:
         with pytest.raises(ValueError):
             oe.compare_models(paper_derived, [0.0], models=("adiabatic", "bogus"))
 
+    @pytest.mark.parametrize("model", ["adiabatic_response", "rwa3", "full6"])
+    def test_exact_models_take_one_operating_point(self, model, paper_derived, monkeypatch):
+        # the closed form takes a list of operating points; an exact model rejects
+        # one by name before it solves anything
+        assert oe.evaluate([paper_derived], [0.0, 1e6], "adiabatic").x.shape == (1, 2)
+
+        def fail(*args):
+            raise AssertionError("solved before the operating point was checked")
+        monkeypatch.setattr(langevin, "_response_maps", fail)
+        with pytest.raises(ValueError, match=f"model '{model}' takes one operating point, got list"):
+            oe.evaluate([paper_derived], [0.0, 1e6], model)
+
 
 def eliminated_further(derived, s):
     """``derived`` with delta and gamma_m times s and the amplitudes times sqrt(s): g, g'

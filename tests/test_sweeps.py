@@ -190,6 +190,14 @@ def test_grid_rule_rejects_before_solving(entry, grid_name, paper_params, paper_
         GRID_ENTRY_POINTS[entry](paper_params, paper_derived, grid)
 
 
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -1.0, 0.0])
+def test_default_grid_needs_a_positive_finite_gamma(gamma):
+    # a NaN gamma would give a NaN grid and a negative one a descending grid, which
+    # only the grid checks downstream would reject, by messages about the grid
+    with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+        oe.default_omega_grid(gamma)
+
+
 class TestRunSweep:
     def test_single_value_sweep_equals_direct_spectrum(self, optimum_params,
                                                        optimum_derived, omega_grid):
