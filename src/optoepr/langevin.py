@@ -10,25 +10,26 @@ Three linear response models share one representation here:
   response map so the closed-form covariance can be cross-checked.
 
 Each model has one generator that solves its drift over a whole frequency
-grid, and the rest of the chain is stacked too.  In every drift the cavity
-modes couple only to the mechanics, so the solve eliminates the diagonal
-cavity block per frequency in closed form and inverts the remaining 1x1 or
-2x2 mechanical block (the inverse dressed mechanical susceptibility) by its
-adjugate, forming only the resolvent rows the model keeps
-(:func:`_resolvent`); no LU factorization or eigendecomposition is involved.
-:func:`evaluate` runs it for one model on one grid (the closed form
-included); the single-frequency functions are its one-point case in long
-double: a commutator cancels entries ~sqrt(n) down to 1, so a double map's
-defect is ~eps n (~1e-9 at strong drive), an x86 long-double map's ~1e-13.
+grid, and the rest of the chain is stacked too.  In the 3-mode and 6-operator
+drifts the cavity modes couple only to the mechanics, so the solve eliminates
+the diagonal cavity block per frequency in closed form and inverts the
+remaining 1x1 or 2x2 mechanical block by its adjugate, forming only the
+resolvent rows the model keeps (:func:`_resolvent`); the eliminated model's
+2x2 drift is inverted explicitly (:func:`_adiabatic_resolvent`).  No LU
+factorization or eigendecomposition is involved.  :func:`evaluate` runs one
+model on one grid (the closed form included); the single-frequency functions
+are its one-point case in long double: a commutator cancels entries ~sqrt(n)
+down to 1, so a double map's defect is ~eps n (~1e-9 at strong drive), an x86
+long-double map's ~1e-13.
 
 A :class:`LinearResponse` maps the six input operators
 (a1_in, a1_in^dag, a2_in, a2_in^dag, a_m_in, a_m_in^dag), evaluated at the
 response's sideband frequency, onto the four outputs
 (a1_out, a1_out^dag, a2_out, a2_out^dag).  Daggered entries follow the
-mirrored-frequency convention: the row/column for o^dag at sideband w is the
-complex conjugate of o's at -w, with partner columns swapped.  The map at -w
-is therefore fully determined by the map at +w, which is what the
-weighted Gram below exploits.
+mirrored-frequency convention: the row for o^dag at sideband w is the complex
+conjugate of o's at -w, with partner columns swapped.  So two output rows per
+frequency are independent (:func:`_output_rows`): those of (a1_out, a2_out^dag)
+at +w and at -w, the latter mirrored into their partners' rows.
 
 The mechanical bath enters both optical modes through the same noise
 operator (the correlated (a_m_in, -a_m_in) injection); this sign structure
@@ -37,19 +38,19 @@ is what suppresses thermal noise in the difference channel.
 Covariances are the symmetrized spectral densities over
 xi = (X1, P1, X2, P2): Hermitian cross-spectra are reduced to their real
 (frequency-even) part, the standard real covariance convention for
-stationary fields.  Every second-order quantity of a map comes from one
-weighted Gram of its rows at +w, G[i, k] = sum_l w_l T[i, l] conj(T[k, l])
-over the 8 pairs (i, k) in one row block (:func:`_gram`).  With the inputs'
-symmetrized occupations as weights it gives the covariance blocks directly
+stationary fields.  Every second-order quantity comes from one weighted product
+of each row pair (P_0, P_1) (:func:`_row_gram`): the powers sum_l w_l |P_jl|^2
+and the cross product sum_l w_l P_0l conj(P_1l).  With the inputs' symmetrized
+occupations as weights they give the covariance blocks
 (:func:`_covariance_blocks`): diagonal blocks n1 I and n2 I, cross block
-[[a, b], [b, -a]].  With +1 for each input o and -1 for each o^dag it gives
-the output commutators (:meth:`LinearResponse.commutator_defect`).
-:func:`evaluate` reduces the four covariance numbers per point in closed
-form, n = (n1 + n2) / 2 and k_x = hypot(a, b) in exact arithmetic, and
-never lays out a 4x4 matrix; only :func:`assemble_covariance` does.  A
-general cross block [[a, b], [c, d]] reduces to Simon's standard form
-diag(k_x, k_p) by k_x = (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2 and
-k_p = (ad - bc) / k_x (:func:`_reduce`).
+[[a, b], [b, -a]], Hermitian by construction.  With +1 for each input o and -1
+for each o^dag they give the output commutators
+(:meth:`LinearResponse.commutator_defect`).  :func:`evaluate` reduces the four
+numbers per point in closed form, n = (n1 + n2) / 2 and k_x = hypot(a, b), and
+lays out no 4x6 map and no 4x4 matrix.  A general cross block [[a, b], [c, d]]
+reduces to Simon's standard form diag(k_x, k_p) by
+k_x = (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2 and k_p = (ad - bc) / k_x
+(:func:`_reduce`).
 """
 
 from __future__ import annotations
@@ -67,16 +68,10 @@ from .spectrum import Evaluation, StandardForm, closed_form_grid, one_d_grid
 from .steady_state import DerivedParams
 
 _MIRROR_PERM = np.array([1, 0, 3, 2, 5, 4])
-_A_ROWS = [0, 3]   # co-rotating outputs (a1_out, a2_out^dag)
-_B_ROWS = [1, 2]   # their mirrored partners
-# The flat (row, input) positions of the response map's rows, block by block, and
-# each Gram entry's partner G[k, i] in :func:`_gram`'s order.
-_GRAM_MAP_ENTRIES = [6 * i + l for i in _A_ROWS + _B_ROWS for l in range(6)]
-_GRAM_PARTNER = [0, 2, 1, 3, 4, 6, 5, 7]
-# Gram weights of the commutators, +1 for each input o and -1 for each o^dag, and
-# the bosonic values [o_i(w), o_j(-w)] (j the partner of k) in the Gram's order.
+# Row-product weights of the commutators, +1 for each input o and -1 for each o^dag,
+# and their bosonic values: the powers of (a1_out, a2_out^dag) and of their partners.
 _COMMUTATOR_WEIGHTS = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
-_BOSONIC_GRAM = np.array([1.0, 0.0, 0.0, -1.0, -1.0, 0.0, 0.0, 1.0])[:, None]
+_BOSONIC_POWER = np.array([[1.0, -1.0], [-1.0, 1.0]])
 # Flat (row-major) positions of the two diagonal 2x2 blocks of a 4x4 covariance, and I, I there.
 _DIAGONAL_BLOCKS = [0, 1, 4, 5, 10, 11, 14, 15]
 _DIAGONAL_IDENTITY = np.array([1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0])[:, None]
@@ -113,6 +108,8 @@ class Covariance4:
         entries = np.asarray(self.entries, dtype=float)
         if entries.shape != (4, 4):
             raise ValueError("Covariance4 requires a 4x4 matrix")
+        if not np.isfinite(entries).all():
+            raise ValueError("covariance entries must be finite")
         asym = np.max(np.abs(entries - entries.T))
         if asym > 1e-10 * max(1.0, float(np.max(np.abs(entries)))):
             raise ValueError(f"covariance not symmetric: max asymmetry {asym:.3e}")
@@ -130,39 +127,40 @@ class LinearResponse:
 
     ``map_rows`` is the 4x6 matrix from the input basis
     (a1_in, a1_in^dag, a2_in, a2_in^dag, a_m_in, a_m_in^dag) to
-    (a1_out, a1_out^dag, a2_out, a2_out^dag).  Its map at -omega follows
-    from conjugate pairing, so the covariance (:func:`assemble_covariance`)
-    and the commutators are both weighted Grams of these rows (:func:`_gram`).
+    (a1_out, a1_out^dag, a2_out, a2_out^dag): rows 0 and 3 are the pair
+    (a1_out, a2_out^dag), rows 1 and 2 their partners (:meth:`_row_pairs`).
     """
 
     omega: float
     map_rows: np.ndarray
 
+    def _row_pairs(self) -> np.ndarray:
+        """The map's two row pairs, (2, 2, 6), laid out as :func:`_output_rows` lays them out."""
+        return np.stack([self.map_rows[[0, 3]], self.map_rows[[1, 2]]])
+
     def commutator_defect(self) -> float:
         """Max deviation of the output commutators from the bosonic values.
 
-        The commutators [o_i(w), o_j(-w)] of outputs i and j in different
-        row blocks are the Gram entries of the map (:func:`_gram`) with
-        weight +1 on each input o and -1 on each o^dag; the bosonic values
-        are +-1 between an output and its own partner, 0 otherwise.
+        The commutators [o_i(w), o_j(-w)], i and j in different row pairs, are
+        the row products (:func:`_row_gram`) with weight +1 on each input o and
+        -1 on each o^dag: +-1 for the powers, 0 for the cross products.
         """
-        g = _gram(self.map_rows, _COMMUTATOR_WEIGHTS)
-        return float(np.max(np.abs(g - _BOSONIC_GRAM)))
+        power, cross = _row_gram(self._row_pairs(), _COMMUTATOR_WEIGHTS)
+        return float(max(np.max(np.abs(power - _BOSONIC_POWER)), np.max(np.abs(cross))))
 
 
 def _resolvent(M: np.ndarray, l: np.ndarray, omegas: np.ndarray, rows: list[int],
                cavity: int, label: str) -> np.ndarray:
     """Rows ``rows`` of (-i w - M)^-1 diag(l) for every w of ``omegas``, shape (N, len(rows), k).
 
-    The first ``cavity`` modes of M couple only to the last one or two
+    The first ``cavity`` (>= 1) modes of M couple only to the last one or two
     (mechanical) ones, so A = -i w - M = [[D, X], [Y, E]] has a diagonal
     cavity block D.  Eliminating it leaves the mechanical Schur complement
     S = E - Y D^-1 X, the inverse dressed mechanical susceptibility, which
     is inverted in closed form, S^-1 = adj(S) / det S (1x1 or 2x2).  The
     kept rows are cavity rows r, whose row of A^-1 is
-    -(X_r / D_r) S^-1 [-Y D^-1, 1] plus 1/D_r on column r; with no cavity
-    modes, S = A and they are rows of S^-1.  It works in the precision of
-    ``omegas``: a long-double grid gives long-double rows.
+    -(X_r / D_r) S^-1 [-Y D^-1, 1] plus 1/D_r on column r.  It works in the
+    precision of ``omegas``: a long-double grid gives long-double rows.
 
     Raises SingularDrift where a pivot, an entry of D or det S, is exactly zero.
     """
@@ -178,11 +176,10 @@ def _resolvent(M: np.ndarray, l: np.ndarray, omegas: np.ndarray, rows: list[int]
     # S row-major, (N, m * m); Y D^-1 X is one (N, cavity) @ (cavity, m * m) product.
     S = (z * eye.ravel() - M[cavity:, cavity:].ravel()
          - d_inv @ (Y.T[:, :, None] * X[:, None, :]).reshape(cavity, m * m))
-    # u_r adj(S) [-Y, 1] diag(l) of every kept row r, linear in S: one column of G per
-    # (row, mode), with u_r = -X_r for a cavity row and the unit row for a mechanical one.
-    U = X[rows] if cavity else eye[rows]
+    # -X_r adj(S) [-Y, 1] diag(l) of every kept row r, linear in S: one column of G per
+    # (row, mode).
     YI = np.concatenate([Y, eye], axis=1) * l
-    G = (U.T[:, None, :, None] * YI[None, :, None, :]).reshape(m * m, -1)
+    G = (X[rows].T[:, None, :, None] * YI[None, :, None, :]).reshape(m * m, -1)
     if m == 1:
         det, num = S[:, 0], G
     else:
@@ -190,8 +187,6 @@ def _resolvent(M: np.ndarray, l: np.ndarray, omegas: np.ndarray, rows: list[int]
     if not det.all():
         raise SingularDrift(f"{label} drift singular on the frequency grid: "
                             "singular mechanical Schur complement")
-    if not cavity:
-        return num.reshape(-1, len(rows), m) / det[:, None, None]
     out = num.reshape(-1, len(rows), len(M)) * (d_inv[:, rows] / det[:, None])[:, :, None]
     out[:, :, :cavity] += np.eye(cavity)[rows] * l[:cavity]
     out[:, :, :cavity] *= d_inv[:, None, :]
@@ -249,17 +244,26 @@ def _full6_generator(derived: DerivedParams, omegas: np.ndarray) -> np.ndarray:
     return math.sqrt(derived.gamma) * S
 
 
-def _adiabatic_drift(derived: DerivedParams) -> tuple[np.ndarray, np.ndarray]:
-    """Drift of the eliminated two-mode model (a1, a2^dag), with unit input coupling."""
-    gamma, g, gp = derived.gamma, derived.g, derived.g_prime
-    M = -np.array([[gamma / 2.0 + 1j * gp, 1j * g], [-1j * g, gamma / 2.0 - 1j * gp]])
-    return M, np.ones(2)
+def _adiabatic_resolvent(derived: DerivedParams, omegas: np.ndarray) -> np.ndarray:
+    """(-i w - M)^-1 of the eliminated model (a1, a2^dag) at every w of ``omegas``, (N, 2, 2),
+    in their precision: M = -[[gamma/2 + i g', i g], [-i g, gamma/2 - i g']], so with
+    s = gamma/2 - i w it is [[s - i g', -i g], [i g, s + i g']] / Delta, Delta = s^2 +
+    d (2g + d) formed from d (g'^2 - g^2 cancels most digits at strong drive).  Raises
+    SingularDrift where Delta is exactly zero."""
+    real = omegas.real.dtype.type
+    g, d = real(derived.g), real(derived.d)
+    s = real(derived.gamma) / 2 - 1j * omegas
+    delta = s * s + d * (2 * g + d)
+    if not delta.all():
+        raise SingularDrift("adiabatic drift singular on the frequency grid: zero determinant")
+    gp, off = 1j * (g + d), np.full_like(s, 1j * g)
+    return np.stack([s - gp, -off, off, s + gp], axis=-1).reshape(-1, 2, 2) / delta[:, None, None]
 
 
 def _adiabatic_generator(derived: DerivedParams, omegas: np.ndarray) -> np.ndarray:
     """Generator rows sqrt(gamma) (a1, a2^dag) of the eliminated two-mode model, shape (N, 2, 6)."""
     gamma = derived.gamma
-    Ainv = _resolvent(*_adiabatic_drift(derived), omegas, [0, 1], 0, "adiabatic")
+    Ainv = _adiabatic_resolvent(derived, omegas)
     gen = np.zeros((len(omegas), 2, 6), dtype=Ainv.dtype)
     gen[:, :, 0] = gamma * Ainv[:, :, 0]
     gen[:, :, 3] = gamma * Ainv[:, :, 1]
@@ -277,15 +281,22 @@ _GENERATORS = {
 MODELS = ("adiabatic",) + tuple(_GENERATORS)
 
 
-def _response_maps(derived: DerivedParams, omegas, model: str) -> np.ndarray:
-    """4x6 response maps of an exact model at every sideband of ``omegas``, shape (N, 4, 6),
-    in the precision of ``omegas``."""
+def _output_rows(derived: DerivedParams, omegas, model: str) -> np.ndarray:
+    """An exact model's output rows over the six inputs, shape (2N, 2, 6), in the precision
+    of ``omegas``: (a1_out, a2_out^dag) at every sideband w of ``omegas``, then their
+    partners (a1_out^dag, a2_out), the rows at -w conjugated with partner inputs swapped."""
     omegas = np.asarray(omegas)
-    gen = _GENERATORS[model](derived, np.concatenate([omegas, -omegas]))
-    gen[:, 0, 0] -= 1.0   # a_out = -a_in + sqrt(gamma) a
-    gen[:, 1, 3] -= 1.0
-    plus, minus = gen[:len(omegas)], np.conj(gen[len(omegas):])[..., _MIRROR_PERM]
-    return np.stack([plus[:, 0], minus[:, 0], minus[:, 1], plus[:, 1]], axis=1)
+    rows = _GENERATORS[model](derived, np.concatenate([omegas, -omegas]))
+    rows[:, 0, 0] -= 1.0   # a_out = -a_in + sqrt(gamma) a
+    rows[:, 1, 3] -= 1.0
+    rows[len(omegas):] = np.conj(rows[len(omegas):])[..., _MIRROR_PERM]
+    return rows
+
+
+def _response_maps(derived: DerivedParams, omegas, model: str) -> np.ndarray:
+    """:func:`_output_rows` as 4x6 maps onto (a1_out, a1_out^dag, a2_out, a2_out^dag), (N, 4, 6)."""
+    plus, partner = np.split(_output_rows(derived, omegas, model), 2)
+    return np.stack([plus[:, 0], partner[:, 0], partner[:, 1], plus[:, 1]], axis=1)
 
 
 def _one_point(derived: DerivedParams, omega: float, model: str) -> LinearResponse:
@@ -309,55 +320,42 @@ def adiabatic_response(derived: DerivedParams, omega: float) -> LinearResponse:
     return _one_point(derived, omega, "adiabatic_response")
 
 
-def _gram(T_plus: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted Gram entries G[i, k] = sum_l w_l T+[i, l] conj(T+[k, l]) of response maps
-    (..., 4, 6), i and k in one row block: shape (8, maps flat), in (block, i, k) order
-    G_00, G_03, G_30, G_33, G_11, G_12, G_21, G_22.
+def _row_gram(rows: np.ndarray, w: np.ndarray):
+    """Powers sum_l w_l |P_jl|^2, (..., 2), and cross products sum_l w_l P_0l conj(P_1l),
+    (...), of row pairs (P_0, P_1) ``rows`` (..., 2, 6).
 
-    G[i, k] is the density <o_i(w) o_j(-w)>, j the partner of k, of inputs whose
-    moments pair each input l with its partner alone, with weight w_l (the mirror
-    T-[j, l] = conj(T+[k, l']) swaps partners back).  Only i and k in one block are
-    formed, so i and j sit in different blocks: the rows of a block live at the
-    model's physical frequency for that block, and a same-block product
-    <o_i(w) o_j(-w)> crosses two physical frequencies (a vanishing delta function),
-    identically zero for the 3-mode and adiabatic models and spurious for the
-    6-operator one.
+    For map rows T_i and T_k of one pair, sum_l w_l T_il conj(T_kl) is the density
+    <o_i(w) o_j(-w)>, j the partner of k, of inputs that pair each input with its
+    partner alone, with weight w_l; (k, i) gives its conjugate.  Two outputs of one
+    pair cross two physical frequencies (a vanishing delta function): their
+    product is zero for the 3-mode and adiabatic models, spurious for full6.
     """
-    # (block, row, input, map).  einsum sums the products without forming
-    # them all: that (entry, input, map) temporary cost fresh memory pages
-    # on every call of a few-hundred-point grid.
-    R = np.ascontiguousarray(T_plus.reshape(-1, 24)[:, _GRAM_MAP_ENTRIES].T).reshape(2, 2, 6, -1)
-    return np.einsum("bilp,bklp,l->bikp", R, np.conj(R), w).reshape(8, -1)
+    conj = np.conj(rows)
+    return (np.einsum("...l,...l,l->...", rows, conj, w).real,
+            np.einsum("...l,...l,l->...", rows[..., 0, :], conj[..., 1, :], w))
 
 
-def _covariance_blocks(T_plus: np.ndarray, n_m: float):
-    """Blocks (n1, n2, a, b) of the symmetrized quadrature covariances of response maps
-    (..., 4, 6), each flat over the maps: diagonal blocks n1 I and n2 I, cross block
-    [[a, b], [b, -a]].
+def _covariance_blocks(rows: np.ndarray, n_m: float):
+    """Blocks (n1, n2, a, b), each (N,), of the symmetrized quadrature covariances of
+    output rows (2N, 2, 6) (:func:`_output_rows`): diagonal blocks n1 I and n2 I,
+    cross block [[a, b], [b, -a]].
 
     The two ordered densities <o_i(w) o_j(-w)> and <o_j(-w) o_i(w)> enter the
-    covariance as their mean, one density of the symmetrized input moments:
-    each input is coupled only to its (o, o^dag) partner, with weight 1/2
-    (optical) or n_m + 1/2 (mechanical).  So the density is the weighted Gram
-    G of the maps (:func:`_gram`) with w = (1/2, 1/2, 1/2, 1/2, n_m + 1/2,
-    n_m + 1/2), 8 entries per map.  The quadrature map Q = diag(q, q),
-    q = [[1, 1], [-i, i]], turns the density block by block into V, the real
-    part of its quadrature form: n1 = G_00 + G_11, n2 = G_22 + G_33 and
-    a + i b = (G_03 + conj(G_12) + conj(G_30) + G_21) / 2, the mean of two
-    forms that are equal for a Hermitian G.
+    covariance as their mean, the row products (:func:`_row_gram`) with the
+    symmetrized input weights 1/2 (optical) and n_m + 1/2 (mechanical).  The
+    quadrature map Q = diag(q, q), q = [[1, 1], [-i, i]], turns them into V:
+    n1 and n2 are the powers of a1_out and a2_out^dag plus their partners', and
+    a + i b is the cross product at w plus the conjugate of the partners'.
 
-    Raises ValueError if any cross-spectrum is not Hermitian (a broken map):
-    an entry differs from its partner's conjugate by more than 1e-7 of the
-    point's largest entry (or of 1), or is not finite.
+    Raises ValueError if a product is not finite (a broken map).
     """
-    g = _gram(T_plus, np.array([0.5, 0.5, 0.5, 0.5, n_m + 0.5, n_m + 0.5]))
-    herm = np.max(np.abs(g - np.conj(g[_GRAM_PARTNER])), axis=0)
-    scale = np.maximum(1.0, np.max(np.abs(g), axis=0))
-    if not np.all(herm <= 1e-7 * scale):
-        raise ValueError(f"cross-spectrum not Hermitian: defect {np.max(herm):.3e}")
-    n1, n2 = g[0].real + g[4].real, g[3].real + g[7].real
-    pair, anti = g[1] + g[6], g[2] + g[5]          # G_03 + G_21, G_30 + G_12
-    return n1, n2, 0.5 * (pair.real + anti.real), 0.5 * (pair.imag - anti.imag)
+    power, cross = _row_gram(rows, np.array([0.5, 0.5, 0.5, 0.5, n_m + 0.5, n_m + 0.5]))
+    if not (np.isfinite(power).all() and np.isfinite(cross).all()):
+        raise ValueError("cross-spectrum not finite")
+    half = len(rows) // 2
+    n1, n2 = (power[:half] + power[half:]).T
+    c = cross[:half] + np.conj(cross[half:])
+    return n1, n2, c.real, c.imag
 
 
 def assemble_covariance(resp: LinearResponse, n_m: float) -> Covariance4:
@@ -368,7 +366,7 @@ def assemble_covariance(resp: LinearResponse, n_m: float) -> Covariance4:
     to its real, frequency-even part, laid out from its blocks
     (:func:`_covariance_blocks`).
     """
-    n1, n2, a, b = (v[0] for v in _covariance_blocks(resp.map_rows, n_m))
+    n1, n2, a, b = (v[0] for v in _covariance_blocks(resp._row_pairs(), n_m))
     return Covariance4(entries=np.array([[n1, 0.0, a, b], [0.0, n1, b, -a],
                                          [a, b, n2, 0.0], [b, -a, 0.0, n2]]), omega=resp.omega)
 
@@ -439,7 +437,7 @@ def evaluate(derived: DerivedParams, omegas, model: str) -> Evaluation:
     if not isinstance(derived, DerivedParams):
         raise ValueError(f"model {model!r} takes one operating point, "
                          f"got {type(derived).__name__}")
-    n1, n2, a, b = _covariance_blocks(_response_maps(derived, one_d_grid(omegas), model),
+    n1, n2, a, b = _covariance_blocks(_output_rows(derived, one_d_grid(omegas), model),
                                       derived.n_m)
     # _reduce's arithmetic on the laid-out blocks: the cross block's first hypot is hypot(0, 0)
     n = (n1 + n1 + n2 + n2) / 4.0

@@ -7,15 +7,17 @@ amplitude |alpha| as the mean of |alpha_1| and |alpha_2|.  Nothing is taken from
 the package's kernels, so the double paths are checked against numbers whose
 only error is the working precision (:data:`DIGITS` significant digits).
 
-Two models are covered:
+Three models are covered:
 
 * the closed form, from the formulas of the ``optoepr.spectrum`` module docstring
   (:func:`closed_form_x`);
-* ``rwa3``, the 3-mode rotating-wave system {a1, a2^dag, a_m}: its drift is built
-  from the fields and solved by LU at each sideband +-w, the output maps are
-  mirrored into the 4x6 map of (a1_out, a1_out^dag, a2_out, a2_out^dag), and the
-  covariance comes from the weighted Gram of its rows, as in ``optoepr.langevin``
-  (:func:`rwa3_x`).
+* ``rwa3``, the 3-mode rotating-wave system {a1, a2^dag, a_m}, and
+  ``adiabatic_response``, the eliminated two-mode model (a1, a2^dag): each drift
+  is built from the fields and solved by LU at each sideband +-w, the output rows
+  at -w are mirrored into the partner rows (:func:`output_rows`), and the
+  covariance comes from the weighted Gram of the 4x6 map of
+  (a1_out, a1_out^dag, a2_out, a2_out^dag), as in ``optoepr.langevin``
+  (:func:`model_x`).
 """
 
 from __future__ import annotations
@@ -58,6 +60,14 @@ def closed_form_x(derived, omega) -> mp.mpf:
         return n - mp.sqrt(v14**2 + v24**2)
 
 
+def _resolvent_columns(M, coupling, omega):
+    """The columns of (-i w - M)^-1 diag(coupling), each by one LU solve."""
+    k = M.rows
+    A = -1j * omega * mp.eye(k) - M
+    return [mp.lu_solve(A, mp.matrix([coupling[j] if i == j else 0 for i in range(k)]))
+            for j in range(k)]
+
+
 def _rwa3_rows(f, omega):
     """Rows (a1, a2^dag) of sqrt(gamma) (-i w - M)^-1 diag(l), over the six inputs."""
     d, gamma, gamma_m = f["d"], f["gamma"], f["gamma_m"]
@@ -65,10 +75,7 @@ def _rwa3_rows(f, omega):
     M = mp.matrix([[-1j * d - gamma / 2, 0, -1j * kappa],
                    [0, 1j * d - gamma / 2, 1j * kappa],
                    [-1j * kappa, -1j * kappa, 1j * f["delta"] - gamma_m / 2]])
-    coupling = (mp.sqrt(gamma), mp.sqrt(gamma), mp.sqrt(gamma_m))
-    A = -1j * omega * mp.eye(3) - M
-    columns = [mp.lu_solve(A, mp.matrix([coupling[j] if i == j else 0 for i in range(3)]))
-               for j in range(3)]
+    columns = _resolvent_columns(M, (mp.sqrt(gamma), mp.sqrt(gamma), mp.sqrt(gamma_m)), omega)
     rows = [[mp.mpc(0)] * 6 for _ in range(2)]
     for r in range(2):
         for j, l in enumerate(_RWA3_INPUTS):
@@ -76,20 +83,47 @@ def _rwa3_rows(f, omega):
     return rows
 
 
-def rwa3_x(derived, omega) -> mp.mpf:
-    """n - k_x of the 3-mode rotating-wave model at one sideband frequency."""
+def _adiabatic_rows(f, omega):
+    """Rows (a1, a2^dag) of the eliminated model's sqrt(gamma) A^-1 over the six inputs:
+    gamma A^-1 on a1_in and a2_in^dag, and the correlated thermal column
+    sqrt(gamma gamma_m~) (A^-1_0 - A^-1_1) on a_m_in."""
+    g, gp, gamma = f["g"], f["g_prime"], f["gamma"]
+    M = -mp.matrix([[gamma / 2 + 1j * gp, 1j * g], [-1j * g, gamma / 2 - 1j * gp]])
+    columns = _resolvent_columns(M, (1, 1), omega)
+    thermal = mp.sqrt(gamma * f["gamma_m_tilde"])
+    rows = [[mp.mpc(0)] * 6 for _ in range(2)]
+    for r in range(2):
+        rows[r][0] = gamma * columns[0][r]
+        rows[r][3] = gamma * columns[1][r]
+        rows[r][4] = thermal * (columns[0][r] - columns[1][r])
+    return rows
+
+
+_GENERATORS = {"rwa3": _rwa3_rows, "adiabatic_response": _adiabatic_rows}
+
+
+def output_rows(derived, omega, model) -> list:
+    """The rows (a1_out, a2_out^dag) at ``omega`` and their partner rows
+    (a1_out^dag, a2_out), the rows at -omega mirrored: [[T_0, T_3], [T_1, T_2]] of
+    the 4x6 map, each row over the six inputs, at :data:`DIGITS` digits."""
     with mp.workdps(DIGITS):
         f = mp_fields(derived)
         w = mp.mpf(omega)
-        plus, minus = _rwa3_rows(f, w), _rwa3_rows(f, -w)
-        plus[0][0] -= 1   # a_out = -a_in + sqrt(gamma) a
-        plus[1][3] -= 1
-        minus[0][0] -= 1
-        minus[1][3] -= 1
+        plus, minus = _GENERATORS[model](f, w), _GENERATORS[model](f, -w)
+        for rows in (plus, minus):
+            rows[0][0] -= 1   # a_out = -a_in + sqrt(gamma) a
+            rows[1][3] -= 1
         # the row of o^dag at w is the conjugate of o's at -w, partner inputs swapped
-        mirror = [[mp.conj(row[_PARTNER[l]]) for l in range(6)] for row in minus]
-        T = [plus[0], mirror[0], mirror[1], plus[1]]
-        weights = [mp.mpf(1) / 2] * 4 + [f["n_m"] + mp.mpf(1) / 2] * 2
+        return [plus, [[mp.conj(row[_PARTNER[l]]) for l in range(6)] for row in minus]]
+
+
+def model_x(derived, omega, model) -> mp.mpf:
+    """n - k_x of an exact model (``rwa3`` or ``adiabatic_response``) at one sideband."""
+    (t0, t3), (t1, t2) = output_rows(derived, omega, model)
+    with mp.workdps(DIGITS):
+        T = [t0, t1, t2, t3]
+        n_m = mp.mpf(derived.n_m)
+        weights = [mp.mpf(1) / 2] * 4 + [n_m + mp.mpf(1) / 2] * 2
 
         def gram(i, k):
             return mp.fsum(weights[l] * T[i][l] * mp.conj(T[k][l]) for l in range(6))
@@ -97,3 +131,13 @@ def rwa3_x(derived, omega) -> mp.mpf:
         n2 = mp.re(gram(3, 3) + gram(2, 2))
         cross = (gram(0, 3) + gram(2, 1) + mp.conj(gram(3, 0)) + mp.conj(gram(1, 2))) / 2
         return (n1 + n2) / 2 - abs(cross)
+
+
+def rwa3_x(derived, omega) -> mp.mpf:
+    """n - k_x of the 3-mode rotating-wave model at one sideband frequency."""
+    return model_x(derived, omega, "rwa3")
+
+
+def adiabatic_response_x(derived, omega) -> mp.mpf:
+    """n - k_x of the eliminated two-mode model at one sideband frequency."""
+    return model_x(derived, omega, "adiabatic_response")

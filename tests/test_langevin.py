@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -56,7 +56,8 @@ def exact_covariance_matrix(derived, omega):
 
 
 # Reference helpers for response maps (..., 4, 6): the row blocks, the transpose of a
-# stack, the map at -omega and the 4x4 layout of covariance blocks.
+# stack, the map at -omega, the 4x4 layout of covariance blocks, and the two layouts
+# of the output rows, as 4x6 maps and as langevin._output_rows' (2N, 2, 6) stack.
 A_ROWS, B_ROWS = [0, 3], [1, 2]   # co-rotating outputs (a1_out, a2_out^dag), their partners
 # Bosonic commutators [o_a(w), o_b(-w)] over (o, o^dag) pairs: the 6 inputs, the 4 outputs.
 J_IN = np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]])
@@ -81,10 +82,46 @@ def layout(n1, n2, a, b):
     return np.stack(entries, axis=-1).reshape(np.shape(n1) + (4, 4))
 
 
-def covariances(T_plus, n_m):
-    """Covariances (..., 4, 4) of response maps (..., 4, 6) laid out from
+def rows_of(T):
+    """Maps (N, 4, 6) as output rows (2N, 2, 6): the pairs (a1_out, a2_out^dag), then
+    their partner pairs (a1_out^dag, a2_out)."""
+    return np.concatenate([T[:, A_ROWS], T[:, B_ROWS]])
+
+
+def maps_of(rows):
+    """Output rows (2N, 2, 6) as maps (N, 4, 6) over (a1_out, a1_out^dag, a2_out, a2_out^dag)."""
+    plus, partner = np.split(rows, 2)
+    return np.stack([plus[:, 0], partner[:, 0], partner[:, 1], plus[:, 1]], axis=1)
+
+
+def covariances(rows, n_m):
+    """Covariances (N, 4, 4) of output rows (2N, 2, 6) laid out from
     :func:`langevin._covariance_blocks`."""
-    return layout(*langevin._covariance_blocks(T_plus, n_m)).reshape(T_plus.shape[:-2] + (4, 4))
+    return layout(*langevin._covariance_blocks(rows, n_m))
+
+
+def reference_gram(T_plus, w):
+    """Weighted Gram entries G[i, k] = sum_l w_l T+[i, l] conj(T+[k, l]) of maps
+    (..., 4, 6), i and k in one row block, shape (8, maps flat), in the order
+    G_00, G_03, G_30, G_33, G_11, G_12, G_21, G_22: the map Gram the row products
+    replaced, as a reference."""
+    entries = [6 * i + l for i in A_ROWS + B_ROWS for l in range(6)]
+    R = np.ascontiguousarray(T_plus.reshape(-1, 24)[:, entries].T).reshape(2, 2, 6, -1)
+    return np.einsum("bilp,bklp,l->bikp", R, np.conj(R), w).reshape(8, -1)
+
+
+def reference_blocks(T_plus, n_m):
+    """Covariance blocks (n1, n2, a, b) of maps (..., 4, 6) from the 8-entry map Gram, as a
+    reference: n1 = G_00 + G_11, n2 = G_33 + G_22 and a + i b the mean of
+    G_03 + conj(G_12) and conj(G_30) + G_21, checked Hermitian to 1e-7 of the
+    point's largest entry (or of 1)."""
+    g = reference_gram(T_plus, np.array([0.5, 0.5, 0.5, 0.5, n_m + 0.5, n_m + 0.5]))
+    herm = np.max(np.abs(g - np.conj(g[[0, 2, 1, 3, 4, 6, 5, 7]])), axis=0)
+    if not np.all(herm <= 1e-7 * np.maximum(1.0, np.max(np.abs(g), axis=0))):
+        raise ValueError(f"cross-spectrum not Hermitian: defect {np.max(herm):.3e}")
+    n1, n2 = g[0].real + g[4].real, g[3].real + g[7].real
+    pair, anti = g[1] + g[6], g[2] + g[5]          # G_03 + G_21, G_30 + G_12
+    return n1, n2, 0.5 * (pair.real + anti.real), 0.5 * (pair.imag - anti.imag)
 
 
 def reference_masked_density(T_plus, T_minus, C):
@@ -148,6 +185,13 @@ def passthrough_response(omega=0.0):
     return LinearResponse(omega=omega, map_rows=rows)
 
 
+def adiabatic_drift(derived):
+    """Drift of the eliminated two-mode model (a1, a2^dag), with unit input coupling."""
+    gamma, g, gp = derived.gamma, derived.g, derived.g_prime
+    M = -np.array([[gamma / 2.0 + 1j * gp, 1j * g], [-1j * g, gamma / 2.0 - 1j * gp]])
+    return M, np.ones(2)
+
+
 def reference_resolvent(M, l, omegas):
     """(-i w - M)^-1 diag(l) at every w of ``omegas`` by one stacked LU solve, shape (N, k, k)."""
     A = -1j * omegas[:, None, None] * np.eye(len(M)) - M
@@ -156,9 +200,10 @@ def reference_resolvent(M, l, omegas):
 
 # Each exact model's resolvent call: its drift, the rows it keeps, its number of
 # cavity modes, and whether it is solved at the pre-RWA sideband w + omega_m + delta.
-# ``rwa3_interior`` is the intracavity density's call.
+# ``rwa3_interior`` is the intracavity density's call; ``adiabatic_response`` has no
+# cavity mode and is inverted explicitly (``langevin._adiabatic_resolvent``).
 KERNELS = {
-    "adiabatic_response": (langevin._adiabatic_drift, [0, 1], 0, False),
+    "adiabatic_response": (adiabatic_drift, [0, 1], 0, False),
     "rwa3": (langevin._rwa3_drift, [0, 1], 2, False),
     "rwa3_interior": (langevin._rwa3_drift, [0], 2, False),
     "full6": (langevin._full6_drift, [0, 3], 4, True),
@@ -182,7 +227,8 @@ OP74 = DerivedParams(
 
 
 class TestResolvent:
-    """The cavity-elimination kernel against the stacked LU solve it replaced.
+    """The cavity-elimination kernel, and the eliminated model's explicit inverse,
+    against the stacked LU solve they replaced.
 
     Tolerance: at each frequency, the largest deviation over the kept rows is
     at most 8 eps cond(A) of that point's largest reference entry, A = -i w - M
@@ -196,7 +242,10 @@ class TestResolvent:
         omegas = np.asarray(sidebands, dtype=float)
         if pre_rwa:
             omegas = omegas + derived.omega_m + derived.delta
-        got = langevin._resolvent(M, l, omegas, rows, cavity, model)
+        if cavity:
+            got = langevin._resolvent(M, l, omegas, rows, cavity, model)
+        else:
+            got = langevin._adiabatic_resolvent(derived, omegas)
         ref = reference_resolvent(M, l, omegas)[:, rows]
         assert got.shape == ref.shape == (len(omegas), len(rows), len(M))
         cond = np.linalg.cond(-1j * omegas[:, None, None] * np.eye(len(M)) - M)
@@ -242,8 +291,6 @@ class TestResolvent:
         ([[-1, 0, 1], [0, -1, 0], [1, 0, -1]], 2, "singular mechanical"),
         # 2x2 Schur complement [[1 - 1, 0], [0, 1]] at w = 0
         ([[-1, 1, 0], [1, -1, 0], [0, 0, -1]], 1, "singular mechanical"),
-        # no cavity mode: the 2x2 drift itself, det 1 - 1 = 0 at w = 0
-        ([[-1, 1], [1, -1]], 0, "singular mechanical"),
     ])
     def test_singular_drift_raises_by_name(self, M, cavity, pivot):
         M = np.array(M, dtype=complex)
@@ -254,6 +301,16 @@ class TestResolvent:
                 langevin._resolvent(M, np.ones(len(M)), omegas, [0], cavity, "test")
             # the same drift away from w = 0 is regular
             langevin._resolvent(M, np.ones(len(M)), omegas[[0, 2]], [0], cavity, "test")
+
+    def test_adiabatic_singular_drift_raises_by_name(self):
+        # Delta = s^2 + d (2 g + d) = 2^2 - 2 (4 - 2) = 0 at w = 0 (s = gamma / 2 = 2)
+        derived = make_derived(g=2.0, d=-2.0, gamma=4.0, gamma_m_tilde=0.0, n_m=0.0)
+        omegas = np.array([1.0, 0.0, -2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(oe.SingularDrift, match="adiabatic drift .* zero determinant"):
+                langevin._adiabatic_resolvent(derived, omegas)
+            langevin._adiabatic_resolvent(derived, omegas[[0, 2]])
 
 
 class TestResponseStructure:
@@ -385,9 +442,9 @@ class TestCovariances:
 
     EXACT_MODELS = ("adiabatic_response", "rwa3", "full6")
 
-    def assert_close_to_reference(self, T_plus, n_m):
-        V = covariances(T_plus, n_m)
-        ref = reference_covariances(T_plus, n_m)
+    def assert_close_to_reference(self, rows, n_m):
+        V = covariances(rows, n_m)
+        ref = reference_covariances(maps_of(rows), n_m)
         assert V.shape == ref.shape and np.array_equal(V, swap(V))
         deviation = np.max(np.abs(V - ref), axis=(-2, -1))
         assert np.all(deviation <= 4.0 * EPS * np.max(np.abs(ref), axis=(-2, -1)))
@@ -397,21 +454,23 @@ class TestCovariances:
         in_band = oe.default_omega_grid(paper_params.gamma, 201)
         off_band = np.linspace(-3.0 * paper_derived.delta, 3.0 * paper_derived.delta, 61)
         for omegas in (in_band, off_band):
-            T = langevin._response_maps(paper_derived, omegas, model)
-            self.assert_close_to_reference(T, paper_derived.n_m)
-            self.assert_close_to_reference(T[len(omegas) // 3], paper_derived.n_m)
+            rows = langevin._output_rows(paper_derived, omegas, model)
+            self.assert_close_to_reference(rows, paper_derived.n_m)
+            k = len(omegas) // 3   # one point: its pair and its partner pair
+            self.assert_close_to_reference(rows[[k, len(omegas) + k]], paper_derived.n_m)
 
     def test_seeded_random_maps(self):
         rng = np.random.default_rng(20080101)
         for scale in (1e-3, 1.0, 1e4):
-            T = scale * (rng.standard_normal((64, 4, 6)) + 1j * rng.standard_normal((64, 4, 6)))
-            self.assert_close_to_reference(T, float(rng.uniform(0.0, 1e5)))
+            shape = (128, 2, 6)
+            rows = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            self.assert_close_to_reference(rows, float(rng.uniform(0.0, 1e5)))
 
     def test_non_finite_map_rejected(self, paper_derived):
-        T = langevin._response_maps(paper_derived, [0.0, 1e5], "rwa3")
-        T[1, 2, 4] = np.nan
-        with pytest.raises(ValueError, match="not Hermitian"):
-            langevin._covariance_blocks(T, paper_derived.n_m)
+        rows = langevin._output_rows(paper_derived, [0.0, 1e5], "rwa3")
+        rows[3, 1, 4] = np.nan   # a2_out at the second sideband, mechanical input
+        with pytest.raises(ValueError, match="not finite"):
+            langevin._covariance_blocks(rows, paper_derived.n_m)
 
 
 # Block entries before scaling: 0 or 1e-6 <= |entry| <= 1, so no product underflows.
@@ -466,6 +525,17 @@ class TestStandardFormReduce:
         assert sf.residual < 0.01 * sf.n
         assert abs(sf.k_p + sf.k_x) < 0.02 * sf.k_x
 
+    @pytest.mark.parametrize("entry, value", [((0, 2), math.nan), ((0, 0), math.inf),
+                                              ((1, 3), -math.inf), ((3, 3), math.nan)],
+                             ids=["cross-nan", "diagonal-inf", "cross-minus-inf", "diagonal-nan"])
+    def test_rejects_non_finite_entries(self, entry, value):
+        # a NaN or infinite entry passed the symmetry check (nan > tol is False) and
+        # reduced to a standard form with n = inf or k_x = nan
+        V = 3.0 * np.eye(4)
+        V[entry] = V[entry[::-1]] = value
+        with pytest.raises(ValueError, match="covariance entries must be finite"):
+            Covariance4(entries=V, omega=0.0)
+
     def test_rejects_non_symmetric_state(self):
         V = np.diag([10.0, 10.0, 1.0, 1.0])
         with pytest.raises(oe.NotSymmetricState):
@@ -492,7 +562,7 @@ class TestStandardFormReduce:
     @pytest.mark.parametrize("model", TestCovariances.EXACT_MODELS)
     def test_model_covariances_as_the_svd_reference(self, model, paper_params, paper_derived):
         grid = oe.default_omega_grid(paper_params.gamma, 201)
-        V = covariances(langevin._response_maps(paper_derived, grid, model), paper_derived.n_m)
+        V = covariances(langevin._output_rows(paper_derived, grid, model), paper_derived.n_m)
         n, k_x, k_p, residual = langevin._reduce(V)
         ref_n, ref_k_x, ref_k_p, ref_residual = reference_reduce(V)
         assert np.array_equal(n, ref_n) and np.array_equal(residual, ref_residual)
@@ -655,7 +725,7 @@ class TestModelAgreement:
 
         def fail(*args):
             raise AssertionError("solved before the operating point was checked")
-        monkeypatch.setattr(langevin, "_response_maps", fail)
+        monkeypatch.setattr(langevin, "_output_rows", fail)
         with pytest.raises(ValueError, match=f"model '{model}' takes one operating point, got list"):
             oe.evaluate([paper_derived], [0.0, 1e6], model)
 
@@ -912,7 +982,7 @@ class TestComparisonRecords:
 def reference_evaluation(derived, omegas, model):
     """An exact model's Evaluation by the general 4x4 path, the covariances laid out
     (:func:`covariances`) and reduced by :func:`langevin._reduce`, as the reference."""
-    V = covariances(langevin._response_maps(derived, omegas, model), derived.n_m)
+    V = covariances(langevin._output_rows(derived, omegas, model), derived.n_m)
     n, k_x, _, residual = langevin._reduce(V)
     return langevin.Evaluation.from_standard_form(n, k_x, residual > 0.05 * np.abs(n),
                                                   "NotSymmetricState")
@@ -959,6 +1029,86 @@ class TestBlockReduction:
         grid = oe.default_omega_grid(paper_derived.gamma, 201)
         for omega in grid[[77, 81, 87, 89, 100, 109, 111]]:   # symmetric points, |w| <= 0.46 gamma
             self.assert_as_the_4x4_path(paper_derived, [omega], model)
+
+
+def reference_block_evaluation(derived, omegas, model):
+    """An exact model's Evaluation from the map Gram's blocks (:func:`reference_blocks` of
+    :func:`langevin._response_maps`) reduced as :func:`langevin.evaluate` reduces them,
+    as the reference."""
+    n1, n2, a, b = reference_blocks(langevin._response_maps(derived, omegas, model), derived.n_m)
+    n = (n1 + n1 + n2 + n2) / 4.0
+    residual = np.maximum(np.abs(n1 - n), np.abs(n2 - n))
+    k_x = 0.5 * np.hypot(a + a, b + b)
+    return langevin.Evaluation.from_standard_form(n, k_x, residual > 0.05 * np.abs(n),
+                                                  "NotSymmetricState")
+
+
+class TestRowProductsAsTheMapGram:
+    """The row products give every covariance the 8-entry map Gram gave, to the bit.
+
+    Of the Gram's entries, G_30 and G_21 are exactly the conjugates of G_03 and
+    G_12 (each product's real part is a commuted product, its imaginary part a
+    negated sum), so the mean of G_03 + conj(G_12) and conj(G_30) + G_21 is
+    G_03 + conj(G_12) in floating point; the powers are the same sums of the
+    same products as G_00, G_11, G_22 and G_33.
+    """
+
+    SOLVERS = {"rwa3": oe.rwa3_solve, "full6": oe.full6_solve}
+
+    @pytest.fixture(scope="class", params=["paper", "oracle_pool", "op74"])
+    def point(self, request, paper_derived):
+        if request.param == "paper":
+            return paper_derived
+        if request.param == "op74":
+            return OP74
+        return oe.solve_steady_state(oe.parse_config(ORACLE_CONFIG).params)
+
+    @pytest.mark.parametrize("model", SOLVERS)
+    def test_evaluate(self, model, point):
+        grid = oe.default_omega_grid(point.gamma, 201)
+        got, ref = oe.evaluate(point, grid, model), reference_block_evaluation(point, grid, model)
+        for name in ("n", "k_x", "x", "failed"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert got.error.tolist() == ref.error.tolist()
+
+    @pytest.mark.parametrize("model", SOLVERS)
+    def test_one_point_chain(self, model, point):
+        # the long-double maps of the single-frequency solvers
+        for omega in oe.default_omega_grid(point.gamma, 201)[[0, 60, 100, 111, 140, 200]]:
+            resp = self.SOLVERS[model](point, float(omega))
+            V = oe.assemble_covariance(resp, point.n_m)
+            ref = Covariance4(entries=layout(*(v[0] for v in reference_blocks(resp.map_rows,
+                                                                              point.n_m))),
+                              omega=resp.omega)
+            assert V.entries.tobytes() == ref.entries.tobytes()
+            try:
+                expected = oe.standard_form_reduce(ref)
+            except oe.NotSymmetricState:
+                with pytest.raises(oe.NotSymmetricState):
+                    oe.standard_form_reduce(V)
+            else:
+                assert bits(astuple(oe.standard_form_reduce(V))) == bits(astuple(expected))
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
+    def test_seeded_random_rows(self, dtype):
+        rng = np.random.default_rng(20080102)
+        for scale in (1e-3, 1.0, 1e4):
+            T = scale * (rng.standard_normal((64, 4, 6)) + 1j * rng.standard_normal((64, 4, 6)))
+            T = T.astype(dtype)
+            n_m = float(rng.uniform(0.0, 1e5))
+            got, ref = langevin._covariance_blocks(rows_of(T), n_m), reference_blocks(T, n_m)
+            for g, r in zip(got, ref):
+                assert g.dtype == r.dtype and np.array_equal(g, r)
+
+    @pytest.mark.parametrize("model", TestCovariances.EXACT_MODELS)
+    def test_evaluate_lays_out_no_map(self, model, paper_derived, monkeypatch):
+        expected = oe.evaluate(paper_derived, [0.0, 1e6], model)
+
+        def fail(*args):
+            raise AssertionError("evaluate laid out 4x6 response maps")
+        monkeypatch.setattr(langevin, "_response_maps", fail)
+        got = oe.evaluate(paper_derived, [0.0, 1e6], model)
+        assert got.x.tobytes() == expected.x.tobytes()
 
 
 class TestCompareModelsArguments:

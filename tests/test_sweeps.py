@@ -183,7 +183,7 @@ def test_grid_rule_rejects_before_solving(entry, grid_name, paper_params, paper_
     def fail(*args):
         raise AssertionError("solved or evaluated before the grid was checked")
     forbid_solves(monkeypatch)
-    monkeypatch.setattr(langevin, "_response_maps", fail)
+    monkeypatch.setattr(langevin, "_output_rows", fail)
     monkeypatch.setattr(spectrum, "_closed_form", fail)
     grid, message = BAD_GRIDS[grid_name]
     with pytest.raises(ValueError, match=re.escape(message)):
