@@ -22,8 +22,8 @@ from . import io as tabio
 from .config import parse_config
 from .errors import ConfigError, OptoEprError, PhysicsError
 from .params import PhysicalParams, validate_regime
-from .spectrum import (DEFAULT_GRID_HALF_WIDTH_GAMMAS, DEFAULT_GRID_POINTS, closed_form_grid,
-                       metric_columns, optimum_d, spectrum_flags)
+from .spectrum import (DEFAULT_GRID_HALF_WIDTH_GAMMAS, DEFAULT_GRID_POINTS, OMEGA_LIMIT,
+                       closed_form_grid, metric_columns, optimum_d, spectrum_flags)
 from .steady_state import retuned_d, solve_steady_state
 
 # A table command forms and writes its rows for at most this many grid points at a
@@ -92,7 +92,7 @@ def _grid(args, gamma: float, min_points: int = 1) -> np.ndarray:
     half_width = DEFAULT_GRID_HALF_WIDTH_GAMMAS * gamma
     lo = -half_width if args.omega_min is None else args.omega_min
     hi = half_width if args.omega_max is None else args.omega_max
-    if args.omega_points < min_points or not np.isfinite([lo, hi]).all() or hi < lo:
+    if args.omega_points < min_points or not np.abs([lo, hi]).max() <= OMEGA_LIMIT or hi < lo:
         raise ConfigError("invalid omega grid")
     return np.linspace(lo, hi, args.omega_points)
 
@@ -223,17 +223,15 @@ def _cmd_optimum(args, params: PhysicalParams) -> int:
 
 
 def _cmd_verify(args, params: PhysicalParams) -> int:
-    from .langevin import MODELS, evaluate, model_deviations
-    models = tuple(m.strip() for m in args.models.split(",") if m.strip())
-    if not models or set(models) - set(MODELS):
-        raise ConfigError(f"--models {args.models!r}: expected a comma-separated list "
-                          f"from {', '.join(MODELS)}")
-    if len(set(models)) != len(models):
-        raise ConfigError(f"--models {args.models!r}: each model may be listed once")
+    from .langevin import compare_models, model_set
+    try:
+        models = model_set(m.strip() for m in args.models.split(",") if m.strip())
+    except ValueError as exc:
+        raise ConfigError(f"--models {args.models!r}: {exc}") from exc
     derived = solve_steady_state(params)
     grid = _grid(args, params.gamma)
-    evals = {m: evaluate(derived, grid, m) for m in models}
-    devs, worst = model_deviations(evals, models)
+    report = compare_models(derived, grid, models)
+    evals, devs = report.evaluations, report.deviations
 
     def blocks():   # each grid point's rows, one per model, together
         for s in _blocks(len(grid)):
@@ -244,7 +242,7 @@ def _cmd_verify(args, params: PhysicalParams) -> int:
             yield [row for group in zip(*per_model) for row in group]
 
     _emit(blocks(), args, tabio.BASE_COLUMNS + tuple(f"dev_{m}" for m in models[1:]))
-    for model, dev in worst.items():
+    for model, dev in report.max_deviation.items():
         summary = "no point compared" if np.isnan(devs[model]).all() else f"{dev:.6g}"
         print(f"# max |rel dev| of n-k_x, {model} vs {models[0]}: {summary}", file=sys.stderr)
     return 0

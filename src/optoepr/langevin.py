@@ -47,10 +47,10 @@ occupations as weights they give the covariance blocks
 for each o^dag they give the output commutators
 (:meth:`LinearResponse.commutator_defect`).  :func:`evaluate` reduces the four
 numbers per point in closed form, n = (n1 + n2) / 2 and k_x = hypot(a, b), and
-lays out no 4x6 map and no 4x4 matrix.  A general cross block [[a, b], [c, d]]
-reduces to Simon's standard form diag(k_x, k_p) by
-k_x = (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2 and k_p = (ad - bc) / k_x
-(:func:`_reduce`).
+lays out no 4x6 map and no 4x4 matrix; the one-point chain lays out the 4x4
+and reduces it to Simon's standard form (:func:`_reduce`).
+:func:`compare_models` evaluates several models on one grid and reports each
+:class:`~optoepr.spectrum.Evaluation` beside its deviations from the first.
 """
 
 from __future__ import annotations
@@ -279,6 +279,21 @@ _GENERATORS = {
 
 # Models :func:`evaluate` accepts: the closed form and the exact response models.
 MODELS = ("adiabatic",) + tuple(_GENERATORS)
+
+
+def model_set(models) -> tuple[str, ...]:
+    """The model-set rule: ``models``, an iterable of names (not one string), as a tuple
+    of at least one name of :data:`MODELS`, each once; ValueError otherwise."""
+    if isinstance(models, str):
+        raise ValueError(f"models must be an iterable of names, got the string {models!r}")
+    models = tuple(models)
+    unknown = [m for m in models if m not in MODELS]
+    if unknown or not models:
+        raise ValueError(f"unknown model {unknown[0]!r}; expected one of {MODELS}" if unknown
+                         else f"at least one model required, from {MODELS}")
+    if len(set(models)) != len(models):
+        raise ValueError(f"each model may be compared once; got {models}")
+    return models
 
 
 def _output_rows(derived: DerivedParams, omegas, model: str) -> np.ndarray:
@@ -526,22 +541,13 @@ class ComparisonRow(NamedTuple):
 
 @dataclass(frozen=True)
 class ComparisonReport:
+    """What :func:`compare_models` found over one grid, from its first model, the baseline."""
+
     rows: list[ComparisonRow]
     max_deviation: dict[str, float]
     baseline: str
-
-
-def model_deviations(evals: dict[str, Evaluation], models: tuple[str, ...]
-                     ) -> tuple[dict[str, np.ndarray], dict[str, float]]:
-    """Relative deviation of n - k_x from the baseline ``models[0]``, per point and worst.
-
-    A point where either model failed deviates by NaN and is left out of
-    the worst case (0.0 when no point compares).
-    """
-    base = evals[models[0]].x
-    devs = {m: np.abs(evals[m].x - base) / np.abs(base) for m in models[1:]}
-    worst = {m: float(np.max(dev, initial=0.0, where=~np.isnan(dev))) for m, dev in devs.items()}
-    return devs, worst
+    evaluations: dict[str, Evaluation]
+    deviations: dict[str, np.ndarray]
 
 
 def _records(cls, fields) -> list:
@@ -553,34 +559,28 @@ def _records(cls, fields) -> list:
 
 
 def compare_models(derived: DerivedParams, omega_grid,
-                   models: tuple[str, ...] = ("adiabatic", "rwa3", "full6")) -> ComparisonReport:
+                   models=("adiabatic", "rwa3", "full6")) -> ComparisonReport:
     """Cross-validate the closed-form model against the exact solvers.
 
-    The first model in ``models`` is the deviation baseline.  ``adiabatic``
-    is the closed form from :mod:`optoepr.spectrum`; ``adiabatic_response`` (the eliminated
-    model assembled exactly) is also accepted.  Each model is evaluated once
-    over the whole 1-D grid (:func:`evaluate`).  The report holds one
-    :class:`ComparisonRow` per grid point, whose ``values`` map each model to
-    a :class:`ModelPoint`: x = n - k_x, or the failure's name where the point
-    failed.  ``max_deviation`` is :func:`model_deviations`' worst case per
-    non-baseline model, which leaves failed points out; the per-point
-    deviations and the metrics of x (:func:`~optoepr.spectrum.metric_columns`)
-    are formed from the same evaluations by their own functions.
+    Each model of ``models`` (:func:`model_set`) is evaluated once over the 1-D grid
+    (:func:`evaluate`) and kept in ``evaluations``; each after the first (the
+    ``baseline``) deviates per point by |x - x_base| / |x_base| (NaN where either
+    point failed) and at worst by ``max_deviation`` (failed points left out; 0.0 when
+    no point compares).  ``rows`` holds every model's x per grid point as records.
 
-    Raises ValueError for an unknown model, and for no model, a repeated
-    model or a grid that is not 1-D or not finite before any model is
-    evaluated.
+    Raises ValueError, before any model is evaluated, for a model set or a grid
+    (:func:`~optoepr.spectrum.one_d_grid`) that its rule rejects.
     """
-    if not models:
-        raise ValueError("at least one model required")
-    if len(set(models)) != len(models):
-        raise ValueError(f"each model may be compared once; got {models}")
+    models = model_set(models)
     omegas = one_d_grid(omega_grid)
     evals = {m: evaluate(derived, omegas, m) for m in models}
-    _, worst = model_deviations(evals, models)
+    base = evals[models[0]].x
+    devs = {m: np.abs(evals[m].x - base) / np.abs(base) for m in models[1:]}
+    worst = {m: float(np.max(dev, initial=0.0, where=~np.isnan(dev))) for m, dev in devs.items()}
     columns = [_records(ModelPoint, zip(np.where(ev.failed, None, ev.x).tolist(),
                                         np.where(ev.failed, ev.error, None).tolist()))
                for ev in evals.values()]
     values = map(dict, map(zip, repeat(models), zip(*columns)))
     rows = _records(ComparisonRow, zip(omegas.tolist(), values))
-    return ComparisonReport(rows=rows, max_deviation=worst, baseline=models[0])
+    return ComparisonReport(rows=rows, max_deviation=worst, baseline=models[0],
+                            evaluations=evals, deviations=devs)

@@ -54,16 +54,18 @@ from .steady_state import ALPHA_MATCH_RTOL, DerivedParams
 # over [-2 gamma, 2 gamma].
 DEFAULT_GRID_POINTS = 2001
 DEFAULT_GRID_HALF_WIDTH_GAMMAS = 2.0
+# Largest |omega| of a grid: half of float max ** (1/4), where the closed form's omega^4 overflows.
+OMEGA_LIMIT = float(np.finfo(float).max) ** 0.25 / 2.0
 
 
 def one_d_grid(omega_grid) -> np.ndarray:
     """The frequency-grid rule: ``omega_grid`` as a float array, ValueError unless it
-    is 1-D and finite."""
+    is 1-D, finite and within |omega| <= :data:`OMEGA_LIMIT`."""
     omegas = np.asarray(omega_grid, dtype=float)
     if omegas.ndim != 1:
         raise ValueError(f"frequency grid must be 1-D, got shape {omegas.shape}")
-    if not np.isfinite(omegas).all():
-        raise ValueError("frequency grid must be finite, got a NaN or infinite frequency")
+    if not np.abs(omegas).max(initial=0.0) <= OMEGA_LIMIT:   # False for a NaN too
+        raise ValueError(f"frequency grid must be finite and |omega| <= {OMEGA_LIMIT:.3g} rad/s")
     return omegas
 
 

@@ -1,4 +1,5 @@
 import csv
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,9 +9,10 @@ import optoepr as oe
 from optoepr import cli, steady_state, sweeps
 from optoepr.cli import _build_parser, _grid, main
 from optoepr.io import BASE_COLUMNS, read_jsonlines
-from optoepr.langevin import evaluate, model_deviations
+from optoepr.langevin import evaluate
 from optoepr.spectrum import metric_columns, spectrum_flags
 from tests.test_config_io import POWERS_CONFIG, reference_render_rows
+from tests.test_langevin import reference_deviations
 
 
 def run(capsys, *argv):
@@ -263,7 +265,8 @@ class TestTablesAsTheReference:
                                *self.GRID)
         grid = self.grid()
         evals = {m: evaluate(paper_derived, grid, m) for m in models}
-        devs, _ = model_deviations(evals, models)
+        devs, _ = reference_deviations(evals, models)
+        assert all(np.isnan(dev).any() and not np.isnan(dev).all() for dev in devs.values())
         dev_cols = {f"dev_{m}": dev for m, dev in devs.items()}
         per_model = [reference_rows(grid, paper_derived.gamma, m, evals[m].x,
                                     (f"error:{e}" if e else "" for e in evals[m].error),
@@ -385,7 +388,7 @@ class TestVerify:
 
     def test_no_point_compared_is_said(self, tmp_path, capsys):
         # at omega = -2 gamma alone both exact models fail (NotSymmetricState): their
-        # worst deviation is 0.0 by model_deviations' rule, which compared nothing
+        # worst deviation is 0.0 by compare_models' rule, which compared nothing
         code, _, err = run(capsys, "verify", "--omega-points", "1", "--out",
                            str(tmp_path / "v.csv"))
         assert code == 0
@@ -396,7 +399,8 @@ class TestVerify:
         derived = oe.solve_steady_state(oe.paper_default_config().params)
         grid = np.linspace(-1e6, 1e6, 5)
         models = ("adiabatic", "rwa3")
-        _, worst = model_deviations({m: evaluate(derived, grid, m) for m in models}, models)
+        _, worst = reference_deviations({m: evaluate(derived, grid, m) for m in models}, models)
+        assert worst["rwa3"] > 0.0
         code, _, err = run(capsys, "verify", "--models", ",".join(models), "--omega-points", "5",
                            "--omega-min=-1e6", "--omega-max", "1e6",
                            "--out", str(tmp_path / "v.csv"))
@@ -531,6 +535,43 @@ class TestErrorPaths:
         assert code == 2
         assert err == "configuration error: invalid omega grid\n"
         assert out == "" and not table.exists()
+
+    # Bands beyond spectrum.OMEGA_LIMIT (5.79e76 rad/s), where the closed form's omega^4
+    # overflows (and full6's omega^2 from 1.3e154): rejected before any output model runs.
+    BEYOND_LIMIT_GRIDS = [
+        ("spectrum", "--omega-min", "1e300", "--omega-max", "1.7e308", "--omega-points", "3"),
+        ("spectrum", "--omega-max", "1e77", "--omega-points", "3"),
+        ("sweep", "--axis", "T", "--omega-min", "1e300", "--omega-max", "1.7e308",
+         "--omega-points", "3"),
+        ("verify", "--omega-min", "1e300", "--omega-max", "1.7e308", "--omega-points", "3"),
+        ("verify", "--omega-min=-1e77", "--omega-points", "3"),
+        ("optimum", "--numeric", "--omega-min", "1e300", "--omega-max", "1.7e308",
+         "--omega-points", "3"),
+    ]
+
+    @pytest.mark.parametrize("argv", BEYOND_LIMIT_GRIDS, ids=lambda argv: " ".join(argv))
+    def test_grid_beyond_the_limit_exits_2(self, argv, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("solved before the grid was checked")
+        monkeypatch.setattr(oe.spectrum, "_closed_form", fail)
+        table = tmp_path / "table.csv"
+        code, out, err = run(capsys, *argv, "--out", str(table))
+        assert code == 2
+        assert err == "configuration error: invalid omega grid\n"
+        assert out == "" and not table.exists()
+
+    AT_LIMIT_COMMANDS = [("spectrum",),
+                         ("verify", "--models", "adiabatic,adiabatic_response,rwa3,full6")]
+
+    @pytest.mark.parametrize("command", AT_LIMIT_COMMANDS, ids=lambda command: command[0])
+    def test_grid_at_the_limit_runs(self, command, tmp_path, capsys):
+        # every model is finite there, with no overflow warning (an error under pytest)
+        limit = repr(oe.spectrum.OMEGA_LIMIT)
+        code, _, _ = run(capsys, *command, f"--omega-min=-{limit}", "--omega-max", limit,
+                         "--omega-points", "3", "--out", str(tmp_path / "table.csv"))
+        assert code == 0
+        rows = list(csv.DictReader((tmp_path / "table.csv").read_text().splitlines()))
+        assert rows and all(math.isfinite(float(row["epr_variance"])) for row in rows)
 
     INVERTED_GRIDS = [
         ("derive", "--omega-min", "1", "--omega-max", "0"),

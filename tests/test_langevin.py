@@ -854,20 +854,21 @@ class TestBatchedKernel:
         report = oe.compare_models(paper_derived, grid, models=("rwa3",))
         assert [row.omega for row in report.rows] == grid.tolist()
         assert all(list(row.values) == ["rwa3"] for row in report.rows)
-        evals = {"rwa3": oe.evaluate(paper_derived, grid, "rwa3")}
-        assert langevin.model_deviations(evals, ("rwa3",)) == ({}, {})
-        assert report.max_deviation == {} and report.baseline == "rwa3"
+        assert list(report.evaluations) == ["rwa3"]
+        assert (report.deviations, report.max_deviation) == ({}, {})
+        assert report.baseline == "rwa3"
 
     def test_failed_points_left_out_of_deviation(self, paper_params, paper_derived):
         grid = oe.default_omega_grid(paper_params.gamma, 41)
         models = ("adiabatic", "rwa3")
         report = oe.compare_models(paper_derived, grid, models=models)
-        devs, worst = langevin.model_deviations(
-            {m: oe.evaluate(paper_derived, grid, m) for m in models}, models)
+        devs, worst = report.deviations, report.max_deviation
         compared = [row.values["rwa3"].error is None for row in report.rows]
         assert np.array_equal(np.isnan(devs["rwa3"]), np.logical_not(compared))
         assert not all(compared)
-        assert report.max_deviation == worst == {"rwa3": float(np.max(devs["rwa3"][compared]))}
+        _, expected = reference_deviations(
+            {m: oe.evaluate(paper_derived, grid, m) for m in models}, models)
+        assert worst == expected == {"rwa3": float(np.max(devs["rwa3"][compared]))}
 
     @pytest.mark.parametrize("model", langevin.MODELS)
     def test_failure_mask_matches_error_names(self, model, paper_params, paper_derived):
@@ -897,6 +898,20 @@ class TestBatchedKernel:
 ORACLE_CONFIG = ("defaults: paper\ntarget_alpha = 807.4552652242064\n"
                  "target_delta_hz = 25757671.221442174\ntarget_d_over_gamma = 0.1883510661743733\n"
                  "temperature_k = 305.8818424941077\nq_factor = 57623.23031183088\n")
+
+
+def reference_deviations(evals, models):
+    """Each model after the first: |x - x_base| / |x_base| per point, NaN where either
+    point failed, and the worst over the rest, 0.0 when no point compares; as a
+    reference, point by point."""
+    base = evals[models[0]]
+    devs, worst = {}, {}
+    for m in models[1:]:
+        devs[m] = np.array([math.nan if base.failed[i] or evals[m].failed[i]
+                            else abs(evals[m].x[i] - base.x[i]) / abs(base.x[i])
+                            for i in range(len(base.x))])
+        worst[m] = max((d for d in devs[m].tolist() if not math.isnan(d)), default=0.0)
+    return devs, worst
 
 
 def bits(value):
@@ -949,7 +964,7 @@ class TestComparisonRecords:
     def test_deviations_hold_exactly_the_finite_entries(self, case):
         derived, grid, report = case
         evals = {m: oe.evaluate(derived, grid, m) for m in self.MODELS}
-        devs, worst = langevin.model_deviations(evals, self.MODELS)
+        devs, worst = report.deviations, report.max_deviation
         dropped = 0
         for i, row in enumerate(report.rows):
             base = row.values[self.MODELS[0]].epr_variance
@@ -961,8 +976,24 @@ class TestComparisonRecords:
             assert bits({m: float(devs[m][i]) for m in self.MODELS[1:]
                          if np.isfinite(devs[m][i])}) == bits(finite)
         assert (dropped > 0) == any(ev.failed.any() for ev in evals.values())
-        assert bits(report.max_deviation) == bits(worst)
+        assert bits(worst) == bits(reference_deviations(evals, self.MODELS)[1])
         assert report.baseline == self.MODELS[0]
+
+    def test_evaluations_and_deviations_as_their_reference(self, case):
+        derived, grid, report = case
+        assert list(report.evaluations) == list(self.MODELS)
+        for model in self.MODELS:
+            got, expected = report.evaluations[model], oe.evaluate(derived, grid, model)
+            for name in ("n", "k_x", "x", "failed"):
+                a, b = getattr(got, name), getattr(expected, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert got.error.tolist() == expected.error.tolist()
+        devs, _ = reference_deviations(report.evaluations, self.MODELS)
+        assert list(report.deviations) == list(self.MODELS[1:])
+        for model, dev in devs.items():
+            got = report.deviations[model]
+            assert np.array_equal(np.isnan(got), np.isnan(dev))
+            assert got.tobytes() == dev.tobytes()
 
     def test_records_are_immutable_tuples(self, case):
         _, _, report = case
@@ -1131,6 +1162,38 @@ class TestCompareModelsArguments:
         with pytest.raises(ValueError, match="once"):
             oe.compare_models(paper_derived, [0.0], models=("adiabatic", "rwa3", "adiabatic"))
         assert evaluated == []
+
+    def test_model_set_rule(self, paper_derived, evaluated):
+        # the one rule of compare_models and verify: a tuple of at least one known name,
+        # each once, from any iterable of names but not from one string
+        assert langevin.model_set(iter(["rwa3", "adiabatic"])) == ("rwa3", "adiabatic")
+        assert langevin.model_set(m for m in ["full6"]) == ("full6",)
+        for models, message in [("rwa3", "got the string 'rwa3'"), ((), "at least one model"),
+                                (["adiabatic", "bogus"], "unknown model 'bogus'"),
+                                (("rwa3", "full6", "rwa3"), "once")]:
+            with pytest.raises(ValueError, match=message):
+                langevin.model_set(models)
+            with pytest.raises(ValueError, match=message):
+                oe.compare_models(paper_derived, [0.0], models=models)
+        assert evaluated == []
+
+    def test_models_from_an_iterator_as_from_a_tuple(self, paper_derived):
+        grid = [0.0, 1e6]
+        models = ("adiabatic", "rwa3")
+        got = oe.compare_models(paper_derived, grid, models=iter(models))
+        expected = oe.compare_models(paper_derived, grid, models=models)
+        assert got.baseline == "adiabatic" and list(got.evaluations) == list(models)
+        assert bits(got.rows) == bits(expected.rows)
+        assert bits(got.max_deviation) == bits(expected.max_deviation)
+
+    @pytest.mark.parametrize("model", langevin.MODELS)
+    def test_every_model_finite_at_the_grid_limit(self, model, paper_derived):
+        # with no overflow warning, which pytest turns into an error
+        limit = oe.spectrum.OMEGA_LIMIT
+        oracle = oe.solve_steady_state(oe.parse_config(ORACLE_CONFIG).params)
+        for derived in (paper_derived, oracle):
+            ev = oe.evaluate(derived, [-limit, 0.0, limit], model)
+            assert not ev.failed.any() and np.isfinite(ev.x).all()
 
     @pytest.mark.parametrize("grid", [0.0, [[0.0, 1e6]], np.zeros((2, 3))],
                              ids=["scalar", "row", "2d"])

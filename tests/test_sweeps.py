@@ -155,9 +155,12 @@ UNEVEN = np.array([0.0, 1e6, 3e6])
 
 
 # Grids the frequency-grid rule (spectrum.one_d_grid) rejects, with its message.
-NOT_FINITE = "frequency grid must be finite, got a NaN or infinite frequency"
+NOT_FINITE = "frequency grid must be finite and |omega| <= 5.79e+76 rad/s"
 BAD_GRIDS = {"infinite": ([0.0, math.inf], NOT_FINITE),
              "nan": ([math.nan, 0.0, 1.0], NOT_FINITE),
+             "beyond the limit": ([0.0, 1e300], NOT_FINITE),
+             "just beyond the limit": ([-np.nextafter(spectrum.OMEGA_LIMIT, math.inf), 0.0],
+                                       NOT_FINITE),
              "2d": (np.zeros((2, 3)), "frequency grid must be 1-D, got shape (2, 3)")}
 
 # Every entry point that takes a frequency grid and checks it by the rule, as a call
