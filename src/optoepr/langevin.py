@@ -6,8 +6,8 @@ Three linear response models share one representation here:
 * ``full6`` - the 6-operator pre-RWA system with counter-rotating
   couplings retained (solved at its physical sidebands +-(omega_m + delta)
   and mapped back to the rotating-frame sideband frequency);
-* ``adiabatic_response`` - the eliminated two-mode model, reconstructed as a
-  response map so the closed-form covariance can be cross-checked.
+* ``adiabatic_response`` - the eliminated two-mode model, reconstructed as
+  output rows so the closed-form covariance can be cross-checked.
 
 Each model has one generator that solves its drift over a whole frequency
 grid, and the rest of the chain is stacked too.  In the 3-mode and 6-operator
@@ -19,17 +19,18 @@ resolvent rows the model keeps (:func:`_resolvent`); the eliminated model's
 factorization or eigendecomposition is involved.  :func:`evaluate` runs one
 model on one grid (the closed form included); the single-frequency functions
 are its one-point case in long double: a commutator cancels entries ~sqrt(n)
-down to 1, so a double map's defect is ~eps n (~1e-9 at strong drive), an x86
-long-double map's ~1e-13.
+down to 1, so double rows' defect is ~eps n (~1e-9 at strong drive), x86
+long-double rows' ~1e-13.
 
-A :class:`LinearResponse` maps the six input operators
-(a1_in, a1_in^dag, a2_in, a2_in^dag, a_m_in, a_m_in^dag), evaluated at the
-response's sideband frequency, onto the four outputs
+An output row maps the six input operators
+(a1_in, a1_in^dag, a2_in, a2_in^dag, a_m_in, a_m_in^dag), evaluated at its
+sideband frequency, onto one of the four outputs
 (a1_out, a1_out^dag, a2_out, a2_out^dag).  Daggered entries follow the
 mirrored-frequency convention: the row for o^dag at sideband w is the complex
 conjugate of o's at -w, with partner columns swapped.  So two output rows per
-frequency are independent (:func:`_output_rows`): those of (a1_out, a2_out^dag)
-at +w and at -w, the latter mirrored into their partners' rows.
+frequency are independent (:func:`_output_rows`, held at one frequency by a
+:class:`LinearResponse`): those of (a1_out, a2_out^dag) at +w and at -w, the
+latter mirrored into their partners' rows.
 
 The mechanical bath enters both optical modes through the same noise
 operator (the correlated (a_m_in, -a_m_in) injection); this sign structure
@@ -47,8 +48,8 @@ occupations as weights they give the covariance blocks
 for each o^dag they give the output commutators
 (:meth:`LinearResponse.commutator_defect`).  :func:`evaluate` reduces the four
 numbers per point in closed form, n = (n1 + n2) / 2 and k_x = hypot(a, b), and
-lays out no 4x6 map and no 4x4 matrix; the one-point chain lays out the 4x4
-and reduces it to Simon's standard form (:func:`_reduce`).
+lays out no 4x4 matrix; the one-point chain lays out the 4x4 and reduces it to
+Simon's standard form (:func:`_reduce`).
 :func:`compare_models` evaluates several models on one grid and reports each
 :class:`~optoepr.spectrum.Evaluation` beside its deviations from the first.
 """
@@ -123,20 +124,16 @@ class Covariance4:
 
 @dataclass(frozen=True)
 class LinearResponse:
-    """Output response map at one rotating-frame sideband frequency.
+    """Output response at one rotating-frame sideband frequency.
 
-    ``map_rows`` is the 4x6 matrix from the input basis
-    (a1_in, a1_in^dag, a2_in, a2_in^dag, a_m_in, a_m_in^dag) to
-    (a1_out, a1_out^dag, a2_out, a2_out^dag): rows 0 and 3 are the pair
-    (a1_out, a2_out^dag), rows 1 and 2 their partners (:meth:`_row_pairs`).
+    ``rows`` are the (2, 2, 6) output rows of :func:`_output_rows` at this one
+    frequency over the inputs (a1_in, a1_in^dag, a2_in, a2_in^dag, a_m_in,
+    a_m_in^dag): the pair (a1_out, a2_out^dag), then its partners
+    (a1_out^dag, a2_out).
     """
 
     omega: float
-    map_rows: np.ndarray
-
-    def _row_pairs(self) -> np.ndarray:
-        """The map's two row pairs, (2, 2, 6), laid out as :func:`_output_rows` lays them out."""
-        return np.stack([self.map_rows[[0, 3]], self.map_rows[[1, 2]]])
+    rows: np.ndarray
 
     def commutator_defect(self) -> float:
         """Max deviation of the output commutators from the bosonic values.
@@ -145,7 +142,7 @@ class LinearResponse:
         the row products (:func:`_row_gram`) with weight +1 on each input o and
         -1 on each o^dag: +-1 for the powers, 0 for the cross products.
         """
-        power, cross = _row_gram(self._row_pairs(), _COMMUTATOR_WEIGHTS)
+        power, cross = _row_gram(self.rows, _COMMUTATOR_WEIGHTS)
         return float(max(np.max(np.abs(power - _BOSONIC_POWER)), np.max(np.abs(cross))))
 
 
@@ -308,16 +305,10 @@ def _output_rows(derived: DerivedParams, omegas, model: str) -> np.ndarray:
     return rows
 
 
-def _response_maps(derived: DerivedParams, omegas, model: str) -> np.ndarray:
-    """:func:`_output_rows` as 4x6 maps onto (a1_out, a1_out^dag, a2_out, a2_out^dag), (N, 4, 6)."""
-    plus, partner = np.split(_output_rows(derived, omegas, model), 2)
-    return np.stack([plus[:, 0], partner[:, 0], partner[:, 1], plus[:, 1]], axis=1)
-
-
 def _one_point(derived: DerivedParams, omega: float, model: str) -> LinearResponse:
-    """The response of ``model`` at one sideband, its map solved and held in long double."""
-    return LinearResponse(omega, _response_maps(derived, np.array([omega], dtype=np.longdouble),
-                                                model)[0])
+    """The response of ``model`` at one sideband, its rows solved and held in long double."""
+    return LinearResponse(omega, _output_rows(derived, np.array([omega], dtype=np.longdouble),
+                                              model))
 
 
 def rwa3_solve(derived: DerivedParams, omega: float) -> LinearResponse:
@@ -339,7 +330,7 @@ def _row_gram(rows: np.ndarray, w: np.ndarray):
     """Powers sum_l w_l |P_jl|^2, (..., 2), and cross products sum_l w_l P_0l conj(P_1l),
     (...), of row pairs (P_0, P_1) ``rows`` (..., 2, 6).
 
-    For map rows T_i and T_k of one pair, sum_l w_l T_il conj(T_kl) is the density
+    For rows T_i and T_k of one pair, sum_l w_l T_il conj(T_kl) is the density
     <o_i(w) o_j(-w)>, j the partner of k, of inputs that pair each input with its
     partner alone, with weight w_l; (k, i) gives its conjugate.  Two outputs of one
     pair cross two physical frequencies (a vanishing delta function): their
@@ -362,7 +353,7 @@ def _covariance_blocks(rows: np.ndarray, n_m: float):
     n1 and n2 are the powers of a1_out and a2_out^dag plus their partners', and
     a + i b is the cross product at w plus the conjugate of the partners'.
 
-    Raises ValueError if a product is not finite (a broken map).
+    Raises ValueError if a product is not finite (broken rows).
     """
     power, cross = _row_gram(rows, np.array([0.5, 0.5, 0.5, 0.5, n_m + 0.5, n_m + 0.5]))
     if not (np.isfinite(power).all() and np.isfinite(cross).all()):
@@ -381,7 +372,7 @@ def assemble_covariance(resp: LinearResponse, n_m: float) -> Covariance4:
     to its real, frequency-even part, laid out from its blocks
     (:func:`_covariance_blocks`).
     """
-    n1, n2, a, b = (v[0] for v in _covariance_blocks(resp._row_pairs(), n_m))
+    n1, n2, a, b = (v[0] for v in _covariance_blocks(resp.rows, n_m))
     return Covariance4(entries=np.array([[n1, 0.0, a, b], [0.0, n1, b, -a],
                                          [a, b, n2, 0.0], [b, -a, 0.0, n2]]), omega=resp.omega)
 
@@ -441,14 +432,13 @@ def evaluate(derived: DerivedParams, omegas, model: str) -> Evaluation:
     The closed form takes a sequence of operating points too
     (:func:`~optoepr.spectrum.closed_form_grid`) and a grid of any shape, the
     exact models one operating point and a finite 1-D grid.  Raises ValueError
-    for an unknown model, or an exact model's input that breaks that rule
-    (:func:`~optoepr.spectrum.one_d_grid` for the grid), before anything is
-    solved, and SingularDrift if a drift is singular anywhere on the grid.
+    for an unknown model (:func:`model_set`), or an exact model's input that breaks
+    that rule (:func:`~optoepr.spectrum.one_d_grid` for the grid), before anything
+    is solved, and SingularDrift if a drift is singular anywhere on the grid.
     """
     if model == "adiabatic":
         return closed_form_grid(derived, omegas)
-    if model not in _GENERATORS:
-        raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
+    model_set((model,))
     if not isinstance(derived, DerivedParams):
         raise ValueError(f"model {model!r} takes one operating point, "
                          f"got {type(derived).__name__}")

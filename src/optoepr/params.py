@@ -311,8 +311,7 @@ def validate_regime(params: PhysicalParams, derived, omega_max: float) -> Regime
     fsr = params.free_spectral_range()
     add("mode_spacing", math.inf if biggest_drive == 0 else fsr / biggest_drive)
 
-    n_tot = abs(derived.alpha_1) ** 2 + abs(derived.alpha_2) ** 2
-    shift = 2.0 * params.eta**2 * params.omega_m * n_tot
+    shift = 2.0 * params.eta**2 * params.omega_m * derived.n_total
     for name, dj in (("linearization_1", params.drive.Delta_1),
                      ("linearization_2", params.drive.Delta_2)):
         add(name, math.inf if shift == 0 else abs(dj) / shift)

@@ -136,10 +136,11 @@ def _closed_form(g, g_prime, gamma, gamma_m_tilde, n_m):
     array, which numpy combines with an array faster than a float.  The
     frequency part forms the terms that hold omega alone at omega's shape,
     then works in place on the arrays it has allocated, under one
-    ``np.errstate``.  Every sum and product is formed in the association order
-    of the formulas in the module docstring and every square as a product (a
-    ``** 2`` of a 0-d value would be a ``pow``), so a point has the same bits
-    whatever the shape it comes in.
+    ``np.errstate`` (beyond :data:`OMEGA_LIMIT` a square overflows: x is
+    NaN).  Every sum and product is formed in the association order of the
+    formulas in the module docstring and every square as a product (a ``** 2``
+    of a 0-d value would be a ``pow``), so a point has the same bits whatever
+    the shape it comes in.
     """
     therm = gamma * gamma_m_tilde * (2.0 * n_m + 1.0)
     g2, gp2, quarter = g * g, g_prime * g_prime, gamma * gamma / 4.0
@@ -151,8 +152,8 @@ def _closed_form(g, g_prime, gamma, gamma_m_tilde, n_m):
         for v in (g, g_prime, gamma, therm, g2, gp2, quarter, static, cross, v14_factor))
 
     def standard_form(omegas):
-        w2 = omegas * omegas
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            w2 = omegas * omegas
             u_minus_v = w2 + quarter + g2 - gp2
             abs_D2 = quarter - w2 + gp2
             abs_D2 -= g2
@@ -231,9 +232,10 @@ def optimum_d(derived: DerivedParams) -> OptimumD:
 def degenerate_mask(abs_D2, gamma2, omegas):
     """Where the response denominator has vanished, |Delta| < 1e-30 (gamma^2 + omega^2),
     from |Delta|^2 and gamma^2 = ``gamma2``: a parametric instability outside the
-    model's regime.  Squares are products, as in :func:`_closed_form`."""
-    bound = 1e-30 * (gamma2 + omegas * omegas)
-    return abs_D2 < bound * bound
+    model's regime.  Squares are products (and may overflow), as in :func:`_closed_form`."""
+    with np.errstate(over="ignore"):
+        bound = 1e-30 * (gamma2 + omegas * omegas)
+        return abs_D2 < bound * bound
 
 
 def offset_x(derived: DerivedParams, d):

@@ -124,8 +124,8 @@ def _check_grid(omega_grid) -> np.ndarray:
 @dataclass(frozen=True)
 class SweepSpec:
     """``values`` along ``axis`` from ``base``, rows of ``model`` on ``omega_grid``, held as
-    the array :func:`_check_grid` returns.  ValueError for an unknown axis or model, values
-    empty or not strictly monotone, and a grid that check rejects."""
+    the array :func:`_check_grid` returns.  ValueError for an unknown axis or model (the
+    model-set rule), values empty or not strictly monotone, and a grid that check rejects."""
 
     axis: str
     values: tuple[float, ...]
@@ -143,9 +143,8 @@ class SweepSpec:
             raise ValueError("values must be strictly monotone")
         object.__setattr__(self, "omega_grid", _check_grid(self.omega_grid))
         if self.model != "adiabatic":   # the closed form needs no langevin
-            from .langevin import MODELS
-            if self.model not in MODELS:
-                raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
+            from .langevin import model_set
+            model_set((self.model,))
 
 
 @dataclass(frozen=True)

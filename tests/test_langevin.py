@@ -182,7 +182,7 @@ def passthrough_response(omega=0.0):
     rows = np.zeros((4, 6), dtype=complex)
     for k in range(4):
         rows[k, k] = 1.0
-    return LinearResponse(omega=omega, map_rows=rows)
+    return LinearResponse(omega=omega, rows=rows_of(rows[None]))
 
 
 def adiabatic_drift(derived):
@@ -281,7 +281,7 @@ class TestResolvent:
         # 2e-10 to 1.7e-9 over a few ulp of the operating point
         for solve in (oe.rwa3_solve, oe.full6_solve):
             resp = solve(OP74, 0.0)
-            assert resp.map_rows.dtype == np.clongdouble
+            assert resp.rows.dtype == np.clongdouble
             assert resp.commutator_defect() <= 1e-11
 
     @pytest.mark.parametrize("M, cavity, pivot", [
@@ -317,7 +317,7 @@ class TestResponseStructure:
     def test_undriven_rwa3_is_pure_reflection(self):
         derived = make_derived(g=0.0, gamma_m_tilde=0.0, alpha=0.0)
         resp = oe.rwa3_solve(derived, 0.3 * GAMMA)
-        T = resp.map_rows
+        T = maps_of(resp.rows)[0]
         assert abs(T[0, 0]) == pytest.approx(1.0, rel=1e-12)
         assert np.max(np.abs(T[0, 1:])) < 1e-14
         assert abs(T[3, 3]) == pytest.approx(1.0, rel=1e-12)
@@ -326,7 +326,7 @@ class TestResponseStructure:
         from dataclasses import replace
         derived = replace(paper_derived, eta=1e-30)
         resp = oe.full6_solve(derived, 0.2 * GAMMA)
-        mech_cols = resp.map_rows[:, 4:6]
+        mech_cols = resp.rows[..., 4:6]
         assert np.max(np.abs(mech_cols)) < 1e-12
 
     def test_commutator_preservation_with_thermal_noise(self, paper_derived):
@@ -339,10 +339,12 @@ class TestResponseStructure:
         for omega in (0.0, 0.17 * GAMMA, 0.9 * GAMMA):
             plus = oe.full6_solve(paper_derived, omega)
             minus = oe.full6_solve(paper_derived, -omega)
-            assert np.allclose(minus.map_rows, mirror(plus.map_rows), rtol=1e-10, atol=1e-12)
+            assert np.allclose(maps_of(minus.rows), mirror(maps_of(plus.rows)), rtol=1e-10,
+                               atol=1e-12)
             plus3 = oe.rwa3_solve(paper_derived, omega)
             minus3 = oe.rwa3_solve(paper_derived, -omega)
-            assert np.allclose(minus3.map_rows, mirror(plus3.map_rows), rtol=1e-10, atol=1e-12)
+            assert np.allclose(maps_of(minus3.rows), mirror(maps_of(plus3.rows)), rtol=1e-10,
+                               atol=1e-12)
 
 
 class TestAssembleCovariance:
@@ -374,9 +376,9 @@ class TestAssembleCovariance:
 
     def test_thermal_terms_enter_only_through_mechanical_columns(self, paper_derived):
         resp = oe.rwa3_solve(paper_derived, 0.1 * GAMMA)
-        masked_rows = resp.map_rows.copy()
-        masked_rows[:, 4:6] = 0.0
-        masked = LinearResponse(omega=resp.omega, map_rows=masked_rows)
+        masked_rows = resp.rows.copy()
+        masked_rows[..., 4:6] = 0.0
+        masked = LinearResponse(omega=resp.omega, rows=masked_rows)
         cold = oe.assemble_covariance(masked, 0.0)
         hot = oe.assemble_covariance(masked, 8.5e4)
         assert np.allclose(cold.entries, hot.entries, atol=1e-12)
@@ -418,7 +420,7 @@ class TestMaskedDensity:
     def assert_defects_as_the_reference(self, T_plus, relative=False):
         for T in T_plus:
             expected = float(np.max(np.abs(reference_masked_density(T, mirror(T), J_IN) - J_OUT)))
-            got = LinearResponse(omega=0.0, map_rows=T).commutator_defect()
+            got = LinearResponse(omega=0.0, rows=rows_of(T[None])).commutator_defect()
             scale = max(1.0, float(np.max(np.abs(T) @ np.abs(T).T))) if relative else 1.0
             assert abs(got - expected) <= 1e-15 * scale
 
@@ -427,7 +429,7 @@ class TestMaskedDensity:
         in_band = oe.default_omega_grid(paper_params.gamma, 201)
         off_band = np.linspace(-3.0 * paper_derived.delta, 3.0 * paper_derived.delta, 61)
         for omegas in (in_band, off_band):
-            T = langevin._response_maps(paper_derived, omegas.astype(np.longdouble), model)
+            T = maps_of(langevin._output_rows(paper_derived, omegas.astype(np.longdouble), model))
             self.assert_defects_as_the_reference(T)
 
     def test_seeded_random_maps(self):
@@ -825,7 +827,7 @@ class TestBatchedKernel:
         failures = {}
         for model in ("rwa3", "full6"):
             ev = oe.evaluate(paper_derived, grid, model)
-            T = langevin._response_maps(paper_derived, grid, model)
+            T = maps_of(langevin._output_rows(paper_derived, grid, model))
             n, k_x, _, residual = reference_reduce(reference_covariances(T, paper_derived.n_m))
             assert np.array_equal(ev.failed, residual > 0.05 * np.abs(n))
             ok = ~ev.failed
@@ -1064,9 +1066,10 @@ class TestBlockReduction:
 
 def reference_block_evaluation(derived, omegas, model):
     """An exact model's Evaluation from the map Gram's blocks (:func:`reference_blocks` of
-    :func:`langevin._response_maps`) reduced as :func:`langevin.evaluate` reduces them,
-    as the reference."""
-    n1, n2, a, b = reference_blocks(langevin._response_maps(derived, omegas, model), derived.n_m)
+    the maps of :func:`langevin._output_rows`) reduced as :func:`langevin.evaluate` reduces
+    them, as the reference."""
+    n1, n2, a, b = reference_blocks(maps_of(langevin._output_rows(derived, omegas, model)),
+                                    derived.n_m)
     n = (n1 + n1 + n2 + n2) / 4.0
     residual = np.maximum(np.abs(n1 - n), np.abs(n2 - n))
     k_x = 0.5 * np.hypot(a + a, b + b)
@@ -1108,7 +1111,7 @@ class TestRowProductsAsTheMapGram:
         for omega in oe.default_omega_grid(point.gamma, 201)[[0, 60, 100, 111, 140, 200]]:
             resp = self.SOLVERS[model](point, float(omega))
             V = oe.assemble_covariance(resp, point.n_m)
-            ref = Covariance4(entries=layout(*(v[0] for v in reference_blocks(resp.map_rows,
+            ref = Covariance4(entries=layout(*(v[0] for v in reference_blocks(maps_of(resp.rows),
                                                                               point.n_m))),
                               omega=resp.omega)
             assert V.entries.tobytes() == ref.entries.tobytes()
@@ -1130,16 +1133,6 @@ class TestRowProductsAsTheMapGram:
             got, ref = langevin._covariance_blocks(rows_of(T), n_m), reference_blocks(T, n_m)
             for g, r in zip(got, ref):
                 assert g.dtype == r.dtype and np.array_equal(g, r)
-
-    @pytest.mark.parametrize("model", TestCovariances.EXACT_MODELS)
-    def test_evaluate_lays_out_no_map(self, model, paper_derived, monkeypatch):
-        expected = oe.evaluate(paper_derived, [0.0, 1e6], model)
-
-        def fail(*args):
-            raise AssertionError("evaluate laid out 4x6 response maps")
-        monkeypatch.setattr(langevin, "_response_maps", fail)
-        got = oe.evaluate(paper_derived, [0.0, 1e6], model)
-        assert got.x.tobytes() == expected.x.tobytes()
 
 
 class TestCompareModelsArguments:

@@ -120,12 +120,21 @@ class TestTransferFunctions:
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_frequency_is_a_domain_error(self, paper_derived):
-        # x is NaN at an infinite or NaN frequency: not a positive number, so the point
-        # fails by name, as Evaluation promises NaN only where a point failed
+        # x is NaN at an infinite or NaN frequency, and beyond the grid limit, where the
+        # squares overflow: not a positive number, so the point fails by name, with no
+        # warning, as Evaluation promises NaN only where a point failed
         ev = oe.evaluate(paper_derived, [0.0, math.inf, math.nan], "adiabatic")
         assert list(ev.error) == ["", "DomainError", "DomainError"]
         assert list(ev.failed) == [False, True, True]
         assert ev.x[0] > 0 and np.all(np.isnan(ev.x[1:]))
+        limit = oe.spectrum.OMEGA_LIMIT
+        omegas = [0.0, limit, -limit, 1.16e77, 1e100, 1e300, -1.7e308]
+        expected = ["", "", ""] + ["DomainError"] * 4
+        ev = oe.evaluate(paper_derived, omegas, "adiabatic")
+        assert list(ev.error) == expected
+        assert np.all(ev.x[:3] > 0) and np.all(np.isnan(ev.x[3:]))
+        rows = closed_form_grid([paper_derived, replace(paper_derived, n_m=0.0)], omegas)
+        assert rows.error.tolist() == [expected, expected]
         nan_x = Evaluation.from_standard_form(np.array([1.0, np.nan]), np.array([0.5, 0.5]),
                                               np.array([False, False]), "DegenerateResponse")
         assert list(nan_x.error) == ["", "DomainError"]

@@ -311,6 +311,16 @@ class TestRunSweep:
             SweepSpec(axis="d", values=(1.0, 3.0, 2.0), base=paper_params,
                       omega_grid=omega_grid)
 
+    def test_unknown_model_rejected_by_the_model_set_rule(self, paper_params, omega_grid):
+        # the message evaluate, compare_models and verify give for the same name
+        with pytest.raises(ValueError) as raised:
+            langevin.model_set(("bogus",))
+        with pytest.raises(ValueError, match=re.escape(str(raised.value))):
+            SweepSpec(axis="d", values=(1.0,), base=paper_params, omega_grid=omega_grid,
+                      model="bogus")
+        with pytest.raises(ValueError, match=re.escape(str(raised.value))):
+            oe.evaluate(oe.solve_steady_state(paper_params), omega_grid, "bogus")
+
     def test_uneven_grid_rejected(self, paper_params):
         with pytest.raises(ValueError, match="omega_grid must be evenly spaced"):
             SweepSpec(axis="d", values=(1.0,), base=paper_params, omega_grid=UNEVEN)
