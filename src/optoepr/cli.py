@@ -48,8 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                             "verify", "occupation"])
     parser.add_argument("--config", metavar="PATH",
                         help="key=value configuration file (default: built-in paper defaults)")
-    parser.add_argument("--set", dest="overrides", action="append", default=[],
-                        metavar="KEY=VALUE", help="override a configuration key (repeatable)")
+    parser.add_argument("--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",
+                        help="override a configuration quantity (repeatable, each key once)")
     parser.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
     parser.add_argument("--format", choices=["csv", "jsonlines"], default="csv")
     parser.add_argument("--omega-min", type=float, default=None,
@@ -71,17 +71,21 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> PhysicalParams:
     """The operating point of ``--config`` (or the paper defaults) and ``--set``,
     retuned to the closed-form optimum d under ``--at-optimum-d``."""
+    text = "defaults: paper\n"
     if args.config:
-        with open(args.config) as handle:
-            text = handle.read()
-    else:
-        text = "defaults: paper\n"
+        with open(args.config, encoding="utf-8") as handle:
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{args.config}: not UTF-8 text ({exc})") from exc
     overrides = {}
     for item in args.overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, _, value = item.partition("=")
-        overrides[key.strip()] = value.strip()
+        key, value = (part.strip() for part in item.split("=", 1))
+        if key in overrides:
+            raise ConfigError(f"--set {key!r} given more than once")
+        overrides[key] = value
     params = parse_config(text, overrides).params
     if args.at_optimum_d:
         params = retuned_d(params, optimum_d(solve_steady_state(params)).d_o)

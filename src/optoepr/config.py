@@ -1,13 +1,15 @@
 """Flat key=value configuration with explicit unit suffixes.
 
-One pair per line, ``#`` comments, a ``defaults: paper`` directive that
-preloads the default operating point, and command-line ``--set key=value``
-overrides that replace file values.  Linear-frequency keys (``_hz``) are
-converted by 2*pi and drive powers (``_w``) to drive amplitudes
-(:func:`~optoepr.params.power_to_amplitude`) at this boundary; everything
-downstream is angular and holds the drive as amplitudes.  A configuration
-is the operating point alone: the command line's ``--format`` and ``--out``
-decide how and where a table is written, and no key names them.
+One pair per line and ``#`` comments.  Three layers make a configuration:
+the paper defaults (a ``defaults: paper`` directive), the file, and the
+command line's ``--set key=value`` overrides.  A layer gives each quantity
+at most once in any spelling (``q_factor`` spells ``gamma_m``, and
+``target_d_over_gamma`` spells ``target_d``); a later layer replaces it.
+Linear-frequency keys (``_hz``) are converted by 2*pi and drive powers
+(``_w``) to drive amplitudes (:func:`~optoepr.params.power_to_amplitude`)
+at this boundary; everything downstream is angular and holds the drive as
+amplitudes.  A configuration is the operating point alone: the command
+line's ``--format`` and ``--out`` choose the table, and no key names them.
 
 The drive can be given two ways (mutually exclusive):
 
@@ -71,6 +73,9 @@ _CANONICAL_KEYS = (
     ("omega_1", "drive_omega1_rads"), ("omega_2", "drive_omega2_rads"),
 )
 
+# Keys that spell another quantity in other terms; a layer gives a quantity once.
+_SPELLING_OF = {"q_factor": "gamma_m", "target_d_over_gamma": "target_d"}
+
 # Stems that exist only with a unit suffix, in key order; used to distinguish
 # UnitError from UnknownKey.
 _SUFFIXED_STEMS = tuple(dict.fromkeys(
@@ -132,41 +137,35 @@ def _parse_pairs(text: str):
 
 
 def parse_config(text: str, flag_overrides: dict[str, str] | None = None) -> RunConfig:
-    """Parse a configuration document with optional flag overrides.
+    """Parse a document over the paper defaults it asks for and under ``flag_overrides``.
 
-    ``flag_overrides`` replace file values (and paper defaults); duplicate
-    keys inside the file or inside the overrides are rejected.
+    Each of these three layers gives a quantity at most once, in any spelling, and a
+    later layer replaces it; every key is classified before any value is read.
     """
     pairs, use_paper = _parse_pairs(text)
-
-    resolved: dict[str, str] = dict(PAPER_DEFAULTS) if use_paper else {}
-    seen: dict[str, int] = {}
-    for key, value, line_no in pairs:
-        _classify(key)
-        if key in seen:
-            raise ParseError(f"duplicate key {key!r} (first at line {seen[key]})", line_no)
-        seen[key] = line_no
-        resolved[key] = value
-
-    for key, value in (flag_overrides or {}).items():
-        _classify(key)
-        resolved[key] = str(value)
+    layers = [[(key, value, None) for key, value in PAPER_DEFAULTS.items()]] if use_paper else []
+    layers += [pairs, [(key, str(value), None) for key, value in (flag_overrides or {}).items()]]
+    given = {}   # quantity -> (key, value, line_no, name, factor)
+    for entries in layers:
+        layer = {}
+        for key, value, line_no in entries:
+            name, factor = _classify(key)
+            quantity = _SPELLING_OF.get(name, name)
+            if quantity in layer:
+                raise ParseError(f"quantity {quantity!r} given more than once "
+                                 f"({layer[quantity][0]!r} and {key!r})", line_no)
+            layer[quantity] = key, value, line_no, name, factor
+        given.update(layer)
 
     fields: dict[str, float] = {}
-    for key, value in resolved.items():
-        name, factor = _classify(key)
+    for key, value, line_no, name, factor in given.values():
         try:
             number = float(value)
         except ValueError:
-            raise ParseError(f"key {key!r}: cannot parse {value!r} as a number",
-                             seen.get(key))
+            raise ParseError(f"key {key!r}: cannot parse {value!r} as a number", line_no)
         if not math.isfinite(number):
             raise ParameterError(f"key {key!r}: {value!r} is not a finite number")
-        if name in fields:
-            other = [k for k in resolved if _PHYSICAL_KEYS.get(k, (None,))[0] == name and k != key]
-            raise ParseError(f"quantity {name!r} given more than once ({key!r} and {other})")
         fields[name] = number * factor
-
     return RunConfig(params=_build_params(fields))
 
 

@@ -55,7 +55,7 @@ class ConfigError(OptoEprError):
 
 
 class ParseError(ConfigError):
-    """Malformed line or duplicate key; carries the offending line number."""
+    """Malformed line or a quantity given twice in a layer; carries its line number."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line

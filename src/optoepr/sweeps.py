@@ -418,13 +418,13 @@ def sensitivity_analysis(base: PhysicalParams, d_jitter: float,
     with its error name and NaN d and peak; ``worst_peak_eof`` and
     ``degradation`` cover the cases that succeeded.  A failed baseline
     raises, and so does an excursion outside the parameter domain
-    (ParameterError), before a later excursion is solved.  A negative or NaN
-    jitter and an ``omega_grid`` that :func:`_check_grid` rejects raise
-    ValueError before anything is solved.
+    (ParameterError), before a later excursion is solved.  A negative,
+    infinite or NaN jitter and an ``omega_grid`` that :func:`_check_grid`
+    rejects raise ValueError before anything is solved.
     """
     for name, jitter in (("d_jitter", d_jitter), ("power_jitter_frac", power_jitter_frac)):
-        if not jitter >= 0:
-            raise ValueError(f"{name} must be >= 0, got {jitter!r}")
+        if not 0 <= jitter < math.inf:
+            raise ValueError(f"{name} must be >= 0 and finite, got {jitter!r}")
     omega = default_omega_grid(base.gamma) if omega_grid is None else _check_grid(omega_grid)
     base_derived = solve_steady_state(base)
     d_o = optimum_d(base_derived).d_o

@@ -11,7 +11,8 @@ from optoepr.cli import _build_parser, _grid, main
 from optoepr.io import BASE_COLUMNS, read_jsonlines
 from optoepr.langevin import evaluate
 from optoepr.spectrum import metric_columns, spectrum_flags
-from tests.test_config_io import POWERS_CONFIG, reference_render_rows
+from tests.test_config_io import (PAPER_TEXT, POWERS_CONFIG, RESPELLINGS, reference_render_rows,
+                                  respelled)
 from tests.test_langevin import reference_deviations
 
 
@@ -425,6 +426,35 @@ class TestOccupation:
         assert out == "<a1^dag a1> = 0\n|alpha_1|^2 = 0  (ratio nan)\n"
 
 
+class TestSetOverrides:
+    """``--set`` is the last of a configuration's layers: it replaces a quantity
+    in any spelling and gives each quantity once."""
+
+    @pytest.mark.parametrize("key, value, replaced", RESPELLINGS)
+    @pytest.mark.parametrize("config", ["defaults: paper\n", PAPER_TEXT],
+                             ids=["over_defaults", "over_file"])
+    def test_set_replaces_a_quantity_in_any_spelling(self, key, value, replaced, config,
+                                                     tmp_path, capsys):
+        expected = tmp_path / "expected.cfg"
+        expected.write_text(respelled(key, value, replaced))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        result = run(capsys, "derive", "--config", str(cfg), "--set", f"{key}={value}")
+        assert result[0] == 0
+        assert result == run(capsys, "derive", "--config", str(expected))
+
+    @pytest.mark.parametrize("settings, message", [
+        (("temperature_k=4", "temperature_k=300"), "--set 'temperature_k' given more than once"),
+        (("gamma_hz=3.2e6", "gamma_rads=2e7"), "'gamma_hz' and 'gamma_rads'"),
+        (("q_factor=30000", "gamma_m_hz=2450"), "'q_factor' and 'gamma_m_hz'"),
+    ])
+    def test_set_giving_a_quantity_twice_exits_2(self, settings, message, capsys):
+        code, out, err = run(capsys, "derive", *(arg for s in settings for arg in ("--set", s)))
+        assert code == 2
+        assert err.startswith("configuration error: ") and message in err
+        assert out == ""
+
+
 # Lasers blue of both modes violate the sign convention: the steady state fails.
 BLUE_DRIVEN_CONFIG = """
 omega_p_hz = 3.0e14
@@ -463,6 +493,16 @@ class TestErrorPaths:
         assert code == 2
         assert err == f"configuration error: unknown configuration key '{key}'\n"
         assert out == "" and not table.exists()
+
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"defaults: paper\ntemperature_k = 300 # \xff\n")
+        table = tmp_path / "table.csv"
+        for argv in (("derive",), ("spectrum", "--omega-points", "5", "--out", str(table))):
+            code, out, err = run(capsys, *argv, "--config", str(cfg))
+            assert code == 2
+            assert err.startswith(f"configuration error: {cfg}: not UTF-8 text")
+            assert out == "" and not table.exists()
 
     def test_bad_set_syntax_exits_2(self, capsys):
         code, _, err = run(capsys, "derive", "--set", "nonsense")

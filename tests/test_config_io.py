@@ -133,6 +133,63 @@ class TestParseConfig:
                 oe.parse_config("defaults: paper\n", {key: "csv"})
 
 
+
+# The paper defaults written out in full, one line per key.
+PAPER_TEXT = "".join(f"{key} = {value}\n" for key, value in oe.PAPER_DEFAULTS.items())
+
+# (key, value, the default key it respells): gamma, gamma_m and target_d in other units.
+RESPELLINGS = [("gamma_rads", "2e7", "gamma_hz"), ("gamma_m_hz", "2450", "q_factor"),
+               ("target_d_hz", "2.0e5", "target_d_over_gamma")]
+
+
+def respelled(key, value, replaced):
+    """PAPER_TEXT with ``key = value`` in place of the line of ``replaced``."""
+    return PAPER_TEXT.replace(f"{replaced} = {oe.PAPER_DEFAULTS[replaced]}\n", f"{key} = {value}\n")
+
+
+class TestConfigLayers:
+    """The paper defaults, the document and the overrides each give a quantity
+    once, in any spelling, and a later layer replaces it."""
+
+    @pytest.mark.parametrize("key, value, replaced", RESPELLINGS)
+    def test_respelling_replaces_the_default(self, key, value, replaced):
+        expected = oe.parse_config(respelled(key, value, replaced)).params
+        assert oe.parse_config(f"defaults: paper\n{key} = {value}\n").params == expected
+        assert oe.parse_config("defaults: paper\n", {key: value}).params == expected
+
+    @pytest.mark.parametrize("key, value, replaced", RESPELLINGS)
+    def test_override_replaces_the_file_in_any_spelling(self, key, value, replaced):
+        expected = oe.parse_config(respelled(key, value, replaced)).params
+        assert oe.parse_config(PAPER_TEXT, {key: value}).params == expected
+        assert oe.parse_config(f"defaults: paper\n{key} = {value}\n",
+                               {replaced: oe.PAPER_DEFAULTS[replaced]}).params \
+            == oe.parse_config(PAPER_TEXT).params
+
+    @pytest.mark.parametrize("first, second", [(("gamma_hz", "3.2e6"), ("gamma_rads", "2e7")),
+                                               (("q_factor", "30000"), ("gamma_m_hz", "2450"))])
+    def test_quantity_given_twice_in_one_layer(self, first, second):
+        match = f"'{first[0]}' and '{second[0]}'"
+        with pytest.raises(oe.ParseError, match=match) as raised:
+            oe.parse_config(f"defaults: paper\n{first[0]} = {first[1]}\n"
+                            f"{second[0]} = {second[1]}\n")
+        assert raised.value.line == 3
+        with pytest.raises(oe.ParseError, match=match):
+            oe.parse_config("defaults: paper\n", dict([first, second]))
+
+    def test_override_parse_error_carries_no_file_line(self):
+        text = "defaults: paper\ntemperature_k = 4\n"
+        with pytest.raises(oe.ParseError) as raised:
+            oe.parse_config(text, {"temperature_k": "x"})
+        assert raised.value.line is None
+        assert str(raised.value) == "key 'temperature_k': cannot parse 'x' as a number"
+        with pytest.raises(oe.ParseError, match="^line 2: key 'temperature_k'") as raised:
+            oe.parse_config(text.replace("4", "x"))
+        assert raised.value.line == 2
+
+    def test_override_replaces_an_unparsable_file_value(self):
+        text = "defaults: paper\ntemperature_k = warm\n"
+        assert oe.parse_config(text, {"temperature_k": "4"}).params.T == 4.0
+
 class TestSerializeRoundTrip:
     def test_identity_on_paper_config(self):
         cfg = oe.parse_config("defaults: paper\n")

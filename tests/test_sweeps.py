@@ -860,7 +860,9 @@ class TestSensitivityAnalysis:
 
     @pytest.mark.parametrize("jitters, name", [((math.nan, 0.01), "d_jitter"),
                                                ((1e5, math.nan), "power_jitter_frac"),
-                                               ((1e5, -0.01), "power_jitter_frac")])
+                                               ((1e5, -0.01), "power_jitter_frac"),
+                                               ((math.inf, 0.01), "d_jitter"),
+                                               ((1e5, math.inf), "power_jitter_frac")])
     def test_nan_jitter_rejected_before_solving(self, paper_params, monkeypatch, jitters, name):
         forbid_solves(monkeypatch)
         with pytest.raises(ValueError, match=f"{name} must be >= 0"):
