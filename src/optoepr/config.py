@@ -169,16 +169,19 @@ def parse_config(text: str, flag_overrides: dict[str, str] | None = None) -> Run
     return RunConfig(params=_build_params(fields))
 
 
-def _require(fields: dict, *names: str):
-    missing = [n for n in names if n not in fields]
+def _require(fields: dict, *quantities: str):
+    """ParseError naming each of ``quantities`` that no field gives, and the keys spelling it."""
+    given = {_SPELLING_OF.get(name, name) for name in fields}
+    missing = [q for q in quantities if q not in given]
     if missing:
-        raise ParseError(f"missing required configuration: {', '.join(missing)}")
+        spellings = (", ".join(k for k, (name, _) in _PHYSICAL_KEYS.items()
+                               if _SPELLING_OF.get(name, name) == q) for q in missing)
+        raise ParseError("missing required configuration: "
+                         + "; ".join(map("{} ({})".format, missing, spellings)))
 
 
 def _build_params(fields: dict[str, float]) -> PhysicalParams:
-    _require(fields, "omega_p", "omega_m", "gamma", "nu", "eta", "T", "R", "n0")
-    if ("gamma_m" in fields) == ("q_factor" in fields):
-        raise ParseError("exactly one of gamma_m_* or q_factor must be given")
+    _require(fields, "omega_p", "omega_m", "gamma", "gamma_m", "nu", "eta", "T", "R", "n0")
     gamma_m = (fields["gamma_m"] if "gamma_m" in fields
                else gamma_m_from_q(fields["omega_m"], fields["q_factor"]))
 
@@ -195,10 +198,9 @@ def _build_params(fields: dict[str, float]) -> PhysicalParams:
     )
 
     if target_keys:
-        _require(fields, "target_alpha", "target_delta")
-        if ("target_d" in fields) == ("target_d_over_gamma" in fields):
-            raise ParseError("exactly one of target_d_* or target_d_over_gamma must be given")
-        target_d = fields.get("target_d", fields.get("target_d_over_gamma", 0.0) * fields["gamma"])
+        _require(fields, "target_alpha", "target_delta", "target_d")
+        target_d = (fields["target_d"] if "target_d" in fields
+                    else fields["target_d_over_gamma"] * fields["gamma"])
         placeholder = DriveSpec(-common["omega_m"], common["omega_m"], 0.0, 0.0)
         base = PhysicalParams(drive=placeholder, **common)
         return operating_point_params(base, target_alpha=fields["target_alpha"],

@@ -22,15 +22,14 @@ are its one-point case in long double: a commutator cancels entries ~sqrt(n)
 down to 1, so double rows' defect is ~eps n (~1e-9 at strong drive), x86
 long-double rows' ~1e-13.
 
-An output row maps the six input operators
-(a1_in, a1_in^dag, a2_in, a2_in^dag, a_m_in, a_m_in^dag), evaluated at its
-sideband frequency, onto one of the four outputs
-(a1_out, a1_out^dag, a2_out, a2_out^dag).  Daggered entries follow the
-mirrored-frequency convention: the row for o^dag at sideband w is the complex
-conjugate of o's at -w, with partner columns swapped.  So two output rows per
+An output row maps the six inputs (a1_in, a1_in^dag, a2_in, a2_in^dag, a_m_in,
+a_m_in^dag), at its sideband frequency, onto one of the four outputs (a1_out,
+a1_out^dag, a2_out, a2_out^dag).  The row for o^dag at sideband w is the
+conjugate of o's at -w over the partner inputs, so two output rows per
 frequency are independent (:func:`_output_rows`, held at one frequency by a
 :class:`LinearResponse`): those of (a1_out, a2_out^dag) at +w and at -w, the
-latter mirrored into their partners' rows.
+latter conjugated into their partners' rows.  ``rwa3`` and ``adiabatic_response``
+keep only the columns of the three inputs they couple (:data:`_COVERED`).
 
 The mechanical bath enters both optical modes through the same noise
 operator (the correlated (a_m_in, -a_m_in) injection); this sign structure
@@ -41,11 +40,11 @@ xi = (X1, P1, X2, P2): Hermitian cross-spectra are reduced to their real
 (frequency-even) part, the standard real covariance convention for
 stationary fields.  Every second-order quantity comes from one weighted product
 of each row pair (P_0, P_1) (:func:`_row_gram`): the powers sum_l w_l |P_jl|^2
-and the cross product sum_l w_l P_0l conj(P_1l).  With the inputs' symmetrized
-occupations as weights they give the covariance blocks
-(:func:`_covariance_blocks`): diagonal blocks n1 I and n2 I, cross block
-[[a, b], [b, -a]], Hermitian by construction.  With +1 for each input o and -1
-for each o^dag they give the output commutators
+and the cross product sum_l w_l P_0l conj(P_1l), l over the columns the rows
+keep, each weighted as its input.  With the inputs' symmetrized occupations as
+weights they give the covariance blocks (:func:`_covariance_blocks`): diagonal
+blocks n1 I and n2 I, cross block [[a, b], [b, -a]], Hermitian by construction.
+With +1 for each input o and -1 for each o^dag they give the output commutators
 (:meth:`LinearResponse.commutator_defect`).  :func:`evaluate` reduces the four
 numbers per point in closed form, n = (n1 + n2) / 2 and k_x = hypot(a, b), and
 lays out no 4x4 matrix; the one-point chain lays out the 4x4 and reduces it to
@@ -69,6 +68,8 @@ from .spectrum import Evaluation, StandardForm, closed_form_grid, one_d_grid
 from .steady_state import DerivedParams
 
 _MIRROR_PERM = np.array([1, 0, 3, 2, 5, 4])
+# The inputs of an output row's columns by row width, in the pairs at +w and the partners'.
+_COVERED = {6: np.array([range(6)] * 2), 3: np.array([[0, 3, 4], [1, 2, 5]])}
 # Row-product weights of the commutators, +1 for each input o and -1 for each o^dag,
 # and their bosonic values: the powers of (a1_out, a2_out^dag) and of their partners.
 _COMMUTATOR_WEIGHTS = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
@@ -126,10 +127,10 @@ class Covariance4:
 class LinearResponse:
     """Output response at one rotating-frame sideband frequency.
 
-    ``rows`` are the (2, 2, 6) output rows of :func:`_output_rows` at this one
-    frequency over the inputs (a1_in, a1_in^dag, a2_in, a2_in^dag, a_m_in,
-    a_m_in^dag): the pair (a1_out, a2_out^dag), then its partners
-    (a1_out^dag, a2_out).
+    ``rows`` are the (2, 2, k) output rows of :func:`_output_rows` at this one
+    frequency: the pair (a1_out, a2_out^dag), then its partners (a1_out^dag,
+    a2_out), over the six inputs (a1_in, a1_in^dag, a2_in, a2_in^dag, a_m_in,
+    a_m_in^dag) or, with k = 3, over the three a model couples (:data:`_COVERED`).
     """
 
     omega: float
@@ -139,11 +140,12 @@ class LinearResponse:
         """Max deviation of the output commutators from the bosonic values.
 
         The commutators [o_i(w), o_j(-w)], i and j in different row pairs, are
-        the row products (:func:`_row_gram`) with weight +1 on each input o and
-        -1 on each o^dag: +-1 for the powers, 0 for the cross products.
+        the row products (:func:`_row_gram`) weighted +1 on each input o and -1 on
+        each o^dag of a pair's columns: +-1 for the powers, 0 for the cross products.
         """
-        power, cross = _row_gram(self.rows, _COMMUTATOR_WEIGHTS)
-        return float(max(np.max(np.abs(power - _BOSONIC_POWER)), np.max(np.abs(cross))))
+        weights = _COMMUTATOR_WEIGHTS[_COVERED[self.rows.shape[-1]]]
+        power, cross = zip(*map(_row_gram, self.rows, weights))
+        return float(max(np.max(np.abs(np.subtract(power, _BOSONIC_POWER))), np.max(np.abs(cross))))
 
 
 def _resolvent(M: np.ndarray, l: np.ndarray, omegas: np.ndarray, rows: list[int],
@@ -185,8 +187,10 @@ def _resolvent(M: np.ndarray, l: np.ndarray, omegas: np.ndarray, rows: list[int]
         raise SingularDrift(f"{label} drift singular on the frequency grid: "
                             "singular mechanical Schur complement")
     out = num.reshape(-1, len(rows), len(M)) * (d_inv[:, rows] / det[:, None])[:, :, None]
-    out[:, :, :cavity] += np.eye(cavity)[rows] * l[:cavity]
-    out[:, :, :cavity] *= d_inv[:, None, :]
+    for i, r in enumerate(rows):
+        out[:, i, r] += l[r]
+    # then every column by [1/D | 1], contiguous: times 1.0 is exact
+    out *= np.concatenate([d_inv, np.ones((len(d), m), dtype=d.dtype)], axis=1)[:, None, :]
     return out
 
 
@@ -204,11 +208,8 @@ def _rwa3_drift(derived: DerivedParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rwa3_generator(derived: DerivedParams, omegas: np.ndarray) -> np.ndarray:
-    """Generator rows sqrt(gamma) (a1, a2^dag) of the 3-mode RWA system, shape (N, 2, 6)."""
-    S = _resolvent(*_rwa3_drift(derived), omegas, [0, 1], 2, "3-mode")
-    gen = np.zeros((len(omegas), 2, 6), dtype=S.dtype)
-    gen[:, :, [0, 3, 4]] = math.sqrt(derived.gamma) * S   # a1_in, a2_in^dag, a_m_in
-    return gen
+    """Generator rows sqrt(gamma) (a1, a2^dag) of the 3-mode RWA system, shape (N, 2, 3)."""
+    return math.sqrt(derived.gamma) * _resolvent(*_rwa3_drift(derived), omegas, [0, 1], 2, "3-mode")
 
 
 def _full6_drift(derived: DerivedParams) -> tuple[np.ndarray, np.ndarray]:
@@ -258,14 +259,10 @@ def _adiabatic_resolvent(derived: DerivedParams, omegas: np.ndarray) -> np.ndarr
 
 
 def _adiabatic_generator(derived: DerivedParams, omegas: np.ndarray) -> np.ndarray:
-    """Generator rows sqrt(gamma) (a1, a2^dag) of the eliminated two-mode model, shape (N, 2, 6)."""
-    gamma = derived.gamma
+    """Generator rows sqrt(gamma) (a1, a2^dag) of the eliminated two-mode model, (N, 2, 3)."""
     Ainv = _adiabatic_resolvent(derived, omegas)
-    gen = np.zeros((len(omegas), 2, 6), dtype=Ainv.dtype)
-    gen[:, :, 0] = gamma * Ainv[:, :, 0]
-    gen[:, :, 3] = gamma * Ainv[:, :, 1]
-    gen[:, :, 4] = math.sqrt(gamma * derived.gamma_m_tilde) * (Ainv[:, :, 0] - Ainv[:, :, 1])
-    return gen
+    thermal = math.sqrt(derived.gamma * derived.gamma_m_tilde) * (Ainv[:, :, :1] - Ainv[:, :, 1:])
+    return np.concatenate([derived.gamma * Ainv, thermal], axis=-1)
 
 
 _GENERATORS = {
@@ -294,14 +291,15 @@ def model_set(models) -> tuple[str, ...]:
 
 
 def _output_rows(derived: DerivedParams, omegas, model: str) -> np.ndarray:
-    """An exact model's output rows over the six inputs, shape (2N, 2, 6), in the precision
-    of ``omegas``: (a1_out, a2_out^dag) at every sideband w of ``omegas``, then their
-    partners (a1_out^dag, a2_out), the rows at -w conjugated with partner inputs swapped."""
+    """An exact model's output rows (2N, 2, k) over the inputs of :data:`_COVERED`, in the
+    precision of ``omegas``: (a1_out, a2_out^dag) at every sideband w of ``omegas``, then
+    their partners (a1_out^dag, a2_out), the rows at -w conjugated (full6's permuted)."""
     omegas = np.asarray(omegas)
     rows = _GENERATORS[model](derived, np.concatenate([omegas, -omegas]))
+    six = rows.shape[-1] == 6
     rows[:, 0, 0] -= 1.0   # a_out = -a_in + sqrt(gamma) a
-    rows[:, 1, 3] -= 1.0
-    rows[len(omegas):] = np.conj(rows[len(omegas):])[..., _MIRROR_PERM]
+    rows[:, 1, 3 if six else 1] -= 1.0
+    rows[len(omegas):] = np.conj(rows[len(omegas):])[..., _MIRROR_PERM if six else slice(None)]
     return rows
 
 
@@ -328,7 +326,7 @@ def adiabatic_response(derived: DerivedParams, omega: float) -> LinearResponse:
 
 def _row_gram(rows: np.ndarray, w: np.ndarray):
     """Powers sum_l w_l |P_jl|^2, (..., 2), and cross products sum_l w_l P_0l conj(P_1l),
-    (...), of row pairs (P_0, P_1) ``rows`` (..., 2, 6).
+    (...), of row pairs (P_0, P_1) ``rows`` (..., 2, k), ``w`` their k inputs' weights.
 
     For rows T_i and T_k of one pair, sum_l w_l T_il conj(T_kl) is the density
     <o_i(w) o_j(-w)>, j the partner of k, of inputs that pair each input with its
@@ -343,19 +341,19 @@ def _row_gram(rows: np.ndarray, w: np.ndarray):
 
 def _covariance_blocks(rows: np.ndarray, n_m: float):
     """Blocks (n1, n2, a, b), each (N,), of the symmetrized quadrature covariances of
-    output rows (2N, 2, 6) (:func:`_output_rows`): diagonal blocks n1 I and n2 I,
+    output rows (2N, 2, k) (:func:`_output_rows`): diagonal blocks n1 I and n2 I,
     cross block [[a, b], [b, -a]].
 
-    The two ordered densities <o_i(w) o_j(-w)> and <o_j(-w) o_i(w)> enter the
-    covariance as their mean, the row products (:func:`_row_gram`) with the
-    symmetrized input weights 1/2 (optical) and n_m + 1/2 (mechanical).  The
-    quadrature map Q = diag(q, q), q = [[1, 1], [-i, i]], turns them into V:
-    n1 and n2 are the powers of a1_out and a2_out^dag plus their partners', and
-    a + i b is the cross product at w plus the conjugate of the partners'.
+    The two ordered densities <o_i(w) o_j(-w)> and <o_j(-w) o_i(w)> enter the covariance
+    as their mean, the row products (:func:`_row_gram`) with the columns' symmetrized
+    input weights, 1/2 (optical) and n_m + 1/2 (mechanical), equal for partners.  The
+    quadrature map Q = diag(q, q), q = [[1, 1], [-i, i]], turns them into V: n1 and n2
+    are the powers of a1_out and a2_out^dag plus their partners', and a + i b is the
+    cross product at w plus the conjugate of the partners'.
 
     Raises ValueError if a product is not finite (broken rows).
     """
-    power, cross = _row_gram(rows, np.array([0.5, 0.5, 0.5, 0.5, n_m + 0.5, n_m + 0.5]))
+    power, cross = _row_gram(rows, np.repeat([0.5, 0.5, n_m + 0.5], 2)[_COVERED[rows.shape[-1]][0]])
     if not (np.isfinite(power).all() and np.isfinite(cross).all()):
         raise ValueError("cross-spectrum not finite")
     half = len(rows) // 2

@@ -9,7 +9,8 @@ invariants, then its summary against the reference at the workload's own
 tolerances.  ``perfbench/workloads.py`` supplies the pools, the ops and the
 checks.  The pools also serve as a spread of operating points on which the
 drive's coordinates are checked: each ``d`` row of the d-search's scan
-realizes its offset, and every pool config survives serialization.
+realizes its offset, and every pool config survives serialization; and on
+which the exact models' resolvent rows are pinned to the strided tail's.
 """
 
 import importlib.util
@@ -22,8 +23,9 @@ import numpy as np
 import pytest
 
 import optoepr as oe
-from optoepr import cli, sweeps
-from tests.test_langevin import reference_intracavity_occupation
+from optoepr import cli, langevin, sweeps
+from tests.test_langevin import (KERNELS, OP74, reference_intracavity_occupation, same_bits,
+                                 strided_resolvent)
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
@@ -157,3 +159,28 @@ def test_serialization_round_trip_is_exact(tmp_path):
     for text in texts:
         cfg = oe.parse_config(text)
         assert oe.parse_config(oe.serialize_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("name", ["opsearch", "oracle_grid"])
+def test_resolvent_tail_as_the_strided_tail(name):
+    # _resolvent adds the unit term per kept row, then scales every column by [1/D | 1]
+    # in one contiguous pass (times 1 is exact): the strided tail's rows to the bit, for
+    # every pool config (and the paper point and OP74) at +-w of the op's grid, in double
+    # and long double, for rows [0, 1] and [0] of the 3-mode drift and [0, 3] of the
+    # 6-operator one
+    points = [oe.solve_steady_state(oe.paper_default_config().params), OP74]
+    points += [oe.solve_steady_state(oe.parse_config(text).params)
+               for text in wl.WORKLOADS[name]().pool()]
+    for derived in points:
+        grid = oe.default_omega_grid(derived.gamma, 201)
+        for model, (drift, rows, cavity, pre_rwa) in KERNELS.items():
+            if not cavity:
+                continue
+            M, l = drift(derived)
+            for dtype in (np.float64, np.longdouble):
+                omegas = np.concatenate([grid, -grid]).astype(dtype)
+                if pre_rwa:
+                    omegas = omegas + derived.omega_m + derived.delta
+                got = langevin._resolvent(M, l, omegas, rows, cavity, model)
+                assert same_bits(got, strided_resolvent(M, l, omegas, rows, cavity, model)), \
+                    (derived, model, dtype)

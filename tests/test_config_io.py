@@ -75,6 +75,21 @@ class TestParseConfig:
         with pytest.raises(oe.ParseError, match="missing"):
             oe.parse_config("omega_p_hz = 3e14\n")
 
+    def test_missing_mechanical_damping_names_its_spellings(self):
+        # neither gamma_m_* nor q_factor: one missing quantity, every key that spells it
+        text = POWERS_CONFIG.replace("q_factor = 30000\n", "")
+        with pytest.raises(oe.ParseError, match=r"missing required configuration: "
+                           r"gamma_m \(gamma_m_hz, gamma_m_rads, q_factor\)$"):
+            oe.parse_config(text)
+
+    def test_missing_target_offset_names_its_spellings(self):
+        # a target-style drive with neither target_d_* nor target_d_over_gamma
+        text = POWERS_CONFIG.split("delta1_hz")[0] + "target_alpha = 1000\ntarget_delta_hz = 1e7\n"
+        with pytest.raises(oe.ParseError, match=r"missing required configuration: "
+                           r"target_d \(target_d_hz, target_d_rads, target_d_over_gamma\)$"):
+            oe.parse_config(text)
+        oe.parse_config(text + "target_d_over_gamma = 0.07\n")
+
     def test_flag_overrides_replace_file_values(self):
         cfg = oe.parse_config("defaults: paper\n", {"temperature_k": "4"})
         assert cfg.params.T == 4.0

@@ -57,7 +57,8 @@ def exact_covariance_matrix(derived, omega):
 
 # Reference helpers for response maps (..., 4, 6): the row blocks, the transpose of a
 # stack, the map at -omega, the 4x4 layout of covariance blocks, and the two layouts
-# of the output rows, as 4x6 maps and as langevin._output_rows' (2N, 2, 6) stack.
+# of the output rows, as 4x6 maps and as a (2N, 2, 6) stack of row pairs, into which
+# six_columns expands langevin._output_rows' three-column rows.
 A_ROWS, B_ROWS = [0, 3], [1, 2]   # co-rotating outputs (a1_out, a2_out^dag), their partners
 # Bosonic commutators [o_a(w), o_b(-w)] over (o, o^dag) pairs: the 6 inputs, the 4 outputs.
 J_IN = np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]])
@@ -88,14 +89,32 @@ def rows_of(T):
     return np.concatenate([T[:, A_ROWS], T[:, B_ROWS]])
 
 
+def six_columns(rows):
+    """Output rows (2N, 2, k) of langevin._output_rows over all six inputs, (2N, 2, 6).
+
+    Three-column rows, over (a1_in, a2_in^dag, a_m_in) and in the partner half over
+    their partners, are laid out as six-column rows were formed: the rows at +w and at
+    -w zero-filled, then the partner half mirrored (conjugated with partner inputs
+    swapped), so that its zeros carry the signs the conjugate gave them.  Six-column
+    rows are returned as they are.
+    """
+    if rows.shape[-1] == 6:
+        return rows
+    half = len(rows) // 2
+    out = np.zeros(rows.shape[:-1] + (6,), dtype=rows.dtype)
+    out[..., [0, 3, 4]] = np.concatenate([rows[:half], np.conj(rows[half:])])
+    out[half:] = np.conj(out[half:])[..., [1, 0, 3, 2, 5, 4]]
+    return out
+
+
 def maps_of(rows):
-    """Output rows (2N, 2, 6) as maps (N, 4, 6) over (a1_out, a1_out^dag, a2_out, a2_out^dag)."""
-    plus, partner = np.split(rows, 2)
+    """Output rows (2N, 2, k) as maps (N, 4, 6) over (a1_out, a1_out^dag, a2_out, a2_out^dag)."""
+    plus, partner = np.split(six_columns(rows), 2)
     return np.stack([plus[:, 0], partner[:, 0], partner[:, 1], plus[:, 1]], axis=1)
 
 
 def covariances(rows, n_m):
-    """Covariances (N, 4, 4) of output rows (2N, 2, 6) laid out from
+    """Covariances (N, 4, 4) of output rows (2N, 2, k) laid out from
     :func:`langevin._covariance_blocks`."""
     return layout(*langevin._covariance_blocks(rows, n_m))
 
@@ -196,6 +215,59 @@ def reference_resolvent(M, l, omegas):
     """(-i w - M)^-1 diag(l) at every w of ``omegas`` by one stacked LU solve, shape (N, k, k)."""
     A = -1j * omegas[:, None, None] * np.eye(len(M)) - M
     return np.linalg.solve(A, np.broadcast_to(np.diag(l).astype(complex), A.shape))
+
+
+def strided_resolvent(M, l, omegas, rows, cavity, label):
+    """langevin._resolvent with the tail it had before its contiguous one, as the reference:
+    the unit term added to the kept rows' cavity columns, then those columns scaled by
+    1/D, each in place through a strided view."""
+    m = len(M) - cavity
+    eye = np.eye(m)
+    z = -1j * omegas[:, None]
+    M = np.asarray(M, dtype=z.dtype)
+    d = z - M.diagonal()[:cavity]
+    d_inv = 1.0 / d
+    X, Y = M[:cavity, cavity:], M[cavity:, :cavity]
+    S = (z * eye.ravel() - M[cavity:, cavity:].ravel()
+         - d_inv @ (Y.T[:, :, None] * X[:, None, :]).reshape(cavity, m * m))
+    YI = np.concatenate([Y, eye], axis=1) * l
+    G = (X[rows].T[:, None, :, None] * YI[None, :, None, :]).reshape(m * m, -1)
+    if m == 1:
+        det, num = S[:, 0], G
+    else:
+        det, num = S[:, 0] * S[:, 3] - S[:, 1] * S[:, 2], S @ (langevin._ADJUGATE_2X2 @ G)
+    out = num.reshape(-1, len(rows), len(M)) * (d_inv[:, rows] / det[:, None])[:, :, None]
+    out[:, :, :cavity] += np.eye(cavity)[rows] * l[:cavity]
+    out[:, :, :cavity] *= d_inv[:, None, :]
+    return out
+
+
+def six_column_rows(derived, omegas, model):
+    """An exact model's output rows (2N, 2, 6) as they were formed before rows kept only
+    the inputs a model couples, as the reference: each generator's rows zero-filled to
+    the six inputs, the cavity models' on :func:`strided_resolvent`, and the rows at -w
+    conjugated with partner inputs swapped."""
+    both = np.concatenate([omegas, -omegas])
+    sqrt_gamma = math.sqrt(derived.gamma)
+    if model == "full6":
+        rows = sqrt_gamma * strided_resolvent(*langevin._full6_drift(derived),
+                                              both + derived.omega_m + derived.delta,
+                                              [0, 3], 4, "6-mode")
+    elif model == "rwa3":
+        S = strided_resolvent(*langevin._rwa3_drift(derived), both, [0, 1], 2, "3-mode")
+        rows = np.zeros((len(both), 2, 6), dtype=S.dtype)
+        rows[:, :, [0, 3, 4]] = sqrt_gamma * S
+    else:
+        Ainv = langevin._adiabatic_resolvent(derived, both)
+        rows = np.zeros((len(both), 2, 6), dtype=Ainv.dtype)
+        rows[:, :, 0] = derived.gamma * Ainv[:, :, 0]
+        rows[:, :, 3] = derived.gamma * Ainv[:, :, 1]
+        rows[:, :, 4] = (math.sqrt(derived.gamma * derived.gamma_m_tilde)
+                         * (Ainv[:, :, 0] - Ainv[:, :, 1]))
+    rows[:, 0, 0] -= 1.0
+    rows[:, 1, 3] -= 1.0
+    rows[len(omegas):] = np.conj(rows[len(omegas):])[..., [1, 0, 3, 2, 5, 4]]
+    return rows
 
 
 # Each exact model's resolvent call: its drift, the rows it keeps, its number of
@@ -313,6 +385,34 @@ class TestResolvent:
             langevin._adiabatic_resolvent(derived, omegas[[0, 2]])
 
 
+class TestCompactRows:
+    """rwa3 and adiabatic_response keep only the three inputs they couple; laid out over
+    the six inputs (:func:`six_columns`) their rows are the six-column rows, to the bit."""
+
+    EXACT_MODELS = ("adiabatic_response", "rwa3", "full6")
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("model", EXACT_MODELS)
+    def test_expanded_rows_as_the_six_column_rows(self, model, dtype, paper_derived):
+        for derived in (paper_derived, OP74):
+            omegas = oe.default_omega_grid(derived.gamma, 201).astype(dtype)
+            rows = langevin._output_rows(derived, omegas, model)
+            assert rows.shape == (402, 2, 6 if model == "full6" else 3)
+            assert same_bits(six_columns(rows), six_column_rows(derived, omegas, model))
+
+    @pytest.mark.parametrize("model", EXACT_MODELS)
+    def test_one_point_products_as_on_six_columns(self, model, paper_derived):
+        # the commutator weights flip sign on the partner pair's columns; the
+        # symmetrized weights are equal for an input and its partner
+        for derived in (paper_derived, OP74):
+            for omega in (0.0, 0.3 * derived.gamma, -1.7 * derived.gamma):
+                resp = langevin._one_point(derived, omega, model)
+                wide = LinearResponse(omega, six_columns(resp.rows))
+                assert bits(resp.commutator_defect()) == bits(wide.commutator_defect())
+                got, ref = (oe.assemble_covariance(r, derived.n_m) for r in (resp, wide))
+                assert got.entries.tobytes() == ref.entries.tobytes()
+
+
 class TestResponseStructure:
     def test_undriven_rwa3_is_pure_reflection(self):
         derived = make_derived(g=0.0, gamma_m_tilde=0.0, alpha=0.0)
@@ -377,7 +477,7 @@ class TestAssembleCovariance:
     def test_thermal_terms_enter_only_through_mechanical_columns(self, paper_derived):
         resp = oe.rwa3_solve(paper_derived, 0.1 * GAMMA)
         masked_rows = resp.rows.copy()
-        masked_rows[..., 4:6] = 0.0
+        masked_rows[..., 2] = 0.0   # a_m_in, and a_m_in^dag in the partner pair
         masked = LinearResponse(omega=resp.omega, rows=masked_rows)
         cold = oe.assemble_covariance(masked, 0.0)
         hot = oe.assemble_covariance(masked, 8.5e4)
@@ -470,7 +570,7 @@ class TestCovariances:
 
     def test_non_finite_map_rejected(self, paper_derived):
         rows = langevin._output_rows(paper_derived, [0.0, 1e5], "rwa3")
-        rows[3, 1, 4] = np.nan   # a2_out at the second sideband, mechanical input
+        rows[3, 1, 2] = np.nan   # a2_out at the second sideband, mechanical input
         with pytest.raises(ValueError, match="not finite"):
             langevin._covariance_blocks(rows, paper_derived.n_m)
 
@@ -914,6 +1014,14 @@ def reference_deviations(evals, models):
                             for i in range(len(base.x))])
         worst[m] = max((d for d in devs[m].tolist() if not math.isnan(d)), default=0.0)
     return devs, worst
+
+
+def same_bits(got, ref):
+    """Whether two complex arrays hold the same numbers to the bit: dtype, shape, values
+    and the signs of zero parts (long double's ``tobytes`` holds padding as well)."""
+    return (got.dtype == ref.dtype and got.shape == ref.shape and np.array_equal(got, ref)
+            and all(np.array_equal(np.signbit(part(got)), np.signbit(part(ref)))
+                    for part in (np.real, np.imag)))
 
 
 def bits(value):

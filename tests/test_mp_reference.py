@@ -7,7 +7,7 @@ import pytest
 import optoepr as oe
 from optoepr import langevin
 from tests import mp_reference as ref
-from tests.test_langevin import OP74
+from tests.test_langevin import OP74, six_columns
 
 # 41 points over +-2 gamma; the closed form and adiabatic_response succeed at all
 # of them and rwa3 at the 15 where its state is symmetric (NotSymmetricState elsewhere).
@@ -35,7 +35,7 @@ def test_x_as_the_reference(model, reference, compared, paper_derived):
 
 def test_adiabatic_rows_at_strong_drive():
     grid = oe.default_omega_grid(OP74.gamma, POINTS)
-    rows = langevin._output_rows(OP74, grid, "adiabatic_response")
+    rows = six_columns(langevin._output_rows(OP74, grid, "adiabatic_response"))
     for k, omega in enumerate(grid):
         expected = ref.output_rows(OP74, omega, "adiabatic_response")
         got = (rows[k], rows[POINTS + k])   # the pair at omega, its partner pair
