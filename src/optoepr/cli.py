@@ -220,9 +220,10 @@ def _cmd_optimum(args, params: PhysicalParams) -> int:
     print(f"EOF_o = {opt.eof_o:.6g} ebits")
     if opt.unbounded:
         print("warning: squeezing unbounded in this limit")
-    if args.numeric:
-        print(f"numeric optimum d* = {d_star:.10g} rad/s "
-              f"({abs(d_star - opt.d_o) / opt.d_o:.3%} from closed form)")
+    if args.numeric:   # no deviation from a closed-form d_o of 0 (the unbounded limit)
+        deviation = (f" ({abs(d_star - opt.d_o) / opt.d_o:.3%} from closed form)"
+                     if opt.d_o else "")
+        print(f"numeric optimum d* = {d_star:.10g} rad/s{deviation}")
     return 0
 
 

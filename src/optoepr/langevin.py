@@ -51,6 +51,11 @@ lays out no 4x4 matrix; the one-point chain lays out the 4x4 and reduces it to
 Simon's standard form (:func:`_reduce`).
 :func:`compare_models` evaluates several models on one grid and reports each
 :class:`~optoepr.spectrum.Evaluation` beside its deviations from the first.
+
+:func:`intracavity_occupation` integrates the 3-mode intracavity density on a
+grid it doubles until the integral settles, evaluating only each doubling's
+new points, in blocks, and forming the trapezoid rule in the grid's place: its
+memory is the grid and the density, a few dozen bytes a point.
 """
 
 from __future__ import annotations
@@ -86,8 +91,9 @@ _SYMMETRY_RTOL = 0.05
 # _OCCUPATION_RTOL of itself, and gives up past _OCCUPATION_MAX_POINTS points.
 _OCCUPATION_RTOL = 5e-3
 _OCCUPATION_MAX_POINTS = 2**20
-# It evaluates the density at most _OCCUPATION_BLOCK frequencies at a time, so that
-# its memory does not grow with the grid.
+# It evaluates the density and forms the trapezoid's cells at most
+# _OCCUPATION_BLOCK frequencies at a time, so that its temporaries do not grow
+# with the grid.
 _OCCUPATION_BLOCK = 4096
 
 # adj(S) = [[S11, -S01], [-S10, S00]] of a 2x2 S as a linear map of S's row-major entries.
@@ -479,6 +485,10 @@ def intracavity_occupation(derived: DerivedParams) -> float:
     2n - 1)[::2]`` is ``linspace(-delta, delta, n)``), so each doubling
     evaluates the density only at its new points, ``_OCCUPATION_BLOCK`` at
     a time, and integrates the full grid as if it had been evaluated whole.
+    The trapezoid is ``np.trapezoid(density, omegas)`` to the bit: the same
+    cells diff(omega) (y[1:] + y[:-1]) / 2 and the same ``.sum()``, the
+    cells formed ``_OCCUPATION_BLOCK`` at a time in the grid's place, so that
+    no grid-sized temporary is made.
 
     Raises
     ------
@@ -494,11 +504,18 @@ def intracavity_occupation(derived: DerivedParams) -> float:
             new = slice(None)
         else:                 # the previous grid is this one's even-index points
             finer[::2], new = density, slice(1, None, 2)
-        density, points = finer, omegas[new]
-        for start in range(0, len(points), _OCCUPATION_BLOCK):
+        density = finer
+        for start in range(0, len(density[new]), _OCCUPATION_BLOCK):
             block = slice(start, start + _OCCUPATION_BLOCK)
-            density[new][block] = _rwa3_interior_density(derived, points[block])
-        value = float(np.trapezoid(density, omegas)) / (2.0 * math.pi)
+            density[new][block] = _rwa3_interior_density(derived, omegas[new][block])
+        # cell i overwrites omegas[i], which no later cell reads
+        for start in range(0, npts - 1, _OCCUPATION_BLOCK):
+            stop = min(start + _OCCUPATION_BLOCK, npts - 1)
+            cells = omegas[start + 1:stop + 1] - omegas[start:stop]
+            cells *= density[start + 1:stop + 1] + density[start:stop]
+            cells /= 2.0
+            omegas[start:stop] = cells
+        value = float(omegas[:-1].sum()) / (2.0 * math.pi)
         if previous is not None:
             if value == 0.0 and previous == 0.0:
                 return 0.0

@@ -28,11 +28,13 @@ checked and where its rows are evaluated.
 ``find_optimum_d_numeric`` solves the base alone.  Its rows are the ``d``
 rows at their designed root N = 2 alpha^2, where holding alpha and delta
 leaves every input of the closed form but g' = g + d at the base's: K
-offsets are one (K, N) closed-form block (``spectrum.offset_x``).  Only the
+offsets are (K, N) closed-form blocks (``spectrum.offset_x``) of at most
+``_BLOCK_POINTS`` grid points, as in the sweeps, so the search's memory does
+not grow with the grid; a 401-point grid holds a whole pass.  Only the
 bracket's two ends are built to check the rows: the offsets whose rows pass
 form an interval, and every row lies between the ends.  A row's objective
 is the EOF of its least x over continuous omega, refined in the grid cells
-next to its grid minimum; unlike the grid peak it is smooth in d.  One block
+next to its grid minimum; unlike the grid peak it is smooth in d.  Each block
 of offsets forms the row part of the closed form once, and its evaluator
 serves the grid pass and every refinement of the continuous minimum.  A
 coarse scan checks unimodality, then refinement rounds of ``_ROUND_ROWS``
@@ -72,9 +74,9 @@ SWEEP_AXES = ("temperature", "alpha", "d", "Q", "power_fluct")
 # the rounding of the grid values (np.linspace stays within 2 eps max|omega|).
 _SPACING_RTOL = 1e-9
 
-# Most grid points evaluated at once: rows go through the closed form in
-# blocks of _BLOCK_POINTS // N rows of an N-point grid, which bounds the
-# (rows, N) temporaries.
+# Most grid points evaluated at once: sweep rows and the d-search's offsets go
+# through the closed form in blocks of _BLOCK_POINTS // N rows of an N-point
+# grid (at least one), which bounds the (rows, N) temporaries.
 _BLOCK_POINTS = 2**14
 
 # Local maxima within this fraction of the peak EOF are reported as peaks.
@@ -498,17 +500,24 @@ def _search_objective(base_derived: DerivedParams, d: np.ndarray,
 
     The rows must build and lie in the window (see :func:`_offset_error`).  A
     row with a failed grid point raises, for the first such row, the class
-    :func:`closed_form_grid` names at its first failed point.
+    :func:`closed_form_grid` names at its first failed point.  The offsets are
+    evaluated in blocks of at most ``_BLOCK_POINTS`` grid points, as in
+    :func:`_peaks`, each running its grid pass, failure check and continuous
+    minimum in turn; a row's numbers are its own, to the last bit.
     """
-    x_at = offset_x(base_derived, d)
-    x, abs_D2 = x_at(omega)
-    degenerate = degenerate_mask(abs_D2, base_derived.gamma**2, omega)
-    failed = degenerate | ~(x > 0)
-    if failed.any():
-        k, i = divmod(int(np.argmax(failed)), len(omega))
-        error = DegenerateResponse if degenerate[k, i] else DomainError
-        raise error(f"adiabatic output failed at omega = {omega[i]:.6e}")
-    return eof_array(_continuous_min(x_at, omega, x))
+    size = max(1, _BLOCK_POINTS // len(omega))
+    least = np.empty(len(d))
+    for start in range(0, len(d), size):
+        x_at = offset_x(base_derived, d[start:start + size])
+        x, abs_D2 = x_at(omega)
+        degenerate = degenerate_mask(abs_D2, base_derived.gamma**2, omega)
+        failed = degenerate | ~(x > 0)
+        if failed.any():
+            k, i = divmod(int(np.argmax(failed)), len(omega))
+            error = DegenerateResponse if degenerate[k, i] else DomainError
+            raise error(f"adiabatic output failed at omega = {omega[i]:.6e}")
+        least[start:start + size] = _continuous_min(x_at, omega, x)
+    return eof_array(least)
 
 
 def _continuous_min(x_at, omega: np.ndarray, x: np.ndarray) -> np.ndarray:

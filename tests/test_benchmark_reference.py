@@ -16,6 +16,7 @@ which the exact models' resolvent rows are pinned to the strided tail's.
 import importlib.util
 import json
 import pathlib
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -115,6 +116,36 @@ def test_occupation_as_the_full_grid_loop(tmp_path):
     for text in configs.values():
         derived = oe.solve_steady_state(oe.parse_config(text).params)
         assert oe.intracavity_occupation(derived) == reference_intracavity_occupation(derived)
+
+
+# Measured on cli_tables config 5 with _OCCUPATION_BLOCK = 1024: 20.2 bytes per
+# point of its 65537-point grid (the grid, its density, and the previous level's
+# density while the next is filled), against 32.0 when np.trapezoid's temporaries
+# were made.
+OCCUPATION_PEAK_BYTES_PER_POINT = 24
+
+
+def test_occupation_on_the_largest_cli_grid(tmp_path, monkeypatch):
+    # config 5's integral converges on 65537 points: the trapezoid formed in place there
+    # is np.trapezoid's, to the bit, and its traced peak holds no grid-sized temporary
+    # beyond the grid and the densities
+    text = next(item["text"] for item in wl.CliTables(tmp_path).pool() if item["config"] == 5)
+    derived = oe.solve_steady_state(oe.parse_config(text).params)
+    omegas = np.linspace(-derived.delta, derived.delta, 65537)
+    density = langevin._rwa3_interior_density(derived, omegas)
+    expected = float(np.trapezoid(density, omegas)) / (2.0 * np.pi)
+    previous = float(np.trapezoid(density[::2], omegas[::2])) / (2.0 * np.pi)
+    assert abs(expected - previous) <= langevin._OCCUPATION_RTOL * abs(expected)
+    assert oe.intracavity_occupation(derived) == expected
+    # a smaller density block, so that the grid-sized arrays set the peak
+    monkeypatch.setattr(langevin, "_OCCUPATION_BLOCK", 1024)
+    tracemalloc.start()
+    try:
+        assert oe.intracavity_occupation(derived) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= OCCUPATION_PEAK_BYTES_PER_POINT * len(omegas)
 
 
 def test_opsearch_scan_rows_realize_their_offset():

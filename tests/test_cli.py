@@ -364,6 +364,16 @@ class TestOptimum:
         assert err == "configuration error: invalid omega grid\n"
         assert out == ""
 
+    def test_numeric_search_at_unbounded_limit_prints_no_deviation(self, capsys):
+        # a tiny gamma rounds d_o to 0: the bracket is (0, 0), the search returns 0, and
+        # there is no deviation from d_o to quote
+        code, out, err = run(capsys, "optimum", "--numeric", "--set", "gamma_rads=1e-4")
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[0].startswith("d_o = 0 rad/s")
+        assert lines[3] == "warning: squeezing unbounded in this limit"
+        assert lines[4:] == ["numeric optimum d* = 0 rad/s"]
+
     def test_failed_search_prints_nothing(self, capsys, monkeypatch):
         # the closed-form lines wait for the search: a failed one leaves stdout empty
         def fail(params, bracket, omega_grid=None):
