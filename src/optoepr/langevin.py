@@ -18,9 +18,9 @@ resolvent rows the model keeps (:func:`_resolvent`); the eliminated model's
 2x2 drift is inverted explicitly (:func:`_adiabatic_resolvent`).  No LU
 factorization or eigendecomposition is involved.  :func:`evaluate` runs one
 model on one grid (the closed form included); the single-frequency functions
-are its one-point case in long double: a commutator cancels entries ~sqrt(n)
-down to 1, so double rows' defect is ~eps n (~1e-9 at strong drive), x86
-long-double rows' ~1e-13.
+are its one-point case in long double, under the same frequency rule: a
+commutator cancels entries ~sqrt(n) down to 1, so double rows' defect is ~eps n
+(~1e-9 at strong drive), x86 long-double rows' ~1e-13.
 
 An output row maps the six inputs (a1_in, a1_in^dag, a2_in, a2_in^dag, a_m_in,
 a_m_in^dag), at its sideband frequency, onto one of the four outputs (a1_out,
@@ -52,10 +52,11 @@ Simon's standard form (:func:`_reduce`).
 :func:`compare_models` evaluates several models on one grid and reports each
 :class:`~optoepr.spectrum.Evaluation` beside its deviations from the first.
 
-:func:`intracavity_occupation` integrates the 3-mode intracavity density on a
-grid it doubles until the integral settles, evaluating only each doubling's
-new points, in blocks, and forming the trapezoid rule in the grid's place: its
-memory is the grid and the density, a few dozen bytes a point.
+:func:`intracavity_occupation` integrates (n1 - 1) / gamma of ``rwa3``'s blocks,
+the intracavity density at w plus that at -w, over [0, delta] on a grid it
+doubles until the integral settles, evaluating only each doubling's new points,
+in blocks, and forming the trapezoid rule in the grid's place: its memory is
+the grid and the density, a few dozen bytes a point.
 """
 
 from __future__ import annotations
@@ -88,13 +89,14 @@ _DIAGONAL_IDENTITY = np.array([1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0])[:, None]
 _SYMMETRY_RTOL = 0.05
 
 # intracavity_occupation doubles its grid until the integral moves by less than
-# _OCCUPATION_RTOL of itself, and gives up past _OCCUPATION_MAX_POINTS points.
+# _OCCUPATION_RTOL of itself, and gives up past _OCCUPATION_MAX_POINTS points of
+# [-delta, delta] at its spacing.
 _OCCUPATION_RTOL = 5e-3
 _OCCUPATION_MAX_POINTS = 2**20
-# It evaluates the density and forms the trapezoid's cells at most
-# _OCCUPATION_BLOCK frequencies at a time, so that its temporaries do not grow
-# with the grid.
-_OCCUPATION_BLOCK = 4096
+# It evaluates the density (each point at +-w) and forms the trapezoid's cells at
+# most _OCCUPATION_BLOCK grid points at a time, so that its temporaries do not
+# grow with the grid.
+_OCCUPATION_BLOCK = 512
 
 # adj(S) = [[S11, -S01], [-S10, S00]] of a 2x2 S as a linear map of S's row-major entries.
 _ADJUGATE_2X2 = np.array([[0.0, 0, 0, 1], [0, -1, 0, 0], [0, 0, -1, 0], [1, 0, 0, 0]])
@@ -310,7 +312,9 @@ def _output_rows(derived: DerivedParams, omegas, model: str) -> np.ndarray:
 
 
 def _one_point(derived: DerivedParams, omega: float, model: str) -> LinearResponse:
-    """The response of ``model`` at one sideband, its rows solved and held in long double."""
+    """The response of ``model`` at one sideband, its rows solved and held in long double;
+    ValueError, before anything is solved, for an ``omega`` :func:`one_d_grid` rejects."""
+    one_d_grid([omega])
     return LinearResponse(omega, _output_rows(derived, np.array([omega], dtype=np.longdouble),
                                               model))
 
@@ -467,38 +471,36 @@ def log_negativity(V: Covariance4) -> float:
     return max(0.0, -math.log2(nu_min))
 
 
-def _rwa3_interior_density(derived: DerivedParams, omegas: np.ndarray) -> np.ndarray:
-    """Spectral density <a1^dag a1>(w) of the intracavity field, batched over omegas."""
-    S = _resolvent(*_rwa3_drift(derived), omegas, [0], 2, "3-mode")
-    # Occupation picks up the (n+1)-ordered moments of the daggered inputs:
-    # vacuum through the a2_in^dag column, thermal through the mechanical one.
-    return np.abs(S[:, 0, 1]) ** 2 + derived.n_m * np.abs(S[:, 0, 2]) ** 2
-
-
 def intracavity_occupation(derived: DerivedParams) -> float:
-    """Stationary <a1^dag a1> from the 3-mode interior solution.
+    """Stationary <a1^dag a1> of the 3-mode model, from its output block n1.
 
-    Integrates the intracavity spectral density over [-delta, delta],
-    doubling the grid until the trapezoid integral changes by less than
-    ``_OCCUPATION_RTOL`` (0.5%) of itself.  A doubled grid's even-index
-    points are the previous grid, to the bit (``linspace(-delta, delta,
-    2n - 1)[::2]`` is ``linspace(-delta, delta, n)``), so each doubling
-    evaluates the density only at its new points, ``_OCCUPATION_BLOCK`` at
-    a time, and integrates the full grid as if it had been evaluated whole.
-    The trapezoid is ``np.trapezoid(density, omegas)`` to the bit: the same
-    cells diff(omega) (y[1:] + y[:-1]) / 2 and the same ``.sum()``, the
-    cells formed ``_OCCUPATION_BLOCK`` at a time in the grid's place, so that
-    no grid-sized temporary is made.
+    With vacuum optical inputs, a1_out = -a1_in + sqrt(gamma) a1 makes n1
+    (:func:`_covariance_blocks`) 1 + gamma [rho(w) + rho(-w)], rho the intracavity
+    density (Gardiner and Collett, PRA 31, 3761 (1985)): the integral of rho over
+    [-delta, delta] is that of (n1 - 1) / gamma over [0, delta].  It is taken on a
+    grid doubled until the trapezoid integral changes by less than
+    ``_OCCUPATION_RTOL`` (0.5%) of itself.  A doubled grid's even-index points are
+    the previous grid, to the bit (``linspace(0, delta, 2n - 1)[::2]`` is
+    ``linspace(0, delta, n)``), so each doubling evaluates the density only at its
+    new points, ``_OCCUPATION_BLOCK`` at a time, and integrates the full grid as if
+    it had been evaluated whole.  The trapezoid is ``np.trapezoid(density,
+    omegas)`` to the bit: the same cells diff(omega) (y[1:] + y[:-1]) / 2 and the
+    same ``.sum()``, the cells formed ``_OCCUPATION_BLOCK`` at a time in the grid's
+    place, so that no grid-sized temporary is made.  A cavity the drift leaves
+    uncoupled from the mechanics holds no photons: 0.0, not n1 - 1's rounding.
 
     Raises
     ------
     NonConvergent
-        If the grid would exceed ``_OCCUPATION_MAX_POINTS`` (2**20) points.
+        If [-delta, delta] at the grid's spacing would exceed
+        ``_OCCUPATION_MAX_POINTS`` (2**20) points.
     """
-    npts = 2049
+    if _rwa3_drift(derived)[0][0, 2] == 0.0:
+        return 0.0
+    npts = 1025   # points of [0, delta]; [-delta, delta] holds 2 npts - 1
     density = previous = None
-    while npts <= _OCCUPATION_MAX_POINTS:
-        omegas = np.linspace(-derived.delta, derived.delta, npts)
+    while 2 * npts - 1 <= _OCCUPATION_MAX_POINTS:
+        omegas = np.linspace(0.0, derived.delta, npts)
         finer = np.empty(npts)
         if density is None:   # the first grid: every point is new
             new = slice(None)
@@ -507,7 +509,9 @@ def intracavity_occupation(derived: DerivedParams) -> float:
         density = finer
         for start in range(0, len(density[new]), _OCCUPATION_BLOCK):
             block = slice(start, start + _OCCUPATION_BLOCK)
-            density[new][block] = _rwa3_interior_density(derived, omegas[new][block])
+            n1 = _covariance_blocks(_output_rows(derived, omegas[new][block], "rwa3"),
+                                    derived.n_m)[0]
+            density[new][block] = (n1 - 1.0) / derived.gamma
         # cell i overwrites omegas[i], which no later cell reads
         for start in range(0, npts - 1, _OCCUPATION_BLOCK):
             stop = min(start + _OCCUPATION_BLOCK, npts - 1)
@@ -522,7 +526,7 @@ def intracavity_occupation(derived: DerivedParams) -> float:
             if abs(value - previous) <= _OCCUPATION_RTOL * abs(value):
                 return value
         previous = value
-        npts = 2 * (npts - 1) + 1
+        npts = 2 * npts - 1
     raise NonConvergent(
         f"occupation integral not converged to {_OCCUPATION_RTOL:g} within "
         f"{_OCCUPATION_MAX_POINTS} points"

@@ -269,8 +269,8 @@ def closed_form_grid(derived: DerivedParams | Sequence[DerivedParams], omegas) -
 
     ``derived`` is one operating point, giving arrays shaped like ``omegas``,
     or a sequence of K, giving (K, N) arrays over the N-point grid in one
-    pass: each row's scalars enter as a (K, 1) column, so row k equals
-    ``derived[k]`` evaluated alone, to the last bit.
+    pass: each row's scalars enter as a (K, 1) column, one operating point's
+    too, so row k equals ``derived[k]`` evaluated alone, to the last bit.
 
     Unequal amplitudes fail every point of a row with ``DomainError``; a
     vanishing response denominator (:func:`degenerate_mask`) fails a point
@@ -279,23 +279,18 @@ def closed_form_grid(derived: DerivedParams | Sequence[DerivedParams], omegas) -
     """
     omegas = np.asarray(omegas, dtype=float)
     rows = [derived] if isinstance(derived, DerivedParams) else list(derived)
-    mismatch = [d.alpha_mismatch() > ALPHA_MATCH_RTOL for d in rows]
-    gamma2 = [d.gamma**2 for d in rows]   # Python's float pow, not numpy's square
-    if len(rows) != 1:
-        fields = [np.array([getattr(d, name) for d in rows])[:, None]
-                  for name in _CLOSED_FORM_FIELDS]
-        mismatch, gamma2 = np.array(mismatch, dtype=bool)[:, None], np.array(gamma2)[:, None]
-    else:   # one row's scalars broadcast as its (1, 1) columns would, but cheaper
-        fields = [getattr(rows[0], name) for name in _CLOSED_FORM_FIELDS]
-        mismatch, gamma2 = mismatch[0], gamma2[0]
-        if not isinstance(derived, DerivedParams):
-            omegas = omegas[None, :]
+    fields = [np.array([getattr(d, name) for d in rows])[:, None] for name in _CLOSED_FORM_FIELDS]
+    mismatch = np.array([d.alpha_mismatch() > ALPHA_MATCH_RTOL for d in rows], dtype=bool)[:, None]
+    # Python's float pow, not numpy's square
+    gamma2 = np.array([d.gamma**2 for d in rows])[:, None]
     n, k_x, _, abs_D2 = _closed_form(*fields)(omegas)
     failed = degenerate_mask(abs_D2, gamma2, omegas) | mismatch
+    if isinstance(derived, DerivedParams):   # its (1, 1) columns broadcast to two axes or more
+        n, k_x, failed = (a.reshape(omegas.shape) for a in (n, k_x, failed))
     with np.errstate(invalid="ignore"):
         ev = Evaluation.from_standard_form(n, k_x, failed, "DegenerateResponse")
-    if np.any(mismatch):
-        ev.error[np.broadcast_to(mismatch, ev.error.shape)] = "DomainError"
+    if mismatch.any():
+        ev.error[np.broadcast_to(mismatch, abs_D2.shape).reshape(ev.error.shape)] = "DomainError"
     return ev
 
 

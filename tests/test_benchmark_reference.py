@@ -25,8 +25,9 @@ import pytest
 
 import optoepr as oe
 from optoepr import cli, langevin, sweeps
-from tests.test_langevin import (KERNELS, OP74, reference_intracavity_occupation, same_bits,
-                                 strided_resolvent)
+from tests.test_langevin import (KERNELS, OP74, SYMMETRIC_GRID_RTOL, occupation_density,
+                                 reference_intracavity_occupation, same_bits, strided_resolvent,
+                                 symmetric_grid_occupation)
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
@@ -107,38 +108,50 @@ def test_cli_kind_as_recorded(kind, tmp_path, capsys):
     assert check(workload, pool[index], raw, reference["out"]) == []
 
 
-def test_occupation_as_the_full_grid_loop(tmp_path):
-    # the occupation reuses each level's density on the next, doubled grid; on every
-    # cli_tables config (config 5 doubles up to 65537 points) it is the same bits as
-    # the loop that evaluates every point of every level
+def cli_derived(tmp_path):
+    """The solved operating point of each of the 18 cli_tables configs, by config."""
     configs = {item["config"]: item["text"] for item in wl.CliTables(tmp_path).pool()}
     assert len(configs) == 18
-    for text in configs.values():
-        derived = oe.solve_steady_state(oe.parse_config(text).params)
+    return {k: oe.solve_steady_state(oe.parse_config(text).params) for k, text in configs.items()}
+
+
+def test_occupation_as_the_full_grid_loop(tmp_path):
+    # the occupation reuses each level's density on the next, doubled grid; on every
+    # cli_tables config (config 5 doubles up to 32769 points) it is the same bits as
+    # the loop that evaluates every point of every level
+    for derived in cli_derived(tmp_path).values():
         assert oe.intracavity_occupation(derived) == reference_intracavity_occupation(derived)
 
 
-# Measured on cli_tables config 5 with _OCCUPATION_BLOCK = 1024: 20.2 bytes per
-# point of its 65537-point grid (the grid, its density, and the previous level's
-# density while the next is filled), against 32.0 when np.trapezoid's temporaries
-# were made.
-OCCUPATION_PEAK_BYTES_PER_POINT = 24
+def test_occupation_as_the_symmetric_grid_trapezoid(tmp_path):
+    # the output block's integral over [0, delta] against the drift's density over
+    # [-delta, delta], on every cli_tables config
+    for derived in cli_derived(tmp_path).values():
+        expected = symmetric_grid_occupation(derived)
+        got = oe.intracavity_occupation(derived)
+        assert abs(got - expected) <= SYMMETRIC_GRID_RTOL * expected
+
+
+# Measured on cli_tables config 5 with _OCCUPATION_BLOCK = 256: 23.0 bytes per point
+# of its 32769-point grid over [0, delta] (the grid, its density, and the previous
+# level's density while the next is filled, 20 bytes, and one block's rows), against
+# 32 or more when np.trapezoid's temporaries are made.
+OCCUPATION_PEAK_BYTES_PER_POINT = 27
 
 
 def test_occupation_on_the_largest_cli_grid(tmp_path, monkeypatch):
-    # config 5's integral converges on 65537 points: the trapezoid formed in place there
+    # config 5's integral converges on 32769 points: the trapezoid formed in place there
     # is np.trapezoid's, to the bit, and its traced peak holds no grid-sized temporary
     # beyond the grid and the densities
-    text = next(item["text"] for item in wl.CliTables(tmp_path).pool() if item["config"] == 5)
-    derived = oe.solve_steady_state(oe.parse_config(text).params)
-    omegas = np.linspace(-derived.delta, derived.delta, 65537)
-    density = langevin._rwa3_interior_density(derived, omegas)
+    derived = cli_derived(tmp_path)[5]
+    omegas = np.linspace(0.0, derived.delta, 32769)
+    density = occupation_density(derived, omegas)
     expected = float(np.trapezoid(density, omegas)) / (2.0 * np.pi)
     previous = float(np.trapezoid(density[::2], omegas[::2])) / (2.0 * np.pi)
     assert abs(expected - previous) <= langevin._OCCUPATION_RTOL * abs(expected)
     assert oe.intracavity_occupation(derived) == expected
     # a smaller density block, so that the grid-sized arrays set the peak
-    monkeypatch.setattr(langevin, "_OCCUPATION_BLOCK", 1024)
+    monkeypatch.setattr(langevin, "_OCCUPATION_BLOCK", 256)
     tracemalloc.start()
     try:
         assert oe.intracavity_occupation(derived) == expected

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import astuple, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -716,8 +717,14 @@ class TestIntracavityOccupation:
     def test_nonconvergent_budget(self, paper_derived, monkeypatch):
         monkeypatch.setattr(langevin, "_OCCUPATION_RTOL", 1e-12)
         monkeypatch.setattr(langevin, "_OCCUPATION_MAX_POINTS", 4097)
+        solved = []
+        output_rows = langevin._output_rows
+        monkeypatch.setattr(langevin, "_output_rows",
+                            lambda d, omegas, m: solved.append(len(omegas)) or output_rows(d, omegas, m))
         with pytest.raises(oe.NonConvergent, match="not converged to 1e-12 within 4097 points"):
             oe.intracavity_occupation(paper_derived)
+        # the grids over [0, delta] of the symmetric grids of 2049 and 4097 points
+        assert sum(solved) == 2049
 
     def test_as_the_full_grid_loop(self, paper_derived, optimum_derived):
         for derived in (paper_derived, optimum_derived):
@@ -729,35 +736,114 @@ class TestIntracavityOccupation:
         monkeypatch.setattr(langevin, "_OCCUPATION_BLOCK", 999)
         assert oe.intracavity_occupation(paper_derived) == expected
 
+    def test_as_the_symmetric_grid_trapezoid(self, paper_derived, optimum_derived):
+        # the integral over [0, delta] of the output block is the trapezoid of the
+        # intracavity density over [-delta, delta] on the same spacing, but for rounding
+        for derived in (paper_derived, optimum_derived):
+            expected = symmetric_grid_occupation(derived)
+            got = oe.intracavity_occupation(derived)
+            assert abs(got - expected) <= SYMMETRIC_GRID_RTOL * expected
+
     @pytest.mark.parametrize("delta", np.concatenate([
         np.geomspace(1e5, 1e9, 9), np.random.default_rng(7).uniform(1e5, 1e9, 6),
         [TWO_PI * 1e7, math.nextafter(TWO_PI * 1e7, math.inf), 3.0 * TWO_PI * 1e7 / 7.0]]))
     def test_doubled_grid_holds_the_previous_one(self, delta):
         # the premise of the reuse of each level's density: the even-index points of
         # every doubling the loop makes are the previous level's grid, to the bit
-        npts = 2049
-        coarse = np.linspace(-delta, delta, npts)
-        while 2 * (npts - 1) + 1 <= langevin._OCCUPATION_MAX_POINTS:
-            npts = 2 * (npts - 1) + 1
-            fine = np.linspace(-delta, delta, npts)
+        npts = 1025
+        coarse = np.linspace(0.0, delta, npts)
+        while 2 * (2 * npts - 1) - 1 <= langevin._OCCUPATION_MAX_POINTS:
+            npts = 2 * npts - 1
+            fine = np.linspace(0.0, delta, npts)
             assert np.array_equal(fine[::2], coarse)
             coarse = fine
 
 
-def reference_intracavity_occupation(derived):
-    """intracavity_occupation evaluating the density on every point of each level's grid,
-    as a reference."""
+# intracavity_occupation against symmetric_grid_occupation, relative: measured
+# 6.4e-16 at the paper point, 1.2e-15 at its optimum and at most 6.9e-15 over the
+# 18 cli_tables configs.
+SYMMETRIC_GRID_RTOL = 1.5e-14
+
+
+def occupation_density(derived, omegas):
+    """intracavity_occupation's density (n1 - 1) / gamma over ``omegas``, from rwa3's
+    output block n1, every point at once."""
+    n1 = langevin._covariance_blocks(langevin._output_rows(derived, omegas, "rwa3"),
+                                     derived.n_m)[0]
+    return (n1 - 1.0) / derived.gamma
+
+
+def doubled_trapezoid(grid, density):
+    """The trapezoid integral / 2 pi of ``density`` on ``grid(npts)``, npts the points of
+    [-delta, delta] at its spacing, doubled from 2049 until the integral moves by at most
+    the occupation's tolerance; every level evaluated whole."""
     npts, previous = 2049, None
     while npts <= langevin._OCCUPATION_MAX_POINTS:
-        omegas = np.linspace(-derived.delta, derived.delta, npts)
-        density = langevin._rwa3_interior_density(derived, omegas)
-        value = float(np.trapezoid(density, omegas)) / (2.0 * math.pi)
+        omegas = grid(npts)
+        value = float(np.trapezoid(density(omegas), omegas)) / (2.0 * math.pi)
         if previous is not None and (value == previous == 0.0 or
                                      abs(value - previous) <= langevin._OCCUPATION_RTOL * abs(value)):
             return value
         previous = value
         npts = 2 * (npts - 1) + 1
     raise oe.NonConvergent("occupation integral not converged")
+
+
+def reference_intracavity_occupation(derived):
+    """intracavity_occupation evaluating the density on every point of each level's
+    grid over [0, delta], as a reference."""
+    return doubled_trapezoid(lambda n: np.linspace(0.0, derived.delta, (n + 1) // 2),
+                             partial(occupation_density, derived))
+
+
+def symmetric_grid_occupation(derived):
+    """The trapezoid of the drift's intracavity density (:func:`intracavity_density`)
+    over [-delta, delta], on the grids whose halves intracavity_occupation integrates."""
+    return doubled_trapezoid(lambda n: np.linspace(-derived.delta, derived.delta, n),
+                             partial(intracavity_density, derived, model="rwa3"))
+
+
+def intracavity_density(derived, omegas, model):
+    """<a1^dag a1>(w) of ``model``'s drift over ``omegas``: row 0 of (-i w - M)^-1 diag(l)
+    by ``np.linalg.inv``, each input's |entry|^2 weighted by its normally ordered moment,
+    0 for an optical o_in, 1 for its o_in^dag, n_m for b_in and n_m + 1 for b_in^dag.
+
+    rwa3's inputs are (a1_in, a2_in^dag, a_m_in), so its density is |S_01|^2 +
+    n_m |S_02|^2; full6's are (a1_in, a1_in^dag, a2_in, a2_in^dag, b_in, b_in^dag),
+    solved at the pre-RWA frequency w + omega_m + delta.
+    """
+    n_m = derived.n_m
+    if model == "rwa3":
+        (M, l), freqs, weights = langevin._rwa3_drift(derived), omegas, [0.0, 1.0, n_m]
+    else:
+        (M, l), freqs, weights = (langevin._full6_drift(derived),
+                                  omegas + derived.omega_m + derived.delta,
+                                  [0.0, 1.0, 0.0, 1.0, n_m, n_m + 1.0])
+    row = np.linalg.inv(-1j * freqs[:, None, None] * np.eye(len(M)) - M)[:, 0, :] * l
+    return np.abs(row) ** 2 @ np.array(weights)
+
+
+class TestOutputBlockAsIntracavityDensity:
+    """Input-output theory: with vacuum optical inputs, a1_out = -a1_in + sqrt(gamma) a1
+    makes rwa3's and full6's output block n1(w) - 1 = gamma [rho(w) + rho(-w)], rho the
+    intracavity density of a1, which checks _covariance_blocks' symmetrized input
+    weights against normally ordered ones with code it does not share."""
+
+    # Measured over 257 points of [0, delta], relative to n1 - 1: at the paper point
+    # 2.0e-14 (rwa3) and 2.3e-14 (full6), at OP74 2.4e-12 and 2.8e-12.  The reference's
+    # inversion sets it; the resolvent's own rows give the identity to 8.6e-16.
+    RTOL = {"paper": 5e-14, "OP74": 6e-12}
+
+    @pytest.mark.parametrize("model", ["rwa3", "full6"])
+    @pytest.mark.parametrize("point", ["paper", "OP74"])
+    def test_identity(self, point, model, paper_derived):
+        derived = paper_derived if point == "paper" else OP74
+        omegas = np.linspace(0.0, derived.delta, 257)
+        n1 = langevin._covariance_blocks(langevin._output_rows(derived, omegas, model),
+                                         derived.n_m)[0]
+        expected = derived.gamma * (intracavity_density(derived, omegas, model)
+                                    + intracavity_density(derived, -omegas, model))
+        assert np.max(np.abs(n1 - 1.0 - expected) / expected) <= self.RTOL[point]
 
 
 class TestModelAgreement:
@@ -1315,6 +1401,23 @@ class TestCompareModelsArguments:
         with pytest.raises(ValueError, match="frequency grid must be finite"):
             oe.compare_models(paper_derived, [0.0, math.nan], models=("adiabatic", "rwa3"))
         assert evaluated == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("solve", [oe.rwa3_solve, oe.full6_solve, adiabatic_response])
+    def test_one_point_solvers_take_the_frequency_rule(self, solve, paper_derived):
+        # evaluate's frequency rule, checked before anything is solved
+        for omega in (math.nan, math.inf, -math.inf, 1e300, -1e300):
+            with pytest.raises(ValueError, match="frequency grid must be finite"):
+                solve(paper_derived, omega)
+        limit = oe.spectrum.OMEGA_LIMIT
+        assert np.isfinite(solve(paper_derived, limit).rows.astype(complex)).all()
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS, reason="long double is double here")
+    def test_one_point_solves_its_long_double_frequency(self, paper_derived):
+        omega = np.longdouble(0.3 * GAMMA) * (1 + np.finfo(np.longdouble).eps)
+        assert float(omega) == 0.3 * GAMMA   # no double holds it
+        rows = langevin._output_rows(paper_derived, np.array([omega]), "rwa3")
+        assert same_bits(oe.rwa3_solve(paper_derived, omega).rows, rows)
 
     @pytest.mark.parametrize("model", ["adiabatic_response", "rwa3", "full6"])
     def test_exact_models_reject_a_grid_not_1d(self, model, paper_derived):
