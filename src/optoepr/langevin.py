@@ -53,10 +53,11 @@ Simon's standard form (:func:`_reduce`).
 :class:`~optoepr.spectrum.Evaluation` beside its deviations from the first.
 
 :func:`intracavity_occupation` integrates (n1 - 1) / gamma of ``rwa3``'s blocks,
-the intracavity density at w plus that at -w, over [0, delta] on a grid it
-doubles until the integral settles, evaluating only each doubling's new points,
-in blocks, and forming the trapezoid rule in the grid's place: its memory is
-the grid and the density, a few dozen bytes a point.
+the intracavity density at w plus that at -w, with n1 formed from a1_out's
+powers alone (:func:`_n1_block`), over [0, delta] on a grid it doubles until
+the integral settles, evaluating only each doubling's new points, in blocks,
+and forming the trapezoid rule in the grid's place: its memory is the grid and
+the density, a few dozen bytes a point.
 """
 
 from __future__ import annotations
@@ -363,13 +364,28 @@ def _covariance_blocks(rows: np.ndarray, n_m: float):
 
     Raises ValueError if a product is not finite (broken rows).
     """
-    power, cross = _row_gram(rows, np.repeat([0.5, 0.5, n_m + 0.5], 2)[_COVERED[rows.shape[-1]][0]])
+    power, cross = _row_gram(rows, _symmetrized_weights(rows, n_m))
     if not (np.isfinite(power).all() and np.isfinite(cross).all()):
         raise ValueError("cross-spectrum not finite")
     half = len(rows) // 2
     n1, n2 = (power[:half] + power[half:]).T
     c = cross[:half] + np.conj(cross[half:])
     return n1, n2, c.real, c.imag
+
+
+def _symmetrized_weights(rows: np.ndarray, n_m: float) -> np.ndarray:
+    """The symmetrized input weights of the columns of output rows (..., k)."""
+    return np.repeat([0.5, 0.5, n_m + 0.5], 2)[_COVERED[rows.shape[-1]][0]]
+
+
+def _n1_block(rows: np.ndarray, n_m: float) -> np.ndarray:
+    """The block n1 of :func:`_covariance_blocks`, to the bit, from the powers of a1_out
+    and its partner alone; ValueError if one is not finite."""
+    a1 = rows[:, 0]
+    power = np.einsum("...l,...l,l->...", a1, np.conj(a1), _symmetrized_weights(rows, n_m)).real
+    if not np.isfinite(power).all():
+        raise ValueError("output power not finite")
+    return power[:len(rows) // 2] + power[len(rows) // 2:]
 
 
 def assemble_covariance(resp: LinearResponse, n_m: float) -> Covariance4:
@@ -475,11 +491,12 @@ def intracavity_occupation(derived: DerivedParams) -> float:
     """Stationary <a1^dag a1> of the 3-mode model, from its output block n1.
 
     With vacuum optical inputs, a1_out = -a1_in + sqrt(gamma) a1 makes n1
-    (:func:`_covariance_blocks`) 1 + gamma [rho(w) + rho(-w)], rho the intracavity
-    density (Gardiner and Collett, PRA 31, 3761 (1985)): the integral of rho over
-    [-delta, delta] is that of (n1 - 1) / gamma over [0, delta].  It is taken on a
-    grid doubled until the trapezoid integral changes by less than
-    ``_OCCUPATION_RTOL`` (0.5%) of itself.  A doubled grid's even-index points are
+    (:func:`_covariance_blocks`; :func:`_n1_block` forms it alone) 1 + gamma
+    [rho(w) + rho(-w)], rho the intracavity density (Gardiner and Collett, PRA 31,
+    3761 (1985)): the integral of rho over [-delta, delta] is that of
+    (n1 - 1) / gamma over [0, delta].  It is taken on a grid doubled until the
+    trapezoid integral changes by less than ``_OCCUPATION_RTOL`` (0.5%) of
+    itself.  A doubled grid's even-index points are
     the previous grid, to the bit (``linspace(0, delta, 2n - 1)[::2]`` is
     ``linspace(0, delta, n)``), so each doubling evaluates the density only at its
     new points, ``_OCCUPATION_BLOCK`` at a time, and integrates the full grid as if
@@ -509,8 +526,7 @@ def intracavity_occupation(derived: DerivedParams) -> float:
         density = finer
         for start in range(0, len(density[new]), _OCCUPATION_BLOCK):
             block = slice(start, start + _OCCUPATION_BLOCK)
-            n1 = _covariance_blocks(_output_rows(derived, omegas[new][block], "rwa3"),
-                                    derived.n_m)[0]
+            n1 = _n1_block(_output_rows(derived, omegas[new][block], "rwa3"), derived.n_m)
             density[new][block] = (n1 - 1.0) / derived.gamma
         # cell i overwrites omegas[i], which no later cell reads
         for start in range(0, npts - 1, _OCCUPATION_BLOCK):

@@ -60,8 +60,12 @@ OMEGA_LIMIT = float(np.finfo(float).max) ** 0.25 / 2.0
 
 def one_d_grid(omega_grid) -> np.ndarray:
     """The frequency-grid rule: ``omega_grid`` as a float array, ValueError unless it
-    is 1-D, finite and within |omega| <= :data:`OMEGA_LIMIT`."""
-    omegas = np.asarray(omega_grid, dtype=float)
+    is 1-D, finite and within |omega| <= :data:`OMEGA_LIMIT`.  A wider float beyond
+    double range is cast to inf without numpy's overflow warning, and rejected."""
+    omegas = np.asarray(omega_grid)
+    if omegas.dtype != float:   # a double array needs no cast, and takes no errstate
+        with np.errstate(over="ignore"):
+            omegas = np.asarray(omega_grid, dtype=float)
     if omegas.ndim != 1:
         raise ValueError(f"frequency grid must be 1-D, got shape {omegas.shape}")
     if not np.abs(omegas).max(initial=0.0) <= OMEGA_LIMIT:   # False for a NaN too

@@ -14,16 +14,18 @@ Sweep axes re-derive the operating point per row:
 
 ``sensitivity_analysis`` takes its excursions as ``d`` and ``power_fluct``
 rows around the optimum, recording a failed one by name.  Each row of a
-sweep and of the excursions is solved where it is built, and the solved
-rows are evaluated in one pass: their spectra form one (rows, N)
-closed-form evaluation, in blocks that bound its temporaries.  A row's
-numbers equal those of the row evaluated alone, to the last bit.  An
-excursion forms only its peak EOF; the peak's omegas and the FWHM are formed
-for sweep rows alone, and an error name only for a row that failed.  A
-sweep row outside the parameter domain is recorded as a ``ParameterError``
-row; in an analysis or a search it is raised, as an input error.  Only a
-sweep of an exact model loads :mod:`optoepr.langevin`, where its model is
-checked and where its rows are evaluated.
+sweep and each power excursion is solved where it is built; the baseline,
+moved to the optimum d, and the ``d`` excursions are designed rows of the
+solved base, as in the d-search below (:func:`_designed_row`).  The rows are
+evaluated in one pass: their spectra form one (rows, N) closed-form
+evaluation, in blocks that bound its temporaries.  A row's numbers equal
+those of the row evaluated alone, to the last bit.  An excursion forms only
+its peak EOF; the peak's omegas and the FWHM are formed for sweep rows
+alone, and an error name only for a row that failed.  A sweep row outside
+the parameter domain is recorded as a ``ParameterError`` row; in an analysis
+or a search it is raised, as an input error.  Only a sweep of an exact model
+loads :mod:`optoepr.langevin`, where its model is checked and where its rows
+are evaluated.
 
 ``find_optimum_d_numeric`` solves the base alone.  Its rows are the ``d``
 rows at their designed root N = 2 alpha^2, where holding alpha and delta
@@ -56,7 +58,7 @@ parabola assumes an evenly spaced grid.  Every entry point checks its
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -280,13 +282,13 @@ def _scaled_powers(params: PhysicalParams, factor: float) -> PhysicalParams:
 def _peaks(rows: list, omega: np.ndarray, model: str) -> list:
     """Derived params, x, EOF curve and refined EOF maxima of ``model`` for every row, in one pass.
 
-    A row is its solved :class:`DerivedParams` (see :func:`_axis_rows`), or
-    the error building or solving it raised, which is passed through; no row
-    is solved here.  The closed form (:func:`closed_form_grid`),
-    ``eof_array`` and the peak search run over (rows, N) arrays in blocks of
-    at most ``_BLOCK_POINTS`` grid points; the other models are evaluated
-    row by row.  The maxima are the row's
-    :func:`_refined_maxima`, whose largest vertex is its peak EOF.  A row
+    A row is its solved :class:`DerivedParams` (see :func:`_axis_rows`) or
+    designed one (:func:`_designed_row`), or the error building, checking or
+    solving it raised, which is passed through; no row is solved here.  The
+    closed form (:func:`closed_form_grid`), ``eof_array`` and the peak search
+    run over (rows, N) arrays in blocks of at most ``_BLOCK_POINTS`` grid
+    points; the other models are evaluated row by row.  The maxima are the
+    row's :func:`_refined_maxima`, whose largest vertex is its peak EOF.  A row
     with a failed grid point holds, unraised, the :mod:`errors` class named
     at its first failed point, and its EOF curve is not formed.  Each row's
     numbers equal those of the row evaluated alone, to the last bit.
@@ -414,15 +416,17 @@ def sensitivity_analysis(base: PhysicalParams, d_jitter: float,
     The operating point is first moved to the optimum d; the baseline peak
     EOF is taken there, and the excursions are the ``d`` sweep rows at
     d_o -/+ j and the ``power_fluct`` rows at -/+ eps around it, all of them
-    evaluated in one pass with the baseline, each for its peak EOF only.
-    Power scaling drags d through the intensity-shift term, which the
-    re-solve accounts for exactly.  A failed excursion is recorded as a case
-    with its error name and NaN d and peak; ``worst_peak_eof`` and
-    ``degradation`` cover the cases that succeeded.  A failed baseline
-    raises, and so does an excursion outside the parameter domain
-    (ParameterError), before a later excursion is solved.  A negative,
-    infinite or NaN jitter and an ``omega_grid`` that :func:`_check_grid`
-    rejects raise ValueError before anything is solved.
+    evaluated in one pass with the baseline, each for its peak EOF only.  The
+    baseline and the ``d`` rows are the base's designed rows
+    (:func:`_designed_row`), unsolved, as the d-search's are, so a case's d is
+    its target offset; the power rows are solved, as power scaling drags d
+    through the intensity-shift term, which the re-solve accounts for
+    exactly.  A failed excursion is recorded as a case with its error name
+    and NaN d and peak; ``worst_peak_eof`` and ``degradation`` cover the
+    cases that succeeded.  A failed baseline raises, and so does an excursion
+    outside the parameter domain (ParameterError), before a later excursion
+    is built.  A negative, infinite or NaN jitter and an ``omega_grid`` that
+    :func:`_check_grid` rejects raise ValueError before anything is solved.
     """
     for name, jitter in (("d_jitter", d_jitter), ("power_jitter_frac", power_jitter_frac)):
         if not 0 <= jitter < math.inf:
@@ -430,18 +434,21 @@ def sensitivity_analysis(base: PhysicalParams, d_jitter: float,
     omega = default_omega_grid(base.gamma) if omega_grid is None else _check_grid(omega_grid)
     base_derived = solve_steady_state(base)
     d_o = optimum_d(base_derived).d_o
+    baseline = _designed_row(base, base_derived, d_o)
+    if isinstance(baseline, Exception):
+        raise baseline
     at_opt = _row_params("d", base, base_derived, d_o)
-    opt_derived = solve_steady_state(at_opt)
 
     excursions = [(label, axis, mid, jitter) for label, axis, mid, jitter in
                   (("d", "d", d_o, d_jitter), ("power", "power_fluct", 0.0, power_jitter_frac))
                   if jitter > 0]
-    labels, rows = ["baseline"], [opt_derived]
+    labels, rows = ["baseline"], [baseline]
     for sign in "-+":
         for label, axis, mid, jitter in excursions:
+            value = mid - jitter if sign == "-" else mid + jitter
             labels.append(f"{label}{sign}jitter")
-            rows += _axis_rows(axis, at_opt, opt_derived,
-                               [mid - jitter if sign == "-" else mid + jitter])
+            rows.append(_designed_row(base, base_derived, value) if axis == "d"
+                        else _axis_rows(axis, at_opt, baseline, [value])[0])
             _raise_domain_error(rows[-1:])
     peaks = _peaks(rows, omega, "adiabatic")
     if isinstance(peaks[0], Exception):
@@ -474,6 +481,23 @@ def _offset_error(base: PhysicalParams, base_derived: DerivedParams,
         return exc
     d1p = -(base.omega_m + base_derived.delta + d)
     return window_error(d1p, base.omega_m + base_derived.delta - d) if d1p >= 0.0 else None
+
+
+def _designed_row(base: PhysicalParams, base_derived: DerivedParams,
+                  d: float) -> DerivedParams | PhysicsError | ParameterError:
+    """The designed ``d`` row of ``base`` at the offset ``d``, unsolved, or the error
+    :func:`_offset_error` gives for it: ``base_derived`` at its designed root N = 2 alpha^2
+    (:func:`operating_point_params`), with d, Delta_1' = -(omega_m + delta + d),
+    Delta_2' = omega_m + delta - d and amplitudes of modulus alpha at those detunings'
+    phases.  The closed form reads the base's fields but g' = g + d (:func:`offset_x`)."""
+    error = _offset_error(base, base_derived, d)
+    if error is not None:
+        return error
+    om, delta, alpha = base_derived.omega_m, base_derived.delta, base_derived.alpha
+    d1p, d2p = -(om + delta + d), om + delta - d
+    a1, a2 = (alpha * abs(z) / z for z in (complex(d1p, base_derived.gamma / 2.0),
+                                           complex(d2p, base_derived.gamma / 2.0)))
+    return replace(base_derived, alpha_1=a1, alpha_2=a2, Delta_1p=d1p, Delta_2p=d2p, d=d)
 
 
 def _raise_scan_failure(base: PhysicalParams, base_derived: DerivedParams, d: np.ndarray,
@@ -532,15 +556,18 @@ def _continuous_min(x_at, omega: np.ndarray, x: np.ndarray) -> np.ndarray:
     (``_MIN_POINTS`` - 1) / 2 per round.  The best point is among those
     evaluated, so the result never exceeds the grid minimum.
     """
-    rows = np.arange(x.shape[0])
     best = np.argmin(x, axis=1)
-    center, least = omega[best], x[rows, best]
+    center, least = omega[best], x.ravel()[best + np.arange(0, x.size, x.shape[1])]
+    starts = np.arange(0, x.shape[0] * _MIN_POINTS, _MIN_POINTS)   # each row's first point
     half = (omega[-1] - omega[0]) / (len(omega) - 1)
     for _ in range(_MIN_ROUNDS):
-        w = np.clip(center[:, None] + half * _MIN_OFFSETS, omega[0], omega[-1])
+        w = center[:, None] + half * _MIN_OFFSETS
+        np.maximum(w, omega[0], out=w)
+        np.minimum(w, omega[-1], out=w)
         values = x_at(w)[0]
-        best = np.argmin(values, axis=1)
-        center, least = w[rows, best], np.minimum(least, values[rows, best])
+        best = starts + np.argmin(values, axis=1)   # each row's best, as one flat index
+        center = w.ravel()[best]
+        np.minimum(least, values.ravel()[best], out=least)
         half *= 2.0 / (_MIN_POINTS - 1)
     return least
 

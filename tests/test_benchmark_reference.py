@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 import optoepr as oe
-from optoepr import cli, langevin, sweeps
+from optoepr import cli, langevin, steady_state, sweeps
 from tests.test_langevin import (KERNELS, OP74, SYMMETRIC_GRID_RTOL, occupation_density,
                                  reference_intracavity_occupation, same_bits, strided_resolvent,
                                  symmetric_grid_occupation)
@@ -87,6 +87,29 @@ def test_opsearch_ops_recorded_as_raising_keep_their_invariants():
                 for p in workload.invariants(item, raw)]
     assert [index for index, *_ in ops] == list(range(4, 100, 5))
     assert problems == []
+
+
+def test_opsearch_op_solves_seven_operating_points(monkeypatch):
+    # per op: the base (by the op and again in retuned_d), the retuned point, the
+    # d-search's base, and the sensitivity analysis' base and two power rows; the
+    # analysis' baseline and d rows are designed rows of its base, unsolved
+    calls = []
+    solve = steady_state.solve_steady_state
+
+    def counting(params):
+        calls.append(params)
+        return solve(params)
+    for module in (oe, steady_state, sweeps):
+        monkeypatch.setattr(module, "solve_steady_state", counting)
+    workload = wl.OpSearch()
+    per_op = []
+    for text in workload.pool():
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "unequal cavity amplitudes", UserWarning)
+            workload.execute(text)
+        per_op.append(len(calls))
+    assert per_op == [7] * workload.POOL_SIZE
 
 
 @pytest.mark.parametrize("kind", list(wl.CLI_KINDS))

@@ -730,6 +730,18 @@ class TestIntracavityOccupation:
         for derived in (paper_derived, optimum_derived):
             assert oe.intracavity_occupation(derived) == reference_intracavity_occupation(derived)
 
+    def test_n1_block_reads_the_a1_rows_alone(self, paper_derived):
+        # n1 to the bit from a1_out and its partners; a broken a2_out^dag row is not read
+        rows = langevin._output_rows(paper_derived, np.linspace(0.0, paper_derived.delta, 101),
+                                     "rwa3")
+        n1 = langevin._n1_block(rows, paper_derived.n_m)
+        assert same_bits(n1, langevin._covariance_blocks(rows, paper_derived.n_m)[0])
+        rows[7, 1, 2] = math.inf
+        assert same_bits(langevin._n1_block(rows, paper_derived.n_m), n1)
+        rows[107, 0, 1] = math.nan   # a partner's row
+        with pytest.raises(ValueError, match="output power not finite"):
+            langevin._n1_block(rows, paper_derived.n_m)
+
     def test_blocks_do_not_move_the_value(self, paper_derived, monkeypatch):
         # blocks that split each level's new points unevenly give the same bits
         expected = reference_intracavity_occupation(paper_derived)
@@ -1418,6 +1430,20 @@ class TestCompareModelsArguments:
         assert float(omega) == 0.3 * GAMMA   # no double holds it
         rows = langevin._output_rows(paper_derived, np.array([omega]), "rwa3")
         assert same_bits(oe.rwa3_solve(paper_derived, omega).rows, rows)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(float).max,
+                        reason="long double is double here")
+    def test_long_double_beyond_double_range_rejected_without_a_warning(self, paper_derived):
+        # cast to double it is inf, which the frequency rule rejects; numpy's overflow
+        # warning raised before the ValueError under -W error
+        beyond = np.longdouble("1e400")
+        calls = (lambda: oe.spectrum.one_d_grid(np.array([beyond])),
+                 lambda: oe.rwa3_solve(paper_derived, beyond))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ValueError, match="frequency grid must be finite"):
+                    call()
 
     @pytest.mark.parametrize("model", ["adiabatic_response", "rwa3", "full6"])
     def test_exact_models_reject_a_grid_not_1d(self, model, paper_derived):

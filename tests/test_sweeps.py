@@ -612,11 +612,15 @@ class TestSearchRows:
 
     @pytest.mark.parametrize("target_alpha", [1000, 2000])   # 2000: power cases fail
     def test_sensitivity_rows_as_their_full_curves(self, target_alpha, omega_grid, monkeypatch):
+        # the baseline and the d rows are the base's designed rows, each the x of its offset
+        # (offset_x) to the bit; the power rows are solved
         params = oe.parse_config(f"defaults: paper\ntarget_alpha = {target_alpha}\n").params
+        base_derived = oe.solve_steady_state(params)
         calls = spy_peaks(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            oe.sensitivity_analysis(params, 0.02 * params.gamma, 0.01, omega_grid=omega_grid)
+            report = oe.sensitivity_analysis(params, 0.02 * params.gamma, 0.01,
+                                             omega_grid=omega_grid)
             (rows, results), = calls
             for row, result in zip(rows, results):
                 expected = row if isinstance(row, Exception) else reference_peak(row, omega_grid)
@@ -624,7 +628,37 @@ class TestSearchRows:
                     assert type(result) is type(expected) and str(result) == str(expected)
                 else:
                     assert_as_reference(result, omega_grid)
+        for k in (0, 1, 3):   # baseline, d-jitter, d+jitter
+            x, _ = offset_x(base_derived, [report.cases[k].d])(omega_grid)
+            assert np.array_equal(results[k][1], x[0])
         assert sum(isinstance(r, Exception) for r in results) == (2 if target_alpha == 2000 else 0)
+
+    @pytest.mark.parametrize("config", ["paper", "moderate", *STRONG_CONFIGS])
+    def test_designed_row_is_its_solved_row(self, config):
+        # measured over these offsets: every field within 8.5e-15 relative of the solved
+        # row's, and d within 2.2e-10 (the solved d is the half sum of two detunings far
+        # larger than itself)
+        params, derived, bracket, omega = search_setup(
+            "defaults: paper\n" if config == "paper" else STRONG_CONFIGS.get(config, MODERATE_CONFIG))
+        for d in np.linspace(*bracket, 9).tolist():
+            designed = sweeps._designed_row(params, derived, d)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                solved = oe.solve_steady_state(sweeps._row_params("d", params, derived, d))
+            assert designed.d == d and designed.g_prime == derived.g + d
+            assert designed.d == pytest.approx(solved.d, rel=1e-9, abs=0.0)
+            for name in ("alpha_1", "alpha_2", "beta", "Delta_1p", "Delta_2p", "delta", "g",
+                         "gamma_m_tilde", "n_m"):
+                assert getattr(designed, name) == pytest.approx(getattr(solved, name),
+                                                                rel=5e-14, abs=0.0)
+            assert not closed_form_grid(designed, omega).failed.any()
+
+    def test_designed_row_outside_the_window_is_its_error(self, paper_params, paper_derived):
+        edge = -(paper_params.omega_m + paper_derived.delta)   # Delta_1' = 0
+        row = sweeps._designed_row(paper_params, paper_derived, 1.1 * edge)
+        expected = sweeps._offset_error(paper_params, paper_derived, 1.1 * edge)
+        assert type(row) is type(expected) is oe.SignConventionViolated
+        assert str(row) == str(expected)
 
     def test_search_solves_the_base_then_one_pass_per_round(self, paper_params, paper_derived,
                                                             omega_grid, monkeypatch):
@@ -953,38 +987,31 @@ class TestSensitivityAnalysis:
         assert solved.count(paper_params) == 1
 
     @pytest.mark.parametrize("target_alpha", [1000, 2000])   # 2000: power cases fail
-    def test_solved_baseline_row_not_solved_again(self, target_alpha, omega_grid, monkeypatch):
+    def test_baseline_and_d_rows_designed_not_solved(self, target_alpha, omega_grid,
+                                                      monkeypatch):
+        # the base and the two power rows are solved; the baseline at d_o and the d rows
+        # are the base's designed rows, and all five go through one _peaks pass
         params = oe.parse_config(f"defaults: paper\ntarget_alpha = {target_alpha}\n").params
         base_derived = oe.solve_steady_state(params)
-        at_opt = sweeps._row_params("d", params, base_derived, oe.optimum_d(base_derived).d_o)
+        d_o, d_jitter = oe.optimum_d(base_derived).d_o, 0.02 * params.gamma
+        at_opt = sweeps._row_params("d", params, base_derived, d_o)
         solved = []
-        solve, peaks = sweeps.solve_steady_state, sweeps._peaks
+        solve = sweeps.solve_steady_state
 
         def counting(params):
             solved.append(params)
             return solve(params)
-
-        def resolving_baseline(rows, omega, model):
-            assert isinstance(rows[0], oe.DerivedParams)
-            return peaks([sweeps.solve_steady_state(at_opt)] + rows[1:], omega, model)
-
-        def analysis():
-            solved.clear()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                report = oe.sensitivity_analysis(params, 0.02 * params.gamma, 0.01,
-                                                 omega_grid=omega_grid)
-            # the rows past the base and the optimum: the four excursions, and the
-            # baseline where it is solved again
-            return repr(report), solved.count(at_opt), len(solved) - 2
-
         monkeypatch.setattr(sweeps, "solve_steady_state", counting)
-        report, baseline_solves, rows_solved = analysis()
-        monkeypatch.setattr(sweeps, "_peaks", resolving_baseline)
-        resolved_report, resolved_baseline_solves, resolved_rows_solved = analysis()
-        assert report == resolved_report
-        assert baseline_solves == 1 and resolved_baseline_solves == 2
-        assert rows_solved == 4 and resolved_rows_solved == 5
+        calls = spy_peaks(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            report = oe.sensitivity_analysis(params, d_jitter, 0.01, omega_grid=omega_grid)
+        assert solved == [params] + [sweeps._scaled_powers(at_opt, 1.0 + v) for v in (-0.01, 0.01)]
+        (rows, _), = calls
+        offsets = [d_o, d_o - d_jitter, d_o + d_jitter]
+        assert [rows[k] for k in (0, 1, 3)] == [sweeps._designed_row(params, base_derived, d)
+                                                for d in offsets]
+        assert [report.cases[k].d for k in (0, 1, 3)] == offsets
 
 
 class TestPowerFluctuation:
@@ -1011,9 +1038,17 @@ class TestPowerFluctuation:
         assert rows[0].error is None
         assert rows[0].peak_eof == jitter.peak_eof
         assert rows[0].derived.d == jitter.d
-        d_rows = run_sweep(SweepSpec(axis="d", values=(d_o - d_jitter, d_o + d_jitter),
-                                     base=at_opt, omega_grid=omega_grid)).rows
-        for row, label in zip(d_rows, ("d-jitter", "d+jitter")):
-            assert row.error is None and cases[label].error is None
-            assert row.peak_eof == cases[label].peak_eof
-            assert row.derived.d == cases[label].d
+        # the d cases are designed rows of the base, not solved: each is its offset's x from
+        # offset_x, to the bit, and its solved d sweep row to the rounding of the solved root
+        # (measured at this point: peak EOF 1.3e-13 and 1.6e-13 relative, d 2.2e-14)
+        values = (d_o - d_jitter, d_o + d_jitter)
+        d_rows = run_sweep(SweepSpec(axis="d", values=values, base=at_opt,
+                                     omega_grid=omega_grid)).rows
+        for value, row, label in zip(values, d_rows, ("d-jitter", "d+jitter")):
+            case = cases[label]
+            assert row.error is None and case.error is None
+            x, _ = offset_x(paper_derived, [value])(omega_grid)
+            assert case.d == value
+            assert case.peak_eof == peak_statistics(omega_grid, eof_array(x[0])).peak_eof
+            assert row.peak_eof == pytest.approx(case.peak_eof, rel=1e-12, abs=0.0)
+            assert row.derived.d == pytest.approx(case.d, rel=1e-13, abs=0.0)
