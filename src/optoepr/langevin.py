@@ -53,11 +53,10 @@ Simon's standard form (:func:`_reduce`).
 :class:`~optoepr.spectrum.Evaluation` beside its deviations from the first.
 
 :func:`intracavity_occupation` integrates (n1 - 1) / gamma of ``rwa3``'s blocks,
-the intracavity density at w plus that at -w, with n1 formed from a1_out's
-powers alone (:func:`_n1_block`), over [0, delta] on a grid it doubles until
-the integral settles, evaluating only each doubling's new points, in blocks,
-and forming the trapezoid rule in the grid's place: its memory is the grid and
-the density, a few dozen bytes a point.
+the intracavity density at w plus that at -w, over [0, delta] by the nested
+trapezoid rule: each doubling of the grid evaluates only its new points, in
+blocks, and adds their ``math.fsum`` to half the last value, so its memory is
+one block's, whatever the grid.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonConvergent, NotSymmetricState, SingularDrift
+from .errors import NonConvergent, NotSymmetricState, ParameterError, SingularDrift
 from .spectrum import Evaluation, StandardForm, closed_form_grid, one_d_grid
 from .steady_state import DerivedParams
 
@@ -94,9 +93,8 @@ _SYMMETRY_RTOL = 0.05
 # [-delta, delta] at its spacing.
 _OCCUPATION_RTOL = 5e-3
 _OCCUPATION_MAX_POINTS = 2**20
-# It evaluates the density (each point at +-w) and forms the trapezoid's cells at
-# most _OCCUPATION_BLOCK grid points at a time, so that its temporaries do not
-# grow with the grid.
+# It evaluates the density (each point at +-w) at most _OCCUPATION_BLOCK grid
+# points at a time, so that its temporaries do not grow with the grid.
 _OCCUPATION_BLOCK = 512
 
 # adj(S) = [[S11, -S01], [-S10, S00]] of a 2x2 S as a linear map of S's row-major entries.
@@ -362,30 +360,17 @@ def _covariance_blocks(rows: np.ndarray, n_m: float):
     are the powers of a1_out and a2_out^dag plus their partners', and a + i b is the
     cross product at w plus the conjugate of the partners'.
 
-    Raises ValueError if a product is not finite (broken rows).
+    Raises ParameterError, a ValueError, if a product is not finite: broken rows, or
+    an operating point whose covariance overflows a double.
     """
-    power, cross = _row_gram(rows, _symmetrized_weights(rows, n_m))
+    weights = np.repeat([0.5, 0.5, n_m + 0.5], 2)[_COVERED[rows.shape[-1]][0]]
+    power, cross = _row_gram(rows, weights)
     if not (np.isfinite(power).all() and np.isfinite(cross).all()):
-        raise ValueError("cross-spectrum not finite")
+        raise ParameterError("cross-spectrum not finite")
     half = len(rows) // 2
     n1, n2 = (power[:half] + power[half:]).T
     c = cross[:half] + np.conj(cross[half:])
     return n1, n2, c.real, c.imag
-
-
-def _symmetrized_weights(rows: np.ndarray, n_m: float) -> np.ndarray:
-    """The symmetrized input weights of the columns of output rows (..., k)."""
-    return np.repeat([0.5, 0.5, n_m + 0.5], 2)[_COVERED[rows.shape[-1]][0]]
-
-
-def _n1_block(rows: np.ndarray, n_m: float) -> np.ndarray:
-    """The block n1 of :func:`_covariance_blocks`, to the bit, from the powers of a1_out
-    and its partner alone; ValueError if one is not finite."""
-    a1 = rows[:, 0]
-    power = np.einsum("...l,...l,l->...", a1, np.conj(a1), _symmetrized_weights(rows, n_m)).real
-    if not np.isfinite(power).all():
-        raise ValueError("output power not finite")
-    return power[:len(rows) // 2] + power[len(rows) // 2:]
 
 
 def assemble_covariance(resp: LinearResponse, n_m: float) -> Covariance4:
@@ -491,62 +476,58 @@ def intracavity_occupation(derived: DerivedParams) -> float:
     """Stationary <a1^dag a1> of the 3-mode model, from its output block n1.
 
     With vacuum optical inputs, a1_out = -a1_in + sqrt(gamma) a1 makes n1
-    (:func:`_covariance_blocks`; :func:`_n1_block` forms it alone) 1 + gamma
-    [rho(w) + rho(-w)], rho the intracavity density (Gardiner and Collett, PRA 31,
-    3761 (1985)): the integral of rho over [-delta, delta] is that of
-    (n1 - 1) / gamma over [0, delta].  It is taken on a grid doubled until the
-    trapezoid integral changes by less than ``_OCCUPATION_RTOL`` (0.5%) of
-    itself.  A doubled grid's even-index points are
-    the previous grid, to the bit (``linspace(0, delta, 2n - 1)[::2]`` is
-    ``linspace(0, delta, n)``), so each doubling evaluates the density only at its
-    new points, ``_OCCUPATION_BLOCK`` at a time, and integrates the full grid as if
-    it had been evaluated whole.  The trapezoid is ``np.trapezoid(density,
-    omegas)`` to the bit: the same cells diff(omega) (y[1:] + y[:-1]) / 2 and the
-    same ``.sum()``, the cells formed ``_OCCUPATION_BLOCK`` at a time in the grid's
-    place, so that no grid-sized temporary is made.  A cavity the drift leaves
-    uncoupled from the mechanics holds no photons: 0.0, not n1 - 1's rounding.
+    (:func:`_covariance_blocks`) 1 + gamma [rho(w) + rho(-w)], rho the intracavity
+    density (Gardiner and Collett, PRA 31, 3761 (1985)): the integral of rho over
+    [-delta, delta] is that of (n1 - 1) / gamma over [0, delta].  It is the nested
+    trapezoid rule (Numerical Recipes, 3rd ed., section 4.2, ``trapzd``): level 0 takes
+    the 1025 points k h, h = delta / 1024, and each doubling halves h and evaluates
+    only its new, odd-index points, T_2n = T_n / 2 + h sum f(new points), until T
+    changes by less than ``_OCCUPATION_RTOL`` (0.5%) of itself.  The points k h are
+    ``linspace(0, delta, npts)``'s to the bit (npts - 1 is a power of two).  Each
+    point's density (n1 - 1) / gamma is formed before it is summed (a sum of n1 - 1
+    overflows at 1e305 K, where the occupation is finite), and each level's densities
+    are summed by ``math.fsum``, correctly rounded, so that evaluating them
+    ``_OCCUPATION_BLOCK`` points at a time does not move a bit.  No grid-sized array
+    is held.  A cavity the drift leaves uncoupled from the mechanics holds no
+    photons: 0.0, not n1 - 1's rounding.
 
     Raises
     ------
     NonConvergent
         If [-delta, delta] at the grid's spacing would exceed
         ``_OCCUPATION_MAX_POINTS`` (2**20) points.
+    ParameterError
+        If an output block overflows a double (:func:`_covariance_blocks`).
     """
     if _rwa3_drift(derived)[0][0, 2] == 0.0:
         return 0.0
-    npts = 1025   # points of [0, delta]; [-delta, delta] holds 2 npts - 1
-    density = previous = None
+    npts = 1025   # points k h of [0, delta]; [-delta, delta] holds 2 npts - 1
+    ks, value = range(npts), None
     while 2 * npts - 1 <= _OCCUPATION_MAX_POINTS:
-        omegas = np.linspace(0.0, derived.delta, npts)
-        finer = np.empty(npts)
-        if density is None:   # the first grid: every point is new
-            new = slice(None)
-        else:                 # the previous grid is this one's even-index points
-            finer[::2], new = density, slice(1, None, 2)
-        density = finer
-        for start in range(0, len(density[new]), _OCCUPATION_BLOCK):
-            block = slice(start, start + _OCCUPATION_BLOCK)
-            n1 = _n1_block(_output_rows(derived, omegas[new][block], "rwa3"), derived.n_m)
-            density[new][block] = (n1 - 1.0) / derived.gamma
-        # cell i overwrites omegas[i], which no later cell reads
-        for start in range(0, npts - 1, _OCCUPATION_BLOCK):
-            stop = min(start + _OCCUPATION_BLOCK, npts - 1)
-            cells = omegas[start + 1:stop + 1] - omegas[start:stop]
-            cells *= density[start + 1:stop + 1] + density[start:stop]
-            cells /= 2.0
-            omegas[start:stop] = cells
-        value = float(omegas[:-1].sum()) / (2.0 * math.pi)
-        if previous is not None:
-            if value == 0.0 and previous == 0.0:
-                return 0.0
-            if abs(value - previous) <= _OCCUPATION_RTOL * abs(value):
-                return value
-        previous = value
+        h = derived.delta / (npts - 1)
+        new = h * math.fsum(_occupation_density(derived, h, ks))
+        previous, value = value, new if value is None else value / 2.0 + new
+        if previous is not None and abs(value - previous) <= _OCCUPATION_RTOL * abs(value):
+            return value / (2.0 * math.pi)
         npts = 2 * npts - 1
+        ks = range(1, npts, 2)   # the next level's new points
     raise NonConvergent(
         f"occupation integral not converged to {_OCCUPATION_RTOL:g} within "
         f"{_OCCUPATION_MAX_POINTS} points"
     )
+
+
+def _occupation_density(derived: DerivedParams, h: float, ks: range):
+    """The trapezoid's terms (n1 - 1) / gamma at the points k h, k of ``ks``, as floats,
+    weighted 1/2 at the ends k = 0 and k = ``ks.stop`` - 1; ``_OCCUPATION_BLOCK`` points
+    solved at a time."""
+    for start in range(0, len(ks), _OCCUPATION_BLOCK):
+        block = ks[start:start + _OCCUPATION_BLOCK]
+        k = np.arange(block.start, block.stop, block.step, dtype=float)
+        n1 = _covariance_blocks(_output_rows(derived, k * h, "rwa3"), derived.n_m)[0]
+        density = (n1 - 1.0) / derived.gamma
+        density[(k == 0.0) | (k == ks.stop - 1)] /= 2.0
+        yield from density.tolist()
 
 
 class ModelPoint(NamedTuple):

@@ -186,7 +186,9 @@ def thermal_occupancy(omega_m: float, T: float) -> float:
 
     Returns exactly 0 for T = 0 and wherever exp(-hbar omega_m / (k_B T))
     underflows, where ``math.expm1`` would overflow or k_B T is itself 0.
-    ValueError unless both are finite, omega_m > 0 and T >= 0.
+    ValueError unless both are finite, omega_m > 0 and T >= 0; ParameterError
+    where the occupancy is not a finite float (above about 6e305 K at the paper's
+    omega_m, where 1 / expm1 overflows).
     """
     if not omega_m > 0:
         raise ValueError("omega_m must be > 0")
@@ -196,10 +198,15 @@ def thermal_occupancy(omega_m: float, T: float) -> float:
     k_t = K_B * T
     if k_t == 0.0:
         return 0.0
+    x = HBAR * omega_m / k_t
     try:
-        return 1.0 / math.expm1(HBAR * omega_m / k_t)
+        occupancy = 1.0 / math.expm1(x) if x > 0.0 else math.inf
     except OverflowError:
         return 0.0
+    if occupancy == math.inf:
+        raise ParameterError(f"thermal occupancy at T = {T:.3e} K, omega_m = {omega_m:.3e} rad/s "
+                             "overflows a double")
+    return occupancy
 
 
 def power_to_amplitude(P: float, omega_L: float, gamma: float) -> float:

@@ -132,8 +132,13 @@ def _intensity_roots(omega_1, omega_2, delta_1, delta_2, c, gamma):
     a few ulp above it, so eigenvalues up to 4 eps above 1 are kept.  An
     ``upper`` below the smallest normal float is the undriven cavity, root 0:
     its subnormal products lose the digits that keep the root in the bracket.
+    A linewidth so small that the quintic's coefficients overflow (gamma^2 may
+    underflow to 0) raises ParameterError.
     """
-    upper = (omega_1 * omega_1 + omega_2 * omega_2) / gamma**2
+    try:
+        upper = (omega_1 * omega_1 + omega_2 * omega_2) / gamma**2
+    except ZeroDivisionError:   # gamma^2 underflows to 0
+        upper = math.inf
     if upper < _TINY:
         return [0.0]
     s = c * upper
@@ -142,6 +147,9 @@ def _intensity_roots(omega_1, omega_2, delta_1, delta_2, c, gamma):
     a1, a2 = omega_1 * omega_1 / 4.0, omega_2 * omega_2 / 4.0
     for i in range(3):
         poly[3 + i] -= a1 * d2[i] + a2 * d1[i]
+    if not np.isfinite(poly).all():
+        raise ParameterError(f"the intensity equation's quintic overflows a double at gamma = "
+                             f"{gamma:.3e} rad/s (bracket sum Omega^2 / gamma^2 = {upper:.3e})")
     floor = _EPS * max(map(abs, poly))
     poly = poly[next(i for i, x in enumerate(poly) if abs(x) > floor):]
     companion = np.diag(np.ones(len(poly) - 2), -1)

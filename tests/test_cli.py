@@ -673,6 +673,14 @@ class TestErrorPaths:
         ("derive", "--set", "target_delta_hz=nan"),
         ("derive", "--set", "target_d_over_gamma=nan"),
         ("derive", "--set", "omega_p_hz=nan"),
+        # numbers that overflow a double: the thermal occupancy, the intensity quintic
+        # (gamma^2 underflows to 0 at 1e-300 Hz) and, where n_m does not, the occupation's
+        # output covariance
+        ("occupation", "--set", "temperature_k=1e306"),
+        ("verify", "--omega-points", "5", "--set", "temperature_k=1e308"),
+        ("occupation", "--set", "gamma_hz=1e-20"),
+        ("derive", "--set", "gamma_hz=1e-300"),
+        ("occupation", "--set", "gamma_hz=100", "--set", "temperature_k=1e305"),
     ]
 
     @pytest.mark.parametrize("argv", INVALID_PARAMETERS, ids=lambda argv: " ".join(argv))
@@ -680,6 +688,29 @@ class TestErrorPaths:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith("configuration error: ")
+        assert "Traceback" not in err
+
+    # Settings at the edges of double range, each run through every command on a small
+    # grid: an overflowing thermal occupancy (1e306 K) or intensity quintic (1e-20 and
+    # 1e-300 Hz) exits 2 (see INVALID_PARAMETERS), and the others exit as their error
+    # class says.
+    EXTREME_SETTINGS = ["temperature_k=1e306", "temperature_k=1e305", "gamma_hz=1e-20",
+                        "gamma_hz=1e-300", "q_factor=1.0000001", "eta=1e-300",
+                        "target_alpha=1e-300", "target_delta_hz=1e-300",
+                        "target_d_over_gamma=-1e6"]
+    EXTREME_COMMANDS = [("derive",), ("spectrum", "--omega-points", "5"),
+                        ("verify", "--omega-points", "5"),
+                        ("optimum", "--numeric", "--omega-points", "5"), ("occupation",),
+                        ("sweep", "--axis", "T", "--omega-points", "5"),
+                        ("sweep", "--axis", "d", "--omega-points", "5")]
+
+    # at 1e305 K the closed form overflows numpy's multiply, and its points fail by name
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("setting", EXTREME_SETTINGS)
+    @pytest.mark.parametrize("command", EXTREME_COMMANDS, ids=lambda argv: " ".join(argv[:3]))
+    def test_extreme_setting_exits_with_a_documented_code(self, command, setting, capsys):
+        code, _, err = run(capsys, *command, "--set", setting)
+        assert code in (0, 2, 3, 4)
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("override, message", [

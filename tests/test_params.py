@@ -47,6 +47,18 @@ class TestThermalOccupancy:
         for T in (1e-3, 0.05, 4.0, 300.0, 1e6):
             assert oe.thermal_occupancy(OMEGA_M, T) == 1.0 / math.expm1(HBAR * OMEGA_M / (K_B * T))
 
+    @pytest.mark.parametrize("omega_m, T", [(OMEGA_M, 1e306), (OMEGA_M, 1e308), (1e-300, 300.0)])
+    def test_overflowing_occupancy_is_a_parameter_error(self, omega_m, T):
+        # 1 / expm1 overflows above about 6e305 K at 2pi x 73.5 MHz; at 1e-300 rad/s,
+        # hbar omega_m underflows to 0
+        with pytest.raises(oe.ParameterError, match="overflows a double"):
+            oe.thermal_occupancy(omega_m, T)
+
+    def test_largest_temperatures_stay_finite(self):
+        classical = K_B * 1e305 / (HBAR * OMEGA_M)   # 2.8e307
+        assert oe.thermal_occupancy(OMEGA_M, 1e305) == pytest.approx(classical, rel=1e-12)
+        assert math.isfinite(oe.thermal_occupancy(OMEGA_M, 6e305))
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             oe.thermal_occupancy(-1.0, 300.0)

@@ -144,6 +144,14 @@ class TestIntensityRoots:
         # upper = 8.8e-319: the quintic's subnormal coefficients lose the root in [0, upper]
         assert _intensity_roots(2.01e-151, 0.0, -2.54e3, 6.91e6, 0.0, 2.14e8) == [0.0]
 
+    @pytest.mark.parametrize("gamma_hz", ["1e-20", "1e-300"])
+    def test_overflowing_quintic_is_a_parameter_error(self, gamma_hz):
+        # at 1e-20 Hz the quintic's coefficients overflow; at 1e-300 Hz gamma^2 underflows
+        # to 0 and the bracket sum Omega^2 / gamma^2 with it
+        params = oe.parse_config("defaults: paper\n", {"gamma_hz": gamma_hz}).params
+        with pytest.raises(oe.ParameterError, match="quintic overflows a double"):
+            oe.solve_steady_state(params)
+
     def test_root_at_the_bracket_end_kept(self):
         # |Delta_j + c N| << gamma puts the root within rounding of upper, and its
         # companion-matrix eigenvalue at 1 + eps
