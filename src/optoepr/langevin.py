@@ -497,7 +497,8 @@ def intracavity_occupation(derived: DerivedParams) -> float:
         If [-delta, delta] at the grid's spacing would exceed
         ``_OCCUPATION_MAX_POINTS`` (2**20) points.
     ParameterError
-        If an output block overflows a double (:func:`_covariance_blocks`).
+        If an output block overflows a double (:func:`_covariance_blocks`), or a
+        level's value does.
     """
     if _rwa3_drift(derived)[0][0, 2] == 0.0:
         return 0.0
@@ -507,6 +508,9 @@ def intracavity_occupation(derived: DerivedParams) -> float:
         h = derived.delta / (npts - 1)
         new = h * math.fsum(_occupation_density(derived, h, ks))
         previous, value = value, new if value is None else value / 2.0 + new
+        if not math.isfinite(value):   # inf would pass the test below: |inf - T| <= inf
+            raise ParameterError(f"occupation integral overflows a double at "
+                                 f"{2 * npts - 1} points")
         if previous is not None and abs(value - previous) <= _OCCUPATION_RTOL * abs(value):
             return value / (2.0 * math.pi)
         npts = 2 * npts - 1

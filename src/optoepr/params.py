@@ -122,8 +122,14 @@ class PhysicalParams:
             raise ParameterError("eta must satisfy 0 < eta < 1")
         if self.gamma_m >= self.omega_m:
             raise ParameterError("gamma_m must be << omega_m; got gamma_m >= omega_m")
-        for name, offset in (("omega_l", self.nu + self.drive.Delta_1),
-                             ("omega_lp", self.drive.Delta_2 - self.nu)):
+        self.check_laser_window(self.drive)
+
+    def check_laser_window(self, drive: DriveSpec) -> None:
+        """ParameterError unless both lasers of ``drive`` lie within 10 omega_m of the
+        cavity resonance, as the sideband expansion requires: the rule a drive must pass
+        to be these params' drive, beyond its own (:class:`DriveSpec`)."""
+        for name, offset in (("omega_l", self.nu + drive.Delta_1),
+                             ("omega_lp", drive.Delta_2 - self.nu)):
             if abs(offset) >= 10.0 * self.omega_m:
                 raise ParameterError(
                     f"{name} is {abs(offset):.3e} rad/s from omega_p; the sideband "

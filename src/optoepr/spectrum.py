@@ -139,18 +139,20 @@ def _closed_form(g, g_prime, gamma, gamma_m_tilde, n_m):
     (g'^2 + g^2) gamma^2, 2 g' g gamma^2 and -2 g gamma, each scalar as a 0-d
     array, which numpy combines with an array faster than a float.  The
     frequency part forms the terms that hold omega alone at omega's shape,
-    then works in place on the arrays it has allocated, under one
-    ``np.errstate`` (beyond :data:`OMEGA_LIMIT` a square overflows: x is
-    NaN).  Every sum and product is formed in the association order of the
-    formulas in the module docstring and every square as a product (a ``** 2``
-    of a 0-d value would be a ``pow``), so a point has the same bits whatever
-    the shape it comes in.
+    then works in place on the arrays it has allocated.  Both parts run under
+    one ``np.errstate``: beyond :data:`OMEGA_LIMIT` a square overflows, and
+    above about 1e305 K the thermal factor does, so x is NaN, with no numpy
+    warning.  Every sum and product is formed in the association order of
+    the formulas in the module docstring and every square as a product (a
+    ``** 2`` of a 0-d value would be a ``pow``), so a point has the same bits
+    whatever the shape it comes in.
     """
-    therm = gamma * gamma_m_tilde * (2.0 * n_m + 1.0)
-    g2, gp2, quarter = g * g, g_prime * g_prime, gamma * gamma / 4.0
-    static = (gp2 + g2) * gamma * gamma
-    cross = 2.0 * g_prime * g * gamma * gamma
-    v14_factor = -2.0 * g * gamma
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        therm = gamma * gamma_m_tilde * (2.0 * n_m + 1.0)
+        g2, gp2, quarter = g * g, g_prime * g_prime, gamma * gamma / 4.0
+        static = (gp2 + g2) * gamma * gamma
+        cross = 2.0 * g_prime * g * gamma * gamma
+        v14_factor = -2.0 * g * gamma
     g, gp, gamma, therm, g2, gp2, quarter, static, cross, v14_factor = (
         np.asarray(v, dtype=float)
         for v in (g, g_prime, gamma, therm, g2, gp2, quarter, static, cross, v14_factor))
@@ -223,14 +225,20 @@ def optimum_d(derived: DerivedParams) -> OptimumD:
     is 4 (d_o/gamma)^2, so S_o = -10 log10(4 d_o^2/gamma^2).  gamma -> 0
     drives d_o -> 0 and the squeezing unbounded; reported via the flag.
     """
-    g, gamma = derived.g, derived.gamma
-    if g < 0:
-        raise ValueError("g must be >= 0")
-    d_o = math.sqrt(g * g + gamma * gamma / 4.0) - g
+    d_o, gamma = optimum_offset(derived), derived.gamma
     x = 4.0 * (d_o / gamma) ** 2 if gamma > 0 else 0.0
     if x <= 0:
         return OptimumD(d_o=d_o, S_o_db=math.inf, eof_o=math.inf, unbounded=True)
     return OptimumD(d_o=d_o, S_o_db=squeezing_db(x), eof_o=eof(x), unbounded=False)
+
+
+def optimum_offset(derived: DerivedParams) -> float:
+    """The closed-form optimum offset d_o = sqrt(g^2 + gamma^2/4) - g of :func:`optimum_d`,
+    without its metrics; ValueError if g < 0."""
+    g, gamma = derived.g, derived.gamma
+    if g < 0:
+        raise ValueError("g must be >= 0")
+    return math.sqrt(g * g + gamma * gamma / 4.0) - g
 
 
 def degenerate_mask(abs_D2, gamma2, omegas):

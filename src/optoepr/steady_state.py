@@ -285,15 +285,19 @@ def amplitude_to_drive(target_alpha: float, Delta_j: float, params: PhysicalPara
     return target_alpha * math.sqrt(params.gamma * params.gamma + 4.0 * (Delta_j * Delta_j))
 
 
-def operating_point_params(base: PhysicalParams, target_alpha: float,
-                           target_delta: float, target_d: float) -> PhysicalParams:
-    """Re-derive the drive's detunings and amplitudes hitting a requested operating point.
+def designed_drive(base: PhysicalParams, target_alpha: float, target_delta: float,
+                   target_d: float) -> DriveSpec:
+    """The drive that puts ``base`` at a requested operating point, by the rules of
+    :func:`operating_point_params`, which builds its params from it.
 
     Chooses the effective detunings Delta_1' = -(omega_m + delta + d) and
     Delta_2' = omega_m + delta - d, backs out the bare detunings the drive
     holds by removing the intensity shift at N = 2 target_alpha^2, and sets
     the drive amplitudes so that |alpha_1| = |alpha_2| = target_alpha exactly
-    at that root.
+    at that root.  ParameterError for a target delta that is not finite and
+    > 0, a target d that is not finite or a drive :class:`DriveSpec` rejects;
+    SignConventionViolated where Delta_2' would not be positive.  The laser
+    window is the params' rule (:meth:`PhysicalParams.check_laser_window`).
     """
     if not (math.isfinite(target_delta) and target_delta > 0):
         raise ParameterError(f"target_delta must be finite and > 0, got {target_delta!r}")
@@ -307,10 +311,17 @@ def operating_point_params(base: PhysicalParams, target_alpha: float,
         )
 
     shift = 2.0 * base.eta**2 * base.omega_m * (2.0 * target_alpha**2)
-    drive = DriveSpec(Delta_1=d1p_t - shift, Delta_2=d2p_t - shift,
-                      omega_1=amplitude_to_drive(target_alpha, d1p_t, base),
-                      omega_2=amplitude_to_drive(target_alpha, d2p_t, base))
-    return base.scaled(drive=drive)
+    return DriveSpec(Delta_1=d1p_t - shift, Delta_2=d2p_t - shift,
+                     omega_1=amplitude_to_drive(target_alpha, d1p_t, base),
+                     omega_2=amplitude_to_drive(target_alpha, d2p_t, base))
+
+
+def operating_point_params(base: PhysicalParams, target_alpha: float,
+                           target_delta: float, target_d: float) -> PhysicalParams:
+    """``base`` driven by its :func:`designed_drive` for a requested operating point:
+    |alpha_1| = |alpha_2| = target_alpha at the intensity root N = 2 target_alpha^2,
+    with the residual detuning target_delta and the offset target_d."""
+    return base.scaled(drive=designed_drive(base, target_alpha, target_delta, target_d))
 
 
 def retuned_d(params: PhysicalParams, new_d: float) -> PhysicalParams:

@@ -33,19 +33,22 @@ leaves every input of the closed form but g' = g + d at the base's: K
 offsets are (K, N) closed-form blocks (``spectrum.offset_x``) of at most
 ``_BLOCK_POINTS`` grid points, as in the sweeps, so the search's memory does
 not grow with the grid; a 401-point grid holds a whole pass.  Only the
-bracket's two ends are built to check the rows: the offsets whose rows pass
-form an interval, and every row lies between the ends.  A row's objective
-is the EOF of its least x over continuous omega, refined in the grid cells
-next to its grid minimum; unlike the grid peak it is smooth in d.  Each block
-of offsets forms the row part of the closed form once, and its evaluator
-serves the grid pass and every refinement of the continuous minimum.  A
-coarse scan checks unimodality, then refinement rounds of ``_ROUND_ROWS``
-rows, one pass each, narrow the bracket to the two cells around the best row
-(of equal values the highest d) until it is ``_TOL_FRAC`` of its larger end
-wide.  A round's two ends are rows of the pass before, reproduced exactly by
-``np.linspace``, so a round scores its ``_ROUND_ROWS - 2`` inner rows, and
-one fewer when its middle row is the pass before's best offset: no offset is
-scored twice in one search.
+bracket's two ends are checked, by the rules building a row applies, and no
+row is built: the offsets whose rows pass form an interval, and every row
+lies between the ends.  The sensitivity analysis checks its designed rows
+the same way.  The search ranks the rows by their least x over continuous
+omega, refined in the grid cells next to the grid minimum and clipped at 1;
+unlike the grid peak it is smooth in d, and as the EOF falls strictly with x
+below 1 and is 0 from 1 on, the lowest is the EOF's best, with no EOF
+formed.  Each block of offsets forms the row part of the closed form once,
+and its evaluator serves the grid pass and every refinement of the
+continuous minimum.  A coarse scan checks unimodality, then refinement
+rounds of ``_ROUND_ROWS`` rows, one pass each, narrow the bracket to the two
+cells around the best row (of equal values the highest d) until it is
+``_TOL_FRAC`` of its larger end wide.  A round's two ends are rows of the
+pass before, reproduced exactly by ``np.linspace``, so a round scores its
+``_ROUND_ROWS - 2`` inner rows, and one fewer when its middle row is the
+pass before's best offset: no offset is scored twice in one search.
 
 Peak statistics are measured on the EOF(omega) curve: every local maximum
 is refined parabolically and the peak is the largest vertex, in the sweeps
@@ -66,8 +69,9 @@ from . import errors
 from .errors import BracketError, DegenerateResponse, DomainError, ParameterError, PhysicsError
 from .params import DriveSpec, PhysicalParams, gamma_m_from_q, power_to_amplitude
 from .spectrum import (DEFAULT_GRID_HALF_WIDTH_GAMMAS, DEFAULT_GRID_POINTS, closed_form_grid,
-                       degenerate_mask, eof_array, offset_x, one_d_grid, optimum_d)
-from .steady_state import DerivedParams, operating_point_params, solve_steady_state, window_error
+                       degenerate_mask, eof_array, offset_x, one_d_grid, optimum_offset)
+from .steady_state import (DerivedParams, designed_drive, operating_point_params,
+                           solve_steady_state, window_error)
 
 SWEEP_AXES = ("temperature", "alpha", "d", "Q", "power_fluct")
 
@@ -433,7 +437,7 @@ def sensitivity_analysis(base: PhysicalParams, d_jitter: float,
             raise ValueError(f"{name} must be >= 0 and finite, got {jitter!r}")
     omega = default_omega_grid(base.gamma) if omega_grid is None else _check_grid(omega_grid)
     base_derived = solve_steady_state(base)
-    d_o = optimum_d(base_derived).d_o
+    d_o = optimum_offset(base_derived)
     baseline = _designed_row(base, base_derived, d_o)
     if isinstance(baseline, Exception):
         raise baseline
@@ -471,12 +475,15 @@ def _offset_error(base: PhysicalParams, base_derived: DerivedParams,
                   d: float) -> PhysicsError | ParameterError | None:
     """What the designed ``d`` row at the offset ``d`` raises before it is evaluated, or None.
 
-    That is the error building the row raises (:func:`operating_point_params`),
-    else, for a designed root outside the window Delta_1' < 0 < Delta_2', the
-    error the solve raises for it (building has checked Delta_2' > 0).
+    That is the error building the row (:func:`operating_point_params`) would
+    raise, found without building it: the row's :func:`designed_drive` and the
+    base's laser window (:meth:`PhysicalParams.check_laser_window`) are every
+    rule building adds to those the base has passed.  Else, for a designed
+    root outside the window Delta_1' < 0 < Delta_2', it is the error the solve
+    raises for it (the drive's rules have checked Delta_2' > 0).
     """
     try:
-        _row_params("d", base, base_derived, d)
+        base.check_laser_window(designed_drive(base, base_derived.alpha, base_derived.delta, d))
     except (PhysicsError, ParameterError) as exc:
         return exc
     d1p = -(base.omega_m + base_derived.delta + d)
@@ -519,15 +526,21 @@ def _raise_scan_failure(base: PhysicalParams, base_derived: DerivedParams, d: np
 
 def _search_objective(base_derived: DerivedParams, d: np.ndarray,
                       omega: np.ndarray) -> np.ndarray:
-    """The search's objective at the offsets ``d``: the EOF of each designed ``d`` row's
-    least x over continuous omega (:func:`offset_x`, :func:`_continuous_min`).
+    """The search's objective at the offsets ``d``, lower the better: each designed ``d``
+    row's least x over continuous omega (:func:`offset_x`, :func:`_continuous_min`),
+    clipped at 1.
 
-    The rows must build and lie in the window (see :func:`_offset_error`).  A
-    row with a failed grid point raises, for the first such row, the class
-    :func:`closed_form_grid` names at its first failed point.  The offsets are
-    evaluated in blocks of at most ``_BLOCK_POINTS`` grid points, as in
-    :func:`_peaks`, each running its grid pass, failure check and continuous
-    minimum in turn; a row's numbers are its own, to the last bit.
+    The EOF falls strictly as x rises below 1 and is 0 from 1 on, so the
+    clipped x ranks the rows as their EOF does, separable rows tied, and no
+    EOF is formed; next to x = 1, where the float EOF of distinct x may tie
+    within its rounding, x still tells them apart.  The rows must build and
+    lie in the window (see :func:`_offset_error`).  A row with a failed grid
+    point raises, for the first such row, the class :func:`closed_form_grid`
+    names at its first failed point; a least x that is not positive raises
+    ``DomainError``, as :func:`~optoepr.spectrum.eof_array` would.  The
+    offsets are evaluated in blocks of at most ``_BLOCK_POINTS`` grid points,
+    as in :func:`_peaks`, each running its grid pass, failure check and
+    continuous minimum in turn; a row's numbers are its own, to the last bit.
     """
     size = max(1, _BLOCK_POINTS // len(omega))
     least = np.empty(len(d))
@@ -541,7 +554,9 @@ def _search_objective(base_derived: DerivedParams, d: np.ndarray,
             error = DegenerateResponse if degenerate[k, i] else DomainError
             raise error(f"adiabatic output failed at omega = {omega[i]:.6e}")
         least[start:start + size] = _continuous_min(x_at, omega, x)
-    return eof_array(least)
+    if np.any(least <= 0):
+        raise DomainError(f"EPR variance must be > 0, got {least[least <= 0][0]:g}")
+    return np.minimum(least, 1.0)
 
 
 def _continuous_min(x_at, omega: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -576,23 +591,27 @@ def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, fl
                            omega_grid: np.ndarray | None = None) -> float:
     """Maximize over the offset d the EOF of the least EPR variance over frequency.
 
-    The objective of an offset is the EOF of its ``d`` row's closed-form x at its
-    minimum over continuous omega (:func:`_continuous_min`), which, unlike the
-    grid peak, is smooth in d.  The rows are designed: held at their designed
-    root, they need no steady-state solve after the base's (:func:`offset_x`).
-    A coarse scan first checks unimodality on the bracket: its points are the
-    rows at ``_SCAN_POINTS`` evenly spaced offsets, evaluated in one pass, and
-    the first row that fails raises its error (a row outside the parameter
-    domain before any other).  Only the bracket's two ends are built to check
-    the rows, as the offsets whose rows pass form an interval; where an end
-    fails, the scan's rows are built one by one to find the error.  A bracket
-    whose scan shows several separated local maxima raises
-    :class:`BracketError` with the scan attached.  The scan's best row and its
-    two neighbours then bound the bracket, and each refinement round takes
-    ``_ROUND_ROWS`` evenly spaced rows across the current bracket, scores in
-    one pass those that no earlier pass scored (all but the ends, and the
-    middle where it is the previous best) and keeps the two cells around the
-    best.  Of equal values the highest d is the best, so a flat objective
+    The objective of an offset is its ``d`` row's closed-form x at its minimum
+    over continuous omega (:func:`_continuous_min`), which, unlike the grid
+    peak, is smooth in d, clipped at 1; the search keeps the lowest, as the
+    EOF falls strictly with x below 1 and is 0 from 1 on, so no EOF is formed
+    (:func:`_search_objective`).  The rows are designed: held at their
+    designed root, they need no steady-state solve after the base's
+    (:func:`offset_x`).  A coarse scan first checks unimodality on the
+    bracket: its points are the rows at ``_SCAN_POINTS`` evenly spaced
+    offsets, evaluated in one pass, and the first row that fails raises its
+    error (a row outside the parameter domain before any other).  Only the
+    bracket's two ends are checked (:func:`_offset_error`, which builds
+    nothing), as the offsets whose rows pass form an interval; where an end
+    fails, the scan's rows are checked one by one to find the error.  A
+    bracket whose scan shows several separated interior minima of the
+    objective (maxima of the EOF) raises :class:`BracketError` with the scan
+    attached.  The scan's best row and its two neighbours then bound the
+    bracket, and each refinement round takes ``_ROUND_ROWS`` evenly spaced
+    rows across the current bracket, scores in one pass those that no earlier
+    pass scored (all but the ends, and the middle where it is the previous
+    best) and keeps the two cells around the best.  Of equal values the
+    highest d is the best, so a flat objective (every row separable, say)
     moves the bracket up.  The rounds stop once the bracket is at most
     ``_TOL_FRAC * max(|lo|, |hi|)`` wide, or no float lies inside it, and the
     search returns its midpoint.  A degenerate bracket returns its single
@@ -620,14 +639,14 @@ def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, fl
     if any(_offset_error(base, base_derived, end) is not None for end in (lo, hi)):
         _raise_scan_failure(base, base_derived, scan_d, omega)
     scan_v = _search_objective(base_derived, scan_d, omega)
-    interior_maxima = [i for i in range(1, _SCAN_POINTS - 1)
-                       if scan_v[i] >= scan_v[i - 1] and scan_v[i] >= scan_v[i + 1]]
-    if len(interior_maxima) > 1:
-        gaps = np.diff(interior_maxima)
-        if np.any(gaps > 1):   # separated humps rather than one flat top
+    interior_minima = [i for i in range(1, _SCAN_POINTS - 1)
+                       if scan_v[i] <= scan_v[i - 1] and scan_v[i] <= scan_v[i + 1]]
+    if len(interior_minima) > 1:
+        gaps = np.diff(interior_minima)
+        if np.any(gaps > 1):   # separated dips rather than one flat bottom
             raise BracketError(
                 f"peak EOF not unimodal on bracket; scan maxima at d = "
-                f"{[float(scan_d[i]) for i in interior_maxima]}"
+                f"{[float(scan_d[i]) for i in interior_minima]}"
             )
 
     tol = _TOL_FRAC * max(abs(hi), abs(lo))
@@ -635,7 +654,7 @@ def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, fl
     rows, values = scan_d, scan_v
     scored = dict(zip(scan_d.tolist(), scan_v.tolist()))   # this search's scored offsets
     while b - a > tol:
-        j = len(rows) - 1 - int(np.argmax(values[::-1]))   # the highest of equal values
+        j = len(rows) - 1 - int(np.argmin(values[::-1]))   # the highest of equal values
         bracket = float(rows[max(j - 1, 0)]), float(rows[min(j + 1, len(rows) - 1)])
         if bracket == (a, b):   # no float left inside
             break

@@ -24,10 +24,11 @@ import numpy as np
 import pytest
 
 import optoepr as oe
-from optoepr import cli, langevin, steady_state, sweeps
+from optoepr import cli, langevin, spectrum, steady_state, sweeps
 from tests.test_langevin import (FULL_GRID_RTOL, KERNELS, OP74, SYMMETRIC_GRID_RTOL,
                                  occupation_density, reference_intracavity_occupation, same_bits,
                                  strided_resolvent, symmetric_grid_occupation)
+from tests.test_sweeps import eof_objective
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
@@ -110,6 +111,65 @@ def test_opsearch_op_solves_seven_operating_points(monkeypatch):
             workload.execute(text)
         per_op.append(len(calls))
     assert per_op == [7] * workload.POOL_SIZE
+
+
+def test_opsearch_op_builds_six_physical_params(monkeypatch):
+    # per op: the config's base and its designed params, retuned_d's params, the
+    # sensitivity analysis' retuned params and its two power rows; the d-search's bracket
+    # ends and the analysis' designed rows are checked without being built
+    built = []
+    post_init = oe.PhysicalParams.__post_init__
+
+    def counting(params):
+        built.append(params)
+        post_init(params)
+    monkeypatch.setattr(oe.PhysicalParams, "__post_init__", counting)
+    workload = wl.OpSearch()
+    per_op = []
+    for text in workload.pool():
+        built.clear()
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "unequal cavity amplitudes", UserWarning)
+            workload.execute(text)
+        per_op.append(len(built))
+    assert per_op == [6] * workload.POOL_SIZE
+
+
+def opsearch_searches():
+    """The d-search of each opsearch op: its params, bracket and grid, as the op sets them."""
+    for text in wl.OpSearch().pool():
+        params = oe.parse_config(text).params
+        d_o = oe.optimum_d(oe.solve_steady_state(params)).d_o
+        yield (params, (0.25 * d_o, min(4.0 * d_o, 0.5 * params.gamma)),
+               oe.default_omega_grid(params.gamma, wl.OpSearch.GRID_POINTS))
+
+
+def test_opsearch_search_forms_no_eof(monkeypatch):
+    calls = []
+    eof_array = spectrum.eof_array
+
+    def counting(x):
+        calls.append(x)
+        return eof_array(x)
+    for module in (spectrum, sweeps):
+        monkeypatch.setattr(module, "eof_array", counting)
+    per_op = []
+    for params, bracket, grid in opsearch_searches():
+        calls.clear()
+        oe.find_optimum_d_numeric(params, bracket, omega_grid=grid)
+        per_op.append(len(calls))
+    assert per_op == [0] * wl.OpSearch.POOL_SIZE
+
+
+def test_opsearch_least_x_ranks_as_the_eof(monkeypatch):
+    # ranking the rows by the EOF of their least x, highest first, finds each op's d*
+    # to the bit, the strong ops' included
+    searches = list(opsearch_searches())
+    plain = [oe.find_optimum_d_numeric(params, bracket, omega_grid=grid)
+             for params, bracket, grid in searches]
+    eof_objective(monkeypatch)
+    assert [oe.find_optimum_d_numeric(params, bracket, omega_grid=grid)
+            for params, bracket, grid in searches] == plain
 
 
 @pytest.mark.parametrize("kind", list(wl.CLI_KINDS))

@@ -399,6 +399,13 @@ STRONG_CONFIGS = {
 }
 
 
+def eof_objective(monkeypatch):
+    """Make the d-search's objective the negated EOF of the plain objective's least x."""
+    objective = sweeps._search_objective
+    monkeypatch.setattr(sweeps, "_search_objective", lambda base_derived, d, omega:
+                        -eof_array(objective(base_derived, d, omega)))
+
+
 def search_setup(config):
     """Params, base steady state, the benchmark's bracket (d_o / 4 to 4 d_o, capped at
     gamma / 2) and 401-point grid of a config."""
@@ -610,6 +617,25 @@ class TestSearchRows:
         scored = np.concatenate(passes)
         assert len(passes) > 3 and len(np.unique(scored)) == len(scored)
 
+    @pytest.mark.parametrize("config", ["paper", "moderate", *STRONG_CONFIGS])
+    def test_least_x_ranks_as_the_eof(self, config, monkeypatch):
+        # the search ranks the rows by their least x, clipped at 1; ranking them by the
+        # EOF of that x, highest first, finds the same d* to the bit
+        params, derived, bracket, omega = search_setup(
+            {"paper": "defaults: paper\n", "moderate": MODERATE_CONFIG, **STRONG_CONFIGS}[config])
+        d_star = oe.find_optimum_d_numeric(params, bracket, omega_grid=omega)
+        eof_objective(monkeypatch)
+        assert oe.find_optimum_d_numeric(params, bracket, omega_grid=omega) == d_star
+
+    def test_separable_rows_score_one(self, paper_params, paper_derived, omega_grid):
+        # at the paper point the rows at -4 gamma and -gamma / 2 are separable (least x
+        # 2.79 and 1.02), where the EOF is 0: they score exactly 1.0, the others their x
+        d = np.array([-4.0, -0.5, 0.1, 1.0]) * paper_params.gamma
+        _, least = continuous_min(paper_derived, d, omega_grid)
+        assert (least >= 1.0).tolist() == [True, True, False, False]
+        scores = sweeps._search_objective(paper_derived, d, omega_grid)
+        assert scores.tolist() == [1.0, 1.0, *least[2:].tolist()]
+
     @pytest.mark.parametrize("target_alpha", [1000, 2000])   # 2000: power cases fail
     def test_sensitivity_rows_as_their_full_curves(self, target_alpha, omega_grid, monkeypatch):
         # the baseline and the d rows are the base's designed rows, each the x of its offset
@@ -664,26 +690,30 @@ class TestSearchRows:
                                                             omega_grid, monkeypatch):
         d_o = oe.optimum_d(paper_derived).d_o
         lo, hi = 0.3 * d_o, 3.0 * d_o
-        single, built = [], []
-        solve, build = sweeps.solve_steady_state, sweeps.operating_point_params
+        single, checked = [], []
+        solve, drive = sweeps.solve_steady_state, sweeps.designed_drive
 
         def counting(params):
             single.append(params)
             return solve(params)
 
-        def counting_built(*args):
-            built.append(args)
-            return build(*args)
+        def counting_checked(*args):
+            checked.append(args)
+            return drive(*args)
+
+        def no_build(params):
+            raise AssertionError("PhysicalParams built")
 
         monkeypatch.setattr(sweeps, "solve_steady_state", counting)
-        monkeypatch.setattr(sweeps, "operating_point_params", counting_built)
+        monkeypatch.setattr(sweeps, "designed_drive", counting_checked)
+        monkeypatch.setattr(oe.PhysicalParams, "__post_init__", no_build)
         monkeypatch.setattr(sweeps, "_SCAN_POINTS", 17)
         passes = spy_objective(monkeypatch)
         oe.find_optimum_d_numeric(paper_params, (lo, hi), omega_grid=omega_grid)
-        # the base alone is solved; the bracket's two ends are built, to check it, and no
-        # row after them
+        # the base alone is solved; the bracket's two ends are checked, and no row after
+        # them; nothing is built
         assert single == [paper_params]
-        assert [args[3] for args in built] == [lo, hi]
+        assert [args[3] for args in checked] == [lo, hi]
         rounds = len(passes) - 1
         # a round's rows are _ROUND_ROWS evenly spaced between the two rows of the pass
         # before around its best (two scored offsets of different passes may lie 1 ulp
@@ -826,9 +856,10 @@ class TestFindOptimumD:
 
 
     def test_separated_scan_maxima_raise(self, paper_params, monkeypatch):
-        # two humps, at d = 1.25e6 and 1.75e6, on the 33-point scan of (1e6, 2e6)
+        # two dips of the objective (humps of the EOF), at d = 1.25e6 and 1.75e6, on the
+        # 33-point scan of (1e6, 2e6)
         monkeypatch.setattr(sweeps, "_search_objective", lambda derived, d, omega:
-                            -np.minimum(np.abs(d - 1.25e6), np.abs(d - 1.75e6)))
+                            np.minimum(np.abs(d - 1.25e6), np.abs(d - 1.75e6)))
         with pytest.raises(oe.BracketError, match=r"scan maxima at d = \[1250000\.0, 1750000\.0\]"):
             oe.find_optimum_d_numeric(paper_params, (1e6, 2e6))
 
