@@ -28,7 +28,7 @@ from optoepr import cli, langevin, spectrum, steady_state, sweeps
 from tests.test_langevin import (FULL_GRID_RTOL, KERNELS, OP74, SYMMETRIC_GRID_RTOL,
                                  occupation_density, reference_intracavity_occupation, same_bits,
                                  strided_resolvent, symmetric_grid_occupation)
-from tests.test_sweeps import eof_objective
+from tests.test_sweeps import eof_objective, no_prefetch, spy_objective
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
@@ -170,6 +170,47 @@ def test_opsearch_least_x_ranks_as_the_eof(monkeypatch):
     eof_objective(monkeypatch)
     assert [oe.find_optimum_d_numeric(params, bracket, omega_grid=grid)
             for params, bracket, grid in searches] == plain
+
+
+def searched(searches, passes):
+    """d* of each search, and the offsets of each of its passes (recorded in ``passes``)."""
+    results = []
+    for params, bracket, grid in searches:
+        passes.clear()
+        results.append((oe.find_optimum_d_numeric(params, bracket, omega_grid=grid),
+                        [d.tolist() for d in passes]))
+    return results
+
+
+def test_opsearch_prefetch_keeps_d_star_in_fewer_passes(monkeypatch):
+    # each round's pass also scores the rows of the two rounds it predicts after it: over
+    # the pool a search runs 3.21 passes, not 5.54, and finds every d* to the bit
+    searches = list(opsearch_searches())
+    passes = spy_objective(monkeypatch)
+    predicted = searched(searches, passes)
+    no_prefetch(monkeypatch)
+    alone = searched(searches, passes)
+    assert [d for d, _ in predicted] == [d for d, _ in alone]
+    assert sum(len(p) for _, p in predicted) <= 3.3 * wl.OpSearch.POOL_SIZE
+    assert sum(len(p) for _, p in alone) == 554
+
+
+def test_cli_search_scores_its_rows_in_its_passes_without_prediction(tmp_path, monkeypatch):
+    # on optimum --numeric's 2001-point grid a block holds 8 rows, and no round of 6 or 7
+    # new rows leaves room for another: each of the 18 cli_tables searches runs the
+    # passes it runs with no prediction, 104 in all
+    configs = {item["config"]: item["text"] for item in wl.CliTables(tmp_path).pool()}
+    searches = []
+    for text in configs.values():
+        params = oe.parse_config(text).params
+        d_o = oe.optimum_d(oe.solve_steady_state(params)).d_o
+        searches.append((params, (0.25 * d_o, min(4.0 * d_o, 0.5 * params.gamma)),
+                         oe.default_omega_grid(params.gamma)))
+    passes = spy_objective(monkeypatch)
+    predicted = searched(searches, passes)
+    no_prefetch(monkeypatch)
+    assert predicted == searched(searches, passes)
+    assert len(predicted) == 18 and sum(len(p) for _, p in predicted) == 104
 
 
 @pytest.mark.parametrize("kind", list(wl.CLI_KINDS))

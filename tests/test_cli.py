@@ -374,6 +374,22 @@ class TestOptimum:
         assert lines[3] == "warning: squeezing unbounded in this limit"
         assert lines[4:] == ["numeric optimum d* = 0 rad/s"]
 
+    @pytest.mark.parametrize("eta", ["1e-300", "1e-12"])   # g = 0 and g = 3.4e-9 rad/s
+    @pytest.mark.parametrize("points", ["5", "2001"])
+    def test_numeric_search_flat_within_rounding_ends_at_the_top(self, eta, points, capsys):
+        # at vanishing coupling every row's least x is 1 within a few ulp: the rows tie
+        # as separable, and of equal values the highest d is the best, so the search ends
+        # within _TOL_FRAC of the bracket's top, gamma / 2 here
+        code, out, err = run(capsys, "optimum", "--numeric", "--omega-points", points,
+                             "--set", f"eta={eta}")
+        assert code == 0 and err == ""
+        hi = 0.5 * oe.parse_config("defaults: paper\n").params.gamma
+        prefix = "numeric optimum d* = "
+        last = out.splitlines()[-1]
+        assert last.startswith(prefix)
+        d_star = float(last[len(prefix):].split()[0])
+        assert hi - 1e-4 * hi <= d_star <= hi
+
     def test_failed_search_prints_nothing(self, capsys, monkeypatch):
         # the closed-form lines wait for the search: a failed one leaves stdout empty
         def fail(params, bracket, omega_grid=None):

@@ -428,6 +428,28 @@ def spy_objective(monkeypatch):
     return passes
 
 
+def no_prefetch(monkeypatch):
+    """Make the d-search predict no rows ahead: each round's pass scores its own rows alone,
+    one pass per round."""
+    monkeypatch.setattr(sweeps, "_rounds_ahead", lambda *args: [])
+
+
+def failing_objective(monkeypatch, failing):
+    """Make the d-search's objective raise DomainError for a pass holding any of the offsets
+    ``failing``, naming the last of them in the pass; return the passes that raised."""
+    objective = sweeps._search_objective
+    raised = []
+
+    def stub(base_derived, d, omega):
+        hit = [dk for dk in d.tolist() if dk in failing]
+        if hit:
+            raised.append(np.array(d))
+            raise oe.DomainError(f"stub failure at d = {hit[-1]!r}")
+        return objective(base_derived, d, omega)
+    monkeypatch.setattr(sweeps, "_search_objective", stub)
+    return raised
+
+
 def continuous_min(derived, d, omega):
     """The designed rows' x at the offsets ``d`` on the grid and their continuous minima."""
     x_at = offset_x(derived, d)
@@ -603,19 +625,21 @@ class TestSearchRows:
         params, derived, bracket, omega = search_setup(MODERATE_CONFIG)
         passes = spy_objective(monkeypatch)
         oe.find_optimum_d_numeric(params, bracket, omega_grid=omega)
-        assert len(passes) > 3
+        # the scan, then rounds whose passes hold the rows of the rounds they predict
+        assert len(passes) > 1 and any(len(d) > sweeps._ROUND_ROWS - 2 for d in passes[1:])
         for d in passes:
             assert_designed_rows(params, derived, d, omega)
 
     @pytest.mark.parametrize("config", ["paper", "moderate"])
     def test_no_offset_scored_twice(self, config, monkeypatch):
         # a round takes its bracket's ends from the pass before and scores only the rows inside
+        # that no pass scored, its predicted rounds' rows included
         params, derived, bracket, omega = search_setup(
             "defaults: paper\n" if config == "paper" else MODERATE_CONFIG)
         passes = spy_objective(monkeypatch)
         oe.find_optimum_d_numeric(params, bracket, omega_grid=omega)
         scored = np.concatenate(passes)
-        assert len(passes) > 3 and len(np.unique(scored)) == len(scored)
+        assert len(passes) >= 3 and len(np.unique(scored)) == len(scored)
 
     @pytest.mark.parametrize("config", ["paper", "moderate", *STRONG_CONFIGS])
     def test_least_x_ranks_as_the_eof(self, config, monkeypatch):
@@ -794,6 +818,61 @@ class TestSearchBlocks:
             assert str(raised.value) == f"adiabatic output failed at omega = {at:.6e}"
 
 
+class TestSearchPrefetch:
+    """A round's pass also scores the rows of the rounds it predicts after it, where they fit
+    in its block; every decision reads scored values alone, so neither d* nor an error a
+    round raises moves."""
+
+    @pytest.mark.parametrize("config", ["paper", "moderate", *STRONG_CONFIGS])
+    def test_prefetch_keeps_d_star(self, config, monkeypatch):
+        params, _, bracket, omega = search_setup(
+            {"paper": "defaults: paper\n", "moderate": MODERATE_CONFIG, **STRONG_CONFIGS}[config])
+        d_star = oe.find_optimum_d_numeric(params, bracket, omega_grid=omega)
+        no_prefetch(monkeypatch)
+        assert oe.find_optimum_d_numeric(params, bracket, omega_grid=omega) == d_star
+
+    def test_prefetched_row_that_raises_changes_nothing(self, monkeypatch):
+        # a row of a mispredicted round, which no round of the search scores, fails: the
+        # pass holding it is run again on its round's own rows, and d* keeps its bits
+        params, _, bracket, omega = search_setup("defaults: paper\n")
+        passes = spy_objective(monkeypatch)
+        d_star = oe.find_optimum_d_numeric(params, bracket, omega_grid=omega)
+        prefetched = np.concatenate(passes)
+        passes.clear()
+        with monkeypatch.context() as m:
+            no_prefetch(m)
+            oe.find_optimum_d_numeric(params, bracket, omega_grid=omega)
+        unused = prefetched[~np.isin(prefetched, np.concatenate(passes))]
+        raised = failing_objective(monkeypatch, {float(unused[0])})
+        assert oe.find_optimum_d_numeric(params, bracket, omega_grid=omega) == d_star
+        assert len(raised) == 1
+
+    @pytest.mark.parametrize("config", ["paper", "moderate"])
+    def test_round_row_that_raises_raises_as_without_prefetch(self, config, monkeypatch):
+        # the second round's first row fails, and the third round's last: without
+        # prediction the second round's pass raises for its row; with it, the passes
+        # holding both raise for the later one, and are run again on their round's own
+        # rows, which raise the same error
+        params, _, bracket, omega = search_setup(
+            "defaults: paper\n" if config == "paper" else MODERATE_CONFIG)
+        passes = spy_objective(monkeypatch)
+        with monkeypatch.context() as m:
+            no_prefetch(m)
+            oe.find_optimum_d_numeric(params, bracket, omega_grid=omega)
+        rounds = passes[1:]   # one pass per round
+        first = float(rounds[1][0])
+        raised = failing_objective(monkeypatch, {first, float(rounds[2][-1])})
+        with monkeypatch.context() as m:
+            no_prefetch(m)
+            with pytest.raises(oe.DomainError) as alone:
+                oe.find_optimum_d_numeric(params, bracket, omega_grid=omega)
+        with pytest.raises(oe.DomainError) as prefetching:
+            oe.find_optimum_d_numeric(params, bracket, omega_grid=omega)
+        assert type(prefetching.value) is type(alone.value) is oe.DomainError
+        assert str(prefetching.value) == str(alone.value) == f"stub failure at d = {first!r}"
+        assert any(len(d) > sweeps._ROUND_ROWS - 2 for d in raised)   # a prefetching pass raised
+
+
 class TestFindOptimumD:
     def test_matches_closed_form_within_five_percent(self, paper_params, paper_derived):
         d_o = oe.optimum_d(paper_derived).d_o
@@ -813,6 +892,15 @@ class TestFindOptimumD:
     def test_degenerate_bracket_returns_point(self, paper_params, paper_derived):
         d_o = oe.optimum_d(paper_derived).d_o
         assert oe.find_optimum_d_numeric(paper_params, (d_o, d_o)) == d_o
+
+    @pytest.mark.parametrize("bracket", [(1e30, 1e30), (1e30, 1e30 + 1e15)])
+    def test_bracket_beyond_the_window_raises_for_its_point(self, paper_params, bracket):
+        # a degenerate bracket's point is checked as a bracket's end is
+        with pytest.raises(oe.SignConventionViolated) as error:
+            oe.find_optimum_d_numeric(paper_params, bracket)
+        assert type(error.value) is oe.SignConventionViolated
+        assert str(error.value) == ("target d = 1.0000e+30 too large: "
+                                    "Delta_2' = -1.0000e+30 would not be positive")
 
     def test_invalid_bracket(self, paper_params):
         with pytest.raises(oe.BracketError):
