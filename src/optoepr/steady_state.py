@@ -126,10 +126,11 @@ def _intensity_roots(omega_1, omega_2, delta_1, delta_2, c, gamma):
     is -(Omega_1^2 D_2 + Omega_2^2 D_1)/4 < 0; so the degree stays at least 1
     and no zero root is split off, as ``np.roots`` would.  D_1 D_2 is
     multiplied by ``np.convolve``, which sums through BLAS; a written-out
-    product would differ from it in the last bit.  Each real root in [0, 1]
-    is polished with one Newton step on the rational form.  Every root lies
-    in (0, 1], and one next to 1 (|Delta_j + c N| << gamma) may be computed
-    a few ulp above it, so eigenvalues up to 4 eps above 1 are kept.  An
+    product would differ from it in the last bit.  Every root lies in
+    (0, 1], and one at 1 (one drive off, the other on its shifted resonance)
+    came out up to 450 eps above it over 399 such drives at the paper point,
+    so each real eigenvalue in [0, 1 + 1e-12] is polished with one Newton
+    step on the rational form and clipped to upper.  An
     ``upper`` below the smallest normal float is the undriven cavity, root 0:
     its subnormal products lose the digits that keep the root in the bracket.
     A linewidth so small that the quintic's coefficients overflow (gamma^2 may
@@ -156,7 +157,7 @@ def _intensity_roots(omega_1, omega_2, delta_1, delta_2, c, gamma):
     companion[0] = -np.array(poly[1:]) / poly[0]
     roots = []
     for N in sorted(upper * z.real for z in np.linalg.eigvals(companion).tolist()
-                    if z.imag == 0.0 and 0.0 <= z.real <= 1.0 + 4.0 * _EPS):
+                    if z.imag == 0.0 and 0.0 <= z.real <= 1.0 + 1e-12):
         f, slope = N, 1.0
         for om, dj in ((omega_1, delta_1), (omega_2, delta_2)):
             shifted = dj + c * N
@@ -164,7 +165,7 @@ def _intensity_roots(omega_1, omega_2, delta_1, delta_2, c, gamma):
             term = (om * om / 4.0) / den
             f -= term
             slope += term * 2.0 * c * shifted / den
-        roots.append(N - f / slope)
+        roots.append(min(N - f / slope, upper))
     return roots
 
 
@@ -183,7 +184,9 @@ def solve_steady_state(params: PhysicalParams) -> DerivedParams:
     NoSteadyState
         If no root exists in the physical bracket (cannot happen: a drive too
         weak for the bracket to be a normal float leaves the cavity empty, and
-        any other has a root there; kept as a guard).
+        any other has a root there; kept as a guard, which a root at
+        N = upper, its eigenvalue above 1 by rounding, would reach without
+        the tolerance above 1 of :func:`_intensity_roots`).
     SignConventionViolated
         If no root lies in the window Delta_1' < 0 < Delta_2', or if
         delta <= 0 (delta does not depend on N), i.e. the drive frequencies

@@ -43,21 +43,23 @@ unlike the grid peak it is smooth in d, and as the EOF falls strictly with x
 below 1 and is 0 from 1 on, the lowest is the EOF's best, with no EOF
 formed.  Each block of offsets forms the row part of the closed form once,
 and its evaluator serves the grid pass and every refinement of the
-continuous minimum.  A coarse scan checks unimodality, then refinement
-rounds of ``_ROUND_ROWS`` rows narrow the bracket to the two cells around
-the best row (of equal values the highest d) until it is ``_TOL_FRAC`` of
-its larger end wide.  A round's two ends are rows of the pass before,
-reproduced exactly by ``np.linspace``, so a round scores its
-``_ROUND_ROWS - 2`` inner rows, and one fewer when its middle row is the
-pass before's best offset: no offset is scored twice in one search.  A
-round's pass also scores the rows of the ``_PREFETCH_ROUNDS`` rounds after
-it, walked as the search walks them towards the minimum the scored values
-predict (the parabolic step of Brent's method), where whole rounds fit in
-the pass's one block: a round whose rows are all scored runs no pass.  On
-the benchmark's 401-point grids a search runs 3.2 passes, against 5.5 with
-one pass per round; a 2001-point grid's block of 8 rows holds no second
-round.  Every decision reads scored values alone, so d* keeps its bits
-whichever rows were predicted.
+continuous minimum.  A bracket at most ``_TOL_FRAC`` of its larger end wide
+returns its midpoint unscanned.  Else a coarse scan checks unimodality, then
+refinement rounds of ``_ROUND_ROWS`` rows narrow the bracket by one rule
+(:func:`_narrowed`) to the two cells around the best row (of equal values
+the highest d) until it is ``_TOL_FRAC`` of its larger end wide.  A round's
+two ends are rows of the pass before, reproduced exactly by
+``np.linspace``, so a round scores its ``_ROUND_ROWS - 2`` inner rows, and
+one fewer when its middle row is the pass before's best offset: no offset
+is scored twice in one search.  A round's pass also scores the rows of the
+``_PREFETCH_ROUNDS`` rounds after it, walked by the same rule towards the
+vertex of the parabola through the round before's best row and its
+neighbours (the parabolic step of Brent's method, formed as the EOF peaks
+are refined), where whole rounds fit in the pass's one block: a round whose
+rows are all scored runs no pass.  On the benchmark's 401-point grids a
+search runs 3.23 passes, against 5.54 with one pass per round; a 2001-point
+grid's block of 8 rows holds no second round.  Every decision reads scored
+values alone, so d* keeps its bits whichever rows were predicted.
 
 Peak statistics are measured on the EOF(omega) curve: every local maximum
 is refined parabolically and the peak is the largest vertex, in the sweeps
@@ -102,8 +104,8 @@ _NEAR_PEAK = 0.01
 # _ROUND_ROWS - 1 cells, until it is _TOL_FRAC of its larger end wide.  A
 # round's pass also scores the rows of the _PREFETCH_ROUNDS rounds after it
 # predicts, where they fit in its block (measured on the opsearch pool at 401
-# points: 1, 2 and 3 rounds gave 3.91, 3.21 and 3.02 passes per search, and 2
-# the least search time).
+# points: 1, 2 and 3 rounds gave 3.92, 3.23 and 3.19 passes per search and
+# 63.6, 67.7 and 73.3 rows).
 _SCAN_POINTS = 33
 _ROUND_ROWS = 9
 _PREFETCH_ROUNDS = 2
@@ -199,8 +201,12 @@ class SweepResult:
     rows: list[SweepRow] = field(default_factory=list)
 
 
-def _parabolic_refine(x: np.ndarray, y: np.ndarray, i: int) -> tuple[float, float]:
-    """Vertex of the parabola through (x, y) at grid index i and its neighbours."""
+def _parabolic_refine(x: np.ndarray | list, y: np.ndarray, i: int) -> tuple[float, float]:
+    """Vertex of the parabola through (x, y) at index i of the evenly spaced ``x`` and its
+    neighbours, or the point i at an end or where the parabola is not concave: an EOF
+    maximum refined, or with ``y`` a d-search round's negated values the search's predicted
+    minimum (the parabolic step of Brent's method; Press et al., *Numerical Recipes*, 3rd
+    ed., section 10.3)."""
     if i == 0 or i == len(x) - 1:
         return float(x[i]), float(y[i])
     x0, x1, x2 = x[i - 1], x[i], x[i + 1]
@@ -610,49 +616,37 @@ def _continuous_min(x_at, omega: np.ndarray, x: np.ndarray) -> np.ndarray:
     return least
 
 
-def _predicted_minimum(scored: dict[float, float]) -> float:
-    """The offset where the ``scored`` values (by offset) predict the search's minimum.
+def _narrowed(rows: list[float], j: int,
+              tol: float) -> tuple[tuple[float, float], list[float] | None]:
+    """The bracket a round of ``rows`` narrows to about its row ``j``, and the next round's rows.
 
-    That is the vertex of the parabola through the best scored offset (lowest
-    value, of equal values the highest d, as the search ranks) and its two
-    neighbours among the scored offsets: the parabolic step of Brent's method
-    (Press et al., *Numerical Recipes*, 3rd ed., section 10.3).  Where the best
-    is the lowest or highest scored offset, or that parabola is not convex, it
-    is the best offset itself.
+    The bracket is the two cells around row j, clipped at the round's ends.  There
+    is no next round (None) where it is the round's own ends, with no float left
+    inside, or at most ``tol`` wide; else the next round is ``_ROUND_ROWS``
+    offsets evenly across it, whose ``np.linspace`` reproduces its ends exactly.
     """
-    ds = sorted(scored)
-    vs = [scored[dk] for dk in ds]
-    i = len(vs) - 1 - vs[::-1].index(min(vs))   # the highest of equal values
-    if i == 0 or i == len(ds) - 1:
-        return ds[i]
-    (a, b, c), (fa, fb, fc) = ds[i - 1:i + 2], vs[i - 1:i + 2]
-    p, q = (b - a) * (fb - fc), (b - c) * (fb - fa)
-    if not p - q < 0.0:   # not convex
-        return b
-    return b - 0.5 * ((b - a) * p - (b - c) * q) / (p - q)
+    a, b = rows[max(j - 1, 0)], rows[min(j + 1, len(rows) - 1)]
+    if (a, b) == (rows[0], rows[-1]) or not b - a > tol:
+        return (a, b), None
+    return (a, b), np.linspace(a, b, _ROUND_ROWS).tolist()
 
 
-def _rounds_ahead(scored: dict[float, float], rows: list[float], new: list[float],
-                  tol: float, room: int) -> list[float]:
+def _rounds_ahead(vertex: float, rows: list[float], taken: set[float], tol: float,
+                  room: int) -> list[float]:
     """The offsets the ``_PREFETCH_ROUNDS`` refinement rounds after the round of ``rows``
     would score, if each round's best were its row nearest the predicted minimum
-    (:func:`_predicted_minimum`), less those ``scored`` or among the round's ``new``
-    ones: at most ``room`` of them, of whole rounds only.
+    ``vertex``, less those ``taken``: at most ``room`` of them, of whole rounds only.
 
-    The rounds are walked as :func:`find_optimum_d_numeric` takes them (the same
-    clipped ends and the same ``np.linspace``), so a round predicted right has
-    these offsets to the bit.
+    Each round narrows by :func:`_narrowed`, as in :func:`find_optimum_d_numeric`, so
+    a round predicted right has these offsets to the bit.
     """
-    vertex = _predicted_minimum(scored)
-    taken, ahead = set(new), []
+    taken, ahead = set(taken), []
     for _ in range(_PREFETCH_ROUNDS):
         distance = [abs(dk - vertex) for dk in rows]
-        j = distance.index(min(distance))
-        a, b = rows[max(j - 1, 0)], rows[min(j + 1, len(rows) - 1)]
-        if (a, b) == (rows[0], rows[-1]) or not b - a > tol:
+        _, rows = _narrowed(rows, distance.index(min(distance)), tol)
+        if rows is None:
             break   # the search would stop here
-        rows = np.linspace(a, b, _ROUND_ROWS).tolist()
-        round_new = [dk for dk in dict.fromkeys(rows) if dk not in scored and dk not in taken]
+        round_new = [dk for dk in dict.fromkeys(rows) if dk not in taken]
         if len(ahead) + len(round_new) > room:
             break
         ahead += round_new
@@ -670,34 +664,34 @@ def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, fl
     EOF falls strictly with x below 1 and is 0 from 1 on, so no EOF is formed
     (:func:`_search_objective`).  The rows are designed: held at their
     designed root, they need no steady-state solve after the base's
-    (:func:`offset_x`).  A coarse scan first checks unimodality on the
-    bracket: its points are the rows at ``_SCAN_POINTS`` evenly spaced
-    offsets, evaluated in one pass, and the first row that fails raises its
-    error (a row outside the parameter domain before any other).  Only the
-    bracket's two ends are checked (:func:`_offset_error`, which builds
-    nothing), as the offsets whose rows pass form an interval; where an end
-    fails, the scan's rows are checked one by one to find the error.  A
-    bracket whose scan shows several separated interior minima of the
-    objective (maxima of the EOF) raises :class:`BracketError` with the scan
-    attached.  The scan's best row and its two neighbours then bound the
-    bracket, and each refinement round takes ``_ROUND_ROWS`` evenly spaced
-    rows across the current bracket, scores those that no earlier pass scored
-    (all but the ends, and the middle where it is the previous best) and
-    keeps the two cells around the best.  A round's pass first predicts the
-    minimum (:func:`_predicted_minimum`) and appends, after its own rows, the
-    unscored rows of the ``_PREFETCH_ROUNDS`` rounds that follow if each
-    round's best is its row nearest that minimum (:func:`_rounds_ahead`), as
-    many whole rounds as fit in the pass's one block of
-    ``_BLOCK_POINTS // len(omega_grid)`` rows; a round whose rows are all
-    scored runs no pass.  A pass holding predicted rows that raises is run
-    again on the round's own rows, which raise the round's own error or pass.
-    Of equal values the highest d is the best, so a flat objective (every row
-    separable, or separable within rounding) moves the bracket up.  The
-    rounds stop once the bracket is at most ``_TOL_FRAC * max(|lo|, |hi|)``
-    wide, or no float lies inside it, and the search returns its midpoint.
-    A degenerate bracket returns its single point, after solving the base and
-    checking the point as a bracket end is checked.  A bracket with a
-    non-finite end or with hi < lo raises
+    (:func:`offset_x`).  Only the bracket's two ends are checked
+    (:func:`_offset_error`, which builds nothing), as the offsets whose rows
+    pass form an interval; where an end fails, the scan's rows are checked one
+    by one to find the error (a row outside the parameter domain before any
+    other).  A bracket at most ``_TOL_FRAC * max(|lo|, |hi|)`` wide, a
+    degenerate one included, then returns its midpoint without scanning.  A
+    wider bracket is scanned first, for unimodality: its points are the rows
+    at ``_SCAN_POINTS`` evenly spaced offsets, evaluated in one pass, and the
+    first row that fails raises its error.  A scan that shows several
+    separated interior minima of the objective (maxima of the EOF) raises
+    :class:`BracketError` with the scan attached.  Each round, the scan
+    first, is narrowed by :func:`_narrowed` to the two cells around its best
+    row, and the next round takes ``_ROUND_ROWS`` evenly spaced rows across
+    them, scoring those that no earlier pass scored (all but the ends, and
+    the middle where it is the previous best).  Its pass first predicts the
+    minimum, the vertex of the parabola through the round before's best row
+    and its neighbours (:func:`_parabolic_refine`), and appends, after its
+    own rows, the unscored rows of the ``_PREFETCH_ROUNDS`` rounds that follow
+    if each round's best is its row nearest that vertex
+    (:func:`_rounds_ahead`), as many whole rounds as fit in the pass's one
+    block of ``_BLOCK_POINTS // len(omega_grid)`` rows; a round whose rows are
+    all scored runs no pass.  A pass holding predicted rows that raises is
+    run again on the round's own rows, which raise the round's own error or
+    pass.  Of equal values the highest d is the best, so a flat objective
+    (every row separable, or separable within rounding) moves the bracket
+    up.  The rounds stop once the bracket is at most the tolerance wide, or
+    no float lies inside it, and the search returns its midpoint.  A bracket
+    with a non-finite end or with hi < lo raises
     :class:`BracketError`, and an ``omega_grid`` that :func:`_check_grid`
     rejects or of fewer than 2 points (with no cell to refine the minimum in)
     ValueError, before anything is solved.
@@ -709,12 +703,6 @@ def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, fl
     if len(omega) < 2:
         raise ValueError(f"omega_grid must have at least 2 points, got {len(omega)}")
     base_derived = solve_steady_state(base)
-    if hi == lo:
-        error = _offset_error(base, base_derived, lo)
-        if error is not None:
-            raise error
-        return lo
-
     scan_d = np.linspace(lo, hi, _SCAN_POINTS)
     # Each rule a row must pass before it is evaluated (Delta_2' > 0, each laser
     # within 10 omega_m of the cavity, Delta_1' < 0) compares a monotone, rounded
@@ -723,6 +711,9 @@ def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, fl
     # pass, every row does.
     if any(_offset_error(base, base_derived, end) is not None for end in (lo, hi)):
         _raise_scan_failure(base, base_derived, scan_d, omega)
+    tol = _TOL_FRAC * max(abs(hi), abs(lo))
+    if not hi - lo > tol:
+        return 0.5 * (lo + hi)
     scan_v = _search_objective(base_derived, scan_d, omega)
     interior_minima = [i for i in range(1, _SCAN_POINTS - 1)
                        if scan_v[i] <= scan_v[i - 1] and scan_v[i] <= scan_v[i + 1]]
@@ -734,34 +725,28 @@ def find_optimum_d_numeric(base: PhysicalParams, search_bracket: tuple[float, fl
                 f"{[float(scan_d[i]) for i in interior_minima]}"
             )
 
-    tol = _TOL_FRAC * max(abs(hi), abs(lo))
     size = max(1, _BLOCK_POINTS // len(omega))   # the rows of one block
-    a, b = lo, hi
-    rows, values = scan_d, scan_v
-    scored = dict(zip(scan_d.tolist(), scan_v.tolist()))   # this search's scored offsets
-    while b - a > tol:
+    rows, values = scan_d.tolist(), scan_v
+    scored = dict(zip(rows, scan_v.tolist()))   # this search's scored offsets
+    while True:
         j = len(rows) - 1 - int(np.argmin(values[::-1]))   # the highest of equal values
-        bracket = float(rows[max(j - 1, 0)]), float(rows[min(j + 1, len(rows) - 1)])
-        if bracket == (a, b):   # no float left inside
-            break
-        a, b = bracket
-        if b - a > tol:
-            # np.linspace reproduces a and b exactly, and often the best row between
-            # them: a round scores only the offsets no earlier pass scored, and in the
-            # same block the rounds it predicts after it
-            rows = np.linspace(a, b, _ROUND_ROWS)
-            offsets = rows.tolist()
-            new = list(dict.fromkeys(dk for dk in offsets if dk not in scored))
-            if new:
-                ahead = _rounds_ahead(scored, offsets, new, tol, size - len(new))
-                try:
-                    passed = _search_objective(base_derived, np.array(new + ahead), omega)
-                except PhysicsError:
-                    if not ahead:
-                        raise
-                    # the round's own rows, alone, raise its own error or pass
-                    ahead = []
-                    passed = _search_objective(base_derived, np.array(new), omega)
-                scored.update(zip(new + ahead, passed.tolist()))
-            values = np.array([scored[dk] for dk in offsets])
-    return 0.5 * (a + b)
+        (a, b), next_rows = _narrowed(rows, j, tol)
+        if next_rows is None:
+            return 0.5 * (a + b)
+        # a round scores only the offsets no earlier pass scored, and in the same
+        # block the rounds it predicts after it, from the parabola of the round before
+        new = list(dict.fromkeys(dk for dk in next_rows if dk not in scored))
+        if new:   # a round whose rows repeat a float, a parabola of no width, leaves none
+            vertex = _parabolic_refine(rows, -values, j)[0]
+            ahead = _rounds_ahead(vertex, next_rows, scored.keys() | new, tol, size - len(new))
+            try:
+                passed = _search_objective(base_derived, np.array(new + ahead), omega)
+            except PhysicsError:
+                if not ahead:
+                    raise
+                # the round's own rows, alone, raise its own error or pass
+                ahead = []
+                passed = _search_objective(base_derived, np.array(new), omega)
+            scored.update(zip(new + ahead, passed.tolist()))
+        rows = next_rows
+        values = np.array([scored[dk] for dk in rows])

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import optoepr as oe
 
 TWO_PI = 2.0 * np.pi
+
+# a long run of the property tests, loaded by --hypothesis-profile fuzz; the default
+# profile is unchanged
+settings.register_profile("fuzz", max_examples=20000)
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import optoepr as oe
@@ -177,6 +177,12 @@ class TestIntensityRoots:
                                st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0])),
            c=st.one_of(st.just(0.0), st.floats(-6.0, 4.0).map(lambda e: 10.0**e)),
            gamma=st.floats(5.0, 10.0).map(lambda e: 10.0**e))
+    # one drive off and the other on its shifted resonance at N = upper: the companion
+    # eigenvalue of that root is 1 + 28 eps and 1 + 6 eps
+    @example(drives=(5.015625, 0.0, True), detunings=(0.0, 3.375, -1.0, -1.0), c=1.0,
+             gamma=10.0**5.015625)
+    @example(drives=(5.0, 0.0, True), detunings=(2.1297439649784238, 5.117882066200435, -1.0, -1.0),
+             c=134.81678461209015, gamma=1e5)
     def test_every_drive_has_a_root(self, drives, detunings, c, gamma):
         # drives from 1e-170 to 1e14 rad/s, one of them possibly off
         e1, e2, second_off = drives
@@ -185,6 +191,22 @@ class TestIntensityRoots:
         roots = _intensity_roots(*omegas, *deltas, c, gamma)
         upper = sum(om * om for om in omegas) / gamma**2
         assert roots and all(0.0 <= N <= upper * (1.0 + 8.0 * np.finfo(float).eps) for N in roots)
+
+    def test_root_on_the_shifted_resonance_is_found(self, paper_params):
+        # Delta_1 = -c upper puts drive 1 on its shifted resonance at N = upper, the other
+        # off: that root's eigenvalue comes out up to a few hundred eps above 1.  Alone,
+        # its Delta_1' = 0 lies outside the window; with two roots below it, the smallest
+        # lies in the window with delta <= 0.  No drive raises NoSteadyState
+        c = 2.0 * paper_params.eta**2 * paper_params.omega_m
+        for k in range(1, 400):
+            omega_1 = k * 7.3 * paper_params.gamma
+            upper = omega_1 * omega_1 / paper_params.gamma**2
+            roots = _intensity_roots(omega_1, 0.0, -c * upper, 5e8, c, paper_params.gamma)
+            assert len(roots) in (1, 3) and roots[-1] == upper
+            params = paper_params.scaled(drive=oe.DriveSpec(-c * upper, 5e8, omega_1, 0.0))
+            message = "Delta_1' < 0 < Delta_2'" if len(roots) == 1 else "requires delta > 0"
+            with pytest.raises(oe.SignConventionViolated, match=re.escape(message)):
+                oe.solve_steady_state(params)
 
 
 class TestBatchedSolve:

@@ -872,6 +872,26 @@ class TestSearchPrefetch:
         assert str(prefetching.value) == str(alone.value) == f"stub failure at d = {first!r}"
         assert any(len(d) > sweeps._ROUND_ROWS - 2 for d in raised)   # a prefetching pass raised
 
+    @pytest.mark.parametrize("config", ["paper", "moderate"])
+    def test_walk_predicted_right_scores_the_rows_in_a_third_of_the_passes(self, config,
+                                                                          monkeypatch):
+        # with the search's own d* as the predicted minimum, each pass scores its round
+        # and the two after it as the search then takes them: the rows of the search
+        # without prediction, in their order, in 1 + ceil(R / 3) passes for its R rounds
+        params, _, bracket, omega = search_setup(
+            "defaults: paper\n" if config == "paper" else MODERATE_CONFIG)
+        passes = spy_objective(monkeypatch)
+        with monkeypatch.context() as m:
+            no_prefetch(m)
+            d_star = oe.find_optimum_d_numeric(params, bracket, omega_grid=omega)
+        alone = list(passes)
+        passes.clear()
+        walk = sweeps._rounds_ahead
+        monkeypatch.setattr(sweeps, "_rounds_ahead", lambda _, *args: walk(d_star, *args))
+        assert oe.find_optimum_d_numeric(params, bracket, omega_grid=omega) == d_star
+        assert np.concatenate(passes).tobytes() == np.concatenate(alone).tobytes()
+        assert len(passes) == 1 + math.ceil((len(alone) - 1) / 3) < len(alone)
+
 
 class TestFindOptimumD:
     def test_matches_closed_form_within_five_percent(self, paper_params, paper_derived):
@@ -892,6 +912,19 @@ class TestFindOptimumD:
     def test_degenerate_bracket_returns_point(self, paper_params, paper_derived):
         d_o = oe.optimum_d(paper_derived).d_o
         assert oe.find_optimum_d_numeric(paper_params, (d_o, d_o)) == d_o
+
+    @pytest.mark.parametrize("f", [0.3, 0.95, 2.0])
+    @pytest.mark.parametrize("r", [1e-9, 1e-12, 1e-14])
+    def test_bracket_within_its_tolerance_returns_its_midpoint(self, paper_params,
+                                                                paper_derived, f, r,
+                                                                monkeypatch):
+        # no row is scored: a scan of such a bracket differs only by rounding, and its
+        # rounding dips read as separated maxima
+        d_o = oe.optimum_d(paper_derived).d_o
+        lo, hi = f * d_o, f * d_o * (1.0 + r)
+        passes = spy_objective(monkeypatch)
+        assert oe.find_optimum_d_numeric(paper_params, (lo, hi)) == 0.5 * (lo + hi)
+        assert passes == []
 
     @pytest.mark.parametrize("bracket", [(1e30, 1e30), (1e30, 1e30 + 1e15)])
     def test_bracket_beyond_the_window_raises_for_its_point(self, paper_params, bracket):
